@@ -12,10 +12,9 @@ from . import exactlin as xl
 from . import mirror as mi
 from . import serialize as sz
 from . import siegel as sg
-from .clifford import (IsotropicSplitting, SpinVec, beta_iso, beta_parity,
-                       is_spin, r_of_z)
+from .clifford import IsotropicSplitting, SpinVec, beta_iso, beta_parity, r_of_z
 from .corresp import phi_poincare, xi_from_mirror
-from .errors import DomainError
+from .errors import DomainError, NotSpin
 from .lefschetz import generate_g_ns
 from .pairspace import classify_pair, i_omega, make_weak_pair
 from .torus import NSVector, make_torus, ns_basis
@@ -149,9 +148,11 @@ def _run_command(command, data, budget, n_max):
         n = int(data["n"])
         _check_n(n, n_max)
         z = sz.json_to_mat(data["z"])
-        if not is_spin(z):
+        try:
+            r = r_of_z(z)
+        except NotSpin:
             return {"spin": False}
-        return {"spin": True, "r": sz.mat_to_json(r_of_z(z))}
+        return {"spin": True, "r": sz.mat_to_json(r)}
     raise ValueError(f"unknown command {command!r}")
 
 

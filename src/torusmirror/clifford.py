@@ -43,9 +43,6 @@ class SpinVec:
     def __neg__(self):
         return SpinVec(self.n, {m: -c for m, c in self.coeffs.items()})
 
-    def scale(self, t):
-        return SpinVec(self.n, {m: t * c for m, c in self.coeffs.items()})
-
     def to_vector(self):
         v = np.zeros(1 << (2 * self.n), dtype=object) + 0
         for m, c in self.coeffs.items():
@@ -64,7 +61,8 @@ class SpinVec:
             bit = i - 1
             if mask & (1 << bit):
                 return cls(n, {})
-            sign *= _sign_below(mask, bit)
+            # x_S ^ x_bit: x_bit moves left past the set bits above it
+            sign *= -1 if popcount(mask >> (bit + 1)) % 2 else 1
             mask |= 1 << bit
         return cls(n, {mask: sign * coeff})
 
@@ -158,7 +156,8 @@ class IsotropicSplitting:
         self.basis1 = b1
         self.basis2 = b2_dual
         self.w = np.block([[b1, b2_dual]])
-        self.w_inv = xl.to_int(xl.invert(self.w))
+        # w^t Q w = Q now, and Q^2 = 1
+        self.w_inv = xl.mul(q, xl.mul(self.w.T, q))
 
     def coords(self, lambda_vec):
         return xl.mul(self.w_inv, np.array(lambda_vec, dtype=object).reshape(-1, 1))[:, 0]
@@ -234,55 +233,54 @@ def _is_even_operator(z):
     return True
 
 
-def _conjugation_on_lambda(z):
-    """Coefficient matrix R with z cor(e_k) z^{-1} = sum_i R[i,k] cor(e_i).
+def _spin_conjugation(z):
+    """Coefficient matrix R with z cor(e_k) z' = sum_i R[i,k] cor(e_i) when z
+    is in Spin(Lambda,Q), else None.
 
-    Returns None when some conjugate leaves the span of Lambda-generators.
+    z z' = 1 makes z' the inverse of z, so R is read off row 0 and column 0 of
+    z cor(e_k) z' and checked as z cor(e_k) = (sum_i R[i,k] cor(e_i)) z.
     """
+    if not _is_even_operator(z):
+        raise NotEven("operator mixes the even/odd grading")
     size = z.shape[0]
+    z_rev = clifford_involution(z)
+    if not xl.mat_eq(xl.mul(z, z_rev), xl.eye(size)):
+        return None
     n = size.bit_length() // 2
     d = 2 * n
-    z_inv = xl.invert(z)
-    gens = []
     e = xl.eye(4 * n)
-    for k in range(4 * n):
-        gens.append(cor_matrix(n, e[:, k]))
+    gens = [cor_matrix(n, e[:, k]) for k in range(4 * n)]
     r = xl.zeros(4 * n)
     for k in range(4 * n):
-        m = xl.mul(z, xl.mul(gens[k], z_inv))
-        # read coefficients off the unique single-generator matrix positions
+        zg = xl.mul(z, gens[k])
+        row0 = xl.mul(zg[:1], z_rev)[0]
+        col0 = xl.mul(zg, z_rev[:, :1])[:, 0]
         recon = xl.zeros(size)
         for i in range(d):
-            r[i, k] = m[0, 1 << i]          # contraction l_{i+1}: e_{i+1} -> e_0
-            r[d + i, k] = m[1 << i, 0]      # wedge x_{i+1}: e_0 -> e_{i+1}
+            r[i, k] = row0[1 << i]          # contraction l_{i+1}: e_{i+1} -> e_0
+            r[d + i, k] = col0[1 << i]      # wedge x_{i+1}: e_0 -> e_{i+1}
             if r[i, k] != 0:
                 recon = recon + r[i, k] * gens[i]
             if r[d + i, k] != 0:
                 recon = recon + r[d + i, k] * gens[d + i]
-        if not xl.mat_eq(m, recon):
+        if not xl.mat_eq(zg, xl.mul(recon, z)):
             return None
+    if not xl.is_integral(r) or abs(xl.det(r)) != 1:
+        return None
     return r
 
 
 def is_spin(z):
     """Membership in Spin(Lambda,Q): even, norm one, conjugation preserves Lambda."""
-    if not _is_even_operator(z):
-        raise NotEven("operator mixes the even/odd grading")
-    if xl.det(z) == 0:
-        return False
-    if not xl.mat_eq(xl.mul(z, clifford_involution(z)), xl.eye(z.shape[0])):
-        return False
-    r = _conjugation_on_lambda(z)
-    if r is None or not xl.is_integral(r) or abs(xl.det(r)) != 1:
-        return False
-    return True
+    return _spin_conjugation(z) is not None
 
 
 def r_of_z(z):
     """The conjugation action on Lambda of a spin element; lies in SO(Q)."""
-    if not is_spin(z):
+    r = _spin_conjugation(z)
+    if r is None:
         raise NotSpin("element is not in Spin(Lambda,Q)")
-    return xl.to_int(_conjugation_on_lambda(z))
+    return xl.to_int(r)
 
 
 # ---------------------------------------------------------------------------
@@ -326,57 +324,61 @@ def _sign_normalize(m):
     return m
 
 
-def _invert_with_perm_fast_path(m):
-    size = m.shape[0]
-    cols = xl.col_nonzeros(m)
-    if all(len(c) == 1 and abs(c[0][1]) == 1 for c in cols):
-        out = xl.zeros(size)
-        for j, c in enumerate(cols):
-            i, v = c[0]
-            out[j, i] = v
-        if xl.mat_eq(xl.mul(out, m), xl.eye(size)):
-            return out
-    return xl.invert(m)
-
-
 def beta_iso(s1, s2):
     """The unique-up-to-sign Cl-module isomorphism between the two spinor
     realizations, as a primitive integral matrix (module of s1 -> module of s2),
     sign-normalized so the first nonzero entry in row-major order is positive.
 
-    Built by vacuum transport: the common kernel in module 1 of the
-    annihilators M1(s2) is one-dimensional; pushing it through the wedge
-    monomials of s2 gives the inverse intertwiner column by column.
+    Built by vacuum transport: the common kernel in module 2 of the
+    annihilators M1(s1) is one-dimensional; pushing it through the wedge
+    monomials of s1 gives the image of each basis monomial of module 1.
     """
     n = s1.n
     size = 1 << (2 * n)
-    kernel = vacuum_kernel(s1, [s2.basis1[:, i] for i in range(2 * n)])
+    kernel = vacuum_kernel(s2, [s1.basis1[:, i] for i in range(2 * n)])
     if len(kernel) != 1:
         raise NoIntertwiner(f"vacuum kernel has dimension {len(kernel)}")
     u0 = _primitive_int(kernel[0].reshape(1, -1))[0]
-    wedge_ops = [s1.cor(s2.basis2[:, i]) for i in range(2 * n)]
+    wedge_ops = [s2.cor(s1.basis2[:, i]) for i in range(2 * n)]
     cols = {0: u0}
     for t_mask in range(1, size):
         low = (t_mask & -t_mask).bit_length() - 1
         cols[t_mask] = _matvec(wedge_ops[low], cols[t_mask ^ (1 << low)])
     m = np.stack([cols[t] for t in range(size)], axis=1)
-    beta = _invert_with_perm_fast_path(m)
-    return _sign_normalize(_primitive_int(beta))
+    return _sign_normalize(_primitive_int(m))
+
+
+def _intertwining_dimension(s1, s2, lambdas):
+    """Q-dimension of {X : X cor_{s1}(l) = cor_{s2}(l) X for l in lambdas}.
+
+    One sparse equation per entry of each commutation relation, over the
+    4^{2n} entries of X, so this is practical only for n <= 2.
+    """
+    size = 1 << (2 * s1.n)
+    rows = []
+    for lam in lambdas:
+        a_cols = xl.col_nonzeros(s1.cor(lam))
+        b_rows = xl.col_nonzeros(s2.cor(lam).T)
+        for i in range(size):
+            for j in range(size):
+                row = {}
+                # (X a)[i, j] - (b X)[i, j]
+                for m, v in a_cols[j]:
+                    row[i * size + m] = row.get(i * size + m, 0) + v
+                for m, v in b_rows[i]:
+                    row[m * size + j] = row.get(m * size + j, 0) - v
+                row = {c: v for c, v in row.items() if v != 0}
+                if row:
+                    rows.append(row)
+    pivots, _ = xl._rref(rows, size * size)
+    return size * size - len(pivots)
 
 
 def intertwiner_space_dimension(s1, s2):
-    """Q-dimension of the intertwiner space Hom_Cl(I_{s1}, I_{s2}).
-
-    Schur reduction: any intertwiner composed with the inverse of a fixed one
-    is an endomorphism of I_{s2}, which is determined by the image of the
-    vacuum vector; that image lies in the common kernel of the s2
-    annihilators acting on their own module.  So the Hom-space dimension
-    equals that kernel's dimension (beta_iso existence gives >= 1).
-    """
-    beta = beta_iso(s1, s2)
-    assert xl.det(beta) != 0
-    kernel = vacuum_kernel(s2, [s2.basis1[:, i] for i in range(2 * s2.n)])
-    return len(kernel)
+    """Q-dimension of the intertwiner space Hom_Cl(I_{s1}, I_{s2}), solved for
+    directly on all 4n generators of Lambda (n <= 2); Schur's lemma makes it 1."""
+    e = xl.eye(4 * s1.n)
+    return _intertwining_dimension(s1, s2, [e[:, k] for k in range(4 * s1.n)])
 
 
 def beta_parity(t, s1, s2):

@@ -388,10 +388,6 @@ def gauss_mul(a, b):
     return (mul(a[0], b[0]) - mul(a[1], b[1]), mul(a[0], b[1]) + mul(a[1], b[0]))
 
 
-def gauss_add(a, b):
-    return (a[0] + b[0], a[1] + b[1])
-
-
 def gauss_invert(a):
     """Inverse of a + ib via the real 2k x 2k embedding [[a, -b], [b, a]]."""
     k = a[0].shape[0]

@@ -28,10 +28,6 @@ def json_to_mat(rows):
     return mat([[str_to_rat(x) for x in row] for row in rows])
 
 
-def vec_to_json(v):
-    return [rat_to_str(x) for x in v]
-
-
 def json_to_vec(row):
     return np.array([str_to_rat(x) for x in row], dtype=object)
 

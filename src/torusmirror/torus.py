@@ -138,12 +138,6 @@ def hom_space(A, B):
         [dense[i] for i in range(dense.shape[0])], db * da)]
 
 
-def phi_of_c(c):
-    """The map V_A -> V_A-hat attached to c; in coordinates the matrix c itself."""
-    c = c.c if isinstance(c, NSVector) else c
-    return c.copy()
-
-
 def polarization_form(A, c):
     """Gram matrix of b_c(x, y) = c(Jx, y)."""
     c = c.c if isinstance(c, NSVector) else c

@@ -16,7 +16,8 @@ from conftest import (rand_q_isometry, rand_rational, rand_spin,
                       rand_splitting, rand_unimodular, weak_pair_sample,
                       well_becoming_sample)
 from torusmirror import exactlin as xl
-from torusmirror.clifford import (IsotropicSplitting, SpinVec, beta_iso,
+from torusmirror.clifford import (IsotropicSplitting, SpinVec,
+                                  _intertwining_dimension, beta_iso,
                                   beta_parity, cor_matrix,
                                   intertwiner_space_dimension, is_spin,
                                   popcount, r_of_z, standard_splitting)
@@ -90,7 +91,7 @@ def test_01_clifford_generators_span_full_matrix_algebra(report):
 
 
 def test_02_spin_twisted_conjugation_homomorphism(report, rng):
-    with criterion(report, 2, "spin double cover on samples"):
+    with criterion(report, 2, "spin double cover on samples", 10.0):
         for n in (1, 2):
             size = 1 << (2 * n)
             for c in (1, -1, 2, -2, 3):
@@ -121,6 +122,11 @@ def test_03_intertwiner_uniqueness_and_parity(report, rng):
                 expected = "Even" if inter_dim % 2 == 0 else "Odd"
                 assert beta_parity(beta, s1, s2) == expected
                 done += 1
+            # negative control: the wedge half of Lambda alone does not pin
+            # the intertwiner down
+            e = xl.eye(4 * n)
+            wedges = [e[:, 2 * n + i] for i in range(2 * n)]
+            assert _intertwining_dimension(s1, s2, wedges) > 1
         assert done == 50
 
 

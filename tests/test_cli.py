@@ -111,6 +111,11 @@ def test_phi_p_and_xi(tmp_path):
     assert code == 0
     assert json.loads(out.read_text())["image"] == [
         {"indices": [2], "coeff": "1"}]
+    payload = {"n": 1, "v": [{"indices": [1, 2], "coeff": "2"}]}
+    code, out = run(tmp_path, "phi-p", payload)
+    assert code == 0
+    assert json.loads(out.read_text())["image"] == [
+        {"indices": [], "coeff": "2"}]
     code, out = run(tmp_path, "xi", {"n": 1})
     assert code == 0
     assert json.loads(out.read_text())["xi"]

@@ -51,6 +51,11 @@ def test_odd_operator_rejected():
         is_spin(cor_matrix(n, v))
 
 
+def test_monomial_orders_wedge_factors_left_to_right():
+    assert SpinVec.monomial(1, [1, 2]) == SpinVec(1, {0b11: 1})
+    assert SpinVec.monomial(1, [2, 1]) == SpinVec(1, {0b11: -1})
+
+
 def test_r_of_z_requires_spin():
     with pytest.raises(NotSpin):
         r_of_z(2 * xl.eye(4))
@@ -125,8 +130,8 @@ def test_hyperbolic_pair_product_matches_conjugation_oracle(rng):
     assert xl.det(r) == 1
 
 
-def test_spin_sampling_homomorphism(rng):
-    n = 1
+@pytest.mark.parametrize("n", [1, 3])
+def test_spin_sampling_homomorphism(rng, n):
     z1 = rand_spin(rng, n)
     z2 = rand_spin(rng, n)
     assert is_spin(z1) and is_spin(z2)
@@ -160,8 +165,8 @@ def test_beta_full_swap_and_half_swap_parity():
     assert beta_parity(b_half, std, half_swap) == "Odd"
 
 
-def test_beta_intertwines_on_random_pairs(rng):
-    n = 2
+@pytest.mark.parametrize("n", [2, 3])
+def test_beta_intertwines_on_random_pairs(rng, n):
     s1 = rand_splitting(rng, n)
     s2 = rand_splitting(rng, n)
     beta = beta_iso(s1, s2)
