@@ -148,6 +148,8 @@ def _run_command(command, data, budget, n_max):
         n = int(data["n"])
         _check_n(n, n_max)
         z = sz.json_to_mat(data["z"])
+        if z.shape != (4 ** n, 4 ** n):
+            raise ValueError(f"z must be {4 ** n}x{4 ** n} for n = {n}")
         try:
             r = r_of_z(z)
         except NotSpin:

@@ -6,9 +6,6 @@ x (cor_A).  Clifford elements are carried as their spinor matrices, which is
 faithful (the algebra is the full 2^{2n} matrix algebra over Z).
 """
 
-from fractions import Fraction
-from math import gcd
-
 import numpy as np
 
 from . import exactlin as xl
@@ -56,6 +53,8 @@ class SpinVec:
     @classmethod
     def monomial(cls, n, indices, coeff=1):
         """x_{i1} ^ ... ^ x_{ik} for a sequence of distinct 1-based indices."""
+        if any(not 1 <= i <= 2 * n for i in indices):
+            raise ValueError(f"monomial index outside 1..{2 * n}")
         mask, sign = 0, 1
         for i in indices:
             bit = i - 1
@@ -303,19 +302,6 @@ def vacuum_kernel(s1, annihilators):
     return xl.nullspace(stacked)
 
 
-def _primitive_int(mat_q):
-    den = 1
-    for x in mat_q.flat:
-        den = den * Fraction(x).denominator // gcd(den, Fraction(x).denominator)
-    ints = [[int(Fraction(x) * den) for x in row] for row in mat_q]
-    g = 0
-    for row in ints:
-        for x in row:
-            g = gcd(g, abs(x))
-    g = g or 1
-    return np.array([[x // g for x in row] for row in ints], dtype=object)
-
-
 def _sign_normalize(m):
     for row in m:
         for x in row:
@@ -338,14 +324,14 @@ def beta_iso(s1, s2):
     kernel = vacuum_kernel(s2, [s1.basis1[:, i] for i in range(2 * n)])
     if len(kernel) != 1:
         raise NoIntertwiner(f"vacuum kernel has dimension {len(kernel)}")
-    u0 = _primitive_int(kernel[0].reshape(1, -1))[0]
+    u0 = xl.primitive_int(kernel[0].reshape(1, -1))[0]
     wedge_ops = [s2.cor(s1.basis2[:, i]) for i in range(2 * n)]
     cols = {0: u0}
     for t_mask in range(1, size):
         low = (t_mask & -t_mask).bit_length() - 1
         cols[t_mask] = _matvec(wedge_ops[low], cols[t_mask ^ (1 << low)])
     m = np.stack([cols[t] for t in range(size)], axis=1)
-    return _sign_normalize(_primitive_int(m))
+    return _sign_normalize(xl.primitive_int(m))
 
 
 def _intertwining_dimension(s1, s2, lambdas):
@@ -355,7 +341,7 @@ def _intertwining_dimension(s1, s2, lambdas):
     4^{2n} entries of X, so this is practical only for n <= 2.
     """
     size = 1 << (2 * s1.n)
-    rows = []
+    ech = xl.Echelon()
     for lam in lambdas:
         a_cols = xl.col_nonzeros(s1.cor(lam))
         b_rows = xl.col_nonzeros(s2.cor(lam).T)
@@ -367,11 +353,8 @@ def _intertwining_dimension(s1, s2, lambdas):
                     row[i * size + m] = row.get(i * size + m, 0) + v
                 for m, v in b_rows[i]:
                     row[m * size + j] = row.get(m * size + j, 0) - v
-                row = {c: v for c, v in row.items() if v != 0}
-                if row:
-                    rows.append(row)
-    pivots, _ = xl._rref(rows, size * size)
-    return size * size - len(pivots)
+                ech.add({c: v for c, v in row.items() if v != 0})
+    return size * size - len(ech.rows)
 
 
 def intertwiner_space_dimension(s1, s2):

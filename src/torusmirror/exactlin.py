@@ -6,6 +6,7 @@ matrices are (re, im) pairs of such arrays.
 """
 
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 
@@ -41,7 +42,8 @@ def is_integral(a):
 
 
 def to_int(a):
-    assert is_integral(a)
+    if not is_integral(a):
+        raise ValueError("matrix is not integral")
     return np.array([[int(x) for x in row] for row in a], dtype=object)
 
 
@@ -59,7 +61,9 @@ def col_nonzeros(a):
 
 def mul(a, b):
     """Exact matrix product; cost proportional to the actual fill of b."""
-    assert a.shape[1] == b.shape[0]
+    if a.shape[1] != b.shape[0]:
+        raise ValueError(f"cannot multiply a {a.shape[0]}x{a.shape[1]} matrix "
+                         f"by a {b.shape[0]}x{b.shape[1]} matrix")
     a_cols = col_nonzeros(a)
     out = np.zeros((a.shape[0], b.shape[1]), dtype=object) + 0
     for j in range(b.shape[1]):
@@ -75,100 +79,105 @@ def mul(a, b):
     return out
 
 
-def _rref(rows, ncols):
-    """Row-reduce a list of dict-rows {col: Fraction}; returns (pivots, rows).
+def _subtract_multiple(row, f, other):
+    """row -= f * other on sparse rows, in place; entries that cancel are dropped."""
+    for c, v in other.items():
+        nv = row.get(c, 0) - f * v
+        if nv == 0:
+            row.pop(c, None)
+        else:
+            row[c] = nv
 
-    Rows come back fully reduced, one per pivot column, pivot entry 1.
+
+class Echelon:
+    """Incremental Gaussian elimination over Q on sparse rows.
+
+    A row is a dict {column: value} of nonzero entries.  `rows` maps each
+    pivot column, in the order the pivots were found, to its fully reduced
+    row: 1 at the pivot and 0 in every other pivot column.  `product` is the
+    product of the pivot entries of the added rows before normalization; for
+    the rows of a nonsingular square matrix added in order,
+    det = sign(pivot order) * product.
     """
-    echelon = {}  # pivot col -> dict row; rows hold only their pivot + free cols
-    for row in rows:
+
+    def __init__(self):
+        self.rows = {}
+        self.product = Fraction(1)
+
+    def reduce(self, row):
+        """What is left of row after clearing every pivot column; {} if
+        row lies in the span of the rows added."""
         row = dict(row)
-        # eliminate every pivot column present, not just the leading one,
-        # so inserted rows are fully reduced
-        for q in sorted(c for c in row if c in echelon):
-            f = row.get(q, 0)
-            if f == 0:
-                continue
-            for c, v in echelon[q].items():
-                nv = row.get(c, 0) - f * v
-                if nv == 0:
-                    row.pop(c, None)
-                else:
-                    row[c] = nv
+        # stored rows are zero in each other's pivot columns, so clearing
+        # one pivot column never refills another
+        for q in [c for c in row if c in self.rows]:
+            _subtract_multiple(row, row[q], self.rows[q])
+        return row
+
+    def add(self, row):
+        """Add row to the span; False, changing nothing, if it is in it already."""
+        row = self.reduce(row)
         if not row:
-            continue
+            return False
         p = min(row)
-        inv = Fraction(1, 1) / row[p]
+        lead = row[p]
+        inv = Fraction(1) / lead
         row = {c: v * inv for c, v in row.items()}
-        # back-substitute into existing rows
-        for other in echelon.values():
+        for other in self.rows.values():
             if p in other:
-                f = other[p]
-                for c, v in row.items():
-                    nv = other.get(c, 0) - f * v
-                    if nv == 0:
-                        other.pop(c, None)
-                    else:
-                        other[c] = nv
-        echelon[p] = row
-    pivots = sorted(echelon)
-    return pivots, echelon
+                _subtract_multiple(other, other[p], row)
+        self.rows[p] = row
+        self.product *= lead
+        return True
+
+    def kernel(self, ncols):
+        """Basis of the right kernel of the rows added, as vectors of length
+        ncols: one per free column j, with 1 at j and 0 at the other free columns."""
+        basis = []
+        for j in range(ncols):
+            if j in self.rows:
+                continue
+            v = np.zeros(ncols, dtype=object) + 0
+            v[j] = Fraction(1)
+            for p, row in self.rows.items():
+                c = row.get(j, 0)
+                if c != 0:
+                    v[p] = -c
+            basis.append(v)
+        return basis
 
 
-def _dense_to_rows(a):
-    rows = []
-    for i in range(a.shape[0]):
-        row = {j: Fraction(a[i, j]) for j in range(a.shape[1]) if a[i, j] != 0}
-        if row:
-            rows.append(row)
-    return rows
+def _echelon(a):
+    """Echelon of the rows of a dense matrix, added top to bottom."""
+    ech = Echelon()
+    for row in a:
+        ech.add({j: x for j, x in enumerate(row) if x != 0})
+    return ech
 
 
 def rank(a):
-    pivots, _ = _rref(_dense_to_rows(a), a.shape[1])
-    return len(pivots)
+    return len(_echelon(a).rows)
 
 
 def nullspace(a):
     """Basis (list of object column vectors) of the rational right kernel."""
-    ncols = a.shape[1]
-    pivots, echelon = _rref(_dense_to_rows(a), ncols)
-    free = [j for j in range(ncols) if j not in echelon]
-    basis = []
-    for j in free:
-        v = np.zeros(ncols, dtype=object) + 0
-        v[j] = Fraction(1)
-        for p in pivots:
-            c = echelon[p].get(j, 0)
-            if c != 0:
-                v[p] = -c
-        basis.append(v)
-    return basis
+    return _echelon(a).kernel(a.shape[1])
 
 
 def solve_right(a, b):
     """Solve a @ x = b exactly for square invertible a (b may be a matrix)."""
     n = a.shape[0]
-    if a.shape[0] != a.shape[1]:
+    if a.shape[1] != n:
         raise SingularMatrix("matrix not square")
-    work = np.array([[Fraction(x) for x in row] for row in a], dtype=object)
-    rhs = np.array([[Fraction(x) for x in row] for row in b], dtype=object)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if work[r, col] != 0), None)
-        if piv is None:
-            raise SingularMatrix("matrix is singular")
-        if piv != col:
-            work[[col, piv]] = work[[piv, col]]
-            rhs[[col, piv]] = rhs[[piv, col]]
-        inv = Fraction(1) / work[col, col]
-        work[col] = work[col] * inv
-        rhs[col] = rhs[col] * inv
-        for r in range(n):
-            if r != col and work[r, col] != 0:
-                f = work[r, col]
-                work[r] = work[r] - f * work[col]
-                rhs[r] = rhs[r] - f * rhs[col]
-    return rhs
+    ech = _echelon(np.hstack([a, b]))
+    if sorted(ech.rows) != list(range(n)):
+        raise SingularMatrix("matrix is singular")
+    x = zeros(n, b.shape[1])
+    for p, row in ech.rows.items():
+        for c, v in row.items():
+            if c >= n:
+                x[p, c - n] = v
+    return x
 
 
 def invert(m):
@@ -178,22 +187,29 @@ def invert(m):
 
 def det(m):
     n = m.shape[0]
-    assert m.shape[1] == n
-    work = np.array([[Fraction(x) for x in row] for row in m], dtype=object)
-    d = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if work[r, col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            work[[col, piv]] = work[[piv, col]]
-            d = -d
-        d *= work[col, col]
-        inv = Fraction(1) / work[col, col]
-        for r in range(col + 1, n):
-            if work[r, col] != 0:
-                work[r] = work[r] - (work[r, col] * inv) * work[col]
-    return d
+    if m.shape[1] != n:
+        raise ValueError(f"determinant of a non-square {n}x{m.shape[1]} matrix")
+    ech = _echelon(m)
+    if len(ech.rows) < n:
+        return Fraction(0)
+    order = list(ech.rows)
+    inversions = sum(1 for i in range(n) for j in range(i + 1, n) if order[i] > order[j])
+    return -ech.product if inversions % 2 else ech.product
+
+
+def primitive_int(m):
+    """The primitive integer matrix on the ray of the rational matrix m:
+    denominators cleared, then the gcd of all entries divided out."""
+    den = 1
+    for x in m.flat:
+        den = den * Fraction(x).denominator // gcd(den, Fraction(x).denominator)
+    ints = [[int(Fraction(x) * den) for x in row] for row in m]
+    g = 0
+    for row in ints:
+        for x in row:
+            g = gcd(g, abs(x))
+    g = g or 1
+    return np.array([[x // g for x in row] for row in ints], dtype=object)
 
 
 def is_unimodular(m):
@@ -373,10 +389,12 @@ def skew_normal_form(phi):
     perm = [2 * k for k in range(n)] + [2 * k + 1 for k in range(n)]
     u = u[:, perm]
     out = SkewNormalForm(u, deltas)
-    assert mat_eq(mul(u.T, mul(phi, u)), out.block_form())
-    assert abs(det(u)) == 1
-    for a, b in zip(deltas, deltas[1:]):
-        assert b % a == 0
+    if not mat_eq(mul(u.T, mul(phi, u)), out.block_form()):
+        raise RuntimeError("skew normal form: u^t phi u is not the block form")
+    if abs(det(u)) != 1:
+        raise RuntimeError("skew normal form: basis change is not unimodular")
+    if any(b % a for a, b in zip(deltas, deltas[1:])):
+        raise RuntimeError("skew normal form: invariant factors do not divide in turn")
     return out
 
 

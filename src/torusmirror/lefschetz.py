@@ -9,8 +9,8 @@ import numpy as np
 
 from . import exactlin as xl
 from .clifford import _sign_below, cor_matrix, popcount
-from .errors import NoHardLefschetz
-from .torus import NSVector
+from .errors import NoHardLefschetz, NotNSForm
+from .torus import NSVector, is_ns_form
 
 
 class GradedOperator:
@@ -33,40 +33,13 @@ class LieAlgebraBasis:
         self._echelon = echelon
 
     def contains(self, mat):
-        return _reduce(self._echelon, _flatten(mat)) is None
+        return not self._echelon.reduce(_flatten(mat))
 
 
 def _flatten(mat):
     size = mat.shape[0]
-    return {i * size + j: Fraction(mat[i, j])
+    return {i * size + j: mat[i, j]
             for i in range(size) for j in range(size) if mat[i, j] != 0}
-
-
-def _reduce(echelon, row):
-    """Reduce a dict-vector against an echelon {pivot: row}; None if it dies."""
-    row = dict(row)
-    while row:
-        p = min(row)
-        if p not in echelon:
-            return row
-        f = row[p]
-        for c, v in echelon[p].items():
-            nv = row.get(c, 0) - f * v
-            if nv == 0:
-                row.pop(c, None)
-            else:
-                row[c] = nv
-    return None
-
-
-def _insert(echelon, row):
-    rem = _reduce(echelon, row)
-    if rem is None:
-        return False
-    p = min(rem)
-    inv = Fraction(1) / rem[p]
-    echelon[p] = {c: v * inv for c, v in rem.items()}
-    return True
 
 
 def grading_operator(n):
@@ -124,8 +97,9 @@ def lefschetz_f(kappa):
     index = {u: k for k, u in enumerate(unknowns)}
     e_cols = xl.col_nonzeros(e)
     e_rows = xl.col_nonzeros(e.T)
-    rows = []
-    rhs = []
+    # the augmented system [e, f] = h, right-hand side in column ncols
+    ncols = len(unknowns)
+    ech = xl.Echelon()
     for i in range(size):
         for j in range(size):
             if popcount(i) != popcount(j):
@@ -134,35 +108,26 @@ def lefschetz_f(kappa):
             # (e f)[i, j] = sum_k e[i, k] f[k, j]
             for k, v in e_rows[i]:
                 if (k, j) in index:
-                    row[index[(k, j)]] = row.get(index[(k, j)], 0) + Fraction(v)
+                    row[index[(k, j)]] = row.get(index[(k, j)], 0) + v
             # -(f e)[i, j] = -sum_k f[i, k] e[k, j]
             for k, v in e_cols[j]:
                 if (i, k) in index:
-                    row[index[(i, k)]] = row.get(index[(i, k)], 0) - Fraction(v)
+                    row[index[(i, k)]] = row.get(index[(i, k)], 0) - v
             row = {k: v for k, v in row.items() if v != 0}
-            target = Fraction(h[i, j]) if i == j else Fraction(0)
-            if row or target != 0:
-                rows.append(row)
-                rhs.append(target)
-    # solve by rref of the augmented system; solution must be unique
-    aug = []
-    ncols = len(unknowns)
-    for row, b in zip(rows, rhs):
-        r = dict(row)
-        if b != 0:
-            r[ncols] = b
-        aug.append(r)
-    pivots, echelon = xl._rref(aug, ncols + 1)
-    if ncols in pivots:
+            if i == j and h[i, j] != 0:
+                row[ncols] = h[i, j]
+            ech.add(row)
+    if ncols in ech.rows:
         raise NoHardLefschetz("no degree -2 solution of [e,f] = h")
-    assert len(pivots) == ncols, "f_kappa is not unique"
+    if len(ech.rows) != ncols:
+        raise RuntimeError("f_kappa is not unique")
     f = xl.zeros(size)
-    for p in pivots:
+    for p, row in ech.rows.items():
         t, s = unknowns[p]
-        f[t, s] = echelon[p].get(ncols, 0)
-    op = GradedOperator(f, -2)
-    assert xl.mat_eq(xl.mul(e, f) - xl.mul(f, e), h)
-    return op
+        f[t, s] = row.get(ncols, 0)
+    if not xl.mat_eq(xl.mul(e, f) - xl.mul(f, e), h):
+        raise RuntimeError("[e_kappa, f_kappa] != h")
+    return GradedOperator(f, -2)
 
 
 def generate_g_ns(A, kappas):
@@ -171,6 +136,8 @@ def generate_g_ns(A, kappas):
     gens = []
     for kappa in kappas:
         c = kappa.c if isinstance(kappa, NSVector) else kappa
+        if not is_ns_form(A, c):
+            raise NotNSForm("kappa is not skew or not J-invariant")
         key = tuple(tuple(row) for row in c)
         if key in seen:
             continue
@@ -182,10 +149,10 @@ def generate_g_ns(A, kappas):
             # degenerate classes contribute their wedge operator only
             pass
     gens.append(grading_operator(A.n))
-    echelon = {}
+    echelon = xl.Echelon()
     basis = []
     for g in gens:
-        if _insert(echelon, _flatten(g.mat)):
+        if echelon.add(_flatten(g.mat)):
             basis.append(g)
     frontier = list(basis)
     while frontier:
@@ -196,7 +163,7 @@ def generate_g_ns(A, kappas):
                     br = xl.mul(x.mat, y.mat) - xl.mul(y.mat, x.mat)
                     if xl.is_zero(br):
                         continue
-                    if _insert(echelon, _flatten(br)):
+                    if echelon.add(_flatten(br)):
                         new.append(GradedOperator(br, x.degree + y.degree))
         basis.extend(new)
         frontier = new
@@ -245,12 +212,12 @@ def so_lambda_spinor_image(A):
     e = xl.eye(4 * n)
     gens = [cor_matrix(n, e[:, k]) for k in range(4 * n)]
     deg = [-1 if k < 2 * n else 1 for k in range(4 * n)]
-    echelon = {}
+    echelon = xl.Echelon()
     ops = []
     half = Fraction(1, 2)
     for a, b in combinations(range(4 * n), 2):
         m = (xl.mul(gens[a], gens[b]) - xl.mul(gens[b], gens[a])) * half
-        if _insert(echelon, _flatten(m)):
+        if echelon.add(_flatten(m)):
             ops.append(GradedOperator(m, deg[a] + deg[b]))
     basis = LieAlgebraBasis(ops, echelon)
     assert basis.dim == 2 * n * (4 * n - 1)

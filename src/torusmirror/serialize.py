@@ -16,7 +16,10 @@ def rat_to_str(x):
 
 
 def str_to_rat(s):
-    f = Fraction(s)
+    try:
+        f = Fraction(s)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {s!r}") from None
     return int(f) if f.denominator == 1 else f
 
 

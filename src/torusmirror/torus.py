@@ -8,7 +8,6 @@ convention on l**, not on matrices, and never enters the formulas here).
 
 from fractions import Fraction
 from itertools import product
-from math import gcd
 
 import numpy as np
 
@@ -62,27 +61,16 @@ def ns_vector(A, c):
     return NSVector(c)
 
 
-def _scale_to_int_rows(vectors):
-    """Scale rational row vectors to primitive integer rows, stacked."""
-    rows = []
-    for v in vectors:
-        den = 1
-        for x in v:
-            den = den * Fraction(x).denominator // gcd(den, Fraction(x).denominator)
-        rows.append([int(Fraction(x) * den) for x in v])
-    return np.array(rows, dtype=object)
-
-
-def _saturated_solutions(coeff_rows, nvars):
-    """Z-basis of the integer points of the rational solution space."""
-    if not coeff_rows:
-        coeff_matrix = xl.zeros(1, nvars)
-    else:
-        coeff_matrix = np.array(coeff_rows, dtype=object)
-    basis = xl.nullspace(coeff_matrix)
+def _saturated_solutions(rows, nvars):
+    """Z-basis of the integer points of the rational solution space of the
+    sparse equations rows (dicts {variable: coefficient})."""
+    ech = xl.Echelon()
+    for row in rows:
+        ech.add(row)
+    basis = ech.kernel(nvars)
     if not basis:
         return []
-    sat = xl.saturate_rows(_scale_to_int_rows(basis))
+    sat = xl.saturate_rows(np.vstack([xl.primitive_int(v.reshape(1, -1)) for v in basis]))
     return [sat[i] for i in range(sat.shape[0])]
 
 
@@ -108,12 +96,7 @@ def ns_basis(A):
                         row[a * d + b] = row.get(a * d + b, 0) + Fraction(J[a, i] * J[b, j])
             row[i * d + j] = row.get(i * d + j, 0) - 1
             rows.append({k: v for k, v in row.items() if v != 0})
-    dense = xl.zeros(len(rows), d * d)
-    for r, row in enumerate(rows):
-        for k, v in row.items():
-            dense[r, k] = v
-    return [NSVector(v.reshape(d, d)) for v in _saturated_solutions(
-        [dense[i] for i in range(dense.shape[0])], d * d)]
+    return [NSVector(v.reshape(d, d)) for v in _saturated_solutions(rows, d * d)]
 
 
 def hom_space(A, B):
@@ -130,12 +113,7 @@ def hom_space(A, B):
                 if A.J[k, j] != 0:
                     row[i * da + k] = row.get(i * da + k, 0) - Fraction(A.J[k, j])
             rows.append({k: v for k, v in row.items() if v != 0})
-    dense = xl.zeros(len(rows), db * da)
-    for r, row in enumerate(rows):
-        for k, v in row.items():
-            dense[r, k] = v
-    return [v.reshape(db, da) for v in _saturated_solutions(
-        [dense[i] for i in range(dense.shape[0])], db * da)]
+    return [v.reshape(db, da) for v in _saturated_solutions(rows, db * da)]
 
 
 def polarization_form(A, c):

@@ -1,5 +1,12 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
+import pytest
+
+import torusmirror
 from torusmirror import serialize as sz
 from torusmirror.cli import main
 
@@ -151,3 +158,67 @@ def test_spin_check_command(tmp_path):
     code, out = run(tmp_path, "spin-check", {"n": 1, "z": two})
     assert code == 0
     assert json.loads(out.read_text()) == {"spin": False}
+
+
+# (id, command, document, exit code): inputs the commands must reject with
+# exit 2 and "input error" on stderr, or exit 1 with a payload, never a crash
+MALFORMED = [
+    ("zero-denominator", "classify",
+     {"torus": TORUS_SQUARE, "phi1": [["0", "1/0"], ["-1/0", "0"]],
+      "phi2": PAIR_SQUARE["phi2"]}, 2),
+    ("alpha-shape", "verify-mirror",
+     {"pairA": PAIR_SQUARE, "pairB": PAIR_SQUARE,
+      "alpha": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]}, 2),
+    ("g-shape", "siegel-act", {"pair": PAIR_SQUARE, "g": [["1", "0"], ["0", "1"]]}, 2),
+    ("z-shape", "spin-check",
+     {"n": 1, "z": [["1" if i == j else "0" for j in range(3)] for i in range(3)]}, 2),
+    ("z-size-not-n", "spin-check",
+     {"n": 1, "z": [["1" if i == j else "0" for j in range(16)] for i in range(16)]}, 2),
+    ("phi-p-index", "phi-p", {"n": 1, "v": [{"indices": [3], "coeff": "1"}]}, 2),
+    ("gns-not-ns", "gns", {"torus": TORUS_SQUARE, "kappas": [[["0", "1"], ["1", "0"]]]}, 1),
+]
+
+
+@pytest.mark.parametrize("command,payload,expected",
+                         [m[1:] for m in MALFORMED], ids=[m[0] for m in MALFORMED])
+def test_malformed_document_exit_code(tmp_path, capsys, command, payload, expected):
+    code, out = run(tmp_path, command, payload)
+    assert code == expected
+    err = capsys.readouterr().err
+    if expected == 2:
+        assert "input error" in err
+        assert not out.exists()
+    else:
+        assert err == ""
+        assert json.loads(out.read_text())["error"] == "not-ns-form"
+
+
+def test_gns_kappa_checked_against_torus(tmp_path):
+    # skew but not J-invariant for J = [[0,-1,0,0],[1,0,0,0],[0,0,0,-1],[0,0,1,0]]
+    torus = {"n": 2, "J": [["0", "-1", "0", "0"], ["1", "0", "0", "0"],
+                           ["0", "0", "0", "-1"], ["0", "0", "1", "0"]]}
+    kappa = [["0", "1", "0", "0"], ["-1", "0", "0", "0"],
+             ["0", "0", "0", "0"], ["0", "0", "0", "0"]]
+    code, out = run(tmp_path, "gns", {"torus": torus, "kappas": [kappa]})
+    assert code == 0
+    kappa[0][2], kappa[2][0] = "1", "-1"
+    code, out = run(tmp_path, "gns", {"torus": torus, "kappas": [kappa]})
+    assert code == 1
+    assert json.loads(out.read_text())["error"] == "not-ns-form"
+
+
+def test_malformed_documents_under_optimize(tmp_path):
+    """The exit-code contract holds with assert statements stripped (-O)."""
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(torusmirror.__file__).parents[1]))
+    for name, command, payload, expected in MALFORMED:
+        inp = tmp_path / f"{name}.in.json"
+        out = tmp_path / f"{name}.out.json"
+        inp.write_text(json.dumps(payload))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "torusmirror.cli", command,
+             "--input", str(inp), "--output", str(out)],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == expected, (name, proc.stderr)
+        assert "Traceback" not in proc.stderr, name
+        if expected == 2:
+            assert "input error" in proc.stderr, name

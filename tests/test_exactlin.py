@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -104,3 +105,69 @@ def test_saturate_rows_divides_out_content():
     rows = np.array([[2, 0], [0, 3]], dtype=object)
     sat = xl.saturate_rows(rows)
     assert abs(xl.det(sat)) == 1
+
+
+def leibniz_det(m):
+    """Reference determinant: the signed sum over all permutations."""
+    k = m.shape[0]
+    total = Fraction(0)
+    for perm in permutations(range(k)):
+        inversions = sum(1 for i in range(k) for j in range(i + 1, k) if perm[i] > perm[j])
+        term = Fraction(-1 if inversions % 2 else 1)
+        for i, p in enumerate(perm):
+            term *= m[i, p]
+        total += term
+    return total
+
+
+small_fracs = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+
+
+@st.composite
+def matrices(draw, rows, cols):
+    """Integer or rational matrices with many zeros; some have a last row
+    that is a combination of the others, so singular ones are common."""
+    entry = st.one_of(st.just(0), small_ints if draw(st.booleans()) else small_fracs)
+    m = np.array([[draw(entry) for _ in range(cols)] for _ in range(rows)], dtype=object)
+    if rows > 1 and draw(st.booleans()):
+        m[rows - 1] = sum(draw(entry) * m[i] for i in range(rows - 1))
+    return m
+
+
+@st.composite
+def systems(draw):
+    k = draw(st.integers(1, 6))
+    return draw(matrices(k, k)), draw(matrices(k, draw(st.integers(1, 3))))
+
+
+@st.composite
+def rectangles(draw):
+    return draw(matrices(draw(st.integers(1, 6)), draw(st.integers(1, 6))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(systems())
+def test_det_and_solve_against_leibniz(system):
+    a, b = system
+    d = leibniz_det(a)
+    assert xl.det(a) == d
+    assert (xl.rank(a) == a.shape[0]) == (d != 0)
+    if d == 0:
+        with pytest.raises(SingularMatrix):
+            xl.solve_right(a, b)
+    else:
+        assert xl.mat_eq(xl.mul(a, xl.solve_right(a, b)), b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rectangles())
+def test_nullspace_rank_and_echelon_growth(a):
+    ns = xl.nullspace(a)
+    for v in ns:
+        assert xl.is_zero(xl.mul(a, v.reshape(-1, 1)))
+    assert len(ns) + xl.rank(a) == a.shape[1]
+    ech = xl.Echelon()
+    for i in range(a.shape[0]):
+        grew = xl.rank(a[:i + 1]) > xl.rank(a[:i])
+        assert ech.add({j: x for j, x in enumerate(a[i]) if x != 0}) == grew
+    assert len(ech.rows) == xl.rank(a)
