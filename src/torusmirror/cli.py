@@ -14,9 +14,9 @@ from . import serialize as sz
 from . import siegel as sg
 from .clifford import IsotropicSplitting, SpinVec, beta_iso, beta_parity, r_of_z
 from .corresp import phi_poincare, xi_from_mirror
-from .errors import DomainError, NotSpin
+from .errors import DomainError, FormMismatch, NotSpin
 from .lefschetz import generate_g_ns
-from .pairspace import classify_pair, i_omega, make_weak_pair
+from .pairspace import classify_pair, i_omega, make_weak_pair, q_form
 from .torus import NSVector, make_torus, ns_basis
 
 
@@ -142,7 +142,14 @@ def _run_command(command, data, budget, n_max):
     if command == "siegel-act":
         p = _pair_from_json(data["pair"])
         _check_n(p.torus.n, n_max)
-        phi1, phi2 = sg.siegel_act(sz.json_to_mat(data["g"]), (p.phi1, p.phi2))
+        n = p.torus.n
+        g = sz.json_to_mat(data["g"])
+        if g.shape != (4 * n, 4 * n):
+            raise ValueError(f"g must be {4 * n}x{4 * n} for n = {n}")
+        q = q_form(n)
+        if not xl.mat_eq(xl.mul(g.T, xl.mul(q, g)), q):
+            raise FormMismatch("g is not a Q-isometry of Lambda: g^T Q g != Q")
+        phi1, phi2 = sg.siegel_act(g, (p.phi1, p.phi2))
         return {"phi1": sz.mat_to_json(phi1), "phi2": sz.mat_to_json(phi2)}
     if command == "spin-check":
         n = int(data["n"])

@@ -10,6 +10,7 @@ import numpy as np
 
 from . import exactlin as xl
 from .errors import MixedParity, NoIntertwiner, NotEven, NotIsotropic, NotSpin
+from .pairspace import q_form
 
 
 def popcount(mask):
@@ -144,7 +145,7 @@ class IsotropicSplitting:
         w = np.block([[b1, b2]])
         if not xl.is_unimodular(w):
             raise NotIsotropic("basis1 + basis2 is not a Z-basis of Lambda")
-        q = _q_matrix(n)
+        q = q_form(n)
         for half in (b1, b2):
             g = xl.mul(half.T, xl.mul(q, half))
             if not xl.is_zero(g):
@@ -163,11 +164,6 @@ class IsotropicSplitting:
 
     def cor(self, lambda_vec):
         return cor_matrix(self.n, self.coords(lambda_vec))
-
-
-def _q_matrix(n):
-    from .pairspace import q_form
-    return q_form(n)
 
 
 def standard_splitting(n):

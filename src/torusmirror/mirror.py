@@ -13,9 +13,8 @@ from . import exactlin as xl
 from .clifford import IsotropicSplitting
 from .errors import (DifferentSource, FormMismatch, IntertwineFailure,
                      NotABasis, NotInvariant, TransversalityNotFound)
-from .pairspace import (WeakPair, build_lambda, i_omega, make_weak_pair,
-                        recover_omega)
-from .torus import NSVector, Torus, make_torus
+from .pairspace import build_lambda, i_omega, make_weak_pair, recover_omega
+from .torus import NSVector, make_torus
 
 
 class MirrorCertificate:
@@ -48,29 +47,23 @@ def verify_mirror(pA, pB, alpha):
     return MirrorCertificate(alpha, pA, pB)
 
 
-def _span_invariant(op, basis_cols):
-    """Does op map the column span of basis_cols into itself (over Q)?"""
-    stacked = np.block([[basis_cols, xl.mul(op, basis_cols)]])
-    return xl.rank(stacked) == basis_cols.shape[1]
-
-
 def mirror_from_splitting(p, s):
-    """Mirror of p across an I_omega-invariant isotropic splitting."""
+    """Mirror of p across an I_omega-invariant isotropic splitting s of Lambda_A.
+
+    s is given in the coordinates of Lambda_A; alpha = w^-1 takes it to the
+    standard splitting Gamma_B + Gamma_B*.
+    """
     n = p.torus.n
     lam = build_lambda(p.torus)
-    iw = i_omega(p)
-    for half in (s.basis1, s.basis2):
-        if not _span_invariant(iw, half):
-            raise NotInvariant("a splitting half is not I_omega-invariant")
     alpha = s.w_inv
-    i_new = xl.mul(alpha, xl.mul(iw, s.w))
+    i_new = xl.mul(alpha, xl.mul(i_omega(p), s.w))
     d = 2 * n
+    # basis1 (basis2) spans an I_omega-invariant half iff block (2,1) ((1,2)) vanishes
     if not (xl.is_zero(i_new[:d, d:]) and xl.is_zero(i_new[d:, :d])):
-        raise NotInvariant("I_omega is not block diagonal in splitting coordinates")
-    assert xl.mat_eq(i_new[d:, d:], -i_new[:d, :d].T)
+        raise NotInvariant("a splitting half is not I_omega-invariant")
     B = make_torus(n, i_new[:d, :d])
     jprod_new = xl.mul(alpha, xl.mul(lam.Jprod, s.w))
-    pB = recover_omega(B, jprod_new)  # Block12Singular when transversality fails
+    pB = recover_omega(B, jprod_new)  # Block12Singular unless J M2 is transversal to M2
     return pB, verify_mirror(p, pB, alpha)
 
 
@@ -93,31 +86,32 @@ def _standard_witness(n):
                                [e[:, n + i] for i in range(n)])
 
 
-def _sigma_splitting(n):
-    """basis1 = (x_1..x_n, l_{n+1}..l_{2n}), basis2 = its Q-dual order."""
-    e = xl.eye(4 * n)
-    basis1 = [e[:, 2 * n + i] for i in range(n)] + [e[:, n + i] for i in range(n)]
-    basis2 = [e[:, i] for i in range(n)] + [e[:, 3 * n + i] for i in range(n)]
-    return IsotropicSplitting(n, basis1, basis2)
+def _adapted_halves(u):
+    """W = Gamma_1 + Gamma_2* and Sigma = Gamma_1* + Gamma_2 as column bases in
+    the coordinates of Lambda_A, for a basis u = (Gamma_1 | Gamma_2) of Gamma.
+
+    They are standard columns of the integral Q-isometry U = [[u, 0], [0, u^-T]],
+    which carries the adapted coordinates of Lambda to those of Lambda_A.
+    """
+    n = u.shape[0] // 2
+    z = xl.zeros(2 * n)
+    big_u = np.block([[u, z], [z, xl.to_int(xl.invert(u)).T]])
+    w = big_u[:, list(range(n)) + list(range(3 * n, 4 * n))]
+    sigma = big_u[:, list(range(2 * n, 3 * n)) + list(range(n, 2 * n))]
+    return w, sigma
 
 
 def g_mirror(p, w):
-    """Mirror of a well-becoming pair across Sigma = Gamma_1* + Gamma_2."""
+    """Mirror of a well-becoming pair across the splitting (Sigma, W) of Lambda_A,
+    Sigma = Gamma_1* + Gamma_2 and W = Gamma_1 + Gamma_2* for the witness halves."""
     if not check_well_becoming(p, w):
         raise NotABasis("witness does not exhibit p as well-becoming")
     n = p.torus.n
-    u0 = np.block([[w.gamma1, w.gamma2]])
-    u0_inv = xl.to_int(xl.invert(u0))
-    # pass to the adapted coordinates on Gamma (and dual ones on Gamma*)
-    A1 = make_torus(n, xl.mul(u0_inv, xl.mul(p.torus.J, u0)))
-    p1 = make_weak_pair(A1, xl.mul(u0.T, xl.mul(p.phi1, u0)),
-                        xl.mul(u0.T, xl.mul(p.phi2, u0)))
-    u_lambda = np.block([[u0, xl.zeros(2 * n)], [xl.zeros(2 * n), u0_inv.T]])
-    s = _sigma_splitting(n)
-    pB, cert1 = mirror_from_splitting(p1, s)
-    alpha = xl.mul(cert1.alpha, xl.to_int(xl.invert(u_lambda)))
-    cert = verify_mirror(p, pB, alpha)
-    assert check_well_becoming(pB, _standard_witness(n))
+    w_half, sigma = _adapted_halves(np.block([[w.gamma1, w.gamma2]]))
+    pB, cert = mirror_from_splitting(
+        p, IsotropicSplitting(n, list(sigma.T), list(w_half.T)))
+    if not check_well_becoming(pB, _standard_witness(n)):
+        raise RuntimeError("the mirror pair is not well-becoming in the standard basis")
     return pB, cert
 
 
@@ -154,46 +148,36 @@ def _repair_candidates(n, deltas, budget):
 
 
 def elliptic_mirror(A, tau, phi, budget=5):
-    """Mirror of (A, tau*phi); the mirror is a product of isogenous elliptic curves."""
+    """Mirror of (A, tau*phi) across the splitting (W, Sigma) of Lambda_A, built
+    as in g_mirror from a symplectic basis of phi; J Sigma must be transversal
+    to Sigma, and the basis is repaired until J W is transversal to W.  The
+    mirror is a product of isogenous elliptic curves."""
     n = A.n
     c = phi.c if isinstance(phi, NSVector) else phi
     nf = xl.skew_normal_form(c)
     t1, t2 = tau
     pA = make_weak_pair(A, t1 * c, t2 * c)
     u = nf.basis_change
-    deltas = nf.deltas
-    e = xl.eye(4 * n)
-    found = None
-    for corr in _repair_candidates(n, deltas, budget):
+    jprod = build_lambda(A).Jprod
+    # a correction adds multiples of Gamma_2 to Gamma_1, which leaves Gamma_2 and
+    # Gamma_1* fixed: Sigma is the same for every candidate, only W is repaired
+    if not _transversal(jprod, _adapted_halves(u)[1]):
+        raise TransversalityNotFound(
+            "J Sigma meets Sigma, and no symplectic correction changes Sigma")
+    for corr in _repair_candidates(n, nf.deltas, budget):
         u2 = u.copy()
         u2[:, :n] = u[:, :n] + xl.mul(u[:, n:], corr)
         # the repaired basis still puts phi in the same block normal form
         g = xl.mul(u2.T, xl.mul(c, u2))
-        assert xl.is_zero(g[:n, :n]) and xl.is_zero(g[n:, n:])
-        u2_inv = xl.to_int(xl.invert(u2))
-        j1 = xl.mul(u2_inv, xl.mul(A.J, u2))
-        # W = span(e_1..e_n, e*_{-1}..e*_{-n}) in the new coordinates
-        jprod1 = np.block([[j1, xl.zeros(2 * n)], [xl.zeros(2 * n), -j1.T]])
-        cols = [i for i in range(n)] + [3 * n + i for i in range(n)]
-        w_cols = e[:, cols]
-        if _transversal(jprod1, w_cols):
-            found = (u2, u2_inv)
-            break
-    if found is None:
-        raise TransversalityNotFound(
-            "no symplectic correction within the budget makes J W transversal")
-    u2, u2_inv = found
-    A1 = make_torus(n, xl.mul(u2_inv, xl.mul(A.J, u2)))
-    p1 = make_weak_pair(A1, xl.mul(u2.T, xl.mul(pA.phi1, u2)),
-                        xl.mul(u2.T, xl.mul(pA.phi2, u2)))
-    basis1 = [e[:, i] for i in range(n)] + [e[:, 3 * n + i] for i in range(n)]
-    basis2 = [e[:, 2 * n + i] for i in range(n)] + [e[:, n + i] for i in range(n)]
-    s = IsotropicSplitting(n, basis1, basis2)
-    pB, cert1 = mirror_from_splitting(p1, s)
-    u_lambda = np.block([[u2, xl.zeros(2 * n)], [xl.zeros(2 * n), u2_inv.T]])
-    alpha = xl.mul(cert1.alpha, xl.to_int(xl.invert(u_lambda)))
-    cert = verify_mirror(pA, pB, alpha)
-    return pA, pB, cert
+        if not (xl.is_zero(g[:n, :n]) and xl.is_zero(g[n:, n:])):
+            raise RuntimeError("the repaired basis does not put phi in block normal form")
+        w_half, sigma = _adapted_halves(u2)
+        if _transversal(jprod, w_half):
+            s = IsotropicSplitting(n, list(w_half.T), list(sigma.T))
+            pB, cert = mirror_from_splitting(pA, s)
+            return pA, pB, cert
+    raise TransversalityNotFound(
+        "no symplectic correction within the budget makes J W transversal to W")
 
 
 def elliptic_factors(pB, deltas):
@@ -209,11 +193,14 @@ def elliptic_factors(pB, deltas):
     for i in range(n):
         idx = [i, n + i]
         block = J[np.ix_(idx, idx)]
-        assert xl.mat_eq(xl.mul(block, block), -xl.eye(2))
+        if not xl.mat_eq(xl.mul(block, block), -xl.eye(2)):
+            raise ValueError(f"J of pB does not restrict to the index pair {idx}")
         factors.append(make_torus(1, block))
-        assert deltas[i] % deltas[0] == 0
+        if deltas[i] % deltas[0]:
+            raise ValueError("deltas[0] does not divide every delta")
         f = xl.mat([[1, 0], [0, deltas[i] // deltas[0]]])
-        assert xl.mat_eq(xl.mul(block, f), xl.mul(f, factors[0].J))
+        if not xl.mat_eq(xl.mul(block, f), xl.mul(f, factors[0].J)):
+            raise RuntimeError(f"factor {i} is not isogenous to factor 0 by {f.tolist()}")
         isogenies.append(f)
     return factors, isogenies
 
@@ -225,8 +212,10 @@ def compare_mirror_isos(c1, c2):
     gamma = xl.to_int(xl.mul(xl.invert(c2.alpha), c1.alpha))
     if c1.pairB.torus == c2.pairB.torus:
         iw = i_omega(c1.pairA)
-        assert xl.mat_eq(xl.mul(gamma, iw), xl.mul(iw, gamma))
+        if not xl.mat_eq(xl.mul(gamma, iw), xl.mul(iw, gamma)):
+            raise RuntimeError("gamma does not commute with I_omega of the source")
     if c1.pairB == c2.pairB:
         from .siegel import u_membership
-        assert u_membership(gamma, c1.pairA.torus)
+        if not u_membership(gamma, c1.pairA.torus):
+            raise RuntimeError("gamma is not in U(Lambda_A) although the mirrors agree")
     return gamma

@@ -95,5 +95,6 @@ def recover_omega(A, I):
     phi2 = -i12_inv
     phi1 = xl.mul(i22, i12_inv)
     pair = make_weak_pair(A, phi1, phi2)
-    assert xl.mat_eq(i_omega(pair), I)
+    if not xl.mat_eq(i_omega(pair), I):
+        raise ValueError("I is not the I_omega of the pair read off its blocks")
     return pair

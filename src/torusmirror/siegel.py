@@ -7,8 +7,8 @@ computed exactly over the Gaussian rationals.
 """
 
 from . import exactlin as xl
-from .errors import NotInvertible, SingularMatrix
-from .pairspace import WeakPair, build_lambda, i_omega, make_weak_pair
+from .errors import FormMismatch, NotInvertible, SingularMatrix
+from .pairspace import build_lambda, i_omega, make_weak_pair
 
 
 def blocks(g):
@@ -41,7 +41,8 @@ def siegel_act(g, omega):
     except SingularMatrix:
         raise NotInvertible("a + b.omega is singular over Q(i)")
     re, im = xl.gauss_mul(num, den_inv)
-    assert xl.mat_eq(re, -re.T) and xl.mat_eq(im, -im.T)
+    if not (xl.mat_eq(re, -re.T) and xl.mat_eq(im, -im.T)):
+        raise FormMismatch("g.omega is not skew; g is not a Q-isometry of Lambda")
     return re, im
 
 

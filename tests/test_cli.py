@@ -90,6 +90,28 @@ def test_g_mirror_then_verify(tmp_path):
     assert code == 1
 
 
+def test_mirror_split_then_verify(tmp_path):
+    cols = lambda idx: [["1" if i == j else "0" for i in range(4)] for j in idx]
+    # Sigma = Gamma_1* + Gamma_2 and W = Gamma_1 + Gamma_2* for the standard witness
+    payload = {"pair": PAIR_SQUARE,
+               "splitting": {"basis1": cols([2, 1]), "basis2": cols([0, 3])}}
+    code, out = run(tmp_path, "mirror-split", payload)
+    assert code == 0
+    doc = json.loads(out.read_text())
+    code, out = run(tmp_path, "g-mirror",
+                    {"pair": PAIR_SQUARE, "gamma1": [["1", "0"]], "gamma2": [["0", "1"]]})
+    assert json.loads(out.read_text()) == doc
+    check = {"pairA": PAIR_SQUARE, "pairB": doc["pairB"], "alpha": doc["alpha"]}
+    code, out = run(tmp_path, "verify-mirror", check)
+    assert code == 0
+    assert json.loads(out.read_text()) == {"ok": True}
+    # the standard splitting Gamma + Gamma*: I_omega moves Gamma* into Gamma
+    payload["splitting"] = {"basis1": cols([0, 1]), "basis2": cols([2, 3])}
+    code, out = run(tmp_path, "mirror-split", payload)
+    assert code == 1
+    assert json.loads(out.read_text())["error"] == "not-invariant"
+
+
 def test_elliptic_mirror_command(tmp_path):
     payload = {"torus": TORUS_SQUARE, "tau": ["0", "1"],
                "phi": [["0", "1"], ["-1", "0"]]}
@@ -160,28 +182,40 @@ def test_spin_check_command(tmp_path):
     assert json.loads(out.read_text()) == {"spin": False}
 
 
-# (id, command, document, exit code): inputs the commands must reject with
-# exit 2 and "input error" on stderr, or exit 1 with a payload, never a crash
+# (id, command, document, exit code, error code): inputs the commands must
+# reject with exit 2 and "input error" on stderr, or exit 1 with the error
+# payload, never a crash
 MALFORMED = [
     ("zero-denominator", "classify",
      {"torus": TORUS_SQUARE, "phi1": [["0", "1/0"], ["-1/0", "0"]],
-      "phi2": PAIR_SQUARE["phi2"]}, 2),
+      "phi2": PAIR_SQUARE["phi2"]}, 2, None),
     ("alpha-shape", "verify-mirror",
      {"pairA": PAIR_SQUARE, "pairB": PAIR_SQUARE,
-      "alpha": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]}, 2),
-    ("g-shape", "siegel-act", {"pair": PAIR_SQUARE, "g": [["1", "0"], ["0", "1"]]}, 2),
+      "alpha": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]}, 2, None),
+    ("g-shape", "siegel-act", {"pair": PAIR_SQUARE, "g": [["1", "0"], ["0", "1"]]}, 2, None),
     ("z-shape", "spin-check",
-     {"n": 1, "z": [["1" if i == j else "0" for j in range(3)] for i in range(3)]}, 2),
+     {"n": 1, "z": [["1" if i == j else "0" for j in range(3)] for i in range(3)]}, 2, None),
     ("z-size-not-n", "spin-check",
-     {"n": 1, "z": [["1" if i == j else "0" for j in range(16)] for i in range(16)]}, 2),
-    ("phi-p-index", "phi-p", {"n": 1, "v": [{"indices": [3], "coeff": "1"}]}, 2),
-    ("gns-not-ns", "gns", {"torus": TORUS_SQUARE, "kappas": [[["0", "1"], ["1", "0"]]]}, 1),
+     {"n": 1, "z": [["1" if i == j else "0" for j in range(16)] for i in range(16)]}, 2, None),
+    ("phi-p-index", "phi-p", {"n": 1, "v": [{"indices": [3], "coeff": "1"}]}, 2, None),
+    ("gns-not-ns", "gns", {"torus": TORUS_SQUARE, "kappas": [[["0", "1"], ["1", "0"]]]},
+     1, "not-ns-form"),
+    # diag(1, 1, 1, 2) is not a Q-isometry (g^T Q g != Q) and sends omega to a
+    # matrix that is not skew
+    ("siegel-not-isometry", "siegel-act",
+     {"pair": PAIR_SQUARE, "g": [["1", "0", "0", "0"], ["0", "1", "0", "0"],
+                                 ["0", "0", "1", "0"], ["0", "0", "0", "2"]]},
+     1, "form-mismatch"),
+    # 2 * identity is not a Q-isometry either, though it fixes omega
+    ("siegel-scaled", "siegel-act",
+     {"pair": PAIR_SQUARE, "g": [["2" if i == j else "0" for j in range(4)] for i in range(4)]},
+     1, "form-mismatch"),
 ]
 
 
-@pytest.mark.parametrize("command,payload,expected",
+@pytest.mark.parametrize("command,payload,expected,error",
                          [m[1:] for m in MALFORMED], ids=[m[0] for m in MALFORMED])
-def test_malformed_document_exit_code(tmp_path, capsys, command, payload, expected):
+def test_malformed_document_exit_code(tmp_path, capsys, command, payload, expected, error):
     code, out = run(tmp_path, command, payload)
     assert code == expected
     err = capsys.readouterr().err
@@ -190,7 +224,7 @@ def test_malformed_document_exit_code(tmp_path, capsys, command, payload, expect
         assert not out.exists()
     else:
         assert err == ""
-        assert json.loads(out.read_text())["error"] == "not-ns-form"
+        assert json.loads(out.read_text())["error"] == error
 
 
 def test_gns_kappa_checked_against_torus(tmp_path):
@@ -210,7 +244,7 @@ def test_gns_kappa_checked_against_torus(tmp_path):
 def test_malformed_documents_under_optimize(tmp_path):
     """The exit-code contract holds with assert statements stripped (-O)."""
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(torusmirror.__file__).parents[1]))
-    for name, command, payload, expected in MALFORMED:
+    for name, command, payload, expected, error in MALFORMED:
         inp = tmp_path / f"{name}.in.json"
         out = tmp_path / f"{name}.out.json"
         inp.write_text(json.dumps(payload))
@@ -222,3 +256,5 @@ def test_malformed_documents_under_optimize(tmp_path):
         assert "Traceback" not in proc.stderr, name
         if expected == 2:
             assert "input error" in proc.stderr, name
+        else:
+            assert json.loads(out.read_text())["error"] == error, name

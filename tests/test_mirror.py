@@ -1,17 +1,18 @@
 import numpy as np
 import pytest
 
-from conftest import well_becoming_sample
+from conftest import rand_rational, rand_unimodular, well_becoming_sample
 from torusmirror import exactlin as xl
 from torusmirror.errors import (Degenerate, DifferentSource, FormMismatch,
-                                IntertwineFailure, NotABasis, NotInvariant)
-from torusmirror.mirror import (WellBecomingWitness, check_well_becoming,
-                                compare_mirror_isos, elliptic_factors,
-                                elliptic_mirror, g_mirror,
+                                IntertwineFailure, NotABasis, NotInvariant,
+                                TransversalityNotFound)
+from torusmirror.mirror import (WellBecomingWitness, _repair_candidates,
+                                check_well_becoming, compare_mirror_isos,
+                                elliptic_factors, elliptic_mirror, g_mirror,
                                 mirror_from_splitting, verify_mirror)
 from torusmirror.pairspace import (build_lambda, classify_pair, i_omega,
                                    make_weak_pair)
-from torusmirror.clifford import standard_splitting
+from torusmirror.clifford import IsotropicSplitting, standard_splitting
 from torusmirror.torus import make_torus
 
 J_SQUARE = xl.mat([[0, -1], [1, 0]])
@@ -167,3 +168,120 @@ def test_elliptic_mirror_rejects_degenerate_form():
     A = make_torus(1, J_SQUARE)
     with pytest.raises(Degenerate):
         elliptic_mirror(A, (0, 1), xl.zeros(2))
+
+
+def test_elliptic_factors_rejects_non_dividing_deltas():
+    z = xl.zeros(2)
+    J = np.block([[z, xl.eye(2)], [-xl.eye(2), z]])
+    c = xl.zeros(4)
+    c[0, 2], c[2, 0] = 1, -1
+    c[1, 3], c[3, 1] = 2, -2
+    _, pB, _ = elliptic_mirror(make_torus(2, J), (1, 2), c)
+    with pytest.raises(ValueError):
+        elliptic_factors(pB, [2, 3])
+
+
+def block_rotation(n):
+    """J = diag(R, ..., R) with R the square structure on (e_2i-1, e_2i)."""
+    J = xl.zeros(2 * n)
+    for i in range(n):
+        J[2 * i:2 * i + 2, 2 * i:2 * i + 2] = J_SQUARE
+    return J
+
+
+def test_elliptic_mirror_needs_both_halves_transversal():
+    # W is transversal to J W, but J Sigma meets Sigma, so block (1,2) of the
+    # mirror's I_omega would be singular; no repair of the basis changes Sigma
+    phi = xl.zeros(4)
+    phi[0, 2], phi[2, 0], phi[1, 3], phi[3, 1] = 1, -1, 1, -1
+    with pytest.raises(TransversalityNotFound):
+        elliptic_mirror(make_torus(2, block_rotation(2)), (0, 1), phi)
+
+
+# ---------------------------------------------------------------------------
+# Reference route for g_mirror and elliptic_mirror: pass the pair to the
+# coordinates adapted to u, mirror it across a standard splitting there, and
+# carry alpha back to Lambda_A with the inverse of U = [[u, 0], [0, u^-T]]
+
+
+def _adapted_route(p, u, halves):
+    n = p.torus.n
+    u_inv = xl.to_int(xl.invert(u))
+    A1 = make_torus(n, xl.mul(u_inv, xl.mul(p.torus.J, u)))
+    p1 = make_weak_pair(A1, xl.mul(u.T, xl.mul(p.phi1, u)),
+                        xl.mul(u.T, xl.mul(p.phi2, u)))
+    e = xl.eye(4 * n)
+    s = IsotropicSplitting(n, [e[:, i] for i in halves[0]], [e[:, i] for i in halves[1]])
+    pB, cert1 = mirror_from_splitting(p1, s)
+    z = xl.zeros(2 * n)
+    big_u = np.block([[u, z], [z, u_inv.T]])
+    return pB, xl.mul(cert1.alpha, xl.to_int(xl.invert(big_u)))
+
+
+def _w_sigma_indices(n):
+    w = list(range(n)) + list(range(3 * n, 4 * n))
+    sigma = list(range(2 * n, 3 * n)) + list(range(n, 2 * n))
+    return w, sigma
+
+
+def _old_g_mirror(p, w):
+    w_idx, sigma_idx = _w_sigma_indices(p.torus.n)
+    return _adapted_route(p, np.block([[w.gamma1, w.gamma2]]), (sigma_idx, w_idx))
+
+
+def _old_elliptic_mirror(A, tau, c, budget=5):
+    n = A.n
+    pA = make_weak_pair(A, tau[0] * c, tau[1] * c)
+    nf = xl.skew_normal_form(c)
+    u = nf.basis_change
+    e = xl.eye(4 * n)
+    w_idx, sigma_idx = _w_sigma_indices(n)
+    for corr in _repair_candidates(n, nf.deltas, budget):
+        u2 = u.copy()
+        u2[:, :n] = u[:, :n] + xl.mul(u[:, n:], corr)
+        j1 = xl.mul(xl.to_int(xl.invert(u2)), xl.mul(A.J, u2))
+        jprod1 = build_lambda(make_torus(n, j1)).Jprod
+        if all(xl.rank(np.block([[e[:, idx], xl.mul(jprod1, e[:, idx])]])) == 4 * n
+               for idx in (w_idx, sigma_idx)):
+            return (pA,) + _adapted_route(pA, u2, (w_idx, sigma_idx))
+    raise TransversalityNotFound("no candidate")
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_g_mirror_matches_adapted_route(rng, n):
+    for _ in range(4):
+        p, w = well_becoming_sample(rng, n)
+        pB, cert = g_mirror(p, w)
+        pB_ref, alpha_ref = _old_g_mirror(p, w)
+        assert pB == pB_ref
+        assert xl.mat_eq(cert.alpha, alpha_ref)
+
+
+def _elliptic_sample(rng, n):
+    deltas = [1]
+    for _ in range(n - 1):
+        deltas.append(deltas[-1] * rng.randint(1, 3))
+    z = xl.zeros(n)
+    delta = xl.zeros(n)
+    for i in range(n):
+        delta[i, i] = deltas[i]
+    j0 = np.block([[z, xl.eye(n)], [-xl.eye(n), z]])
+    phi0 = np.block([[z, delta], [-delta, z]])
+    t = rand_unimodular(rng, 2 * n)
+    A = make_torus(n, xl.mul(xl.to_int(xl.invert(t)), xl.mul(j0, t)))
+    tau = (rand_rational(rng), rand_rational(rng, nonzero=True))
+    return A, tau, xl.mul(t.T, xl.mul(phi0, t))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_elliptic_mirror_matches_adapted_route(rng, n):
+    cases = [_elliptic_sample(rng, n) for _ in range(3)]
+    if n == 2:
+        # the first candidate fails, the second repairs the basis
+        phi = xl.mat([[0, 0, 1, 0], [0, 0, 0, 1], [-1, 0, 0, 1], [0, -1, -1, 0]])
+        cases.append((make_torus(2, block_rotation(2)), (1, 2), phi))
+    for A, tau, phi in cases:
+        pA, pB, cert = elliptic_mirror(A, tau, phi)
+        pA_ref, pB_ref, alpha_ref = _old_elliptic_mirror(A, tau, phi)
+        assert pA == pA_ref and pB == pB_ref
+        assert xl.mat_eq(cert.alpha, alpha_ref)

@@ -79,6 +79,15 @@ def test_recover_omega_rejects_singular_block():
         recover_omega(A, build_lambda(A).Jprod)
 
 
+def test_recover_omega_rejects_other_shapes():
+    # blocks (1,2) and (2,2) read back a valid pair whose I_omega differs
+    p = square_pair()
+    I = i_omega(p)
+    I[0, 0] += 1
+    with pytest.raises(ValueError):
+        recover_omega(p.torus, I)
+
+
 def test_q_form_hyperbolic():
     q = q_form(2)
     assert xl.mat_eq(q, q.T)

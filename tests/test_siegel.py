@@ -2,7 +2,7 @@ import pytest
 
 from conftest import rand_q_isometry, weak_pair_sample
 from torusmirror import exactlin as xl
-from torusmirror.errors import NotInvertible
+from torusmirror.errors import FormMismatch, NotInvertible
 from torusmirror.pairspace import classify_pair, i_omega, make_weak_pair
 from torusmirror.siegel import (act_on_pair, blocks, i_omega_centralizer_check,
                                 siegel_act, stabilizer_check,
@@ -99,6 +99,15 @@ def test_singular_denominator_raises():
     g = xl.zeros(4)
     g[2:, 2:] = xl.eye(2)  # a = 0, b = 0: denominator identically singular
     with pytest.raises(NotInvertible):
+        siegel_act(g, (p.phi1, p.phi2))
+
+
+def test_non_skew_image_raises():
+    # diag(1, 1, 1, 2) is not a Q-isometry; it sends omega to a non-skew matrix
+    p = square_pair()
+    g = xl.eye(4)
+    g[3, 3] = 2
+    with pytest.raises(FormMismatch):
         siegel_act(g, (p.phi1, p.phi2))
 
 
