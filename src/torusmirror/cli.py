@@ -8,15 +8,14 @@ import argparse
 import json
 import sys
 
-from . import exactlin as xl
 from . import mirror as mi
 from . import serialize as sz
 from . import siegel as sg
 from .clifford import IsotropicSplitting, SpinVec, beta_iso, beta_parity, r_of_z
 from .corresp import phi_poincare, xi_from_mirror
-from .errors import DomainError, FormMismatch, NotSpin
+from .errors import DomainError, NotSpin
 from .lefschetz import generate_g_ns
-from .pairspace import classify_pair, i_omega, make_weak_pair, q_form
+from .pairspace import classify_pair, i_omega, make_weak_pair
 from .torus import NSVector, make_torus, ns_basis
 
 
@@ -146,9 +145,7 @@ def _run_command(command, data, budget, n_max):
         g = sz.json_to_mat(data["g"])
         if g.shape != (4 * n, 4 * n):
             raise ValueError(f"g must be {4 * n}x{4 * n} for n = {n}")
-        q = q_form(n)
-        if not xl.mat_eq(xl.mul(g.T, xl.mul(q, g)), q):
-            raise FormMismatch("g is not a Q-isometry of Lambda: g^T Q g != Q")
+        sg.require_q_isometry(g, n)
         phi1, phi2 = sg.siegel_act(g, (p.phi1, p.phi2))
         return {"phi1": sz.mat_to_json(phi1), "phi2": sz.mat_to_json(phi2)}
     if command == "spin-check":

@@ -106,14 +106,35 @@ def cor_action(lambda_vec, v):
     return SpinVec(n, out)
 
 
+def _generator_maps(n):
+    """Column maps of cor(e_k) for the 4n basis vectors e_k of Lambda: each is a
+    signed partial permutation of the monomials, maps[k][m] = (row, sign) when
+    cor(e_k) x_m = sign * x_row and None when it kills x_m.  k < 2n contracts
+    with l_{k+1}, k >= 2n wedges with x_{k-2n+1}."""
+    d = 2 * n
+    size = 1 << d
+    parity = [0] * size
+    for m in range(1, size):
+        parity[m] = parity[m >> 1] ^ (m & 1)
+    maps = []
+    for k in range(2 * d):
+        bit = k % d
+        # contraction needs the bit set, wedge needs it clear
+        need = 0 if k >= d else 1 << bit
+        below = (1 << bit) - 1
+        maps.append([(m ^ (1 << bit), -1 if parity[m & below] else 1)
+                     if m & (1 << bit) == need else None for m in range(size)])
+    return maps
+
+
 def cor_matrix(n, lambda_vec):
-    """Spinor matrix of cor(lambda) in standard coordinates."""
-    size = 1 << (2 * n)
-    out = xl.zeros(size)
-    for m in range(size):
-        col = cor_action(lambda_vec, SpinVec(n, {m: 1}))
-        for key, c in col.coeffs.items():
-            out[key, m] = c
+    """Spinor matrix of cor(lambda) = sum_k lambda_k cor(e_k) in standard coordinates."""
+    out = xl.zeros(1 << (2 * n))
+    for a, col in zip(lambda_vec, _generator_maps(n)):
+        if a != 0:
+            for m, image in enumerate(col):
+                if image is not None:
+                    out[image[0], m] = a * image[1]
     return out
 
 
@@ -188,31 +209,37 @@ def _apply_generators(n, word, vec):
 
 
 def _involution_form(n):
-    """Signed permutation B with B(z u, v) = B(u, z' v), i.e. z' = B^{-1} z^t B."""
+    """Signs sigma_s of the signed permutation B, B[s, full ^ s] = sigma_s, with
+    B(z u, v) = B(u, z' v), i.e. z' = B^{-1} z^t B."""
     if n in _INVOLUTION_FORM:
         return _INVOLUTION_FORM[n]
     size = 1 << (2 * n)
     d = 2 * n
-    b = xl.zeros(size)
+    full = size - 1
+    signs = []
     for s_mask in range(size):
-        # reversal of x_S * l_1...l_{2n}: word l_{2n}..l_1 x_{sk}..x_{s1}
+        # reversal of x_S * l_1...l_{2n}: word l_{2n}..l_1 x_{sk}..x_{s1}; it
+        # reaches the vacuum only from x_{full ^ S}
         word = [("l", i) for i in range(d, 0, -1)]
         word += [("x", i) for i in range(d, 0, -1) if s_mask & (1 << (i - 1))]
-        for t_mask in range(size):
-            img = _apply_generators(n, word, {t_mask: 1})
-            if 0 in img:
-                b[s_mask, t_mask] = img[0]
-    assert xl.mat_eq(xl.mul(b, b.T), xl.eye(size))
-    _INVOLUTION_FORM[n] = b
-    return b
+        signs.append(_apply_generators(n, word, {full ^ s_mask: 1}).get(0, 0))
+    if any(s not in (1, -1) for s in signs):
+        raise RuntimeError("involution form: B is not a signed permutation, B B^t != 1")
+    _INVOLUTION_FORM[n] = signs
+    return signs
 
 
 def clifford_involution(z):
     """The unique anti-automorphism of Cl(Lambda,Q) fixing Lambda pointwise."""
     size = z.shape[0]
     n = size.bit_length() // 2
-    b = _involution_form(n)
-    return xl.mul(b.T, xl.mul(z.T, b))
+    if z.shape != (1 << (2 * n), 1 << (2 * n)):
+        raise ValueError(f"a Clifford element is a 4^n x 4^n matrix, not {z.shape}")
+    signs = _involution_form(n)
+    # B^t z^t B relabels: z'[i, j] = sigma_c(i) sigma_c(j) z[c(j), c(i)], c(i) = full ^ i
+    c = [(size - 1) ^ i for i in range(size)]
+    sc = np.array([signs[ci] for ci in c], dtype=object)
+    return np.outer(sc, sc) * z[np.ix_(c, c)].T
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +260,9 @@ def _spin_conjugation(z):
     is in Spin(Lambda,Q), else None.
 
     z z' = 1 makes z' the inverse of z, so R is read off row 0 and column 0 of
-    z cor(e_k) z' and checked as z cor(e_k) = (sum_i R[i,k] cor(e_i)) z.
+    z cor(e_k) z' and checked as z cor(e_k) = (sum_i R[i,k] cor(e_i)) z.  Each
+    cor(e_k) is a signed partial permutation, so z cor(e_k) permutes the
+    columns of z and cor(e_i) z its rows.
     """
     if not _is_even_operator(z):
         raise NotEven("operator mixes the even/odd grading")
@@ -243,22 +272,27 @@ def _spin_conjugation(z):
         return None
     n = size.bit_length() // 2
     d = 2 * n
-    e = xl.eye(4 * n)
-    gens = [cor_matrix(n, e[:, k]) for k in range(4 * n)]
+    # per generator: the monomials it does not kill, their images and signs
+    perms = []
+    for col in _generator_maps(n):
+        kept = [m for m, image in enumerate(col) if image is not None]
+        perms.append((kept, [col[m][0] for m in kept],
+                      np.array([col[m][1] for m in kept], dtype=object)))
+    units = [1 << i for i in range(d)]
+    rev_units, rev_0 = z_rev[:, units], z_rev[:, 0]
     r = xl.zeros(4 * n)
-    for k in range(4 * n):
-        zg = xl.mul(z, gens[k])
-        row0 = xl.mul(zg[:1], z_rev)[0]
-        col0 = xl.mul(zg, z_rev[:, :1])[:, 0]
-        recon = xl.zeros(size)
-        for i in range(d):
-            r[i, k] = row0[1 << i]          # contraction l_{i+1}: e_{i+1} -> e_0
-            r[d + i, k] = col0[1 << i]      # wedge x_{i+1}: e_0 -> e_{i+1}
+    for k, (kept, images, signs) in enumerate(perms):
+        zg = xl.zeros(size)
+        zg[:, kept] = z[:, images] * signs
+        # contraction l_{i+1}: x_{i+1} -> 1 (row 0); wedge x_{i+1}: 1 -> x_{i+1} (column 0)
+        r[:d, k] = zg[0].dot(rev_units)
+        r[d:, k] = zg[units].dot(rev_0)
+        recon_z = xl.zeros(size)
+        for i in range(4 * n):
             if r[i, k] != 0:
-                recon = recon + r[i, k] * gens[i]
-            if r[d + i, k] != 0:
-                recon = recon + r[d + i, k] * gens[d + i]
-        if not xl.mat_eq(zg, xl.mul(recon, z)):
+                kept_i, images_i, signs_i = perms[i]
+                recon_z[images_i] += (r[i, k] * signs_i)[:, None] * z[kept_i]
+        if not xl.mat_eq(zg, recon_z):
             return None
     if not xl.is_integral(r) or abs(xl.det(r)) != 1:
         return None

@@ -8,20 +8,23 @@ from math import comb
 import numpy as np
 
 from . import exactlin as xl
-from .clifford import _sign_below, cor_matrix, popcount
+from .clifford import _generator_maps, _sign_below, popcount
 from .errors import NoHardLefschetz, NotNSForm
 from .torus import NSVector, is_ns_form
 
 
 class GradedOperator:
-    """A matrix on H* = Lambda Gamma* homogeneous of fixed cohomological degree."""
+    """A matrix on H* = Lambda Gamma* homogeneous of fixed cohomological degree,
+    built from its nonzero entries {row * size + col: value}."""
 
-    def __init__(self, mat, degree):
-        size = mat.shape[0]
-        for i in range(size):
-            for j in range(size):
-                if mat[i, j] != 0 and popcount(i) - popcount(j) != degree:
-                    raise ValueError("operator is not homogeneous of the stated degree")
+    def __init__(self, size, entries, degree):
+        mat = xl.zeros(size)
+        for key, v in entries.items():
+            i, j = divmod(key, size)
+            if popcount(i) - popcount(j) != degree:
+                raise ValueError("operator is not homogeneous of the stated degree")
+            mat[i, j] = v
+        self.entries = entries
         self.mat = mat
         self.degree = degree
 
@@ -45,19 +48,16 @@ def _flatten(mat):
 def grading_operator(n):
     """h acts on H^k by k - n."""
     size = 1 << (2 * n)
-    h = xl.zeros(size)
-    for m in range(size):
-        h[m, m] = popcount(m) - n
-    return GradedOperator(h, 0)
+    return GradedOperator(size, {m * size + m: popcount(m) - n for m in range(size)
+                                 if popcount(m) != n}, 0)
 
 
 def lefschetz_e(kappa):
     """Cup product with kappa = sum_{i<j} c_ij x_i ^ x_j; degree +2, nilpotent."""
     c = kappa.c if isinstance(kappa, NSVector) else kappa
     d = c.shape[0]
-    n = d // 2
     size = 1 << d
-    e = xl.zeros(size)
+    entries = {}
     for i in range(d):
         for j in range(i + 1, d):
             if c[i, j] == 0:
@@ -66,8 +66,9 @@ def lefschetz_e(kappa):
                 if m & (1 << i) or m & (1 << j):
                     continue
                 s = _sign_below(m, j) * _sign_below(m | (1 << j), i)
-                e[m | (1 << i) | (1 << j), m] += c[i, j] * s
-    return GradedOperator(e, 2)
+                key = (m | (1 << i) | (1 << j)) * size + m
+                entries[key] = entries.get(key, 0) + c[i, j] * s
+    return GradedOperator(size, {k: v for k, v in entries.items() if v != 0}, 2)
 
 
 def _check_hard_lefschetz(e, n):
@@ -121,13 +122,15 @@ def lefschetz_f(kappa):
         raise NoHardLefschetz("no degree -2 solution of [e,f] = h")
     if len(ech.rows) != ncols:
         raise RuntimeError("f_kappa is not unique")
-    f = xl.zeros(size)
+    entries = {}
     for p, row in ech.rows.items():
         t, s = unknowns[p]
-        f[t, s] = row.get(ncols, 0)
-    if not xl.mat_eq(xl.mul(e, f) - xl.mul(f, e), h):
+        if row.get(ncols, 0) != 0:
+            entries[t * size + s] = row[ncols]
+    f = GradedOperator(size, entries, -2)
+    if not xl.mat_eq(xl.mul(e, f.mat) - xl.mul(f.mat, e), h):
         raise RuntimeError("[e_kappa, f_kappa] != h")
-    return GradedOperator(f, -2)
+    return f
 
 
 def generate_g_ns(A, kappas):
@@ -149,10 +152,11 @@ def generate_g_ns(A, kappas):
             # degenerate classes contribute their wedge operator only
             pass
     gens.append(grading_operator(A.n))
+    size = 1 << (2 * A.n)
     echelon = xl.Echelon()
     basis = []
     for g in gens:
-        if echelon.add(_flatten(g.mat)):
+        if echelon.add(g.entries):
             basis.append(g)
     frontier = list(basis)
     while frontier:
@@ -163,11 +167,13 @@ def generate_g_ns(A, kappas):
                     br = xl.mul(x.mat, y.mat) - xl.mul(y.mat, x.mat)
                     if xl.is_zero(br):
                         continue
-                    if echelon.add(_flatten(br)):
-                        new.append(GradedOperator(br, x.degree + y.degree))
+                    entries = _flatten(br)
+                    if echelon.add(entries):
+                        new.append(GradedOperator(size, entries, x.degree + y.degree))
         basis.extend(new)
         frontier = new
-        assert len(basis) <= (1 << (4 * A.n))
+        if len(basis) > size * size:
+            raise RuntimeError(f"g_NS span exceeds dim gl(H*) = {size * size}")
     return LieAlgebraBasis(basis, echelon)
 
 
@@ -206,19 +212,29 @@ def so_lambda_spinor_image(A):
 
     The image is spanned by the operators (1/2)[cor(u), cor(v)] over basis
     vectors u, v of Lambda; each is homogeneous (contraction carries degree
-    -1, wedging +1) and the span has dimension dim so(4n) = 2n(4n-1).
+    -1, wedging +1) and the span has dimension dim so(4n) = 2n(4n-1).  The
+    brackets are composed from the generators' signed column maps.
     """
     n = A.n
-    e = xl.eye(4 * n)
-    gens = [cor_matrix(n, e[:, k]) for k in range(4 * n)]
+    size = 1 << (2 * n)
+    maps = _generator_maps(n)
     deg = [-1 if k < 2 * n else 1 for k in range(4 * n)]
     echelon = xl.Echelon()
     ops = []
-    half = Fraction(1, 2)
     for a, b in combinations(range(4 * n), 2):
-        m = (xl.mul(gens[a], gens[b]) - xl.mul(gens[b], gens[a])) * half
-        if echelon.add(_flatten(m)):
-            ops.append(GradedOperator(m, deg[a] + deg[b]))
+        # cor(e_a) cor(e_b) x_m, minus the reverse order
+        acc = {}
+        for first, then, sign in ((b, a, 1), (a, b, -1)):
+            for m, image in enumerate(maps[first]):
+                image2 = maps[then][image[0]] if image is not None else None
+                if image2 is not None:
+                    key = image2[0] * size + m
+                    acc[key] = acc.get(key, 0) + sign * image[1] * image2[1]
+        entries = {key: Fraction(v, 2) for key, v in acc.items() if v != 0}
+        if echelon.add(entries):
+            ops.append(GradedOperator(size, entries, deg[a] + deg[b]))
     basis = LieAlgebraBasis(ops, echelon)
-    assert basis.dim == 2 * n * (4 * n - 1)
+    if basis.dim != 2 * n * (4 * n - 1):
+        raise RuntimeError(f"so(Lambda) spinor image has dimension {basis.dim}, "
+                           f"not 2n(4n-1) = {2 * n * (4 * n - 1)}")
     return basis

@@ -70,7 +70,8 @@ def e_form(p):
     lam = build_lambda(p.torus)
     c = xl.mul(lam.Jprod, i_omega(p))
     e = xl.mul(c.T, lam.Q)
-    assert xl.mat_eq(e, e.T)
+    if not xl.mat_eq(e, e.T):
+        raise RuntimeError("e_form: Q(Jprod I_omega . , .) is not symmetric")
     return e
 
 

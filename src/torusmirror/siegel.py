@@ -8,7 +8,7 @@ computed exactly over the Gaussian rationals.
 
 from . import exactlin as xl
 from .errors import FormMismatch, NotInvertible, SingularMatrix
-from .pairspace import build_lambda, i_omega, make_weak_pair
+from .pairspace import build_lambda, i_omega, make_weak_pair, q_form
 
 
 def blocks(g):
@@ -30,6 +30,13 @@ def u_membership(g, A):
     return xl.mat_eq(xl.mul(g, lam.Jprod), xl.mul(lam.Jprod, g))
 
 
+def require_q_isometry(g, n):
+    """Raise FormMismatch unless g^T Q g = Q on Lambda of rank 4n."""
+    q = q_form(n)
+    if not xl.mat_eq(xl.mul(g.T, xl.mul(q, g)), q):
+        raise FormMismatch("g is not a Q-isometry of Lambda: g^T Q g != Q")
+
+
 def siegel_act(g, omega):
     """(c + d.omega)(a + b.omega)^{-1}; returns the (phi1, phi2) pair."""
     phi1, phi2 = omega
@@ -47,19 +54,23 @@ def siegel_act(g, omega):
 
 
 def act_on_pair(g, p):
-    """siegel_act packaged as a WeakPair on the same torus."""
+    """siegel_act packaged as a WeakPair on the same torus; g must be a
+    Q-isometry."""
+    require_q_isometry(g, p.torus.n)
     phi1, phi2 = siegel_act(g, (p.phi1, p.phi2))
     return make_weak_pair(p.torus, phi1, phi2)
 
 
 def stabilizer_check(g, p):
-    """Does g fix omega?  Cross-checked against the closed-form equations.
+    """Does the Q-isometry g fix omega?  Cross-checked against the closed-form
+    equations.
 
     Expanding (c + d.omega) = omega(a + b.omega) over Q(i) gives the real and
     imaginary conditions
         c + d.phi1 = phi1.a + phi1.b.phi1 - phi2.b.phi2
         d.phi2     = phi2.a + phi2.b.phi1 + phi1.b.phi2
     """
+    require_q_isometry(g, p.torus.n)
     phi1, phi2 = siegel_act(g, (p.phi1, p.phi2))
     fixed = xl.mat_eq(phi1, p.phi1) and xl.mat_eq(phi2, p.phi2)
     a, b, c, d = blocks(g)
@@ -68,7 +79,8 @@ def stabilizer_check(g, p):
                         xl.mul(f1, a) + xl.mul(f1, xl.mul(b, f1)) - xl.mul(f2, xl.mul(b, f2)))
     imag_eq = xl.mat_eq(xl.mul(d, f2),
                         xl.mul(f2, a) + xl.mul(f2, xl.mul(b, f1)) + xl.mul(f1, xl.mul(b, f2)))
-    assert fixed == (real_eq and imag_eq)
+    if fixed != (real_eq and imag_eq):
+        raise RuntimeError("stabilizer check: siegel_act disagrees with the closed-form equations")
     return fixed
 
 

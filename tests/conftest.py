@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from torusmirror import exactlin as xl
-from torusmirror.clifford import IsotropicSplitting, cor_matrix
+from torusmirror.clifford import IsotropicSplitting, SpinVec, cor_action, cor_matrix
 from torusmirror.mirror import WellBecomingWitness
 from torusmirror.pairspace import make_weak_pair, q_form
 from torusmirror.torus import make_torus
@@ -164,3 +164,13 @@ def rand_spin(rng, n, pairs=2):
             v = rand_unit_pairing_vector(rng, n, eps)
             z = xl.mul(z, cor_matrix(n, v))
     return z
+
+
+def cor_matrix_by_columns(n, lambda_vec):
+    """Reference for cor_matrix: each column is cor_action on one monomial."""
+    size = 1 << (2 * n)
+    out = xl.zeros(size)
+    for m in range(size):
+        for key, c in cor_action(lambda_vec, SpinVec(n, {m: 1})).coeffs.items():
+            out[key, m] = c
+    return out

@@ -1,13 +1,16 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from conftest import (rand_spin, rand_splitting, rand_unit_pairing_vector,
-                      rand_unimodular)
+from conftest import (cor_matrix_by_columns, rand_spin, rand_splitting,
+                      rand_unit_pairing_vector, rand_unimodular)
 from torusmirror import exactlin as xl
 from torusmirror.clifford import (IsotropicSplitting, SpinVec, beta_iso,
                                   beta_parity, clifford_involution,
-                                  cor_action, cor_matrix, is_spin, q_value,
-                                  r_of_z, standard_splitting)
+                                  contract_apply, cor_action, cor_matrix,
+                                  is_spin, popcount, q_value, r_of_z,
+                                  standard_splitting, wedge_apply)
 from torusmirror.errors import NotEven, NotIsotropic, NotSpin
 from torusmirror.pairspace import q_form
 
@@ -184,3 +187,111 @@ def test_cor_action_matches_matrix(rng):
         direct = cor_action(v, SpinVec(n, {mask: 1}))
         via_matrix = SpinVec.from_vector(n, xl.mul(m, SpinVec(n, {mask: 1}).to_vector().reshape(-1, 1))[:, 0])
         assert direct == via_matrix
+
+
+# ---------------------------------------------------------------------------
+# the dense routes the signed-permutation code replaced, kept as references
+
+
+def _involution_form_dense(n):
+    """B by the double loop: the vacuum coefficient of the reversal word of
+    x_S * l_1...l_{2n} applied to every monomial x_T."""
+    size = 1 << (2 * n)
+    d = 2 * n
+    b = xl.zeros(size)
+    for s_mask in range(size):
+        word = [("l", i) for i in range(d, 0, -1)]
+        word += [("x", i) for i in range(d, 0, -1) if s_mask & (1 << (i - 1))]
+        for t_mask in range(size):
+            coeffs = {t_mask: 1}
+            for kind, idx in reversed(word):
+                apply = contract_apply if kind == "l" else wedge_apply
+                coeffs = apply(n, idx, coeffs)
+            if 0 in coeffs:
+                b[s_mask, t_mask] = coeffs[0]
+    return b
+
+
+def _spin_conjugation_dense(z):
+    """R with dense generators, dense sums and dense products, else None."""
+    size = z.shape[0]
+    n = size.bit_length() // 2
+    d = 2 * n
+    b = _involution_form_dense(n)
+    z_rev = xl.mul(b.T, xl.mul(z.T, b))
+    if not xl.mat_eq(xl.mul(z, z_rev), xl.eye(size)):
+        return None
+    e = xl.eye(4 * n)
+    gens = [cor_matrix_by_columns(n, e[:, k]) for k in range(4 * n)]
+    r = xl.zeros(4 * n)
+    for k in range(4 * n):
+        zg = xl.mul(z, gens[k])
+        row0 = xl.mul(zg[:1], z_rev)[0]
+        col0 = xl.mul(zg, z_rev[:, :1])[:, 0]
+        recon = xl.zeros(size)
+        for i in range(d):
+            r[i, k] = row0[1 << i]
+            r[d + i, k] = col0[1 << i]
+            recon = recon + r[i, k] * gens[i] + r[d + i, k] * gens[d + i]
+        if not xl.mat_eq(zg, xl.mul(recon, z)):
+            return None
+    if not xl.is_integral(r) or abs(xl.det(r)) != 1:
+        return None
+    return r
+
+
+def _rand_rational_matrix(rng, size):
+    return np.array([[Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                      if rng.random() < 0.4 else 0 for _ in range(size)]
+                     for _ in range(size)], dtype=object)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_involution_matches_dense_form(rng, n):
+    b = _involution_form_dense(n)
+    assert xl.mat_eq(xl.mul(b, b.T), xl.eye(1 << (2 * n)))
+    for _ in range(2):
+        z = _rand_rational_matrix(rng, 1 << (2 * n))
+        assert xl.mat_eq(clifford_involution(z), xl.mul(b.T, xl.mul(z.T, b)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_spin_conjugation_matches_dense_route(rng, n):
+    z = rand_spin(rng, n)
+    r = _spin_conjugation_dense(z)
+    assert r is not None and is_spin(z)
+    assert xl.mat_eq(r_of_z(z), r)
+    # one even entry off: both routes reject it
+    i, j = next((i, j) for i in range(z.shape[0]) for j in range(z.shape[0])
+                if z[i, j] != 0 and (popcount(i) + popcount(j)) % 2 == 0)
+    bad = z.copy()
+    bad[i, j] += 1
+    assert _spin_conjugation_dense(bad) is None
+    assert not is_spin(bad)
+    with pytest.raises(NotSpin):
+        r_of_z(bad)
+
+
+def test_spin_conjugation_controls_past_the_norm_check():
+    # 1 + x_1^...^x_6 is even with z z' = 1, but conjugating l_1 by it leaves
+    # a 5-vector: z cor(e_k) = recon z fails
+    z = xl.eye(64)
+    z[63, 0] = 1
+    assert xl.mat_eq(xl.mul(z, clifford_involution(z)), xl.eye(64))
+    assert _spin_conjugation_dense(z) is None and not is_spin(z)
+    # cor(v) cor(u/2) with cor(v)^2 = cor(u)^2 = 2 has norm one and
+    # normalizes Lambda (x) Q, but its R is not integral
+    v = np.array([1, 0, 2, 0], dtype=object)
+    u = np.array([0, 1, 0, 2], dtype=object)
+    z = xl.mul(cor_matrix(1, v), cor_matrix(1, u * Fraction(1, 2)))
+    assert xl.mat_eq(xl.mul(z, clifford_involution(z)), xl.eye(4))
+    assert _spin_conjugation_dense(z) is None and not is_spin(z)
+
+
+def test_cor_matrix_matches_column_route(rng):
+    for n in (1, 2, 3):
+        for _ in range(3):
+            v = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(4 * n)]
+            assert xl.mat_eq(cor_matrix(n, v), cor_matrix_by_columns(n, v))
+            v = rand_lambda_vec(rng, n)
+            assert xl.mat_eq(cor_matrix(n, v), cor_matrix_by_columns(n, v))

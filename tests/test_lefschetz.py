@@ -1,6 +1,9 @@
+from fractions import Fraction
+from itertools import combinations
+
 import pytest
 
-from conftest import rand_unimodular
+from conftest import cor_matrix_by_columns, rand_unimodular
 from torusmirror import exactlin as xl
 from torusmirror.clifford import popcount
 from torusmirror.errors import NoHardLefschetz
@@ -74,7 +77,7 @@ def test_grading_operator_in_spinor_image():
 
 
 def test_spinor_image_dimension():
-    for n in (1, 2):
+    for n in (1, 2, 3, 4):
         A = make_torus(n, _product_structure(n))
         assert so_lambda_spinor_image(A).dim == 2 * n * (4 * n - 1)
 
@@ -85,6 +88,32 @@ def _product_structure(n):
         j[2 * i, 2 * i + 1] = -1
         j[2 * i + 1, 2 * i] = 1
     return j
+
+
+def _so_image_dense(n):
+    """The dense route: two products per bracket, scaled by 1/2 entry by entry."""
+    size = 1 << (2 * n)
+    e = xl.eye(4 * n)
+    gens = [cor_matrix_by_columns(n, e[:, k]) for k in range(4 * n)]
+    deg = [-1 if k < 2 * n else 1 for k in range(4 * n)]
+    echelon = xl.Echelon()
+    ops = []
+    for a, b in combinations(range(4 * n), 2):
+        m = (xl.mul(gens[a], gens[b]) - xl.mul(gens[b], gens[a])) * Fraction(1, 2)
+        if echelon.add({i * size + j: m[i, j] for i in range(size)
+                        for j in range(size) if m[i, j] != 0}):
+            ops.append((m, deg[a] + deg[b]))
+    return ops, echelon
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_spinor_image_matches_dense_route(n):
+    so = so_lambda_spinor_image(make_torus(n, _product_structure(n)))
+    ops, echelon = _so_image_dense(n)
+    assert [op.degree for op in so.ops] == [d for _, d in ops]
+    assert all(xl.mat_eq(op.mat, m) for op, (m, _) in zip(so.ops, ops))
+    assert list(so._echelon.rows) == list(echelon.rows)
+    assert so._echelon.rows == echelon.rows
 
 
 def test_chi_form_values():

@@ -147,3 +147,14 @@ def test_action_equivariance_and_classification(rng):
 def _ns_multiple(p):
     from torusmirror.torus import ns_basis
     return 2 * ns_basis(p.torus)[0].c
+
+
+def test_non_isometry_rejected_by_stabilizer_and_action():
+    # 2*I sends omega to a skew pair, but it is not a Q-isometry
+    p = square_pair()
+    g = 2 * xl.eye(4)
+    assert not u_membership(g, p.torus)
+    with pytest.raises(FormMismatch):
+        stabilizer_check(g, p)
+    with pytest.raises(FormMismatch):
+        act_on_pair(g, p)
