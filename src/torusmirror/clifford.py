@@ -6,8 +6,6 @@ x (cor_A).  Clifford elements are carried as their spinor matrices, which is
 faithful (the algebra is the full 2^{2n} matrix algebra over Z).
 """
 
-import numpy as np
-
 from . import exactlin as xl
 from .errors import MixedParity, NoIntertwiner, NotEven, NotIsotropic, NotSpin
 from .pairspace import q_form
@@ -42,7 +40,7 @@ class SpinVec:
         return SpinVec(self.n, {m: -c for m, c in self.coeffs.items()})
 
     def to_vector(self):
-        v = np.zeros(1 << (2 * self.n), dtype=object) + 0
+        v = [0] * (1 << (2 * self.n))
         for m, c in self.coeffs.items():
             v[m] = c
         return v
@@ -130,11 +128,37 @@ def _generator_maps(n):
 def cor_matrix(n, lambda_vec):
     """Spinor matrix of cor(lambda) = sum_k lambda_k cor(e_k) in standard coordinates."""
     out = xl.zeros(1 << (2 * n))
+    rows = out.rows
     for a, col in zip(lambda_vec, _generator_maps(n)):
         if a != 0:
             for m, image in enumerate(col):
                 if image is not None:
-                    out[image[0], m] = a * image[1]
+                    rows[image[0]][m] = a * image[1]
+    return out
+
+
+def _cor_rows(maps, coords):
+    """The rows of cor(lambda) = sum_k coords_k cor(e_k) as sparse dicts."""
+    rows = [{} for _ in maps[0]]
+    for a, col in zip(coords, maps):
+        if a != 0:
+            for m, image in enumerate(col):
+                if image is not None:
+                    row = rows[image[0]]
+                    row[m] = row.get(m, 0) + a * image[1]
+    return rows
+
+
+def _cor_apply(maps, coords, v):
+    """cor(lambda) v for lambda = sum_k coords_k e_k, from the generator maps."""
+    out = [0] * len(v)
+    support = [(m, x) for m, x in enumerate(v) if x]
+    for a, col in zip(coords, maps):
+        if a != 0:
+            for m, x in support:
+                image = col[m]
+                if image is not None:
+                    out[image[0]] += a * image[1] * x
     return out
 
 
@@ -159,11 +183,13 @@ class IsotropicSplitting:
     def __init__(self, n, basis1, basis2):
         self.n = n
         d = 4 * n
-        b1 = np.array(basis1, dtype=object).T  # columns
-        b2 = np.array(basis2, dtype=object).T
-        if b1.shape != (d, 2 * n) or b2.shape != (d, 2 * n):
+        basis1, basis2 = list(basis1), list(basis2)
+        if not (len(basis1) == len(basis2) == 2 * n
+                and all(len(v) == d for v in basis1 + basis2)):
             raise NotIsotropic("splitting bases must be 2n vectors of length 4n")
-        w = np.block([[b1, b2]])
+        b1 = xl.mat(basis1).T  # columns
+        b2 = xl.mat(basis2).T
+        w = xl.block([[b1, b2]])
         if not xl.is_unimodular(w):
             raise NotIsotropic("basis1 + basis2 is not a Z-basis of Lambda")
         q = q_form(n)
@@ -176,21 +202,21 @@ class IsotropicSplitting:
         b2_dual = xl.mul(b2, xl.to_int(xl.invert(pairing)).T)
         self.basis1 = b1
         self.basis2 = b2_dual
-        self.w = np.block([[b1, b2_dual]])
+        self.w = xl.block([[b1, b2_dual]])
         # w^t Q w = Q now, and Q^2 = 1
         self.w_inv = xl.mul(q, xl.mul(self.w.T, q))
 
     def coords(self, lambda_vec):
-        return xl.mul(self.w_inv, np.array(lambda_vec, dtype=object).reshape(-1, 1))[:, 0]
+        lambda_vec = list(lambda_vec)
+        return [sum(x * y for x, y in zip(row, lambda_vec) if x) for row in self.w_inv.rows]
 
     def cor(self, lambda_vec):
         return cor_matrix(self.n, self.coords(lambda_vec))
 
 
 def standard_splitting(n):
-    e = xl.eye(4 * n)
-    return IsotropicSplitting(n, [e[:, i] for i in range(2 * n)],
-                              [e[:, 2 * n + i] for i in range(2 * n)])
+    e = xl.eye(4 * n).rows
+    return IsotropicSplitting(n, e[:2 * n], e[2 * n:])
 
 
 # ---------------------------------------------------------------------------
@@ -231,15 +257,16 @@ def _involution_form(n):
 
 def clifford_involution(z):
     """The unique anti-automorphism of Cl(Lambda,Q) fixing Lambda pointwise."""
+    z = xl.asmat(z)
     size = z.shape[0]
     n = size.bit_length() // 2
     if z.shape != (1 << (2 * n), 1 << (2 * n)):
         raise ValueError(f"a Clifford element is a 4^n x 4^n matrix, not {z.shape}")
-    signs = _involution_form(n)
-    # B^t z^t B relabels: z'[i, j] = sigma_c(i) sigma_c(j) z[c(j), c(i)], c(i) = full ^ i
-    c = [(size - 1) ^ i for i in range(size)]
-    sc = np.array([signs[ci] for ci in c], dtype=object)
-    return np.outer(sc, sc) * z[np.ix_(c, c)].T
+    # B^t z^t B relabels: z'[i, j] = sigma_c(i) sigma_c(j) z[c(j), c(i)], c(i) = full ^ i;
+    # column c(i) of z read bottom up is column c(i) at rows c(0), c(1), ...
+    sc = _involution_form(n)[::-1]
+    return xl.mat([[x if si == sj else -x for sj, x in zip(sc, reversed(col))]
+                   for si, col in zip(sc, reversed(list(zip(*z.rows))))])
 
 
 # ---------------------------------------------------------------------------
@@ -248,11 +275,10 @@ def clifford_involution(z):
 
 def _is_even_operator(z):
     size = z.shape[0]
-    for i in range(size):
-        for j in range(size):
-            if z[i, j] != 0 and (popcount(i) - popcount(j)) % 2:
-                return False
-    return True
+    odd = [j for j in range(size) if popcount(j) % 2]
+    even = [j for j in range(size) if not popcount(j) % 2]
+    return not any(any(row[j] for j in (even if popcount(i) % 2 else odd))
+                   for i, row in enumerate(z.rows))
 
 
 def _spin_conjugation(z):
@@ -264,6 +290,7 @@ def _spin_conjugation(z):
     cor(e_k) is a signed partial permutation, so z cor(e_k) permutes the
     columns of z and cor(e_i) z its rows.
     """
+    z = xl.asmat(z)
     if not _is_even_operator(z):
         raise NotEven("operator mixes the even/odd grading")
     size = z.shape[0]
@@ -272,28 +299,38 @@ def _spin_conjugation(z):
         return None
     n = size.bit_length() // 2
     d = 2 * n
-    # per generator: the monomials it does not kill, their images and signs
-    perms = []
-    for col in _generator_maps(n):
-        kept = [m for m, image in enumerate(col) if image is not None]
-        perms.append((kept, [col[m][0] for m in kept],
-                      np.array([col[m][1] for m in kept], dtype=object)))
+    maps = _generator_maps(n)
     units = [1 << i for i in range(d)]
-    rev_units, rev_0 = z_rev[:, units], z_rev[:, 0]
+    zr, rev = z.rows, z_rev.rows
+    z_nonzeros = [[(j, x) for j, x in enumerate(row) if x] for row in zr]
     r = xl.zeros(4 * n)
-    for k, (kept, images, signs) in enumerate(perms):
-        zg = xl.zeros(size)
-        zg[:, kept] = z[:, images] * signs
+    for k, col in enumerate(maps):
+        # (monomial cor(e_k) does not kill, its image, sign)
+        kept = [(m, image[0], image[1]) for m, image in enumerate(col) if image is not None]
+        zg = []
+        for row in zr:
+            out = [0] * size
+            for m, image, sign in kept:
+                out[m] = row[image] if sign > 0 else -row[image]
+            zg.append(out)
         # contraction l_{i+1}: x_{i+1} -> 1 (row 0); wedge x_{i+1}: 1 -> x_{i+1} (column 0)
-        r[:d, k] = zg[0].dot(rev_units)
-        r[d:, k] = zg[units].dot(rev_0)
-        recon_z = xl.zeros(size)
-        for i in range(4 * n):
-            if r[i, k] != 0:
-                kept_i, images_i, signs_i = perms[i]
-                recon_z[images_i] += (r[i, k] * signs_i)[:, None] * z[kept_i]
-        if not xl.mat_eq(zg, recon_z):
-            return None
+        for i, unit in enumerate(units):
+            r.rows[i][k] = sum(x * rev[m][unit] for m, x in enumerate(zg[0]) if x)
+            r.rows[d + i][k] = sum(x * rev[m][0] for m, x in enumerate(zg[unit]) if x)
+        coeffs = [row[k] for row in r.rows]
+        # row a of (sum_i R[i,k] cor(e_i)) z: for each bit b, wedge x_{b+1} brings
+        # row a ^ b in when a holds b, contraction l_{b+1} brings row a | b otherwise
+        for a, zg_row in enumerate(zg):
+            recon = [0] * size
+            for b, unit in enumerate(units):
+                i = d + b if a & unit else b
+                if coeffs[i]:
+                    t = a ^ unit
+                    f = coeffs[i] * maps[i][t][1]
+                    for j, x in z_nonzeros[t]:
+                        recon[j] += f * x
+            if recon != zg_row:
+                return None
     if not xl.is_integral(r) or abs(xl.det(r)) != 1:
         return None
     return r
@@ -316,24 +353,19 @@ def r_of_z(z):
 # the canonical module isomorphism beta
 
 
-def _matvec(m, v):
-    out = np.zeros(m.shape[0], dtype=object) + 0
-    for j in range(m.shape[1]):
-        x = v[j]
-        if x != 0:
-            out = out + m[:, j] * x
-    return out
-
-
 def vacuum_kernel(s1, annihilators):
-    """Common kernel of cor_{s1}(m) over the given Lambda-vectors."""
-    mats = [s1.cor(m) for m in annihilators]
-    stacked = np.concatenate(mats, axis=0)
-    return xl.nullspace(stacked)
+    """Common kernel of cor_{s1}(m) over the given Lambda-vectors; the rows of
+    each cor_{s1}(m) go into the elimination as sparse rows."""
+    maps = _generator_maps(s1.n)
+    ech = xl.Echelon()
+    for m in annihilators:
+        for row in _cor_rows(maps, s1.coords(m)):
+            ech.add({c: v for c, v in row.items() if v != 0})
+    return ech.kernel(1 << (2 * s1.n))
 
 
 def _sign_normalize(m):
-    for row in m:
+    for row in m.rows:
         for x in row:
             if x != 0:
                 return m if x > 0 else -m
@@ -354,14 +386,13 @@ def beta_iso(s1, s2):
     kernel = vacuum_kernel(s2, [s1.basis1[:, i] for i in range(2 * n)])
     if len(kernel) != 1:
         raise NoIntertwiner(f"vacuum kernel has dimension {len(kernel)}")
-    u0 = xl.primitive_int(kernel[0].reshape(1, -1))[0]
-    wedge_ops = [s2.cor(s1.basis2[:, i]) for i in range(2 * n)]
-    cols = {0: u0}
+    maps = _generator_maps(n)
+    wedges = [s2.coords(s1.basis2[:, i]) for i in range(2 * n)]
+    cols = [xl.primitive_int([kernel[0]]).rows[0]]
     for t_mask in range(1, size):
         low = (t_mask & -t_mask).bit_length() - 1
-        cols[t_mask] = _matvec(wedge_ops[low], cols[t_mask ^ (1 << low)])
-    m = np.stack([cols[t] for t in range(size)], axis=1)
-    return _sign_normalize(xl.primitive_int(m))
+        cols.append(_cor_apply(maps, wedges[low], cols[t_mask ^ (1 << low)]))
+    return _sign_normalize(xl.primitive_int(xl.mat(cols).T))
 
 
 def _intertwining_dimension(s1, s2, lambdas):
@@ -390,21 +421,22 @@ def _intertwining_dimension(s1, s2, lambdas):
 def intertwiner_space_dimension(s1, s2):
     """Q-dimension of the intertwiner space Hom_Cl(I_{s1}, I_{s2}), solved for
     directly on all 4n generators of Lambda (n <= 2); Schur's lemma makes it 1."""
-    e = xl.eye(4 * s1.n)
-    return _intertwining_dimension(s1, s2, [e[:, k] for k in range(4 * s1.n)])
+    return _intertwining_dimension(s1, s2, xl.eye(4 * s1.n).rows)
 
 
 def beta_parity(t, s1, s2):
     """Even/Odd per the grading of t; cross-checked against the intersection
     dimension of the two M1 halves mod 2."""
-    even_ok = all(t[i, j] == 0 or (popcount(i) + popcount(j)) % 2 == 0
-                  for i in range(t.shape[0]) for j in range(t.shape[1]))
-    odd_ok = all(t[i, j] == 0 or (popcount(i) + popcount(j)) % 2 == 1
-                 for i in range(t.shape[0]) for j in range(t.shape[1]))
+    t = xl.asmat(t)
+
+    def graded(parity):
+        return all(x == 0 or (popcount(i) + popcount(j)) % 2 == parity
+                   for i, row in enumerate(t.rows) for j, x in enumerate(row))
+
+    even_ok, odd_ok = graded(0), graded(1)
     if even_ok == odd_ok:
         raise MixedParity("intertwiner is not graded")
-    stacked = np.concatenate([s1.basis1.T, s2.basis1.T], axis=0)
-    inter_dim = 4 * s1.n - xl.rank(stacked)
+    inter_dim = 4 * s1.n - xl.rank(xl.block([[s1.basis1.T], [s2.basis1.T]]))
     if even_ok != (inter_dim % 2 == 0):
         raise MixedParity("grading parity disagrees with the intersection rank")
     return "Even" if even_ok else "Odd"

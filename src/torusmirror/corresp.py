@@ -171,7 +171,7 @@ def beta_explicit(n):
         sbar = low ^ s
         eps = popcount(s) * popcount(r) + sum(i for i in range(n) if s & (1 << i))
         eps += popcount(r) * popcount(sbar)
-        m[sbar | r, col] = (-1) ** (eps % 2)
+        m.rows[sbar | r][col] = (-1) ** (eps % 2)
     return m
 
 

@@ -5,12 +5,10 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-import numpy as np
-
 from . import exactlin as xl
 from .clifford import _generator_maps, _sign_below, popcount
 from .errors import NoHardLefschetz, NotNSForm
-from .torus import NSVector, is_ns_form
+from .torus import as_form, is_ns_form
 
 
 class GradedOperator:
@@ -23,7 +21,7 @@ class GradedOperator:
             i, j = divmod(key, size)
             if popcount(i) - popcount(j) != degree:
                 raise ValueError("operator is not homogeneous of the stated degree")
-            mat[i, j] = v
+            mat.rows[i][j] = v
         self.entries = entries
         self.mat = mat
         self.degree = degree
@@ -36,13 +34,12 @@ class LieAlgebraBasis:
         self._echelon = echelon
 
     def contains(self, mat):
-        return not self._echelon.reduce(_flatten(mat))
+        return not self._echelon.reduce(_flatten(xl.asmat(mat)))
 
 
 def _flatten(mat):
     size = mat.shape[0]
-    return {i * size + j: mat[i, j]
-            for i in range(size) for j in range(size) if mat[i, j] != 0}
+    return {i * size + j: x for i, row in enumerate(mat.rows) for j, x in enumerate(row) if x != 0}
 
 
 def grading_operator(n):
@@ -54,20 +51,20 @@ def grading_operator(n):
 
 def lefschetz_e(kappa):
     """Cup product with kappa = sum_{i<j} c_ij x_i ^ x_j; degree +2, nilpotent."""
-    c = kappa.c if isinstance(kappa, NSVector) else kappa
-    d = c.shape[0]
+    c = as_form(kappa).rows
+    d = len(c)
     size = 1 << d
     entries = {}
     for i in range(d):
         for j in range(i + 1, d):
-            if c[i, j] == 0:
+            if c[i][j] == 0:
                 continue
             for m in range(size):
                 if m & (1 << i) or m & (1 << j):
                     continue
                 s = _sign_below(m, j) * _sign_below(m | (1 << j), i)
                 key = (m | (1 << i) | (1 << j)) * size + m
-                entries[key] = entries.get(key, 0) + c[i, j] * s
+                entries[key] = entries.get(key, 0) + c[i][j] * s
     return GradedOperator(size, {k: v for k, v in entries.items() if v != 0}, 2)
 
 
@@ -77,7 +74,7 @@ def _check_hard_lefschetz(e, n):
     power = xl.eye(size)
     for s in range(1, n + 1):
         power = xl.mul(power, e)
-        block = power[np.ix_(masks_by_deg[n + s], masks_by_deg[n - s])]
+        block = power[masks_by_deg[n + s], masks_by_deg[n - s]]
         if xl.rank(block) != comb(2 * n, n - s):
             return False
     return True
@@ -85,10 +82,10 @@ def _check_hard_lefschetz(e, n):
 
 def lefschetz_f(kappa):
     """The unique degree -2 operator with [e_kappa, f_kappa] = h."""
-    c = kappa.c if isinstance(kappa, NSVector) else kappa
+    c = as_form(kappa)
     n = c.shape[0] // 2
     size = 1 << (2 * n)
-    e = lefschetz_e(kappa).mat
+    e = lefschetz_e(c).mat
     if not _check_hard_lefschetz(e, n):
         raise NoHardLefschetz("e_kappa^s is not an isomorphism H^{n-s} -> H^{n+s}")
     h = grading_operator(n).mat
@@ -115,8 +112,8 @@ def lefschetz_f(kappa):
                 if (i, k) in index:
                     row[index[(i, k)]] = row.get(index[(i, k)], 0) - v
             row = {k: v for k, v in row.items() if v != 0}
-            if i == j and h[i, j] != 0:
-                row[ncols] = h[i, j]
+            if i == j and h.rows[i][j] != 0:
+                row[ncols] = h.rows[i][j]
             ech.add(row)
     if ncols in ech.rows:
         raise NoHardLefschetz("no degree -2 solution of [e,f] = h")
@@ -138,16 +135,16 @@ def generate_g_ns(A, kappas):
     seen = set()
     gens = []
     for kappa in kappas:
-        c = kappa.c if isinstance(kappa, NSVector) else kappa
+        c = as_form(kappa)
         if not is_ns_form(A, c):
             raise NotNSForm("kappa is not skew or not J-invariant")
         key = tuple(tuple(row) for row in c)
         if key in seen:
             continue
         seen.add(key)
-        gens.append(lefschetz_e(kappa))
+        gens.append(lefschetz_e(c))
         try:
-            gens.append(lefschetz_f(kappa))
+            gens.append(lefschetz_f(c))
         except NoHardLefschetz:
             # degenerate classes contribute their wedge operator only
             pass
@@ -191,7 +188,7 @@ def chi_form(n):
     for s_mask in range(size):
         t_mask = full ^ s_mask
         q = (popcount(s_mask) - n) // 2
-        x[s_mask, t_mask] = _merge_sign(s_mask, t_mask) * ((-1) ** (q % 2))
+        x.rows[s_mask][t_mask] = _merge_sign(s_mask, t_mask) * ((-1) ** (q % 2))
     return x
 
 

@@ -7,14 +7,12 @@ forms, and swaps the roles of the product complex structure and I_omega.
 
 from itertools import product
 
-import numpy as np
-
 from . import exactlin as xl
 from .clifford import IsotropicSplitting
 from .errors import (DifferentSource, FormMismatch, IntertwineFailure,
                      NotABasis, NotInvariant, TransversalityNotFound)
 from .pairspace import build_lambda, i_omega, make_weak_pair, recover_omega
-from .torus import NSVector, make_torus
+from .torus import as_form, make_torus
 
 
 class MirrorCertificate:
@@ -28,21 +26,26 @@ class WellBecomingWitness:
     """Bases gamma1, gamma2 of transverse halves Gamma_1, Gamma_2 of Gamma."""
 
     def __init__(self, gamma1, gamma2):
-        self.gamma1 = np.array(gamma1, dtype=object).T  # columns
-        self.gamma2 = np.array(gamma2, dtype=object).T
+        self.gamma1 = xl.mat(gamma1).T  # columns
+        self.gamma2 = xl.mat(gamma2).T
 
 
 def verify_mirror(pA, pB, alpha):
     """Check the four defining identities exactly and issue a certificate."""
+    return _certify(pA, pB, xl.asmat(alpha), i_omega(pA), i_omega(pB))
+
+
+def _certify(pA, pB, alpha, iwA, iwB):
+    """verify_mirror with I_omega of both pairs already known."""
     lamA = build_lambda(pA.torus)
     lamB = build_lambda(pB.torus)
     if not (xl.is_integral(alpha) and xl.is_unimodular(alpha)):
         raise FormMismatch("alpha is not an integral unimodular matrix")
     if not xl.mat_eq(xl.mul(alpha.T, xl.mul(lamB.Q, alpha)), lamA.Q):
         raise FormMismatch("alpha does not identify the hyperbolic forms")
-    if not xl.mat_eq(xl.mul(alpha, lamA.Jprod), xl.mul(i_omega(pB), alpha)):
+    if not xl.mat_eq(xl.mul(alpha, lamA.Jprod), xl.mul(iwB, alpha)):
         raise IntertwineFailure("alpha.Jprod_A != I_omegaB.alpha")
-    if not xl.mat_eq(xl.mul(alpha, i_omega(pA)), xl.mul(lamB.Jprod, alpha)):
+    if not xl.mat_eq(xl.mul(alpha, iwA), xl.mul(lamB.Jprod, alpha)):
         raise IntertwineFailure("alpha.I_omegaA != Jprod_B.alpha")
     return MirrorCertificate(alpha, pA, pB)
 
@@ -56,46 +59,56 @@ def mirror_from_splitting(p, s):
     n = p.torus.n
     lam = build_lambda(p.torus)
     alpha = s.w_inv
-    i_new = xl.mul(alpha, xl.mul(i_omega(p), s.w))
+    iw = i_omega(p)
+    i_new = xl.mul(alpha, xl.mul(iw, s.w))
     d = 2 * n
     # basis1 (basis2) spans an I_omega-invariant half iff block (2,1) ((1,2)) vanishes
     if not (xl.is_zero(i_new[:d, d:]) and xl.is_zero(i_new[d:, :d])):
         raise NotInvariant("a splitting half is not I_omega-invariant")
     B = make_torus(n, i_new[:d, :d])
     jprod_new = xl.mul(alpha, xl.mul(lam.Jprod, s.w))
-    pB = recover_omega(B, jprod_new)  # Block12Singular unless J M2 is transversal to M2
-    return pB, verify_mirror(p, pB, alpha)
+    # Block12Singular unless J M2 is transversal to M2; recover_omega checks
+    # that I_omega(pB) is jprod_new
+    pB = recover_omega(B, jprod_new)
+    return pB, _certify(p, pB, alpha, iw, jprod_new)
 
 
-def check_well_becoming(p, w):
+def _witness_basis(p, w):
+    """The basis (Gamma_1 | Gamma_2) of Gamma the witness gives, checked."""
     n = p.torus.n
-    u0 = np.block([[w.gamma1, w.gamma2]])
+    u0 = xl.block([[w.gamma1, w.gamma2]])
     if not (u0.shape == (2 * n, 2 * n) and xl.is_integral(u0) and xl.is_unimodular(u0)):
         raise NotABasis("gamma1 + gamma2 is not a Z-basis of Gamma")
+    return u0
+
+
+def _well_becoming_in(p, u0, u0_inv):
+    """Is p well-becoming in the basis u0 of Gamma, with inverse u0_inv?"""
+    n = p.torus.n
     for phi in (p.phi1, p.phi2):
         g = xl.mul(u0.T, xl.mul(phi, u0))
         if not (xl.is_zero(g[:n, :n]) and xl.is_zero(g[n:, n:])):
             return False
-    j = xl.mul(xl.invert(u0), xl.mul(p.torus.J, u0))
+    j = xl.mul(u0_inv, xl.mul(p.torus.J, u0))
     return xl.det(j[:n, n:]) != 0 and xl.det(j[n:, :n]) != 0
 
 
-def _standard_witness(n):
-    e = xl.eye(2 * n)
-    return WellBecomingWitness([e[:, i] for i in range(n)],
-                               [e[:, n + i] for i in range(n)])
+def check_well_becoming(p, w):
+    u0 = _witness_basis(p, w)
+    return _well_becoming_in(p, u0, xl.to_int(xl.invert(u0)))
 
 
-def _adapted_halves(u):
+def _adapted_halves(u, u_inv):
     """W = Gamma_1 + Gamma_2* and Sigma = Gamma_1* + Gamma_2 as column bases in
-    the coordinates of Lambda_A, for a basis u = (Gamma_1 | Gamma_2) of Gamma.
+    the coordinates of Lambda_A, for a basis u = (Gamma_1 | Gamma_2) of Gamma
+    with inverse u_inv.
 
     They are standard columns of the integral Q-isometry U = [[u, 0], [0, u^-T]],
     which carries the adapted coordinates of Lambda to those of Lambda_A.
     """
     n = u.shape[0] // 2
     z = xl.zeros(2 * n)
-    big_u = np.block([[u, z], [z, xl.to_int(xl.invert(u)).T]])
+    big_u = xl.block([[u, z], [z, u_inv.T]])
     w = big_u[:, list(range(n)) + list(range(3 * n, 4 * n))]
     sigma = big_u[:, list(range(2 * n, 3 * n)) + list(range(n, 2 * n))]
     return w, sigma
@@ -104,13 +117,15 @@ def _adapted_halves(u):
 def g_mirror(p, w):
     """Mirror of a well-becoming pair across the splitting (Sigma, W) of Lambda_A,
     Sigma = Gamma_1* + Gamma_2 and W = Gamma_1 + Gamma_2* for the witness halves."""
-    if not check_well_becoming(p, w):
+    u0 = _witness_basis(p, w)
+    u0_inv = xl.to_int(xl.invert(u0))
+    if not _well_becoming_in(p, u0, u0_inv):
         raise NotABasis("witness does not exhibit p as well-becoming")
     n = p.torus.n
-    w_half, sigma = _adapted_halves(np.block([[w.gamma1, w.gamma2]]))
-    pB, cert = mirror_from_splitting(
-        p, IsotropicSplitting(n, list(sigma.T), list(w_half.T)))
-    if not check_well_becoming(pB, _standard_witness(n)):
+    w_half, sigma = _adapted_halves(u0, u0_inv)
+    pB, cert = mirror_from_splitting(p, IsotropicSplitting(n, sigma.T, w_half.T))
+    e = xl.eye(2 * n)
+    if not _well_becoming_in(pB, e, e):
         raise RuntimeError("the mirror pair is not well-becoming in the standard basis")
     return pB, cert
 
@@ -120,7 +135,7 @@ def g_mirror(p, w):
 
 
 def _transversal(jprod, w_cols):
-    stacked = np.block([[w_cols, xl.mul(jprod, w_cols)]])
+    stacked = xl.block([[w_cols, xl.mul(jprod, w_cols)]])
     return xl.rank(stacked) == stacked.shape[0]
 
 
@@ -136,13 +151,13 @@ def _repair_candidates(n, deltas, budget):
             c = xl.zeros(n)
             ok = True
             for (i, j), v in zip(pairs, vals):
-                c[i, j] = v
+                c.rows[i][j] = v
                 if i != j:
                     num = deltas[i] * v
                     if num % deltas[j]:
                         ok = False
                         break
-                    c[j, i] = num // deltas[j]
+                    c.rows[j][i] = num // deltas[j]
             if ok:
                 yield c
 
@@ -153,7 +168,7 @@ def elliptic_mirror(A, tau, phi, budget=5):
     to Sigma, and the basis is repaired until J W is transversal to W.  The
     mirror is a product of isogenous elliptic curves."""
     n = A.n
-    c = phi.c if isinstance(phi, NSVector) else phi
+    c = as_form(phi)
     nf = xl.skew_normal_form(c)
     t1, t2 = tau
     pA = make_weak_pair(A, t1 * c, t2 * c)
@@ -161,19 +176,18 @@ def elliptic_mirror(A, tau, phi, budget=5):
     jprod = build_lambda(A).Jprod
     # a correction adds multiples of Gamma_2 to Gamma_1, which leaves Gamma_2 and
     # Gamma_1* fixed: Sigma is the same for every candidate, only W is repaired
-    if not _transversal(jprod, _adapted_halves(u)[1]):
+    if not _transversal(jprod, _adapted_halves(u, xl.to_int(xl.invert(u)))[1]):
         raise TransversalityNotFound(
             "J Sigma meets Sigma, and no symplectic correction changes Sigma")
     for corr in _repair_candidates(n, nf.deltas, budget):
-        u2 = u.copy()
-        u2[:, :n] = u[:, :n] + xl.mul(u[:, n:], corr)
+        u2 = xl.block([[u[:, :n] + xl.mul(u[:, n:], corr), u[:, n:]]])
         # the repaired basis still puts phi in the same block normal form
         g = xl.mul(u2.T, xl.mul(c, u2))
         if not (xl.is_zero(g[:n, :n]) and xl.is_zero(g[n:, n:])):
             raise RuntimeError("the repaired basis does not put phi in block normal form")
-        w_half, sigma = _adapted_halves(u2)
+        w_half, sigma = _adapted_halves(u2, xl.to_int(xl.invert(u2)))
         if _transversal(jprod, w_half):
-            s = IsotropicSplitting(n, list(w_half.T), list(sigma.T))
+            s = IsotropicSplitting(n, w_half.T, sigma.T)
             pB, cert = mirror_from_splitting(pA, s)
             return pA, pB, cert
     raise TransversalityNotFound(
@@ -192,7 +206,7 @@ def elliptic_factors(pB, deltas):
     isogenies = []
     for i in range(n):
         idx = [i, n + i]
-        block = J[np.ix_(idx, idx)]
+        block = J[idx, idx]
         if not xl.mat_eq(xl.mul(block, block), -xl.eye(2)):
             raise ValueError(f"J of pB does not restrict to the index pair {idx}")
         factors.append(make_torus(1, block))

@@ -1,8 +1,6 @@
 """The lattice Lambda = Gamma + Gamma* with the hyperbolic form Q, the
 product complex structure, the operator I_omega and pair classification."""
 
-import numpy as np
-
 from . import exactlin as xl
 from . import torus as ts
 from .errors import Block12Singular, NotNSForm, SingularMatrix
@@ -20,8 +18,8 @@ class WeakPair:
 
     def __init__(self, torus, phi1, phi2):
         self.torus = torus
-        self.phi1 = phi1
-        self.phi2 = phi2
+        self.phi1 = xl.asmat(phi1)
+        self.phi2 = xl.asmat(phi2)
 
     def __eq__(self, other):
         return (isinstance(other, WeakPair) and self.torus == other.torus
@@ -32,17 +30,18 @@ def q_form(n):
     d = 2 * n
     q = xl.zeros(2 * d)
     for i in range(d):
-        q[i, d + i] = 1
-        q[d + i, i] = 1
+        q.rows[i][d + i] = 1
+        q.rows[d + i][i] = 1
     return q
 
 
 def build_lambda(A):
-    jprod = np.block([[A.J, xl.zeros(2 * A.n)], [xl.zeros(2 * A.n), -A.J.T]])
+    jprod = xl.block([[A.J, xl.zeros(2 * A.n)], [xl.zeros(2 * A.n), -A.J.T]])
     return LambdaSpace(A.n, q_form(A.n), jprod)
 
 
 def make_weak_pair(A, phi1, phi2):
+    phi1, phi2 = xl.asmat(phi1), xl.asmat(phi2)
     if not ts.is_ns_form(A, phi1) or not ts.is_ns_form(A, phi2):
         raise NotNSForm("phi1/phi2 must be skew and J-invariant")
     if xl.det(phi2) == 0:
@@ -62,7 +61,7 @@ def i_omega(p):
     tl = xl.mul(phi2_inv, phi1)
     bl = phi2 + xl.mul(phi1, xl.mul(phi2_inv, phi1))
     br = -xl.mul(phi1, phi2_inv)
-    return np.block([[tl, -phi2_inv], [bl, br]])
+    return xl.block([[tl, -phi2_inv], [bl, br]])
 
 
 def e_form(p):
@@ -87,6 +86,7 @@ def classify_pair(p):
 def recover_omega(A, I):
     """Read omega back off a complex structure of I_omega shape."""
     d = 2 * A.n
+    I = xl.asmat(I)
     i12 = I[:d, d:]
     i22 = I[d:, d:]
     try:

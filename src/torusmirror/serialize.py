@@ -3,12 +3,12 @@
 import json
 from fractions import Fraction
 
-import numpy as np
-
-from .exactlin import mat
+from .exactlin import asmat, mat
 
 
 def rat_to_str(x):
+    if type(x) is int:
+        return str(x)
     f = Fraction(x)
     if f.denominator == 1:
         return str(f.numerator)
@@ -24,7 +24,7 @@ def str_to_rat(s):
 
 
 def mat_to_json(m):
-    return [[rat_to_str(x) for x in row] for row in m]
+    return [[rat_to_str(x) for x in row] for row in asmat(m).rows]
 
 
 def json_to_mat(rows):
@@ -32,7 +32,7 @@ def json_to_mat(rows):
 
 
 def json_to_vec(row):
-    return np.array([str_to_rat(x) for x in row], dtype=object)
+    return [str_to_rat(x) for x in row]
 
 
 def dumps(obj):

@@ -12,6 +12,7 @@ from .pairspace import build_lambda, i_omega, make_weak_pair, q_form
 
 
 def blocks(g):
+    g = xl.asmat(g)
     d = g.shape[0] // 2
     return g[:d, :d], g[:d, d:], g[d:, :d], g[d:, d:]
 
@@ -19,6 +20,7 @@ def blocks(g):
 def u_membership(g, A):
     """Integral unimodular special Q-isometries commuting with Jprod."""
     lam = build_lambda(A)
+    g = xl.asmat(g)
     if g.shape != lam.Q.shape:
         return False
     if not (xl.is_integral(g) and xl.is_unimodular(g)):
@@ -33,13 +35,14 @@ def u_membership(g, A):
 def require_q_isometry(g, n):
     """Raise FormMismatch unless g^T Q g = Q on Lambda of rank 4n."""
     q = q_form(n)
+    g = xl.asmat(g)
     if not xl.mat_eq(xl.mul(g.T, xl.mul(q, g)), q):
         raise FormMismatch("g is not a Q-isometry of Lambda: g^T Q g != Q")
 
 
 def siegel_act(g, omega):
     """(c + d.omega)(a + b.omega)^{-1}; returns the (phi1, phi2) pair."""
-    phi1, phi2 = omega
+    phi1, phi2 = xl.asmat(omega[0]), xl.asmat(omega[1])
     a, b, c, d = blocks(g)
     num = (c + xl.mul(d, phi1), xl.mul(d, phi2))
     den = (a + xl.mul(b, phi1), xl.mul(b, phi2))
@@ -86,6 +89,7 @@ def stabilizer_check(g, p):
 
 def i_omega_centralizer_check(g, p):
     iw = i_omega(p)
+    g = xl.asmat(g)
     return xl.mat_eq(xl.mul(g, iw), xl.mul(iw, g))
 
 

@@ -9,8 +9,6 @@ convention on l**, not on matrices, and never enters the formulas here).
 from fractions import Fraction
 from itertools import product
 
-import numpy as np
-
 from . import exactlin as xl
 from .errors import NotComplexStructure, NotNSForm
 
@@ -18,7 +16,7 @@ from .errors import NotComplexStructure, NotNSForm
 class Torus:
     def __init__(self, n, J):
         self.n = n
-        self.J = J
+        self.J = xl.asmat(J)
 
     def __eq__(self, other):
         return isinstance(other, Torus) and self.n == other.n and xl.mat_eq(self.J, other.J)
@@ -31,13 +29,19 @@ class NSVector:
     """An integral or rational Neron-Severi class: skew and J-invariant."""
 
     def __init__(self, c):
-        self.c = c
+        self.c = xl.asmat(c)
 
     def __eq__(self, other):
         return isinstance(other, NSVector) and xl.mat_eq(self.c, other.c)
 
 
+def as_form(c):
+    """The matrix of an NSVector, or c read as a matrix."""
+    return c.c if isinstance(c, NSVector) else xl.asmat(c)
+
+
 def make_torus(n, J):
+    J = xl.asmat(J)
     if J.shape != (2 * n, 2 * n):
         raise NotComplexStructure(f"J must be {2 * n}x{2 * n}")
     if not xl.mat_eq(xl.mul(J, J), -xl.eye(2 * n)):
@@ -50,6 +54,7 @@ def dual_torus(A):
 
 
 def is_ns_form(A, c):
+    c = xl.asmat(c)
     return (c.shape == A.J.shape
             and xl.mat_eq(c, -c.T)
             and xl.mat_eq(xl.mul(A.J.T, xl.mul(c, A.J)), c))
@@ -70,14 +75,18 @@ def _saturated_solutions(rows, nvars):
     basis = ech.kernel(nvars)
     if not basis:
         return []
-    sat = xl.saturate_rows(np.vstack([xl.primitive_int(v.reshape(1, -1)) for v in basis]))
-    return [sat[i] for i in range(sat.shape[0])]
+    return xl.saturate_rows([xl.primitive_int([v]).rows[0] for v in basis]).rows
+
+
+def _reshape(v, r, c):
+    """The r x c matrix whose rows are the consecutive pieces of the list v."""
+    return xl.mat([v[i * c:(i + 1) * c] for i in range(r)])
 
 
 def ns_basis(A):
     """Z-basis of the lattice of integral skew J-invariant forms on Gamma."""
     d = 2 * A.n
-    J = A.J
+    J = A.J.rows
     rows = []
     for i in range(d):
         for j in range(d):
@@ -89,37 +98,37 @@ def ns_basis(A):
             # invariance: (J^t c J - c)_ij = 0
             row = {}
             for a in range(d):
-                if J[a, i] == 0:
+                if J[a][i] == 0:
                     continue
                 for b in range(d):
-                    if J[b, j] != 0:
-                        row[a * d + b] = row.get(a * d + b, 0) + Fraction(J[a, i] * J[b, j])
+                    if J[b][j] != 0:
+                        row[a * d + b] = row.get(a * d + b, 0) + Fraction(J[a][i] * J[b][j])
             row[i * d + j] = row.get(i * d + j, 0) - 1
             rows.append({k: v for k, v in row.items() if v != 0})
-    return [NSVector(v.reshape(d, d)) for v in _saturated_solutions(rows, d * d)]
+    return [NSVector(_reshape(v, d, d)) for v in _saturated_solutions(rows, d * d)]
 
 
 def hom_space(A, B):
     """Z-basis of { f : J_B f = f J_A } among integer matrices Gamma_A -> Gamma_B."""
     da, db = 2 * A.n, 2 * B.n
+    ja, jb = A.J.rows, B.J.rows
     rows = []
     for i in range(db):
         for j in range(da):
             row = {}
             for k in range(da):
-                if B.J[i, k] != 0:
-                    row[k * da + j] = row.get(k * da + j, 0) + Fraction(B.J[i, k])
+                if jb[i][k] != 0:
+                    row[k * da + j] = row.get(k * da + j, 0) + Fraction(jb[i][k])
             for k in range(da):
-                if A.J[k, j] != 0:
-                    row[i * da + k] = row.get(i * da + k, 0) - Fraction(A.J[k, j])
+                if ja[k][j] != 0:
+                    row[i * da + k] = row.get(i * da + k, 0) - Fraction(ja[k][j])
             rows.append({k: v for k, v in row.items() if v != 0})
-    return [v.reshape(db, da) for v in _saturated_solutions(rows, db * da)]
+    return [_reshape(v, db, da) for v in _saturated_solutions(rows, db * da)]
 
 
 def polarization_form(A, c):
     """Gram matrix of b_c(x, y) = c(Jx, y)."""
-    c = c.c if isinstance(c, NSVector) else c
-    return xl.mul(-A.J.T, c)
+    return xl.mul(-A.J.T, as_form(c))
 
 
 def check_polarization(A, c):

@@ -32,11 +32,12 @@ def rand_unimodular(rng, k, steps=6, bound=2):
         i, j = rng.sample(range(k), 2) if k > 1 else (0, 0)
         kind = rng.randrange(3)
         if kind == 0 and i != j:
-            m[i] = m[i] + rng.randint(-bound, bound) * m[j]
+            c = rng.randint(-bound, bound)
+            m[i] = [a + c * b for a, b in zip(m[i], m[j])]
         elif kind == 1:
             m[[i, j]] = m[[j, i]]
         else:
-            m[i] = -m[i]
+            m[i] = [-a for a in m[i]]
     return m
 
 

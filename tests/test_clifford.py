@@ -10,7 +10,8 @@ from torusmirror.clifford import (IsotropicSplitting, SpinVec, beta_iso,
                                   beta_parity, clifford_involution,
                                   contract_apply, cor_action, cor_matrix,
                                   is_spin, popcount, q_value, r_of_z,
-                                  standard_splitting, wedge_apply)
+                                  standard_splitting, vacuum_kernel,
+                                  wedge_apply)
 from torusmirror.errors import NotEven, NotIsotropic, NotSpin
 from torusmirror.pairspace import q_form
 
@@ -68,11 +69,11 @@ def _conjugation_oracle(n, z):
     """Solve z cor(e_k) z^{-1} = sum_i R[i,k] cor(e_i) by dense linear algebra."""
     e = xl.eye(4 * n)
     gens = [cor_matrix(n, e[:, k]) for k in range(4 * n)]
-    cols = np.stack([g.reshape(-1) for g in gens], axis=1)
+    cols = np.stack([np.asarray(g).reshape(-1) for g in gens], axis=1)
     z_inv = xl.invert(z)
     r = xl.zeros(4 * n)
     for k in range(4 * n):
-        target = xl.mul(z, xl.mul(gens[k], z_inv)).reshape(-1)
+        target = np.asarray(xl.mul(z, xl.mul(gens[k], z_inv))).reshape(-1)
         r[:, k] = _lstsq_exact(cols, target)
     return r
 
@@ -148,7 +149,7 @@ def test_splitting_rejects_bad_bases():
         # e1 and its Q-partner e3 span a non-isotropic half
         IsotropicSplitting(1, [e[:, 0], e[:, 2]], [e[:, 1], e[:, 3]])
     with pytest.raises(NotIsotropic):
-        IsotropicSplitting(1, [e[:, 0], 2 * e[:, 1]], [e[:, 2], e[:, 3]])
+        IsotropicSplitting(1, [e[:, 0], [2 * x for x in e[:, 1]]], [e[:, 2], e[:, 3]])
 
 
 def test_beta_identity_on_same_splitting():
@@ -179,13 +180,24 @@ def test_beta_intertwines_on_random_pairs(rng, n):
         assert xl.mat_eq(xl.mul(beta, s1.cor(lam)), xl.mul(s2.cor(lam), beta))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_vacuum_kernel_matches_dense_route(rng, n):
+    # the dense route: nullspace of the stacked cor matrices
+    s1, s2 = rand_splitting(rng, n), rand_splitting(rng, n)
+    annihilators = [s1.basis1[:, i] for i in range(2 * n)]
+    dense = xl.nullspace(xl.block([[s2.cor(m)] for m in annihilators]))
+    assert len(dense) == 1
+    assert vacuum_kernel(s2, annihilators) == dense
+
+
 def test_cor_action_matches_matrix(rng):
     n = 2
     v = rand_lambda_vec(rng, n)
     m = cor_matrix(n, v)
     for mask in (0, 1, 5, 10):
         direct = cor_action(v, SpinVec(n, {mask: 1}))
-        via_matrix = SpinVec.from_vector(n, xl.mul(m, SpinVec(n, {mask: 1}).to_vector().reshape(-1, 1))[:, 0])
+        column = [[x] for x in SpinVec(n, {mask: 1}).to_vector()]
+        via_matrix = SpinVec.from_vector(n, xl.mul(m, column)[:, 0])
         assert direct == via_matrix
 
 

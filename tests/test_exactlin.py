@@ -48,7 +48,7 @@ def test_rank_and_nullspace():
     assert xl.rank(m) == 2
     ns = xl.nullspace(m)
     assert len(ns) == 1
-    assert all(x == 0 for x in xl.mul(m, ns[0].reshape(-1, 1))[:, 0])
+    assert all(x == 0 for x in xl.mul(m, [[x] for x in ns[0]])[:, 0])
 
 
 def test_smith_normal_form_divisibility():
@@ -164,10 +164,46 @@ def test_det_and_solve_against_leibniz(system):
 def test_nullspace_rank_and_echelon_growth(a):
     ns = xl.nullspace(a)
     for v in ns:
-        assert xl.is_zero(xl.mul(a, v.reshape(-1, 1)))
+        assert xl.is_zero(xl.mul(a, [[x] for x in v]))
     assert len(ns) + xl.rank(a) == a.shape[1]
     ech = xl.Echelon()
     for i in range(a.shape[0]):
         grew = xl.rank(a[:i + 1]) > xl.rank(a[:i])
         assert ech.add({j: x for j, x in enumerate(a[i]) if x != 0}) == grew
     assert len(ech.rows) == xl.rank(a)
+
+
+INDEX_KEYS = [(1, 2), (-1, -2), 1, (slice(None), 2), (1, slice(None)), slice(1, 3),
+              (slice(1, 3), slice(0, 2)), ([2, 0], slice(None)), (slice(None), [3, 1])]
+
+
+@pytest.mark.parametrize("key", INDEX_KEYS, ids=repr)
+def test_matrix_indexing_follows_numpy(key):
+    a = np.array([[Fraction(4 * i + j, 3) for j in range(4)] for i in range(3)], dtype=object)
+    m = xl.mat(a)
+    got, want = m[key], a[key]
+    if getattr(want, "ndim", 0) == 2:
+        assert type(got) is xl.Matrix and xl.mat_eq(got, want)
+    else:
+        assert got == (list(want) if getattr(want, "ndim", 0) == 1 else want)
+    value = np.full(np.shape(want), Fraction(7, 2), dtype=object) if np.ndim(want) else 5
+    a[key] = value
+    m[key] = value
+    assert xl.mat_eq(m, a)
+
+
+def test_matrix_submatrix_transpose_and_arithmetic():
+    m = xl.mat([[1, 2, 3], [4, 5, 6]])
+    assert xl.mat_eq(m[[1, 0], [2, 0]], [[6, 4], [3, 1]])
+    assert m.T.shape == (3, 2) and xl.mat_eq(m.T.T, m)
+    c = m.copy()
+    c[0, 0] = 9
+    assert m[0, 0] == 1
+    assert xl.mat_eq(2 * m - m, m) and xl.mat_eq(-m + m, xl.zeros(2, 3))
+    assert xl.mat_eq(m * Fraction(1, 2), [[Fraction(1, 2), 1, Fraction(3, 2)], [2, Fraction(5, 2), 3]])
+    with pytest.raises(ValueError):
+        m + m.T
+    with pytest.raises(TypeError):
+        m * m
+    with pytest.raises(ValueError):
+        xl.mat([[1, 2], [3]])

@@ -60,7 +60,7 @@ def test_check_well_becoming_validates_basis():
     with pytest.raises(NotABasis):
         check_well_becoming(p, WellBecomingWitness([e[:, 0]], [e[:, 0]]))
     with pytest.raises(NotABasis):
-        check_well_becoming(p, WellBecomingWitness([e[:, 0]], [2 * e[:, 1]]))
+        check_well_becoming(p, WellBecomingWitness([e[:, 0]], [[2 * x for x in e[:, 1]]]))
     assert check_well_becoming(p, std_witness(1))
 
 
@@ -124,7 +124,7 @@ def test_compare_mirror_isos():
     _, c1 = g_mirror(p, std_witness(1))
     assert xl.mat_eq(compare_mirror_isos(c1, c1), xl.eye(4))
     e = xl.eye(2)
-    flipped = WellBecomingWitness([-e[:, 0]], [e[:, 1]])
+    flipped = WellBecomingWitness([[-x for x in e[:, 0]]], [e[:, 1]])
     _, c2 = g_mirror(p, flipped)
     gamma = compare_mirror_isos(c1, c2)
     assert xl.is_integral(gamma) and abs(xl.det(gamma)) == 1
@@ -285,3 +285,25 @@ def test_elliptic_mirror_matches_adapted_route(rng, n):
         pA_ref, pB_ref, alpha_ref = _old_elliptic_mirror(A, tau, phi)
         assert pA == pA_ref and pB == pB_ref
         assert xl.mat_eq(cert.alpha, alpha_ref)
+
+
+def test_g_mirror_computes_i_omega_once_per_pair(rng, monkeypatch):
+    from torusmirror import mirror, pairspace
+    p, w = well_becoming_sample(rng, 2)
+    seen = []
+    real = pairspace.i_omega
+
+    def counted(pair):
+        seen.append(pair)
+        return real(pair)
+
+    monkeypatch.setattr(pairspace, "i_omega", counted)
+    monkeypatch.setattr(mirror, "i_omega", counted)
+    pB, cert = g_mirror(p, w)
+    assert len(seen) == 2
+    assert seen[0] is p and seen[1] == pB
+    monkeypatch.undo()
+    pB_ref, alpha_ref = _old_g_mirror(p, w)
+    assert pB == pB_ref and xl.mat_eq(cert.alpha, alpha_ref)
+    assert cert.pairA is p and cert.pairB is pB
+    verify_mirror(p, pB, cert.alpha)
