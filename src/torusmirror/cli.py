@@ -19,8 +19,15 @@ from .pairspace import classify_pair, i_omega, make_weak_pair
 from .torus import NSVector, make_torus, ns_basis
 
 
+def _int_from_json(x):
+    """A JSON integer; a float, a boolean or a string is an input error."""
+    if type(x) is not int:
+        raise ValueError(f"expected an integer, not {x!r}")
+    return x
+
+
 def _torus_from_json(obj):
-    return make_torus(int(obj["n"]), sz.json_to_mat(obj["J"]))
+    return make_torus(_int_from_json(obj["n"]), sz.json_to_mat(obj["J"]))
 
 
 def _torus_to_json(t):
@@ -45,7 +52,8 @@ def _splitting_from_json(n, obj):
 def _spinvec_from_json(n, terms):
     v = SpinVec(n, {})
     for t in terms:
-        v = v + SpinVec.monomial(n, t["indices"], sz.str_to_rat(t["coeff"]))
+        indices = [_int_from_json(i) for i in t["indices"]]
+        v = v + SpinVec.monomial(n, indices, sz.str_to_rat(t["coeff"]))
     return v
 
 
@@ -116,7 +124,7 @@ def _run_command(command, data, budget, n_max):
         mi.verify_mirror(pA, pB, sz.json_to_mat(data["alpha"]))
         return {"ok": True}
     if command == "beta":
-        n = int(data["n"])
+        n = _int_from_json(data["n"])
         _check_n(n, n_max)
         s1 = _splitting_from_json(n, data["s1"])
         s2 = _splitting_from_json(n, data["s2"])
@@ -124,11 +132,11 @@ def _run_command(command, data, budget, n_max):
         return {"beta": sz.mat_to_json(beta),
                 "parity": beta_parity(beta, s1, s2)}
     if command == "xi":
-        n = int(data["n"])
+        n = _int_from_json(data["n"])
         _check_n(n, n_max)
         return {"xi": _product_class_to_json(xi_from_mirror(n))}
     if command == "phi-p":
-        n = int(data["n"])
+        n = _int_from_json(data["n"])
         _check_n(n, n_max)
         v = _spinvec_from_json(n, data["v"])
         return {"image": _spinvec_to_json(phi_poincare(n, v))}
@@ -149,7 +157,7 @@ def _run_command(command, data, budget, n_max):
         phi1, phi2 = sg.siegel_act(g, (p.phi1, p.phi2))
         return {"phi1": sz.mat_to_json(phi1), "phi2": sz.mat_to_json(phi2)}
     if command == "spin-check":
-        n = int(data["n"])
+        n = _int_from_json(data["n"])
         _check_n(n, n_max)
         z = sz.json_to_mat(data["z"])
         if z.shape != (4 ** n, 4 ** n):

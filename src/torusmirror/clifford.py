@@ -128,12 +128,9 @@ def _generator_maps(n):
 def cor_matrix(n, lambda_vec):
     """Spinor matrix of cor(lambda) = sum_k lambda_k cor(e_k) in standard coordinates."""
     out = xl.zeros(1 << (2 * n))
-    rows = out.rows
-    for a, col in zip(lambda_vec, _generator_maps(n)):
-        if a != 0:
-            for m, image in enumerate(col):
-                if image is not None:
-                    rows[image[0]][m] = a * image[1]
+    for row, sparse in zip(out.rows, _cor_rows(_generator_maps(n), lambda_vec)):
+        for m, v in sparse.items():
+            row[m] = v
     return out
 
 
@@ -402,17 +399,21 @@ def _intertwining_dimension(s1, s2, lambdas):
     4^{2n} entries of X, so this is practical only for n <= 2.
     """
     size = 1 << (2 * s1.n)
+    maps = _generator_maps(s1.n)
     ech = xl.Echelon()
     for lam in lambdas:
-        a_cols = xl.col_nonzeros(s1.cor(lam))
-        b_rows = xl.col_nonzeros(s2.cor(lam).T)
+        a_cols = [[] for _ in range(size)]
+        for m, a_row in enumerate(_cor_rows(maps, s1.coords(lam))):
+            for j, v in a_row.items():
+                a_cols[j].append((m, v))
+        b_rows = _cor_rows(maps, s2.coords(lam))
         for i in range(size):
             for j in range(size):
                 row = {}
                 # (X a)[i, j] - (b X)[i, j]
                 for m, v in a_cols[j]:
                     row[i * size + m] = row.get(i * size + m, 0) + v
-                for m, v in b_rows[i]:
+                for m, v in b_rows[i].items():
                     row[m * size + j] = row.get(m * size + j, 0) - v
                 ech.add({c: v for c, v in row.items() if v != 0})
     return size * size - len(ech.rows)

@@ -242,17 +242,6 @@ def to_int(a):
     return _wrap([[int(x) for x in row] for row in a.rows], a.ncols)
 
 
-def col_nonzeros(a):
-    """Per-column lists of (row, value) nonzero entries."""
-    a = asmat(a)
-    cols = [[] for _ in range(a.ncols)]
-    for i, row in enumerate(a.rows):
-        for j, x in enumerate(row):
-            if x:
-                cols[j].append((i, x))
-    return cols
-
-
 def mul(a, b):
     """Exact matrix product; cost proportional to the nonzero products."""
     a, b = asmat(a), asmat(b)

@@ -2,8 +2,8 @@
 pairing chi, and the spinor image of so(Lambda, Q)."""
 
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
-from math import comb
 
 from . import exactlin as xl
 from .clifford import _generator_maps, _sign_below, popcount
@@ -13,18 +13,25 @@ from .torus import as_form, is_ns_form
 
 class GradedOperator:
     """A matrix on H* = Lambda Gamma* homogeneous of fixed cohomological degree,
-    built from its nonzero entries {row * size + col: value}."""
+    held by its nonzero entries {row * size + col: value}."""
 
     def __init__(self, size, entries, degree):
-        mat = xl.zeros(size)
-        for key, v in entries.items():
+        for key in entries:
             i, j = divmod(key, size)
             if popcount(i) - popcount(j) != degree:
                 raise ValueError("operator is not homogeneous of the stated degree")
-            mat.rows[i][j] = v
+        self.size = size
         self.entries = entries
-        self.mat = mat
         self.degree = degree
+
+    @cached_property
+    def mat(self):
+        """The dense size x size matrix, built when first read."""
+        mat = xl.zeros(self.size)
+        for key, v in self.entries.items():
+            i, j = divmod(key, self.size)
+            mat.rows[i][j] = v
+        return mat
 
 
 class LieAlgebraBasis:
@@ -34,12 +41,24 @@ class LieAlgebraBasis:
         self._echelon = echelon
 
     def contains(self, mat):
-        return not self._echelon.reduce(_flatten(xl.asmat(mat)))
+        mat = xl.asmat(mat)
+        size = mat.ncols
+        return not self._echelon.reduce({i * size + j: x for i, row in enumerate(mat.rows)
+                                         for j, x in enumerate(row) if x != 0})
 
 
-def _flatten(mat):
-    size = mat.shape[0]
-    return {i * size + j: x for i, row in enumerate(mat.rows) for j, x in enumerate(row) if x != 0}
+def _bracket(a, b, size):
+    """Nonzero entries of ab - ba for operators given by their entries."""
+    out = {}
+    for x, y, sign in ((a, b, 1), (b, a, -1)):
+        y_rows = {}
+        for key, v in y.items():
+            y_rows.setdefault(key // size, []).append((key % size, v))
+        for key, u in x.items():
+            i, k = divmod(key, size)
+            for j, v in y_rows.get(k, ()):
+                out[i * size + j] = out.get(i * size + j, 0) + sign * u * v
+    return {key: v for key, v in out.items() if v != 0}
 
 
 def grading_operator(n):
@@ -68,33 +87,31 @@ def lefschetz_e(kappa):
     return GradedOperator(size, {k: v for k, v in entries.items() if v != 0}, 2)
 
 
-def _check_hard_lefschetz(e, n):
-    size = 1 << (2 * n)
-    masks_by_deg = [[m for m in range(size) if popcount(m) == k] for k in range(2 * n + 1)]
-    power = xl.eye(size)
-    for s in range(1, n + 1):
-        power = xl.mul(power, e)
-        block = power[masks_by_deg[n + s], masks_by_deg[n - s]]
-        if xl.rank(block) != comb(2 * n, n - s):
-            return False
-    return True
-
-
 def lefschetz_f(kappa):
-    """The unique degree -2 operator with [e_kappa, f_kappa] = h."""
+    """The unique degree -2 operator with [e_kappa, f_kappa] = h.
+
+    It exists exactly when kappa is nondegenerate.  A symplectic basis over Q
+    makes H* a tensor product of n copies of the sl2-module H*(curve), on
+    which e_kappa satisfies hard Lefschetz; a degenerate kappa has kappa^n = 0,
+    so e_kappa^n: H^0 -> H^{2n} is not an isomorphism.
+    """
     c = as_form(kappa)
+    if xl.det(c) == 0:
+        raise NoHardLefschetz("kappa is degenerate, so e_kappa^n: H^0 -> H^2n is zero")
     n = c.shape[0] // 2
     size = 1 << (2 * n)
-    e = lefschetz_e(c).mat
-    if not _check_hard_lefschetz(e, n):
-        raise NoHardLefschetz("e_kappa^s is not an isomorphism H^{n-s} -> H^{n+s}")
-    h = grading_operator(n).mat
+    e = lefschetz_e(c).entries
+    h = grading_operator(n).entries
     # unknowns: entries f[t, s] with popcount(t) = popcount(s) - 2
     unknowns = [(t, s) for s in range(size) for t in range(size)
                 if popcount(t) == popcount(s) - 2]
     index = {u: k for k, u in enumerate(unknowns)}
-    e_cols = xl.col_nonzeros(e)
-    e_rows = xl.col_nonzeros(e.T)
+    e_rows = [[] for _ in range(size)]
+    e_cols = [[] for _ in range(size)]
+    for key, v in e.items():
+        i, j = divmod(key, size)
+        e_rows[i].append((j, v))
+        e_cols[j].append((i, v))
     # the augmented system [e, f] = h, right-hand side in column ncols
     ncols = len(unknowns)
     ech = xl.Echelon()
@@ -112,8 +129,8 @@ def lefschetz_f(kappa):
                 if (i, k) in index:
                     row[index[(i, k)]] = row.get(index[(i, k)], 0) - v
             row = {k: v for k, v in row.items() if v != 0}
-            if i == j and h.rows[i][j] != 0:
-                row[ncols] = h.rows[i][j]
+            if i * size + j in h:
+                row[ncols] = h[i * size + j]
             ech.add(row)
     if ncols in ech.rows:
         raise NoHardLefschetz("no degree -2 solution of [e,f] = h")
@@ -124,10 +141,9 @@ def lefschetz_f(kappa):
         t, s = unknowns[p]
         if row.get(ncols, 0) != 0:
             entries[t * size + s] = row[ncols]
-    f = GradedOperator(size, entries, -2)
-    if not xl.mat_eq(xl.mul(e, f.mat) - xl.mul(f.mat, e), h):
+    if _bracket(e, entries, size) != h:
         raise RuntimeError("[e_kappa, f_kappa] != h")
-    return f
+    return GradedOperator(size, entries, -2)
 
 
 def generate_g_ns(A, kappas):
@@ -160,13 +176,10 @@ def generate_g_ns(A, kappas):
         new = []
         for a in basis:
             for b in frontier:
-                for x, y in ((a, b), (b, a)) if a is not b else ((a, b),):
-                    br = xl.mul(x.mat, y.mat) - xl.mul(y.mat, x.mat)
-                    if xl.is_zero(br):
-                        continue
-                    entries = _flatten(br)
-                    if echelon.add(entries):
-                        new.append(GradedOperator(size, entries, x.degree + y.degree))
+                # [b, a] = -[a, b] lies in the span whenever [a, b] does
+                entries = _bracket(a.entries, b.entries, size)
+                if echelon.add(entries):
+                    new.append(GradedOperator(size, entries, a.degree + b.degree))
         basis.extend(new)
         frontier = new
         if len(basis) > size * size:
@@ -210,24 +223,17 @@ def so_lambda_spinor_image(A):
     The image is spanned by the operators (1/2)[cor(u), cor(v)] over basis
     vectors u, v of Lambda; each is homogeneous (contraction carries degree
     -1, wedging +1) and the span has dimension dim so(4n) = 2n(4n-1).  The
-    brackets are composed from the generators' signed column maps.
+    brackets are composed from the generators' entries.
     """
     n = A.n
     size = 1 << (2 * n)
-    maps = _generator_maps(n)
+    gens = [{image[0] * size + m: image[1] for m, image in enumerate(col) if image is not None}
+            for col in _generator_maps(n)]
     deg = [-1 if k < 2 * n else 1 for k in range(4 * n)]
     echelon = xl.Echelon()
     ops = []
     for a, b in combinations(range(4 * n), 2):
-        # cor(e_a) cor(e_b) x_m, minus the reverse order
-        acc = {}
-        for first, then, sign in ((b, a, 1), (a, b, -1)):
-            for m, image in enumerate(maps[first]):
-                image2 = maps[then][image[0]] if image is not None else None
-                if image2 is not None:
-                    key = image2[0] * size + m
-                    acc[key] = acc.get(key, 0) + sign * image[1] * image2[1]
-        entries = {key: Fraction(v, 2) for key, v in acc.items() if v != 0}
+        entries = {key: Fraction(v, 2) for key, v in _bracket(gens[a], gens[b], size).items()}
         if echelon.add(entries):
             ops.append(GradedOperator(size, entries, deg[a] + deg[b]))
     basis = LieAlgebraBasis(ops, echelon)

@@ -16,6 +16,10 @@ def rat_to_str(x):
 
 
 def str_to_rat(s):
+    """A rational from its JSON form: a string like "3/4" or a JSON integer;
+    a float or a boolean is an input error."""
+    if type(s) not in (str, int):
+        raise ValueError(f"a rational is a string like \"3/4\" or an integer, not {s!r}")
     try:
         f = Fraction(s)
     except ZeroDivisionError:

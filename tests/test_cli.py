@@ -198,6 +198,12 @@ MALFORMED = [
     ("z-size-not-n", "spin-check",
      {"n": 1, "z": [["1" if i == j else "0" for j in range(16)] for i in range(16)]}, 2, None),
     ("phi-p-index", "phi-p", {"n": 1, "v": [{"indices": [3], "coeff": "1"}]}, 2, None),
+    # rationals are strings or JSON integers, n and indices JSON integers
+    ("coeff-float", "phi-p", {"n": 1, "v": [{"indices": [1], "coeff": 0.1}]}, 2, None),
+    ("coeff-bool", "phi-p", {"n": 1, "v": [{"indices": [1], "coeff": True}]}, 2, None),
+    ("n-float", "xi", {"n": 1.9}, 2, None),
+    ("index-bool", "phi-p", {"n": 1, "v": [{"indices": [True], "coeff": "1"}]}, 2, None),
+    ("J-float", "make-torus", {"n": 1, "J": [["0", "-1"], [1.5, "0"]]}, 2, None),
     ("gns-not-ns", "gns", {"torus": TORUS_SQUARE, "kappas": [[["0", "1"], ["1", "0"]]]},
      1, "not-ns-form"),
     # diag(1, 1, 1, 2) is not a Q-isometry (g^T Q g != Q) and sends omega to a

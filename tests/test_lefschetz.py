@@ -1,9 +1,10 @@
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import pytest
 
-from conftest import cor_matrix_by_columns, rand_unimodular
+from conftest import cor_matrix_by_columns, rand_skew, rand_unimodular
 from torusmirror import exactlin as xl
 from torusmirror.clifford import popcount
 from torusmirror.errors import NoHardLefschetz
@@ -51,12 +52,113 @@ def test_degenerate_form_has_no_inverse_operator():
         lefschetz_f(kappa)
 
 
+def _hard_lefschetz_dense(e, n):
+    """Reference: e^s maps H^{n-s} onto H^{n+s} for s = 1..n, by dense powers
+    and the rank of each degree block."""
+    size = 1 << (2 * n)
+    masks_by_deg = [[m for m in range(size) if popcount(m) == k] for k in range(2 * n + 1)]
+    power = xl.eye(size)
+    for s in range(1, n + 1):
+        power = xl.mul(power, e)
+        block = power[masks_by_deg[n + s], masks_by_deg[n - s]]
+        if xl.rank(block) != comb(2 * n, n - s):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("n,trials", [(1, 12), (2, 12), (3, 4)])
+def test_hard_lefschetz_exactly_for_nondegenerate_kappa(rng, n, trials):
+    h = grading_operator(n).mat
+    outcomes = set()
+    for t in range(trials):
+        kappa = rand_skew(rng, 2 * n)
+        if t % 2:
+            # a zero row and column make kappa degenerate
+            k = rng.randrange(2 * n)
+            for i in range(2 * n):
+                kappa[k, i] = kappa[i, k] = 0
+        e = lefschetz_e(kappa).mat
+        holds = _hard_lefschetz_dense(e, n)
+        outcomes.add(holds)
+        if not holds:
+            with pytest.raises(NoHardLefschetz):
+                lefschetz_f(kappa)
+            continue
+        f = lefschetz_f(kappa).mat
+        assert xl.mat_eq(xl.mul(e, f) - xl.mul(f, e), h)
+    assert outcomes == {True, False}
+
+
 def test_generate_g_ns_elliptic_curve_is_sl2():
     A = make_torus(1, J_SQUARE)
     basis = generate_g_ns(A, ns_basis(A))
     assert basis.dim == 3
     degrees = sorted(op.degree for op in basis.ops)
     assert degrees == [-2, 0, 2]
+
+
+def _g_ns_dense(A, kappas):
+    """The dense route: generators as in generate_g_ns, each bracket formed by
+    two dense products of the .mat views."""
+    size = 1 << (2 * A.n)
+    gens = []
+    for kappa in kappas:
+        gens.append((lefschetz_e(kappa).mat, 2))
+        try:
+            gens.append((lefschetz_f(kappa).mat, -2))
+        except NoHardLefschetz:
+            pass
+    gens.append((grading_operator(A.n).mat, 0))
+    echelon = xl.Echelon()
+
+    def add(m):
+        return echelon.add({i * size + j: m[i, j] for i in range(size)
+                            for j in range(size) if m[i, j] != 0})
+
+    basis = [(m, d) for m, d in gens if add(m)]
+    frontier = list(basis)
+    while frontier:
+        new = []
+        for x, dx in basis:
+            for y, dy in frontier:
+                m = xl.mul(x, y) - xl.mul(y, x)
+                if add(m):
+                    new.append((m, dx + dy))
+        basis.extend(new)
+        frontier = new
+    return basis, echelon
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_g_ns_matches_dense_bracket_route(n):
+    A = make_torus(n, _product_structure(n))
+    kappas = ns_basis(A)
+    g = generate_g_ns(A, kappas)
+    ops, echelon = _g_ns_dense(A, kappas)
+    assert [op.degree for op in g.ops] == [d for _, d in ops]
+    assert all(xl.mat_eq(op.mat, m) for op, (m, _) in zip(g.ops, ops))
+    assert g._echelon.rows == echelon.rows
+
+
+def test_no_dense_operator_is_built(monkeypatch):
+    n = 3
+    size = 1 << (2 * n)
+    A = make_torus(n, _product_structure(n))
+    kappas = ns_basis(A)
+    symplectic = sum((k.c for k in kappas), xl.zeros(2 * n))
+    mul = xl.mul
+
+    def small_mul(a, b):
+        if xl.asmat(a).shape[0] >= size or xl.asmat(b).shape[0] >= size:
+            raise AssertionError("a dense product of operators on H*")
+        return mul(a, b)
+
+    monkeypatch.setattr("torusmirror.lefschetz.xl.mul", small_mul)
+    # one symplectic class, so generate_g_ns runs lefschetz_f, and one degenerate
+    ops = generate_g_ns(A, [NSVector(symplectic), kappas[0]]).ops
+    assert -2 in [op.degree for op in ops]
+    ops += so_lambda_spinor_image(A).ops
+    assert not any("mat" in vars(op) for op in ops)
 
 
 def test_g_ns_inside_spinor_image_and_chi_invariant():
