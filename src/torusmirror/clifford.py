@@ -15,6 +15,18 @@ def popcount(mask):
     return bin(mask).count("1")
 
 
+def _merge_sign(m1, m2):
+    """Sign of sorting x_{m1} ^ x_{m2} (disjoint masks) into ascending order."""
+    sign = 1
+    rem = m2
+    while rem:
+        bit = (rem & -rem).bit_length() - 1
+        if popcount(m1 >> (bit + 1)) % 2:
+            sign = -sign
+        rem &= rem - 1
+    return sign
+
+
 def _sign_below(mask, bit):
     """(-1)^{number of set bits of mask strictly below bit}."""
     return -1 if popcount(mask & ((1 << bit) - 1)) % 2 else 1
@@ -220,36 +232,17 @@ def standard_splitting(n):
 # reversal involution
 
 
-_INVOLUTION_FORM = {}
-
-
-def _apply_generators(n, word, vec):
-    """Apply cor generators given as (kind, index) pairs, rightmost first."""
-    coeffs = dict(vec)
-    for kind, idx in reversed(word):
-        coeffs = contract_apply(n, idx, coeffs) if kind == "l" else wedge_apply(n, idx, coeffs)
-    return coeffs
-
-
 def _involution_form(n):
-    """Signs sigma_s of the signed permutation B, B[s, full ^ s] = sigma_s, with
-    B(z u, v) = B(u, z' v), i.e. z' = B^{-1} z^t B."""
-    if n in _INVOLUTION_FORM:
-        return _INVOLUTION_FORM[n]
-    size = 1 << (2 * n)
-    d = 2 * n
-    full = size - 1
-    signs = []
-    for s_mask in range(size):
-        # reversal of x_S * l_1...l_{2n}: word l_{2n}..l_1 x_{sk}..x_{s1}; it
-        # reaches the vacuum only from x_{full ^ S}
-        word = [("l", i) for i in range(d, 0, -1)]
-        word += [("x", i) for i in range(d, 0, -1) if s_mask & (1 << (i - 1))]
-        signs.append(_apply_generators(n, word, {full ^ s_mask: 1}).get(0, 0))
-    if any(s not in (1, -1) for s in signs):
-        raise RuntimeError("involution form: B is not a signed permutation, B B^t != 1")
-    _INVOLUTION_FORM[n] = signs
-    return signs
+    """Signs sigma_S of the signed permutation B, B[S, full ^ S] = sigma_S, with
+    B(z u, v) = B(u, z' v), i.e. z' = B^{-1} z^t B.
+
+    sigma_S is the vacuum coefficient of the reversal of x_S l_1...l_2n applied
+    to x_{full ^ S}: the reversed wedges give (-1)^{|S|(|S|-1)/2} x_S ^ x_{full ^ S},
+    a signed top monomial, which l_1, ..., l_2n contract to 1 with sign +1.
+    """
+    full = (1 << (2 * n)) - 1
+    return [(-1 if popcount(s) * (popcount(s) - 1) // 2 % 2 else 1) * _merge_sign(s, full ^ s)
+            for s in range(full + 1)]
 
 
 def clifford_involution(z):

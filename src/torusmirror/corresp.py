@@ -10,8 +10,7 @@ from fractions import Fraction
 from math import factorial
 
 from . import exactlin as xl
-from .clifford import SpinVec, contract_apply, popcount, wedge_apply
-from .lefschetz import _merge_sign
+from .clifford import SpinVec, _merge_sign, contract_apply, popcount, wedge_apply
 
 
 class ProductClass:

@@ -6,8 +6,8 @@ from functools import cached_property
 from itertools import combinations
 
 from . import exactlin as xl
-from .clifford import _generator_maps, _sign_below, popcount
-from .errors import NoHardLefschetz, NotNSForm
+from .clifford import _generator_maps, _merge_sign, popcount
+from .errors import NoHardLefschetz, NotNSForm, NotSkew, SingularMatrix
 from .torus import as_form, is_ns_form
 
 
@@ -68,82 +68,73 @@ def grading_operator(n):
                                  if popcount(m) != n}, 0)
 
 
-def lefschetz_e(kappa):
-    """Cup product with kappa = sum_{i<j} c_ij x_i ^ x_j; degree +2, nilpotent."""
-    c = as_form(kappa).rows
-    d = len(c)
-    size = 1 << d
+def _generators(n):
+    """Entries of cor(e_k) for the 4n basis vectors e_k of Lambda: k < 2n
+    contracts with l_{k+1}, k >= 2n wedges with x_{k-2n+1}."""
+    size = 1 << (2 * n)
+    return [{image[0] * size + m: image[1] for m, image in enumerate(col) if image is not None}
+            for col in _generator_maps(n)]
+
+
+def _half_bracket(a, b, size):
+    """Entries of (1/2)[a, b] for two Clifford generators, int where integral."""
+    return {key: v // 2 if v % 2 == 0 else Fraction(v, 2)
+            for key, v in _bracket(a, b, size).items()}
+
+
+def _form_operator(c, gens, size, degree):
+    """sum_{i<j} c_ij (1/2)[gens_i, gens_j] for a 2n x 2n matrix c."""
     entries = {}
-    for i in range(d):
-        for j in range(i + 1, d):
-            if c[i][j] == 0:
-                continue
-            for m in range(size):
-                if m & (1 << i) or m & (1 << j):
-                    continue
-                s = _sign_below(m, j) * _sign_below(m | (1 << j), i)
-                key = (m | (1 << i) | (1 << j)) * size + m
-                entries[key] = entries.get(key, 0) + c[i][j] * s
-    return GradedOperator(size, {k: v for k, v in entries.items() if v != 0}, 2)
+    for i, j in combinations(range(len(c.rows)), 2):
+        cij = c.rows[i][j]
+        if cij != 0:
+            for key, v in _half_bracket(gens[i], gens[j], size).items():
+                entries[key] = entries.get(key, 0) + cij * v
+    return GradedOperator(size, {key: v.numerator if v.denominator == 1 else v
+                                 for key, v in entries.items() if v != 0}, degree)
+
+
+def _skew_form(kappa):
+    c = as_form(kappa)
+    rows, cols = c.shape
+    if rows != cols or rows % 2 or not xl.mat_eq(c, -c.T):
+        raise NotSkew("kappa must be a skew matrix of even size")
+    return c
+
+
+def lefschetz_e(kappa):
+    """Cup product with kappa = sum_{i<j} c_ij x_i ^ x_j; degree +2, nilpotent.
+
+    It is the spinor operator sum_{i<j} c_ij (1/2)[cor(x_i), cor(x_j)].
+    """
+    c = _skew_form(kappa)
+    d = c.shape[0]
+    return _form_operator(c, _generators(d // 2)[d:], 1 << d, 2)
 
 
 def lefschetz_f(kappa):
-    """The unique degree -2 operator with [e_kappa, f_kappa] = h.
+    """The unique degree -2 operator with [e_kappa, f_kappa] = h, namely
+    sum_{i<j} (kappa^{-1})_ij (1/2)[cor(l_i), cor(l_j)].
 
     It exists exactly when kappa is nondegenerate.  A symplectic basis over Q
     makes H* a tensor product of n copies of the sl2-module H*(curve), on
     which e_kappa satisfies hard Lefschetz; a degenerate kappa has kappa^n = 0,
-    so e_kappa^n: H^0 -> H^{2n} is not an isomorphism.
+    so e_kappa^n: H^0 -> H^{2n} is not an isomorphism.  It is unique because
+    two solutions differ by an element of ker(ad e) of ad(h)-weight -2, and
+    ker(ad e) has only weights >= 0 in a finite-dimensional sl2-module.
     """
-    c = as_form(kappa)
-    if xl.det(c) == 0:
-        raise NoHardLefschetz("kappa is degenerate, so e_kappa^n: H^0 -> H^2n is zero")
-    n = c.shape[0] // 2
-    size = 1 << (2 * n)
+    c = _skew_form(kappa)
+    try:
+        inverse = xl.invert(c)
+    except SingularMatrix:
+        raise NoHardLefschetz("kappa is degenerate, so e_kappa^n: H^0 -> H^2n is zero") from None
+    d = c.shape[0]
+    size = 1 << d
     e = lefschetz_e(c).entries
-    h = grading_operator(n).entries
-    # unknowns: entries f[t, s] with popcount(t) = popcount(s) - 2
-    unknowns = [(t, s) for s in range(size) for t in range(size)
-                if popcount(t) == popcount(s) - 2]
-    index = {u: k for k, u in enumerate(unknowns)}
-    e_rows = [[] for _ in range(size)]
-    e_cols = [[] for _ in range(size)]
-    for key, v in e.items():
-        i, j = divmod(key, size)
-        e_rows[i].append((j, v))
-        e_cols[j].append((i, v))
-    # the augmented system [e, f] = h, right-hand side in column ncols
-    ncols = len(unknowns)
-    ech = xl.Echelon()
-    for i in range(size):
-        for j in range(size):
-            if popcount(i) != popcount(j):
-                continue
-            row = {}
-            # (e f)[i, j] = sum_k e[i, k] f[k, j]
-            for k, v in e_rows[i]:
-                if (k, j) in index:
-                    row[index[(k, j)]] = row.get(index[(k, j)], 0) + v
-            # -(f e)[i, j] = -sum_k f[i, k] e[k, j]
-            for k, v in e_cols[j]:
-                if (i, k) in index:
-                    row[index[(i, k)]] = row.get(index[(i, k)], 0) - v
-            row = {k: v for k, v in row.items() if v != 0}
-            if i * size + j in h:
-                row[ncols] = h[i * size + j]
-            ech.add(row)
-    if ncols in ech.rows:
-        raise NoHardLefschetz("no degree -2 solution of [e,f] = h")
-    if len(ech.rows) != ncols:
-        raise RuntimeError("f_kappa is not unique")
-    entries = {}
-    for p, row in ech.rows.items():
-        t, s = unknowns[p]
-        if row.get(ncols, 0) != 0:
-            entries[t * size + s] = row[ncols]
-    if _bracket(e, entries, size) != h:
+    f = _form_operator(inverse, _generators(d // 2)[:d], size, -2)
+    if _bracket(e, f.entries, size) != grading_operator(d // 2).entries:
         raise RuntimeError("[e_kappa, f_kappa] != h")
-    return GradedOperator(size, entries, -2)
+    return f
 
 
 def generate_g_ns(A, kappas):
@@ -205,18 +196,6 @@ def chi_form(n):
     return x
 
 
-def _merge_sign(m1, m2):
-    """Sign of sorting x_{m1} ^ x_{m2} (disjoint masks) into ascending order."""
-    sign = 1
-    rem = m2
-    while rem:
-        bit = (rem & -rem).bit_length() - 1
-        if popcount(m1 >> (bit + 1)) % 2:
-            sign = -sign
-        rem &= rem - 1
-    return sign
-
-
 def so_lambda_spinor_image(A):
     """Spanning basis of the image of so(Lambda,Q) under the spinor action.
 
@@ -227,13 +206,12 @@ def so_lambda_spinor_image(A):
     """
     n = A.n
     size = 1 << (2 * n)
-    gens = [{image[0] * size + m: image[1] for m, image in enumerate(col) if image is not None}
-            for col in _generator_maps(n)]
+    gens = _generators(n)
     deg = [-1 if k < 2 * n else 1 for k in range(4 * n)]
     echelon = xl.Echelon()
     ops = []
     for a, b in combinations(range(4 * n), 2):
-        entries = {key: Fraction(v, 2) for key, v in _bracket(gens[a], gens[b], size).items()}
+        entries = _half_bracket(gens[a], gens[b], size)
         if echelon.add(entries):
             ops.append(GradedOperator(size, entries, deg[a] + deg[b]))
     basis = LieAlgebraBasis(ops, echelon)

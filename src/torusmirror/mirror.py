@@ -12,6 +12,7 @@ from .clifford import IsotropicSplitting
 from .errors import (DifferentSource, FormMismatch, IntertwineFailure,
                      NotABasis, NotInvariant, TransversalityNotFound)
 from .pairspace import build_lambda, i_omega, make_weak_pair, recover_omega
+from .siegel import u_membership
 from .torus import as_form, make_torus
 
 
@@ -229,7 +230,6 @@ def compare_mirror_isos(c1, c2):
         if not xl.mat_eq(xl.mul(gamma, iw), xl.mul(iw, gamma)):
             raise RuntimeError("gamma does not commute with I_omega of the source")
     if c1.pairB == c2.pairB:
-        from .siegel import u_membership
         if not u_membership(gamma, c1.pairA.torus):
             raise RuntimeError("gamma is not in U(Lambda_A) although the mirrors agree")
     return gamma

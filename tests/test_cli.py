@@ -159,6 +159,20 @@ def test_gns_command(tmp_path):
     assert sorted(doc["degrees"]) == [-2, 0, 2]
 
 
+def test_gns_command_at_n4(tmp_path):
+    # the product complex structure and its symplectic class, under the default --n-max 4
+    j = [["0"] * 8 for _ in range(8)]
+    kappa = [["0"] * 8 for _ in range(8)]
+    for i in range(0, 8, 2):
+        j[i][i + 1], j[i + 1][i] = "-1", "1"
+        kappa[i][i + 1], kappa[i + 1][i] = "1", "-1"
+    code, out = run(tmp_path, "gns", {"torus": {"n": 4, "J": j}, "kappas": [kappa]})
+    assert code == 0
+    doc = json.loads(out.read_text())
+    assert doc["dim"] == 3
+    assert sorted(doc["degrees"]) == [-2, 0, 2]
+
+
 def test_siegel_act_command(tmp_path):
     g = [["1", "0", "0", "0"], ["0", "1", "0", "0"],
          ["0", "1", "1", "0"], ["-1", "0", "0", "1"]]

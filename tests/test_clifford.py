@@ -6,8 +6,8 @@ import pytest
 from conftest import (cor_matrix_by_columns, rand_spin, rand_splitting,
                       rand_unit_pairing_vector, rand_unimodular)
 from torusmirror import exactlin as xl
-from torusmirror.clifford import (IsotropicSplitting, SpinVec, beta_iso,
-                                  beta_parity, clifford_involution,
+from torusmirror.clifford import (IsotropicSplitting, SpinVec, _involution_form,
+                                  beta_iso, beta_parity, clifford_involution,
                                   contract_apply, cor_action, cor_matrix,
                                   is_spin, popcount, q_value, r_of_z,
                                   standard_splitting, vacuum_kernel,
@@ -222,6 +222,29 @@ def _involution_form_dense(n):
             if 0 in coeffs:
                 b[s_mask, t_mask] = coeffs[0]
     return b
+
+
+def _involution_signs_by_words(n):
+    """sigma_S by applying the reversal word of x_S * l_1...l_{2n} to the one
+    monomial x_{full ^ S} that it takes to the vacuum."""
+    size = 1 << (2 * n)
+    d = 2 * n
+    full = size - 1
+    signs = []
+    for s_mask in range(size):
+        word = [("l", i) for i in range(d, 0, -1)]
+        word += [("x", i) for i in range(d, 0, -1) if s_mask & (1 << (i - 1))]
+        coeffs = {full ^ s_mask: 1}
+        for kind, idx in reversed(word):
+            apply = contract_apply if kind == "l" else wedge_apply
+            coeffs = apply(n, idx, coeffs)
+        signs.append(coeffs.get(0, 0))
+    return signs
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_involution_signs_match_word_route(n):
+    assert _involution_form(n) == _involution_signs_by_words(n)
 
 
 def _spin_conjugation_dense(z):

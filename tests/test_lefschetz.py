@@ -6,8 +6,8 @@ import pytest
 
 from conftest import cor_matrix_by_columns, rand_skew, rand_unimodular
 from torusmirror import exactlin as xl
-from torusmirror.clifford import popcount
-from torusmirror.errors import NoHardLefschetz
+from torusmirror.clifford import _sign_below, popcount
+from torusmirror.errors import NoHardLefschetz, NotSkew
 from torusmirror.lefschetz import (chi_form, generate_g_ns, grading_operator,
                                    lefschetz_e, lefschetz_f,
                                    so_lambda_spinor_image)
@@ -87,6 +87,115 @@ def test_hard_lefschetz_exactly_for_nondegenerate_kappa(rng, n, trials):
         f = lefschetz_f(kappa).mat
         assert xl.mat_eq(xl.mul(e, f) - xl.mul(f, e), h)
     assert outcomes == {True, False}
+
+
+def _lefschetz_e_by_signs(kappa):
+    """Reference: wedge with x_j, then x_i, for each c_ij with i < j, with the
+    signs counted bit by bit."""
+    c = xl.asmat(kappa).rows
+    d = len(c)
+    size = 1 << d
+    entries = {}
+    for i, j in combinations(range(d), 2):
+        for m in range(size):
+            if c[i][j] == 0 or m & (1 << i) or m & (1 << j):
+                continue
+            s = _sign_below(m, j) * _sign_below(m | (1 << j), i)
+            key = (m | (1 << i) | (1 << j)) * size + m
+            entries[key] = entries.get(key, 0) + c[i][j] * s
+    return {k: v for k, v in entries.items() if v != 0}
+
+
+def _lefschetz_f_by_solve(kappa):
+    """Reference: solve [e, f] = h for the degree -2 entries of f, one unknown
+    per entry; NoHardLefschetz when there is no solution."""
+    e = _lefschetz_e_by_signs(kappa)
+    n = xl.asmat(kappa).shape[0] // 2
+    size = 1 << (2 * n)
+    h = grading_operator(n).entries
+    unknowns = [(t, s) for s in range(size) for t in range(size)
+                if popcount(t) == popcount(s) - 2]
+    index = {u: k for k, u in enumerate(unknowns)}
+    e_rows = [[] for _ in range(size)]
+    e_cols = [[] for _ in range(size)]
+    for key, v in e.items():
+        i, j = divmod(key, size)
+        e_rows[i].append((j, v))
+        e_cols[j].append((i, v))
+    # the augmented system, right-hand side in column ncols
+    ncols = len(unknowns)
+    ech = xl.Echelon()
+    for i in range(size):
+        for j in range(size):
+            if popcount(i) != popcount(j):
+                continue
+            row = {}
+            for k, v in e_rows[i]:
+                if (k, j) in index:
+                    row[index[(k, j)]] = row.get(index[(k, j)], 0) + v
+            for k, v in e_cols[j]:
+                if (i, k) in index:
+                    row[index[(i, k)]] = row.get(index[(i, k)], 0) - v
+            row = {k: v for k, v in row.items() if v != 0}
+            if i * size + j in h:
+                row[ncols] = h[i * size + j]
+            ech.add(row)
+    if ncols in ech.rows:
+        raise NoHardLefschetz("no degree -2 solution of [e,f] = h")
+    assert len(ech.rows) == ncols, "the solution of [e, f] = h is not unique"
+    return {unknowns[p][0] * size + unknowns[p][1]: row[ncols]
+            for p, row in ech.rows.items() if row.get(ncols, 0) != 0}
+
+
+@pytest.mark.parametrize("n,trials", [(1, 8), (2, 8), (3, 4)])
+def test_closed_forms_match_wedge_signs_and_linear_solve(rng, n, trials):
+    outcomes = set()
+    for t in range(trials):
+        kappa = rand_skew(rng, 2 * n)
+        if t % 2:
+            kappa = kappa * Fraction(1, rng.randint(2, 3))
+        if t % 4 >= 2:
+            k = rng.randrange(2 * n)
+            for i in range(2 * n):
+                kappa[k, i] = kappa[i, k] = 0
+        assert lefschetz_e(kappa).entries == _lefschetz_e_by_signs(kappa)
+        try:
+            reference = _lefschetz_f_by_solve(kappa)
+        except NoHardLefschetz:
+            outcomes.add(False)
+            with pytest.raises(NoHardLefschetz):
+                lefschetz_f(kappa)
+            continue
+        outcomes.add(True)
+        assert lefschetz_f(kappa).entries == reference
+    assert outcomes == {True, False}
+
+
+def test_lefschetz_f_solves_no_system_for_its_entries(monkeypatch):
+    n = 4
+    kappa = _product_structure(n)
+    add = xl.Echelon.add
+
+    def small_add(self, row):
+        # the 2n x 2n inverse of kappa may use elimination, nothing larger
+        if any(c >= (2 * n) ** 2 for c in row):
+            raise AssertionError("an elimination over the entries of f_kappa")
+        return add(self, row)
+
+    monkeypatch.setattr(xl.Echelon, "add", small_add)
+    f = lefschetz_f(kappa)
+    # one term l_{2i-1} l_{2i} per plane, nonzero on the 4^(n-1) monomials holding both bits
+    assert f.degree == -2 and len(f.entries) == n * 4 ** (n - 1)
+
+
+@pytest.mark.parametrize("kappa", [[[0, 1], [1, 0]],
+                                   [[0, 1, 0], [-1, 0, 1], [0, -1, 0]],
+                                   [[0, 1, 0, 0], [-1, 0, 0, 0]]])
+def test_kappa_must_be_skew_of_even_size(kappa):
+    with pytest.raises(NotSkew):
+        lefschetz_e(kappa)
+    with pytest.raises(NotSkew):
+        lefschetz_f(kappa)
 
 
 def test_generate_g_ns_elliptic_curve_is_sl2():
