@@ -275,8 +275,8 @@ def _spin_conjugation(z):
     """Coefficient matrix R with z cor(e_k) z' = sum_i R[i,k] cor(e_i) when z
     is in Spin(Lambda,Q), else None.
 
-    z z' = 1 makes z' the inverse of z, so R is read off row 0 and column 0 of
-    z cor(e_k) z' and checked as z cor(e_k) = (sum_i R[i,k] cor(e_i)) z.  Each
+    R is read off row 0 and column 0 of z cor(e_k) z', checked as z cor(e_k) =
+    (sum_i R[i,k] cor(e_i)) z, integral with |det R| = 1; last, z z' = 1.  Each
     cor(e_k) is a signed partial permutation, so z cor(e_k) permutes the
     columns of z and cor(e_i) z its rows.
     """
@@ -285,8 +285,6 @@ def _spin_conjugation(z):
         raise NotEven("operator mixes the even/odd grading")
     size = z.shape[0]
     z_rev = clifford_involution(z)
-    if not xl.mat_eq(xl.mul(z, z_rev), xl.eye(size)):
-        return None
     n = size.bit_length() // 2
     d = 2 * n
     maps = _generator_maps(n)
@@ -322,6 +320,11 @@ def _spin_conjugation(z):
             if recon != zg_row:
                 return None
     if not xl.is_integral(r) or abs(xl.det(r)) != 1:
+        return None
+    # the involution gives cor(e_k) z' = z' recon_k, so z z' commutes with the
+    # recon_k, which span Lambda (x) Q (R is invertible) and generate End(H*):
+    # z z' is a scalar, and its [0, 0] entry says whether it is 1
+    if sum(x * rev[m][0] for m, x in z_nonzeros[0]) != 1:
         return None
     return r
 

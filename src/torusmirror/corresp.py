@@ -191,12 +191,11 @@ def verify_cor_diagram(n, mu_p1_sign=-1):
     -1, and any other choice makes the check fail (a usable negative control).
     """
     size = 1 << (2 * n)
-    full = size - 1
+    top = _mu_expand(n, range(2 * n), mu_p1_sign)
     for i in range(2 * n):
         sign_i = (-1) ** (i % 2)  # (-1)^{i-1} for the 1-based index i+1
         # first family: the class mu_*(p1*(x_i) ^ p2*(top)) acts by wedging x_i
-        lam = pc_mul(ProductClass(n, n, {(1 << i, 0): 1}),
-                     _mu_expand(n, range(2 * n), mu_p1_sign))
+        lam = pc_mul(ProductClass(n, n, {(1 << i, 0): 1}), top)
         for s in range(size):
             got = push_forward_correspondence(lam, SpinVec(n, {s: 1}))
             want = wedge_apply(n, i + 1, {s: 1})

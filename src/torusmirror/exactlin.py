@@ -1,11 +1,11 @@
-"""Exact linear algebra over Z, Q and Q(i).
+"""Exact linear algebra over Z and Q.
 
 A matrix is a `Matrix`: a list of rows of python ints and fractions.Fraction
 values, so all arithmetic is exact; a vector is a plain list.  Every public
 function reads its matrix arguments row by row, so nested sequences, numpy
 object arrays and `Matrix` values are all accepted, and the package itself
-never imports numpy.  Gaussian-rational matrices are (re, im) pairs of
-matrices.
+never imports numpy.  The one computation over Q(i), the Siegel action, is
+solved through its real form (siegel.siegel_act).
 """
 
 import sys
@@ -491,12 +491,16 @@ def smith_normal_form(m):
 def saturate_rows(b):
     """Z-basis (rows) of the saturation of the row span of integer matrix b.
 
-    The saturation is (Q-row-span of b) intersected with Z^n.
+    The saturation is (Q-row-span of b) intersected with Z^n: the first rank(b)
+    rows of the unimodular V^-1 of U b V = D, and U b = D V^-1 gives them.
     """
-    u, d, v = smith_normal_form(b)
-    r = sum(1 for k in range(min(d.shape)) if d.rows[k][k] != 0)
-    v_inv = to_int(invert(v))
-    return v_inv[:r]
+    b = to_int(b)
+    u, d, _ = smith_normal_form(b)
+    ub = mul(u, b).rows
+    pivots = [(d.rows[k][k], ub[k]) for k in range(min(d.shape)) if d.rows[k][k]]
+    if any(x % dk for dk, row in pivots for x in row):
+        raise RuntimeError("saturate rows: a row of U b is not divisible by its d_k")
+    return _wrap([[x // dk for x in row] for dk, row in pivots], b.ncols)
 
 
 class SkewNormalForm:
@@ -597,19 +601,3 @@ def skew_normal_form(phi):
     if any(b % a for a, b in zip(deltas, deltas[1:])):
         raise RuntimeError("skew normal form: invariant factors do not divide in turn")
     return out
-
-
-# ---------------------------------------------------------------------------
-# Gaussian-rational (Q(i)) matrices as (re, im) pairs
-
-
-def gauss_mul(a, b):
-    return (mul(a[0], b[0]) - mul(a[1], b[1]), mul(a[0], b[1]) + mul(a[1], b[0]))
-
-
-def gauss_invert(a):
-    """Inverse of a + ib via the real 2k x 2k embedding [[a, -b], [b, a]]."""
-    re, im = asmat(a[0]), asmat(a[1])
-    k = re.shape[0]
-    inv = invert(block([[re, -im], [im, re]]))
-    return (inv[:k, :k], inv[k:, :k])

@@ -11,7 +11,7 @@ from . import exactlin as xl
 from .clifford import IsotropicSplitting
 from .errors import (DifferentSource, FormMismatch, IntertwineFailure,
                      NotABasis, NotInvariant, TransversalityNotFound)
-from .pairspace import build_lambda, i_omega, make_weak_pair, recover_omega
+from .pairspace import build_lambda, i_omega, make_weak_pair, q_form, recover_omega
 from .siegel import u_membership
 from .torus import as_form, make_torus
 
@@ -40,7 +40,7 @@ def _certify(pA, pB, alpha, iwA, iwB):
     """verify_mirror with I_omega of both pairs already known."""
     lamA = build_lambda(pA.torus)
     lamB = build_lambda(pB.torus)
-    if not (xl.is_integral(alpha) and xl.is_unimodular(alpha)):
+    if not xl.is_unimodular(alpha):
         raise FormMismatch("alpha is not an integral unimodular matrix")
     if not xl.mat_eq(xl.mul(alpha.T, xl.mul(lamB.Q, alpha)), lamA.Q):
         raise FormMismatch("alpha does not identify the hyperbolic forms")
@@ -78,7 +78,7 @@ def _witness_basis(p, w):
     """The basis (Gamma_1 | Gamma_2) of Gamma the witness gives, checked."""
     n = p.torus.n
     u0 = xl.block([[w.gamma1, w.gamma2]])
-    if not (u0.shape == (2 * n, 2 * n) and xl.is_integral(u0) and xl.is_unimodular(u0)):
+    if not (u0.shape == (2 * n, 2 * n) and xl.is_unimodular(u0)):
         raise NotABasis("gamma1 + gamma2 is not a Z-basis of Gamma")
     return u0
 
@@ -175,18 +175,21 @@ def elliptic_mirror(A, tau, phi, budget=5):
     pA = make_weak_pair(A, t1 * c, t2 * c)
     u = nf.basis_change
     jprod = build_lambda(A).Jprod
+    u_inv = xl.to_int(xl.invert(u))
     # a correction adds multiples of Gamma_2 to Gamma_1, which leaves Gamma_2 and
     # Gamma_1* fixed: Sigma is the same for every candidate, only W is repaired
-    if not _transversal(jprod, _adapted_halves(u, xl.to_int(xl.invert(u)))[1]):
+    if not _transversal(jprod, _adapted_halves(u, u_inv)[1]):
         raise TransversalityNotFound(
             "J Sigma meets Sigma, and no symplectic correction changes Sigma")
     for corr in _repair_candidates(n, nf.deltas, budget):
+        # u2 = u [[1, 0], [C, 1]], so u2^-1 = [[1, 0], [-C, 1]] u^-1
         u2 = xl.block([[u[:, :n] + xl.mul(u[:, n:], corr), u[:, n:]]])
+        u2_inv = xl.block([[u_inv[:n]], [u_inv[n:] - xl.mul(corr, u_inv[:n])]])
         # the repaired basis still puts phi in the same block normal form
         g = xl.mul(u2.T, xl.mul(c, u2))
         if not (xl.is_zero(g[:n, :n]) and xl.is_zero(g[n:, n:])):
             raise RuntimeError("the repaired basis does not put phi in block normal form")
-        w_half, sigma = _adapted_halves(u2, xl.to_int(xl.invert(u2)))
+        w_half, sigma = _adapted_halves(u2, u2_inv)
         if _transversal(jprod, w_half):
             s = IsotropicSplitting(n, w_half.T, sigma.T)
             pB, cert = mirror_from_splitting(pA, s)
@@ -221,10 +224,12 @@ def elliptic_factors(pB, deltas):
 
 
 def compare_mirror_isos(c1, c2):
-    """gamma = alpha2^{-1} alpha1, the A-side comparison of two certificates."""
+    """gamma = alpha2^{-1} alpha1 = Q alpha2^T Q alpha1 (a certificate's alpha is
+    a Q-isometry), the A-side comparison of two certificates."""
     if not (c1.pairA == c2.pairA):
         raise DifferentSource("certificates do not share the source pair")
-    gamma = xl.to_int(xl.mul(xl.invert(c2.alpha), c1.alpha))
+    q = q_form(c1.pairA.torus.n)
+    gamma = xl.to_int(xl.mul(q, xl.mul(c2.alpha.T, xl.mul(q, c1.alpha))))
     if c1.pairB.torus == c2.pairB.torus:
         iw = i_omega(c1.pairA)
         if not xl.mat_eq(xl.mul(gamma, iw), xl.mul(iw, gamma)):

@@ -3,7 +3,7 @@
 Group elements are 4n x 4n block matrices [[a, b], [c, d]] with a: Gamma ->
 Gamma, b: Gamma* -> Gamma, c: Gamma -> Gamma*, d: Gamma* -> Gamma*; they act
 on omega = phi1 + i*phi2 by omega -> (c + d.omega)(a + b.omega)^{-1},
-computed exactly over the Gaussian rationals.
+computed exactly over the Gaussian rationals as one linear solve over Q.
 """
 
 from . import exactlin as xl
@@ -23,9 +23,7 @@ def u_membership(g, A):
     g = xl.asmat(g)
     if g.shape != lam.Q.shape:
         return False
-    if not (xl.is_integral(g) and xl.is_unimodular(g)):
-        return False
-    if xl.det(g) != 1:
+    if not (xl.is_integral(g) and xl.det(g) == 1):
         return False
     if not xl.mat_eq(xl.mul(g.T, xl.mul(lam.Q, g)), lam.Q):
         return False
@@ -41,16 +39,18 @@ def require_q_isometry(g, n):
 
 
 def siegel_act(g, omega):
-    """(c + d.omega)(a + b.omega)^{-1}; returns the (phi1, phi2) pair."""
+    """(c + d.omega)(a + b.omega)^{-1} = Xr + i Xi as (Xr, Xi): X D = N for
+    D = a + b.omega and N = c + d.omega, transposed and written over Q, is
+    [[Dr^T, -Di^T], [Di^T, Dr^T]] [Xr^T; Xi^T] = [Nr^T; Ni^T]."""
     phi1, phi2 = xl.asmat(omega[0]), xl.asmat(omega[1])
     a, b, c, d = blocks(g)
-    num = (c + xl.mul(d, phi1), xl.mul(d, phi2))
-    den = (a + xl.mul(b, phi1), xl.mul(b, phi2))
+    num = xl.block([[(c + xl.mul(d, phi1)).T], [xl.mul(d, phi2).T]])
+    den_re, den_im = (a + xl.mul(b, phi1)).T, xl.mul(b, phi2).T
     try:
-        den_inv = xl.gauss_invert(den)
+        x = xl.solve_right(xl.block([[den_re, -den_im], [den_im, den_re]]), num)
     except SingularMatrix:
         raise NotInvertible("a + b.omega is singular over Q(i)")
-    re, im = xl.gauss_mul(num, den_inv)
+    re, im = x[:x.ncols].T, x[x.ncols:].T  # x is [Xr^T; Xi^T]
     if not (xl.mat_eq(re, -re.T) and xl.mat_eq(im, -im.T)):
         raise FormMismatch("g.omega is not skew; g is not a Q-isometry of Lambda")
     return re, im

@@ -61,10 +61,27 @@ def test_malformed_input_exit_code(tmp_path, capsys):
     assert "input error" in capsys.readouterr().err
 
 
+def _square_pair(n):
+    """The product of n square elliptic curves with omega = i * phi."""
+    j = [["0"] * (2 * n) for _ in range(2 * n)]
+    phi = [["0"] * (2 * n) for _ in range(2 * n)]
+    for i in range(0, 2 * n, 2):
+        j[i][i + 1], j[i + 1][i] = "-1", "1"
+        phi[i][i + 1], phi[i + 1][i] = "1", "-1"
+    return {"torus": {"n": n, "J": j}, "phi1": [["0"] * (2 * n)] * (2 * n), "phi2": phi}
+
+
 def test_n_max_cap(tmp_path):
     code, out = run(tmp_path, "xi", {"n": 3}, extra=["--n-max", "2"])
     assert code == 1
     assert json.loads(out.read_text())["error"] == "domain-error"
+    # the cap holds for either pair of verify-mirror, before any matrix is read
+    alpha = [["1" if i == j else "0" for j in range(4)] for i in range(4)]
+    for pairs in ((_square_pair(5), PAIR_SQUARE), (PAIR_SQUARE, _square_pair(5))):
+        doc = {"pairA": pairs[0], "pairB": pairs[1], "alpha": alpha}
+        code, out = run(tmp_path, "verify-mirror", doc)
+        assert code == 1
+        assert json.loads(out.read_text())["error"] == "domain-error"
 
 
 def test_output_is_deterministic(tmp_path):
@@ -218,6 +235,11 @@ MALFORMED = [
     ("n-float", "xi", {"n": 1.9}, 2, None),
     ("index-bool", "phi-p", {"n": 1, "v": [{"indices": [True], "coeff": "1"}]}, 2, None),
     ("J-float", "make-torus", {"n": 1, "J": [["0", "-1"], [1.5, "0"]]}, 2, None),
+    # a negative n is an input error, read before any matrix
+    ("n-negative-torus", "make-torus", {"n": -1, "J": []}, 2, None),
+    ("n-negative-beta", "beta",
+     {"n": -1, "s1": {"basis1": [], "basis2": []}, "s2": {"basis1": [], "basis2": []}},
+     2, None),
     ("gns-not-ns", "gns", {"torus": TORUS_SQUARE, "kappas": [[["0", "1"], ["1", "0"]]]},
      1, "not-ns-form"),
     # diag(1, 1, 1, 2) is not a Q-isometry (g^T Q g != Q) and sends omega to a

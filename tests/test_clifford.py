@@ -323,6 +323,47 @@ def test_spin_conjugation_controls_past_the_norm_check():
     assert _spin_conjugation_dense(z) is None and not is_spin(z)
 
 
+def _norm_minus_one(rng, n):
+    """cor(v) cor(u) with cor(v)^2 = 1 and cor(u)^2 = -1: even, z z' = -1."""
+    v = rand_unit_pairing_vector(rng, n, 1)
+    u = rand_unit_pairing_vector(rng, n, -1)
+    return xl.mul(cor_matrix(n, v), cor_matrix(n, u))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_spin_check_matches_dense_route_off_the_group(rng, n):
+    z = rand_spin(rng, n)
+    minus = _norm_minus_one(rng, n)
+    # minus conjugates Lambda onto itself, so only its spinor norm is wrong;
+    # R read through z' = -z^-1 is minus the true one, so z cor(e_k) = recon_k z
+    # already fails before the [0, 0] entry of z z' is read
+    assert xl.mat_eq(xl.mul(minus, clifford_involution(minus)), -xl.eye(1 << (2 * n)))
+    cases = [z, -z, 2 * z, z * Fraction(1, 2), minus, xl.mul(z, minus),
+             xl.zeros(1 << (2 * n))]
+    for w in cases:
+        ref = _spin_conjugation_dense(xl.asmat(w))
+        assert is_spin(w) == (ref is not None)
+        if ref is not None:
+            assert xl.mat_eq(r_of_z(w), ref)
+        else:
+            with pytest.raises(NotSpin):
+                r_of_z(w)
+    assert is_spin(z) and is_spin(-z) and not is_spin(2 * z) and not is_spin(minus)
+
+
+def test_spin_check_makes_no_dense_product(rng, monkeypatch):
+    z = rand_spin(rng, 3)
+    bad = _norm_minus_one(rng, 3)
+    ref = _spin_conjugation_dense(z)
+
+    def no_mul(*args, **kw):
+        raise AssertionError("exactlin.mul called")
+
+    monkeypatch.setattr(xl, "mul", no_mul)
+    assert is_spin(z) and xl.mat_eq(r_of_z(z), ref)
+    assert not is_spin(bad)
+
+
 def test_cor_matrix_matches_column_route(rng):
     for n in (1, 2, 3):
         for _ in range(3):

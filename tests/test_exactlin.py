@@ -92,19 +92,45 @@ def test_skew_normal_form_degenerate():
         xl.skew_normal_form(xl.zeros(2))
 
 
-def test_gaussian_arithmetic():
-    # (1 + i)(1 - i) = 2 at matrix size 1
-    one = xl.mat([[1]])
-    re, im = xl.gauss_mul((one, one), (one, -one))
-    assert re[0, 0] == 2 and im[0, 0] == 0
-    re, im = xl.gauss_invert((one, one))  # 1/(1+i) = (1-i)/2
-    assert re[0, 0] == Fraction(1, 2) and im[0, 0] == Fraction(-1, 2)
-
-
 def test_saturate_rows_divides_out_content():
     rows = np.array([[2, 0], [0, 3]], dtype=object)
     sat = xl.saturate_rows(rows)
     assert abs(xl.det(sat)) == 1
+
+
+def _saturate_rows_by_inverse(b):
+    """Reference: the first rank(b) rows of V^-1 for the Smith form U b V = D."""
+    u, d, v = xl.smith_normal_form(b)
+    r = sum(1 for k in range(min(d.shape)) if d.rows[k][k] != 0)
+    return xl.to_int(xl.invert(v))[:r]
+
+
+@st.composite
+def integer_rectangles(draw):
+    """Integer matrices, some rank-deficient (a last row that combines the
+    others) and some zero."""
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    if draw(st.integers(0, 5)) == 0:
+        return np.zeros((rows, cols), dtype=object)
+    m = np.array([[draw(small_ints) for _ in range(cols)] for _ in range(rows)], dtype=object)
+    if rows > 1 and draw(st.booleans()):
+        m[rows - 1] = sum(draw(small_ints) * m[i] for i in range(rows - 1))
+    return m
+
+
+@settings(max_examples=150, deadline=None)
+@given(integer_rectangles())
+def test_saturate_rows_matches_inverse_route(b):
+    sat = xl.saturate_rows(b)
+    ref = _saturate_rows_by_inverse(b)
+    assert sat.shape == ref.shape == (xl.rank(b), b.shape[1])
+    assert xl.mat_eq(sat, ref)
+    assert all(type(x) is int for row in sat.rows for x in row)
+
+
+def test_saturate_rows_of_rank_zero_keeps_its_width():
+    assert xl.saturate_rows(xl.zeros(3, 4)).shape == (0, 4)
+    assert xl.saturate_rows(xl.zeros(2, 0)).shape == (0, 0)
 
 
 def leibniz_det(m):

@@ -130,6 +130,20 @@ def test_compare_mirror_isos():
     assert xl.is_integral(gamma) and abs(xl.det(gamma)) == 1
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_compare_mirror_isos_matches_inverse_route(rng, n):
+    for _ in range(3):
+        p, w = well_becoming_sample(rng, n)
+        # the same halves in other bases: another witness of the same pair
+        w2 = WellBecomingWitness(xl.mul(w.gamma1, rand_unimodular(rng, n)).T,
+                                 xl.mul(w.gamma2, rand_unimodular(rng, n)).T)
+        _, c1 = g_mirror(p, w)
+        _, c2 = g_mirror(p, w2)
+        for a, b in ((c1, c2), (c2, c1), (c1, c1)):
+            ref = xl.to_int(xl.mul(xl.invert(b.alpha), a.alpha))
+            assert xl.mat_eq(compare_mirror_isos(a, b), ref)
+
+
 def test_compare_mirror_isos_requires_same_source(rng):
     p1, w1 = well_becoming_sample(rng, 1)
     p2, w2 = well_becoming_sample(rng, 1)

@@ -2,7 +2,7 @@ import pytest
 
 from conftest import rand_q_isometry, weak_pair_sample
 from torusmirror import exactlin as xl
-from torusmirror.errors import FormMismatch, NotInvertible
+from torusmirror.errors import FormMismatch, NotInvertible, SingularMatrix
 from torusmirror.pairspace import classify_pair, i_omega, make_weak_pair
 from torusmirror.siegel import (act_on_pair, blocks, i_omega_centralizer_check,
                                 siegel_act, stabilizer_check,
@@ -95,11 +95,63 @@ def test_translation_group_law():
 
 
 def test_singular_denominator_raises():
-    p = square_pair()
-    g = xl.zeros(4)
-    g[2:, 2:] = xl.eye(2)  # a = 0, b = 0: denominator identically singular
-    with pytest.raises(NotInvertible):
-        siegel_act(g, (p.phi1, p.phi2))
+    p = square_pair(1, 2)
+    zero = xl.zeros(4)
+    zero[2:, 2:] = xl.eye(2)  # a = 0, b = 0: denominator identically singular
+    # swapping e_1 with its dual is a Q-isometry; for omega = [[0, w], [-w, 0]]
+    # it gives a + b.omega = [[0, w], [0, 1]], which is singular
+    swap = xl.zeros(4)
+    swap[0, 2] = swap[2, 0] = swap[1, 1] = swap[3, 3] = 1
+    for g in (zero, swap):
+        with pytest.raises(NotInvertible):
+            siegel_act(g, (p.phi1, p.phi2))
+        with pytest.raises(SingularMatrix):
+            _siegel_act_by_inverse(g, (p.phi1, p.phi2))
+
+
+def _siegel_act_by_inverse(g, omega):
+    """Reference: invert a + b.omega through its real 2k x 2k embedding
+    [[re, -im], [im, re]], then multiply by c + d.omega over Q(i)."""
+    phi1, phi2 = xl.asmat(omega[0]), xl.asmat(omega[1])
+    a, b, c, d = blocks(g)
+    num_re, num_im = c + xl.mul(d, phi1), xl.mul(d, phi2)
+    den_re, den_im = a + xl.mul(b, phi1), xl.mul(b, phi2)
+    k = den_re.shape[0]
+    inv = xl.invert(xl.block([[den_re, -den_im], [den_im, den_re]]))
+    inv_re, inv_im = inv[:k, :k], inv[k:, :k]
+    return (xl.mul(num_re, inv_re) - xl.mul(num_im, inv_im),
+            xl.mul(num_re, inv_im) + xl.mul(num_im, inv_re))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_siegel_act_matches_inverse_route(rng, n):
+    for _ in range(6):
+        p = weak_pair_sample(rng, n)
+        g = rand_q_isometry(rng, n)
+        try:
+            ref = _siegel_act_by_inverse(g, (p.phi1, p.phi2))
+        except SingularMatrix:
+            with pytest.raises(NotInvertible):
+                siegel_act(g, (p.phi1, p.phi2))
+            continue
+        got = siegel_act(g, (p.phi1, p.phi2))
+        assert xl.mat_eq(got[0], ref[0]) and xl.mat_eq(got[1], ref[1])
+
+
+def _no_invert(*args, **kw):
+    raise AssertionError("exactlin.invert called")
+
+
+def test_siegel_act_and_ns_basis_make_no_inverse(rng, monkeypatch):
+    p = weak_pair_sample(rng, 3)
+    g = rand_q_isometry(rng, 3)
+    omega = (p.phi1, p.phi2)
+    ref = _siegel_act_by_inverse(g, omega)
+    basis = ns_basis(p.torus)
+    monkeypatch.setattr(xl, "invert", _no_invert)
+    got = siegel_act(g, omega)
+    assert xl.mat_eq(got[0], ref[0]) and xl.mat_eq(got[1], ref[1])
+    assert ns_basis(p.torus) == basis
 
 
 def test_non_skew_image_raises():
