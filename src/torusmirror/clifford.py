@@ -3,8 +3,13 @@
 Basis monomials x_S of the spinor module are indexed by bitmasks over
 {1..2n}; a lattice vector (l, x) acts by contraction with l plus wedge with
 x (cor_A).  Clifford elements are carried as their spinor matrices, which is
-faithful (the algebra is the full 2^{2n} matrix algebra over Z).
+faithful (the algebra is the full 2^{2n} matrix algebra over Z).  Exterior
+elements are {mask: coeff} dicts; wedge and exterior_exp take every sign from
+_merge_sign.
 """
+
+from fractions import Fraction
+from math import factorial
 
 from . import exactlin as xl
 from .errors import MixedParity, NoIntertwiner, NotEven, NotIsotropic, NotSpin
@@ -27,9 +32,32 @@ def _merge_sign(m1, m2):
     return sign
 
 
-def _sign_below(mask, bit):
-    """(-1)^{number of set bits of mask strictly below bit}."""
-    return -1 if popcount(mask & ((1 << bit) - 1)) % 2 else 1
+def wedge(a, b):
+    """Exterior product of two elements given as {mask: coeff} dicts."""
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            if not m1 & m2:
+                key = m1 | m2
+                out[key] = out.get(key, 0) + _merge_sign(m1, m2) * c1 * c2
+    return {m: c for m, c in out.items() if c != 0}
+
+
+def exterior_exp(a):
+    """exp(a) = sum_k a^k / k! for an element a with no constant term (so a is
+    nilpotent); exact, with every integral coefficient stored as an int."""
+    if a.get(0, 0) != 0:
+        raise ValueError("exterior_exp needs an element without constant term")
+    total = {0: 1}
+    power = {0: 1}
+    k = 0
+    while power:
+        k += 1
+        power = wedge(power, a)
+        for m, c in power.items():
+            total[m] = total.get(m, 0) + Fraction(c, factorial(k))
+    return {m: c.numerator if c.denominator == 1 else c
+            for m, c in total.items() if c != 0}
 
 
 class SpinVec:
@@ -51,69 +79,15 @@ class SpinVec:
     def __neg__(self):
         return SpinVec(self.n, {m: -c for m, c in self.coeffs.items()})
 
-    def to_vector(self):
-        v = [0] * (1 << (2 * self.n))
-        for m, c in self.coeffs.items():
-            v[m] = c
-        return v
-
-    @classmethod
-    def from_vector(cls, n, v):
-        return cls(n, {m: v[m] for m in range(len(v)) if v[m] != 0})
-
     @classmethod
     def monomial(cls, n, indices, coeff=1):
         """x_{i1} ^ ... ^ x_{ik} for a sequence of distinct 1-based indices."""
         if any(not 1 <= i <= 2 * n for i in indices):
             raise ValueError(f"monomial index outside 1..{2 * n}")
-        mask, sign = 0, 1
+        coeffs = {0: coeff}
         for i in indices:
-            bit = i - 1
-            if mask & (1 << bit):
-                return cls(n, {})
-            # x_S ^ x_bit: x_bit moves left past the set bits above it
-            sign *= -1 if popcount(mask >> (bit + 1)) % 2 else 1
-            mask |= 1 << bit
-        return cls(n, {mask: sign * coeff})
-
-
-def wedge_apply(n, j, vec):
-    """Wedge with x_j (1-based) on a coefficient dict."""
-    out = {}
-    bit = j - 1
-    for m, c in vec.items():
-        if not m & (1 << bit):
-            out[m | (1 << bit)] = out.get(m | (1 << bit), 0) + _sign_below(m, bit) * c
-    return out
-
-
-def contract_apply(n, i, vec):
-    """Contraction with l_i (1-based) on a coefficient dict."""
-    out = {}
-    bit = i - 1
-    for m, c in vec.items():
-        if m & (1 << bit):
-            out[m ^ (1 << bit)] = out.get(m ^ (1 << bit), 0) + _sign_below(m, bit) * c
-    return out
-
-
-def cor_action(lambda_vec, v):
-    """cor((l, x))(v) = contraction by l plus wedge by x."""
-    n = v.n
-    d = 2 * n
-    out = {}
-    for m, c in v.coeffs.items():
-        for i in range(d):
-            a = lambda_vec[i]
-            if a != 0 and m & (1 << i):
-                key = m ^ (1 << i)
-                out[key] = out.get(key, 0) + a * _sign_below(m, i) * c
-        for j in range(d):
-            b = lambda_vec[d + j]
-            if b != 0 and not m & (1 << j):
-                key = m | (1 << j)
-                out[key] = out.get(key, 0) + b * _sign_below(m, j) * c
-    return SpinVec(n, out)
+            coeffs = wedge(coeffs, {1 << (i - 1): 1})
+        return cls(n, coeffs)
 
 
 def _generator_maps(n):
@@ -386,39 +360,6 @@ def beta_iso(s1, s2):
         low = (t_mask & -t_mask).bit_length() - 1
         cols.append(_cor_apply(maps, wedges[low], cols[t_mask ^ (1 << low)]))
     return _sign_normalize(xl.primitive_int(xl.mat(cols).T))
-
-
-def _intertwining_dimension(s1, s2, lambdas):
-    """Q-dimension of {X : X cor_{s1}(l) = cor_{s2}(l) X for l in lambdas}.
-
-    One sparse equation per entry of each commutation relation, over the
-    4^{2n} entries of X, so this is practical only for n <= 2.
-    """
-    size = 1 << (2 * s1.n)
-    maps = _generator_maps(s1.n)
-    ech = xl.Echelon()
-    for lam in lambdas:
-        a_cols = [[] for _ in range(size)]
-        for m, a_row in enumerate(_cor_rows(maps, s1.coords(lam))):
-            for j, v in a_row.items():
-                a_cols[j].append((m, v))
-        b_rows = _cor_rows(maps, s2.coords(lam))
-        for i in range(size):
-            for j in range(size):
-                row = {}
-                # (X a)[i, j] - (b X)[i, j]
-                for m, v in a_cols[j]:
-                    row[i * size + m] = row.get(i * size + m, 0) + v
-                for m, v in b_rows[i].items():
-                    row[m * size + j] = row.get(m * size + j, 0) - v
-                ech.add({c: v for c, v in row.items() if v != 0})
-    return size * size - len(ech.rows)
-
-
-def intertwiner_space_dimension(s1, s2):
-    """Q-dimension of the intertwiner space Hom_Cl(I_{s1}, I_{s2}), solved for
-    directly on all 4n generators of Lambda (n <= 2); Schur's lemma makes it 1."""
-    return _intertwining_dimension(s1, s2, xl.eye(4 * s1.n).rows)
 
 
 def beta_parity(t, s1, s2):

@@ -1,7 +1,10 @@
-"""Shared fixtures and random generators for the test suite.
+"""Shared fixtures, random generators and reference operators for the test
+suite.
 
 All sampling is driven by a single PRNG seeded from TORUS_MIRROR_SEED
-(default 20260823) so runs are reproducible.
+(default 20260823) so runs are reproducible.  Hypothesis property tests run
+under the "torusmirror" profile: derandomized and without an example
+database, so they draw the same examples on every run.
 """
 
 import os
@@ -10,14 +13,18 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from torusmirror import exactlin as xl
-from torusmirror.clifford import IsotropicSplitting, SpinVec, cor_action, cor_matrix
+from torusmirror.clifford import IsotropicSplitting, SpinVec, cor_matrix, popcount
 from torusmirror.mirror import WellBecomingWitness
 from torusmirror.pairspace import make_weak_pair, q_form
 from torusmirror.torus import make_torus
 
 SEED = int(os.environ.get("TORUS_MIRROR_SEED", "20260823"))
+
+settings.register_profile("torusmirror", derandomize=True, database=None)
+settings.load_profile("torusmirror")
 
 
 @pytest.fixture
@@ -165,6 +172,55 @@ def rand_spin(rng, n, pairs=2):
             v = rand_unit_pairing_vector(rng, n, eps)
             z = xl.mul(z, cor_matrix(n, v))
     return z
+
+
+# ---------------------------------------------------------------------------
+# the one-generator operators bit by bit, the references for the generator
+# maps clifford._generator_maps
+
+
+def sign_below(mask, bit):
+    """(-1)^{number of set bits of mask strictly below bit}."""
+    return -1 if popcount(mask & ((1 << bit) - 1)) % 2 else 1
+
+
+def wedge_apply(n, j, vec):
+    """Wedge with x_j (1-based) on a coefficient dict."""
+    out = {}
+    bit = j - 1
+    for m, c in vec.items():
+        if not m & (1 << bit):
+            out[m | (1 << bit)] = out.get(m | (1 << bit), 0) + sign_below(m, bit) * c
+    return out
+
+
+def contract_apply(n, i, vec):
+    """Contraction with l_i (1-based) on a coefficient dict."""
+    out = {}
+    bit = i - 1
+    for m, c in vec.items():
+        if m & (1 << bit):
+            out[m ^ (1 << bit)] = out.get(m ^ (1 << bit), 0) + sign_below(m, bit) * c
+    return out
+
+
+def cor_action(lambda_vec, v):
+    """cor((l, x))(v) = contraction by l plus wedge by x."""
+    n = v.n
+    d = 2 * n
+    out = {}
+    for m, c in v.coeffs.items():
+        for i in range(d):
+            a = lambda_vec[i]
+            if a != 0 and m & (1 << i):
+                key = m ^ (1 << i)
+                out[key] = out.get(key, 0) + a * sign_below(m, i) * c
+        for j in range(d):
+            b = lambda_vec[d + j]
+            if b != 0 and not m & (1 << j):
+                key = m | (1 << j)
+                out[key] = out.get(key, 0) + b * sign_below(m, j) * c
+    return SpinVec(n, out)
 
 
 def cor_matrix_by_columns(n, lambda_vec):

@@ -16,11 +16,10 @@ from conftest import (rand_q_isometry, rand_rational, rand_spin,
                       rand_splitting, rand_unimodular, weak_pair_sample,
                       well_becoming_sample)
 from torusmirror import exactlin as xl
-from torusmirror.clifford import (IsotropicSplitting, SpinVec,
-                                  _intertwining_dimension, beta_iso,
-                                  beta_parity, cor_matrix,
-                                  intertwiner_space_dimension, is_spin,
-                                  popcount, r_of_z, standard_splitting)
+from torusmirror.clifford import (IsotropicSplitting, SpinVec, _cor_rows,
+                                  _generator_maps, beta_iso, beta_parity,
+                                  cor_matrix, is_spin, popcount, r_of_z,
+                                  standard_splitting)
 from torusmirror.corresp import (beta_explicit, c1_poincare, pc_exp,
                                  phi_poincare, push_forward_correspondence,
                                  reverse_correspondence, verify_cor_diagram,
@@ -106,6 +105,39 @@ def test_02_spin_twisted_conjugation_homomorphism(report, rng):
                 assert xl.mat_eq(r1, r_of_z(-z1))
                 assert xl.mat_eq(r_of_z(xl.mul(z1, z2)),
                                  xl.mul(r1, r_of_z(z2)))
+
+
+def _intertwining_dimension(s1, s2, lambdas):
+    """Q-dimension of {X : X cor_{s1}(l) = cor_{s2}(l) X for l in lambdas}.
+
+    One sparse equation per entry of each commutation relation, over the
+    4^{2n} entries of X, so this is practical only for n <= 2.
+    """
+    size = 1 << (2 * s1.n)
+    maps = _generator_maps(s1.n)
+    ech = xl.Echelon()
+    for lam in lambdas:
+        a_cols = [[] for _ in range(size)]
+        for m, a_row in enumerate(_cor_rows(maps, s1.coords(lam))):
+            for j, v in a_row.items():
+                a_cols[j].append((m, v))
+        b_rows = _cor_rows(maps, s2.coords(lam))
+        for i in range(size):
+            for j in range(size):
+                row = {}
+                # (X a)[i, j] - (b X)[i, j]
+                for m, v in a_cols[j]:
+                    row[i * size + m] = row.get(i * size + m, 0) + v
+                for m, v in b_rows[i].items():
+                    row[m * size + j] = row.get(m * size + j, 0) - v
+                ech.add({c: v for c, v in row.items() if v != 0})
+    return size * size - len(ech.rows)
+
+
+def intertwiner_space_dimension(s1, s2):
+    """Q-dimension of the intertwiner space Hom_Cl(I_{s1}, I_{s2}), solved for
+    directly on all 4n generators of Lambda (n <= 2); Schur's lemma makes it 1."""
+    return _intertwining_dimension(s1, s2, xl.eye(4 * s1.n).rows)
 
 
 def test_03_intertwiner_uniqueness_and_parity(report, rng):

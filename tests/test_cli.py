@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import pathlib
@@ -151,6 +152,14 @@ def test_beta_and_parity(tmp_path):
     assert len(doc["beta"]) == 4
 
 
+# the exact bytes of the xi output, so that a reordering of its terms fails
+XI_SHA256 = {
+    1: "0c1f04cb6cdbf2110df24275a0a4a2d022d80653022726fd62093355f48a9038",
+    2: "2a7b9787601c1e85408dc5b0ff2b36887ec936a320e358ede94c13370dddac9b",
+    3: "f0c49ca8e86df7ca82a13365d424b9ce6b8cd636f5aa08b434dd663f81a22d22",
+}
+
+
 def test_phi_p_and_xi(tmp_path):
     payload = {"n": 1, "v": [{"indices": [1], "coeff": "1"}]}
     code, out = run(tmp_path, "phi-p", payload)
@@ -162,9 +171,10 @@ def test_phi_p_and_xi(tmp_path):
     assert code == 0
     assert json.loads(out.read_text())["image"] == [
         {"indices": [], "coeff": "2"}]
-    code, out = run(tmp_path, "xi", {"n": 1})
-    assert code == 0
-    assert json.loads(out.read_text())["xi"]
+    for n, digest in XI_SHA256.items():
+        code, out = run(tmp_path, "xi", {"n": n})
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_gns_command(tmp_path):

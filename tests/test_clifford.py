@@ -3,15 +3,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import (cor_matrix_by_columns, rand_spin, rand_splitting,
-                      rand_unit_pairing_vector, rand_unimodular)
+from conftest import (contract_apply, cor_action, cor_matrix_by_columns,
+                      rand_spin, rand_splitting, rand_unit_pairing_vector,
+                      rand_unimodular, wedge_apply)
 from torusmirror import exactlin as xl
 from torusmirror.clifford import (IsotropicSplitting, SpinVec, _involution_form,
                                   beta_iso, beta_parity, clifford_involution,
-                                  contract_apply, cor_action, cor_matrix,
-                                  is_spin, popcount, q_value, r_of_z,
-                                  standard_splitting, vacuum_kernel,
-                                  wedge_apply)
+                                  cor_matrix, is_spin, popcount, q_value, r_of_z,
+                                  standard_splitting, vacuum_kernel)
 from torusmirror.errors import NotEven, NotIsotropic, NotSpin
 from torusmirror.pairspace import q_form
 
@@ -196,8 +195,9 @@ def test_cor_action_matches_matrix(rng):
     m = cor_matrix(n, v)
     for mask in (0, 1, 5, 10):
         direct = cor_action(v, SpinVec(n, {mask: 1}))
-        column = [[x] for x in SpinVec(n, {mask: 1}).to_vector()]
-        via_matrix = SpinVec.from_vector(n, xl.mul(m, column)[:, 0])
+        column = [[int(k == mask)] for k in range(1 << (2 * n))]
+        image = xl.mul(m, column)[:, 0]
+        via_matrix = SpinVec(n, dict(enumerate(image)))
         assert direct == via_matrix
 
 

@@ -1,9 +1,9 @@
 import numpy as np
 
+from conftest import contract_apply, wedge_apply
 from torusmirror import corresp as cp
 from torusmirror import exactlin as xl
-from torusmirror.clifford import (SpinVec, contract_apply, popcount,
-                                  wedge_apply)
+from torusmirror.clifford import SpinVec, popcount
 
 
 def all_monomials(n):

@@ -4,9 +4,9 @@ from math import comb
 
 import pytest
 
-from conftest import cor_matrix_by_columns, rand_skew, rand_unimodular
+from conftest import cor_matrix_by_columns, rand_skew, rand_unimodular, sign_below
 from torusmirror import exactlin as xl
-from torusmirror.clifford import _sign_below, popcount
+from torusmirror.clifford import popcount
 from torusmirror.errors import NoHardLefschetz, NotSkew
 from torusmirror.lefschetz import (chi_form, generate_g_ns, grading_operator,
                                    lefschetz_e, lefschetz_f,
@@ -100,7 +100,7 @@ def _lefschetz_e_by_signs(kappa):
         for m in range(size):
             if c[i][j] == 0 or m & (1 << i) or m & (1 << j):
                 continue
-            s = _sign_below(m, j) * _sign_below(m | (1 << j), i)
+            s = sign_below(m, j) * sign_below(m | (1 << j), i)
             key = (m | (1 << i) | (1 << j)) * size + m
             entries[key] = entries.get(key, 0) + c[i][j] * s
     return {k: v for k, v in entries.items() if v != 0}
