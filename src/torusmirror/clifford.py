@@ -76,9 +76,6 @@ class SpinVec:
             out[m] = out.get(m, 0) + c
         return SpinVec(self.n, out)
 
-    def __neg__(self):
-        return SpinVec(self.n, {m: -c for m, c in self.coeffs.items()})
-
     @classmethod
     def monomial(cls, n, indices, coeff=1):
         """x_{i1} ^ ... ^ x_{ik} for a sequence of distinct 1-based indices."""
@@ -320,15 +317,47 @@ def r_of_z(z):
 # the canonical module isomorphism beta
 
 
-def vacuum_kernel(s1, annihilators):
-    """Common kernel of cor_{s1}(m) over the given Lambda-vectors; the rows of
-    each cor_{s1}(m) go into the elimination as sparse rows."""
-    maps = _generator_maps(s1.n)
+def pure_spinor(s, vectors):
+    """The vacuum of L = span(vectors) in the module of s, the line that every
+    cor_s(m) with m in L kills, as a primitive integral {mask: coeff} dict.
+
+    It is Chevalley's pure spinor exp(B) ^ theta_1 ^ ... ^ theta_k.  One
+    elimination of the module coordinates of the vectors, contraction part
+    first, gives a basis of L: a row with its pivot in contraction column r_a
+    is u_a = (p_a, x_a), 1 at r_a and 0 at the other pivots; the rows with
+    their pivot in the wedge part span L & W, and their wedge parts are the
+    theta's.  B = sum_{a<b} -x_a(p_b) x_{r_a} ^ x_{r_b} has i_{p_a} B = -x_a
+    modulo the theta's (Q vanishes on L), so cor_s(u_a) kills exp(B) ^ theta.
+    """
+    d = 2 * s.n
+    vectors = [list(v) for v in vectors]
+    coords = [s.coords(v) for v in vectors]
     ech = xl.Echelon()
-    for m in annihilators:
-        for row in _cor_rows(maps, s1.coords(m)):
-            ech.add({c: v for c, v in row.items() if v != 0})
-    return ech.kernel(1 << (2 * s1.n))
+    for c in coords:
+        ech.add({j: x for j, x in enumerate(c) if x})
+    if len(ech.rows) != d:
+        raise NoIntertwiner(f"the vectors span {len(ech.rows)} dimensions, not {d}")
+    if any(q_value(u, v) for i, u in enumerate(vectors) for v in vectors[i:]):
+        raise NotIsotropic("Q does not vanish on the vectors")
+    pivots = sorted(ech.rows)
+    theta = {0: 1}
+    for p in pivots:
+        if p >= d:
+            theta = wedge(theta, {1 << (j - d): x for j, x in ech.rows[p].items()})
+    rows = [(p, ech.rows[p]) for p in pivots if p < d]
+    two_form = {}
+    for a, (ra, ua) in enumerate(rows):
+        for rb, ub in rows[a + 1:]:
+            pairing = sum(x * ub.get(j - d, 0) for j, x in ua.items() if j >= d)
+            if pairing:
+                two_form[1 << ra | 1 << rb] = -pairing
+    phi = wedge(exterior_exp(two_form), theta)
+    phi = xl.primitive_int([[phi.get(m, 0) for m in range(1 << d)]]).rows[0]
+    maps = _generator_maps(s.n)
+    for c in coords:
+        if any(_cor_apply(maps, c, phi)):
+            raise RuntimeError("pure spinor: cor(m) phi = 0 fails for a vector m of L")
+    return {m: x for m, x in enumerate(phi) if x}
 
 
 def _sign_normalize(m):
@@ -344,18 +373,16 @@ def beta_iso(s1, s2):
     realizations, as a primitive integral matrix (module of s1 -> module of s2),
     sign-normalized so the first nonzero entry in row-major order is positive.
 
-    Built by vacuum transport: the common kernel in module 2 of the
-    annihilators M1(s1) is one-dimensional; pushing it through the wedge
+    Built by vacuum transport: the vacuum of module 1 goes to the pure spinor
+    in module 2 of the annihilators M1(s1); pushing it through the wedge
     monomials of s1 gives the image of each basis monomial of module 1.
     """
     n = s1.n
     size = 1 << (2 * n)
-    kernel = vacuum_kernel(s2, [s1.basis1[:, i] for i in range(2 * n)])
-    if len(kernel) != 1:
-        raise NoIntertwiner(f"vacuum kernel has dimension {len(kernel)}")
+    phi = pure_spinor(s2, [s1.basis1[:, i] for i in range(2 * n)])
     maps = _generator_maps(n)
     wedges = [s2.coords(s1.basis2[:, i]) for i in range(2 * n)]
-    cols = [xl.primitive_int([kernel[0]]).rows[0]]
+    cols = [[phi.get(m, 0) for m in range(size)]]
     for t_mask in range(1, size):
         low = (t_mask & -t_mask).bit_length() - 1
         cols.append(_cor_apply(maps, wedges[low], cols[t_mask ^ (1 << low)]))

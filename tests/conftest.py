@@ -16,7 +16,9 @@ import pytest
 from hypothesis import settings
 
 from torusmirror import exactlin as xl
-from torusmirror.clifford import IsotropicSplitting, SpinVec, cor_matrix, popcount
+from torusmirror.clifford import (IsotropicSplitting, SpinVec, _cor_apply, _cor_rows,
+                                  _generator_maps, _sign_normalize, cor_matrix, popcount)
+from torusmirror.errors import NoIntertwiner
 from torusmirror.mirror import WellBecomingWitness
 from torusmirror.pairspace import make_weak_pair, q_form
 from torusmirror.torus import make_torus
@@ -231,3 +233,35 @@ def cor_matrix_by_columns(n, lambda_vec):
         for key, c in cor_action(lambda_vec, SpinVec(n, {m: 1})).coeffs.items():
             out[key, m] = c
     return out
+
+
+# ---------------------------------------------------------------------------
+# the vacuum as a common kernel, the reference for clifford.pure_spinor
+
+
+def vacuum_kernel(s1, annihilators):
+    """Common kernel of cor_{s1}(m) over the given Lambda-vectors; the rows of
+    each cor_{s1}(m) go into the elimination as sparse rows."""
+    maps = _generator_maps(s1.n)
+    ech = xl.Echelon()
+    for m in annihilators:
+        for row in _cor_rows(maps, s1.coords(m)):
+            ech.add({c: v for c, v in row.items() if v != 0})
+    return ech.kernel(1 << (2 * s1.n))
+
+
+def beta_iso_by_kernel(s1, s2):
+    """beta_iso with its vacuum found as the one-dimensional common kernel in
+    module 2 of the annihilators M1(s1), then transported the same way."""
+    n = s1.n
+    size = 1 << (2 * n)
+    kernel = vacuum_kernel(s2, [s1.basis1[:, i] for i in range(2 * n)])
+    if len(kernel) != 1:
+        raise NoIntertwiner(f"vacuum kernel has dimension {len(kernel)}")
+    maps = _generator_maps(n)
+    wedges = [s2.coords(s1.basis2[:, i]) for i in range(2 * n)]
+    cols = [xl.primitive_int([kernel[0]]).rows[0]]
+    for t_mask in range(1, size):
+        low = (t_mask & -t_mask).bit_length() - 1
+        cols.append(_cor_apply(maps, wedges[low], cols[t_mask ^ (1 << low)]))
+    return _sign_normalize(xl.primitive_int(xl.mat(cols).T))

@@ -2,12 +2,15 @@ import hashlib
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 
 import pytest
+from conftest import rand_q_isometry
 
 import torusmirror
+from torusmirror import exactlin as xl
 from torusmirror import serialize as sz
 from torusmirror.cli import main
 
@@ -150,6 +153,47 @@ def test_beta_and_parity(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["parity"] == "Even"
     assert len(doc["beta"]) == 4
+
+
+def _splitting_doc(g, n, swap=()):
+    """The splitting of a Q-isometry g: its first 2n columns, then the rest,
+    with columns i and 2n + i exchanged for each i in swap."""
+    cols = [[str(x) for x in g[:, i]] for i in range(4 * n)]
+    for i in swap:
+        cols[i], cols[2 * n + i] = cols[2 * n + i], cols[i]
+    return {"basis1": cols[:2 * n], "basis2": cols[2 * n:]}
+
+
+def beta_payloads():
+    """A random pair of splittings at n = 1..3, a random splitting and its
+    swap of one pair at n = 2 (an odd beta), and standard to random at n = 4;
+    from a fixed seed, so the pinned digests below do not follow
+    TORUS_MIRROR_SEED."""
+    rng = random.Random(1998)
+    docs = [{"n": n, "s1": _splitting_doc(rand_q_isometry(rng, n), n),
+             "s2": _splitting_doc(rand_q_isometry(rng, n), n)} for n in (1, 2, 3)]
+    g = rand_q_isometry(rng, 2)
+    docs.append({"n": 2, "s1": _splitting_doc(g, 2), "s2": _splitting_doc(g, 2, swap=[1])})
+    docs.append({"n": 4, "s1": _splitting_doc(xl.eye(16), 4),
+                 "s2": _splitting_doc(rand_q_isometry(rng, 4), 4)})
+    return docs
+
+
+# the exact bytes of the beta output, one per beta_payloads document
+BETA_SHA256 = [
+    "790e3de84f68fbd7bd1068d6e7d4b178e2747ba03d50ed14f3f2752ab178b336",
+    "8fbeabde640ac856202469a0c6edb4af0b27ace911d7d58aa057511d3641dd26",
+    "1b00d4033053c78659592c9895454a957e82897920667652509958117efd5042",
+    "2b84aeda23a04f4c124316ff0456a31e4c8a877f692b12dbb009ea1abb359a21",
+    "60fe8bff006567a6d7982117b91a7999253f6529b1caf5395ce79908b8c24161",
+]
+
+
+def test_beta_output_is_pinned(tmp_path):
+    for payload, digest in zip(beta_payloads(), BETA_SHA256, strict=True):
+        code, out = run(tmp_path, "beta", payload)
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 # the exact bytes of the xi output, so that a reordering of its terms fails

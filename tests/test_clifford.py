@@ -3,15 +3,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import (contract_apply, cor_action, cor_matrix_by_columns,
-                      rand_spin, rand_splitting, rand_unit_pairing_vector,
-                      rand_unimodular, wedge_apply)
+from conftest import (beta_iso_by_kernel, contract_apply, cor_action,
+                      cor_matrix_by_columns, rand_q_isometry, rand_spin, rand_splitting,
+                      rand_unit_pairing_vector, rand_unimodular, vacuum_kernel,
+                      wedge_apply)
 from torusmirror import exactlin as xl
 from torusmirror.clifford import (IsotropicSplitting, SpinVec, _involution_form,
                                   beta_iso, beta_parity, clifford_involution,
-                                  cor_matrix, is_spin, popcount, q_value, r_of_z,
-                                  standard_splitting, vacuum_kernel)
-from torusmirror.errors import NotEven, NotIsotropic, NotSpin
+                                  cor_matrix, is_spin, popcount, pure_spinor, q_value,
+                                  r_of_z, standard_splitting)
+from torusmirror.errors import NoIntertwiner, NotEven, NotIsotropic, NotSpin
 from torusmirror.pairspace import q_form
 
 
@@ -187,6 +188,99 @@ def test_vacuum_kernel_matches_dense_route(rng, n):
     dense = xl.nullspace(xl.block([[s2.cor(m)] for m in annihilators]))
     assert len(dense) == 1
     assert vacuum_kernel(s2, annihilators) == dense
+
+
+def swapped_splitting(g, n, swap):
+    """The splitting of the Q-isometry g with g e_i and g e_{2n+i} exchanged
+    between the halves for each i in swap."""
+    d = 2 * n
+    return IsotropicSplitting(n, [g[:, d + i] if i in swap else g[:, i] for i in range(d)],
+                              [g[:, i] if i in swap else g[:, d + i] for i in range(d)])
+
+
+def splitting_pairs(rng, n):
+    """(s1, s2, k) with k = dim(L & W) for L = M1(s1) in the module of s2, or
+    None where k is not known beforehand: two seeded random pairs, then for
+    each k = 0..2n a partial swap of k pairs, from the standard splitting
+    and from a random one."""
+    pairs = [(rand_splitting(rng, n), rand_splitting(rng, n), None) for _ in range(2)]
+    for k in range(2 * n + 1):
+        for g in (xl.eye(4 * n), rand_q_isometry(rng, n)):
+            swap = set(rng.sample(range(2 * n), k))
+            pairs.append((swapped_splitting(g, n, set()), swapped_splitting(g, n, swap), k))
+    return pairs
+
+
+def _dense(n, phi):
+    return [phi.get(m, 0) for m in range(1 << (2 * n))]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_pure_spinor_is_the_vacuum_kernel_line(rng, n):
+    for s1, s2, k in splitting_pairs(rng, n):
+        lagrangian = [s1.basis1[:, i] for i in range(2 * n)]
+        phi = pure_spinor(s2, lagrangian)
+        kernel = vacuum_kernel(s2, lagrangian)
+        assert len(kernel) == 1 and phi
+        assert xl.rank(xl.mat([_dense(n, phi), kernel[0]])) == 1
+        # theta_1 ^ ... ^ theta_k is the lowest-degree part
+        if k is not None:
+            assert min(popcount(m) for m in phi) == k
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_pure_spinor_is_killed_by_its_lagrangian(rng, n):
+    for s1, s2, _ in splitting_pairs(rng, n):
+        lagrangian = [s1.basis1[:, i] for i in range(2 * n)]
+        phi = [[x] for x in _dense(n, pure_spinor(s2, lagrangian))]
+        coeffs = [rng.randint(-2, 2) for _ in lagrangian]
+        combo = [sum(c * v[j] for c, v in zip(coeffs, lagrangian)) for j in range(4 * n)]
+        for m in lagrangian + [combo]:
+            assert xl.is_zero(xl.mul(s2.cor(m), phi))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_beta_matches_kernel_transport(rng, n):
+    parities = set()
+    for s1, s2, k in splitting_pairs(rng, n):
+        beta = beta_iso(s1, s2)
+        assert xl.mat_eq(beta, beta_iso_by_kernel(s1, s2))
+        parity = beta_parity(beta, s1, s2)
+        if k is not None:
+            assert parity == ("Odd" if k % 2 else "Even")
+        parities.add(parity)
+    assert parities == {"Even", "Odd"}
+
+
+def test_beta_makes_no_row_wider_than_the_lattice(rng, monkeypatch):
+    n = 4
+    s1, s2 = standard_splitting(n), rand_splitting(rng, n)
+    add = xl.Echelon.add
+
+    def narrow_add(self, row):
+        if any(c >= 4 * n for c in row):
+            raise AssertionError("an elimination row wider than 4n")
+        return add(self, row)
+
+    monkeypatch.setattr(xl.Echelon, "add", narrow_add)
+    beta = beta_iso(s1, s2)
+    monkeypatch.undo()
+    assert xl.mat_eq(beta, beta_iso_by_kernel(s1, s2))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_pure_spinor_needs_a_lagrangian(n):
+    d = 2 * n
+    e = xl.eye(4 * n)
+    cols = [e[:, i] for i in range(4 * n)]
+    s = standard_splitting(n)
+    cases = [(NoIntertwiner, cols[:d - 1]),
+             (NoIntertwiner, cols[:d - 1] + [cols[0]]),
+             # e_1 and its Q-partner e_{2n+1} pair to 1
+             (NotIsotropic, cols[:d - 1] + [cols[d]])]
+    for error, vectors in cases:
+        with pytest.raises(error):
+            pure_spinor(s, vectors)
 
 
 def test_cor_action_matches_matrix(rng):
