@@ -335,16 +335,17 @@ def pure_spinor(s, vectors):
     ech = xl.Echelon()
     for c in coords:
         ech.add({j: x for j, x in enumerate(c) if x})
-    if len(ech.rows) != d:
-        raise NoIntertwiner(f"the vectors span {len(ech.rows)} dimensions, not {d}")
+    basis = ech.rows
+    if len(basis) != d:
+        raise NoIntertwiner(f"the vectors span {len(basis)} dimensions, not {d}")
     if any(q_value(u, v) for i, u in enumerate(vectors) for v in vectors[i:]):
         raise NotIsotropic("Q does not vanish on the vectors")
-    pivots = sorted(ech.rows)
+    pivots = sorted(basis)
     theta = {0: 1}
     for p in pivots:
         if p >= d:
-            theta = wedge(theta, {1 << (j - d): x for j, x in ech.rows[p].items()})
-    rows = [(p, ech.rows[p]) for p in pivots if p < d]
+            theta = wedge(theta, {1 << (j - d): x for j, x in basis[p].items()})
+    rows = [(p, basis[p]) for p in pivots if p < d]
     two_form = {}
     for a, (ra, ua) in enumerate(rows):
         for rb, ub in rows[a + 1:]:
@@ -386,7 +387,8 @@ def beta_iso(s1, s2):
     for t_mask in range(1, size):
         low = (t_mask & -t_mask).bit_length() - 1
         cols.append(_cor_apply(maps, wedges[low], cols[t_mask ^ (1 << low)]))
-    return _sign_normalize(xl.primitive_int(xl.mat(cols).T))
+    # integral, and primitive since column 0 is the primitive phi
+    return _sign_normalize(xl.mat(zip(*cols)))
 
 
 def beta_parity(t, s1, s2):

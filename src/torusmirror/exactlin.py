@@ -10,7 +10,7 @@ solved through its real form (siegel.siegel_act).
 
 import sys
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from numbers import Integral, Rational
 from operator import index
 
@@ -261,39 +261,71 @@ def mul(a, b):
     return _wrap(out, ncols)
 
 
-def _subtract_multiple(row, f, other):
-    """row -= f * other on sparse rows, in place; entries that cancel are dropped."""
+def _clear_denominators(values):
+    """(den, ints): the least den > 0 that makes den * values integral, and
+    den * values as a list of ints."""
+    values = list(values)
+    den, all_int = 1, True
+    for v in values:
+        if type(v) is not int:
+            den, all_int = lcm(den, v.denominator), False
+    if all_int:
+        return 1, values
+    return den, [v.numerator * (den // v.denominator) for v in values]
+
+
+def _eliminate(row, q, other):
+    """Clear column q of the int row, in place, by a*row - b*other with
+    a = other[q], b = row[q], both divided by gcd(a, b); entries that cancel
+    are dropped."""
+    a, b = other[q], row[q]
+    g = gcd(a, b)
+    a, b = a // g, b // g
+    if a != 1:
+        for c in row:
+            row[c] *= a
     for c, v in other.items():
-        nv = row.get(c, 0) - f * v
-        if nv == 0:
-            row.pop(c, None)
-        else:
+        nv = row.get(c, 0) - b * v
+        if nv:
             row[c] = nv
+        else:
+            row.pop(c, None)
+
+
+def _div(a, b):
+    """a / b for ints, an int when b divides a."""
+    return a // b if a % b == 0 else Fraction(a, b)
 
 
 class Echelon:
-    """Incremental Gaussian elimination over Q on sparse rows.
+    """Incremental fraction-free Gaussian elimination on sparse rows.
 
-    A row is a dict {column: value} of nonzero entries.  `rows` maps each
+    A row is a dict {column: value} of nonzero ints or rationals; rational
+    rows have their denominators cleared on entry.  `int_rows` maps each
     pivot column, in the order the pivots were found, to its fully reduced
-    row: 1 at the pivot and 0 in every other pivot column.  `product` is the
-    product of the pivot entries of the added rows before normalization; for
-    the rows of a nonsingular square matrix added in order,
-    det = sign(pivot order) * product.
+    row, 0 in every other pivot column, held as a primitive integer row with
+    a positive pivot.  A fully reduced row is unique up to scale, so these
+    are the rows of the reduced row echelon form with their denominators
+    cleared, and their entries do not grow as rows are added.
     """
 
     def __init__(self):
-        self.rows = {}
-        self.product = Fraction(1)
+        self.int_rows = {}
+
+    @property
+    def rows(self):
+        """A new dict: each pivot column to its row scaled to 1 at the pivot."""
+        return {p: {c: _div(v, row[p]) for c, v in row.items()}
+                for p, row in self.int_rows.items()}
 
     def reduce(self, row):
-        """What is left of row after clearing every pivot column; {} if
-        row lies in the span of the rows added."""
-        row = dict(row)
+        """What is left of row, up to a nonzero scale, after clearing every
+        pivot column; {} if row lies in the span of the rows added."""
+        row = dict(zip(row, _clear_denominators(row.values())[1]))
         # stored rows are zero in each other's pivot columns, so clearing
         # one pivot column never refills another
-        for q in [c for c in row if c in self.rows]:
-            _subtract_multiple(row, row[q], self.rows[q])
+        for q in [c for c in row if c in self.int_rows]:
+            _eliminate(row, q, self.int_rows[q])
         return row
 
     def add(self, row):
@@ -302,14 +334,19 @@ class Echelon:
         if not row:
             return False
         p = min(row)
-        lead = row[p]
-        inv = Fraction(1) / lead
-        row = {c: v * inv for c, v in row.items()}
-        for other in self.rows.values():
+        g = gcd(*row.values())
+        if row[p] < 0:
+            g = -g
+        if g != 1:
+            row = {c: v // g for c, v in row.items()}
+        for other in self.int_rows.values():
             if p in other:
-                _subtract_multiple(other, other[p], row)
-        self.rows[p] = row
-        self.product *= lead
+                _eliminate(other, p, row)
+                g = gcd(*other.values())
+                if g != 1:
+                    for c in other:
+                        other[c] //= g
+        self.int_rows[p] = row
         return True
 
     def kernel(self, ncols):
@@ -317,14 +354,14 @@ class Echelon:
         ncols: one per free column j, with 1 at j and 0 at the other free columns."""
         basis = []
         for j in range(ncols):
-            if j in self.rows:
+            if j in self.int_rows:
                 continue
             v = [0] * ncols
-            v[j] = Fraction(1)
-            for p, row in self.rows.items():
-                c = row.get(j, 0)
-                if c != 0:
-                    v[p] = -c
+            v[j] = 1
+            for p, row in self.int_rows.items():
+                c = row.get(j)
+                if c:
+                    v[p] = _div(-c, row[p])
             basis.append(v)
         return basis
 
@@ -338,7 +375,7 @@ def _echelon(rows):
 
 
 def rank(a):
-    return len(_echelon(asmat(a).rows).rows)
+    return len(_echelon(asmat(a).rows).int_rows)
 
 
 def nullspace(a):
@@ -357,14 +394,14 @@ def solve_right(a, b):
         raise ValueError(f"cannot solve a {n}x{n} system for a {b.shape[0]}x{b.shape[1]} "
                          f"right-hand side")
     ech = _echelon(ra + rb for ra, rb in zip(a.rows, b.rows))
-    if sorted(ech.rows) != list(range(n)):
+    if sorted(ech.int_rows) != list(range(n)):
         raise SingularMatrix("matrix is singular")
     x = zeros(n, b.ncols)
-    for p, row in ech.rows.items():
-        out = x.rows[p]
+    for p, row in ech.int_rows.items():
+        out, lead = x.rows[p], row[p]
         for c, v in row.items():
             if c >= n:
-                out[c - n] = v
+                out[c - n] = _div(v, lead)
     return x
 
 
@@ -374,17 +411,51 @@ def invert(m):
     return solve_right(m, eye(len(m.rows)))
 
 
+def _bareiss(a):
+    """Fraction-free elimination (Bareiss 1968) of the square int matrix a,
+    a list of row lists, in place; yields each pivot as it is met.
+
+    Until a pivot is 0, the k-th pivot is the leading k x k minor.  A zero
+    pivot is followed by the pivot of the first lower row that is nonzero in
+    its column, swapped in with the other row negated so that the
+    determinant is kept, or ends the elimination if there is none.  The last
+    pivot is the determinant.
+    """
+    n = len(a)
+    prev = 1
+    for k in range(n):
+        pivot = a[k][k]
+        yield pivot
+        if pivot == 0:
+            i = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if i is None:
+                return
+            a[k], a[i] = a[i], [-x for x in a[k]]
+            pivot = a[k][k]
+            yield pivot
+        top = a[k]
+        for i in range(k + 1, n):
+            row = a[i]
+            f = row[k]
+            for j in range(k + 1, n):
+                row[j] = (pivot * row[j] - f * top[j]) // prev
+        prev = pivot
+
+
 def det(m):
     m = asmat(m)
     n = len(m.rows)
     if m.ncols != n:
         raise ValueError(f"determinant of a non-square {n}x{m.ncols} matrix")
-    ech = _echelon(m.rows)
-    if len(ech.rows) < n:
-        return Fraction(0)
-    order = list(ech.rows)
-    inversions = sum(1 for i in range(n) for j in range(i + 1, n) if order[i] > order[j])
-    return -ech.product if inversions % 2 else ech.product
+    den, rows = 1, []
+    for row in m.rows:
+        d, ints = _clear_denominators(row)
+        den *= d
+        rows.append(ints)
+    d = 1
+    for d in _bareiss(rows):
+        pass
+    return _div(d, den)
 
 
 def primitive_int(m):
@@ -409,16 +480,15 @@ def is_unimodular(m):
 
 
 def is_positive_definite(m):
-    """Sylvester's criterion on exact leading principal minors."""
+    """Sylvester's criterion: the leading principal minors, read as the
+    pivots of one Bareiss elimination, are all positive."""
     m = asmat(m)
     if m.shape[0] != m.shape[1]:
         raise NotSymmetric("matrix not square")
     if not mat_eq(m, m.T):
         raise NotSymmetric("matrix not symmetric")
-    for k in range(1, m.shape[0] + 1):
-        if det(m[:k, :k]) <= 0:
-            return False
-    return True
+    # each row scaled by a positive factor: every leading minor keeps its sign
+    return all(p > 0 for p in _bareiss([_clear_denominators(row)[1] for row in m.rows]))
 
 
 def _min_entry(d, lo):

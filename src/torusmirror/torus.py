@@ -6,7 +6,6 @@ identity (the geometric sign of the double-dual identification is a
 convention on l**, not on matrices, and never enters the formulas here).
 """
 
-from fractions import Fraction
 from itertools import product
 
 from . import exactlin as xl
@@ -92,9 +91,9 @@ def ns_basis(A):
         for j in range(d):
             # skewness: c_ij + c_ji = 0
             if i < j:
-                rows.append({i * d + j: Fraction(1), j * d + i: Fraction(1)})
+                rows.append({i * d + j: 1, j * d + i: 1})
             elif i == j:
-                rows.append({i * d + i: Fraction(1)})
+                rows.append({i * d + i: 1})
             # invariance: (J^t c J - c)_ij = 0
             row = {}
             for a in range(d):
@@ -102,7 +101,7 @@ def ns_basis(A):
                     continue
                 for b in range(d):
                     if J[b][j] != 0:
-                        row[a * d + b] = row.get(a * d + b, 0) + Fraction(J[a][i] * J[b][j])
+                        row[a * d + b] = row.get(a * d + b, 0) + J[a][i] * J[b][j]
             row[i * d + j] = row.get(i * d + j, 0) - 1
             rows.append({k: v for k, v in row.items() if v != 0})
     return [NSVector(_reshape(v, d, d)) for v in _saturated_solutions(rows, d * d)]
@@ -118,10 +117,10 @@ def hom_space(A, B):
             row = {}
             for k in range(da):
                 if jb[i][k] != 0:
-                    row[k * da + j] = row.get(k * da + j, 0) + Fraction(jb[i][k])
+                    row[k * da + j] = row.get(k * da + j, 0) + jb[i][k]
             for k in range(da):
                 if ja[k][j] != 0:
-                    row[i * da + k] = row.get(i * da + k, 0) - Fraction(ja[k][j])
+                    row[i * da + k] = row.get(i * da + k, 0) - ja[k][j]
             rows.append({k: v for k, v in row.items() if v != 0})
     return [_reshape(v, db, da) for v in _saturated_solutions(rows, db * da)]
 

@@ -177,6 +177,111 @@ def rand_spin(rng, n, pairs=2):
 
 
 # ---------------------------------------------------------------------------
+# elimination over Q with a leading 1 in every row, the reference for the
+# fraction-free exactlin.Echelon and its Bareiss det
+
+
+def _subtract_multiple(row, f, other):
+    """row -= f * other on sparse rows, in place; entries that cancel are dropped."""
+    for c, v in other.items():
+        nv = row.get(c, 0) - f * v
+        if nv == 0:
+            row.pop(c, None)
+        else:
+            row[c] = nv
+
+
+class FractionEchelon:
+    """Incremental Gaussian elimination over Q on sparse rows.
+
+    A row is a dict {column: value} of nonzero entries.  `rows` maps each
+    pivot column, in the order the pivots were found, to its fully reduced
+    row: 1 at the pivot and 0 in every other pivot column.  `product` is the
+    product of the pivot entries of the added rows before normalization; for
+    the rows of a nonsingular square matrix added in order,
+    det = sign(pivot order) * product.
+    """
+
+    def __init__(self):
+        self.rows = {}
+        self.product = Fraction(1)
+
+    def reduce(self, row):
+        """What is left of row after clearing every pivot column; {} if
+        row lies in the span of the rows added."""
+        row = dict(row)
+        for q in [c for c in row if c in self.rows]:
+            _subtract_multiple(row, row[q], self.rows[q])
+        return row
+
+    def add(self, row):
+        """Add row to the span; False, changing nothing, if it is in it already."""
+        row = self.reduce(row)
+        if not row:
+            return False
+        p = min(row)
+        lead = row[p]
+        inv = Fraction(1) / lead
+        row = {c: v * inv for c, v in row.items()}
+        for other in self.rows.values():
+            if p in other:
+                _subtract_multiple(other, other[p], row)
+        self.rows[p] = row
+        self.product *= lead
+        return True
+
+    def kernel(self, ncols):
+        """Basis of the right kernel, one vector per free column j, with 1 at j."""
+        basis = []
+        for j in range(ncols):
+            if j in self.rows:
+                continue
+            v = [0] * ncols
+            v[j] = Fraction(1)
+            for p, row in self.rows.items():
+                c = row.get(j, 0)
+                if c != 0:
+                    v[p] = -c
+            basis.append(v)
+        return basis
+
+
+def fraction_echelon(rows):
+    """FractionEchelon of dense rows, added top to bottom."""
+    ech = FractionEchelon()
+    for row in rows:
+        ech.add({j: x for j, x in enumerate(row) if x})
+    return ech
+
+
+def fraction_solve_right(a, b):
+    """a^-1 b read off the reference elimination of [a | b]; None if a is singular."""
+    a, b = xl.asmat(a), xl.asmat(b)
+    n = len(a.rows)
+    ech = fraction_echelon(ra + rb for ra, rb in zip(a.rows, b.rows))
+    if sorted(ech.rows) != list(range(n)):
+        return None
+    x = xl.zeros(n, b.ncols)
+    for p, row in ech.rows.items():
+        for c, v in row.items():
+            if c >= n:
+                x[p, c - n] = v
+    return x
+
+
+def fraction_det(m):
+    """det as the signed product of the pivots of the reference elimination."""
+    m = xl.asmat(m)
+    n = len(m.rows)
+    ech = fraction_echelon(m.rows)
+    if len(ech.rows) < n:
+        return Fraction(0)
+    order = list(ech.rows)
+    inversions = sum(1 for i in range(n) for j in range(i + 1, n) if order[i] > order[j])
+    return -ech.product if inversions % 2 else ech.product
+
+
+# ---------------------------------------------------------------------------
 # the one-generator operators bit by bit, the references for the generator
 # maps clifford._generator_maps
 

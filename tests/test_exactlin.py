@@ -1,11 +1,13 @@
 from fractions import Fraction
 from itertools import permutations
+from math import gcd
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import FractionEchelon, fraction_det, fraction_solve_right
 from torusmirror import exactlin as xl
 from torusmirror.errors import Degenerate, NotSymmetric, SingularMatrix
 
@@ -65,6 +67,9 @@ def test_smith_normal_form_divisibility():
 def test_positive_definite_via_minors():
     assert xl.is_positive_definite(xl.mat([[2, -1], [-1, 2]]))
     assert not xl.is_positive_definite(xl.mat([[1, 2], [2, 1]]))
+    # a zero leading minor, then a positive determinant
+    assert not xl.is_positive_definite(xl.mat([[0, 1, 0], [1, 0, 0], [0, 0, -1]]))
+    assert xl.det(xl.mat([[0, 1, 0], [1, 0, 0], [0, 0, -1]])) == 1
     with pytest.raises(NotSymmetric):
         xl.is_positive_definite(xl.mat([[1, 2], [0, 1]]))
 
@@ -233,3 +238,77 @@ def test_matrix_submatrix_transpose_and_arithmetic():
         m * m
     with pytest.raises(ValueError):
         xl.mat([[1, 2], [3]])
+
+
+def _dense_rows(a):
+    return [{j: x for j, x in enumerate(row) if x != 0} for row in a]
+
+
+@settings(max_examples=150, deadline=None)
+@given(rectangles())
+def test_echelon_matches_fraction_reference(a):
+    ech, ref = xl.Echelon(), FractionEchelon()
+    for row in _dense_rows(a):
+        assert ech.add(row) == ref.add(row)
+    assert list(ech.rows) == list(ref.rows)
+    assert ech.rows == ref.rows
+    assert ech.kernel(a.shape[1]) == ref.kernel(a.shape[1]) == xl.nullspace(a)
+    assert all(not ech.reduce(row) for row in _dense_rows(a))
+
+
+@settings(max_examples=150, deadline=None)
+@given(systems())
+def test_solve_invert_and_det_match_fraction_reference(system):
+    a, b = system
+    assert xl.det(a) == fraction_det(a)
+    ref = fraction_solve_right(a, b)
+    if ref is None:
+        with pytest.raises(SingularMatrix):
+            xl.solve_right(a, b)
+        with pytest.raises(SingularMatrix):
+            xl.invert(a)
+    else:
+        assert xl.mat_eq(xl.solve_right(a, b), ref)
+        assert xl.mat_eq(xl.invert(a), fraction_solve_right(a, xl.eye(a.shape[0])))
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """m + m^t, or m m^t shifted along the diagonal, so that definite,
+    indefinite and singular forms and zero leading minors all occur."""
+    k = draw(st.integers(1, 5))
+    m = draw(matrices(k, k))
+    if draw(st.booleans()):
+        return m + m.T
+    return m.dot(m.T) + draw(st.integers(-2, 2)) * np.identity(k, dtype=object)
+
+
+@settings(max_examples=150, deadline=None)
+@given(symmetric_matrices())
+def test_positive_definite_matches_leading_minors(s):
+    k = s.shape[0]
+    assert xl.is_positive_definite(s) == all(leibniz_det(s[:i, :i]) > 0 for i in range(1, k + 1))
+
+
+def _int_where_integral(values):
+    return all(type(x) is (int if x.denominator == 1 else Fraction) for x in values)
+
+
+@settings(max_examples=150, deadline=None)
+@given(integer_rectangles())
+def test_integral_input_gives_ints_and_primitive_rows(a):
+    ech = xl.Echelon()
+    for row in _dense_rows(a):
+        ech.add(row)
+    for p, row in ech.int_rows.items():
+        assert all(type(x) is int for x in row.values())
+        assert row[p] > 0 and gcd(*row.values()) == 1
+    assert all(_int_where_integral(v) for v in xl.nullspace(a))
+    k = min(a.shape)
+    square = a[:k, :k]
+    d = xl.det(square)
+    assert type(d) is int
+    if d != 0:
+        assert _int_where_integral(x for row in xl.invert(square) for x in row)
+        x = xl.solve_right(square, a[:k])
+        assert _int_where_integral(v for row in x for v in row)
