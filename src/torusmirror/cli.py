@@ -187,21 +187,22 @@ def main(argv=None):
     parser.add_argument("--budget", type=int, default=5)
     parser.add_argument("--n-max", type=int, default=4)
     args = parser.parse_args(argv)
+    # an unreadable or unwritable file, and a document nested too deeply for
+    # the JSON decoder, are input errors too
     try:
-        with open(args.input) as fh:
-            data = json.load(fh)
-        result = _run_command(args.command, data, args.budget, args.n_max)
-    except DomainError as err:
+        try:
+            with open(args.input) as fh:
+                data = json.load(fh)
+            code, doc = 0, _run_command(args.command, data, args.budget, args.n_max)
+        except DomainError as err:
+            code, doc = 1, err.payload()
         with open(args.output, "w") as fh:
-            fh.write(sz.dumps(err.payload()))
-        return 1
+            fh.write(sz.dumps(doc))
     except (json.JSONDecodeError, KeyError, ValueError, TypeError, IndexError,
-            OSError) as err:
+            OSError, RecursionError) as err:
         print(f"input error: {err}", file=sys.stderr)
         return 2
-    with open(args.output, "w") as fh:
-        fh.write(sz.dumps(result))
-    return 0
+    return code
 
 
 if __name__ == "__main__":

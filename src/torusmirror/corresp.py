@@ -64,11 +64,11 @@ def push_forward_correspondence(xi, v):
     out = {}
     shift = 2 * xi.n
     full = (1 << shift) - 1
-    for sv, cv in v.coeffs.items():
-        for (s, t), c in xi.coeffs.items():
-            if s & sv or (s | sv) != full:
-                continue
-            out[t] = out.get(t, 0) + _merge_sign(s | t << shift, sv) * c * cv
+    vc = v.coeffs
+    for (s, t), c in xi.coeffs.items():
+        sv = full ^ s  # only v's term on the complement of s fills the first factor
+        if sv in vc:
+            out[t] = out.get(t, 0) + _merge_sign(s | t << shift, sv) * c * vc[sv]
     return SpinVec(xi.m, out)
 
 

@@ -624,12 +624,8 @@ def skew_normal_form(phi):
     for k in range(n):
         t = 2 * k
         while True:
-            best = None
-            for i in range(t, n2):
-                for j in range(i + 1, n2):
-                    if m[i][j] != 0 and (best is None or abs(m[i][j]) < abs(m[best[0]][best[1]])):
-                        best = (i, j)
-            i, j = best
+            # the first minimum of a skew matrix lies above the diagonal
+            i, j = _min_entry(m, t)
             if i != t:
                 swap(t, i)
                 if j == t:

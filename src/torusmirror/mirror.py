@@ -33,20 +33,16 @@ class WellBecomingWitness:
 
 def verify_mirror(pA, pB, alpha):
     """Check the four defining identities exactly and issue a certificate."""
-    return _certify(pA, pB, xl.asmat(alpha), i_omega(pA), i_omega(pB))
-
-
-def _certify(pA, pB, alpha, iwA, iwB):
-    """verify_mirror with I_omega of both pairs already known."""
+    alpha = xl.asmat(alpha)
     lamA = build_lambda(pA.torus)
     lamB = build_lambda(pB.torus)
     if not xl.is_unimodular(alpha):
         raise FormMismatch("alpha is not an integral unimodular matrix")
     if not xl.mat_eq(xl.mul(alpha.T, xl.mul(lamB.Q, alpha)), lamA.Q):
         raise FormMismatch("alpha does not identify the hyperbolic forms")
-    if not xl.mat_eq(xl.mul(alpha, lamA.Jprod), xl.mul(iwB, alpha)):
+    if not xl.mat_eq(xl.mul(alpha, lamA.Jprod), xl.mul(i_omega(pB), alpha)):
         raise IntertwineFailure("alpha.Jprod_A != I_omegaB.alpha")
-    if not xl.mat_eq(xl.mul(alpha, iwA), xl.mul(lamB.Jprod, alpha)):
+    if not xl.mat_eq(xl.mul(alpha, i_omega(pA)), xl.mul(lamB.Jprod, alpha)):
         raise IntertwineFailure("alpha.I_omegaA != Jprod_B.alpha")
     return MirrorCertificate(alpha, pA, pB)
 
@@ -60,8 +56,7 @@ def mirror_from_splitting(p, s):
     n = p.torus.n
     lam = build_lambda(p.torus)
     alpha = s.w_inv
-    iw = i_omega(p)
-    i_new = xl.mul(alpha, xl.mul(iw, s.w))
+    i_new = xl.mul(alpha, xl.mul(i_omega(p), s.w))
     d = 2 * n
     # basis1 (basis2) spans an I_omega-invariant half iff block (2,1) ((1,2)) vanishes
     if not (xl.is_zero(i_new[:d, d:]) and xl.is_zero(i_new[d:, :d])):
@@ -71,7 +66,7 @@ def mirror_from_splitting(p, s):
     # Block12Singular unless J M2 is transversal to M2; recover_omega checks
     # that I_omega(pB) is jprod_new
     pB = recover_omega(B, jprod_new)
-    return pB, _certify(p, pB, alpha, iw, jprod_new)
+    return pB, verify_mirror(p, pB, alpha)
 
 
 def _witness_basis(p, w):

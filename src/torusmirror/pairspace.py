@@ -14,12 +14,21 @@ class LambdaSpace:
 
 
 class WeakPair:
-    """A torus together with omega = phi1 + i*phi2, phi2 nondegenerate."""
+    """A torus together with omega = phi1 + i*phi2, phi2 nondegenerate, and
+    I_omega, computed once when the pair is made; i_omega gives a copy."""
 
     def __init__(self, torus, phi1, phi2):
         self.torus = torus
-        self.phi1 = xl.asmat(phi1)
-        self.phi2 = xl.asmat(phi2)
+        self.phi1 = phi1 = xl.asmat(phi1)
+        self.phi2 = phi2 = xl.asmat(phi2)
+        try:
+            phi2_inv = xl.invert(phi2)
+        except SingularMatrix:
+            raise NotNSForm("phi2 must be nondegenerate")
+        tl = xl.mul(phi2_inv, phi1)
+        bl = phi2 + xl.mul(phi1, tl)
+        br = -xl.mul(phi1, phi2_inv)
+        self._i_omega = xl.block([[tl, -phi2_inv], [bl, br]])
 
     def __eq__(self, other):
         return (isinstance(other, WeakPair) and self.torus == other.torus
@@ -44,8 +53,6 @@ def make_weak_pair(A, phi1, phi2):
     phi1, phi2 = xl.asmat(phi1), xl.asmat(phi2)
     if not ts.is_ns_form(A, phi1) or not ts.is_ns_form(A, phi2):
         raise NotNSForm("phi1/phi2 must be skew and J-invariant")
-    if xl.det(phi2) == 0:
-        raise NotNSForm("phi2 must be nondegenerate")
     return WeakPair(A, phi1, phi2)
 
 
@@ -55,19 +62,15 @@ def conjugate_pair(p):
 
 
 def i_omega(p):
-    """The canonical Q-orthogonal complex structure attached to omega."""
-    phi1, phi2 = p.phi1, p.phi2
-    phi2_inv = xl.invert(phi2)
-    tl = xl.mul(phi2_inv, phi1)
-    bl = phi2 + xl.mul(phi1, xl.mul(phi2_inv, phi1))
-    br = -xl.mul(phi1, phi2_inv)
-    return xl.block([[tl, -phi2_inv], [bl, br]])
+    """The canonical Q-orthogonal complex structure attached to omega; a copy,
+    so that editing it leaves the pair as it is."""
+    return p._i_omega.copy()
 
 
 def e_form(p):
     """Gram matrix of Q(c . , .) with c = Jprod * I_omega; symmetric."""
     lam = build_lambda(p.torus)
-    c = xl.mul(lam.Jprod, i_omega(p))
+    c = xl.mul(lam.Jprod, p._i_omega)
     e = xl.mul(c.T, lam.Q)
     if not xl.mat_eq(e, e.T):
         raise RuntimeError("e_form: Q(Jprod I_omega . , .) is not symmetric")
@@ -96,6 +99,6 @@ def recover_omega(A, I):
     phi2 = -i12_inv
     phi1 = xl.mul(i22, i12_inv)
     pair = make_weak_pair(A, phi1, phi2)
-    if not xl.mat_eq(i_omega(pair), I):
+    if not xl.mat_eq(pair._i_omega, I):
         raise ValueError("I is not the I_omega of the pair read off its blocks")
     return pair

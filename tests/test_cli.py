@@ -65,6 +65,27 @@ def test_malformed_input_exit_code(tmp_path, capsys):
     assert "input error" in capsys.readouterr().err
 
 
+def test_deeply_nested_document_is_an_input_error(tmp_path, capsys):
+    # json.dumps cannot write this depth, so the text is written by hand
+    inp = tmp_path / "in.json"
+    out = tmp_path / "out.json"
+    depth = 100_000
+    inp.write_text('{"n": 1, "J": ' + "[" * depth + "]" * depth + "}")
+    assert main(["make-torus", "--input", str(inp), "--output", str(out)]) == 2
+    assert "input error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("payload", [TORUS_SQUARE, {"n": 1, "J": [["1", "0"], ["0", "1"]]}],
+                         ids=["success", "domain-error"])
+def test_unwritable_output_is_an_input_error(tmp_path, capsys, payload):
+    inp = tmp_path / "in.json"
+    inp.write_text(json.dumps(payload))
+    out = tmp_path / "missing" / "out.json"
+    assert main(["make-torus", "--input", str(inp), "--output", str(out)]) == 2
+    assert "input error" in capsys.readouterr().err
+
+
 def _square_pair(n):
     """The product of n square elliptic curves with omega = i * phi."""
     j = [["0"] * (2 * n) for _ in range(2 * n)]
@@ -294,6 +315,9 @@ MALFORMED = [
     ("n-negative-beta", "beta",
      {"n": -1, "s1": {"basis1": [], "basis2": []}, "s2": {"basis1": [], "basis2": []}},
      2, None),
+    ("phi2-degenerate", "classify",
+     {"torus": TORUS_SQUARE, "phi1": PAIR_SQUARE["phi1"], "phi2": PAIR_SQUARE["phi1"]},
+     1, "not-ns-form"),
     ("gns-not-ns", "gns", {"torus": TORUS_SQUARE, "kappas": [[["0", "1"], ["1", "0"]]]},
      1, "not-ns-form"),
     # diag(1, 1, 1, 2) is not a Q-isometry (g^T Q g != Q) and sends omega to a

@@ -302,22 +302,25 @@ def test_elliptic_mirror_matches_adapted_route(rng, n):
 
 
 def test_g_mirror_computes_i_omega_once_per_pair(rng, monkeypatch):
-    from torusmirror import mirror, pairspace
+    # every computation of I_omega inverts the phi2 of its pair; once p is made,
+    # only making pB computes one, however often the pipeline reads I_omega
+    from torusmirror import exactlin
     p, w = well_becoming_sample(rng, 2)
-    seen = []
-    real = pairspace.i_omega
+    inverted = []
+    real = exactlin.invert
 
-    def counted(pair):
-        seen.append(pair)
-        return real(pair)
+    def counted(m):
+        inverted.append(m)
+        return real(m)
 
-    monkeypatch.setattr(pairspace, "i_omega", counted)
-    monkeypatch.setattr(mirror, "i_omega", counted)
+    monkeypatch.setattr(exactlin, "invert", counted)
     pB, cert = g_mirror(p, w)
-    assert len(seen) == 2
-    assert seen[0] is p and seen[1] == pB
+    verify_mirror(p, pB, cert.alpha)
+    classify_pair(p)
+    classify_pair(pB)
     monkeypatch.undo()
+    computed = [q for q in (p, pB) for m in inverted if m is q.phi2]
+    assert len(computed) == 1 and computed[0] is pB
     pB_ref, alpha_ref = _old_g_mirror(p, w)
     assert pB == pB_ref and xl.mat_eq(cert.alpha, alpha_ref)
     assert cert.pairA is p and cert.pairB is pB
-    verify_mirror(p, pB, cert.alpha)

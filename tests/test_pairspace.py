@@ -88,6 +88,14 @@ def test_recover_omega_rejects_other_shapes():
         recover_omega(p.torus, I)
 
 
+def test_i_omega_returns_a_copy():
+    p = square_pair()
+    before = i_omega(p)
+    edited = i_omega(p)
+    edited[0, 0] += 1
+    assert xl.mat_eq(i_omega(p), before)
+
+
 def test_q_form_hyperbolic():
     q = q_form(2)
     assert xl.mat_eq(q, q.T)
