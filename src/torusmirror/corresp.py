@@ -159,10 +159,11 @@ def _mu_expand(n, factors, p1_sign):
 
 def _acts_by(lam, col):
     """Whether the correspondence of lam sends each monomial x_s where the
-    generator map col does (col[s] = (row, sign), or None for zero)."""
-    return all(push_forward_correspondence(lam, SpinVec(lam.n, {s: 1})).coeffs
-               == ({image[0]: image[1]} if image else {})
-               for s, image in enumerate(col))
+    generator map col does (col[s] = (row, sign), or None for zero), that is,
+    whether lam is the kernel class of that map: a term (s, t) of a kernel
+    feeds only the image of x_{full ^ s}."""
+    images = {s: {image[0]: image[1]} for s, image in enumerate(col) if image}
+    return lam == product_class_from_map(lam.n, lam.m, images)
 
 
 def verify_cor_diagram(n, mu_p1_sign=-1):

@@ -11,7 +11,7 @@ from . import exactlin as xl
 from .clifford import IsotropicSplitting
 from .errors import (DifferentSource, FormMismatch, IntertwineFailure,
                      NotABasis, NotInvariant, TransversalityNotFound)
-from .pairspace import build_lambda, i_omega, make_weak_pair, q_form, recover_omega
+from .pairspace import i_omega, jprod, make_weak_pair, q_form, recover_omega
 from .siegel import u_membership
 from .torus import as_form, make_torus
 
@@ -34,15 +34,13 @@ class WellBecomingWitness:
 def verify_mirror(pA, pB, alpha):
     """Check the four defining identities exactly and issue a certificate."""
     alpha = xl.asmat(alpha)
-    lamA = build_lambda(pA.torus)
-    lamB = build_lambda(pB.torus)
     if not xl.is_unimodular(alpha):
         raise FormMismatch("alpha is not an integral unimodular matrix")
-    if not xl.mat_eq(xl.mul(alpha.T, xl.mul(lamB.Q, alpha)), lamA.Q):
+    if not xl.mat_eq(xl.mul(alpha.T, xl.mul(q_form(pB.torus.n), alpha)), q_form(pA.torus.n)):
         raise FormMismatch("alpha does not identify the hyperbolic forms")
-    if not xl.mat_eq(xl.mul(alpha, lamA.Jprod), xl.mul(i_omega(pB), alpha)):
+    if not xl.mat_eq(xl.mul(alpha, jprod(pA.torus)), xl.mul(i_omega(pB), alpha)):
         raise IntertwineFailure("alpha.Jprod_A != I_omegaB.alpha")
-    if not xl.mat_eq(xl.mul(alpha, i_omega(pA)), xl.mul(lamB.Jprod, alpha)):
+    if not xl.mat_eq(xl.mul(alpha, i_omega(pA)), xl.mul(jprod(pB.torus), alpha)):
         raise IntertwineFailure("alpha.I_omegaA != Jprod_B.alpha")
     return MirrorCertificate(alpha, pA, pB)
 
@@ -54,7 +52,6 @@ def mirror_from_splitting(p, s):
     standard splitting Gamma_B + Gamma_B*.
     """
     n = p.torus.n
-    lam = build_lambda(p.torus)
     alpha = s.w_inv
     i_new = xl.mul(alpha, xl.mul(i_omega(p), s.w))
     d = 2 * n
@@ -62,7 +59,7 @@ def mirror_from_splitting(p, s):
     if not (xl.is_zero(i_new[:d, d:]) and xl.is_zero(i_new[d:, :d])):
         raise NotInvariant("a splitting half is not I_omega-invariant")
     B = make_torus(n, i_new[:d, :d])
-    jprod_new = xl.mul(alpha, xl.mul(lam.Jprod, s.w))
+    jprod_new = xl.mul(alpha, xl.mul(jprod(p.torus), s.w))
     # Block12Singular unless J M2 is transversal to M2; recover_omega checks
     # that I_omega(pB) is jprod_new
     pB = recover_omega(B, jprod_new)
@@ -70,12 +67,13 @@ def mirror_from_splitting(p, s):
 
 
 def _witness_basis(p, w):
-    """The basis (Gamma_1 | Gamma_2) of Gamma the witness gives, checked."""
+    """The basis u0 = (Gamma_1 | Gamma_2) of Gamma the witness gives, checked,
+    and its inverse."""
     n = p.torus.n
     u0 = xl.block([[w.gamma1, w.gamma2]])
     if not (u0.shape == (2 * n, 2 * n) and xl.is_unimodular(u0)):
         raise NotABasis("gamma1 + gamma2 is not a Z-basis of Gamma")
-    return u0
+    return u0, xl.to_int(xl.invert(u0))
 
 
 def _well_becoming_in(p, u0, u0_inv):
@@ -90,8 +88,7 @@ def _well_becoming_in(p, u0, u0_inv):
 
 
 def check_well_becoming(p, w):
-    u0 = _witness_basis(p, w)
-    return _well_becoming_in(p, u0, xl.to_int(xl.invert(u0)))
+    return _well_becoming_in(p, *_witness_basis(p, w))
 
 
 def _adapted_halves(u, u_inv):
@@ -113,8 +110,7 @@ def _adapted_halves(u, u_inv):
 def g_mirror(p, w):
     """Mirror of a well-becoming pair across the splitting (Sigma, W) of Lambda_A,
     Sigma = Gamma_1* + Gamma_2 and W = Gamma_1 + Gamma_2* for the witness halves."""
-    u0 = _witness_basis(p, w)
-    u0_inv = xl.to_int(xl.invert(u0))
+    u0, u0_inv = _witness_basis(p, w)
     if not _well_becoming_in(p, u0, u0_inv):
         raise NotABasis("witness does not exhibit p as well-becoming")
     n = p.torus.n
@@ -130,8 +126,8 @@ def g_mirror(p, w):
 # elliptic-product mirrors
 
 
-def _transversal(jprod, w_cols):
-    stacked = xl.block([[w_cols, xl.mul(jprod, w_cols)]])
+def _transversal(jp, w_cols):
+    stacked = xl.block([[w_cols, xl.mul(jp, w_cols)]])
     return xl.rank(stacked) == stacked.shape[0]
 
 
@@ -169,11 +165,11 @@ def elliptic_mirror(A, tau, phi, budget=5):
     t1, t2 = tau
     pA = make_weak_pair(A, t1 * c, t2 * c)
     u = nf.basis_change
-    jprod = build_lambda(A).Jprod
+    jp = jprod(A)
     u_inv = xl.to_int(xl.invert(u))
     # a correction adds multiples of Gamma_2 to Gamma_1, which leaves Gamma_2 and
     # Gamma_1* fixed: Sigma is the same for every candidate, only W is repaired
-    if not _transversal(jprod, _adapted_halves(u, u_inv)[1]):
+    if not _transversal(jp, _adapted_halves(u, u_inv)[1]):
         raise TransversalityNotFound(
             "J Sigma meets Sigma, and no symplectic correction changes Sigma")
     for corr in _repair_candidates(n, nf.deltas, budget):
@@ -185,7 +181,7 @@ def elliptic_mirror(A, tau, phi, budget=5):
         if not (xl.is_zero(g[:n, :n]) and xl.is_zero(g[n:, n:])):
             raise RuntimeError("the repaired basis does not put phi in block normal form")
         w_half, sigma = _adapted_halves(u2, u2_inv)
-        if _transversal(jprod, w_half):
+        if _transversal(jp, w_half):
             s = IsotropicSplitting(n, w_half.T, sigma.T)
             pB, cert = mirror_from_splitting(pA, s)
             return pA, pB, cert

@@ -6,21 +6,15 @@ from . import torus as ts
 from .errors import Block12Singular, NotNSForm, SingularMatrix
 
 
-class LambdaSpace:
-    def __init__(self, n, Q, Jprod):
-        self.n = n
-        self.Q = Q
-        self.Jprod = Jprod
-
-
 class WeakPair:
     """A torus together with omega = phi1 + i*phi2, phi2 nondegenerate, and
-    I_omega, computed once when the pair is made; i_omega gives a copy."""
+    I_omega, computed once when the pair is made from its own copies of phi1
+    and phi2; i_omega gives a copy."""
 
     def __init__(self, torus, phi1, phi2):
         self.torus = torus
-        self.phi1 = phi1 = xl.asmat(phi1)
-        self.phi2 = phi2 = xl.asmat(phi2)
+        self.phi1 = phi1 = xl.mat(phi1)
+        self.phi2 = phi2 = xl.mat(phi2)
         try:
             phi2_inv = xl.invert(phi2)
         except SingularMatrix:
@@ -44,9 +38,10 @@ def q_form(n):
     return q
 
 
-def build_lambda(A):
-    jprod = xl.block([[A.J, xl.zeros(2 * A.n)], [xl.zeros(2 * A.n), -A.J.T]])
-    return LambdaSpace(A.n, q_form(A.n), jprod)
+def jprod(A):
+    """The product complex structure J + (-J^T) on Lambda = Gamma + Gamma*."""
+    z = xl.zeros(2 * A.n)
+    return xl.block([[A.J, z], [z, -A.J.T]])
 
 
 def make_weak_pair(A, phi1, phi2):
@@ -67,21 +62,12 @@ def i_omega(p):
     return p._i_omega.copy()
 
 
-def e_form(p):
-    """Gram matrix of Q(c . , .) with c = Jprod * I_omega; symmetric."""
-    lam = build_lambda(p.torus)
-    c = xl.mul(lam.Jprod, p._i_omega)
-    e = xl.mul(c.T, lam.Q)
-    if not xl.mat_eq(e, e.T):
-        raise RuntimeError("e_form: Q(Jprod I_omega . , .) is not symmetric")
-    return e
-
-
 def classify_pair(p):
-    e = e_form(p)
-    if xl.is_positive_definite(e):
+    """omega = phi1 + i*phi2 lies in C_A^+ = NS_A(R) + i*C_A^a when phi2 is a
+    polarization, in C_A^- when -phi2 is one."""
+    if ts.check_polarization(p.torus, p.phi2):
         return "AlgebraicPlus"
-    if xl.is_positive_definite(-e):
+    if ts.check_polarization(p.torus, -p.phi2):
         return "AlgebraicMinus"
     return "WeakOnly"
 

@@ -8,7 +8,7 @@ computed exactly over the Gaussian rationals as one linear solve over Q.
 
 from . import exactlin as xl
 from .errors import FormMismatch, NotInvertible, SingularMatrix
-from .pairspace import build_lambda, i_omega, make_weak_pair, q_form
+from .pairspace import i_omega, jprod, make_weak_pair, q_form
 
 
 def blocks(g):
@@ -19,15 +19,15 @@ def blocks(g):
 
 def u_membership(g, A):
     """Integral unimodular special Q-isometries commuting with Jprod."""
-    lam = build_lambda(A)
+    q, jp = q_form(A.n), jprod(A)
     g = xl.asmat(g)
-    if g.shape != lam.Q.shape:
+    if g.shape != q.shape:
         return False
     if not (xl.is_integral(g) and xl.det(g) == 1):
         return False
-    if not xl.mat_eq(xl.mul(g.T, xl.mul(lam.Q, g)), lam.Q):
+    if not xl.mat_eq(xl.mul(g.T, xl.mul(q, g)), q):
         return False
-    return xl.mat_eq(xl.mul(g, lam.Jprod), xl.mul(lam.Jprod, g))
+    return xl.mat_eq(xl.mul(g, jp), xl.mul(jp, g))
 
 
 def require_q_isometry(g, n):

@@ -53,10 +53,13 @@ def dual_torus(A):
 
 
 def is_ns_form(A, c):
+    """Skew and J-invariant, J^T c J = c.  Since J^-1 = -J (make_torus checks
+    J^2 = -1) and (J^T c)^T = -cJ for skew c, that is: J^T c is symmetric."""
     c = xl.asmat(c)
-    return (c.shape == A.J.shape
-            and xl.mat_eq(c, -c.T)
-            and xl.mat_eq(xl.mul(A.J.T, xl.mul(c, A.J)), c))
+    if not (c.shape == A.J.shape and xl.mat_eq(c, -c.T)):
+        return False
+    b = xl.mul(A.J.T, c)
+    return xl.mat_eq(b, b.T)
 
 
 def ns_vector(A, c):

@@ -20,8 +20,8 @@ from torusmirror.clifford import (IsotropicSplitting, SpinVec, _cor_apply, _cor_
                                   _generator_maps, _sign_normalize, cor_matrix, popcount)
 from torusmirror.errors import NoIntertwiner
 from torusmirror.mirror import WellBecomingWitness
-from torusmirror.pairspace import make_weak_pair, q_form
-from torusmirror.torus import make_torus
+from torusmirror.pairspace import i_omega, make_weak_pair, q_form
+from torusmirror.torus import make_torus, ns_basis
 
 SEED = int(os.environ.get("TORUS_MIRROR_SEED", "20260823"))
 
@@ -104,6 +104,59 @@ def well_becoming_sample(rng, n):
 
 def weak_pair_sample(rng, n):
     return well_becoming_sample(rng, n)[0]
+
+
+def gaussian_torus(rng, n):
+    """C/Z[i]^n, the product of n square elliptic curves, in a random basis
+    of Gamma, with its principal polarization in that basis."""
+    j0, pol = xl.zeros(2 * n), xl.zeros(2 * n)
+    for i in range(0, 2 * n, 2):
+        j0[i, i + 1], j0[i + 1, i] = -1, 1
+        pol[i, i + 1], pol[i + 1, i] = 1, -1
+    t = rand_unimodular(rng, 2 * n)
+    A = make_torus(n, xl.mul(xl.to_int(xl.invert(t)), xl.mul(j0, t)))
+    return A, xl.mul(t.T, xl.mul(pol, t))
+
+
+def rand_ns_form(rng, basis):
+    """A random rational combination of the NS classes in basis."""
+    c = xl.zeros(basis[0].c.shape[0])
+    for v in basis:
+        c = c + rand_rational(rng) * v.c
+    return c
+
+
+def gaussian_pair(rng, n):
+    """A weak pair on a Gaussian torus with phi1 and phi2 drawn independently
+    from the rational NS classes; phi2 gets a random multiple (0 or +-8) of the
+    principal polarization, so that definite phi2 occur at every n."""
+    A, pol = gaussian_torus(rng, n)
+    basis = ns_basis(A)
+    while True:
+        phi2 = rand_ns_form(rng, basis) + rng.choice([-8, 0, 8]) * pol
+        if xl.det(phi2) != 0:
+            return make_weak_pair(A, rand_ns_form(rng, basis), phi2)
+
+
+def e_form(p):
+    """Gram matrix of Q(c . , .) on Lambda with c = Jprod * I_omega: the
+    classification of a pair read off Lambda, the reference for classify_pair."""
+    J = p.torus.J
+    z = xl.zeros(2 * p.torus.n)
+    c = xl.mul(xl.block([[J, z], [z, -J.T]]), i_omega(p))
+    e = xl.mul(c.T, q_form(p.torus.n))
+    assert xl.mat_eq(e, e.T)
+    return e
+
+
+def classify_by_e_form(p):
+    """The tag of p by Sylvester's criterion on e_form and on its negative."""
+    e = e_form(p)
+    if xl.is_positive_definite(e):
+        return "AlgebraicPlus"
+    if xl.is_positive_definite(-e):
+        return "AlgebraicMinus"
+    return "WeakOnly"
 
 
 def rand_q_isometry(rng, n, steps=4):

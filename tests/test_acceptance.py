@@ -29,9 +29,8 @@ from torusmirror.lefschetz import (chi_form, generate_g_ns, grading_operator,
                                    lefschetz_e, lefschetz_f,
                                    so_lambda_spinor_image)
 from torusmirror.mirror import elliptic_factors, elliptic_mirror, g_mirror, verify_mirror
-from torusmirror.pairspace import (build_lambda, classify_pair,
-                                   conjugate_pair, i_omega, make_weak_pair,
-                                   q_form, recover_omega)
+from torusmirror.pairspace import (classify_pair, conjugate_pair, i_omega, jprod,
+                                   make_weak_pair, q_form, recover_omega)
 from torusmirror.siegel import (i_omega_centralizer_check, siegel_act,
                                 stabilizer_check, translation_element,
                                 u_membership)
@@ -191,8 +190,8 @@ def test_06_i_omega_algebraic_identities(report, rng):
                 assert xl.mat_eq(xl.mul(iw, iw), -xl.eye(4 * n))
                 assert xl.mat_eq(xl.mul(iw.T, xl.mul(q, iw)), q)
                 assert xl.det(iw) == 1
-                jprod = build_lambda(p.torus).Jprod
-                assert xl.mat_eq(xl.mul(iw, jprod), xl.mul(jprod, iw))
+                jp = jprod(p.torus)
+                assert xl.mat_eq(xl.mul(iw, jp), xl.mul(jp, iw))
                 assert xl.mat_eq(i_omega(conjugate_pair(p)), -iw)
                 assert recover_omega(p.torus, iw) == p
 

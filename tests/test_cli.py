@@ -7,12 +7,14 @@ import subprocess
 import sys
 
 import pytest
-from conftest import rand_q_isometry
+from conftest import (classify_by_e_form, gaussian_pair, gaussian_torus, rand_ns_form,
+                      rand_q_isometry, rand_rational, rand_skew, well_becoming_sample)
 
 import torusmirror
 from torusmirror import exactlin as xl
 from torusmirror import serialize as sz
 from torusmirror.cli import main
+from torusmirror.torus import ns_basis
 
 
 def run(tmp_path, command, payload, extra=()):
@@ -38,8 +40,7 @@ def test_make_torus_roundtrip(tmp_path):
 def test_classify_and_i_omega(tmp_path):
     code, out = run(tmp_path, "classify", PAIR_SQUARE)
     assert code == 0
-    assert json.loads(out.read_text())["tag"] in (
-        "AlgebraicPlus", "AlgebraicMinus", "WeakOnly")
+    assert json.loads(out.read_text()) == {"tag": "AlgebraicPlus"}
     code, out = run(tmp_path, "i-omega", PAIR_SQUARE)
     assert code == 0
     i = sz.json_to_mat(json.loads(out.read_text())["I"])
@@ -215,6 +216,128 @@ def test_beta_output_is_pinned(tmp_path):
         code, out = run(tmp_path, "beta", payload)
         assert code == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def _torus_json(A):
+    return {"n": A.n, "J": sz.mat_to_json(A.J)}
+
+
+def _pair_json(p):
+    return {"torus": _torus_json(p.torus),
+            "phi1": sz.mat_to_json(p.phi1), "phi2": sz.mat_to_json(p.phi2)}
+
+
+def _columns(m, idx):
+    return [[sz.rat_to_str(m[i, j]) for i in range(m.shape[0])] for j in idx]
+
+
+def pinned_payloads():
+    """(id, command, document) at n = 1, 2 for the commands on pairs, from a
+    fixed seed: classify once per tag the n admits (pairs with independent
+    phi1, phi2 on Gaussian tori) and once on a form that is not NS, i-omega,
+    ns-basis, g-mirror, mirror-split across (Sigma, W), elliptic-mirror,
+    siegel-act and gns."""
+    rng = random.Random(2015)
+    docs = []
+    for n in (1, 2):
+        tags = ["AlgebraicPlus", "AlgebraicMinus"] + (["WeakOnly"] if n > 1 else [])
+        for tag in tags:
+            p = gaussian_pair(rng, n)
+            while classify_by_e_form(p) != tag:
+                p = gaussian_pair(rng, n)
+            docs.append((f"classify:{tag}:n{n}", "classify", _pair_json(p)))
+        doc = _pair_json(gaussian_pair(rng, n))
+        if n == 1:  # every skew 2x2 form is J-invariant; this one is not skew
+            doc["phi1"] = [["0", "1"], ["1", "0"]]
+        else:
+            doc["phi1"] = sz.mat_to_json(rand_skew(rng, 2 * n))
+        docs.append((f"classify:not-ns:n{n}", "classify", doc))
+        docs.append((f"i-omega:n{n}", "i-omega", _pair_json(gaussian_pair(rng, n))))
+        A, pol = gaussian_torus(rng, n)
+        docs.append((f"ns-basis:n{n}", "ns-basis", {"torus": _torus_json(A)}))
+        tau = [sz.rat_to_str(rand_rational(rng)), sz.rat_to_str(rand_rational(rng, nonzero=True))]
+        docs.append((f"elliptic-mirror:n{n}", "elliptic-mirror",
+                     {"torus": _torus_json(A), "tau": tau, "phi": sz.mat_to_json(pol)}))
+        basis = ns_basis(A)
+        kappas = [sz.mat_to_json(rand_ns_form(rng, basis)) for _ in range(2)]
+        docs.append((f"gns:n{n}", "gns", {"torus": _torus_json(A), "kappas": kappas}))
+        p, w = well_becoming_sample(rng, n)
+        docs.append((f"g-mirror:n{n}", "g-mirror",
+                     {"pair": _pair_json(p), "gamma1": _columns(w.gamma1, range(n)),
+                      "gamma2": _columns(w.gamma2, range(n))}))
+        # Sigma = Gamma_1* + Gamma_2 and W = Gamma_1 + Gamma_2*, the columns of
+        # [[u, 0], [0, u^-T]] for the witness basis u = (Gamma_1 | Gamma_2)
+        p, w = well_becoming_sample(rng, n)
+        u = xl.block([[w.gamma1, w.gamma2]])
+        z = xl.zeros(2 * n)
+        big_u = xl.block([[u, z], [z, xl.to_int(xl.invert(u)).T]])
+        splitting = {"basis1": _columns(big_u, [*range(2 * n, 3 * n), *range(n, 2 * n)]),
+                     "basis2": _columns(big_u, [*range(n), *range(3 * n, 4 * n)])}
+        docs.append((f"mirror-split:n{n}", "mirror-split",
+                     {"pair": _pair_json(p), "splitting": splitting}))
+        docs.append((f"siegel-act:n{n}", "siegel-act",
+                     {"pair": _pair_json(gaussian_pair(rng, n)),
+                      "g": sz.mat_to_json(rand_q_isometry(rng, n))}))
+    return docs
+
+
+# the exit code and the exact bytes of the output, one per pinned_payloads id
+PINNED_SHA256 = {
+    "classify:AlgebraicPlus:n1":
+        (0, "6540c649485f5dd19ae544dc9ba8e5e09e02e33e165263e098880daff9d6f55a"),
+    "classify:AlgebraicMinus:n1":
+        (0, "ed578898f7393872f066acae230fc2886c8a9a62396eaf87a6704569da62d2eb"),
+    "classify:not-ns:n1":
+        (1, "c0e92266b84f26f6f3caf9b478154976b41f12d605f2fcddc0824852ca6f6711"),
+    "i-omega:n1":
+        (0, "233b28cb0791ab21afc8dad683bbaa506bfcdf714b019e86dcc359ef14bf00c2"),
+    "ns-basis:n1":
+        (0, "675823a3ab1765621bca76250ccbd250b729bd2cd3023f963acde86b135993ad"),
+    "elliptic-mirror:n1":
+        (0, "4b5e8456462a17ec4b8c03c61df3d8ae96c5be78efb4de620d5d18065850e9d3"),
+    "gns:n1":
+        (0, "f0a1acc93a635defa947c8c964f33a6811b2457852c9936d1c47508c79e768e9"),
+    "g-mirror:n1":
+        (0, "69ac2864e8c5c23f31987e54a9d20280d2a7e7a988986602e7f3706d62434908"),
+    "mirror-split:n1":
+        (0, "3db7d9774f429ab104dab4c460691057eb4434960026776cadf60eeb7add84a4"),
+    "siegel-act:n1":
+        (0, "2ef82981526fed044098ea07f0dacce39cdf54a40c612f5ecc61fd83755f9d51"),
+    "classify:AlgebraicPlus:n2":
+        (0, "6540c649485f5dd19ae544dc9ba8e5e09e02e33e165263e098880daff9d6f55a"),
+    "classify:AlgebraicMinus:n2":
+        (0, "ed578898f7393872f066acae230fc2886c8a9a62396eaf87a6704569da62d2eb"),
+    "classify:WeakOnly:n2":
+        (0, "e994ab016a82a789cfb912942a58a1e3bbc4bc5e30b16f60355f17058666b999"),
+    "classify:not-ns:n2":
+        (1, "c0e92266b84f26f6f3caf9b478154976b41f12d605f2fcddc0824852ca6f6711"),
+    "i-omega:n2":
+        (0, "ad8c6d5ad847c9c457738d6efb2b6cca41ee8d1ee5c89e75e93dbfb8dcc51a5f"),
+    "ns-basis:n2":
+        (0, "9ba10bede4689de17c4e39e415ebb30251d10926adc87627038f54ae671f3509"),
+    "elliptic-mirror:n2":
+        (0, "3967945336e4381b17e4f4353ef819ea75b30863588afdd1fd900aebbcc6d8ed"),
+    "gns:n2":
+        (0, "5745058cfaee07c1563436b2a5d2c694c06c2c1cb338bb096c6c0933026e5e0d"),
+    "g-mirror:n2":
+        (0, "ccd770a03f7952208460b9c051f33ff001406c841d50023a2cb0b4dea94c4a53"),
+    "mirror-split:n2":
+        (0, "6d72a0040ce1026115ef7b2e8b8514cdde954b82623e8ee32ceefaa7ad158d19"),
+    "siegel-act:n2":
+        (0, "9fec235791d7df2cfcfee4a75f41e24dd03252e6bde84bca7f5765c6ae5dc998"),
+}
+
+
+def test_pinned_outputs(tmp_path, capsys):
+    docs = pinned_payloads()
+    assert [d[0] for d in docs] == list(PINNED_SHA256)
+    for name, command, payload in docs:
+        code, out = run(tmp_path, command, payload)
+        assert capsys.readouterr().err == ""
+        text = out.read_bytes()
+        assert (code, hashlib.sha256(text).hexdigest()) == PINNED_SHA256[name], name
+        if command == "classify" and code == 0:
+            assert json.loads(text) == {"tag": name.split(":")[1]}
 
 
 # the exact bytes of the xi output, so that a reordering of its terms fails

@@ -17,8 +17,7 @@ INVERT_SITES = {
     ("pairspace", "recover_omega"): 1,
     ("lefschetz", "lefschetz_f"): 1,
     ("clifford", "IsotropicSplitting.__init__"): 1,
-    ("mirror", "check_well_becoming"): 1,
-    ("mirror", "g_mirror"): 1,
+    ("mirror", "_witness_basis"): 1,
     ("mirror", "elliptic_mirror"): 1,
 }
 

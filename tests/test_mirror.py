@@ -10,8 +10,8 @@ from torusmirror.mirror import (WellBecomingWitness, _repair_candidates,
                                 check_well_becoming, compare_mirror_isos,
                                 elliptic_factors, elliptic_mirror, g_mirror,
                                 mirror_from_splitting, verify_mirror)
-from torusmirror.pairspace import (build_lambda, classify_pair, i_omega,
-                                   make_weak_pair)
+from torusmirror.pairspace import (classify_pair, i_omega, jprod, make_weak_pair,
+                                   q_form)
 from torusmirror.clifford import IsotropicSplitting, standard_splitting
 from torusmirror.torus import make_torus
 
@@ -80,11 +80,9 @@ def test_check_well_becoming_detects_bad_grouping():
 def test_g_mirror_square_torus():
     p = square_pair()
     pB, cert = g_mirror(p, std_witness(1))
-    lamA = build_lambda(p.torus)
-    lamB = build_lambda(pB.torus)
     a = cert.alpha
-    assert xl.mat_eq(xl.mul(a.T, xl.mul(lamB.Q, a)), lamA.Q)
-    assert xl.mat_eq(xl.mul(a, lamA.Jprod), xl.mul(i_omega(pB), a))
+    assert xl.mat_eq(xl.mul(a.T, xl.mul(q_form(1), a)), q_form(1))
+    assert xl.mat_eq(xl.mul(a, jprod(p.torus)), xl.mul(i_omega(pB), a))
     assert check_well_becoming(pB, std_witness(1))
 
 
@@ -105,8 +103,8 @@ def test_double_mirror_is_isomorphism_of_pairs(rng):
         pC, c2 = g_mirror(pB, std_witness(n))
         gamma = xl.mul(c2.alpha, c1.alpha)
         gamma_inv = xl.to_int(xl.invert(gamma))
-        jA = build_lambda(p.torus).Jprod
-        jC = build_lambda(pC.torus).Jprod
+        jA = jprod(p.torus)
+        jC = jprod(pC.torus)
         assert xl.mat_eq(xl.mul(gamma, xl.mul(jA, gamma_inv)), jC)
         assert xl.mat_eq(xl.mul(gamma, xl.mul(i_omega(p), gamma_inv)), i_omega(pC))
 
@@ -254,7 +252,7 @@ def _old_elliptic_mirror(A, tau, c, budget=5):
         u2 = u.copy()
         u2[:, :n] = u[:, :n] + xl.mul(u[:, n:], corr)
         j1 = xl.mul(xl.to_int(xl.invert(u2)), xl.mul(A.J, u2))
-        jprod1 = build_lambda(make_torus(n, j1)).Jprod
+        jprod1 = jprod(make_torus(n, j1))
         if all(xl.rank(np.block([[e[:, idx], xl.mul(jprod1, e[:, idx])]])) == 4 * n
                for idx in (w_idx, sigma_idx)):
             return (pA,) + _adapted_route(pA, u2, (w_idx, sigma_idx))

@@ -1,12 +1,12 @@
 import pytest
 
-from conftest import weak_pair_sample
+from conftest import classify_by_e_form, e_form, gaussian_pair, weak_pair_sample
 from torusmirror import exactlin as xl
 from torusmirror.errors import Block12Singular, NotNSForm
-from torusmirror.pairspace import (build_lambda, classify_pair,
-                                   conjugate_pair, e_form, i_omega,
+from torusmirror.pairspace import (classify_pair, conjugate_pair, i_omega, jprod,
                                    make_weak_pair, q_form, recover_omega)
-from torusmirror.torus import make_torus
+from torusmirror.siegel import translation_element
+from torusmirror.torus import make_torus, polarization_form
 
 J_SQUARE = xl.mat([[0, -1], [1, 0]])
 PHI = xl.mat([[0, 1], [-1, 0]])
@@ -27,23 +27,23 @@ def test_make_weak_pair_validates():
 
 def test_i_omega_properties_square_torus():
     p = square_pair()
-    lam = build_lambda(p.torus)
+    q, jp = q_form(1), jprod(p.torus)
     iw = i_omega(p)
     assert xl.mat_eq(xl.mul(iw, iw), -xl.eye(4))
-    assert xl.mat_eq(xl.mul(iw.T, xl.mul(lam.Q, iw)), lam.Q)
+    assert xl.mat_eq(xl.mul(iw.T, xl.mul(q, iw)), q)
     assert xl.det(iw) == 1
-    assert xl.mat_eq(xl.mul(iw, lam.Jprod), xl.mul(lam.Jprod, iw))
+    assert xl.mat_eq(xl.mul(iw, jp), xl.mul(jp, iw))
 
 
 def test_i_omega_properties_random(rng):
     for n in (1, 2, 3):
         for _ in range(5):
             p = weak_pair_sample(rng, n)
-            lam = build_lambda(p.torus)
+            q, jp = q_form(n), jprod(p.torus)
             iw = i_omega(p)
             assert xl.mat_eq(xl.mul(iw, iw), -xl.eye(4 * n))
-            assert xl.mat_eq(xl.mul(iw.T, xl.mul(lam.Q, iw)), lam.Q)
-            assert xl.mat_eq(xl.mul(iw, lam.Jprod), xl.mul(lam.Jprod, iw))
+            assert xl.mat_eq(xl.mul(iw.T, xl.mul(q, iw)), q)
+            assert xl.mat_eq(xl.mul(iw, jp), xl.mul(jp, iw))
             assert xl.mat_eq(i_omega(conjugate_pair(p)), -iw)
 
 
@@ -66,6 +66,47 @@ def test_e_form_symmetric_and_classification():
     assert classify_pair(conjugate_pair(p)) == "AlgebraicMinus"
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_classify_pair_matches_e_form(rng, n):
+    # phi1 and phi2 independent; n = 1 admits no WeakOnly pair
+    tags = {"AlgebraicPlus", "AlgebraicMinus"} | ({"WeakOnly"} if n > 1 else set())
+    seen = set()
+    for _ in range(60):
+        p = gaussian_pair(rng, n)
+        tag = classify_pair(p)
+        assert tag == classify_by_e_form(p)
+        seen.add(tag)
+        if seen == tags:
+            break
+    assert seen == tags
+
+
+def test_e_form_is_congruent_to_polarization_blocks(rng):
+    # S^T e S = diag(b, b^-1) for the translation S = [[1, 0], [phi1, 1]] and the
+    # polarization form b of phi2, so e is definite exactly when b is
+    for n in (1, 2, 3):
+        for _ in range(4):
+            p = gaussian_pair(rng, n)
+            s = translation_element(p.phi1, n)
+            b = polarization_form(p.torus, p.phi2)
+            z = xl.zeros(2 * n)
+            want = xl.block([[b, z], [z, xl.invert(b)]])
+            assert xl.mat_eq(xl.mul(s.T, xl.mul(e_form(p), s)), want)
+
+
+def test_pair_keeps_its_own_forms(rng):
+    # editing the caller's matrices afterwards leaves the pair and its I_omega alone
+    p = gaussian_pair(rng, 2)
+    phi1, phi2 = p.phi1.copy(), p.phi2.copy()
+    q = make_weak_pair(p.torus, phi1, phi2)
+    phi1[0, 1] += 3
+    phi1[1, 0] -= 3
+    phi2[0, 0] += 1
+    assert xl.mat_eq(q.phi1, p.phi1) and xl.mat_eq(q.phi2, p.phi2)
+    assert xl.mat_eq(i_omega(q), i_omega(p))
+    assert recover_omega(q.torus, i_omega(q)) == q
+
+
 def test_recover_omega_roundtrip(rng):
     for n in (1, 2):
         p = weak_pair_sample(rng, n)
@@ -76,7 +117,7 @@ def test_recover_omega_roundtrip(rng):
 def test_recover_omega_rejects_singular_block():
     A = make_torus(1, J_SQUARE)
     with pytest.raises(Block12Singular):
-        recover_omega(A, build_lambda(A).Jprod)
+        recover_omega(A, jprod(A))
 
 
 def test_recover_omega_rejects_other_shapes():

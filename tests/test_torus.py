@@ -1,10 +1,11 @@
 import pytest
 
+from conftest import gaussian_torus, rand_ns_form, rand_skew
 from torusmirror import exactlin as xl
 from torusmirror.errors import NotComplexStructure, NotNSForm
 from torusmirror.torus import (check_polarization, dual_torus,
                                find_polarization, hom_space, make_torus,
-                               ns_basis, ns_vector, polarization_form)
+                               is_ns_form, ns_basis, ns_vector, polarization_form)
 
 J_SQUARE = xl.mat([[0, -1], [1, 0]])
 PHI = xl.mat([[0, 1], [-1, 0]])
@@ -80,3 +81,21 @@ def test_ns_basis_members_are_ns_forms(rng):
         A = weak_pair_sample(rng, n).torus
         for v in ns_basis(A):
             ns_vector(A, v.c)
+
+
+def test_is_ns_form_matches_two_product_reference(rng):
+    # one product, J^T c symmetric, against skew and J^T c J = c
+    def reference(A, c):
+        return xl.mat_eq(c, -c.T) and xl.mat_eq(xl.mul(A.J.T, xl.mul(c, A.J)), c)
+
+    seen = set()
+    for n in (1, 2, 3):
+        A, _pol = gaussian_torus(rng, n)
+        basis = ns_basis(A)
+        # c = J^T gives J^T c = -1, symmetric, yet c is not skew unless J is
+        for c in [rand_ns_form(rng, basis) for _ in range(3)] + [
+                rand_skew(rng, 2 * n) for _ in range(6)] + [A.J.T, xl.eye(2 * n)]:
+            want = reference(A, c)
+            assert is_ns_form(A, c) == want
+            seen.add(want)
+    assert seen == {True, False}
