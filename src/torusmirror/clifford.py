@@ -110,11 +110,14 @@ def _generator_maps(n):
 
 def cor_matrix(n, lambda_vec):
     """Spinor matrix of cor(lambda) = sum_k lambda_k cor(e_k) in standard coordinates."""
-    out = xl.zeros(1 << (2 * n))
-    for row, sparse in zip(out.rows, _cor_rows(_generator_maps(n), lambda_vec)):
+    size = 1 << (2 * n)
+    out = []
+    for sparse in _cor_rows(_generator_maps(n), lambda_vec):
+        row = [0] * size
         for m, v in sparse.items():
             row[m] = v
-    return out
+        out.append(row)
+    return xl.mat(out)
 
 
 def _cor_rows(maps, coords):
@@ -183,12 +186,12 @@ class IsotropicSplitting:
         self.basis1 = b1
         self.basis2 = b2_dual
         self.w = xl.block([[b1, b2_dual]])
-        # w^t Q w = Q now, and Q^2 = 1
+        # w^t Q w = Q now, and Q^2 = 1; w_inv is integral, so its num is its entries
         self.w_inv = xl.mul(q, xl.mul(self.w.T, q))
 
     def coords(self, lambda_vec):
         lambda_vec = list(lambda_vec)
-        return [sum(x * y for x, y in zip(row, lambda_vec) if x) for row in self.w_inv.rows]
+        return [sum(x * y for x, y in zip(row, lambda_vec) if x) for row in self.w_inv.num]
 
     def cor(self, lambda_vec):
         return cor_matrix(self.n, self.coords(lambda_vec))
@@ -262,7 +265,7 @@ def _spin_conjugation(z):
     units = [1 << i for i in range(d)]
     zr, rev = z.rows, z_rev.rows
     z_nonzeros = [[(j, x) for j, x in enumerate(row) if x] for row in zr]
-    r = xl.zeros(4 * n)
+    r = [[0] * (4 * n) for _ in range(4 * n)]
     for k, col in enumerate(maps):
         # (monomial cor(e_k) does not kill, its image, sign)
         kept = [(m, image[0], image[1]) for m, image in enumerate(col) if image is not None]
@@ -274,9 +277,9 @@ def _spin_conjugation(z):
             zg.append(out)
         # contraction l_{i+1}: x_{i+1} -> 1 (row 0); wedge x_{i+1}: 1 -> x_{i+1} (column 0)
         for i, unit in enumerate(units):
-            r.rows[i][k] = sum(x * rev[m][unit] for m, x in enumerate(zg[0]) if x)
-            r.rows[d + i][k] = sum(x * rev[m][0] for m, x in enumerate(zg[unit]) if x)
-        coeffs = [row[k] for row in r.rows]
+            r[i][k] = sum(x * rev[m][unit] for m, x in enumerate(zg[0]) if x)
+            r[d + i][k] = sum(x * rev[m][0] for m, x in enumerate(zg[unit]) if x)
+        coeffs = [row[k] for row in r]
         # row a of (sum_i R[i,k] cor(e_i)) z: for each bit b, wedge x_{b+1} brings
         # row a ^ b in when a holds b, contraction l_{b+1} brings row a | b otherwise
         for a, zg_row in enumerate(zg):
@@ -290,6 +293,7 @@ def _spin_conjugation(z):
                         recon[j] += f * x
             if recon != zg_row:
                 return None
+    r = xl.mat(r)
     if not xl.is_integral(r) or abs(xl.det(r)) != 1:
         return None
     # the involution gives cor(e_k) z' = z' recon_k, so z z' commutes with the
@@ -394,11 +398,11 @@ def beta_iso(s1, s2):
 def beta_parity(t, s1, s2):
     """Even/Odd per the grading of t; cross-checked against the intersection
     dimension of the two M1 halves mod 2."""
-    t = xl.asmat(t)
+    rows = xl.asmat(t).rows
 
     def graded(parity):
         return all(x == 0 or (popcount(i) + popcount(j)) % 2 == parity
-                   for i, row in enumerate(t.rows) for j, x in enumerate(row))
+                   for i, row in enumerate(rows) for j, x in enumerate(row))
 
     even_ok, odd_ok = graded(0), graded(1)
     if even_ok == odd_ok:

@@ -137,15 +137,15 @@ def beta_explicit(n):
     """
     size = 1 << (2 * n)
     low = (1 << n) - 1
-    m = xl.zeros(size)
+    m = [[0] * size for _ in range(size)]
     for col in range(size):
         s = col & low
         r = col & ~low
         sbar = low ^ s
         eps = popcount(s) * popcount(r) + sum(i for i in range(n) if s & (1 << i))
         eps += popcount(r) * popcount(sbar)
-        m.rows[sbar | r][col] = (-1) ** (eps % 2)
-    return m
+        m[sbar | r][col] = (-1) ** (eps % 2)
+    return xl.mat(m)
 
 
 def _mu_expand(n, factors, p1_sign):

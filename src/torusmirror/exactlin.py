@@ -1,15 +1,22 @@
 """Exact linear algebra over Z and Q.
 
-A matrix is a `Matrix`: a list of rows of python ints and fractions.Fraction
-values, so all arithmetic is exact; a vector is a plain list.  Every public
-function reads its matrix arguments row by row, so nested sequences, numpy
-object arrays and `Matrix` values are all accepted, and the package itself
-never imports numpy.  The one computation over Q(i), the Siegel action, is
-solved through its real form (siegel.siegel_act).
+A matrix is a `Matrix`: one integer matrix over one denominator, `num` (a
+list of rows of python ints) and `den` (a positive int), kept canonical with
+gcd(den, every entry of num) = 1, so an integral matrix is one with den = 1.
+This is the layout of FLINT's fmpq_mat: a product is an integer product and
+one gcd pass, equality compares (den, num), and elimination runs on the rows
+of num.  Entries become ints, or fractions.Fraction values where they are
+not integral, only where they are read (indexing, iteration, `rows`,
+`tolist`).  A vector is a plain list.  Every public function reads its matrix
+arguments row by row, so nested sequences, numpy object arrays and `Matrix`
+values are all accepted, and the package itself never imports numpy.  The
+one computation over Q(i), the Siegel action, is solved through its real
+form (siegel.siegel_act).
 """
 
 import sys
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 from numbers import Integral, Rational
 from operator import index
@@ -18,41 +25,49 @@ from .errors import Degenerate, NotSkew, NotSymmetric, SingularMatrix
 
 
 class Matrix:
-    """A dense exact matrix, held as `rows`, a list of row lists, and `ncols`.
+    """A dense exact matrix num / den: `num` a list of int row lists, `den` a
+    positive int with gcd(den, num) = 1, and `ncols`.
 
     Indexing follows numpy for ints and slices: m[i, j] is an entry, m[i] and
     m[:, j] are a row and a column as new lists, and slices give matrices.  A
     list of indices selects those rows or columns, so m[rows, cols] with two
     lists is a submatrix (numpy's m[np.ix_(rows, cols)]).  + and - are
-    entrywise, * scales by a number, == is mat_eq.  Code that owns a matrix
-    works on `rows` directly.
+    entrywise, * scales by a number, == is mat_eq.  `rows` is a new list of
+    the entries, int where integral.
     """
 
-    __slots__ = ("rows", "ncols")
+    __slots__ = ("num", "den", "ncols")
     # numpy's operators defer to ours: ndarray + Matrix is Matrix.__radd__
     __array_ufunc__ = None
 
     @property
     def shape(self):
-        return (len(self.rows), self.ncols)
+        return (len(self.num), self.ncols)
+
+    @property
+    def rows(self):
+        den = self.den
+        if den == 1:
+            return [row[:] for row in self.num]
+        return [[_div(x, den) for x in row] for row in self.num]
 
     @property
     def T(self):
-        if not self.rows:
-            return _wrap([[] for _ in range(self.ncols)], 0)
-        return _wrap([list(col) for col in zip(*self.rows)], len(self.rows))
+        if not self.num:
+            return _wrap([[] for _ in range(self.ncols)], 1, 0)
+        return _wrap([list(col) for col in zip(*self.num)], self.den, len(self.num))
 
     def copy(self):
-        return _wrap([row[:] for row in self.rows], self.ncols)
+        return _wrap([row[:] for row in self.num], self.den, self.ncols)
 
     def tolist(self):
-        return [row[:] for row in self.rows]
+        return self.rows
 
     def __len__(self):
-        return len(self.rows)
+        return len(self.num)
 
     def __iter__(self):
-        return (row[:] for row in self.rows)
+        return iter(self.rows)
 
     def __repr__(self):
         return f"Matrix({self.rows!r})"
@@ -69,7 +84,7 @@ class Matrix:
         """Row ids, column ids, and whether each axis was given as one int."""
         i, j = key if type(key) is tuple else (key, slice(None))
         axes = []
-        for k, size in ((i, len(self.rows)), (j, self.ncols)):
+        for k, size in ((i, len(self.num)), (j, self.ncols)):
             if isinstance(k, slice):
                 axes.append((range(size)[k], False))
             elif isinstance(k, (list, tuple)):
@@ -80,20 +95,23 @@ class Matrix:
         return rows, cols, row_int, col_int
 
     def __getitem__(self, key):
+        den = self.den
         if type(key) is tuple and type(key[0]) is int and type(key[1]) is int:
-            return self.rows[key[0]][key[1]]
+            x = self.num[key[0]][key[1]]
+            return x if den == 1 else _div(x, den)
         rows, cols, row_int, col_int = self._ids(key)
-        out = [[self.rows[r][c] for c in cols] for r in rows]
-        if row_int:
-            return out[0][0] if col_int else out[0]
-        if col_int:
-            return [row[0] for row in out]
-        return _wrap(out, len(cols))
+        out = [[self.num[r][c] for c in cols] for r in rows]
+        if not (row_int or col_int):
+            return _canon(out, den, len(cols))
+        line = out[0] if row_int else [row[0] for row in out]
+        if den != 1:
+            line = [_div(x, den) for x in line]
+        return line[0] if row_int and col_int else line
 
     def __setitem__(self, key, value):
         if (type(key) is tuple and type(key[0]) is int and type(key[1]) is int
-                and type(value) in (int, Fraction)):
-            self.rows[key[0]][key[1]] = value
+                and type(value) is int and self.den == 1):
+            self.num[key[0]][key[1]] = value
             return
         rows, cols, row_int, col_int = self._ids(key)
         if isinstance(value, Rational):
@@ -108,10 +126,17 @@ class Matrix:
         if len(grid) != len(rows) or any(len(g) != len(cols) for g in grid):
             raise ValueError(f"cannot assign {len(grid)} rows of values to "
                              f"{len(rows)}x{len(cols)} entries")
+        # integers go straight into an integral matrix; anything else is
+        # written into the entries, which are then read back in canonical form
+        ints = self.den == 1 and _all_int(grid)
+        target = self.num if ints else self.rows
         for r, values in zip(rows, grid):
-            row = self.rows[r]
+            row = target[r]
             for c, x in zip(cols, values):
                 row[c] = x
+        if not ints:
+            m = _from_entries(target, self.ncols)
+            self.num, self.den = m.num, m.den
 
     def __eq__(self, other):
         try:
@@ -120,17 +145,13 @@ class Matrix:
             return NotImplemented
 
     def __neg__(self):
-        return _wrap([[-x for x in row] for row in self.rows], self.ncols)
+        return _wrap([[-x for x in row] for row in self.num], self.den, self.ncols)
 
     def __add__(self, other):
-        other = _same_shape(self, other, "add")
-        return _wrap([[x + y for x, y in zip(r, s)] for r, s in zip(self.rows, other.rows)],
-                     self.ncols)
+        return _combine(self, _same_shape(self, other, "add"), 1)
 
     def __sub__(self, other):
-        other = _same_shape(self, other, "subtract")
-        return _wrap([[x - y for x, y in zip(r, s)] for r, s in zip(self.rows, other.rows)],
-                     self.ncols)
+        return _combine(self, _same_shape(self, other, "subtract"), -1)
 
     def __radd__(self, other):
         return asmat(other) + self
@@ -142,17 +163,48 @@ class Matrix:
         if not isinstance(c, Rational):
             return NotImplemented
         c = _entry(c)
-        return _wrap([[x * c for x in row] for row in self.rows], self.ncols)
+        p = c.numerator
+        return _canon([[x * p for x in row] for row in self.num],
+                      self.den * c.denominator, self.ncols)
 
     __rmul__ = __mul__
 
 
-def _wrap(rows, ncols):
-    """A Matrix that takes over the given row lists without copying them."""
+def _wrap(num, den, ncols):
+    """A Matrix that takes over the given canonical num and den without copying."""
     m = object.__new__(Matrix)
-    m.rows = rows
+    m.num = num
+    m.den = den
     m.ncols = ncols
     return m
+
+
+def _canon(num, den, ncols):
+    """The Matrix num / den for int rows num and den > 0, which it takes over,
+    with the gcd of den and the entries divided out."""
+    if den != 1:
+        g = den
+        for row in num:
+            g = gcd(g, *row)
+            if g == 1:
+                return _wrap(num, den, ncols)
+        num = [[x // g for x in row] for row in num]
+        den //= g
+    return _wrap(num, den, ncols)
+
+
+def _all_int(rows):
+    return set(map(type, chain.from_iterable(rows))) <= {int}
+
+
+def _from_entries(rows, ncols):
+    """The Matrix of row lists of ints and Fractions, which it takes over.  Its
+    den is the lcm of the entries' denominators, which is canonical."""
+    if _all_int(rows):
+        return _wrap(rows, 1, ncols)
+    den = lcm(*{x.denominator for x in chain.from_iterable(rows)})
+    return _wrap([[x.numerator * (den // x.denominator) for x in row] for row in rows],
+                 den, ncols)
 
 
 def _entry(x):
@@ -174,6 +226,14 @@ def _same_shape(a, b, what):
     return b
 
 
+def _combine(a, b, sign):
+    """a + sign * b for matrices of one shape, over the lcm of their dens."""
+    den = lcm(a.den, b.den)
+    fa, fb = den // a.den, sign * (den // b.den)
+    return _canon([[x * fa + y * fb for x, y in zip(r, s)] for r, s in zip(a.num, b.num)],
+                  den, a.ncols)
+
+
 def mat(rows):
     """A new exact matrix read row by row from a nested sequence of ints and
     rationals (lists, a numpy array, a Matrix); a flat sequence is one row."""
@@ -183,11 +243,13 @@ def mat(rows):
     rows = list(rows)
     if rows and isinstance(rows[0], Rational):
         rows = [rows]
-    out = [[_entry(x) for x in row] for row in rows]
+    out = [list(row) for row in rows]
     ncols = len(out[0]) if out else (shape[1] if len(shape) == 2 else 0)
     if any(len(row) != ncols for row in out):
         raise ValueError("matrix rows have unequal lengths")
-    return _wrap(out, ncols)
+    if _all_int(out):
+        return _wrap(out, 1, ncols)
+    return _from_entries([[_entry(x) for x in row] for row in out], ncols)
 
 
 def asmat(a):
@@ -197,68 +259,74 @@ def asmat(a):
 
 def block(grid):
     """The matrix assembled from a grid (list of block rows) of matrices."""
+    grid = [[asmat(m) for m in brow] for brow in grid]
+    den = lcm(*(p.den for brow in grid for p in brow))
     rows, ncols = [], None
-    for brow in grid:
-        parts = [asmat(m) for m in brow]
-        height = len(parts[0].rows)
+    for parts in grid:
+        height = len(parts[0].num)
         width = sum(p.ncols for p in parts)
-        if any(len(p.rows) != height for p in parts) or ncols not in (None, width):
+        if any(len(p.num) != height for p in parts) or ncols not in (None, width):
             raise ValueError("blocks do not fit together")
         ncols = width
+        scaled = [(p.num, den // p.den) for p in parts]
         for i in range(height):
-            rows.append([x for p in parts for x in p.rows[i]])
-    return _wrap(rows, ncols or 0)
+            row = []
+            for num, f in scaled:
+                row += num[i] if f == 1 else [x * f for x in num[i]]
+            rows.append(row)
+    return _canon(rows, den, ncols or 0)
 
 
 def eye(n):
     m = zeros(n)
-    for i, row in enumerate(m.rows):
+    for i, row in enumerate(m.num):
         row[i] = 1
     return m
 
 
 def zeros(r, c=None):
     c = r if c is None else c
-    return _wrap([[0] * c for _ in range(r)], c)
+    return _wrap([[0] * c for _ in range(r)], 1, c)
 
 
 def mat_eq(a, b):
     a, b = asmat(a), asmat(b)
-    return a.ncols == b.ncols and a.rows == b.rows
+    return a.ncols == b.ncols and a.den == b.den and a.num == b.num
 
 
 def is_zero(a):
-    return not any(any(row) for row in asmat(a).rows)
+    return not any(map(any, asmat(a).num))
 
 
 def is_integral(a):
-    return all(x.denominator == 1 for row in asmat(a).rows for x in row)
+    return asmat(a).den == 1
 
 
 def to_int(a):
-    a = asmat(a)
-    if not is_integral(a):
+    a = mat(a)
+    if a.den != 1:
         raise ValueError("matrix is not integral")
-    return _wrap([[int(x) for x in row] for row in a.rows], a.ncols)
+    return a
 
 
 def mul(a, b):
-    """Exact matrix product; cost proportional to the nonzero products."""
+    """Exact matrix product: the product of the nums, cost proportional to its
+    nonzero terms, over the product of the dens."""
     a, b = asmat(a), asmat(b)
-    if a.ncols != len(b.rows):
+    if a.ncols != len(b.num):
         raise ValueError(f"cannot multiply a {a.shape[0]}x{a.shape[1]} matrix "
                          f"by a {b.shape[0]}x{b.shape[1]} matrix")
     ncols = b.ncols
-    b_rows = [[(j, v) for j, v in enumerate(row) if v] for row in b.rows]
+    b_rows = [[(j, v) for j, v in enumerate(row) if v] for row in b.num]
     out = []
-    for row in a.rows:
+    for row in a.num:
         acc = [0] * ncols
         for k, x in enumerate(row):
             if x:
                 for j, v in b_rows[k]:
                     acc[j] += x * v
         out.append(acc)
-    return _wrap(out, ncols)
+    return _canon(out, a.den * b.den, ncols)
 
 
 def _clear_denominators(values):
@@ -321,7 +389,10 @@ class Echelon:
     def reduce(self, row):
         """What is left of row, up to a nonzero scale, after clearing every
         pivot column; {} if row lies in the span of the rows added."""
-        row = dict(zip(row, _clear_denominators(row.values())[1]))
+        return self._reduce(dict(zip(row, _clear_denominators(row.values())[1])))
+
+    def _reduce(self, row):
+        """reduce for a new dict of ints, which it clears in place."""
         # stored rows are zero in each other's pivot columns, so clearing
         # one pivot column never refills another
         for q in [c for c in row if c in self.int_rows]:
@@ -330,7 +401,10 @@ class Echelon:
 
     def add(self, row):
         """Add row to the span; False, changing nothing, if it is in it already."""
-        row = self.reduce(row)
+        return self._insert(self.reduce(row))
+
+    def _insert(self, row):
+        """Add a reduced int row, unless it is {}."""
         if not row:
             return False
         p = min(row)
@@ -367,48 +441,53 @@ class Echelon:
 
 
 def _echelon(rows):
-    """Echelon of dense rows, added top to bottom."""
+    """Echelon of dense int rows, added top to bottom."""
     ech = Echelon()
     for row in rows:
-        ech.add({j: x for j, x in enumerate(row) if x})
+        ech._insert(ech._reduce({j: x for j, x in enumerate(row) if x}))
     return ech
 
 
 def rank(a):
-    return len(_echelon(asmat(a).rows).int_rows)
+    return len(_echelon(asmat(a).num).int_rows)
 
 
 def nullspace(a):
     """Basis (list of vectors) of the rational right kernel."""
     a = asmat(a)
-    return _echelon(a.rows).kernel(a.ncols)
+    return _echelon(a.num).kernel(a.ncols)
 
 
 def solve_right(a, b):
     """Solve a @ x = b exactly for square invertible a (b may be a matrix)."""
     a, b = asmat(a), asmat(b)
-    n = len(a.rows)
+    n = len(a.num)
     if a.ncols != n:
         raise SingularMatrix("matrix not square")
-    if len(b.rows) != n:
+    if len(b.num) != n:
         raise ValueError(f"cannot solve a {n}x{n} system for a {b.shape[0]}x{b.shape[1]} "
                          f"right-hand side")
-    ech = _echelon(ra + rb for ra, rb in zip(a.rows, b.rows))
+    # a.num x = (a.den / b.den) b.num, scaled to integers on both sides
+    g = gcd(a.den, b.den)
+    fa, fb = b.den // g, a.den // g
+    ech = _echelon([x * fa for x in ra] + [x * fb for x in rb] for ra, rb in zip(a.num, b.num))
     if sorted(ech.int_rows) != list(range(n)):
         raise SingularMatrix("matrix is singular")
-    x = zeros(n, b.ncols)
+    # row p of x is the right-hand part of its pivot row over the pivot
+    den = lcm(*(row[p] for p, row in ech.int_rows.items()))
+    num = [[0] * b.ncols for _ in range(n)]
     for p, row in ech.int_rows.items():
-        out, lead = x.rows[p], row[p]
+        out, f = num[p], den // row[p]
         for c, v in row.items():
             if c >= n:
-                out[c - n] = _div(v, lead)
-    return x
+                out[c - n] = v * f
+    return _canon(num, den, b.ncols)
 
 
 def invert(m):
     """Exact inverse; raises SingularMatrix."""
     m = asmat(m)
-    return solve_right(m, eye(len(m.rows)))
+    return solve_right(m, eye(len(m.num)))
 
 
 def _bareiss(a):
@@ -443,36 +522,26 @@ def _bareiss(a):
 
 
 def det(m):
+    """Bareiss on num, divided by den^n once."""
     m = asmat(m)
-    n = len(m.rows)
+    n = len(m.num)
     if m.ncols != n:
         raise ValueError(f"determinant of a non-square {n}x{m.ncols} matrix")
-    den, rows = 1, []
-    for row in m.rows:
-        d, ints = _clear_denominators(row)
-        den *= d
-        rows.append(ints)
     d = 1
-    for d in _bareiss(rows):
+    for d in _bareiss([row[:] for row in m.num]):
         pass
-    return _div(d, den)
+    return _div(d, m.den ** n)
 
 
 def primitive_int(m):
-    """The primitive integer matrix on the ray of the rational matrix m:
-    denominators cleared, then the gcd of all entries divided out."""
+    """The primitive integer matrix on the ray of the rational matrix m: num
+    with the gcd of its entries divided out."""
     m = asmat(m)
-    den = 1
-    for row in m.rows:
-        for x in row:
-            den = den * x.denominator // gcd(den, x.denominator)
-    ints = [[int(x * den) for x in row] for row in m.rows]
     g = 0
-    for row in ints:
-        for x in row:
-            g = gcd(g, x)
+    for row in m.num:
+        g = gcd(g, *row)
     g = g or 1
-    return _wrap([[x // g for x in row] for row in ints], m.ncols)
+    return _wrap([[x // g for x in row] for row in m.num], 1, m.ncols)
 
 
 def is_unimodular(m):
@@ -487,8 +556,8 @@ def is_positive_definite(m):
         raise NotSymmetric("matrix not square")
     if not mat_eq(m, m.T):
         raise NotSymmetric("matrix not symmetric")
-    # each row scaled by a positive factor: every leading minor keeps its sign
-    return all(p > 0 for p in _bareiss([_clear_denominators(row)[1] for row in m.rows]))
+    # num is m scaled by den > 0: every leading minor keeps its sign
+    return all(p > 0 for p in _bareiss([row[:] for row in m.num]))
 
 
 def _min_entry(d, lo):
@@ -507,9 +576,9 @@ def smith_normal_form(m):
     """Return (U, D, V) with U @ m @ V = D diagonal, divisibility chain, U,V unimodular."""
     d = to_int(m)
     n_rows, n_cols = d.shape
-    d = d.rows
+    d = d.num
     u, v = eye(n_rows), eye(n_cols)
-    ur, vr = u.rows, v.rows
+    ur, vr = u.num, v.num
     k = 0
     while True:
         pos = _min_entry(d, k)
@@ -555,7 +624,7 @@ def smith_normal_form(m):
         k += 1
         if k == min(n_rows, n_cols):
             break
-    return u, _wrap(d, n_cols), v
+    return u, _wrap(d, 1, n_cols), v
 
 
 def saturate_rows(b):
@@ -566,11 +635,11 @@ def saturate_rows(b):
     """
     b = to_int(b)
     u, d, _ = smith_normal_form(b)
-    ub = mul(u, b).rows
-    pivots = [(d.rows[k][k], ub[k]) for k in range(min(d.shape)) if d.rows[k][k]]
+    ub, d = mul(u, b).num, d.num
+    pivots = [(d[k][k], ub[k]) for k in range(min(len(d), b.ncols)) if d[k][k]]
     if any(x % dk for dk, row in pivots for x in row):
         raise RuntimeError("saturate rows: a row of U b is not divisible by its d_k")
-    return _wrap([[x // dk for x in row] for dk, row in pivots], b.ncols)
+    return _wrap([[x // dk for x in row] for dk, row in pivots], 1, b.ncols)
 
 
 class SkewNormalForm:
@@ -586,11 +655,11 @@ class SkewNormalForm:
 
     def block_form(self):
         n = len(self.deltas)
-        out = zeros(2 * n)
+        out = [[0] * (2 * n) for _ in range(2 * n)]
         for i, dlt in enumerate(self.deltas):
-            out.rows[i][n + i] = dlt
-            out.rows[n + i][i] = -dlt
-        return out
+            out[i][n + i] = dlt
+            out[n + i][i] = -dlt
+        return _wrap(out, 1, 2 * n)
 
 
 def skew_normal_form(phi):
@@ -604,8 +673,8 @@ def skew_normal_form(phi):
     if det(phi) == 0:
         raise Degenerate("skew form is degenerate")
     n = n2 // 2
-    m = phi.copy().rows
-    u = eye(n2).rows
+    m = phi.copy().num
+    u = eye(n2).num
 
     def col_op(dst, src, f):
         # congruence: same op on columns and on rows
@@ -658,7 +727,7 @@ def skew_normal_form(phi):
     deltas = [int(m[2 * k][2 * k + 1]) for k in range(n)]
     # reorder adjacent pairs (e_1, e_-1, e_2, e_-2, ...) -> (e_1..e_n, e_-1..e_-n)
     perm = [2 * k for k in range(n)] + [2 * k + 1 for k in range(n)]
-    basis = _wrap([[row[c] for c in perm] for row in u], n2)
+    basis = _wrap([[row[c] for c in perm] for row in u], 1, n2)
     out = SkewNormalForm(basis, deltas)
     if not mat_eq(mul(basis.T, mul(phi, basis)), out.block_form()):
         raise RuntimeError("skew normal form: u^t phi u is not the block form")

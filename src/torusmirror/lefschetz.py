@@ -27,11 +27,11 @@ class GradedOperator:
     @cached_property
     def mat(self):
         """The dense size x size matrix, built when first read."""
-        mat = xl.zeros(self.size)
+        rows = [[0] * self.size for _ in range(self.size)]
         for key, v in self.entries.items():
             i, j = divmod(key, self.size)
-            mat.rows[i][j] = v
-        return mat
+            rows[i][j] = v
+        return xl.mat(rows)
 
 
 class LieAlgebraBasis:
@@ -85,8 +85,9 @@ def _half_bracket(a, b, size):
 def _form_operator(c, gens, size, degree):
     """sum_{i<j} c_ij (1/2)[gens_i, gens_j] for a 2n x 2n matrix c."""
     entries = {}
-    for i, j in combinations(range(len(c.rows)), 2):
-        cij = c.rows[i][j]
+    rows = c.rows
+    for i, j in combinations(range(len(rows)), 2):
+        cij = rows[i][j]
         if cij != 0:
             for key, v in _half_bracket(gens[i], gens[j], size).items():
                 entries[key] = entries.get(key, 0) + cij * v
@@ -188,12 +189,12 @@ def chi_form(n):
     """
     size = 1 << (2 * n)
     full = size - 1
-    x = xl.zeros(size)
+    x = [[0] * size for _ in range(size)]
     for s_mask in range(size):
         t_mask = full ^ s_mask
         q = (popcount(s_mask) - n) // 2
-        x.rows[s_mask][t_mask] = _merge_sign(s_mask, t_mask) * ((-1) ** (q % 2))
-    return x
+        x[s_mask][t_mask] = _merge_sign(s_mask, t_mask) * ((-1) ** (q % 2))
+    return xl.mat(x)
 
 
 def so_lambda_spinor_image(A):

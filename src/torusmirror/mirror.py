@@ -32,8 +32,19 @@ class WellBecomingWitness:
 
 
 def verify_mirror(pA, pB, alpha):
-    """Check the four defining identities exactly and issue a certificate."""
+    """Check the four defining identities exactly and issue a certificate.
+
+    Pairs of different dimensions are never mirrors: Lambda_A and Lambda_B
+    then have different ranks, so no alpha identifies their forms.  When the
+    ranks agree, an alpha that is not 4n x 4n is malformed input."""
     alpha = xl.asmat(alpha)
+    na, nb = pA.torus.n, pB.torus.n
+    if na != nb:
+        raise FormMismatch(f"Lambda_A has rank {4 * na} and Lambda_B rank {4 * nb}, "
+                           f"so no alpha identifies their forms")
+    if alpha.shape != (4 * na, 4 * na):
+        raise ValueError(f"alpha must be {4 * na}x{4 * na}, not "
+                         f"{alpha.shape[0]}x{alpha.shape[1]}")
     if not xl.is_unimodular(alpha):
         raise FormMismatch("alpha is not an integral unimodular matrix")
     if not xl.mat_eq(xl.mul(alpha.T, xl.mul(q_form(pB.torus.n), alpha)), q_form(pA.torus.n)):
@@ -140,18 +151,18 @@ def _repair_candidates(n, deltas, budget):
         for vals in product(range(-norm, norm + 1), repeat=len(pairs)):
             if norm > 0 and max(abs(v) for v in vals) != norm:
                 continue
-            c = xl.zeros(n)
+            c = [[0] * n for _ in range(n)]
             ok = True
             for (i, j), v in zip(pairs, vals):
-                c.rows[i][j] = v
+                c[i][j] = v
                 if i != j:
                     num = deltas[i] * v
                     if num % deltas[j]:
                         ok = False
                         break
-                    c.rows[j][i] = num // deltas[j]
+                    c[j][i] = num // deltas[j]
             if ok:
-                yield c
+                yield xl.mat(c)
 
 
 def elliptic_mirror(A, tau, phi, budget=5):

@@ -31,11 +31,11 @@ class WeakPair:
 
 def q_form(n):
     d = 2 * n
-    q = xl.zeros(2 * d)
+    q = [[0] * (2 * d) for _ in range(2 * d)]
     for i in range(d):
-        q.rows[i][d + i] = 1
-        q.rows[d + i][i] = 1
-    return q
+        q[i][d + i] = 1
+        q[d + i][i] = 1
+    return xl.mat(q)
 
 
 def jprod(A):

@@ -6,8 +6,6 @@ identity (the geometric sign of the double-dual identification is a
 convention on l**, not on matrices, and never enters the formulas here).
 """
 
-from itertools import product
-
 from . import exactlin as xl
 from .errors import NotComplexStructure, NotNSForm
 
@@ -88,7 +86,7 @@ def _reshape(v, r, c):
 def ns_basis(A):
     """Z-basis of the lattice of integral skew J-invariant forms on Gamma."""
     d = 2 * A.n
-    J = A.J.rows
+    J, d2 = A.J.num, A.J.den ** 2
     rows = []
     for i in range(d):
         for j in range(d):
@@ -97,7 +95,7 @@ def ns_basis(A):
                 rows.append({i * d + j: 1, j * d + i: 1})
             elif i == j:
                 rows.append({i * d + i: 1})
-            # invariance: (J^t c J - c)_ij = 0
+            # invariance: (J^t c J - c)_ij = 0, times den(J)^2
             row = {}
             for a in range(d):
                 if J[a][i] == 0:
@@ -105,7 +103,7 @@ def ns_basis(A):
                 for b in range(d):
                     if J[b][j] != 0:
                         row[a * d + b] = row.get(a * d + b, 0) + J[a][i] * J[b][j]
-            row[i * d + j] = row.get(i * d + j, 0) - 1
+            row[i * d + j] = row.get(i * d + j, 0) - d2
             rows.append({k: v for k, v in row.items() if v != 0})
     return [NSVector(_reshape(v, d, d)) for v in _saturated_solutions(rows, d * d)]
 
@@ -113,17 +111,19 @@ def ns_basis(A):
 def hom_space(A, B):
     """Z-basis of { f : J_B f = f J_A } among integer matrices Gamma_A -> Gamma_B."""
     da, db = 2 * A.n, 2 * B.n
-    ja, jb = A.J.rows, B.J.rows
+    ja, jb = A.J.num, B.J.num
+    # (J_B f - f J_A)_ij = 0, times den(J_A) den(J_B)
+    fa, fb = B.J.den, A.J.den
     rows = []
     for i in range(db):
         for j in range(da):
             row = {}
-            for k in range(da):
+            for k in range(db):
                 if jb[i][k] != 0:
-                    row[k * da + j] = row.get(k * da + j, 0) + jb[i][k]
+                    row[k * da + j] = row.get(k * da + j, 0) + fb * jb[i][k]
             for k in range(da):
                 if ja[k][j] != 0:
-                    row[i * da + k] = row.get(i * da + k, 0) - ja[k][j]
+                    row[i * da + k] = row.get(i * da + k, 0) - fa * ja[k][j]
             rows.append({k: v for k, v in row.items() if v != 0})
     return [_reshape(v, db, da) for v in _saturated_solutions(rows, db * da)]
 
@@ -140,24 +140,8 @@ def check_polarization(A, c):
     return xl.is_positive_definite(b)
 
 
-def find_polarization(A, budget=3):
-    """Small polarization by exhaustive search over ns_basis combinations.
-
-    Returns None when the search is exhausted; that is inconclusive, not a
-    proof that A is non-algebraic.
-    """
-    basis = ns_basis(A)
-    if not basis:
-        return None
-    r = len(basis)
-    for m in range(1, budget + 1):
-        for combo in product(range(-m, m + 1), repeat=r):
-            if max(abs(x) for x in combo) != m:
-                continue
-            c = xl.zeros(2 * A.n)
-            for coef, vec in zip(combo, basis):
-                if coef:
-                    c = c + coef * vec.c
-            if check_polarization(A, c):
-                return NSVector(c)
-    return None
+def find_polarization(A):
+    """The primitive integral multiple of c = J^T - J, a polarization of every
+    torus here: c is skew, J^T c J = -J + J^T = c since J^2 = -1, and its
+    polarization form -J^T c = 1 + J^T J is symmetric positive definite."""
+    return NSVector(xl.primitive_int(A.J.T - A.J))

@@ -335,6 +335,39 @@ def fraction_det(m):
 
 
 # ---------------------------------------------------------------------------
+# matrices as lists of rows of ints and Fractions, the reference for
+# exactlin.Matrix held as one integer matrix over one denominator
+
+
+def fraction_mul(a, b):
+    """a @ b for row lists of ints and Fractions, entry by entry."""
+    b_rows = [[(j, v) for j, v in enumerate(row) if v] for row in b]
+    out = []
+    for row in a:
+        acc = [0] * len(b[0])
+        for k, x in enumerate(row):
+            if x:
+                for j, v in b_rows[k]:
+                    acc[j] += x * v
+        out.append(acc)
+    return out
+
+
+def fraction_add(a, b):
+    return [[x + y for x, y in zip(r, s)] for r, s in zip(a, b)]
+
+
+def fraction_sub(a, b):
+    return [[x - y for x, y in zip(r, s)] for r, s in zip(a, b)]
+
+
+def fraction_mat_eq(a, b):
+    """Equal shapes and equal entries, an int equal to an integral Fraction."""
+    return ([len(row) for row in a] == [len(row) for row in b]
+            and all(x == y for r, s in zip(a, b) for x, y in zip(r, s)))
+
+
+# ---------------------------------------------------------------------------
 # the one-generator operators bit by bit, the references for the generator
 # maps clifford._generator_maps
 

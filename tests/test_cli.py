@@ -421,6 +421,15 @@ MALFORMED = [
     ("alpha-shape", "verify-mirror",
      {"pairA": PAIR_SQUARE, "pairB": PAIR_SQUARE,
       "alpha": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]}, 2, None),
+    # pairs of different n are never mirrors, whichever pair alpha is sized for
+    ("alpha-for-pairA", "verify-mirror",
+     {"pairA": PAIR_SQUARE, "pairB": _square_pair(2),
+      "alpha": [["1" if i == j else "0" for j in range(4)] for i in range(4)]},
+     1, "form-mismatch"),
+    ("alpha-for-pairB", "verify-mirror",
+     {"pairA": PAIR_SQUARE, "pairB": _square_pair(2),
+      "alpha": [["1" if i == j else "0" for j in range(8)] for i in range(8)]},
+     1, "form-mismatch"),
     ("g-shape", "siegel-act", {"pair": PAIR_SQUARE, "g": [["1", "0"], ["0", "1"]]}, 2, None),
     ("z-shape", "spin-check",
      {"n": 1, "z": [["1" if i == j else "0" for j in range(3)] for i in range(3)]}, 2, None),

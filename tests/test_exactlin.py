@@ -2,12 +2,17 @@ from fractions import Fraction
 from itertools import permutations
 from math import gcd
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FractionEchelon, fraction_det, fraction_solve_right
+from conftest import (FractionEchelon, fraction_add, fraction_det, fraction_mat_eq,
+                      fraction_mul, fraction_solve_right, fraction_sub)
+import torusmirror
 from torusmirror import exactlin as xl
 from torusmirror.errors import Degenerate, NotSymmetric, SingularMatrix
 
@@ -268,8 +273,8 @@ def test_solve_invert_and_det_match_fraction_reference(system):
         with pytest.raises(SingularMatrix):
             xl.invert(a)
     else:
-        assert xl.mat_eq(xl.solve_right(a, b), ref)
-        assert xl.mat_eq(xl.invert(a), fraction_solve_right(a, xl.eye(a.shape[0])))
+        assert xl.mat_eq(canonical(xl.solve_right(a, b)), ref)
+        assert xl.mat_eq(canonical(xl.invert(a)), fraction_solve_right(a, xl.eye(a.shape[0])))
 
 
 @st.composite
@@ -312,3 +317,118 @@ def test_integral_input_gives_ints_and_primitive_rows(a):
         assert _int_where_integral(x for row in xl.invert(square) for x in row)
         x = xl.solve_right(square, a[:k])
         assert _int_where_integral(v for row in x for v in row)
+
+
+def canonical(m):
+    """m, checked to be one integer matrix num over one positive den with
+    gcd(den, num) = 1, where den = 1 exactly when every entry is integral."""
+    assert type(m) is xl.Matrix and type(m.den) is int and m.den > 0
+    assert len(m.num) == m.shape[0] and all(len(row) == m.ncols for row in m.num)
+    assert all(type(x) is int for row in m.num for x in row)
+    assert gcd(m.den, *(x for row in m.num for x in row)) == 1
+    assert (m.den == 1) == all(Fraction(x).denominator == 1 for row in m.rows for x in row)
+    return m
+
+
+def reads_ints_where_integral(m):
+    """Indexing, tolist() and iteration read the same entries, and each is an
+    int where it is integral."""
+    rows, cols = m.shape
+    entries = [m[i, j] for i in range(rows) for j in range(cols)]
+    types = [type(x) for x in entries]
+    return (types == [int if Fraction(x).denominator == 1 else Fraction for x in entries]
+            and [x for row in m.tolist() for x in row] == entries
+            and [type(x) for row in m.tolist() for x in row] == types
+            and [type(x) for row in m for x in row] == types
+            and [list(row) for row in m] == m.tolist() == m.rows)
+
+
+@st.composite
+def operands(draw):
+    """a, b and c with a @ b and a +- c defined, integral or rational, and a
+    rational scalar."""
+    r, k, c = (draw(st.integers(1, 5)) for _ in range(3))
+    return (draw(matrices(r, k)), draw(matrices(k, c)), draw(matrices(r, k)),
+            draw(st.one_of(small_ints, small_fracs)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(operands())
+def test_matrix_arithmetic_matches_fraction_reference(ops):
+    a, b, c, x = ops
+    ra, rb, rc = (m.tolist() for m in (a, b, c))
+    ma, mb, mc = (canonical(xl.mat(m)) for m in (a, b, c))
+    results = [
+        (xl.mul(a, b), fraction_mul(ra, rb)),
+        (xl.mul(ma, mb), fraction_mul(ra, rb)),
+        (ma + mc, fraction_add(ra, rc)),
+        (ma - mc, fraction_sub(ra, rc)),
+        (-ma, [[-v for v in row] for row in ra]),
+        (ma * x, [[v * x for v in row] for row in ra]),
+        (x * ma, [[x * v for v in row] for row in ra]),
+        (ma.T, [list(col) for col in zip(*ra)]),
+        (ma[::2, 1:], [row[1:] for row in ra[::2]]),
+        (xl.block([[ma, mc], [mc, ma]]), [r + s for r, s in zip(ra + rc, rc + ra)]),
+    ]
+    for got, want in results:
+        canonical(got)
+        assert fraction_mat_eq(got.tolist(), want)
+        assert reads_ints_where_integral(got)
+    for m1, m2 in [(ma, mc), (ma, ra), (ma + mc - mc, ma), (ma * 2 * Fraction(1, 2), ma),
+                   (xl.mul(ma, mb), xl.mul(mc, mb))]:
+        assert xl.mat_eq(m1, m2) == fraction_mat_eq(xl.asmat(m1).tolist(),
+                                                     xl.asmat(m2).tolist())
+    assert xl.is_integral(ma) == all(Fraction(v).denominator == 1 for row in ra for v in row)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rectangles())
+def test_public_functions_return_canonical_matrices(a):
+    m = canonical(xl.mat(a))
+    k = min(m.shape)
+    canonical(xl.asmat(a))
+    canonical(m.copy())
+    canonical(m[:k, :k])
+    canonical(xl.primitive_int(m))
+    canonical(xl.to_int(xl.primitive_int(m)))
+    canonical(xl.zeros(*m.shape))
+    canonical(xl.eye(k))
+    if xl.det(m[:k, :k]) != 0:
+        canonical(xl.invert(m[:k, :k]))
+    # writing an entry, a row or a block keeps the form canonical
+    w = m.copy()
+    w[0, 0] = Fraction(1, 3)
+    canonical(w)
+    w[0] = [0] * m.ncols
+    canonical(w)
+    w[:, :] = m
+    assert xl.mat_eq(canonical(w), m)
+    assert reads_ints_where_integral(m)
+
+
+def _assigns_through_rows(tree):
+    """Lines of assignments whose target is a subscript of some `.rows`."""
+    lines = set()
+    for node in ast.walk(tree):
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, (ast.AugAssign, ast.AnnAssign))
+                   else [])
+        for target in targets:
+            for t in ast.walk(target):
+                base = t
+                while isinstance(base, ast.Subscript):
+                    base = base.value
+                if base is not t and isinstance(base, ast.Attribute) and base.attr == "rows":
+                    lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_no_module_assigns_through_rows():
+    """`rows` is a new list of a matrix's entries, so a write through it is
+    lost: code builds a nested list and calls exactlin.mat instead."""
+    src = Path(torusmirror.__file__).parent
+    found = {path.name: lines for path in sorted(src.glob("*.py"))
+             if (lines := _assigns_through_rows(ast.parse(path.read_text())))}
+    assert found == {}
+    bad = ast.parse("m.rows[0][1] = 2\nfor r in m.rows:\n    r[0] = 1\nm.rows[0] += 1\n")
+    assert _assigns_through_rows(bad) == [1, 4]

@@ -47,8 +47,7 @@ def test_polarization_square_torus():
     assert xl.mat_eq(b, xl.eye(2))
     assert check_polarization(A, PHI)
     assert not check_polarization(A, -PHI)
-    found = find_polarization(A)
-    assert found is not None and check_polarization(A, found.c)
+    assert xl.mat_eq(find_polarization(A).c, PHI)
 
 
 def test_hom_space_square_torus_endomorphisms():
@@ -99,3 +98,39 @@ def test_is_ns_form_matches_two_product_reference(rng):
             assert is_ns_form(A, c) == want
             seen.add(want)
     assert seen == {True, False}
+
+
+def test_find_polarization_is_primitive_and_a_polarization(rng):
+    from conftest import weak_pair_sample
+    for n in (1, 2, 3, 4):
+        for _ in range(3):
+            A = weak_pair_sample(rng, n).torus
+            c = find_polarization(A).c
+            assert is_ns_form(A, c) and check_polarization(A, c)
+            assert xl.is_integral(c) and xl.mat_eq(xl.primitive_int(c), c)
+            # the primitive integral point on the ray of J^T - J
+            assert xl.mat_eq(xl.primitive_int(A.J.T - A.J), c)
+
+
+def test_ns_basis_has_rank_n_squared(rng):
+    from conftest import weak_pair_sample
+    for n in (1, 2, 3):
+        for _ in range(2):
+            assert len(ns_basis(weak_pair_sample(rng, n).torus)) == n * n
+        assert len(ns_basis(gaussian_torus(rng, n)[0])) == n * n
+
+
+def test_hom_space_between_tori_of_different_dimension(rng):
+    from conftest import weak_pair_sample
+    tori = [make_torus(1, J_SQUARE), gaussian_torus(rng, 2)[0],
+            weak_pair_sample(rng, 1).torus, weak_pair_sample(rng, 2).torus,
+            weak_pair_sample(rng, 3).torus]
+    for A in tori:
+        for B in tori:
+            homs = hom_space(A, B)
+            assert len(homs) == 2 * A.n * B.n
+            for f in homs:
+                assert f.shape == (2 * B.n, 2 * A.n) and xl.is_integral(f)
+                assert xl.mat_eq(xl.mul(B.J, f), xl.mul(f, A.J))
+            # independent over Q
+            assert xl.rank([[x for row in f for x in row] for f in homs]) == len(homs)
