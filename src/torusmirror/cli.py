@@ -1,7 +1,9 @@
 """Command-line front end: one JSON document in, one JSON document out.
 
 Exit codes: 0 success, 1 domain error (a machine-readable error object is
-written to the output), 2 malformed input.
+written to the output), 2 malformed input, 3 a broken invariant: a
+RuntimeError naming an identity that failed, written to the output as an
+error object too.
 """
 
 import argparse
@@ -196,6 +198,12 @@ def main(argv=None):
             code, doc = 0, _run_command(args.command, data, args.budget, args.n_max)
         except DomainError as err:
             code, doc = 1, err.payload()
+        except RecursionError:
+            # a RuntimeError, but from a document nested too deeply: an input error
+            raise
+        except RuntimeError as err:
+            print(f"broken invariant: {err}", file=sys.stderr)
+            code, doc = 3, {"error": "broken-invariant", "detail": str(err)}
         with open(args.output, "w") as fh:
             fh.write(sz.dumps(doc))
     except (json.JSONDecodeError, KeyError, ValueError, TypeError, IndexError,

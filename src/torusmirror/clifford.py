@@ -16,20 +16,22 @@ from .errors import MixedParity, NoIntertwiner, NotEven, NotIsotropic, NotSpin
 from .pairspace import q_form
 
 
-def popcount(mask):
-    return bin(mask).count("1")
+popcount = int.bit_count
 
 
 def _merge_sign(m1, m2):
-    """Sign of sorting x_{m1} ^ x_{m2} (disjoint masks) into ascending order."""
-    sign = 1
-    rem = m2
-    while rem:
-        bit = (rem & -rem).bit_length() - 1
-        if popcount(m1 >> (bit + 1)) % 2:
-            sign = -sign
-        rem &= rem - 1
-    return sign
+    """Sign of sorting x_{m1} ^ x_{m2} (disjoint masks) into ascending order.
+
+    It is (-1)^k for k the number of pairs a in m1, b in m2 with b < a.  Bit a
+    of p, the prefix-XOR of m2 << 1, is the parity of the bits of m2 below a,
+    so k is odd exactly when m1 & p has an odd number of bits.
+    """
+    p = m2 << 1
+    shift, top = 1, m1.bit_length()
+    while shift < top:
+        p ^= p << shift
+        shift <<= 1
+    return -1 if (m1 & p).bit_count() & 1 else 1
 
 
 def wedge(a, b):
@@ -398,16 +400,18 @@ def beta_iso(s1, s2):
 def beta_parity(t, s1, s2):
     """Even/Odd per the grading of t; cross-checked against the intersection
     dimension of the two M1 halves mod 2."""
-    rows = xl.asmat(t).rows
-
-    def graded(parity):
-        return all(x == 0 or (popcount(i) + popcount(j)) % 2 == parity
-                   for i, row in enumerate(rows) for j, x in enumerate(row))
-
-    even_ok, odd_ok = graded(0), graded(1)
-    if even_ok == odd_ok:
+    t = xl.asmat(t)
+    num = t.num
+    parity = [popcount(m) & 1 for m in range(max(t.shape))]
+    first = next(((i, j) for i, row in enumerate(num) for j, x in enumerate(row) if x), None)
+    if first is None:
+        raise MixedParity("intertwiner is not graded")
+    grade = parity[first[0]] ^ parity[first[1]]
+    # entry (i, j) may be nonzero only where parity[j] = parity[i] ^ grade
+    cols = ([j for j, p in enumerate(parity) if not p], [j for j, p in enumerate(parity) if p])
+    if any(any(row[j] for j in cols[1 ^ parity[i] ^ grade]) for i, row in enumerate(num)):
         raise MixedParity("intertwiner is not graded")
     inter_dim = 4 * s1.n - xl.rank(xl.block([[s1.basis1.T], [s2.basis1.T]]))
-    if even_ok != (inter_dim % 2 == 0):
+    if (grade == 0) != (inter_dim % 2 == 0):
         raise MixedParity("grading parity disagrees with the intersection rank")
-    return "Even" if even_ok else "Odd"
+    return "Odd" if grade else "Even"

@@ -4,6 +4,7 @@ pairing chi, and the spinor image of so(Lambda, Q)."""
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
+from math import gcd
 
 from . import exactlin as xl
 from .clifford import _generator_maps, _merge_sign, popcount
@@ -13,25 +14,49 @@ from .torus import as_form, is_ns_form
 
 class GradedOperator:
     """A matrix on H* = Lambda Gamma* homogeneous of fixed cohomological degree,
-    held by its nonzero entries {row * size + col: value}."""
+    held as num / den, the layout of xl.Matrix: `num` its nonzero entries
+    {row * size + col: int} scaled by `den`, a positive int with
+    gcd(den, num) = 1."""
 
-    def __init__(self, size, entries, degree):
-        for key in entries:
+    def __init__(self, size, num, den, degree):
+        for key in num:
             i, j = divmod(key, size)
             if popcount(i) - popcount(j) != degree:
                 raise ValueError("operator is not homogeneous of the stated degree")
+        g = gcd(den, *num.values())
+        if g != 1:
+            num = {key: v // g for key, v in num.items()}
+            den //= g
         self.size = size
-        self.entries = entries
+        self.num = num
+        self.den = den
         self.degree = degree
+
+    @property
+    def entries(self):
+        """A new dict of the nonzero entries, int where integral."""
+        den = self.den
+        return {key: v // den if v % den == 0 else Fraction(v, den)
+                for key, v in self.num.items()}
 
     @cached_property
     def mat(self):
         """The dense size x size matrix, built when first read."""
         rows = [[0] * self.size for _ in range(self.size)]
-        for key, v in self.entries.items():
+        for key, v in self.num.items():
             i, j = divmod(key, self.size)
             rows[i][j] = v
-        return xl.mat(rows)
+        m = xl.mat(rows)
+        return m if self.den == 1 else m * Fraction(1, self.den)
+
+    @cached_property
+    def _by_row(self):
+        """{row: [(col, num entry), ...]}, for products."""
+        out = {}
+        for key, v in self.num.items():
+            i, j = divmod(key, self.size)
+            out.setdefault(i, []).append((j, v))
+        return out
 
 
 class LieAlgebraBasis:
@@ -41,58 +66,60 @@ class LieAlgebraBasis:
         self._echelon = echelon
 
     def contains(self, mat):
+        # the span is the same for mat and for its num
         mat = xl.asmat(mat)
         size = mat.ncols
-        return not self._echelon.reduce({i * size + j: x for i, row in enumerate(mat.rows)
-                                         for j, x in enumerate(row) if x != 0})
+        return not self._echelon.reduce({i * size + j: x for i, row in enumerate(mat.num)
+                                         for j, x in enumerate(row) if x})
 
 
-def _bracket(a, b, size):
-    """Nonzero entries of ab - ba for operators given by their entries."""
+def _bracket(a, b):
+    """Nonzero entries of [a, b] = ab - ba, scaled by a.den * b.den, as ints."""
+    size = a.size
     out = {}
     for x, y, sign in ((a, b, 1), (b, a, -1)):
-        y_rows = {}
-        for key, v in y.items():
-            y_rows.setdefault(key // size, []).append((key % size, v))
-        for key, u in x.items():
+        y_rows = y._by_row
+        for key, u in x.num.items():
             i, k = divmod(key, size)
-            for j, v in y_rows.get(k, ()):
-                out[i * size + j] = out.get(i * size + j, 0) + sign * u * v
-    return {key: v for key, v in out.items() if v != 0}
+            row = y_rows.get(k)
+            if row:
+                base, su = i * size, sign * u
+                for j, v in row:
+                    out[base + j] = out.get(base + j, 0) + su * v
+    return {key: v for key, v in out.items() if v}
 
 
 def grading_operator(n):
     """h acts on H^k by k - n."""
     size = 1 << (2 * n)
     return GradedOperator(size, {m * size + m: popcount(m) - n for m in range(size)
-                                 if popcount(m) != n}, 0)
+                                 if popcount(m) != n}, 1, 0)
 
 
-def _generators(n):
-    """Entries of cor(e_k) for the 4n basis vectors e_k of Lambda: k < 2n
-    contracts with l_{k+1}, k >= 2n wedges with x_{k-2n+1}."""
-    size = 1 << (2 * n)
-    return [{image[0] * size + m: image[1] for m, image in enumerate(col) if image is not None}
-            for col in _generator_maps(n)]
-
-
-def _half_bracket(a, b, size):
-    """Entries of (1/2)[a, b] for two Clifford generators, int where integral."""
-    return {key: v // 2 if v % 2 == 0 else Fraction(v, 2)
-            for key, v in _bracket(a, b, size).items()}
+def _product(gi, gj, size):
+    """Entries of cor(e_i) cor(e_j), from the column maps of the two
+    generators: a product of signed partial permutations is one."""
+    out = {}
+    for m, image in enumerate(gj):
+        if image is not None:
+            second = gi[image[0]]
+            if second is not None:
+                out[second[0] * size + m] = image[1] * second[1]
+    return out
 
 
 def _form_operator(c, gens, size, degree):
-    """sum_{i<j} c_ij (1/2)[gens_i, gens_j] for a 2n x 2n matrix c."""
-    entries = {}
-    rows = c.rows
-    for i, j in combinations(range(len(rows)), 2):
-        cij = rows[i][j]
-        if cij != 0:
-            for key, v in _half_bracket(gens[i], gens[j], size).items():
-                entries[key] = entries.get(key, 0) + cij * v
-    return GradedOperator(size, {key: v.numerator if v.denominator == 1 else v
-                                 for key, v in entries.items() if v != 0}, degree)
+    """sum_{i<j} c_ij (1/2)[gens_i, gens_j] for a 2n x 2n matrix c and 2n
+    pairwise anticommuting generators (all wedges or all contractions),
+    given by their column maps; for those, (1/2)[g_i, g_j] = g_i g_j, so the
+    operator is one product per pair, over c.den."""
+    num = {}
+    for i, j in combinations(range(len(gens)), 2):
+        cij = c.num[i][j]
+        if cij:
+            for key, v in _product(gens[i], gens[j], size).items():
+                num[key] = num.get(key, 0) + cij * v
+    return GradedOperator(size, {key: v for key, v in num.items() if v}, c.den, degree)
 
 
 def _skew_form(kappa):
@@ -106,11 +133,12 @@ def _skew_form(kappa):
 def lefschetz_e(kappa):
     """Cup product with kappa = sum_{i<j} c_ij x_i ^ x_j; degree +2, nilpotent.
 
-    It is the spinor operator sum_{i<j} c_ij (1/2)[cor(x_i), cor(x_j)].
+    It is the spinor operator sum_{i<j} c_ij (1/2)[cor(x_i), cor(x_j)] =
+    sum_{i<j} c_ij cor(x_i) cor(x_j), over c.den.
     """
     c = _skew_form(kappa)
     d = c.shape[0]
-    return _form_operator(c, _generators(d // 2)[d:], 1 << d, 2)
+    return _form_operator(c, _generator_maps(d // 2)[d:], 1 << d, 2)
 
 
 def lefschetz_f(kappa):
@@ -131,9 +159,11 @@ def lefschetz_f(kappa):
         raise NoHardLefschetz("kappa is degenerate, so e_kappa^n: H^0 -> H^2n is zero") from None
     d = c.shape[0]
     size = 1 << d
-    e = lefschetz_e(c).entries
-    f = _form_operator(inverse, _generators(d // 2)[:d], size, -2)
-    if _bracket(e, f.entries, size) != grading_operator(d // 2).entries:
+    gens = _generator_maps(d // 2)
+    e = _form_operator(c, gens[d:], size, 2)
+    f = _form_operator(inverse, gens[:d], size, -2)
+    scale = e.den * f.den
+    if _bracket(e, f) != {key: v * scale for key, v in grading_operator(d // 2).num.items()}:
         raise RuntimeError("[e_kappa, f_kappa] != h")
     return f
 
@@ -146,7 +176,7 @@ def generate_g_ns(A, kappas):
         c = as_form(kappa)
         if not is_ns_form(A, c):
             raise NotNSForm("kappa is not skew or not J-invariant")
-        key = tuple(tuple(row) for row in c)
+        key = (c.den, tuple(map(tuple, c.num)))
         if key in seen:
             continue
         seen.add(key)
@@ -158,10 +188,11 @@ def generate_g_ns(A, kappas):
             pass
     gens.append(grading_operator(A.n))
     size = 1 << (2 * A.n)
+    # a span does not change with scale, so the echelon takes each num
     echelon = xl.Echelon()
     basis = []
     for g in gens:
-        if echelon.add(g.entries):
+        if echelon.add(g.num):
             basis.append(g)
     frontier = list(basis)
     while frontier:
@@ -169,9 +200,9 @@ def generate_g_ns(A, kappas):
         for a in basis:
             for b in frontier:
                 # [b, a] = -[a, b] lies in the span whenever [a, b] does
-                entries = _bracket(a.entries, b.entries, size)
-                if echelon.add(entries):
-                    new.append(GradedOperator(size, entries, a.degree + b.degree))
+                num = _bracket(a, b)
+                if echelon.add(num):
+                    new.append(GradedOperator(size, num, a.den * b.den, a.degree + b.degree))
         basis.extend(new)
         frontier = new
         if len(basis) > size * size:
@@ -202,19 +233,25 @@ def so_lambda_spinor_image(A):
 
     The image is spanned by the operators (1/2)[cor(u), cor(v)] over basis
     vectors u, v of Lambda; each is homogeneous (contraction carries degree
-    -1, wedging +1) and the span has dimension dim so(4n) = 2n(4n-1).  The
-    brackets are composed from the generators' entries.
+    -1, wedging +1) and the span has dimension dim so(4n) = 2n(4n-1).  Two
+    generators anticommute, so (1/2)[u, v] = uv, except for the pairs
+    (l_k, x_k), whose anticommutator is 1: there (1/2)[u, v] = uv - 1/2, an
+    operator over den 2.
     """
     n = A.n
-    size = 1 << (2 * n)
-    gens = _generators(n)
-    deg = [-1 if k < 2 * n else 1 for k in range(4 * n)]
+    d = 2 * n
+    size = 1 << d
+    gens = _generator_maps(n)
+    deg = [-1 if k < d else 1 for k in range(2 * d)]
     echelon = xl.Echelon()
     ops = []
-    for a, b in combinations(range(4 * n), 2):
-        entries = _half_bracket(gens[a], gens[b], size)
-        if echelon.add(entries):
-            ops.append(GradedOperator(size, entries, deg[a] + deg[b]))
+    for a, b in combinations(range(2 * d), 2):
+        num, den = _product(gens[a], gens[b], size), 1
+        if b == a + d:
+            # l_k x_k keeps the monomials without x_k: 2 l_k x_k - 1 is diagonal
+            num, den = {m * size + m: 2 * num.get(m * size + m, 0) - 1 for m in range(size)}, 2
+        if echelon.add(num):
+            ops.append(GradedOperator(size, num, den, deg[a] + deg[b]))
     basis = LieAlgebraBasis(ops, echelon)
     if basis.dim != 2 * n * (4 * n - 1):
         raise RuntimeError(f"so(Lambda) spinor image has dimension {basis.dim}, "

@@ -368,6 +368,23 @@ def fraction_mat_eq(a, b):
 
 
 # ---------------------------------------------------------------------------
+# the bit-loop merge sign, the reference for clifford._merge_sign
+
+
+def merge_sign_by_bits(m1, m2):
+    """Sign of sorting x_{m1} ^ x_{m2} (disjoint masks) into ascending order:
+    each bit of m2 moves left past the bits of m1 above it."""
+    sign = 1
+    rem = m2
+    while rem:
+        bit = (rem & -rem).bit_length() - 1
+        if bin(m1 >> (bit + 1)).count("1") % 2:
+            sign = -sign
+        rem &= rem - 1
+    return sign
+
+
+# ---------------------------------------------------------------------------
 # the one-generator operators bit by bit, the references for the generator
 # maps clifford._generator_maps
 

@@ -510,3 +510,33 @@ def test_malformed_documents_under_optimize(tmp_path):
             assert "input error" in proc.stderr, name
         else:
             assert json.loads(out.read_text())["error"] == error, name
+
+
+# the [e, f] = h check of lefschetz_f made to fail: h is replaced by -h
+BROKEN_H = """
+import sys
+from torusmirror import lefschetz as lf
+from torusmirror.cli import main
+
+h = lf.grading_operator
+lf.grading_operator = lambda n: lf.GradedOperator(
+    h(n).size, {k: -v for k, v in h(n).num.items()}, 1, 0)
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("flags", [(), ("-O",)])
+def test_broken_invariant_exits_3_with_a_payload(tmp_path, flags):
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(torusmirror.__file__).parents[1]))
+    inp = tmp_path / "in.json"
+    out = tmp_path / "out.json"
+    kappa = [["0", "1"], ["-1", "0"]]
+    inp.write_text(json.dumps({"torus": TORUS_SQUARE, "kappas": [kappa]}))
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", BROKEN_H, "gns", "--input", str(inp), "--output", str(out)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.count("\n") == 1 and "[e_kappa, f_kappa] != h" in proc.stderr
+    assert json.loads(out.read_text()) == {"error": "broken-invariant",
+                                           "detail": "[e_kappa, f_kappa] != h"}

@@ -1,6 +1,6 @@
 import numpy as np
 
-from conftest import contract_apply, wedge_apply
+from conftest import contract_apply, merge_sign_by_bits, wedge_apply
 from torusmirror import corresp as cp
 from torusmirror import exactlin as xl
 from torusmirror.clifford import SpinVec, popcount
@@ -77,18 +77,6 @@ def test_top_class_kernel_extracts_constant_term():
     assert cp.push_forward_correspondence(xi, SpinVec(n, {3: 1})).coeffs == {}
 
 
-def _ms(m1, m2):
-    """Sign of sorting a product of two ascending monomials into one."""
-    sign = 1
-    rem = m2
-    while rem:
-        bit = (rem & -rem).bit_length() - 1
-        if popcount(m1 >> (bit + 1)) % 2:
-            sign = -sign
-        rem &= rem - 1
-    return sign
-
-
 def _triple_compose(first, second):
     """Kernel of the composed map v_second . v_first via the three-factor
     product: push p*_{YZ}(second) ^ p*_{XY}(first) down to X x Z."""
@@ -103,7 +91,8 @@ def _triple_compose(first, second):
                     continue
                 sign = (-1) ** (((popcount(t1) + popcount(u1)) * popcount(s2)
                                  + popcount(u1) * popcount(t2)) % 2)
-                sign *= _ms(s1, s2) * _ms(t1, t2) * _ms(u1, u2)
+                sign *= (merge_sign_by_bits(s1, s2) * merge_sign_by_bits(t1, t2)
+                         * merge_sign_by_bits(u1, u2))
                 key = (s1 | s2, t1 | t2, u1 | u2)
                 out[key] = out.get(key, 0) + sign * c1 * c2
         return {k: v for k, v in out.items() if v != 0}

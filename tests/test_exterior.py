@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import merge_sign_by_bits
 from torusmirror import corresp as cp
 from torusmirror.clifford import SpinVec, _merge_sign, exterior_exp, popcount, wedge
 
@@ -83,6 +84,37 @@ def monomial_by_sign_loop(n, indices, coeff=1):
         sign *= -1 if popcount(mask >> (bit + 1)) % 2 else 1
         mask |= 1 << bit
     return SpinVec(n, {mask: sign * coeff})
+
+
+# ---------------------------------------------------------------------------
+# the bit helpers against their bit-by-bit references
+
+
+def test_popcount_counts_the_set_bits():
+    for m in list(range(1 << 12)) + [(1 << 64) - 1, 1 << 100, (1 << 200) // 3]:
+        assert popcount(m) == bin(m).count("1")
+
+
+def test_merge_sign_matches_the_bit_loop_on_all_disjoint_8_bit_pairs():
+    for m1 in range(1 << 8):
+        rest = 0xFF ^ m1
+        m2 = rest
+        while True:
+            assert _merge_sign(m1, m2) == merge_sign_by_bits(m1, m2), (m1, m2)
+            if not m2:
+                break
+            m2 = (m2 - 1) & rest
+
+
+# up to 24 bits: the combined masks s | t << 2n of corresp at n = 3
+disjoint_masks = st.tuples(st.integers(0, (1 << 24) - 1),
+                           st.integers(0, (1 << 24) - 1)).map(lambda p: (p[0], p[1] & ~p[0]))
+
+
+@settings(max_examples=500, deadline=None)
+@given(disjoint_masks)
+def test_merge_sign_matches_the_bit_loop_on_24_bit_masks(masks):
+    assert _merge_sign(*masks) == merge_sign_by_bits(*masks)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, gcd
 
 import pytest
 
@@ -342,3 +342,74 @@ def test_chi_form_supported_on_complementary_degrees():
             if x[i, j] != 0:
                 assert popcount(i) + popcount(j) == 4
                 assert i == 15 ^ j
+
+
+# ---------------------------------------------------------------------------
+# the num / den layout of the operators
+
+
+def _assert_canonical(op):
+    """num holds nonzero ints over a positive den with gcd(den, num) = 1, and
+    .entries reads them out as int where integral, Fraction elsewhere."""
+    assert type(op.den) is int and op.den > 0
+    assert all(type(v) is int and v != 0 for v in op.num.values())
+    assert gcd(op.den, *op.num.values()) == 1
+    entries = op.entries
+    assert entries.keys() == op.num.keys()
+    for key, v in op.num.items():
+        x = entries[key]
+        assert x == Fraction(v, op.den)
+        assert type(x) is (int if v % op.den == 0 else Fraction)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_lefschetz_operators_are_canonical(rng, n):
+    dens = set()
+    for t in range(6):
+        kappa = rand_skew(rng, 2 * n)
+        if t % 2:
+            kappa = kappa * Fraction(1, rng.randint(2, 3))
+        e = lefschetz_e(kappa)
+        _assert_canonical(e)
+        dens.add(e.den)
+        try:
+            f = lefschetz_f(kappa)
+        except NoHardLefschetz:
+            continue
+        _assert_canonical(f)
+        dens.add(f.den)
+    assert len(dens) > 1
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_g_ns_and_so_image_operators_are_canonical(n):
+    A = make_torus(n, _product_structure(n))
+    kappas = ns_basis(A)
+    symplectic = sum((k.c for k in kappas), xl.zeros(2 * n))
+    # 3 * symplectic has a rational inverse, so its f, added first, is over den 3
+    ops = generate_g_ns(A, [NSVector(3 * symplectic)] + kappas).ops
+    so = so_lambda_spinor_image(A).ops
+    for op in ops + so:
+        _assert_canonical(op)
+    assert {op.den for op in ops} > {1}
+    assert {op.den for op in so} == {1, 2}
+
+
+def test_generate_g_ns_makes_no_fraction_for_integral_kappa(monkeypatch):
+    n = 2
+    A = make_torus(n, _product_structure(n))
+    kappas = ns_basis(A)
+    symplectic = sum((k.c for k in kappas), xl.zeros(2 * n))
+    kappas += [NSVector(2 * symplectic), NSVector(3 * kappas[0].c + symplectic)]
+    made = []
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+    basis = generate_g_ns(A, kappas)
+    monkeypatch.undo()
+    assert made == []
+    assert basis.dim > 3 and any(op.den > 1 for op in basis.ops)
