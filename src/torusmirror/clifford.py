@@ -147,6 +147,17 @@ def _cor_apply(maps, coords, v):
     return out
 
 
+def _transport(maps, wedges, phi):
+    """The matrix whose column S is cor(w_{s_1}) ... cor(w_{s_k}) phi for S =
+    {s_1 < ... < s_k}: the module map that sends the vacuum to phi and
+    cor(x_{i+1}) to cor(w_i), built column by column from S minus its low bit."""
+    cols = [phi]
+    for t_mask in range(1, len(phi)):
+        low = (t_mask & -t_mask).bit_length() - 1
+        cols.append(_cor_apply(maps, wedges[low], cols[t_mask ^ (1 << low)]))
+    return xl.mat(zip(*cols))
+
+
 def q_value(u, v):
     d = len(u) // 2
     return sum(u[i] * v[d + i] + u[d + i] * v[i] for i in range(d))
@@ -251,57 +262,45 @@ def _spin_conjugation(z):
     """Coefficient matrix R with z cor(e_k) z' = sum_i R[i,k] cor(e_i) when z
     is in Spin(Lambda,Q), else None.
 
-    R is read off row 0 and column 0 of z cor(e_k) z', checked as z cor(e_k) =
-    (sum_i R[i,k] cor(e_i)) z, integral with |det R| = 1; last, z z' = 1.  Each
-    cor(e_k) is a signed partial permutation, so z cor(e_k) permutes the
-    columns of z and cor(e_i) z its rows.
+    z is spin exactly when it is the module map of its rotation R: z cor(v) =
+    cor(R v) z with R an integral Q-isometry, and z z' = 1.  Such a map is
+    fixed by phi = z 1, column 0 of z: every cor(R l_i) kills phi, and column
+    S of z is phi transported by the cor(R x_i), as in beta_iso.  Conversely
+    a z built so intertwines R, since the cor(R e_k) satisfy the relations of
+    the cor(e_k); so z z' commutes with every cor(R e_k) and is the scalar
+    (z z')[0, 0].  R is read off row 0 and column 0 of z cor(e_k) z', where
+    row a of z cor(e_k) is row a of z with its columns moved by cor(e_k).
     """
     z = xl.asmat(z)
+    z_rev = clifford_involution(z)  # first, as it rejects a shape that is not 4^n x 4^n
     if not _is_even_operator(z):
         raise NotEven("operator mixes the even/odd grading")
-    size = z.shape[0]
-    z_rev = clifford_involution(z)
-    n = size.bit_length() // 2
+    n = z.shape[0].bit_length() // 2
     d = 2 * n
+    zr, rev = z.rows, z_rev.rows
+    if sum(x * rev[m][0] for m, x in enumerate(zr[0]) if x) != 1:
+        return None
     maps = _generator_maps(n)
     units = [1 << i for i in range(d)]
-    zr, rev = z.rows, z_rev.rows
-    z_nonzeros = [[(j, x) for j, x in enumerate(row) if x] for row in zr]
-    r = [[0] * (4 * n) for _ in range(4 * n)]
+    r = [[0] * (2 * d) for _ in range(2 * d)]
     for k, col in enumerate(maps):
-        # (monomial cor(e_k) does not kill, its image, sign)
-        kept = [(m, image[0], image[1]) for m, image in enumerate(col) if image is not None]
-        zg = []
-        for row in zr:
-            out = [0] * size
-            for m, image, sign in kept:
-                out[m] = row[image] if sign > 0 else -row[image]
-            zg.append(out)
+        kept = [(m,) + image for m, image in enumerate(col) if image is not None]
+        top = [(m, sign * zr[0][image]) for m, image, sign in kept if zr[0][image]]
         # contraction l_{i+1}: x_{i+1} -> 1 (row 0); wedge x_{i+1}: 1 -> x_{i+1} (column 0)
         for i, unit in enumerate(units):
-            r[i][k] = sum(x * rev[m][unit] for m, x in enumerate(zg[0]) if x)
-            r[d + i][k] = sum(x * rev[m][0] for m, x in enumerate(zg[unit]) if x)
-        coeffs = [row[k] for row in r]
-        # row a of (sum_i R[i,k] cor(e_i)) z: for each bit b, wedge x_{b+1} brings
-        # row a ^ b in when a holds b, contraction l_{b+1} brings row a | b otherwise
-        for a, zg_row in enumerate(zg):
-            recon = [0] * size
-            for b, unit in enumerate(units):
-                i = d + b if a & unit else b
-                if coeffs[i]:
-                    t = a ^ unit
-                    f = coeffs[i] * maps[i][t][1]
-                    for j, x in z_nonzeros[t]:
-                        recon[j] += f * x
-            if recon != zg_row:
-                return None
+            r[i][k] = sum(x * rev[m][unit] for m, x in top)
+            r[d + i][k] = sum(sign * zr[unit][image] * rev[m][0] for m, image, sign in kept)
     r = xl.mat(r)
-    if not xl.is_integral(r) or abs(xl.det(r)) != 1:
+    if not xl.is_integral(r):
         return None
-    # the involution gives cor(e_k) z' = z' recon_k, so z z' commutes with the
-    # recon_k, which span Lambda (x) Q (R is invertible) and generate End(H*):
-    # z z' is a scalar, and its [0, 0] entry says whether it is 1
-    if sum(x * rev[m][0] for m, x in z_nonzeros[0]) != 1:
+    cols = [list(c) for c in zip(*r.num)]
+    if any(q_value(u, v) != (abs(i - j) == d) for i, u in enumerate(cols)
+           for j, v in enumerate(cols)):
+        return None
+    phi = z[:, 0]
+    if any(any(_cor_apply(maps, u, phi)) for u in cols[:d]):
+        return None
+    if not xl.mat_eq(_transport(maps, cols[d:], phi), z):
         return None
     return r
 
@@ -316,7 +315,7 @@ def r_of_z(z):
     r = _spin_conjugation(z)
     if r is None:
         raise NotSpin("element is not in Spin(Lambda,Q)")
-    return xl.to_int(r)
+    return r
 
 
 # ---------------------------------------------------------------------------
@@ -387,14 +386,10 @@ def beta_iso(s1, s2):
     n = s1.n
     size = 1 << (2 * n)
     phi = pure_spinor(s2, [s1.basis1[:, i] for i in range(2 * n)])
-    maps = _generator_maps(n)
     wedges = [s2.coords(s1.basis2[:, i]) for i in range(2 * n)]
-    cols = [[phi.get(m, 0) for m in range(size)]]
-    for t_mask in range(1, size):
-        low = (t_mask & -t_mask).bit_length() - 1
-        cols.append(_cor_apply(maps, wedges[low], cols[t_mask ^ (1 << low)]))
     # integral, and primitive since column 0 is the primitive phi
-    return _sign_normalize(xl.mat(zip(*cols)))
+    return _sign_normalize(_transport(_generator_maps(n), wedges,
+                                      [phi.get(m, 0) for m in range(size)]))
 
 
 def beta_parity(t, s1, s2):

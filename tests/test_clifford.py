@@ -41,11 +41,14 @@ def test_involution_fixes_generators_and_antimultiplies(rng):
                      xl.mul(cu, cv))
 
 
-def test_scalars_in_spin():
-    size = 4
+@pytest.mark.parametrize("n", [0, 1])
+def test_scalars_in_spin(n):
+    # at n = 0 there is no generator: only the norm check rejects 2
+    size = 1 << (2 * n)
     assert is_spin(xl.eye(size))
     assert is_spin(-xl.eye(size))
     assert not is_spin(2 * xl.eye(size))
+    assert xl.mat_eq(r_of_z(-xl.eye(size)), xl.eye(4 * n))
 
 
 def test_odd_operator_rejected():
@@ -53,6 +56,11 @@ def test_odd_operator_rejected():
     v = np.array([1, 0, 0, 0], dtype=object)
     with pytest.raises(NotEven):
         is_spin(cor_matrix(n, v))
+    # a matrix that is not 4^n x 4^n is no Clifford element, even or odd
+    for z in (xl.zeros(4, 3), xl.mat([[1] * 8] * 8)):
+        for check in (is_spin, r_of_z):
+            with pytest.raises(ValueError, match="4\\^n x 4\\^n"):
+                check(z)
 
 
 def test_monomial_orders_wedge_factors_left_to_right():
@@ -399,6 +407,15 @@ def test_spin_conjugation_matches_dense_route(rng, n):
     assert not is_spin(bad)
     with pytest.raises(NotSpin):
         r_of_z(bad)
+    if n > 1:
+        # row 10 is not 0, a unit, full or full ^ unit, so R, the vacuum and
+        # the norm are read as for z: only the transport of the vacuum sees it
+        bad = z.copy()
+        bad[10, 5] += 1
+        assert _spin_conjugation_dense(bad) is None
+        assert not is_spin(bad)
+        with pytest.raises(NotSpin):
+            r_of_z(bad)
 
 
 def test_spin_conjugation_controls_past_the_norm_check():
@@ -443,6 +460,19 @@ def test_spin_check_matches_dense_route_off_the_group(rng, n):
             with pytest.raises(NotSpin):
                 r_of_z(w)
     assert is_spin(z) and is_spin(-z) and not is_spin(2 * z) and not is_spin(minus)
+
+
+def test_spin_check_at_n4(rng):
+    z = rand_spin(rng, 4)
+    assert is_spin(z) and is_spin(-z) and not is_spin(2 * z)
+    bad = z.copy()
+    bad[10, 5] += 1
+    assert not is_spin(bad)
+    r = r_of_z(z)
+    q = q_form(4)
+    assert xl.is_integral(r) and xl.mat_eq(xl.mul(r.T, xl.mul(q, r)), q)
+    assert xl.det(r) == 1
+    assert xl.mat_eq(r_of_z(-z), r)
 
 
 def test_spin_check_makes_no_dense_product(rng, monkeypatch):
