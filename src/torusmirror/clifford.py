@@ -9,7 +9,8 @@ _merge_sign.
 """
 
 from fractions import Fraction
-from math import factorial
+from functools import cache
+from math import factorial, lcm
 
 from . import exactlin as xl
 from .errors import MixedParity, NoIntertwiner, NotEven, NotIsotropic, NotSpin
@@ -47,18 +48,27 @@ def wedge(a, b):
 
 def exterior_exp(a):
     """exp(a) = sum_k a^k / k! for an element a with no constant term (so a is
-    nilpotent); exact, with every integral coefficient stored as an int."""
+    nilpotent); exact, with every integral coefficient stored as an int.
+
+    With a = b / q for b integral and K the last nonzero power, it sums the
+    int terms b^k q^(K-k) K!/k! and divides once by q^K K!.
+    """
     if a.get(0, 0) != 0:
         raise ValueError("exterior_exp needs an element without constant term")
-    total = {0: 1}
-    power = {0: 1}
-    k = 0
-    while power:
-        k += 1
-        power = wedge(power, a)
+    q = lcm(*(c.denominator for c in a.values()))
+    b = {m: c.numerator * (q // c.denominator) for m, c in a.items()}
+    powers = [{0: 1}]
+    while powers[-1]:
+        powers.append(wedge(powers[-1], b))
+    powers.pop()
+    last = len(powers) - 1
+    den = q ** last * factorial(last)
+    total = {}
+    for k, power in enumerate(powers):
+        scale = den // (q ** k * factorial(k))
         for m, c in power.items():
-            total[m] = total.get(m, 0) + Fraction(c, factorial(k))
-    return {m: c.numerator if c.denominator == 1 else c
+            total[m] = total.get(m, 0) + c * scale
+    return {m: c // den if c % den == 0 else Fraction(c, den)
             for m, c in total.items() if c != 0}
 
 
@@ -89,11 +99,13 @@ class SpinVec:
         return cls(n, coeffs)
 
 
+@cache
 def _generator_maps(n):
     """Column maps of cor(e_k) for the 4n basis vectors e_k of Lambda: each is a
     signed partial permutation of the monomials, maps[k][m] = (row, sign) when
     cor(e_k) x_m = sign * x_row and None when it kills x_m.  k < 2n contracts
-    with l_{k+1}, k >= 2n wedges with x_{k-2n+1}."""
+    with l_{k+1}, k >= 2n wedges with x_{k-2n+1}.  Built once per n and shared
+    by every caller, so it is a tuple of tuples that no caller can change."""
     d = 2 * n
     size = 1 << d
     parity = [0] * size
@@ -105,9 +117,9 @@ def _generator_maps(n):
         # contraction needs the bit set, wedge needs it clear
         need = 0 if k >= d else 1 << bit
         below = (1 << bit) - 1
-        maps.append([(m ^ (1 << bit), -1 if parity[m & below] else 1)
-                     if m & (1 << bit) == need else None for m in range(size)])
-    return maps
+        maps.append(tuple((m ^ (1 << bit), -1 if parity[m & below] else 1)
+                          if m & (1 << bit) == need else None for m in range(size)))
+    return tuple(maps)
 
 
 def cor_matrix(n, lambda_vec):
@@ -232,13 +244,18 @@ def _involution_form(n):
             for s in range(full + 1)]
 
 
+def _clifford_order(z):
+    """n for a 4^n x 4^n matrix z, else ValueError."""
+    n = z.shape[0].bit_length() // 2
+    if z.shape != (1 << (2 * n), 1 << (2 * n)):
+        raise ValueError(f"a Clifford element is a 4^n x 4^n matrix, not {z.shape}")
+    return n
+
+
 def clifford_involution(z):
     """The unique anti-automorphism of Cl(Lambda,Q) fixing Lambda pointwise."""
     z = xl.asmat(z)
-    size = z.shape[0]
-    n = size.bit_length() // 2
-    if z.shape != (1 << (2 * n), 1 << (2 * n)):
-        raise ValueError(f"a Clifford element is a 4^n x 4^n matrix, not {z.shape}")
+    n = _clifford_order(z)
     # B^t z^t B relabels: z'[i, j] = sigma_c(i) sigma_c(j) z[c(j), c(i)], c(i) = full ^ i;
     # column c(i) of z read bottom up is column c(i) at rows c(0), c(1), ...
     sc = _involution_form(n)[::-1]
@@ -250,12 +267,12 @@ def clifford_involution(z):
 # spin group membership
 
 
-def _is_even_operator(z):
-    size = z.shape[0]
+def _is_even_operator(rows):
+    size = len(rows)
     odd = [j for j in range(size) if popcount(j) % 2]
     even = [j for j in range(size) if not popcount(j) % 2]
     return not any(any(row[j] for j in (even if popcount(i) % 2 else odd))
-                   for i, row in enumerate(z.rows))
+                   for i, row in enumerate(rows))
 
 
 def _spin_conjugation(z):
@@ -272,24 +289,29 @@ def _spin_conjugation(z):
     row a of z cor(e_k) is row a of z with its columns moved by cor(e_k).
     """
     z = xl.asmat(z)
-    z_rev = clifford_involution(z)  # first, as it rejects a shape that is not 4^n x 4^n
-    if not _is_even_operator(z):
+    n = _clifford_order(z)  # first, as a shape that is not 4^n x 4^n is no Clifford element
+    zr = z.rows
+    if not _is_even_operator(zr):
         raise NotEven("operator mixes the even/odd grading")
-    n = z.shape[0].bit_length() // 2
     d = 2 * n
-    zr, rev = z.rows, z_rev.rows
-    if sum(x * rev[m][0] for m, x in enumerate(zr[0]) if x) != 1:
+    full = (1 << d) - 1
+    units = [1 << i for i in range(d)]
+    # z' is read only in column 0 and the unit columns: column j of z' is
+    # row full ^ j of z read backwards, signed as in clifford_involution
+    sc = _involution_form(n)[::-1]
+    rev = {j: [x if si == sc[j] else -x for si, x in zip(sc, reversed(zr[full ^ j]))]
+           for j in [0] + units}
+    if sum(x * rev[0][m] for m, x in enumerate(zr[0]) if x) != 1:
         return None
     maps = _generator_maps(n)
-    units = [1 << i for i in range(d)]
     r = [[0] * (2 * d) for _ in range(2 * d)]
     for k, col in enumerate(maps):
         kept = [(m,) + image for m, image in enumerate(col) if image is not None]
         top = [(m, sign * zr[0][image]) for m, image, sign in kept if zr[0][image]]
         # contraction l_{i+1}: x_{i+1} -> 1 (row 0); wedge x_{i+1}: 1 -> x_{i+1} (column 0)
         for i, unit in enumerate(units):
-            r[i][k] = sum(x * rev[m][unit] for m, x in top)
-            r[d + i][k] = sum(sign * zr[unit][image] * rev[m][0] for m, image, sign in kept)
+            r[i][k] = sum(x * rev[unit][m] for m, x in top)
+            r[d + i][k] = sum(sign * zr[unit][image] * rev[0][m] for m, image, sign in kept)
     r = xl.mat(r)
     if not xl.is_integral(r):
         return None

@@ -29,10 +29,6 @@ class ProductClass:
                 and self.m == other.m and self.coeffs == other.coeffs)
 
 
-def pc_scale(a, c):
-    return ProductClass(a.n, a.m, {k: c * v for k, v in a.coeffs.items()})
-
-
 def _to_mask(a):
     """The class on its combined masks, an exterior element on 2n + 2m generators."""
     shift = 2 * a.n
@@ -148,22 +144,40 @@ def beta_explicit(n):
     return xl.mat(m)
 
 
-def _mu_expand(n, factors, p1_sign):
-    """Product over j in factors of (p2*(x_j) + p1_sign * p1*(x_j))."""
-    acc = ProductClass(n, n, {(0, 0): 1})
-    for j in factors:
-        lin = ProductClass(n, n, {(0, 1 << j): 1, (1 << j, 0): p1_sign})
-        acc = pc_mul(acc, lin)
-    return acc
+def _diagram_classes(n, p1_sign, eps):
+    """The classes of the cor diagram on combined masks s | t << 2n, each with
+    the generator k whose map it must be the kernel class of, zero terms left out.
+
+    The term of top = prod_j (p2*(x_j) + p1_sign p1*(x_j)) that takes p1*(x_j)
+    for j in T is p1_sign^|T| eps[T] on T | (full ^ T) << 2n, with eps[T] =
+    _merge_sign(T, full ^ T).  For each i (0-based) it yields p1*(x_i) ^ top,
+    for k = 2n + i: its term for T, i not in T, is that of top, negated when
+    T has an odd number of bits below i.  It then yields (-1)^i times the
+    product over j != i, for k = i: its term for T is that of top, negated
+    when T has an odd number of bits above i.
+    """
+    d = 2 * n
+    full = (1 << d) - 1
+    top = [p1_sign ** popcount(t) * eps[t] for t in range(full + 1)]
+    for i in range(d):
+        bit = 1 << i
+        below, above = bit - 1, full >> (i + 1) << (i + 1)
+        free = [t for t in range(full + 1) if not t & bit and top[t]]
+        yield d + i, {t | bit | (full ^ t) << d: -top[t] if popcount(t & below) & 1 else top[t]
+                      for t in free}
+        yield i, {t | (full ^ t ^ bit) << d: -top[t] if (popcount(t & above) + i) & 1 else top[t]
+                  for t in free}
 
 
-def _acts_by(lam, col):
-    """Whether the correspondence of lam sends each monomial x_s where the
-    generator map col does (col[s] = (row, sign), or None for zero), that is,
-    whether lam is the kernel class of that map: a term (s, t) of a kernel
-    feeds only the image of x_{full ^ s}."""
-    images = {s: {image[0]: image[1]} for s, image in enumerate(col) if image}
-    return lam == product_class_from_map(lam.n, lam.m, images)
+def _kernel_class(n, col, eps):
+    """The kernel class of the generator map col (col[s] = (row, sign), or None
+    for zero) on combined masks, as product_class_from_map builds it: sign
+    times eps[full ^ s] (-1)^{|row||s|} at (full ^ s) | row << 2n, where the
+    Koszul factor is 1, since |row| = |s| +- 1."""
+    d = 2 * n
+    full = (1 << d) - 1
+    return {(full ^ s) | image[0] << d: image[1] * eps[full ^ s]
+            for s, image in enumerate(col) if image}
 
 
 def verify_cor_diagram(n, mu_p1_sign=-1):
@@ -172,19 +186,12 @@ def verify_cor_diagram(n, mu_p1_sign=-1):
     mu_p1_sign is the coefficient of p1*(x_j) in the pushforward rule
     mu_*(p2*(x_j)) = p2*(x_j) + mu_p1_sign * p1*(x_j); the correct value is
     -1, and any other choice makes the check fail (a usable negative control).
+    For each i, the class mu_*(p1*(x_i) ^ p2*(top)) must act by wedging x_i,
+    and mu_*((-1)^{i-1} p2*(top without x_i)) (1-based i) by contracting
+    with l_i: each is one comparison with the kernel class of that map.
     """
-    d = 2 * n
+    full = (1 << (2 * n)) - 1
+    eps = [_merge_sign(t, full ^ t) for t in range(full + 1)]
     maps = _generator_maps(n)
-    top = _mu_expand(n, range(d), mu_p1_sign)
-    for i in range(d):
-        sign_i = (-1) ** (i % 2)  # (-1)^{i-1} for the 1-based index i+1
-        # first family: the class mu_*(p1*(x_i) ^ p2*(top)) acts by wedging x_i
-        lam = pc_mul(ProductClass(n, n, {(1 << i, 0): 1}), top)
-        if not _acts_by(lam, maps[d + i]):
-            return False
-        # second family: mu_*((-1)^{i-1} p2*(top without x_i)) acts by contraction
-        lam = pc_scale(_mu_expand(n, [j for j in range(d) if j != i],
-                                  mu_p1_sign), sign_i)
-        if not _acts_by(lam, maps[i]):
-            return False
-    return True
+    return all(cls == _kernel_class(n, maps[k], eps)
+               for k, cls in _diagram_classes(n, mu_p1_sign, eps))

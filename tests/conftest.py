@@ -10,14 +10,17 @@ database, so they draw the same examples on every run.
 import os
 import random
 from fractions import Fraction
+from math import factorial
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
+from torusmirror import corresp as cp
 from torusmirror import exactlin as xl
 from torusmirror.clifford import (IsotropicSplitting, SpinVec, _cor_apply, _cor_rows,
-                                  _generator_maps, _sign_normalize, cor_matrix, popcount)
+                                  _generator_maps, _sign_normalize, cor_matrix, popcount,
+                                  wedge)
 from torusmirror.errors import NoIntertwiner
 from torusmirror.mirror import WellBecomingWitness
 from torusmirror.pairspace import i_omega, make_weak_pair, q_form
@@ -473,3 +476,61 @@ def beta_iso_by_kernel(s1, s2):
         low = (t_mask & -t_mask).bit_length() - 1
         cols.append(_cor_apply(maps, wedges[low], cols[t_mask ^ (1 << low)]))
     return _sign_normalize(xl.primitive_int(xl.mat(cols).T))
+
+
+# ---------------------------------------------------------------------------
+# the cor diagram by Kunneth products, the reference for corresp.verify_cor_diagram
+
+
+def mu_expand(n, factors, p1_sign):
+    """Product over j in factors of (p2*(x_j) + p1_sign * p1*(x_j)) by pc_mul."""
+    acc = cp.ProductClass(n, n, {(0, 0): 1})
+    for j in factors:
+        lin = cp.ProductClass(n, n, {(0, 1 << j): 1, (1 << j, 0): p1_sign})
+        acc = cp.pc_mul(acc, lin)
+    return acc
+
+
+def kernel_class_by_map(n, col):
+    """The kernel class of the generator map col, by product_class_from_map."""
+    images = {s: {image[0]: image[1]} for s, image in enumerate(col) if image}
+    return cp.product_class_from_map(n, n, images)
+
+
+def diagram_classes_by_products(n, p1_sign):
+    """(k, class) for each class of the cor diagram, built by pc_mul, with the
+    generator k whose kernel class it must be."""
+    d = 2 * n
+    top = mu_expand(n, range(d), p1_sign)
+    for i in range(d):
+        yield d + i, cp.pc_mul(cp.ProductClass(n, n, {(1 << i, 0): 1}), top)
+        second = mu_expand(n, [j for j in range(d) if j != i], p1_sign)
+        yield i, cp.ProductClass(n, n, {k: (-1) ** i * c for k, c in second.coeffs.items()})
+
+
+def verify_cor_diagram_by_products(n, mu_p1_sign=-1):
+    """verify_cor_diagram with each class a chain of pc_mul products, compared
+    with the kernel class of its generator map."""
+    maps = _generator_maps(n)
+    return all(lam == kernel_class_by_map(n, maps[k])
+               for k, lam in diagram_classes_by_products(n, mu_p1_sign))
+
+
+# ---------------------------------------------------------------------------
+# exp by one Fraction per term, the reference for clifford.exterior_exp
+
+
+def exterior_exp_by_fractions(a):
+    """exp(a) = sum_k a^k / k!, each term divided by k! as a Fraction."""
+    if a.get(0, 0) != 0:
+        raise ValueError("exterior_exp needs an element without constant term")
+    total = {0: 1}
+    power = {0: 1}
+    k = 0
+    while power:
+        k += 1
+        power = wedge(power, a)
+        for m, c in power.items():
+            total[m] = total.get(m, 0) + Fraction(c, factorial(k))
+    return {m: c.numerator if c.denominator == 1 else c
+            for m, c in total.items() if c != 0}

@@ -8,8 +8,8 @@ from conftest import (beta_iso_by_kernel, contract_apply, cor_action,
                       rand_unit_pairing_vector, rand_unimodular, vacuum_kernel,
                       wedge_apply)
 from torusmirror import exactlin as xl
-from torusmirror.clifford import (IsotropicSplitting, SpinVec, _involution_form,
-                                  beta_iso, beta_parity, clifford_involution,
+from torusmirror.clifford import (IsotropicSplitting, SpinVec, _generator_maps,
+                                  _involution_form, beta_iso, beta_parity, clifford_involution,
                                   cor_matrix, is_spin, popcount, pure_spinor, q_value,
                                   r_of_z, standard_splitting)
 from torusmirror.errors import NoIntertwiner, NotEven, NotIsotropic, NotSpin
@@ -495,3 +495,18 @@ def test_cor_matrix_matches_column_route(rng):
             assert xl.mat_eq(cor_matrix(n, v), cor_matrix_by_columns(n, v))
             v = rand_lambda_vec(rng, n)
             assert xl.mat_eq(cor_matrix(n, v), cor_matrix_by_columns(n, v))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_generator_maps_are_one_immutable_table_per_n(n):
+    maps = _generator_maps(n)
+    assert _generator_maps(n) is maps
+    assert type(maps) is tuple and all(type(col) is tuple for col in maps)
+    fresh = _generator_maps.__wrapped__(n)
+    assert fresh is not maps and fresh == maps
+    # the same signed permutations as the one-generator operators bit by bit
+    d = 2 * n
+    for k, col in enumerate(maps):
+        apply = contract_apply if k < d else wedge_apply
+        for m, image in enumerate(col):
+            assert apply(n, k % d + 1, {m: 1}) == ({image[0]: image[1]} if image else {})

@@ -1,6 +1,8 @@
 import numpy as np
+import pytest
 
-from conftest import contract_apply, merge_sign_by_bits, wedge_apply
+from conftest import (contract_apply, diagram_classes_by_products, kernel_class_by_map,
+                      merge_sign_by_bits, verify_cor_diagram_by_products, wedge_apply)
 from torusmirror import corresp as cp
 from torusmirror import exactlin as xl
 from torusmirror.clifford import SpinVec, popcount
@@ -148,10 +150,30 @@ def test_mirror_kernel_exponent_truncates():
 
 
 def test_diagram_verification_and_negative_control():
-    assert cp.verify_cor_diagram(1)
-    assert cp.verify_cor_diagram(2)
-    assert not cp.verify_cor_diagram(1, mu_p1_sign=1)
-    assert not cp.verify_cor_diagram(2, mu_p1_sign=1)
+    for n in (1, 2, 3, 4):
+        assert cp.verify_cor_diagram(n)
+        assert not cp.verify_cor_diagram(n, mu_p1_sign=1)
+
+
+@pytest.mark.parametrize("n, sign", [(n, sign) for n in (0, 1, 2, 3) for sign in (-2, -1, 0, 1, 2)]
+                         + [(4, -1), (4, 1)])
+def test_diagram_verification_matches_the_product_route(n, sign):
+    assert cp.verify_cor_diagram(n, sign) == verify_cor_diagram_by_products(n, sign)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_diagram_classes_are_their_products(n):
+    full = (1 << (2 * n)) - 1
+    eps = [merge_sign_by_bits(t, full ^ t) for t in range(full + 1)]
+    maps = cp._generator_maps(n)
+    for sign in (-2, -1, 0, 1, 2):
+        got = list(cp._diagram_classes(n, sign, eps))
+        want = list(diagram_classes_by_products(n, sign))
+        assert [k for k, _cls in got] == [k for k, _lam in want]
+        for (k, cls), (_k, lam) in zip(got, want):
+            assert cls == cp._to_mask(lam)
+    for col in maps:
+        assert cp._kernel_class(n, col, eps) == cp._to_mask(kernel_class_by_map(n, col))
 
 
 def test_wedge_contract_helpers_are_adjoint_shapes():

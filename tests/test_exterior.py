@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import merge_sign_by_bits
+from conftest import exterior_exp_by_fractions, merge_sign_by_bits
 from torusmirror import corresp as cp
 from torusmirror.clifford import SpinVec, _merge_sign, exterior_exp, popcount, wedge
 
@@ -155,6 +155,34 @@ def test_exp_divides_powers_by_factorials():
     # (x1 x2 + x3 x4)^2 = 2 x1 x2 x3 x4, so exp holds (2 / 2!) x1 x2 x3 x4
     assert exterior_exp({0b0011: 1, 0b1100: 1}) == {0: 1, 0b0011: 1, 0b1100: 1, 0b1111: 1}
     assert exterior_exp({0b0011: Fraction(1, 2)}) == {0: 1, 0b0011: Fraction(1, 2)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(elements(st.integers(1, (1 << GENERATORS) - 1), max_size=7))
+def test_exp_matches_the_per_term_fraction_route(a):
+    # same values, same types and the same key order as one Fraction per term
+    got, want = exterior_exp(a), exterior_exp_by_fractions(a)
+    assert got == want and list(got) == list(want)
+    assert [type(c) for c in got.values()] == [type(c) for c in want.values()]
+
+
+def test_exp_makes_no_fraction_for_integral_input(monkeypatch):
+    # exp(x1 x2 + x3 x4 + x5 x6 + x1 x3) has K = 3 and terms over 2! and 3!
+    a = {0b000011: 1, 0b001100: 1, 0b110000: 1, 0b000101: 1}
+    made = []
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+    got = exterior_exp(a)
+    xi = cp.xi_from_mirror(3)
+    monkeypatch.undo()
+    assert made == []
+    assert got == exterior_exp_by_fractions(a) and all(type(c) is int for c in got.values())
+    assert all(type(c) is int for c in xi.coeffs.values())
 
 
 def test_exp_rejects_a_constant_term():
