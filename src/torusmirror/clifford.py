@@ -13,7 +13,8 @@ from functools import cache
 from math import factorial, lcm
 
 from . import exactlin as xl
-from .errors import MixedParity, NoIntertwiner, NotEven, NotIsotropic, NotSpin
+from .errors import (MixedParity, NoIntertwiner, NotEven, NotIsotropic, NotSpin,
+                     SingularMatrix)
 from .pairspace import q_form
 
 
@@ -179,6 +180,9 @@ def q_value(u, v):
 # isotropic splittings and splitting-adapted module structures
 
 
+_NOT_A_BASIS = "basis1 + basis2 is not a Z-basis of Lambda"
+
+
 class IsotropicSplitting:
     """Lambda = M1 + M2 with both halves maximal Q-isotropic.
 
@@ -197,17 +201,27 @@ class IsotropicSplitting:
             raise NotIsotropic("splitting bases must be 2n vectors of length 4n")
         b1 = xl.mat(basis1).T  # columns
         b2 = xl.mat(basis2).T
-        w = xl.block([[b1, b2]])
-        if not xl.is_unimodular(w):
-            raise NotIsotropic("basis1 + basis2 is not a Z-basis of Lambda")
+        if not (xl.is_integral(b1) and xl.is_integral(b2)):
+            raise NotIsotropic(_NOT_A_BASIS)
         q = q_form(n)
         for half in (b1, b2):
             g = xl.mul(half.T, xl.mul(q, half))
             if not xl.is_zero(g):
+                if not xl.is_unimodular(xl.block([[b1, b2]])):
+                    raise NotIsotropic(_NOT_A_BASIS)
                 raise NotIsotropic("Q does not vanish on a splitting half")
-        # pairing P[j, i] = Q(basis2_j, basis1_i) is unimodular; dual basis
+        # for isotropic halves w^t Q w = [[0, P^t], [P, 0]] with the pairing
+        # P[j, i] = Q(basis2_j, basis1_i), so |det w| = |det P|: w is a
+        # Z-basis exactly when the integral P has an integral inverse
         pairing = xl.mul(b2.T, xl.mul(q, b1))
-        b2_dual = xl.mul(b2, xl.to_int(xl.invert(pairing)).T)
+        try:
+            pairing_inv = xl.invert(pairing)
+        except SingularMatrix:
+            raise NotIsotropic(_NOT_A_BASIS)
+        if not xl.is_integral(pairing_inv):
+            raise NotIsotropic(_NOT_A_BASIS)
+        # the Q-dual basis of basis1
+        b2_dual = xl.mul(b2, pairing_inv.T)
         self.basis1 = b1
         self.basis2 = b2_dual
         self.w = xl.block([[b1, b2_dual]])

@@ -17,7 +17,7 @@ form (siegel.siegel_act).
 import sys
 from fractions import Fraction
 from itertools import chain
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from numbers import Integral, Rational
 from operator import index
 
@@ -459,7 +459,12 @@ def nullspace(a):
 
 
 def solve_right(a, b):
-    """Solve a @ x = b exactly for square invertible a (b may be a matrix)."""
+    """Solve a @ x = b exactly for square invertible a (b may be a matrix).
+
+    One Bareiss pass over the int rows [a.num * fa | b.num * fb] leaves them
+    upper triangular with last pivot D = det(a.num * fa); back-substitution
+    then gives the integer matrix D x, each division exact by Cramer's rule.
+    """
     a, b = asmat(a), asmat(b)
     n = len(a.num)
     if a.ncols != n:
@@ -470,18 +475,25 @@ def solve_right(a, b):
     # a.num x = (a.den / b.den) b.num, scaled to integers on both sides
     g = gcd(a.den, b.den)
     fa, fb = b.den // g, a.den // g
-    ech = _echelon([x * fa for x in ra] + [x * fb for x in rb] for ra, rb in zip(a.num, b.num))
-    if sorted(ech.int_rows) != list(range(n)):
+    rows = [[x * fa for x in ra] + [x * fb for x in rb] for ra, rb in zip(a.num, b.num)]
+    d = 1
+    for d in _bareiss(rows):
+        pass
+    if d == 0:
         raise SingularMatrix("matrix is singular")
-    # row p of x is the right-hand part of its pivot row over the pivot
-    den = lcm(*(row[p] for p, row in ech.int_rows.items()))
-    num = [[0] * b.ncols for _ in range(n)]
-    for p, row in ech.int_rows.items():
-        out, f = num[p], den // row[p]
-        for c, v in row.items():
-            if c >= n:
-                out[c - n] = v * f
-    return _canon(num, den, b.ncols)
+    x = [None] * n
+    for k in range(n - 1, -1, -1):
+        row = rows[k]
+        acc = [v * d for v in row[n:]]
+        for j in range(k + 1, n):
+            c = row[j]
+            if c:
+                acc = [s - c * t for s, t in zip(acc, x[j])]
+        p = row[k]
+        x[k] = [s // p for s in acc]
+    if d < 0:
+        x = [[-v for v in xk] for xk in x]
+    return _canon(x, abs(d), b.ncols)
 
 
 def invert(m):
@@ -491,14 +503,16 @@ def invert(m):
 
 
 def _bareiss(a):
-    """Fraction-free elimination (Bareiss 1968) of the square int matrix a,
-    a list of row lists, in place; yields each pivot as it is met.
+    """Fraction-free elimination (Bareiss 1968) of the int matrix a, a list
+    of n row lists of any width w >= n, in place; yields each pivot as it is
+    met.  It makes the first n columns upper triangular, but does not
+    write the zeros below the diagonal.
 
     Until a pivot is 0, the k-th pivot is the leading k x k minor.  A zero
     pivot is followed by the pivot of the first lower row that is nonzero in
     its column, swapped in with the other row negated so that the
     determinant is kept, or ends the elimination if there is none.  The last
-    pivot is the determinant.
+    pivot is the determinant of the first n columns.
     """
     n = len(a)
     prev = 1
@@ -513,10 +527,11 @@ def _bareiss(a):
             pivot = a[k][k]
             yield pivot
         top = a[k]
+        width = range(k + 1, len(top))
         for i in range(k + 1, n):
             row = a[i]
             f = row[k]
-            for j in range(k + 1, n):
+            for j in width:
                 row[j] = (pivot * row[j] - f * top[j]) // prev
         prev = pivot
 
@@ -572,13 +587,12 @@ def _min_entry(d, lo):
     return best
 
 
-def smith_normal_form(m):
-    """Return (U, D, V) with U @ m @ V = D diagonal, divisibility chain, U,V unimodular."""
-    d = to_int(m)
-    n_rows, n_cols = d.shape
-    d = d.num
-    u, v = eye(n_rows), eye(n_cols)
-    ur, vr = u.num, v.num
+def _smith(d, ur, vr=None):
+    """Smith reduction of the int rows d in place, with every row operation
+    also applied to the rows ur and every column operation to the rows vr,
+    unless vr is None: d becomes diagonal with a divisibility chain."""
+    n_rows, n_cols = len(d), len(d[0]) if d else 0
+    col_rows = (d,) if vr is None else (d, vr)
     k = 0
     while True:
         pos = _min_entry(d, k)
@@ -589,7 +603,7 @@ def smith_normal_form(m):
             d[k], d[i] = d[i], d[k]
             ur[k], ur[i] = ur[i], ur[k]
         if j != k:
-            for rows in (d, vr):
+            for rows in col_rows:
                 for row in rows:
                     row[k], row[j] = row[j], row[k]
         # clear row and column k by euclidean steps
@@ -604,7 +618,7 @@ def smith_normal_form(m):
         for c in range(k + 1, n_cols):
             if d[k][c] != 0:
                 q = d[k][c] // d[k][k]
-                for rows in (d, vr):
+                for rows in col_rows:
                     for row in rows:
                         row[c] -= q * row[k]
                 if d[k][c] != 0:
@@ -624,7 +638,15 @@ def smith_normal_form(m):
         k += 1
         if k == min(n_rows, n_cols):
             break
-    return u, _wrap(d, 1, n_cols), v
+
+
+def smith_normal_form(m):
+    """Return (U, D, V) with U @ m @ V = D diagonal, divisibility chain, U,V unimodular."""
+    d = to_int(m)
+    n_rows, n_cols = d.shape
+    u, v = eye(n_rows), eye(n_cols)
+    _smith(d.num, u.num, v.num)
+    return u, d, v
 
 
 def saturate_rows(b):
@@ -634,8 +656,9 @@ def saturate_rows(b):
     rows of the unimodular V^-1 of U b V = D, and U b = D V^-1 gives them.
     """
     b = to_int(b)
-    u, d, _ = smith_normal_form(b)
-    ub, d = mul(u, b).num, d.num
+    d, u = [row[:] for row in b.num], eye(len(b.num))
+    _smith(d, u.num)
+    ub = mul(u, b).num
     pivots = [(d[k][k], ub[k]) for k in range(min(len(d), b.ncols)) if d[k][k]]
     if any(x % dk for dk, row in pivots for x in row):
         raise RuntimeError("saturate rows: a row of U b is not divisible by its d_k")
@@ -670,7 +693,8 @@ def skew_normal_form(phi):
         raise NotSkew("skew form must be square of even size")
     if not mat_eq(phi, -phi.T):
         raise NotSkew("matrix is not skew-symmetric")
-    if det(phi) == 0:
+    det_phi = det(phi)
+    if det_phi == 0:
         raise Degenerate("skew form is degenerate")
     n = n2 // 2
     m = phi.copy().num
@@ -731,7 +755,9 @@ def skew_normal_form(phi):
     out = SkewNormalForm(basis, deltas)
     if not mat_eq(mul(basis.T, mul(phi, basis)), out.block_form()):
         raise RuntimeError("skew normal form: u^t phi u is not the block form")
-    if abs(det(basis)) != 1:
+    # det(u)^2 det(phi) = det(u^t phi u) = prod delta_k^2, so u is unimodular
+    # exactly when prod delta_k^2 = det(phi)
+    if prod(deltas) ** 2 != det_phi:
         raise RuntimeError("skew normal form: basis change is not unimodular")
     if any(b % a for a, b in zip(deltas, deltas[1:])):
         raise RuntimeError("skew normal form: invariant factors do not divide in turn")

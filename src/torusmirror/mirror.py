@@ -10,7 +10,7 @@ from itertools import product
 from . import exactlin as xl
 from .clifford import IsotropicSplitting
 from .errors import (DifferentSource, FormMismatch, IntertwineFailure,
-                     NotABasis, NotInvariant, TransversalityNotFound)
+                     NotABasis, NotInvariant, SingularMatrix, TransversalityNotFound)
 from .pairspace import i_omega, jprod, make_weak_pair, q_form, recover_omega
 from .siegel import u_membership
 from .torus import as_form, make_torus
@@ -45,9 +45,14 @@ def verify_mirror(pA, pB, alpha):
     if alpha.shape != (4 * na, 4 * na):
         raise ValueError(f"alpha must be {4 * na}x{4 * na}, not "
                          f"{alpha.shape[0]}x{alpha.shape[1]}")
-    if not xl.is_unimodular(alpha):
+    # an integral Q-isometry is unimodular, since det(alpha)^2 det(Q) = det(Q);
+    # the determinant only picks the message when alpha is not one
+    q = q_form(na)
+    if not xl.is_integral(alpha):
         raise FormMismatch("alpha is not an integral unimodular matrix")
-    if not xl.mat_eq(xl.mul(alpha.T, xl.mul(q_form(pB.torus.n), alpha)), q_form(pA.torus.n)):
+    if not xl.mat_eq(xl.mul(alpha.T, xl.mul(q, alpha)), q):
+        if not xl.is_unimodular(alpha):
+            raise FormMismatch("alpha is not an integral unimodular matrix")
         raise FormMismatch("alpha does not identify the hyperbolic forms")
     if not xl.mat_eq(xl.mul(alpha, jprod(pA.torus)), xl.mul(i_omega(pB), alpha)):
         raise IntertwineFailure("alpha.Jprod_A != I_omegaB.alpha")
@@ -82,9 +87,15 @@ def _witness_basis(p, w):
     and its inverse."""
     n = p.torus.n
     u0 = xl.block([[w.gamma1, w.gamma2]])
-    if not (u0.shape == (2 * n, 2 * n) and xl.is_unimodular(u0)):
-        raise NotABasis("gamma1 + gamma2 is not a Z-basis of Gamma")
-    return u0, xl.to_int(xl.invert(u0))
+    if u0.shape == (2 * n, 2 * n) and xl.is_integral(u0):
+        # an integral matrix is unimodular exactly when its inverse is integral
+        try:
+            u0_inv = xl.invert(u0)
+        except SingularMatrix:
+            u0_inv = None
+        if u0_inv is not None and xl.is_integral(u0_inv):
+            return u0, u0_inv
+    raise NotABasis("gamma1 + gamma2 is not a Z-basis of Gamma")
 
 
 def _well_becoming_in(p, u0, u0_inv):
@@ -177,7 +188,14 @@ def elliptic_mirror(A, tau, phi, budget=5):
     pA = make_weak_pair(A, t1 * c, t2 * c)
     u = nf.basis_change
     jp = jprod(A)
-    u_inv = xl.to_int(xl.invert(u))
+    # u^t c u = F = [[0, Delta], [-Delta, 0]], so u^-1 = F^-1 u^t c with
+    # F^-1 = [[0, -Delta^-1], [Delta^-1, 0]]
+    ut_c = xl.mul(u.T, c).num
+    rows = [[-x for x in ut_c[n + i]] for i in range(n)] + ut_c[:n]
+    deltas = nf.deltas * 2  # the diagonal of Delta + Delta
+    if any(x % dk for dk, row in zip(deltas, rows) for x in row):
+        raise RuntimeError("the symplectic basis change has no integral inverse")
+    u_inv = xl.mat([[x // dk for x in row] for dk, row in zip(deltas, rows)])
     # a correction adds multiples of Gamma_2 to Gamma_1, which leaves Gamma_2 and
     # Gamma_1* fixed: Sigma is the same for every candidate, only W is repaired
     if not _transversal(jp, _adapted_halves(u, u_inv)[1]):

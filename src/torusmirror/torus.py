@@ -66,13 +66,17 @@ def ns_vector(A, c):
     return NSVector(c)
 
 
-def _saturated_solutions(rows, nvars):
-    """Z-basis of the integer points of the rational solution space of the
-    sparse equations rows (dicts {variable: coefficient})."""
+def _kernel(rows, nvars):
+    """Basis of the rational solution space of the sparse equations rows
+    (dicts {variable: coefficient}), read off their reduced row echelon form."""
     ech = xl.Echelon()
     for row in rows:
         ech.add(row)
-    basis = ech.kernel(nvars)
+    return ech.kernel(nvars)
+
+
+def _saturated(basis):
+    """Z-basis of the integer points of the rational span of the vectors basis."""
     if not basis:
         return []
     return xl.saturate_rows([xl.primitive_int([v]).rows[0] for v in basis]).rows
@@ -84,28 +88,33 @@ def _reshape(v, r, c):
 
 
 def ns_basis(A):
-    """Z-basis of the lattice of integral skew J-invariant forms on Gamma."""
+    """Z-basis of the lattice of integral skew J-invariant forms on Gamma.
+
+    A skew c is given by its entries c_rs below the diagonal, the unknowns,
+    ordered by r*d + s as in c itself.  J^t c J is skew with c, so the
+    equations (J^t c J - c)_ij = 0 for i < j are all of them.  Every skew form
+    has its last nonzero entry below the diagonal, so the free unknowns and
+    the kernel basis are those of the system on all d^2 entries of c.
+    """
     d = 2 * A.n
     J, d2 = A.J.num, A.J.den ** 2
+    lower = [(r, s) for r in range(d) for s in range(r)]
     rows = []
     for i in range(d):
-        for j in range(d):
-            # skewness: c_ij + c_ji = 0
-            if i < j:
-                rows.append({i * d + j: 1, j * d + i: 1})
-            elif i == j:
-                rows.append({i * d + i: 1})
-            # invariance: (J^t c J - c)_ij = 0, times den(J)^2
-            row = {}
-            for a in range(d):
-                if J[a][i] == 0:
-                    continue
-                for b in range(d):
-                    if J[b][j] != 0:
-                        row[a * d + b] = row.get(a * d + b, 0) + J[a][i] * J[b][j]
-            row[i * d + j] = row.get(i * d + j, 0) - d2
-            rows.append({k: v for k, v in row.items() if v != 0})
-    return [NSVector(_reshape(v, d, d)) for v in _saturated_solutions(rows, d * d)]
+        for j in range(i + 1, d):
+            # times den(J)^2: (J^t c J)_ij is the sum over r > s of
+            # c_rs (J_ri J_sj - J_si J_rj), and -c_ij is c_ji, the unknown
+            # at j(j-1)/2 + i
+            row = [J[r][i] * J[s][j] - J[s][i] * J[r][j] for r, s in lower]
+            row[j * (j - 1) // 2 + i] += d2
+            rows.append({k: v for k, v in enumerate(row) if v})
+    skew = []
+    for v in _kernel(rows, len(lower)):
+        c = [0] * (d * d)
+        for (r, s), x in zip(lower, v):
+            c[r * d + s], c[s * d + r] = x, -x
+        skew.append(c)
+    return [NSVector(_reshape(v, d, d)) for v in _saturated(skew)]
 
 
 def hom_space(A, B):
@@ -125,7 +134,7 @@ def hom_space(A, B):
                 if ja[k][j] != 0:
                     row[i * da + k] = row.get(i * da + k, 0) - fa * ja[k][j]
             rows.append({k: v for k, v in row.items() if v != 0})
-    return [_reshape(v, db, da) for v in _saturated_solutions(rows, db * da)]
+    return [_reshape(v, db, da) for v in _saturated(_kernel(rows, db * da))]
 
 
 def polarization_form(A, c):

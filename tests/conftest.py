@@ -21,10 +21,10 @@ from torusmirror import exactlin as xl
 from torusmirror.clifford import (IsotropicSplitting, SpinVec, _cor_apply, _cor_rows,
                                   _generator_maps, _sign_normalize, cor_matrix, popcount,
                                   wedge)
-from torusmirror.errors import NoIntertwiner
+from torusmirror.errors import NoIntertwiner, SingularMatrix
 from torusmirror.mirror import WellBecomingWitness
 from torusmirror.pairspace import i_omega, make_weak_pair, q_form
-from torusmirror.torus import make_torus, ns_basis
+from torusmirror.torus import NSVector, make_torus, ns_basis
 
 SEED = int(os.environ.get("TORUS_MIRROR_SEED", "20260823"))
 
@@ -325,6 +325,29 @@ def fraction_solve_right(a, b):
     return x
 
 
+def gauss_jordan_solve(a, b):
+    """a^-1 b by Gauss-Jordan elimination on dense rows of Fractions, with a
+    row swap wherever a pivot is 0; raises SingularMatrix with the messages
+    of exactlin.solve_right."""
+    a, b = xl.asmat(a), xl.asmat(b)
+    n, m = a.shape[0], b.ncols
+    if a.ncols != n:
+        raise SingularMatrix("matrix not square")
+    rows = [[Fraction(x) for x in ra + rb] for ra, rb in zip(a.rows, b.rows)]
+    for k in range(n):
+        p = next((i for i in range(k, n) if rows[i][k]), None)
+        if p is None:
+            raise SingularMatrix("matrix is singular")
+        rows[k], rows[p] = rows[p], rows[k]
+        top = [x / rows[k][k] for x in rows[k]]
+        rows[k] = top
+        for i in range(n):
+            if i != k and rows[i][k]:
+                f = rows[i][k]
+                rows[i] = [x - f * y for x, y in zip(rows[i], top)]
+    return [row[n:] for row in rows] if n else []
+
+
 def fraction_det(m):
     """det as the signed product of the pivots of the reference elimination."""
     m = xl.asmat(m)
@@ -534,3 +557,53 @@ def exterior_exp_by_fractions(a):
             total[m] = total.get(m, 0) + Fraction(c, factorial(k))
     return {m: c.numerator if c.denominator == 1 else c
             for m, c in total.items() if c != 0}
+
+
+# ---------------------------------------------------------------------------
+# the system on all d^2 entries of c, the reference for torus.ns_basis
+
+
+def ns_basis_by_all_entries(A):
+    """Z-basis of the integral skew J-invariant forms from the equations
+    c_ij + c_ji = 0, c_ii = 0 and (J^t c J - c)_ij = 0 for every i, j, in
+    the d^2 unknowns c_ij ordered by i*d + j."""
+    d = 2 * A.n
+    J, d2 = A.J.num, A.J.den ** 2
+    ech = xl.Echelon()
+    for i in range(d):
+        for j in range(d):
+            if i < j:
+                ech.add({i * d + j: 1, j * d + i: 1})
+            elif i == j:
+                ech.add({i * d + i: 1})
+            row = {}
+            for a in range(d):
+                for b in range(d):
+                    v = J[a][i] * J[b][j]
+                    if v:
+                        row[a * d + b] = row.get(a * d + b, 0) + v
+            row[i * d + j] = row.get(i * d + j, 0) - d2
+            ech.add({k: v for k, v in row.items() if v})
+    basis = ech.kernel(d * d)
+    if not basis:
+        return []
+    sat = xl.saturate_rows([xl.primitive_int([v]).rows[0] for v in basis])
+    return [NSVector([v[r * d:(r + 1) * d] for r in range(d)]) for v in sat.rows]
+
+
+def elliptic_sample(rng, n):
+    """(A, tau, phi): a product of elliptic curves with a polarization phi of
+    type Delta = diag(1, d_2, ..., d_n), d_i | d_(i+1), in a random basis."""
+    deltas = [1]
+    for _ in range(n - 1):
+        deltas.append(deltas[-1] * rng.randint(1, 3))
+    z = xl.zeros(n)
+    delta = xl.zeros(n)
+    for i in range(n):
+        delta[i, i] = deltas[i]
+    j0 = np.block([[z, xl.eye(n)], [-xl.eye(n), z]])
+    phi0 = np.block([[z, delta], [-delta, z]])
+    t = rand_unimodular(rng, 2 * n)
+    A = make_torus(n, xl.mul(xl.to_int(xl.invert(t)), xl.mul(j0, t)))
+    tau = (rand_rational(rng), rand_rational(rng, nonzero=True))
+    return A, tau, xl.mul(t.T, xl.mul(phi0, t))

@@ -160,6 +160,25 @@ def test_splitting_rejects_bad_bases():
         IsotropicSplitting(1, [e[:, 0], [2 * x for x in e[:, 1]]], [e[:, 2], e[:, 3]])
 
 
+def test_splitting_names_a_non_basis_without_its_determinant():
+    z = "^basis1 \\+ basis2 is not a Z-basis of Lambda$"
+    e = xl.eye(4)
+    cols = [e[:, i] for i in range(4)]
+    # integral, neither half isotropic, det 2
+    with pytest.raises(NotIsotropic, match=z):
+        IsotropicSplitting(1, [cols[0], cols[2]], [cols[1], [2 * x for x in cols[3]]])
+    # a unimodular basis with a half that is not isotropic keeps its own message
+    with pytest.raises(NotIsotropic, match="^Q does not vanish on a splitting half$"):
+        IsotropicSplitting(1, [cols[0], cols[2]], [cols[1], cols[3]])
+    # isotropic halves whose pairing has det 2, and a singular pairing
+    with pytest.raises(NotIsotropic, match=z):
+        IsotropicSplitting(1, [cols[0], cols[1]], [cols[2], [2 * x for x in cols[3]]])
+    with pytest.raises(NotIsotropic, match=z):
+        IsotropicSplitting(1, [cols[0], cols[1]], [cols[2], cols[2]])
+    with pytest.raises(NotIsotropic, match=z):
+        IsotropicSplitting(1, [cols[0], cols[1]], [cols[2], [Fraction(1, 2) * x for x in cols[3]]])
+
+
 def test_beta_identity_on_same_splitting():
     s = standard_splitting(1)
     assert xl.mat_eq(beta_iso(s, s), xl.eye(4))

@@ -1,6 +1,6 @@
 from fractions import Fraction
 from itertools import permutations
-from math import gcd
+from math import gcd, lcm
 
 import ast
 from pathlib import Path
@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (FractionEchelon, fraction_add, fraction_det, fraction_mat_eq,
-                      fraction_mul, fraction_solve_right, fraction_sub)
+                      fraction_mul, fraction_solve_right, fraction_sub, gauss_jordan_solve)
 import torusmirror
 from torusmirror import exactlin as xl
 from torusmirror.errors import Degenerate, NotSymmetric, SingularMatrix
@@ -48,6 +48,64 @@ def test_invert_roundtrip(entries):
 def test_det_multiplicative(entries):
     m = sq(entries, 3)
     assert xl.det(xl.mul(m, m)) == xl.det(m) ** 2
+
+
+def test_empty_system_is_solved():
+    x = xl.solve_right(xl.zeros(0, 0), xl.zeros(0, 3))
+    assert x.shape == (0, 3) and x.den == 1
+    inv = xl.invert(xl.zeros(0, 0))
+    assert inv.shape == (0, 0) and inv.den == 1
+
+
+def _solve_outcome(f, *args):
+    """f(*args), or the message of the SingularMatrix it raises."""
+    try:
+        return f(*args)
+    except SingularMatrix as e:
+        return str(e)
+
+
+@st.composite
+def square_systems(draw):
+    """(a, b) with a square up to 8x8 or, now and then, one row or column
+    short; integral or rational, b over other denominators than a.  Some a
+    are upper triangular with their rows reversed, so that every leading
+    pivot is 0 and the elimination must swap rows, and some are singular."""
+    k = draw(st.integers(1, 8))
+    rows, cols = k, k
+    shape = draw(st.sampled_from(["dense", "reversed triangle", "singular", "not square"]))
+    if shape == "not square":
+        rows, cols = draw(st.sampled_from([(k, k + 1), (k + 1, k)]))
+    entry = st.one_of(st.just(0), small_ints if draw(st.booleans()) else small_fracs)
+    a = [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+    if shape == "reversed triangle":
+        for i in range(k):
+            a[i][:i] = [0] * i
+            a[i][i] = draw(st.sampled_from([-3, -1, 1, 2, Fraction(1, 2), Fraction(-5, 3)]))
+        a.reverse()
+    elif shape == "singular" and k > 1:
+        c = [draw(small_ints) for _ in range(k - 1)]
+        a[-1] = [sum(ci * row[j] for ci, row in zip(c, a)) for j in range(k)]
+    m = draw(st.integers(1, 3))
+    scale = Fraction(1, draw(st.integers(1, 7)))
+    return a, [[draw(entry) * scale for _ in range(m)] for _ in range(rows)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(square_systems())
+def test_square_solves_match_gauss_jordan(system):
+    a, b = system
+    n = len(a)
+    eye = [[int(i == j) for j in range(n)] for i in range(n)]
+    for got, want in [(_solve_outcome(xl.solve_right, a, b), _solve_outcome(gauss_jordan_solve, a, b)),
+                      (_solve_outcome(xl.invert, a), _solve_outcome(gauss_jordan_solve, a, eye))]:
+        if isinstance(want, str):
+            assert got == want
+            continue
+        canonical(got)
+        assert got.rows == want
+        assert got.den == lcm(*(x.denominator for row in want for x in row))
+        assert reads_ints_where_integral(got)
 
 
 def test_rank_and_nullspace():
@@ -126,6 +184,16 @@ def integer_rectangles(draw):
     if rows > 1 and draw(st.booleans()):
         m[rows - 1] = sum(draw(small_ints) * m[i] for i in range(rows - 1))
     return m
+
+
+@settings(max_examples=150, deadline=None)
+@given(integer_rectangles())
+def test_smith_without_v_gives_the_same_u_and_d(b):
+    u, d, v = xl.smith_normal_form(b)
+    d2, u2 = [list(row) for row in b], xl.eye(b.shape[0])
+    xl._smith(d2, u2.num)
+    assert xl.mat_eq(u2, u) and xl.mat_eq(xl.mat(d2), d)
+    assert xl.mat_eq(xl.mul(u, xl.mul(b, v)), d)
 
 
 @settings(max_examples=150, deadline=None)

@@ -18,7 +18,6 @@ INVERT_SITES = {
     ("lefschetz", "lefschetz_f"): 1,
     ("clifford", "IsotropicSplitting.__init__"): 1,
     ("mirror", "_witness_basis"): 1,
-    ("mirror", "elliptic_mirror"): 1,
 }
 
 

@@ -1,7 +1,9 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from conftest import rand_rational, rand_unimodular, well_becoming_sample
+from conftest import elliptic_sample, rand_unimodular, well_becoming_sample
 from torusmirror import exactlin as xl
 from torusmirror.errors import (Degenerate, DifferentSource, FormMismatch,
                                 IntertwineFailure, NotABasis, NotInvariant,
@@ -38,6 +40,33 @@ def test_verify_mirror_rejects_bad_alpha():
     bad[0, 1] = 1  # unimodular, but not an isometry of the hyperbolic form
     with pytest.raises(FormMismatch):
         verify_mirror(p, p, bad)
+
+
+def test_verify_mirror_names_a_non_unimodular_alpha():
+    # no determinant is taken unless alpha fails to be a Q-isometry, and then
+    # it picks the message: det 2 and integral, or det 1 and rational
+    p = square_pair()
+    det2 = xl.eye(4)
+    det2[0, 0], det2[1, 2] = 2, 1
+    half = xl.eye(4)
+    half[0, 0], half[1, 1] = Fraction(1, 2), 2
+    for alpha in (det2, half):
+        assert abs(xl.det(alpha)) != 1 or not xl.is_integral(alpha)
+        with pytest.raises(FormMismatch, match="^alpha is not an integral unimodular matrix$"):
+            verify_mirror(p, p, alpha)
+    bad = xl.eye(4)
+    bad[0, 1] = 1
+    with pytest.raises(FormMismatch, match="^alpha does not identify the hyperbolic forms$"):
+        verify_mirror(p, p, bad)
+
+
+def test_g_mirror_rejects_a_rational_witness_of_det_1():
+    p = square_pair()
+    witness = WellBecomingWitness([[Fraction(1, 2), 0]], [[0, 2]])
+    with pytest.raises(NotABasis, match="^gamma1 \\+ gamma2 is not a Z-basis of Gamma$"):
+        g_mirror(p, witness)
+    with pytest.raises(NotABasis):
+        check_well_becoming(p, witness)
 
 
 def test_verify_mirror_rejects_non_intertwiner():
@@ -269,25 +298,9 @@ def test_g_mirror_matches_adapted_route(rng, n):
         assert xl.mat_eq(cert.alpha, alpha_ref)
 
 
-def _elliptic_sample(rng, n):
-    deltas = [1]
-    for _ in range(n - 1):
-        deltas.append(deltas[-1] * rng.randint(1, 3))
-    z = xl.zeros(n)
-    delta = xl.zeros(n)
-    for i in range(n):
-        delta[i, i] = deltas[i]
-    j0 = np.block([[z, xl.eye(n)], [-xl.eye(n), z]])
-    phi0 = np.block([[z, delta], [-delta, z]])
-    t = rand_unimodular(rng, 2 * n)
-    A = make_torus(n, xl.mul(xl.to_int(xl.invert(t)), xl.mul(j0, t)))
-    tau = (rand_rational(rng), rand_rational(rng, nonzero=True))
-    return A, tau, xl.mul(t.T, xl.mul(phi0, t))
-
-
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_elliptic_mirror_matches_adapted_route(rng, n):
-    cases = [_elliptic_sample(rng, n) for _ in range(3)]
+    cases = [elliptic_sample(rng, n) for _ in range(3)]
     if n == 2:
         # the first candidate fails, the second repairs the basis
         phi = xl.mat([[0, 0, 1, 0], [0, 0, 0, 1], [-1, 0, 0, 1], [0, -1, -1, 0]])

@@ -1,6 +1,7 @@
 import pytest
 
-from conftest import gaussian_torus, rand_ns_form, rand_skew
+from conftest import (elliptic_sample, gaussian_torus, ns_basis_by_all_entries,
+                      rand_ns_form, rand_skew, well_becoming_sample)
 from torusmirror import exactlin as xl
 from torusmirror.errors import NotComplexStructure, NotNSForm
 from torusmirror.torus import (check_polarization, dual_torus,
@@ -134,3 +135,14 @@ def test_hom_space_between_tori_of_different_dimension(rng):
                 assert xl.mat_eq(xl.mul(B.J, f), xl.mul(f, A.J))
             # independent over Q
             assert xl.rank([[x for row in f for x in row] for f in homs]) == len(homs)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_ns_basis_matches_the_all_entries_route(rng, n):
+    tori = [well_becoming_sample(rng, n)[0].torus, gaussian_torus(rng, n)[0]]
+    if n < 4:
+        tori.append(elliptic_sample(rng, n)[0])
+    for A in tori:
+        basis = ns_basis(A)
+        assert len(basis) == n * n and basis == ns_basis_by_all_entries(A)
+        assert all(v.c.den == 1 for v in basis)
