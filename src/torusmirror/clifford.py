@@ -15,7 +15,7 @@ from math import factorial, lcm
 from . import exactlin as xl
 from .errors import (MixedParity, NoIntertwiner, NotEven, NotIsotropic, NotSpin,
                      SingularMatrix)
-from .pairspace import q_form
+from .pairspace import q_left, q_right
 
 
 popcount = int.bit_count
@@ -203,9 +203,8 @@ class IsotropicSplitting:
         b2 = xl.mat(basis2).T
         if not (xl.is_integral(b1) and xl.is_integral(b2)):
             raise NotIsotropic(_NOT_A_BASIS)
-        q = q_form(n)
         for half in (b1, b2):
-            g = xl.mul(half.T, xl.mul(q, half))
+            g = xl.mul(half.T, q_left(half))
             if not xl.is_zero(g):
                 if not xl.is_unimodular(xl.block([[b1, b2]])):
                     raise NotIsotropic(_NOT_A_BASIS)
@@ -213,7 +212,7 @@ class IsotropicSplitting:
         # for isotropic halves w^t Q w = [[0, P^t], [P, 0]] with the pairing
         # P[j, i] = Q(basis2_j, basis1_i), so |det w| = |det P|: w is a
         # Z-basis exactly when the integral P has an integral inverse
-        pairing = xl.mul(b2.T, xl.mul(q, b1))
+        pairing = xl.mul(b2.T, q_left(b1))
         try:
             pairing_inv = xl.invert(pairing)
         except SingularMatrix:
@@ -226,7 +225,7 @@ class IsotropicSplitting:
         self.basis2 = b2_dual
         self.w = xl.block([[b1, b2_dual]])
         # w^t Q w = Q now, and Q^2 = 1; w_inv is integral, so its num is its entries
-        self.w_inv = xl.mul(q, xl.mul(self.w.T, q))
+        self.w_inv = q_left(q_right(self.w.T))
 
     def coords(self, lambda_vec):
         lambda_vec = list(lambda_vec)

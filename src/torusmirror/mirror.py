@@ -8,10 +8,9 @@ forms, and swaps the roles of the product complex structure and I_omega.
 from itertools import product
 
 from . import exactlin as xl
-from .clifford import IsotropicSplitting
 from .errors import (DifferentSource, FormMismatch, IntertwineFailure,
                      NotABasis, NotInvariant, SingularMatrix, TransversalityNotFound)
-from .pairspace import i_omega, jprod, make_weak_pair, q_form, recover_omega
+from .pairspace import make_weak_pair, q_form, q_left, q_right, recover_omega
 from .siegel import u_membership
 from .torus import as_form, make_torus
 
@@ -47,16 +46,15 @@ def verify_mirror(pA, pB, alpha):
                          f"{alpha.shape[0]}x{alpha.shape[1]}")
     # an integral Q-isometry is unimodular, since det(alpha)^2 det(Q) = det(Q);
     # the determinant only picks the message when alpha is not one
-    q = q_form(na)
     if not xl.is_integral(alpha):
         raise FormMismatch("alpha is not an integral unimodular matrix")
-    if not xl.mat_eq(xl.mul(alpha.T, xl.mul(q, alpha)), q):
+    if not xl.mat_eq(xl.mul(alpha.T, q_left(alpha)), q_form(na)):
         if not xl.is_unimodular(alpha):
             raise FormMismatch("alpha is not an integral unimodular matrix")
         raise FormMismatch("alpha does not identify the hyperbolic forms")
-    if not xl.mat_eq(xl.mul(alpha, jprod(pA.torus)), xl.mul(i_omega(pB), alpha)):
+    if not xl.mat_eq(xl.mul(alpha, pA.torus._jprod), xl.mul(pB._i_omega, alpha)):
         raise IntertwineFailure("alpha.Jprod_A != I_omegaB.alpha")
-    if not xl.mat_eq(xl.mul(alpha, i_omega(pA)), xl.mul(jprod(pB.torus), alpha)):
+    if not xl.mat_eq(xl.mul(alpha, pA._i_omega), xl.mul(pB.torus._jprod, alpha)):
         raise IntertwineFailure("alpha.I_omegaA != Jprod_B.alpha")
     return MirrorCertificate(alpha, pA, pB)
 
@@ -67,15 +65,20 @@ def mirror_from_splitting(p, s):
     s is given in the coordinates of Lambda_A; alpha = w^-1 takes it to the
     standard splitting Gamma_B + Gamma_B*.
     """
+    return _mirror_across(p, s.w, s.w_inv)
+
+
+def _mirror_across(p, w, alpha):
+    """Mirror of p across the splitting of Lambda_A whose halves are the first
+    and last 2n columns of the basis w, a Q-isometry with inverse alpha."""
     n = p.torus.n
-    alpha = s.w_inv
-    i_new = xl.mul(alpha, xl.mul(i_omega(p), s.w))
+    i_new = xl.mul(alpha, xl.mul(p._i_omega, w))
     d = 2 * n
-    # basis1 (basis2) spans an I_omega-invariant half iff block (2,1) ((1,2)) vanishes
+    # the first (last) half is I_omega-invariant iff block (2,1) ((1,2)) vanishes
     if not (xl.is_zero(i_new[:d, d:]) and xl.is_zero(i_new[d:, :d])):
         raise NotInvariant("a splitting half is not I_omega-invariant")
     B = make_torus(n, i_new[:d, :d])
-    jprod_new = xl.mul(alpha, xl.mul(jprod(p.torus), s.w))
+    jprod_new = xl.mul(alpha, xl.mul(p.torus._jprod, w))
     # Block12Singular unless J M2 is transversal to M2; recover_omega checks
     # that I_omega(pB) is jprod_new
     pB = recover_omega(B, jprod_new)
@@ -119,7 +122,8 @@ def _adapted_halves(u, u_inv):
     with inverse u_inv.
 
     They are standard columns of the integral Q-isometry U = [[u, 0], [0, u^-T]],
-    which carries the adapted coordinates of Lambda to those of Lambda_A.
+    which carries the adapted coordinates of Lambda to those of Lambda_A.  The
+    k-th column of Sigma is the Q-partner (index +-2n) of the k-th of W.
     """
     n = u.shape[0] // 2
     z = xl.zeros(2 * n)
@@ -129,16 +133,31 @@ def _adapted_halves(u, u_inv):
     return w, sigma
 
 
+def _adapted_splitting(u, u_inv, w_first):
+    """(w, alpha) of the splitting (W, Sigma), or (Sigma, W), of Lambda_A for a
+    basis u of Gamma with inverse u_inv: w = U P for the permutation P of the
+    columns, and alpha = w^-1 = P^T U^-1 with U^-1 = [[u^-1, 0], [0, u^T]].
+
+    U^T Q U = [[0, u^T u^-T], [u^-1 u, 0]] = Q, and P keeps Q-partners at
+    distance 2n, so w is an integral Q-isometry: a Z-basis of Lambda_A whose
+    halves are isotropic and Q-dual to each other, and alpha = Q w^T Q.  All
+    of it rests on u u_inv = 1, which is checked."""
+    if not (xl.is_integral(u) and xl.is_integral(u_inv)
+            and xl.mat_eq(xl.mul(u, u_inv), xl.eye(u.shape[0]))):
+        raise RuntimeError("u.u^-1 != 1: the adapted basis of Gamma and its inverse disagree")
+    w_half, sigma = _adapted_halves(u, u_inv)
+    w = xl.block([[w_half, sigma] if w_first else [sigma, w_half]])
+    return w, q_left(q_right(w.T))
+
+
 def g_mirror(p, w):
     """Mirror of a well-becoming pair across the splitting (Sigma, W) of Lambda_A,
     Sigma = Gamma_1* + Gamma_2 and W = Gamma_1 + Gamma_2* for the witness halves."""
     u0, u0_inv = _witness_basis(p, w)
     if not _well_becoming_in(p, u0, u0_inv):
         raise NotABasis("witness does not exhibit p as well-becoming")
-    n = p.torus.n
-    w_half, sigma = _adapted_halves(u0, u0_inv)
-    pB, cert = mirror_from_splitting(p, IsotropicSplitting(n, sigma.T, w_half.T))
-    e = xl.eye(2 * n)
+    pB, cert = _mirror_across(p, *_adapted_splitting(u0, u0_inv, w_first=False))
+    e = xl.eye(2 * p.torus.n)
     if not _well_becoming_in(pB, e, e):
         raise RuntimeError("the mirror pair is not well-becoming in the standard basis")
     return pB, cert
@@ -187,7 +206,7 @@ def elliptic_mirror(A, tau, phi, budget=5):
     t1, t2 = tau
     pA = make_weak_pair(A, t1 * c, t2 * c)
     u = nf.basis_change
-    jp = jprod(A)
+    jp = A._jprod
     # u^t c u = F = [[0, Delta], [-Delta, 0]], so u^-1 = F^-1 u^t c with
     # F^-1 = [[0, -Delta^-1], [Delta^-1, 0]]
     ut_c = xl.mul(u.T, c).num
@@ -209,10 +228,8 @@ def elliptic_mirror(A, tau, phi, budget=5):
         g = xl.mul(u2.T, xl.mul(c, u2))
         if not (xl.is_zero(g[:n, :n]) and xl.is_zero(g[n:, n:])):
             raise RuntimeError("the repaired basis does not put phi in block normal form")
-        w_half, sigma = _adapted_halves(u2, u2_inv)
-        if _transversal(jp, w_half):
-            s = IsotropicSplitting(n, w_half.T, sigma.T)
-            pB, cert = mirror_from_splitting(pA, s)
+        if _transversal(jp, _adapted_halves(u2, u2_inv)[0]):
+            pB, cert = _mirror_across(pA, *_adapted_splitting(u2, u2_inv, w_first=True))
             return pA, pB, cert
     raise TransversalityNotFound(
         "no symplectic correction within the budget makes J W transversal to W")
@@ -248,10 +265,9 @@ def compare_mirror_isos(c1, c2):
     a Q-isometry), the A-side comparison of two certificates."""
     if not (c1.pairA == c2.pairA):
         raise DifferentSource("certificates do not share the source pair")
-    q = q_form(c1.pairA.torus.n)
-    gamma = xl.to_int(xl.mul(q, xl.mul(c2.alpha.T, xl.mul(q, c1.alpha))))
+    gamma = xl.to_int(q_left(xl.mul(c2.alpha.T, q_left(c1.alpha))))
     if c1.pairB.torus == c2.pairB.torus:
-        iw = i_omega(c1.pairA)
+        iw = c1.pairA._i_omega
         if not xl.mat_eq(xl.mul(gamma, iw), xl.mul(iw, gamma)):
             raise RuntimeError("gamma does not commute with I_omega of the source")
     if c1.pairB == c2.pairB:

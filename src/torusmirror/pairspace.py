@@ -12,13 +12,25 @@ class WeakPair:
     and phi2; i_omega gives a copy."""
 
     def __init__(self, torus, phi1, phi2):
-        self.torus = torus
-        self.phi1 = phi1 = xl.mat(phi1)
-        self.phi2 = phi2 = xl.mat(phi2)
+        phi1, phi2 = xl.mat(phi1), xl.mat(phi2)
         try:
             phi2_inv = xl.invert(phi2)
         except SingularMatrix:
             raise NotNSForm("phi2 must be nondegenerate")
+        self._hold(torus, phi1, phi2, phi2_inv)
+
+    @classmethod
+    def _with_inverse(cls, torus, phi1, phi2, phi2_inv):
+        """The pair of phi1 and phi2 when phi2^-1 is already known; it takes
+        over all three matrices."""
+        p = object.__new__(cls)
+        p._hold(torus, phi1, phi2, phi2_inv)
+        return p
+
+    def _hold(self, torus, phi1, phi2, phi2_inv):
+        self.torus = torus
+        self.phi1 = phi1
+        self.phi2 = phi2
         tl = xl.mul(phi2_inv, phi1)
         bl = phi2 + xl.mul(phi1, tl)
         br = -xl.mul(phi1, phi2_inv)
@@ -38,16 +50,38 @@ def q_form(n):
     return xl.mat(q)
 
 
+def q_left(m):
+    """Q.m for the hyperbolic form Q of q_form: m with its row halves
+    swapped, in new row lists."""
+    out = xl.asmat(m).copy()
+    h = len(out.num) // 2
+    out.num = out.num[h:] + out.num[:h]
+    return out
+
+
+def q_right(m):
+    """m.Q for the hyperbolic form Q of q_form: m with its column halves
+    swapped, in new row lists."""
+    out = xl.asmat(m).copy()
+    h = out.ncols // 2
+    out.num = [row[h:] + row[:h] for row in out.num]
+    return out
+
+
 def jprod(A):
-    """The product complex structure J + (-J^T) on Lambda = Gamma + Gamma*."""
-    z = xl.zeros(2 * A.n)
-    return xl.block([[A.J, z], [z, -A.J.T]])
+    """The product complex structure J + (-J^T) on Lambda = Gamma + Gamma*,
+    built once per torus; a copy."""
+    return A._jprod.copy()
+
+
+def _require_ns_forms(A, phi1, phi2):
+    if not ts.is_ns_form(A, phi1) or not ts.is_ns_form(A, phi2):
+        raise NotNSForm("phi1/phi2 must be skew and J-invariant")
 
 
 def make_weak_pair(A, phi1, phi2):
     phi1, phi2 = xl.asmat(phi1), xl.asmat(phi2)
-    if not ts.is_ns_form(A, phi1) or not ts.is_ns_form(A, phi2):
-        raise NotNSForm("phi1/phi2 must be skew and J-invariant")
+    _require_ns_forms(A, phi1, phi2)
     return WeakPair(A, phi1, phi2)
 
 
@@ -73,7 +107,8 @@ def classify_pair(p):
 
 
 def recover_omega(A, I):
-    """Read omega back off a complex structure of I_omega shape."""
+    """Read omega back off a complex structure of I_omega shape.  Its block
+    (1,2) is -phi2^-1, so the pair is made from that known inverse."""
     d = 2 * A.n
     I = xl.asmat(I)
     i12 = I[:d, d:]
@@ -84,7 +119,8 @@ def recover_omega(A, I):
         raise Block12Singular("block (1,2) of I is singular; I is not an I_omega")
     phi2 = -i12_inv
     phi1 = xl.mul(i22, i12_inv)
-    pair = make_weak_pair(A, phi1, phi2)
+    _require_ns_forms(A, phi1, phi2)
+    pair = WeakPair._with_inverse(A, phi1, phi2, -i12)
     if not xl.mat_eq(pair._i_omega, I):
         raise ValueError("I is not the I_omega of the pair read off its blocks")
     return pair

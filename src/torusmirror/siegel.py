@@ -8,7 +8,7 @@ computed exactly over the Gaussian rationals as one linear solve over Q.
 
 from . import exactlin as xl
 from .errors import FormMismatch, NotInvertible, SingularMatrix
-from .pairspace import i_omega, jprod, make_weak_pair, q_form
+from .pairspace import i_omega, make_weak_pair, q_form, q_left
 
 
 def blocks(g):
@@ -19,22 +19,23 @@ def blocks(g):
 
 def u_membership(g, A):
     """Integral unimodular special Q-isometries commuting with Jprod."""
-    q, jp = q_form(A.n), jprod(A)
+    q, jp = q_form(A.n), A._jprod
     g = xl.asmat(g)
     if g.shape != q.shape:
         return False
     if not (xl.is_integral(g) and xl.det(g) == 1):
         return False
-    if not xl.mat_eq(xl.mul(g.T, xl.mul(q, g)), q):
+    if not xl.mat_eq(xl.mul(g.T, q_left(g)), q):
         return False
     return xl.mat_eq(xl.mul(g, jp), xl.mul(jp, g))
 
 
 def require_q_isometry(g, n):
     """Raise FormMismatch unless g^T Q g = Q on Lambda of rank 4n."""
-    q = q_form(n)
     g = xl.asmat(g)
-    if not xl.mat_eq(xl.mul(g.T, xl.mul(q, g)), q):
+    if len(g) != 4 * n:
+        raise ValueError(f"g must have {4 * n} rows, not {len(g)}")
+    if not xl.mat_eq(xl.mul(g.T, q_left(g)), q_form(n)):
         raise FormMismatch("g is not a Q-isometry of Lambda: g^T Q g != Q")
 
 

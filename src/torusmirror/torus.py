@@ -6,14 +6,26 @@ identity (the geometric sign of the double-dual identification is a
 convention on l**, not on matrices, and never enters the formulas here).
 """
 
+from functools import cached_property
+
 from . import exactlin as xl
 from .errors import NotComplexStructure, NotNSForm
 
 
 class Torus:
+    """A torus holds its own copy of J, and builds the product complex
+    structure on Lambda from it once, when it is first read."""
+
     def __init__(self, n, J):
         self.n = n
-        self.J = xl.asmat(J)
+        self.J = xl.mat(J)
+
+    @cached_property
+    def _jprod(self):
+        """J + (-J^T) on Lambda = Gamma + Gamma*, shared: read it, never write
+        into it (pairspace.jprod gives a copy)."""
+        z = xl.zeros(2 * self.n)
+        return xl.block([[self.J, z], [z, -self.J.T]])
 
     def __eq__(self, other):
         return isinstance(other, Torus) and self.n == other.n and xl.mat_eq(self.J, other.J)

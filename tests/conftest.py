@@ -591,6 +591,21 @@ def ns_basis_by_all_entries(A):
     return [NSVector([v[r * d:(r + 1) * d] for r in range(d)]) for v in sat.rows]
 
 
+def splitting_route(u, u_inv, w_first):
+    """(w, w_inv) of the IsotropicSplitting of W = Gamma_1 + Gamma_2* and
+    Sigma = Gamma_1* + Gamma_2, in the order (W, Sigma) or (Sigma, W), for a
+    basis u = (Gamma_1 | Gamma_2) of Gamma with inverse u_inv: the columns of
+    [[u, 0], [0, u^-T]] that g_mirror and elliptic_mirror once passed to
+    IsotropicSplitting, the reference for mirror._adapted_splitting."""
+    n = u.shape[0] // 2
+    z = xl.zeros(2 * n)
+    big_u = np.block([[u, z], [z, xl.mat(u_inv).T]])
+    w_half = [big_u[:, i] for i in list(range(n)) + list(range(3 * n, 4 * n))]
+    sigma = [big_u[:, i] for i in list(range(2 * n, 3 * n)) + list(range(n, 2 * n))]
+    s = IsotropicSplitting(n, w_half, sigma) if w_first else IsotropicSplitting(n, sigma, w_half)
+    return s.w, s.w_inv
+
+
 def elliptic_sample(rng, n):
     """(A, tau, phi): a product of elliptic curves with a polarization phi of
     type Delta = diag(1, d_2, ..., d_n), d_i | d_(i+1), in a random basis."""

@@ -20,7 +20,7 @@ LAYERS = {
     "siegel": {"errors", "exactlin", "pairspace"},
     "corresp": {"clifford", "exactlin"},
     "lefschetz": {"clifford", "errors", "exactlin", "torus"},
-    "mirror": {"clifford", "errors", "exactlin", "pairspace", "siegel", "torus"},
+    "mirror": {"errors", "exactlin", "pairspace", "siegel", "torus"},
     "cli": {"clifford", "corresp", "errors", "lefschetz", "mirror", "pairspace",
             "serialize", "siegel", "torus"},
 }

@@ -3,12 +3,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import elliptic_sample, rand_unimodular, well_becoming_sample
+from conftest import elliptic_sample, rand_unimodular, splitting_route, well_becoming_sample
+from torusmirror import clifford
 from torusmirror import exactlin as xl
+from torusmirror import mirror
 from torusmirror.errors import (Degenerate, DifferentSource, FormMismatch,
                                 IntertwineFailure, NotABasis, NotInvariant,
                                 TransversalityNotFound)
-from torusmirror.mirror import (WellBecomingWitness, _repair_candidates,
+from torusmirror.mirror import (WellBecomingWitness, _adapted_splitting,
+                                _repair_candidates, _witness_basis,
                                 check_well_becoming, compare_mirror_isos,
                                 elliptic_factors, elliptic_mirror, g_mirror,
                                 mirror_from_splitting, verify_mirror)
@@ -298,14 +301,20 @@ def test_g_mirror_matches_adapted_route(rng, n):
         assert xl.mat_eq(cert.alpha, alpha_ref)
 
 
+def repaired_case():
+    """An elliptic_mirror input whose first candidate fails: the basis is
+    repaired with C != 0."""
+    phi = xl.mat([[0, 0, 1, 0], [0, 0, 0, 1], [-1, 0, 0, 1], [0, -1, -1, 0]])
+    return make_torus(2, block_rotation(2)), (1, 2), phi
+
+
+def elliptic_cases(rng, n):
+    return [elliptic_sample(rng, n) for _ in range(3)] + ([repaired_case()] if n == 2 else [])
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_elliptic_mirror_matches_adapted_route(rng, n):
-    cases = [elliptic_sample(rng, n) for _ in range(3)]
-    if n == 2:
-        # the first candidate fails, the second repairs the basis
-        phi = xl.mat([[0, 0, 1, 0], [0, 0, 0, 1], [-1, 0, 0, 1], [0, -1, -1, 0]])
-        cases.append((make_torus(2, block_rotation(2)), (1, 2), phi))
-    for A, tau, phi in cases:
+    for A, tau, phi in elliptic_cases(rng, n):
         pA, pB, cert = elliptic_mirror(A, tau, phi)
         pA_ref, pB_ref, alpha_ref = _old_elliptic_mirror(A, tau, phi)
         assert pA == pA_ref and pB == pB_ref
@@ -313,8 +322,9 @@ def test_elliptic_mirror_matches_adapted_route(rng, n):
 
 
 def test_g_mirror_computes_i_omega_once_per_pair(rng, monkeypatch):
-    # every computation of I_omega inverts the phi2 of its pair; once p is made,
-    # only making pB computes one, however often the pipeline reads I_omega
+    # I_omega is computed once, when a pair is made: p's before the pipeline,
+    # pB's from the known phi2^-1 = -(block (1,2)), so no pair's phi2 is inverted;
+    # the only inverses are of the witness basis and of that block
     from torusmirror import exactlin
     p, w = well_becoming_sample(rng, 2)
     inverted = []
@@ -331,7 +341,86 @@ def test_g_mirror_computes_i_omega_once_per_pair(rng, monkeypatch):
     classify_pair(pB)
     monkeypatch.undo()
     computed = [q for q in (p, pB) for m in inverted if m is q.phi2]
-    assert len(computed) == 1 and computed[0] is pB
+    assert computed == []
+    assert len(inverted) == 2
+    assert xl.mat_eq(inverted[0], xl.block([[w.gamma1, w.gamma2]]))
+    assert xl.mat_eq(inverted[1], -xl.invert(pB.phi2))
     pB_ref, alpha_ref = _old_g_mirror(p, w)
     assert pB == pB_ref and xl.mat_eq(cert.alpha, alpha_ref)
     assert cert.pairA is p and cert.pairB is pB
+
+
+# ---------------------------------------------------------------------------
+# the adapted splitting (w, alpha) against the IsotropicSplitting route
+
+
+def _same(got, ref):
+    return all(xl.mat_eq(a, b) for a, b in zip(got, ref))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_adapted_splitting_matches_isotropic_splitting_on_witness_bases(rng, n):
+    for _ in range(4 if n < 4 else 2):
+        p, w = well_becoming_sample(rng, n)
+        u, u_inv = _witness_basis(p, w)
+        for w_first in (False, True):
+            assert _same(_adapted_splitting(u, u_inv, w_first),
+                         splitting_route(u, u_inv, w_first))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_adapted_splitting_matches_isotropic_splitting_on_elliptic_bases(rng, monkeypatch, n):
+    seen = []
+    real = mirror._adapted_splitting
+
+    def spy(u, u_inv, w_first):
+        out = real(u, u_inv, w_first)
+        seen.append((u, u_inv, w_first, out))
+        return out
+
+    monkeypatch.setattr(mirror, "_adapted_splitting", spy)
+    cases = elliptic_cases(rng, n)
+    for A, tau, phi in cases:
+        elliptic_mirror(A, tau, phi)
+    monkeypatch.undo()
+    assert len(seen) == len(cases)
+    repaired = 0
+    for (A, tau, phi), (u, u_inv, w_first, out) in zip(cases, seen):
+        assert w_first
+        assert _same(out, splitting_route(u, u_inv, w_first))
+        # u = u0 [[1, 0], [C, 1]] differs from the normal form's u0 iff C != 0
+        repaired += not xl.mat_eq(u, xl.skew_normal_form(phi).basis_change)
+    assert repaired == (1 if n == 2 else 0)
+
+
+def test_adapted_splitting_rejects_a_wrong_inverse(rng):
+    p, w = well_becoming_sample(rng, 2)
+    u, u_inv = _witness_basis(p, w)
+    bad = u_inv.copy()
+    bad[0, 0] += 1
+    # a one-entry corruption, a rational inverse (u2 has det +-2), no inverse
+    u2 = xl.mul(u, xl.mat([[2, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]))
+    for basis, inverse in ((u, bad), (u2, xl.invert(u2)), (u, xl.zeros(4))):
+        for w_first in (False, True):
+            with pytest.raises(RuntimeError, match="^u\\.u\\^-1 != 1: "):
+                _adapted_splitting(basis, inverse, w_first)
+
+
+def test_g_mirror_and_elliptic_mirror_build_no_isotropic_splitting(rng, monkeypatch):
+    built = []
+    real = clifford.IsotropicSplitting.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        real(self, *args)
+
+    monkeypatch.setattr(clifford.IsotropicSplitting, "__init__", counted)
+    for n in (1, 2, 3):
+        for _ in range(2):
+            g_mirror(*well_becoming_sample(rng, n))
+        for A, tau, phi in elliptic_cases(rng, n):
+            elliptic_mirror(A, tau, phi)
+    assert built == []
+    standard_splitting(1)  # the counter sees a splitting that is built
+    monkeypatch.undo()
+    assert len(built) == 1

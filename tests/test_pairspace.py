@@ -1,10 +1,14 @@
 import pytest
 
-from conftest import classify_by_e_form, e_form, gaussian_pair, weak_pair_sample
+from math import gcd
+
+from conftest import (classify_by_e_form, e_form, gaussian_pair, rand_rational,
+                      weak_pair_sample)
 from torusmirror import exactlin as xl
 from torusmirror.errors import Block12Singular, NotNSForm
 from torusmirror.pairspace import (classify_pair, conjugate_pair, i_omega, jprod,
-                                   make_weak_pair, q_form, recover_omega)
+                                   make_weak_pair, q_form, q_left, q_right,
+                                   recover_omega)
 from torusmirror.siegel import translation_element
 from torusmirror.torus import make_torus, polarization_form
 
@@ -142,3 +146,33 @@ def test_q_form_hyperbolic():
     assert xl.mat_eq(q, q.T)
     assert abs(xl.det(q)) == 1
     assert xl.is_zero(q[:4, :4]) and xl.is_zero(q[4:, 4:])
+
+
+def _canonical(m):
+    return m.den > 0 and gcd(m.den, *(x for row in m.num for x in row)) == 1
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_q_products_are_half_swaps(rng, n):
+    q = q_form(n)
+    for width in (1, 3, 4 * n):
+        for entry in (lambda: rng.randint(-3, 3), lambda: rand_rational(rng)):
+            m = xl.mat([[entry() for _ in range(width)] for _ in range(4 * n)])
+            for got, want, source in ((q_left(m), xl.mul(q, m), m),
+                                      (q_right(m.T), xl.mul(m.T, q), m.T)):
+                assert (got.num, got.den, got.ncols) == (want.num, want.den, want.ncols)
+                assert _canonical(got)
+                assert not any(r is s for r in got.num for s in source.num)
+
+
+def test_jprod_is_built_once_from_the_torus_own_j():
+    J = xl.mat(J_SQUARE)
+    A = make_torus(1, J)
+    J[0, 1] = 5  # the caller's J, written before jprod is first read
+    want = xl.block([[J_SQUARE, xl.zeros(2)], [xl.zeros(2), -J_SQUARE.T]])
+    assert xl.mat_eq(A.J, J_SQUARE) and xl.mat_eq(jprod(A), want)
+    J[1, 0] = 7
+    out = jprod(A)
+    out[0, 0] = 9  # a copy: writing into it leaves the torus's jprod alone
+    assert xl.mat_eq(A.J, J_SQUARE) and xl.mat_eq(jprod(A), want)
+    assert A._jprod is A._jprod

@@ -5,7 +5,7 @@ from torusmirror import exactlin as xl
 from torusmirror.errors import FormMismatch, NotInvertible, SingularMatrix
 from torusmirror.pairspace import classify_pair, i_omega, make_weak_pair
 from torusmirror.siegel import (act_on_pair, blocks, i_omega_centralizer_check,
-                                siegel_act, stabilizer_check,
+                                require_q_isometry, siegel_act, stabilizer_check,
                                 translation_element, u_membership)
 from torusmirror.torus import make_torus, ns_basis
 
@@ -199,6 +199,15 @@ def test_action_equivariance_and_classification(rng):
 def _ns_multiple(p):
     from torusmirror.torus import ns_basis
     return 2 * ns_basis(p.torus)[0].c
+
+
+def test_require_q_isometry_rejects_a_wrong_shape():
+    # Q.g swaps the row halves of g, which needs 4n rows; 4n rows and the
+    # wrong number of columns give a g^T Q g of the wrong size
+    with pytest.raises(ValueError):
+        require_q_isometry(xl.eye(6)[:, :4], 1)
+    with pytest.raises(FormMismatch):
+        require_q_isometry(xl.eye(4)[:, :3], 1)
 
 
 def test_non_isometry_rejected_by_stabilizer_and_action():
