@@ -123,8 +123,16 @@ def _generator_maps(n):
     return tuple(maps)
 
 
+def _check_length(n, lambda_vec):
+    """A vector of Lambda has 4n coordinates; zip would drop or ignore the rest."""
+    if len(lambda_vec) != 4 * n:
+        raise ValueError(f"a vector of Lambda has {4 * n} entries for n = {n}, "
+                         f"not {len(lambda_vec)}")
+
+
 def cor_matrix(n, lambda_vec):
     """Spinor matrix of cor(lambda) = sum_k lambda_k cor(e_k) in standard coordinates."""
+    _check_length(n, lambda_vec)
     size = 1 << (2 * n)
     out = []
     for sparse in _cor_rows(_generator_maps(n), lambda_vec):
@@ -229,6 +237,7 @@ class IsotropicSplitting:
 
     def coords(self, lambda_vec):
         lambda_vec = list(lambda_vec)
+        _check_length(self.n, lambda_vec)
         return [sum(x * y for x, y in zip(row, lambda_vec) if x) for row in self.w_inv.num]
 
     def cor(self, lambda_vec):
@@ -280,11 +289,13 @@ def clifford_involution(z):
 # spin group membership
 
 
-def _is_even_operator(rows):
-    size = len(rows)
-    odd = [j for j in range(size) if popcount(j) % 2]
-    even = [j for j in range(size) if not popcount(j) % 2]
-    return not any(any(row[j] for j in (even if popcount(i) % 2 else odd))
+def _has_grade(rows, grade):
+    """Is entry (i, j) zero wherever popcount(i) + popcount(j) does not have
+    the parity of grade (0 even, 1 odd)?  The zero matrix has both grades."""
+    cols = [[], []]  # the columns of even and of odd popcount
+    for j in range(len(rows[0]) if rows else 0):
+        cols[popcount(j) & 1].append(j)
+    return not any(any(row[j] for j in cols[1 ^ (popcount(i) & 1) ^ grade])
                    for i, row in enumerate(rows))
 
 
@@ -304,7 +315,7 @@ def _spin_conjugation(z):
     z = xl.asmat(z)
     n = _clifford_order(z)  # first, as a shape that is not 4^n x 4^n is no Clifford element
     zr = z.rows
-    if not _is_even_operator(zr):
+    if not _has_grade(zr, 0):
         raise NotEven("operator mixes the even/odd grading")
     d = 2 * n
     full = (1 << d) - 1
@@ -432,14 +443,11 @@ def beta_parity(t, s1, s2):
     dimension of the two M1 halves mod 2."""
     t = xl.asmat(t)
     num = t.num
-    parity = [popcount(m) & 1 for m in range(max(t.shape))]
     first = next(((i, j) for i, row in enumerate(num) for j, x in enumerate(row) if x), None)
     if first is None:
         raise MixedParity("intertwiner is not graded")
-    grade = parity[first[0]] ^ parity[first[1]]
-    # entry (i, j) may be nonzero only where parity[j] = parity[i] ^ grade
-    cols = ([j for j, p in enumerate(parity) if not p], [j for j, p in enumerate(parity) if p])
-    if any(any(row[j] for j in cols[1 ^ parity[i] ^ grade]) for i, row in enumerate(num)):
+    grade = popcount(first[0] ^ first[1]) & 1
+    if not _has_grade(num, grade):
         raise MixedParity("intertwiner is not graded")
     inter_dim = 4 * s1.n - xl.rank(xl.block([[s1.basis1.T], [s2.basis1.T]]))
     if (grade == 0) != (inter_dim % 2 == 0):

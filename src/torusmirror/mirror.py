@@ -101,42 +101,41 @@ def _witness_basis(p, w):
     raise NotABasis("gamma1 + gamma2 is not a Z-basis of Gamma")
 
 
-def _well_becoming_in(p, u0, u0_inv):
-    """Is p well-becoming in the basis u0 of Gamma, with inverse u0_inv?"""
-    n = p.torus.n
-    for phi in (p.phi1, p.phi2):
-        g = xl.mul(u0.T, xl.mul(phi, u0))
-        if not (xl.is_zero(g[:n, :n]) and xl.is_zero(g[n:, n:])):
-            return False
-    j = xl.mul(u0_inv, xl.mul(p.torus.J, u0))
-    return xl.det(j[:n, n:]) != 0 and xl.det(j[n:, :n]) != 0
+def _splits(form):
+    """Does form vanish on both diagonal n x n blocks, on Gamma_1 and on Gamma_2?"""
+    n = form.shape[0] // 2
+    return xl.is_zero(form[:n, :n]) and xl.is_zero(form[n:, n:])
+
+
+def _well_becoming(phi1, phi2, j):
+    """Is a pair well-becoming in a basis u = (Gamma_1 | Gamma_2) of Gamma, its
+    forms phi1, phi2 and its complex structure j written in that basis?
+
+    Both forms must vanish on each half, and J Sigma, J W must be transversal
+    to Sigma = Gamma_1* + Gamma_2 and W = Gamma_1 + Gamma_2*.  In the adapted
+    coordinates (Gamma_1, Gamma_2, Gamma_1*, Gamma_2*) of Lambda, Jprod =
+    diag(j, -j^T), so [W | Jprod W] splits into [[1, j11], [0, j21]] on Gamma
+    and [[0, -j21^T], [1, -j22^T]] on Gamma*: W is transversal exactly when
+    det j21 != 0, and Sigma, in the same way, exactly when det j12 != 0."""
+    n = j.shape[0] // 2
+    return (_splits(phi1) and _splits(phi2)
+            and xl.det(j[:n, n:]) != 0 and xl.det(j[n:, :n]) != 0)
+
+
+def _in_basis(p, u, u_inv):
+    """phi1, phi2 and J of p written in the basis u of Gamma, with inverse u_inv."""
+    return (xl.mul(u.T, xl.mul(p.phi1, u)), xl.mul(u.T, xl.mul(p.phi2, u)),
+            xl.mul(u_inv, xl.mul(p.torus.J, u)))
 
 
 def check_well_becoming(p, w):
-    return _well_becoming_in(p, *_witness_basis(p, w))
-
-
-def _adapted_halves(u, u_inv):
-    """W = Gamma_1 + Gamma_2* and Sigma = Gamma_1* + Gamma_2 as column bases in
-    the coordinates of Lambda_A, for a basis u = (Gamma_1 | Gamma_2) of Gamma
-    with inverse u_inv.
-
-    They are standard columns of the integral Q-isometry U = [[u, 0], [0, u^-T]],
-    which carries the adapted coordinates of Lambda to those of Lambda_A.  The
-    k-th column of Sigma is the Q-partner (index +-2n) of the k-th of W.
-    """
-    n = u.shape[0] // 2
-    z = xl.zeros(2 * n)
-    big_u = xl.block([[u, z], [z, u_inv.T]])
-    w = big_u[:, list(range(n)) + list(range(3 * n, 4 * n))]
-    sigma = big_u[:, list(range(2 * n, 3 * n)) + list(range(n, 2 * n))]
-    return w, sigma
+    return _well_becoming(*_in_basis(p, *_witness_basis(p, w)))
 
 
 def _adapted_splitting(u, u_inv, w_first):
     """(w, alpha) of the splitting (W, Sigma), or (Sigma, W), of Lambda_A for a
-    basis u of Gamma with inverse u_inv: w = U P for the permutation P of the
-    columns, and alpha = w^-1 = P^T U^-1 with U^-1 = [[u^-1, 0], [0, u^T]].
+    basis u of Gamma with inverse u_inv: w = U P for U = [[u, 0], [0, u^-T]] and
+    the permutation P of its columns, and alpha = w^-1 = P^T U^-1.
 
     U^T Q U = [[0, u^T u^-T], [u^-1 u, 0]] = Q, and P keeps Q-partners at
     distance 2n, so w is an integral Q-isometry: a Z-basis of Lambda_A whose
@@ -145,8 +144,12 @@ def _adapted_splitting(u, u_inv, w_first):
     if not (xl.is_integral(u) and xl.is_integral(u_inv)
             and xl.mat_eq(xl.mul(u, u_inv), xl.eye(u.shape[0]))):
         raise RuntimeError("u.u^-1 != 1: the adapted basis of Gamma and its inverse disagree")
-    w_half, sigma = _adapted_halves(u, u_inv)
-    w = xl.block([[w_half, sigma] if w_first else [sigma, w_half]])
+    n = u.shape[0] // 2
+    z = xl.zeros(2 * n)
+    # the columns of U that span W = Gamma_1 + Gamma_2* and Sigma = Gamma_1* + Gamma_2
+    w_half = list(range(n)) + list(range(3 * n, 4 * n))
+    sigma = list(range(2 * n, 3 * n)) + list(range(n, 2 * n))
+    w = xl.block([[u, z], [z, u_inv.T]])[:, w_half + sigma if w_first else sigma + w_half]
     return w, q_left(q_right(w.T))
 
 
@@ -154,22 +157,16 @@ def g_mirror(p, w):
     """Mirror of a well-becoming pair across the splitting (Sigma, W) of Lambda_A,
     Sigma = Gamma_1* + Gamma_2 and W = Gamma_1 + Gamma_2* for the witness halves."""
     u0, u0_inv = _witness_basis(p, w)
-    if not _well_becoming_in(p, u0, u0_inv):
+    if not _well_becoming(*_in_basis(p, u0, u0_inv)):
         raise NotABasis("witness does not exhibit p as well-becoming")
     pB, cert = _mirror_across(p, *_adapted_splitting(u0, u0_inv, w_first=False))
-    e = xl.eye(2 * p.torus.n)
-    if not _well_becoming_in(pB, e, e):
+    if not _well_becoming(pB.phi1, pB.phi2, pB.torus.J):
         raise RuntimeError("the mirror pair is not well-becoming in the standard basis")
     return pB, cert
 
 
 # ---------------------------------------------------------------------------
 # elliptic-product mirrors
-
-
-def _transversal(jp, w_cols):
-    stacked = xl.block([[w_cols, xl.mul(jp, w_cols)]])
-    return xl.rank(stacked) == stacked.shape[0]
 
 
 def _repair_candidates(n, deltas, budget):
@@ -197,16 +194,18 @@ def _repair_candidates(n, deltas, budget):
 
 def elliptic_mirror(A, tau, phi, budget=5):
     """Mirror of (A, tau*phi) across the splitting (W, Sigma) of Lambda_A, built
-    as in g_mirror from a symplectic basis of phi; J Sigma must be transversal
-    to Sigma, and the basis is repaired until J W is transversal to W.  The
-    mirror is a product of isogenous elliptic curves."""
+    as in g_mirror from a symplectic basis u of phi; J Sigma must be transversal
+    to Sigma, and u is repaired, by corrections of max-norm up to budget, until
+    block (2,1) of u2^-1 J u2 is nonsingular: until J W is transversal to W (see
+    _well_becoming).  The mirror is a product of isogenous elliptic curves."""
+    if budget < 0:
+        raise ValueError(f"budget = {budget} is negative")
     n = A.n
     c = as_form(phi)
     nf = xl.skew_normal_form(c)
     t1, t2 = tau
     pA = make_weak_pair(A, t1 * c, t2 * c)
     u = nf.basis_change
-    jp = A._jprod
     # u^t c u = F = [[0, Delta], [-Delta, 0]], so u^-1 = F^-1 u^t c with
     # F^-1 = [[0, -Delta^-1], [Delta^-1, 0]]
     ut_c = xl.mul(u.T, c).num
@@ -215,9 +214,9 @@ def elliptic_mirror(A, tau, phi, budget=5):
     if any(x % dk for dk, row in zip(deltas, rows) for x in row):
         raise RuntimeError("the symplectic basis change has no integral inverse")
     u_inv = xl.mat([[x // dk for x in row] for dk, row in zip(deltas, rows)])
-    # a correction adds multiples of Gamma_2 to Gamma_1, which leaves Gamma_2 and
-    # Gamma_1* fixed: Sigma is the same for every candidate, only W is repaired
-    if not _transversal(jp, _adapted_halves(u, u_inv)[1]):
+    # a correction adds multiples of Gamma_2 to Gamma_1, which leaves Gamma_2, Gamma_1*
+    # and so Sigma and block (1,2) of u2^-1 J u2 fixed: only W is repaired
+    if xl.det(xl.mul(u_inv, xl.mul(A.J, u))[:n, n:]) == 0:
         raise TransversalityNotFound(
             "J Sigma meets Sigma, and no symplectic correction changes Sigma")
     for corr in _repair_candidates(n, nf.deltas, budget):
@@ -225,10 +224,9 @@ def elliptic_mirror(A, tau, phi, budget=5):
         u2 = xl.block([[u[:, :n] + xl.mul(u[:, n:], corr), u[:, n:]]])
         u2_inv = xl.block([[u_inv[:n]], [u_inv[n:] - xl.mul(corr, u_inv[:n])]])
         # the repaired basis still puts phi in the same block normal form
-        g = xl.mul(u2.T, xl.mul(c, u2))
-        if not (xl.is_zero(g[:n, :n]) and xl.is_zero(g[n:, n:])):
+        if not _splits(xl.mul(u2.T, xl.mul(c, u2))):
             raise RuntimeError("the repaired basis does not put phi in block normal form")
-        if _transversal(jp, _adapted_halves(u2, u2_inv)[0]):
+        if xl.det(xl.mul(u2_inv, xl.mul(A.J, u2))[n:, :n]) != 0:
             pB, cert = _mirror_across(pA, *_adapted_splitting(u2, u2_inv, w_first=True))
             return pA, pB, cert
     raise TransversalityNotFound(
@@ -242,6 +240,9 @@ def elliptic_factors(pB, deltas):
     (i, n+i); the isogeny sends the first factor's basis to (e_i, (d_i/d_1)e_{n+i}).
     """
     n = pB.torus.n
+    if not (len(deltas) == n and all(type(d) is int and d > 0 for d in deltas)
+            and all(d % deltas[0] == 0 for d in deltas)):
+        raise ValueError(f"deltas must be n = {n} positive multiples of the first: {deltas!r}")
     J = pB.torus.J
     factors = []
     isogenies = []
@@ -251,8 +252,6 @@ def elliptic_factors(pB, deltas):
         if not xl.mat_eq(xl.mul(block, block), -xl.eye(2)):
             raise ValueError(f"J of pB does not restrict to the index pair {idx}")
         factors.append(make_torus(1, block))
-        if deltas[i] % deltas[0]:
-            raise ValueError("deltas[0] does not divide every delta")
         f = xl.mat([[1, 0], [0, deltas[i] // deltas[0]]])
         if not xl.mat_eq(xl.mul(block, f), xl.mul(f, factors[0].J)):
             raise RuntimeError(f"factor {i} is not isogenous to factor 0 by {f.tolist()}")

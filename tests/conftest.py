@@ -622,3 +622,22 @@ def elliptic_sample(rng, n):
     A = make_torus(n, xl.mul(xl.to_int(xl.invert(t)), xl.mul(j0, t)))
     tau = (rand_rational(rng), rand_rational(rng, nonzero=True))
     return A, tau, xl.mul(t.T, xl.mul(phi0, t))
+
+
+def adapted_halves(u, u_inv):
+    """W = Gamma_1 + Gamma_2* and Sigma = Gamma_1* + Gamma_2 as column bases in
+    the coordinates of Lambda_A, for a basis u = (Gamma_1 | Gamma_2) of Gamma
+    with inverse u_inv: columns of U = [[u, 0], [0, u^-T]]."""
+    n = u.shape[0] // 2
+    z = xl.zeros(2 * n)
+    big_u = xl.block([[u, z], [z, xl.mat(u_inv).T]])
+    return (big_u[:, list(range(n)) + list(range(3 * n, 4 * n))],
+            big_u[:, list(range(2 * n, 3 * n)) + list(range(n, 2 * n))])
+
+
+def transversal(jprod_a, cols):
+    """Is jprod_a.H transversal to the half H spanned by cols: does the stacked
+    [H | jprod_a.H] have full rank?  The rank route that mirror.elliptic_mirror
+    once took, the reference for the block test mirror._well_becoming."""
+    stacked = xl.block([[cols, xl.mul(jprod_a, cols)]])
+    return xl.rank(stacked) == stacked.shape[0]

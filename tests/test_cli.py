@@ -540,3 +540,31 @@ def test_broken_invariant_exits_3_with_a_payload(tmp_path, flags):
     assert proc.stderr.count("\n") == 1 and "[e_kappa, f_kappa] != h" in proc.stderr
     assert json.loads(out.read_text()) == {"error": "broken-invariant",
                                            "detail": "[e_kappa, f_kappa] != h"}
+
+
+# the n = 2 elliptic_mirror input whose symplectic basis needs a correction
+# C != 0: J = diag(R, R) for the square structure R
+REPAIRED_ELLIPTIC = {
+    "torus": {"n": 2, "J": [["0", "-1", "0", "0"], ["1", "0", "0", "0"],
+                            ["0", "0", "0", "-1"], ["0", "0", "1", "0"]]},
+    "tau": ["1", "2"],
+    "phi": [["0", "0", "1", "0"], ["0", "0", "0", "1"],
+            ["-1", "0", "0", "1"], ["0", "-1", "-1", "0"]]}
+
+
+def test_elliptic_mirror_budget(tmp_path, capsys):
+    code, out = run(tmp_path, "elliptic-mirror", REPAIRED_ELLIPTIC, ["--budget", "0"])
+    assert code == 1
+    doc = json.loads(out.read_text())
+    assert doc["error"] == "transversality-not-found"
+    assert capsys.readouterr().err == ""
+    code, out = run(tmp_path, "elliptic-mirror", REPAIRED_ELLIPTIC, ["--budget", "1"])
+    assert code == 0
+    assert set(json.loads(out.read_text())) == {"pairA", "pairB", "alpha"}
+
+
+def test_negative_budget_is_an_input_error(tmp_path, capsys):
+    code, out = run(tmp_path, "elliptic-mirror", REPAIRED_ELLIPTIC, ["--budget", "-1"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("input error: ")
+    assert not out.exists()

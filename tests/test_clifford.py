@@ -8,7 +8,7 @@ from conftest import (beta_iso_by_kernel, contract_apply, cor_action,
                       rand_unit_pairing_vector, rand_unimodular, vacuum_kernel,
                       wedge_apply)
 from torusmirror import exactlin as xl
-from torusmirror.clifford import (IsotropicSplitting, SpinVec, _generator_maps,
+from torusmirror.clifford import (IsotropicSplitting, SpinVec, _generator_maps, _has_grade,
                                   _involution_form, beta_iso, beta_parity, clifford_involution,
                                   cor_matrix, is_spin, popcount, pure_spinor, q_value,
                                   r_of_z, standard_splitting)
@@ -529,3 +529,33 @@ def test_generator_maps_are_one_immutable_table_per_n(n):
         apply = contract_apply if k < d else wedge_apply
         for m, image in enumerate(col):
             assert apply(n, k % d + 1, {m: 1}) == ({image[0]: image[1]} if image else {})
+
+
+def test_lambda_vectors_of_the_wrong_length_are_rejected():
+    # zip stops at the shorter list: cor_matrix(1, [1, 0]) would be cor(l_1),
+    # and coords would drop the fifth entry of [1, 2, 3, 4, 5]
+    s = standard_splitting(1)
+    for v in ([1, 0], [1, 2, 3, 4, 5]):
+        for call in (lambda: cor_matrix(1, v), lambda: s.coords(v), lambda: s.cor(v),
+                     lambda: pure_spinor(s, [v])):
+            with pytest.raises(ValueError, match=f"^a vector of Lambda has 4 entries for "
+                                                 f"n = 1, not {len(v)}$"):
+                call()
+    assert s.coords([1, 2, 3, 4]) == [1, 2, 3, 4]
+    assert xl.mat_eq(s.cor([1, 2, 3, 4]), cor_matrix(1, [1, 2, 3, 4]))
+
+
+@pytest.mark.parametrize("size", [4, 16])
+def test_has_grade_matches_entrywise_rule(rng, size):
+    # entry (i, j) may be nonzero only where popcount(i) + popcount(j) has the
+    # parity of the grade; the zero matrix has both grades
+    zero = [[0] * size for _ in range(size)]
+    assert _has_grade(zero, 0) and _has_grade(zero, 1)
+    for _ in range(40):
+        rows = [row[:] for row in zero]
+        for _ in range(rng.randint(1, 4)):
+            rows[rng.randrange(size)][rng.randrange(size)] = rng.choice([-2, -1, 1, 3])
+        for grade in (0, 1):
+            expected = all(x == 0 or (popcount(i) + popcount(j)) % 2 == grade
+                           for i, row in enumerate(rows) for j, x in enumerate(row))
+            assert _has_grade(rows, grade) == expected

@@ -3,7 +3,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import elliptic_sample, rand_unimodular, splitting_route, well_becoming_sample
+from conftest import (adapted_halves, elliptic_sample, gaussian_torus, rand_unimodular,
+                      splitting_route, transversal, well_becoming_sample)
 from torusmirror import clifford
 from torusmirror import exactlin as xl
 from torusmirror import mirror
@@ -424,3 +425,108 @@ def test_g_mirror_and_elliptic_mirror_build_no_isotropic_splitting(rng, monkeypa
     standard_splitting(1)  # the counter sees a splitting that is built
     monkeypatch.undo()
     assert len(built) == 1
+
+
+# ---------------------------------------------------------------------------
+# the block test of well-becoming against the rank route
+
+
+def test_block_test_matches_rank_route(rng):
+    # W (Sigma) of u2 = u [[1, 0], [C, 1]] is transversal to Jprod W (Jprod
+    # Sigma) exactly when block (2,1) ((1,2)) of u2^-1 J u2 is nonsingular
+    seen = {"W": set(), "Sigma": set()}
+    cases = 0
+    for n in (1, 2, 3):
+        zero = xl.zeros(2 * n)
+        on_diagonal = xl.zeros(2 * n)
+        on_diagonal[n, n] = 1
+        for k in range(102):
+            if k % 3 == 0:
+                J = well_becoming_sample(rng, n)[0].torus.J
+            elif k % 3 == 1:
+                J = gaussian_torus(rng, n)[0].J
+            else:
+                J = block_rotation(n)
+            u = xl.eye(2 * n) if k % 4 == 2 else rand_unimodular(rng, 2 * n)
+            corr = xl.mat([[rng.randint(-1, 1) for _ in range(n)] for _ in range(n)])
+            u2 = xl.mul(u, xl.block([[xl.eye(n), xl.zeros(n)], [corr, xl.eye(n)]]))
+            u2_inv = xl.to_int(xl.invert(u2))
+            j = xl.mul(u2_inv, xl.mul(J, u2))
+            jprod_a = jprod(make_torus(n, J))
+            w_half, sigma = adapted_halves(u2, u2_inv)
+            w_ok, sigma_ok = transversal(jprod_a, w_half), transversal(jprod_a, sigma)
+            assert (xl.det(j[n:, :n]) != 0) == w_ok
+            assert (xl.det(j[:n, n:]) != 0) == sigma_ok
+            assert mirror._well_becoming(zero, zero, j) == (w_ok and sigma_ok)
+            assert not mirror._well_becoming(on_diagonal, zero, j)
+            assert not mirror._well_becoming(zero, on_diagonal, j)
+            seen["W"].add(w_ok)
+            seen["Sigma"].add(sigma_ok)
+            cases += 1
+    assert cases >= 300
+    assert seen == {"W": {False, True}, "Sigma": {False, True}}
+
+
+def test_mirrors_take_no_rank_and_no_identity_product(rng, monkeypatch):
+    ranks, identity_products = [], []
+    real_rank, real_mul = xl.rank, xl.mul
+
+    def is_identity(m):
+        m = xl.asmat(m)
+        return m.shape[0] == m.shape[1] and xl.mat_eq(m, xl.eye(m.shape[0]))
+
+    def counted_rank(a):
+        ranks.append(a)
+        return real_rank(a)
+
+    def counted_mul(a, b):
+        if is_identity(a) or is_identity(b):
+            identity_products.append((a, b))
+        return real_mul(a, b)
+
+    samples = []
+    for n in (1, 2, 3):
+        while len(samples) < 2 * n:
+            p, w = well_becoming_sample(rng, n)
+            if not xl.mat_eq(xl.block([[w.gamma1, w.gamma2]]), xl.eye(2 * n)):
+                samples.append((p, w))
+    cases = [case for n in (1, 2, 3) for case in elliptic_cases(rng, n)]
+    monkeypatch.setattr(xl, "rank", counted_rank)
+    monkeypatch.setattr(xl, "mul", counted_mul)
+    for p, w in samples:
+        g_mirror(p, w)
+    assert identity_products == []
+    for A, tau, phi in cases:
+        elliptic_mirror(A, tau, phi)
+    assert ranks == []
+    # the counters see a rank and a product with the identity that are taken
+    p, w = samples[0]
+    e = xl.eye(2 * p.torus.n)
+    mirror._in_basis(p, e, e)
+    transversal(p.torus._jprod, adapted_halves(e, e)[0])
+    monkeypatch.undo()
+    assert len(ranks) == 1 and identity_products
+
+
+def test_elliptic_mirror_repair_budget():
+    with pytest.raises(TransversalityNotFound, match="^no symplectic correction within the "
+                                                     "budget makes J W transversal to W$"):
+        elliptic_mirror(*repaired_case(), budget=0)
+    pA1, pB1, cert1 = elliptic_mirror(*repaired_case(), budget=1)
+    pA5, pB5, cert5 = elliptic_mirror(*repaired_case(), budget=5)
+    assert pA1 == pA5 and pB1 == pB5
+    assert xl.mat_eq(cert1.alpha, cert5.alpha)
+    # a negative budget would try no correction at all, not even C = 0
+    A = make_torus(1, J_SQUARE)
+    elliptic_mirror(A, (0, 1), PHI, budget=0)
+    with pytest.raises(ValueError, match="^budget = -1 is negative$"):
+        elliptic_mirror(A, (0, 1), PHI, budget=-1)
+
+
+@pytest.mark.parametrize("deltas", [[0], [], [1, 2], [-1], [1.0], [True]],
+                         ids=["zero", "empty", "too-long", "negative", "float", "bool"])
+def test_elliptic_factors_rejects_malformed_deltas(deltas):
+    A = make_torus(1, J_SQUARE)
+    _, pB, _ = elliptic_mirror(A, (0, 1), PHI)
+    with pytest.raises(ValueError, match="^deltas must be n = 1 positive multiples of the first"):
+        elliptic_factors(pB, deltas)
