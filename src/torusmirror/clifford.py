@@ -155,27 +155,47 @@ def _cor_rows(maps, coords):
     return rows
 
 
-def _cor_apply(maps, coords, v):
-    """cor(lambda) v for lambda = sum_k coords_k e_k, from the generator maps."""
+@cache
+def _source_terms(n):
+    """Per source monomial m, the 2n generators e_k that do not kill x_m, as
+    pairs (j, row) with cor(e_k) x_m = sign * x_row: j is k for sign +1 and
+    4n + k for sign -1, an index into the coordinates followed by their
+    negatives.  Built once per n from the generator maps, for _cor_apply."""
+    maps = _generator_maps(n)
+    return tuple(tuple((k if col[m][1] > 0 else 4 * n + k, col[m][0])
+                       for k, col in enumerate(maps) if col[m] is not None)
+                 for m in range(1 << (2 * n)))
+
+
+@cache
+def _generator_terms(n):
+    """Per generator e_k, the triples (m, row, sign) with cor(e_k) x_m =
+    sign * x_row: its column map without the monomials it kills."""
+    return tuple(tuple((m,) + image for m, image in enumerate(col) if image is not None)
+                 for col in _generator_maps(n))
+
+
+def _cor_apply(terms, coords, v):
+    """cor(lambda) v for lambda = sum_k coords_k e_k, from the per-source table
+    terms = _source_terms(n): 2n terms for each monomial in the support of v."""
+    signed = list(coords)
+    signed += [-a for a in coords]
     out = [0] * len(v)
-    support = [(m, x) for m, x in enumerate(v) if x]
-    for a, col in zip(coords, maps):
-        if a != 0:
-            for m, x in support:
-                image = col[m]
-                if image is not None:
-                    out[image[0]] += a * image[1] * x
+    for m, x in enumerate(v):
+        if x:
+            for j, row in terms[m]:
+                out[row] += signed[j] * x
     return out
 
 
-def _transport(maps, wedges, phi):
+def _transport(terms, wedges, phi):
     """The matrix whose column S is cor(w_{s_1}) ... cor(w_{s_k}) phi for S =
     {s_1 < ... < s_k}: the module map that sends the vacuum to phi and
     cor(x_{i+1}) to cor(w_i), built column by column from S minus its low bit."""
     cols = [phi]
     for t_mask in range(1, len(phi)):
         low = (t_mask & -t_mask).bit_length() - 1
-        cols.append(_cor_apply(maps, wedges[low], cols[t_mask ^ (1 << low)]))
+        cols.append(_cor_apply(terms, wedges[low], cols[t_mask ^ (1 << low)]))
     return xl.mat(zip(*cols))
 
 
@@ -253,17 +273,19 @@ def standard_splitting(n):
 # reversal involution
 
 
+@cache
 def _involution_form(n):
     """Signs sigma_S of the signed permutation B, B[S, full ^ S] = sigma_S, with
-    B(z u, v) = B(u, z' v), i.e. z' = B^{-1} z^t B.
+    B(z u, v) = B(u, z' v), i.e. z' = B^{-1} z^t B.  Built once per n as a tuple
+    shared by clifford_involution and the spin check.
 
     sigma_S is the vacuum coefficient of the reversal of x_S l_1...l_2n applied
     to x_{full ^ S}: the reversed wedges give (-1)^{|S|(|S|-1)/2} x_S ^ x_{full ^ S},
     a signed top monomial, which l_1, ..., l_2n contract to 1 with sign +1.
     """
     full = (1 << (2 * n)) - 1
-    return [(-1 if popcount(s) * (popcount(s) - 1) // 2 % 2 else 1) * _merge_sign(s, full ^ s)
-            for s in range(full + 1)]
+    return tuple((-1 if popcount(s) * (popcount(s) - 1) // 2 % 2 else 1) * _merge_sign(s, full ^ s)
+                 for s in range(full + 1))
 
 
 def _clifford_order(z):
@@ -327,27 +349,35 @@ def _spin_conjugation(z):
            for j in [0] + units}
     if sum(x * rev[0][m] for m, x in enumerate(zr[0]) if x) != 1:
         return None
-    maps = _generator_maps(n)
     r = [[0] * (2 * d) for _ in range(2 * d)]
-    for k, col in enumerate(maps):
-        kept = [(m,) + image for m, image in enumerate(col) if image is not None]
+    for k, kept in enumerate(_generator_terms(n)):
         top = [(m, sign * zr[0][image]) for m, image, sign in kept if zr[0][image]]
+        bottom = [(image, sign * rev[0][m]) for m, image, sign in kept if rev[0][m]]
         # contraction l_{i+1}: x_{i+1} -> 1 (row 0); wedge x_{i+1}: 1 -> x_{i+1} (column 0)
         for i, unit in enumerate(units):
             r[i][k] = sum(x * rev[unit][m] for m, x in top)
-            r[d + i][k] = sum(sign * zr[unit][image] * rev[0][m] for m, image, sign in kept)
+            r[d + i][k] = sum(x * zr[unit][image] for image, x in bottom)
     r = xl.mat(r)
     if not xl.is_integral(r):
         return None
+    # R^t Q R = Q: Q u is u with its halves swapped, and Q[i, j] = 1 exactly
+    # when |i - j| = d, so the upper triangle of the Gram matrix is compared
     cols = [list(c) for c in zip(*r.num)]
-    if any(q_value(u, v) != (abs(i - j) == d) for i, u in enumerate(cols)
-           for j, v in enumerate(cols)):
+    swapped = [u[d:] + u[:d] for u in cols]
+    if any(sum(x * y for x, y in zip(u, swapped[j])) != (j == i + d)
+           for i, u in enumerate(cols) for j in range(i, 2 * d)):
         return None
-    phi = z[:, 0]
-    if any(any(_cor_apply(maps, u, phi)) for u in cols[:d]):
+    terms = _source_terms(n)
+    zc = [list(c) for c in zip(*zr)]
+    if any(any(_cor_apply(terms, u, zc[0])) for u in cols[:d]):
         return None
-    if not xl.mat_eq(_transport(maps, cols[d:], phi), z):
-        return None
+    # z is the transport of its column 0: column S is cor(w_low) applied to
+    # column S minus its low bit, which has already been compared
+    wedges = cols[d:]
+    for t_mask in range(1, len(zc)):
+        low = (t_mask & -t_mask).bit_length() - 1
+        if _cor_apply(terms, wedges[low], zc[t_mask ^ (1 << low)]) != zc[t_mask]:
+            return None
     return r
 
 
@@ -373,12 +403,13 @@ def pure_spinor(s, vectors):
     cor_s(m) with m in L kills, as a primitive integral {mask: coeff} dict.
 
     It is Chevalley's pure spinor exp(B) ^ theta_1 ^ ... ^ theta_k.  One
-    elimination of the module coordinates of the vectors, contraction part
-    first, gives a basis of L: a row with its pivot in contraction column r_a
-    is u_a = (p_a, x_a), 1 at r_a and 0 at the other pivots; the rows with
-    their pivot in the wedge part span L & W, and their wedge parts are the
-    theta's.  B = sum_{a<b} -x_a(p_b) x_{r_a} ^ x_{r_b} has i_{p_a} B = -x_a
-    modulo the theta's (Q vanishes on L), so cor_s(u_a) kills exp(B) ^ theta.
+    fraction-free elimination of the module coordinates of the vectors,
+    contraction part first, gives a basis of L: a row with its pivot c_a > 0
+    in contraction column r_a is c_a u_a, with u_a = (p_a, x_a) 1 at r_a and
+    0 at the other pivots; the rows with their pivot in the wedge part span
+    L & W, and their wedge parts are positive multiples of the theta's.
+    B = sum_{a<b} -x_a(p_b) x_{r_a} ^ x_{r_b} has i_{p_a} B = -x_a modulo the
+    theta's (Q vanishes on L), so cor_s(u_a) kills exp(B) ^ theta.
     """
     d = 2 * s.n
     vectors = [list(v) for v in vectors]
@@ -386,7 +417,7 @@ def pure_spinor(s, vectors):
     ech = xl.Echelon()
     for c in coords:
         ech.add({j: x for j, x in enumerate(c) if x})
-    basis = ech.rows
+    basis = ech.int_rows
     if len(basis) != d:
         raise NoIntertwiner(f"the vectors span {len(basis)} dimensions, not {d}")
     if any(q_value(u, v) for i, u in enumerate(vectors) for v in vectors[i:]):
@@ -402,12 +433,14 @@ def pure_spinor(s, vectors):
         for rb, ub in rows[a + 1:]:
             pairing = sum(x * ub.get(j - d, 0) for j, x in ua.items() if j >= d)
             if pairing:
-                two_form[1 << ra | 1 << rb] = -pairing
+                # x_a(p_b) = pairing / (c_a c_b)
+                c = ua[ra] * ub[rb]
+                two_form[1 << ra | 1 << rb] = -pairing if c == 1 else Fraction(-pairing, c)
     phi = wedge(exterior_exp(two_form), theta)
     phi = xl.primitive_int([[phi.get(m, 0) for m in range(1 << d)]]).rows[0]
-    maps = _generator_maps(s.n)
+    terms = _source_terms(s.n)
     for c in coords:
-        if any(_cor_apply(maps, c, phi)):
+        if any(_cor_apply(terms, c, phi)):
             raise RuntimeError("pure spinor: cor(m) phi = 0 fails for a vector m of L")
     return {m: x for m, x in enumerate(phi) if x}
 
@@ -434,7 +467,7 @@ def beta_iso(s1, s2):
     phi = pure_spinor(s2, [s1.basis1[:, i] for i in range(2 * n)])
     wedges = [s2.coords(s1.basis2[:, i]) for i in range(2 * n)]
     # integral, and primitive since column 0 is the primitive phi
-    return _sign_normalize(_transport(_generator_maps(n), wedges,
+    return _sign_normalize(_transport(_source_terms(n), wedges,
                                       [phi.get(m, 0) for m in range(size)]))
 
 

@@ -19,8 +19,8 @@ from hypothesis import settings
 from torusmirror import corresp as cp
 from torusmirror import exactlin as xl
 from torusmirror.clifford import (IsotropicSplitting, SpinVec, _cor_apply, _cor_rows,
-                                  _generator_maps, _sign_normalize, cor_matrix, popcount,
-                                  wedge)
+                                  _generator_maps, _sign_normalize, _source_terms, cor_matrix,
+                                  popcount, wedge)
 from torusmirror.errors import NoIntertwiner, SingularMatrix
 from torusmirror.mirror import WellBecomingWitness
 from torusmirror.pairspace import i_omega, make_weak_pair, q_form
@@ -492,12 +492,12 @@ def beta_iso_by_kernel(s1, s2):
     kernel = vacuum_kernel(s2, [s1.basis1[:, i] for i in range(2 * n)])
     if len(kernel) != 1:
         raise NoIntertwiner(f"vacuum kernel has dimension {len(kernel)}")
-    maps = _generator_maps(n)
+    terms = _source_terms(n)
     wedges = [s2.coords(s1.basis2[:, i]) for i in range(2 * n)]
     cols = [xl.primitive_int([kernel[0]]).rows[0]]
     for t_mask in range(1, size):
         low = (t_mask & -t_mask).bit_length() - 1
-        cols.append(_cor_apply(maps, wedges[low], cols[t_mask ^ (1 << low)]))
+        cols.append(_cor_apply(terms, wedges[low], cols[t_mask ^ (1 << low)]))
     return _sign_normalize(xl.primitive_int(xl.mat(cols).T))
 
 

@@ -8,10 +8,11 @@ from conftest import (beta_iso_by_kernel, contract_apply, cor_action,
                       rand_unit_pairing_vector, rand_unimodular, vacuum_kernel,
                       wedge_apply)
 from torusmirror import exactlin as xl
-from torusmirror.clifford import (IsotropicSplitting, SpinVec, _generator_maps, _has_grade,
-                                  _involution_form, beta_iso, beta_parity, clifford_involution,
-                                  cor_matrix, is_spin, popcount, pure_spinor, q_value,
-                                  r_of_z, standard_splitting)
+from torusmirror.clifford import (IsotropicSplitting, SpinVec, _cor_apply, _generator_maps,
+                                  _generator_terms, _has_grade, _involution_form, _source_terms,
+                                  beta_iso, beta_parity, clifford_involution, cor_matrix,
+                                  is_spin, popcount, pure_spinor, q_value, r_of_z,
+                                  standard_splitting)
 from torusmirror.errors import NoIntertwiner, NotEven, NotIsotropic, NotSpin
 from torusmirror.pairspace import q_form
 
@@ -360,12 +361,20 @@ def _involution_signs_by_words(n):
             apply = contract_apply if kind == "l" else wedge_apply
             coeffs = apply(n, idx, coeffs)
         signs.append(coeffs.get(0, 0))
-    return signs
+    return tuple(signs)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_involution_signs_match_word_route(n):
     assert _involution_form(n) == _involution_signs_by_words(n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_involution_form_is_one_immutable_table_per_n(n):
+    signs = _involution_form(n)
+    assert _involution_form(n) is signs and type(signs) is tuple
+    fresh = _involution_form.__wrapped__(n)
+    assert fresh is not signs and fresh == signs == _involution_signs_by_words(n)
 
 
 def _spin_conjugation_dense(z):
@@ -494,6 +503,52 @@ def test_spin_check_at_n4(rng):
     assert xl.mat_eq(r_of_z(-z), r)
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_spin_check_rejects_one_changed_column_entry(rng, n):
+    # rows 3 and 9 are none of 0, a unit, full or full ^ unit, so R and the
+    # norm are read as for z; the entries are in column 0, the last column
+    # and two middle ones, each where the grading allows a nonzero entry.  A
+    # change in column 0 moves the vacuum, so the cor(R l_i) no longer kill
+    # it; one in any other column is seen only by the column comparison
+    z = rand_spin(rng, n)
+    full = (1 << (2 * n)) - 1
+    assert is_spin(z)
+    for i, j in ((3, 0), (3, full), (9, 5), (3, (1 << (2 * n - 1)) | 1)):
+        assert (popcount(i) + popcount(j)) % 2 == 0
+        for delta in (1, -2, Fraction(1, 2)):
+            bad = z.copy()
+            bad[i, j] += delta
+            assert not is_spin(bad)
+            with pytest.raises(NotSpin):
+                r_of_z(bad)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_spin_check_builds_no_module_sized_matrix(rng, monkeypatch, n):
+    z = rand_spin(rng, n)
+    s1, s2 = rand_splitting(rng, n), rand_splitting(rng, n)
+    ref = r_of_z(z)
+    mat = xl.mat
+    sizes = []
+
+    def counting_mat(rows):
+        m = mat(rows)
+        sizes.append(m.shape[0])
+        return m
+
+    monkeypatch.setattr(xl, "mat", counting_mat)
+    # positive control: beta_iso builds its 4^n x 4^n transport with xl.mat
+    beta_iso(s1, s2)
+    assert 1 << (2 * n) in sizes
+    sizes.clear()
+    assert is_spin(z) and xl.mat_eq(r_of_z(z), ref)
+    bad = z.copy()
+    bad[9, 5] += 1
+    assert not is_spin(bad)
+    # R is read into one 4n-row Matrix per check; z only by its own rows
+    assert sizes and 1 << (2 * n) not in sizes
+
+
 def test_spin_check_makes_no_dense_product(rng, monkeypatch):
     z = rand_spin(rng, 3)
     bad = _norm_minus_one(rng, 3)
@@ -529,6 +584,54 @@ def test_generator_maps_are_one_immutable_table_per_n(n):
         apply = contract_apply if k < d else wedge_apply
         for m, image in enumerate(col):
             assert apply(n, k % d + 1, {m: 1}) == ({image[0]: image[1]} if image else {})
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_source_terms_are_one_immutable_table_per_n(n):
+    terms, by_generator = _source_terms(n), _generator_terms(n)
+    assert _source_terms(n) is terms and _generator_terms(n) is by_generator
+    for table, build in ((terms, _source_terms), (by_generator, _generator_terms)):
+        assert type(table) is tuple and all(type(entry) is tuple for entry in table)
+        fresh = build.__wrapped__(n)
+        assert fresh is not table and fresh == table
+    # the same signed permutations as the one-generator operators bit by bit:
+    # x_m has exactly 2n terms, one per generator that does not kill it
+    d = 2 * n
+    applies = [contract_apply if k < d else wedge_apply for k in range(2 * d)]
+    assert len(terms) == 1 << d
+    for m, entry in enumerate(terms):
+        assert len(entry) == d
+        got = {j % (2 * d): {row: -1 if j >= 2 * d else 1} for j, row in entry}
+        want = {k: image for k, apply in enumerate(applies)
+                if (image := apply(n, k % d + 1, {m: 1}))}
+        assert got == want
+    for k, entry in enumerate(by_generator):
+        assert len(entry) == 1 << (d - 1)
+        assert {m: {row: sign} for m, row, sign in entry} == {
+            m: image for m in range(1 << d) if (image := applies[k](n, k % d + 1, {m: 1}))}
+
+
+def _sparse_vector(rng, size):
+    v = [0] * size
+    for _ in range(rng.randint(1, 3)):
+        v[rng.randrange(size)] = rng.choice([rng.randint(-3, 3), Fraction(rng.randint(-3, 3), 2)])
+    return v
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_cor_apply_matches_column_route(rng, n):
+    size = 1 << (2 * n)
+    terms = _source_terms(n)
+    coords = [[0] * (4 * n), [1] + [0] * (4 * n - 1)]
+    for _ in range(3):
+        coords.append([rng.randint(-3, 3) for _ in range(4 * n)])
+        coords.append([Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(4 * n)])
+    for c in coords:
+        dense = cor_matrix_by_columns(n, c)
+        vectors = [[0] * size] + [_sparse_vector(rng, size) for _ in range(4)]
+        for v in vectors:
+            want = xl.mul(dense, [[x] for x in v])[:, 0]
+            assert _cor_apply(terms, c, v) == want
 
 
 def test_lambda_vectors_of_the_wrong_length_are_rejected():
