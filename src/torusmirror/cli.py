@@ -98,7 +98,7 @@ def _check_n(command, data, n_max):
             raise DomainError(f"n = {n} exceeds the safety cap --n-max = {n_max}")
 
 
-def _run_command(command, data, budget, n_max):
+def _run_command(command, data, n_max):
     _check_n(command, data, n_max)
     if command == "make-torus":
         t = _torus_from_json(data)
@@ -127,7 +127,7 @@ def _run_command(command, data, budget, n_max):
         t = _torus_from_json(data["torus"])
         tau = (sz.str_to_rat(data["tau"][0]), sz.str_to_rat(data["tau"][1]))
         phi = NSVector(sz.json_to_mat(data["phi"]))
-        pA, pB, cert = mi.elliptic_mirror(t, tau, phi, budget=budget)
+        pA, pB, cert = mi.elliptic_mirror(t, tau, phi)
         return {"pairA": _pair_to_json(pA), "pairB": _pair_to_json(pB),
                 "alpha": sz.mat_to_json(cert.alpha)}
     if command == "verify-mirror":
@@ -186,7 +186,6 @@ def main(argv=None):
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--input", required=True)
     parser.add_argument("--output", required=True)
-    parser.add_argument("--budget", type=int, default=5)
     parser.add_argument("--n-max", type=int, default=4)
     args = parser.parse_args(argv)
     # an unreadable or unwritable file, and a document nested too deeply for
@@ -195,7 +194,7 @@ def main(argv=None):
         try:
             with open(args.input) as fh:
                 data = json.load(fh)
-            code, doc = 0, _run_command(args.command, data, args.budget, args.n_max)
+            code, doc = 0, _run_command(args.command, data, args.n_max)
         except DomainError as err:
             code, doc = 1, err.payload()
         except RecursionError:

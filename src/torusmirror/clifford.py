@@ -446,7 +446,8 @@ def pure_spinor(s, vectors):
 
 
 def _sign_normalize(m):
-    for row in m.rows:
+    # den > 0, so the first nonzero entry has the sign of its numerator
+    for row in m.num:
         for x in row:
             if x != 0:
                 return m if x > 0 else -m

@@ -5,7 +5,7 @@ A certificate's alpha maps Lambda_A to Lambda_B, identifies the hyperbolic
 forms, and swaps the roles of the product complex structure and I_omega.
 """
 
-from itertools import product
+from itertools import chain, product
 
 from . import exactlin as xl
 from .errors import (DifferentSource, FormMismatch, IntertwineFailure,
@@ -169,37 +169,37 @@ def g_mirror(p, w):
 # elliptic-product mirrors
 
 
-def _repair_candidates(n, deltas, budget):
-    """Integer matrices C with Delta.C symmetric, by increasing max-norm."""
-    pairs = [(i, j) for i in range(n) for j in range(n) if i <= j]
-    # Delta.C symmetric means delta_i C[i,j] = delta_j C[j,i]; the upper
-    # triangle is free as long as the forced lower entry comes out integral.
-    for norm in range(0, budget + 1):
-        for vals in product(range(-norm, norm + 1), repeat=len(pairs)):
-            if norm > 0 and max(abs(v) for v in vals) != norm:
-                continue
+def _repair_candidates(n, deltas):
+    """Integer matrices C with Delta.C symmetric and max-norm at most 1: C = 0
+    first, then the others in the order of product((-1, 0, 1), ...)."""
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    k = len(pairs)
+    for vals in chain([(0,) * k], filter(any, product((-1, 0, 1), repeat=k))):
+        # Delta.C symmetric means delta_i C[i,j] = delta_j C[j,i]; the upper
+        # triangle is free as long as the forced lower entry comes out integral.
+        if all(deltas[i] * v % deltas[j] == 0 for (i, j), v in zip(pairs, vals)):
             c = [[0] * n for _ in range(n)]
-            ok = True
             for (i, j), v in zip(pairs, vals):
-                c[i][j] = v
-                if i != j:
-                    num = deltas[i] * v
-                    if num % deltas[j]:
-                        ok = False
-                        break
-                    c[j][i] = num // deltas[j]
-            if ok:
-                yield xl.mat(c)
+                c[i][j], c[j][i] = v, deltas[i] * v // deltas[j]
+            yield xl.mat(c)
 
 
-def elliptic_mirror(A, tau, phi, budget=5):
+def elliptic_mirror(A, tau, phi):
     """Mirror of (A, tau*phi) across the splitting (W, Sigma) of Lambda_A, built
-    as in g_mirror from a symplectic basis u of phi; J Sigma must be transversal
-    to Sigma, and u is repaired, by corrections of max-norm up to budget, until
-    block (2,1) of u2^-1 J u2 is nonsingular: until J W is transversal to W (see
-    _well_becoming).  The mirror is a product of isogenous elliptic curves."""
-    if budget < 0:
-        raise ValueError(f"budget = {budget} is negative")
+    as in g_mirror from a symplectic basis u of phi.  J Sigma must be transversal
+    to Sigma; u is repaired by the first C of _repair_candidates for which block
+    (2,1) of u2^-1 J u2 is nonsingular, so that J W is transversal to W (see
+    _well_becoming).  The mirror is a product of isogenous elliptic curves.
+
+    Some C of max-norm 1 always works, so the search needs no bound.  With
+    J' = u^-1 J u = [[a, b], [c, d]], det b != 0 is the Sigma test, and block
+    (2,1) of u2^-1 J u2 for u2 = u [[1, 0], [C, 1]] is c + dC - Ca - CbC.  For
+    C = diag(t), t_i enters only row i and column i of it, so
+    P(t) = det(c + dC - Ca - CbC) has degree at most 2 in each t_i, and only CbC
+    reaches t_i t_j in every entry: the coefficient of t_1^2 ... t_n^2 is
+    (-1)^n det b != 0.  A nonzero polynomial of degree at most 2 in each
+    variable does not vanish on all of {-1, 0, 1}^n (Alon, Combinatorial
+    Nullstellensatz, Lemma 2.1), and every such diagonal C is a candidate."""
     n = A.n
     c = as_form(phi)
     nf = xl.skew_normal_form(c)
@@ -219,7 +219,7 @@ def elliptic_mirror(A, tau, phi, budget=5):
     if xl.det(xl.mul(u_inv, xl.mul(A.J, u))[:n, n:]) == 0:
         raise TransversalityNotFound(
             "J Sigma meets Sigma, and no symplectic correction changes Sigma")
-    for corr in _repair_candidates(n, nf.deltas, budget):
+    for corr in _repair_candidates(n, nf.deltas):
         # u2 = u [[1, 0], [C, 1]], so u2^-1 = [[1, 0], [-C, 1]] u^-1
         u2 = xl.block([[u[:, :n] + xl.mul(u[:, n:], corr), u[:, n:]]])
         u2_inv = xl.block([[u_inv[:n]], [u_inv[n:] - xl.mul(corr, u_inv[:n])]])
@@ -229,8 +229,8 @@ def elliptic_mirror(A, tau, phi, budget=5):
         if xl.det(xl.mul(u2_inv, xl.mul(A.J, u2))[n:, :n]) != 0:
             pB, cert = _mirror_across(pA, *_adapted_splitting(u2, u2_inv, w_first=True))
             return pA, pB, cert
-    raise TransversalityNotFound(
-        "no symplectic correction within the budget makes J W transversal to W")
+    raise RuntimeError("no correction of max-norm 1 makes J W transversal to W, "
+                       "against the Combinatorial Nullstellensatz bound")
 
 
 def elliptic_factors(pB, deltas):

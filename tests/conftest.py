@@ -10,6 +10,7 @@ database, so they draw the same examples on every run.
 import os
 import random
 from fractions import Fraction
+from itertools import product
 from math import factorial
 
 import numpy as np
@@ -604,6 +605,29 @@ def splitting_route(u, u_inv, w_first):
     sigma = [big_u[:, i] for i in list(range(2 * n, 3 * n)) + list(range(n, 2 * n))]
     s = IsotropicSplitting(n, w_half, sigma) if w_first else IsotropicSplitting(n, sigma, w_half)
     return s.w, s.w_inv
+
+
+def repair_candidates_by_norm(n, deltas, budget):
+    """Integer matrices C with Delta.C symmetric, by increasing max-norm up to
+    budget: the bounded search that mirror._repair_candidates once made, the
+    reference for its norm-1 enumeration."""
+    pairs = [(i, j) for i in range(n) for j in range(n) if i <= j]
+    for norm in range(0, budget + 1):
+        for vals in product(range(-norm, norm + 1), repeat=len(pairs)):
+            if norm > 0 and max(abs(v) for v in vals) != norm:
+                continue
+            c = [[0] * n for _ in range(n)]
+            ok = True
+            for (i, j), v in zip(pairs, vals):
+                c[i][j] = v
+                if i != j:
+                    num = deltas[i] * v
+                    if num % deltas[j]:
+                        ok = False
+                        break
+                    c[j][i] = num // deltas[j]
+            if ok:
+                yield xl.mat(c)
 
 
 def elliptic_sample(rng, n):

@@ -11,6 +11,7 @@ from conftest import (classify_by_e_form, gaussian_pair, gaussian_torus, rand_ns
                       rand_q_isometry, rand_rational, rand_skew, well_becoming_sample)
 
 import torusmirror
+from torusmirror import cli
 from torusmirror import exactlin as xl
 from torusmirror import serialize as sz
 from torusmirror.cli import main
@@ -552,19 +553,32 @@ REPAIRED_ELLIPTIC = {
             ["-1", "0", "0", "1"], ["0", "-1", "-1", "0"]]}
 
 
-def test_elliptic_mirror_budget(tmp_path, capsys):
-    code, out = run(tmp_path, "elliptic-mirror", REPAIRED_ELLIPTIC, ["--budget", "0"])
-    assert code == 1
-    doc = json.loads(out.read_text())
-    assert doc["error"] == "transversality-not-found"
-    assert capsys.readouterr().err == ""
-    code, out = run(tmp_path, "elliptic-mirror", REPAIRED_ELLIPTIC, ["--budget", "1"])
+# the exact bytes of the REPAIRED_ELLIPTIC output, as the bounded search with
+# its default bound of 5 wrote them
+REPAIRED_ELLIPTIC_SHA256 = "f01df0e190631225af8b45c422c644463d465f98bf9e0587dbe28c4d2db74280"
+
+
+def test_repaired_elliptic_mirror_output_is_pinned(tmp_path, capsys):
+    code, out = run(tmp_path, "elliptic-mirror", REPAIRED_ELLIPTIC)
     assert code == 0
-    assert set(json.loads(out.read_text())) == {"pairA", "pairB", "alpha"}
+    assert capsys.readouterr().err == ""
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == REPAIRED_ELLIPTIC_SHA256
 
 
-def test_negative_budget_is_an_input_error(tmp_path, capsys):
-    code, out = run(tmp_path, "elliptic-mirror", REPAIRED_ELLIPTIC, ["--budget", "-1"])
-    assert code == 2
-    assert capsys.readouterr().err.startswith("input error: ")
+def test_budget_is_not_an_option(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(torusmirror.__file__).parents[1]))
+    inp = tmp_path / "in.json"
+    out = tmp_path / "out.json"
+    inp.write_text(json.dumps(REPAIRED_ELLIPTIC))
+    proc = subprocess.run(
+        [sys.executable, "-m", "torusmirror.cli", "elliptic-mirror",
+         "--input", str(inp), "--output", str(out), "--budget", "1"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr and "--budget" in proc.stderr
     assert not out.exists()
+
+
+def test_every_command_has_its_n_paths():
+    # a command missing from _N_PATHS would turn valid input into a KeyError, exit 2
+    assert set(cli._N_PATHS) == set(cli.COMMANDS)

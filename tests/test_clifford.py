@@ -9,10 +9,10 @@ from conftest import (beta_iso_by_kernel, contract_apply, cor_action,
                       wedge_apply)
 from torusmirror import exactlin as xl
 from torusmirror.clifford import (IsotropicSplitting, SpinVec, _cor_apply, _generator_maps,
-                                  _generator_terms, _has_grade, _involution_form, _source_terms,
-                                  beta_iso, beta_parity, clifford_involution, cor_matrix,
-                                  is_spin, popcount, pure_spinor, q_value, r_of_z,
-                                  standard_splitting)
+                                  _generator_terms, _has_grade, _involution_form,
+                                  _sign_normalize, _source_terms, beta_iso, beta_parity,
+                                  clifford_involution, cor_matrix, is_spin, popcount,
+                                  pure_spinor, q_value, r_of_z, standard_splitting)
 from torusmirror.errors import NoIntertwiner, NotEven, NotIsotropic, NotSpin
 from torusmirror.pairspace import q_form
 
@@ -294,6 +294,16 @@ def test_beta_makes_no_row_wider_than_the_lattice(rng, monkeypatch):
     beta = beta_iso(s1, s2)
     monkeypatch.undo()
     assert xl.mat_eq(beta, beta_iso_by_kernel(s1, s2))
+
+
+def test_sign_normalize_reads_the_numerators_in_place(monkeypatch):
+    # beta is 4^n x 4^n, so its sign is read from num, not from a copy of its rows
+    cases = [(xl.mat([[0, 0], [-1, 2]]), True), (xl.mat([[0, Fraction(1, 2)], [-3, 0]]), False),
+             (xl.mat([[Fraction(-1, 3), 1]]), True), (xl.zeros(2), False)]
+    monkeypatch.setattr(xl.Matrix, "rows", property(lambda m: pytest.fail("rows was copied")))
+    for m, flips in cases:
+        out = _sign_normalize(m)
+        assert xl.mat_eq(out, -m) if flips else out is m
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

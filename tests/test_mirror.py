@@ -1,10 +1,12 @@
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
 
-from conftest import (adapted_halves, elliptic_sample, gaussian_torus, rand_unimodular,
-                      splitting_route, transversal, well_becoming_sample)
+from conftest import (adapted_halves, elliptic_sample, gaussian_torus, rand_rational,
+                      rand_unimodular, repair_candidates_by_norm, splitting_route,
+                      transversal, well_becoming_sample)
 from torusmirror import clifford
 from torusmirror import exactlin as xl
 from torusmirror import mirror
@@ -19,7 +21,7 @@ from torusmirror.mirror import (WellBecomingWitness, _adapted_splitting,
 from torusmirror.pairspace import (classify_pair, i_omega, jprod, make_weak_pair,
                                    q_form)
 from torusmirror.clifford import IsotropicSplitting, standard_splitting
-from torusmirror.torus import make_torus
+from torusmirror.torus import make_torus, ns_basis
 
 J_SQUARE = xl.mat([[0, -1], [1, 0]])
 PHI = xl.mat([[0, 1], [-1, 0]])
@@ -274,14 +276,14 @@ def _old_g_mirror(p, w):
     return _adapted_route(p, np.block([[w.gamma1, w.gamma2]]), (sigma_idx, w_idx))
 
 
-def _old_elliptic_mirror(A, tau, c, budget=5):
+def _old_elliptic_mirror(A, tau, c):
     n = A.n
     pA = make_weak_pair(A, tau[0] * c, tau[1] * c)
     nf = xl.skew_normal_form(c)
     u = nf.basis_change
     e = xl.eye(4 * n)
     w_idx, sigma_idx = _w_sigma_indices(n)
-    for corr in _repair_candidates(n, nf.deltas, budget):
+    for corr in repair_candidates_by_norm(n, nf.deltas, 5):
         u2 = u.copy()
         u2[:, :n] = u[:, :n] + xl.mul(u[:, n:], corr)
         j1 = xl.mul(xl.to_int(xl.invert(u2)), xl.mul(A.J, u2))
@@ -508,19 +510,81 @@ def test_mirrors_take_no_rank_and_no_identity_product(rng, monkeypatch):
     assert len(ranks) == 1 and identity_products
 
 
-def test_elliptic_mirror_repair_budget():
-    with pytest.raises(TransversalityNotFound, match="^no symplectic correction within the "
-                                                     "budget makes J W transversal to W$"):
-        elliptic_mirror(*repaired_case(), budget=0)
-    pA1, pB1, cert1 = elliptic_mirror(*repaired_case(), budget=1)
-    pA5, pB5, cert5 = elliptic_mirror(*repaired_case(), budget=5)
-    assert pA1 == pA5 and pB1 == pB5
-    assert xl.mat_eq(cert1.alpha, cert5.alpha)
-    # a negative budget would try no correction at all, not even C = 0
-    A = make_torus(1, J_SQUARE)
-    elliptic_mirror(A, (0, 1), PHI, budget=0)
-    with pytest.raises(ValueError, match="^budget = -1 is negative$"):
-        elliptic_mirror(A, (0, 1), PHI, budget=-1)
+def _corrected_block21(jp, t):
+    """Block (2,1) of [[1, 0], [-T, 1]] J' [[1, 0], [T, 1]] for T = diag(t):
+    J'_21 + J'_22 T - T J'_11 - T J'_12 T."""
+    n = len(t)
+    T = xl.zeros(n)
+    for i, x in enumerate(t):
+        T[i, i] = x
+    a, b, c, d = jp[:n, :n], jp[:n, n:], jp[n:, :n], jp[n:, n:]
+    return c + xl.mul(d, T) - xl.mul(T, a) - xl.mul(T, xl.mul(b, T))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_a_diagonal_correction_of_norm_one_always_exists(rng, n):
+    # the bound elliptic_mirror's search rests on, on the J' = g J0 g^-1 with
+    # det J'_12 != 0 for which C = 0 fails: det J'_21 = 0
+    j0 = block_rotation(n)
+    found = 0
+    while found < 8:
+        g = rand_unimodular(rng, 2 * n)
+        jp = xl.mul(g, xl.mul(j0, xl.to_int(xl.invert(g))))
+        if xl.det(jp[:n, n:]) == 0 or xl.det(jp[n:, :n]) != 0:
+            continue
+        found += 1
+        assert any(xl.det(_corrected_block21(jp, t)) != 0
+                   for t in product((-1, 0, 1), repeat=n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_repair_candidates_are_the_budgeted_order_up_to_norm_one(n):
+    for deltas in ([1] * n, [1] + [2] * (n - 1), [2 ** i for i in range(n)]):
+        assert list(_repair_candidates(n, deltas)) == list(repair_candidates_by_norm(n, deltas, 1))
+
+
+def test_elliptic_mirror_repairs_a_basis_that_c_zero_fails(monkeypatch):
+    # J = [[R, diag(1, -1)], [0, R]] and phi in symplectic normal form, so
+    # u = 1 and J' = J: det J'_12 = -1, but J'_21 = 0
+    J = xl.mat([[0, -1, 1, 0], [1, 0, 0, -1], [0, 0, 0, -1], [0, 0, 1, 0]])
+    phi = xl.block([[xl.zeros(2), xl.eye(2)], [-xl.eye(2), xl.zeros(2)]])
+    A = make_torus(2, J)
+    assert xl.mat_eq(xl.skew_normal_form(phi).basis_change, xl.eye(4))
+    assert xl.det(J[:2, 2:]) == -1 and xl.det(J[2:, :2]) == 0
+    pA, pB, cert = elliptic_mirror(A, (0, 1), phi)
+    verify_mirror(pA, pB, cert.alpha)
+    # were the norm-1 corrections to run out, that would be a broken invariant
+    monkeypatch.setattr(mirror, "_repair_candidates", lambda n, deltas: iter([xl.zeros(n)]))
+    with pytest.raises(RuntimeError, match="Combinatorial Nullstellensatz"):
+        elliptic_mirror(A, (0, 1), phi)
+
+
+def repaired_elliptic_sample(rng, n):
+    """(A, tau, phi) for which elliptic_mirror must repair its symplectic basis:
+    J = diag(R, ..., R) in a random basis and phi a random nondegenerate
+    combination of ns_basis, drawn until det J'_12 != 0 and det J'_21 = 0."""
+    while True:
+        t = rand_unimodular(rng, 2 * n)
+        A = make_torus(n, xl.mul(xl.to_int(xl.invert(t)), xl.mul(block_rotation(n), t)))
+        phi = xl.zeros(2 * n)
+        for v in ns_basis(A):
+            phi = phi + rng.randint(-1, 1) * v.c
+        if xl.det(phi) == 0:
+            continue
+        u = xl.skew_normal_form(phi).basis_change
+        jp = xl.mul(xl.to_int(xl.invert(u)), xl.mul(A.J, u))
+        if xl.det(jp[:n, n:]) != 0 and xl.det(jp[n:, :n]) == 0:
+            return A, (rand_rational(rng), rand_rational(rng, nonzero=True)), phi
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_repaired_elliptic_mirror_matches_budgeted_reference(rng, n):
+    for _ in range(7):
+        A, tau, phi = repaired_elliptic_sample(rng, n)
+        pA, pB, cert = elliptic_mirror(A, tau, phi)
+        pA_ref, pB_ref, alpha_ref = _old_elliptic_mirror(A, tau, phi)
+        assert pA == pA_ref and pB == pB_ref
+        assert xl.mat_eq(cert.alpha, alpha_ref)
 
 
 @pytest.mark.parametrize("deltas", [[0], [], [1, 2], [-1], [1.0], [True]],
