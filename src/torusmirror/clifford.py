@@ -10,12 +10,12 @@ _merge_sign.
 
 from fractions import Fraction
 from functools import cache
-from math import factorial, lcm
+from math import factorial, gcd, lcm
+from operator import mul
 
 from . import exactlin as xl
 from .errors import (MixedParity, NoIntertwiner, NotEven, NotIsotropic, NotSpin,
                      SingularMatrix)
-from .pairspace import q_left, q_right
 
 
 popcount = int.bit_count
@@ -51,13 +51,21 @@ def exterior_exp(a):
     """exp(a) = sum_k a^k / k! for an element a with no constant term (so a is
     nilpotent); exact, with every integral coefficient stored as an int.
 
-    With a = b / q for b integral and K the last nonzero power, it sums the
-    int terms b^k q^(K-k) K!/k! and divides once by q^K K!.
+    With a = b / q for b integral, it is _scaled_exp(b, q) divided once.
     """
     if a.get(0, 0) != 0:
         raise ValueError("exterior_exp needs an element without constant term")
     q = lcm(*(c.denominator for c in a.values()))
-    b = {m: c.numerator * (q // c.denominator) for m, c in a.items()}
+    den, total = _scaled_exp({m: c.numerator * (q // c.denominator) for m, c in a.items()}, q)
+    return {m: c // den if c % den == 0 else Fraction(c, den) for m, c in total.items()}
+
+
+def _scaled_exp(b, q):
+    """(den, total) with exp(b / q) = total / den, for an integral element b
+    without constant term and an int q > 0: total has int values, no zeros,
+    and den = q^K K! > 0 for K the last nonzero power of b.  It sums the int
+    terms b^k q^(K-k) K!/k!.
+    """
     powers = [{0: 1}]
     while powers[-1]:
         powers.append(wedge(powers[-1], b))
@@ -69,8 +77,7 @@ def exterior_exp(a):
         scale = den // (q ** k * factorial(k))
         for m, c in power.items():
             total[m] = total.get(m, 0) + c * scale
-    return {m: c // den if c % den == 0 else Fraction(c, den)
-            for m, c in total.items() if c != 0}
+    return den, {m: c for m, c in total.items() if c != 0}
 
 
 class SpinVec:
@@ -191,17 +198,24 @@ def _cor_apply(terms, coords, v):
 def _transport(terms, wedges, phi):
     """The matrix whose column S is cor(w_{s_1}) ... cor(w_{s_k}) phi for S =
     {s_1 < ... < s_k}: the module map that sends the vacuum to phi and
-    cor(x_{i+1}) to cor(w_i), built column by column from S minus its low bit."""
+    cor(x_{i+1}) to cor(w_i), built column by column from S minus its low bit.
+
+    phi and the w_i must be int lists; every column is then an int list, so
+    the matrix is wrapped as it is, without reading its 16^n entries again.
+    """
+    if any(type(x) is not int for v in [phi, *wedges] for x in v):
+        raise TypeError("the transport takes an int vacuum and int wedge coordinates")
     cols = [phi]
     for t_mask in range(1, len(phi)):
         low = (t_mask & -t_mask).bit_length() - 1
         cols.append(_cor_apply(terms, wedges[low], cols[t_mask ^ (1 << low)]))
-    return xl.mat(zip(*cols))
+    return xl.from_int_rows(list(map(list, zip(*cols))), len(phi))
 
 
-def q_value(u, v):
-    d = len(u) // 2
-    return sum(u[i] * v[d + i] + u[d + i] * v[i] for i in range(d))
+def _q_swap(v):
+    """Q v for the hyperbolic form Q: v with its halves swapped."""
+    d = len(v) // 2
+    return v[d:] + v[:d]
 
 
 # ---------------------------------------------------------------------------
@@ -227,38 +241,43 @@ class IsotropicSplitting:
         if not (len(basis1) == len(basis2) == 2 * n
                 and all(len(v) == d for v in basis1 + basis2)):
             raise NotIsotropic("splitting bases must be 2n vectors of length 4n")
-        b1 = xl.mat(basis1).T  # columns
-        b2 = xl.mat(basis2).T
-        if not (xl.is_integral(b1) and xl.is_integral(b2)):
+        rows1, rows2 = xl.mat(basis1), xl.mat(basis2)  # one basis vector per row
+        if not (xl.is_integral(rows1) and xl.is_integral(rows2)):
             raise NotIsotropic(_NOT_A_BASIS)
-        for half in (b1, b2):
-            g = xl.mul(half.T, q_left(half))
-            if not xl.is_zero(g):
-                if not xl.is_unimodular(xl.block([[b1, b2]])):
+        # Q(u, v) is u . (Q v), and Q v is v with its halves swapped
+        swapped1 = [_q_swap(u) for u in rows1.num]
+        for vs, swapped in ((rows1.num, swapped1), (rows2.num, [_q_swap(u) for u in rows2.num])):
+            if any(sum(map(mul, u, v)) for i, u in enumerate(vs) for v in swapped[i:]):
+                if not xl.is_unimodular(xl.block([[rows1.T, rows2.T]])):
                     raise NotIsotropic(_NOT_A_BASIS)
                 raise NotIsotropic("Q does not vanish on a splitting half")
         # for isotropic halves w^t Q w = [[0, P^t], [P, 0]] with the pairing
         # P[j, i] = Q(basis2_j, basis1_i), so |det w| = |det P|: w is a
         # Z-basis exactly when the integral P has an integral inverse
-        pairing = xl.mul(b2.T, q_left(b1))
-        try:
-            pairing_inv = xl.invert(pairing)
-        except SingularMatrix:
-            raise NotIsotropic(_NOT_A_BASIS)
-        if not xl.is_integral(pairing_inv):
-            raise NotIsotropic(_NOT_A_BASIS)
-        # the Q-dual basis of basis1
-        b2_dual = xl.mul(b2, pairing_inv.T)
-        self.basis1 = b1
-        self.basis2 = b2_dual
-        self.w = xl.block([[b1, b2_dual]])
-        # w^t Q w = Q now, and Q^2 = 1; w_inv is integral, so its num is its entries
-        self.w_inv = q_left(q_right(self.w.T))
+        pairing = [[sum(map(mul, u, v)) for v in swapped1] for u in rows2.num]
+        if all(x == (i == j) for j, row in enumerate(pairing) for i, x in enumerate(row)):
+            # basis2 is the Q-dual basis of basis1 already
+            dual = rows2.num
+        else:
+            try:
+                pairing_inv = xl.invert(pairing)
+            except SingularMatrix:
+                raise NotIsotropic(_NOT_A_BASIS)
+            if not xl.is_integral(pairing_inv):
+                raise NotIsotropic(_NOT_A_BASIS)
+            # the Q-dual basis of basis1
+            dual = xl.mul(pairing_inv, rows2).num
+        self.basis1 = rows1.T  # columns
+        self.basis2 = xl.mat(dual).T
+        self.w = xl.block([[self.basis1, self.basis2]])
+        # w^t Q w = Q now, and Q^2 = 1: w_inv = Q w^t Q, whose rows are the
+        # swapped dual vectors and then the swapped basis1 vectors
+        self.w_inv = xl.mat([_q_swap(u) for u in dual] + swapped1)
 
     def coords(self, lambda_vec):
         lambda_vec = list(lambda_vec)
         _check_length(self.n, lambda_vec)
-        return [sum(x * y for x, y in zip(row, lambda_vec) if x) for row in self.w_inv.num]
+        return [sum(map(mul, row, lambda_vec)) for row in self.w_inv.num]
 
     def cor(self, lambda_vec):
         return cor_matrix(self.n, self.coords(lambda_vec))
@@ -274,6 +293,15 @@ def standard_splitting(n):
 
 
 @cache
+def _complement_signs(n):
+    """eps[T] = _merge_sign(T, full ^ T) for every mask T over 2n bits: the
+    sign of x_T ^ x_{full ^ T} against the top monomial.  Built once per n as
+    a tuple shared by the involution, the cor diagram and chi."""
+    full = (1 << (2 * n)) - 1
+    return tuple(_merge_sign(t, full ^ t) for t in range(full + 1))
+
+
+@cache
 def _involution_form(n):
     """Signs sigma_S of the signed permutation B, B[S, full ^ S] = sigma_S, with
     B(z u, v) = B(u, z' v), i.e. z' = B^{-1} z^t B.  Built once per n as a tuple
@@ -283,9 +311,8 @@ def _involution_form(n):
     to x_{full ^ S}: the reversed wedges give (-1)^{|S|(|S|-1)/2} x_S ^ x_{full ^ S},
     a signed top monomial, which l_1, ..., l_2n contract to 1 with sign +1.
     """
-    full = (1 << (2 * n)) - 1
-    return tuple((-1 if popcount(s) * (popcount(s) - 1) // 2 % 2 else 1) * _merge_sign(s, full ^ s)
-                 for s in range(full + 1))
+    return tuple((-1 if popcount(s) * (popcount(s) - 1) // 2 % 2 else 1) * eps
+                 for s, eps in enumerate(_complement_signs(n)))
 
 
 def _clifford_order(z):
@@ -336,7 +363,7 @@ def _spin_conjugation(z):
     """
     z = xl.asmat(z)
     n = _clifford_order(z)  # first, as a shape that is not 4^n x 4^n is no Clifford element
-    zr = z.rows
+    zr = z.num if z.den == 1 else z.rows
     if not _has_grade(zr, 0):
         raise NotEven("operator mixes the even/odd grading")
     d = 2 * n
@@ -347,24 +374,34 @@ def _spin_conjugation(z):
     sc = _involution_form(n)[::-1]
     rev = {j: [x if si == sc[j] else -x for si, x in zip(sc, reversed(zr[full ^ j]))]
            for j in [0] + units}
-    if sum(x * rev[0][m] for m, x in enumerate(zr[0]) if x) != 1:
+    if sum(map(mul, zr[0], rev[0])) != 1:
         return None
-    r = [[0] * (2 * d) for _ in range(2 * d)]
-    for k, kept in enumerate(_generator_terms(n)):
-        top = [(m, sign * zr[0][image]) for m, image, sign in kept if zr[0][image]]
-        bottom = [(image, sign * rev[0][m]) for m, image, sign in kept if rev[0][m]]
+    z0, rev0 = zr[0], rev[0]
+    rev_units = [rev[unit] for unit in units]
+    z_units = [zr[unit] for unit in units]
+    r_cols = []
+    for kept in _generator_terms(n):
+        # the nonzero entries of row 0 of z cor(e_k) and of column 0 of
+        # cor(e_k) z', as their positions and their values
+        top_at, top, bottom_at, bottom = [], [], [], []
+        for m, image, sign in kept:
+            if z0[image]:
+                top_at.append(m)
+                top.append(sign * z0[image])
+            if rev0[m]:
+                bottom_at.append(image)
+                bottom.append(sign * rev0[m])
         # contraction l_{i+1}: x_{i+1} -> 1 (row 0); wedge x_{i+1}: 1 -> x_{i+1} (column 0)
-        for i, unit in enumerate(units):
-            r[i][k] = sum(x * rev[unit][m] for m, x in top)
-            r[d + i][k] = sum(x * zr[unit][image] for image, x in bottom)
-    r = xl.mat(r)
+        r_cols.append([sum(map(mul, top, map(v.__getitem__, top_at))) for v in rev_units]
+                      + [sum(map(mul, bottom, map(v.__getitem__, bottom_at))) for v in z_units])
+    r = xl.mat(zip(*r_cols))
     if not xl.is_integral(r):
         return None
     # R^t Q R = Q: Q u is u with its halves swapped, and Q[i, j] = 1 exactly
     # when |i - j| = d, so the upper triangle of the Gram matrix is compared
     cols = [list(c) for c in zip(*r.num)]
-    swapped = [u[d:] + u[:d] for u in cols]
-    if any(sum(x * y for x, y in zip(u, swapped[j])) != (j == i + d)
+    swapped = [_q_swap(u) for u in cols]
+    if any(sum(map(mul, u, swapped[j])) != (j == i + d)
            for i, u in enumerate(cols) for j in range(i, 2 * d)):
         return None
     terms = _source_terms(n)
@@ -420,7 +457,8 @@ def pure_spinor(s, vectors):
     basis = ech.int_rows
     if len(basis) != d:
         raise NoIntertwiner(f"the vectors span {len(basis)} dimensions, not {d}")
-    if any(q_value(u, v) for i, u in enumerate(vectors) for v in vectors[i:]):
+    swapped = [_q_swap(v) for v in vectors]
+    if any(sum(map(mul, u, v)) for i, u in enumerate(vectors) for v in swapped[i:]):
         raise NotIsotropic("Q does not vanish on the vectors")
     pivots = sorted(basis)
     theta = {0: 1}
@@ -428,16 +466,20 @@ def pure_spinor(s, vectors):
         if p >= d:
             theta = wedge(theta, {1 << (j - d): x for j, x in basis[p].items()})
     rows = [(p, basis[p]) for p in pivots if p < d]
+    # the coefficients of B as int pairs: x_a(p_b) = pairing / (c_a c_b)
     two_form = {}
     for a, (ra, ua) in enumerate(rows):
         for rb, ub in rows[a + 1:]:
             pairing = sum(x * ub.get(j - d, 0) for j, x in ua.items() if j >= d)
             if pairing:
-                # x_a(p_b) = pairing / (c_a c_b)
-                c = ua[ra] * ub[rb]
-                two_form[1 << ra | 1 << rb] = -pairing if c == 1 else Fraction(-pairing, c)
-    phi = wedge(exterior_exp(two_form), theta)
-    phi = xl.primitive_int([[phi.get(m, 0) for m in range(1 << d)]]).rows[0]
+                two_form[1 << ra | 1 << rb] = (-pairing, ua[ra] * ub[rb])
+    # exp(B) is total / den with den > 0, so total ^ theta spans phi's ray
+    q = lcm(*(c for _, c in two_form.values()))
+    _, total = _scaled_exp({m: x * (q // c) for m, (x, c) in two_form.items()}, q)
+    phi = wedge(total, theta)
+    phi = [phi.get(m, 0) for m in range(1 << d)]
+    g = gcd(*phi)
+    phi = [x // g for x in phi]
     terms = _source_terms(s.n)
     for c in coords:
         if any(_cor_apply(terms, c, phi)):
@@ -465,11 +507,24 @@ def beta_iso(s1, s2):
     """
     n = s1.n
     size = 1 << (2 * n)
-    phi = pure_spinor(s2, [s1.basis1[:, i] for i in range(2 * n)])
-    wedges = [s2.coords(s1.basis2[:, i]) for i in range(2 * n)]
+    # the basis matrices are integral, so their columns are read off num
+    phi = pure_spinor(s2, zip(*s1.basis1.num))
+    wedges = [s2.coords(v) for v in zip(*s1.basis2.num)]
     # integral, and primitive since column 0 is the primitive phi
     return _sign_normalize(_transport(_source_terms(n), wedges,
                                       [phi.get(m, 0) for m in range(size)]))
+
+
+def _meet_dim(s1, s2):
+    """dim(M1 & M1') for the halves M1 = s1.basis1 and M1' = s2.basis1.
+
+    Both are Lagrangian (IsotropicSplitting has checked it), so M1'^perp =
+    M1', and the kernel of the pairing M1 -> Hom(M1', Z), the 2n x 2n matrix
+    B1'^t Q B1, is M1 & M1'.
+    """
+    swapped = [_q_swap(list(v)) for v in zip(*s1.basis1.num)]
+    return 2 * s1.n - xl.rank([[sum(map(mul, u, v)) for v in swapped]
+                               for u in zip(*s2.basis1.num)])
 
 
 def beta_parity(t, s1, s2):
@@ -483,7 +538,6 @@ def beta_parity(t, s1, s2):
     grade = popcount(first[0] ^ first[1]) & 1
     if not _has_grade(num, grade):
         raise MixedParity("intertwiner is not graded")
-    inter_dim = 4 * s1.n - xl.rank(xl.block([[s1.basis1.T], [s2.basis1.T]]))
-    if (grade == 0) != (inter_dim % 2 == 0):
+    if (grade == 0) != (_meet_dim(s1, s2) % 2 == 0):
         raise MixedParity("grading parity disagrees with the intersection rank")
     return "Odd" if grade else "Even"

@@ -7,7 +7,8 @@ second-factor part of any term whose first-factor part is the full monomial.
 """
 
 from . import exactlin as xl
-from .clifford import SpinVec, _generator_maps, _merge_sign, exterior_exp, popcount, wedge
+from .clifford import (SpinVec, _complement_signs, _generator_maps, _merge_sign, exterior_exp,
+                       popcount, wedge)
 
 
 class ProductClass:
@@ -190,8 +191,7 @@ def verify_cor_diagram(n, mu_p1_sign=-1):
     and mu_*((-1)^{i-1} p2*(top without x_i)) (1-based i) by contracting
     with l_i: each is one comparison with the kernel class of that map.
     """
-    full = (1 << (2 * n)) - 1
-    eps = [_merge_sign(t, full ^ t) for t in range(full + 1)]
+    eps = _complement_signs(n)
     maps = _generator_maps(n)
     return all(cls == _kernel_class(n, maps[k], eps)
                for k, cls in _diagram_classes(n, mu_p1_sign, eps))

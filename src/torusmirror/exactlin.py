@@ -252,6 +252,12 @@ def mat(rows):
     return _from_entries([[_entry(x) for x in row] for row in out], ncols)
 
 
+def from_int_rows(rows, ncols):
+    """The integral Matrix of rows, a list of row lists of python ints, which
+    it takes over without reading them: for rows that are ints by construction."""
+    return _wrap(rows, 1, ncols)
+
+
 def asmat(a):
     """a itself when it is a Matrix, else mat(a)."""
     return a if type(a) is Matrix else mat(a)

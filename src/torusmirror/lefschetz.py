@@ -7,7 +7,7 @@ from itertools import combinations
 from math import gcd
 
 from . import exactlin as xl
-from .clifford import _generator_maps, _merge_sign, popcount
+from .clifford import _complement_signs, _generator_maps, popcount
 from .errors import NoHardLefschetz, NotNSForm, NotSkew, SingularMatrix
 from .torus import as_form, is_ns_form
 
@@ -194,17 +194,22 @@ def generate_g_ns(A, kappas):
     for g in gens:
         if echelon.add(g.num):
             basis.append(g)
-    frontier = list(basis)
-    while frontier:
+    # the frontier, the elements not yet bracketed, is basis[start:]
+    start = 0
+    while start < len(basis):
         new = []
-        for a in basis:
-            for b in frontier:
-                # [b, a] = -[a, b] lies in the span whenever [a, b] does
+        for i, a in enumerate(basis):
+            # each unordered pair once: [b, a] = -[a, b] lies in the span
+            # whenever [a, b] does, and [a, a] = 0
+            for b in basis[max(start, i + 1):]:
+                # the parts of degree +2 and -2 of the so-image are abelian
+                if a.degree == b.degree != 0:
+                    continue
                 num = _bracket(a, b)
                 if echelon.add(num):
                     new.append(GradedOperator(size, num, a.den * b.den, a.degree + b.degree))
+        start = len(basis)
         basis.extend(new)
-        frontier = new
         if len(basis) > size * size:
             raise RuntimeError(f"g_NS span exceeds dim gl(H*) = {size * size}")
     return LieAlgebraBasis(basis, echelon)
@@ -221,10 +226,9 @@ def chi_form(n):
     size = 1 << (2 * n)
     full = size - 1
     x = [[0] * size for _ in range(size)]
-    for s_mask in range(size):
-        t_mask = full ^ s_mask
+    for s_mask, eps in enumerate(_complement_signs(n)):
         q = (popcount(s_mask) - n) // 2
-        x[s_mask][t_mask] = _merge_sign(s_mask, t_mask) * ((-1) ** (q % 2))
+        x[s_mask][full ^ s_mask] = eps * ((-1) ** (q % 2))
     return xl.mat(x)
 
 

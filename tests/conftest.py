@@ -19,10 +19,11 @@ from hypothesis import settings
 
 from torusmirror import corresp as cp
 from torusmirror import exactlin as xl
+from torusmirror import lefschetz as lf
 from torusmirror.clifford import (IsotropicSplitting, SpinVec, _cor_apply, _cor_rows,
                                   _generator_maps, _sign_normalize, _source_terms, cor_matrix,
-                                  popcount, wedge)
-from torusmirror.errors import NoIntertwiner, SingularMatrix
+                                  exterior_exp, popcount, wedge)
+from torusmirror.errors import NoHardLefschetz, NoIntertwiner, NotIsotropic, SingularMatrix
 from torusmirror.mirror import WellBecomingWitness
 from torusmirror.pairspace import i_omega, make_weak_pair, q_form
 from torusmirror.torus import NSVector, make_torus, ns_basis
@@ -665,3 +666,79 @@ def transversal(jprod_a, cols):
     once took, the reference for the block test mirror._well_becoming."""
     stacked = xl.block([[cols, xl.mul(jprod_a, cols)]])
     return xl.rank(stacked) == stacked.shape[0]
+
+
+def q_value(u, v):
+    """Q(u, v) for the hyperbolic form Q, term by term."""
+    d = len(u) // 2
+    return sum(u[i] * v[d + i] + u[d + i] * v[i] for i in range(d))
+
+
+# ---------------------------------------------------------------------------
+# the pure spinor through Fraction coefficients, the reference for
+# clifford.pure_spinor
+
+
+def pure_spinor_by_fractions(s, vectors):
+    """pure_spinor with B's coefficients -pairing / (c_a c_b) as Fractions,
+    exp(B) ^ theta over Q, and the primitive integer vector on its ray."""
+    d = 2 * s.n
+    vectors = [list(v) for v in vectors]
+    ech = xl.Echelon()
+    for v in vectors:
+        ech.add({j: x for j, x in enumerate(s.coords(v)) if x})
+    basis = ech.int_rows
+    if len(basis) != d:
+        raise NoIntertwiner(f"the vectors span {len(basis)} dimensions, not {d}")
+    if any(q_value(u, v) for i, u in enumerate(vectors) for v in vectors[i:]):
+        raise NotIsotropic("Q does not vanish on the vectors")
+    pivots = sorted(basis)
+    theta = {0: 1}
+    for p in pivots:
+        if p >= d:
+            theta = wedge(theta, {1 << (j - d): x for j, x in basis[p].items()})
+    rows = [(p, basis[p]) for p in pivots if p < d]
+    two_form = {}
+    for a, (ra, ua) in enumerate(rows):
+        for rb, ub in rows[a + 1:]:
+            pairing = sum(x * ub.get(j - d, 0) for j, x in ua.items() if j >= d)
+            if pairing:
+                two_form[1 << ra | 1 << rb] = Fraction(-pairing, ua[ra] * ub[rb])
+    phi = wedge(exterior_exp(two_form), theta)
+    phi = xl.primitive_int([[phi.get(m, 0) for m in range(1 << d)]]).rows[0]
+    return {m: x for m, x in enumerate(phi) if x}
+
+
+# ---------------------------------------------------------------------------
+# the closure over every (basis, frontier) pair, the reference for
+# lefschetz.generate_g_ns
+
+
+def generate_g_ns_by_all_pairs(A, kappas):
+    """(ops, brackets): the g_NS basis from the same generators as
+    lefschetz.generate_g_ns, closed by bracketing each basis element with
+    each frontier element in both orders, and the number of brackets taken."""
+    gens = []
+    for kappa in kappas:
+        gens.append(lf.lefschetz_e(kappa))
+        try:
+            gens.append(lf.lefschetz_f(kappa))
+        except NoHardLefschetz:
+            pass
+    gens.append(lf.grading_operator(A.n))
+    size = 1 << (2 * A.n)
+    echelon = xl.Echelon()
+    basis = [g for g in gens if echelon.add(g.num)]
+    frontier = list(basis)
+    brackets = 0
+    while frontier:
+        new = []
+        for a in basis:
+            for b in frontier:
+                num = lf._bracket(a, b)
+                brackets += 1
+                if echelon.add(num):
+                    new.append(lf.GradedOperator(size, num, a.den * b.den, a.degree + b.degree))
+        basis.extend(new)
+        frontier = new
+    return basis, brackets

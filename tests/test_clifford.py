@@ -3,16 +3,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import (beta_iso_by_kernel, contract_apply, cor_action,
-                      cor_matrix_by_columns, rand_q_isometry, rand_spin, rand_splitting,
-                      rand_unit_pairing_vector, rand_unimodular, vacuum_kernel,
-                      wedge_apply)
+from conftest import (beta_iso_by_kernel, contract_apply, cor_action, cor_matrix_by_columns,
+                      merge_sign_by_bits, pure_spinor_by_fractions, q_value, rand_q_isometry,
+                      rand_spin, rand_splitting, rand_unit_pairing_vector, rand_unimodular,
+                      vacuum_kernel, wedge_apply)
 from torusmirror import exactlin as xl
-from torusmirror.clifford import (IsotropicSplitting, SpinVec, _cor_apply, _generator_maps,
-                                  _generator_terms, _has_grade, _involution_form,
-                                  _sign_normalize, _source_terms, beta_iso, beta_parity,
-                                  clifford_involution, cor_matrix, is_spin, popcount,
-                                  pure_spinor, q_value, r_of_z, standard_splitting)
+from torusmirror.clifford import (IsotropicSplitting, SpinVec, _complement_signs, _cor_apply,
+                                  _generator_maps, _generator_terms, _has_grade,
+                                  _involution_form, _meet_dim, _sign_normalize, _source_terms,
+                                  _transport, beta_iso, beta_parity, clifford_involution,
+                                  cor_matrix, is_spin, popcount, pure_spinor, r_of_z,
+                                  standard_splitting)
 from torusmirror.errors import NoIntertwiner, NotEven, NotIsotropic, NotSpin
 from torusmirror.pairspace import q_form
 
@@ -180,6 +181,22 @@ def test_splitting_names_a_non_basis_without_its_determinant():
         IsotropicSplitting(1, [cols[0], cols[1]], [cols[2], [Fraction(1, 2) * x for x in cols[3]]])
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_a_vector_of_nonzero_norm_is_not_isotropic(n):
+    # u = e_1 + e_{2n+1} pairs to 0 with every other vector given, but Q(u, u) = 2
+    d = 2 * n
+    e = xl.eye(4 * n)
+    cols = [e[:, i] for i in range(4 * n)]
+    u = [x + y for x, y in zip(cols[0], cols[d])]
+    message = "^Q does not vanish on a splitting half$"
+    with pytest.raises(NotIsotropic, match=message):
+        IsotropicSplitting(n, [u] + cols[1:d], cols[d:])
+    with pytest.raises(NotIsotropic, match=message):
+        IsotropicSplitting(n, cols[d:], [u] + cols[1:d])
+    with pytest.raises(NotIsotropic):
+        pure_spinor(standard_splitting(n), [u] + cols[1:d])
+
+
 def test_beta_identity_on_same_splitting():
     s = standard_splitting(1)
     assert xl.mat_eq(beta_iso(s, s), xl.eye(4))
@@ -278,6 +295,100 @@ def test_beta_matches_kernel_transport(rng, n):
             assert parity == ("Odd" if k % 2 else "Even")
         parities.add(parity)
     assert parities == {"Even", "Odd"}
+
+
+def _lagrangian(s):
+    return [s.basis1[:, i] for i in range(2 * s.n)]
+
+
+def _has_wide_pivot(s1, s2):
+    """Does the elimination in pure_spinor(s2, M1(s1)) leave a contraction
+    pivot other than 1, so that B has a coefficient that is not an integer?"""
+    ech = xl.Echelon()
+    for v in _lagrangian(s1):
+        ech.add({j: x for j, x in enumerate(s2.coords(v)) if x})
+    return any(row[p] != 1 for p, row in ech.int_rows.items() if p < 2 * s1.n)
+
+
+def wide_pivot_pairs(rng, n, count=3):
+    """count seeded random splitting pairs (s1, s2, None) with _has_wide_pivot."""
+    pairs = []
+    for _ in range(200):
+        s1, s2 = rand_splitting(rng, n), rand_splitting(rng, n)
+        if _has_wide_pivot(s1, s2):
+            pairs.append((s1, s2, None))
+            if len(pairs) == count:
+                return pairs
+    raise AssertionError(f"no {count} splitting pairs with a pivot other than 1 at n = {n}")
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_pure_spinor_matches_fraction_route(rng, n):
+    for s1, s2, _ in splitting_pairs(rng, n) + wide_pivot_pairs(rng, n):
+        lagrangian = _lagrangian(s1)
+        phi = pure_spinor(s2, lagrangian)
+        assert phi == pure_spinor_by_fractions(s2, lagrangian)
+        assert all(type(x) is int for x in phi.values())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_beta_iso_creates_no_fraction(rng, monkeypatch, n):
+    pairs = wide_pivot_pairs(rng, n) + splitting_pairs(rng, n)
+    refs = [beta_iso_by_kernel(s1, s2) for s1, s2, _ in pairs]
+
+    def no_fraction(*args, **kw):
+        raise AssertionError("a Fraction was created")
+
+    monkeypatch.setattr(Fraction, "__new__", no_fraction)
+    betas = [beta_iso(s1, s2) for s1, s2, _ in pairs]
+    monkeypatch.undo()
+    assert all(xl.mat_eq(beta, ref) for beta, ref in zip(betas, refs))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_meet_dim_matches_stacked_rank(rng, n):
+    # M1 & M1' from the 2n x 2n pairing, against the rank of the 4n x 4n
+    # stack, on random pairs and on swaps of k = 0..2n pairs (full swap at
+    # k = 2n, half swap at k = n), which leave 2n - k vectors of M1 in M1'
+    parities = set()
+    for s1, s2, k in splitting_pairs(rng, n):
+        stacked = 4 * n - xl.rank(xl.block([[s1.basis1.T], [s2.basis1.T]]))
+        assert _meet_dim(s1, s2) == stacked
+        assert k is None or stacked == 2 * n - k
+        parities.add(stacked % 2)
+    assert parities == {0, 1}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_splitting_dual_basis_fast_path_matches_solve_path(rng, monkeypatch, n):
+    # basis2 is replaced by the Q-dual basis of basis1, whichever basis of M2
+    # is given; for the dual basis itself the pairing is 1 and nothing is solved
+    d = 2 * n
+    invert = xl.invert
+    calls = []
+
+    def counting_invert(m):
+        calls.append(m)
+        return invert(m)
+
+    monkeypatch.setattr(xl, "invert", counting_invert)
+    for _ in range(3):
+        g = rand_q_isometry(rng, n)
+        basis1 = [g[:, i] for i in range(d)]
+        basis2 = [g[:, d + i] for i in range(d)]
+        u = rand_unimodular(rng, d)
+        while xl.mat_eq(u, xl.eye(d)):
+            u = rand_unimodular(rng, d)
+        mixed = [[sum(c * v[j] for c, v in zip(row, basis2)) for j in range(4 * n)]
+                 for row in u.rows]
+        calls.clear()
+        fast = IsotropicSplitting(n, basis1, basis2)
+        assert not calls
+        solved = IsotropicSplitting(n, basis1, mixed)
+        assert len(calls) == 1
+        for name in ("basis1", "basis2", "w", "w_inv"):
+            assert xl.mat_eq(getattr(fast, name), getattr(solved, name)), name
+        assert xl.mat_eq(fast.basis2, g[:, d:])
 
 
 def test_beta_makes_no_row_wider_than_the_lattice(rng, monkeypatch):
@@ -385,6 +496,26 @@ def test_involution_form_is_one_immutable_table_per_n(n):
     assert _involution_form(n) is signs and type(signs) is tuple
     fresh = _involution_form.__wrapped__(n)
     assert fresh is not signs and fresh == signs == _involution_signs_by_words(n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_complement_signs_are_one_immutable_table_per_n(n):
+    full = (1 << (2 * n)) - 1
+    eps = _complement_signs(n)
+    assert _complement_signs(n) is eps and type(eps) is tuple
+    assert eps == tuple(merge_sign_by_bits(t, full ^ t) for t in range(full + 1))
+
+
+def test_transport_takes_only_int_inputs():
+    n = 1
+    terms = _source_terms(n)
+    wedges = [[0, 0, 1, 0], [0, 0, 0, 1]]
+    phi = [1, 0, 0, 0]
+    assert xl.mat_eq(_transport(terms, wedges, phi), xl.eye(4))
+    for bad_wedges, bad_phi in ((wedges, [Fraction(1)] + phi[1:]),
+                                ([[0, 0, Fraction(1, 2), 0], wedges[1]], phi)):
+        with pytest.raises(TypeError):
+            _transport(terms, bad_wedges, bad_phi)
 
 
 def _spin_conjugation_dense(z):
@@ -536,7 +667,6 @@ def test_spin_check_rejects_one_changed_column_entry(rng, n):
 @pytest.mark.parametrize("n", [2, 3])
 def test_spin_check_builds_no_module_sized_matrix(rng, monkeypatch, n):
     z = rand_spin(rng, n)
-    s1, s2 = rand_splitting(rng, n), rand_splitting(rng, n)
     ref = r_of_z(z)
     mat = xl.mat
     sizes = []
@@ -547,8 +677,8 @@ def test_spin_check_builds_no_module_sized_matrix(rng, monkeypatch, n):
         return m
 
     monkeypatch.setattr(xl, "mat", counting_mat)
-    # positive control: beta_iso builds its 4^n x 4^n transport with xl.mat
-    beta_iso(s1, s2)
+    # positive control: cor_matrix builds its 4^n x 4^n matrix with xl.mat
+    cor_matrix(n, [1] * (4 * n))
     assert 1 << (2 * n) in sizes
     sizes.clear()
     assert is_spin(z) and xl.mat_eq(r_of_z(z), ref)

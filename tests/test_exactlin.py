@@ -500,3 +500,10 @@ def test_no_module_assigns_through_rows():
     assert found == {}
     bad = ast.parse("m.rows[0][1] = 2\nfor r in m.rows:\n    r[0] = 1\nm.rows[0] += 1\n")
     assert _assigns_through_rows(bad) == [1, 4]
+
+
+def test_from_int_rows_takes_the_rows_over():
+    rows = [[1, -2, 0], [3, 4, 5]]
+    m = xl.from_int_rows(rows, 3)
+    assert m.num is rows and m.den == 1 and m.shape == (2, 3)
+    assert xl.mat_eq(m, xl.mat([[1, -2, 0], [3, 4, 5]]))

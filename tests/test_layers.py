@@ -16,7 +16,7 @@ LAYERS = {
     "serialize": {"exactlin"},
     "torus": {"errors", "exactlin"},
     "pairspace": {"errors", "exactlin", "torus"},
-    "clifford": {"errors", "exactlin", "pairspace"},
+    "clifford": {"errors", "exactlin"},
     "siegel": {"errors", "exactlin", "pairspace"},
     "corresp": {"clifford", "exactlin"},
     "lefschetz": {"clifford", "errors", "exactlin", "torus"},

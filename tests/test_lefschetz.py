@@ -4,8 +4,10 @@ from math import comb, gcd
 
 import pytest
 
-from conftest import cor_matrix_by_columns, rand_skew, rand_unimodular, sign_below
+from conftest import (cor_matrix_by_columns, generate_g_ns_by_all_pairs, rand_skew,
+                      rand_unimodular, sign_below)
 from torusmirror import exactlin as xl
+from torusmirror import lefschetz as lf
 from torusmirror.clifford import popcount
 from torusmirror.errors import NoHardLefschetz, NotSkew
 from torusmirror.lefschetz import (chi_form, generate_g_ns, grading_operator,
@@ -247,6 +249,32 @@ def test_g_ns_matches_dense_bracket_route(n):
     assert [op.degree for op in g.ops] == [d for _, d in ops]
     assert all(xl.mat_eq(op.mat, m) for op, (m, _) in zip(g.ops, ops))
     assert g._echelon.rows == echelon.rows
+
+
+@pytest.mark.parametrize("n, with_sum", [(1, False), (2, False), (2, True), (3, False), (3, True)])
+def test_g_ns_brackets_each_unordered_pair_once(monkeypatch, n, with_sum):
+    # the same basis, in the same order, as the closure over every
+    # (basis, frontier) pair, from fewer brackets: no [a, a], no pair taken
+    # twice and no pair of equal nonzero degree
+    A = make_torus(n, _product_structure(n))
+    kappas = ns_basis(A)
+    if with_sum:
+        kappas.append(NSVector(sum((k.c for k in kappas), xl.zeros(2 * n))))
+    ref, ref_brackets = generate_g_ns_by_all_pairs(A, kappas)
+    pairs = []
+    bracket = lf._bracket
+
+    def recording_bracket(a, b):
+        pairs.append((a, b))
+        return bracket(a, b)
+
+    monkeypatch.setattr(lf, "_bracket", recording_bracket)
+    g = generate_g_ns(A, kappas)
+    assert [(op.num, op.den, op.degree) for op in g.ops] == \
+        [(op.num, op.den, op.degree) for op in ref]
+    assert g.dim == len(ref) and len(pairs) < ref_brackets
+    assert len({frozenset(map(id, p)) for p in pairs}) == len(pairs)
+    assert not any(a is b or a.degree == b.degree != 0 for a, b in pairs)
 
 
 def test_no_dense_operator_is_built(monkeypatch):
