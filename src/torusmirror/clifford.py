@@ -14,8 +14,8 @@ from math import factorial, gcd, lcm
 from operator import mul
 
 from . import exactlin as xl
-from .errors import (MixedParity, NoIntertwiner, NotEven, NotIsotropic, NotSpin,
-                     SingularMatrix)
+from .errors import (FormMismatch, MixedParity, NoIntertwiner, NotEven, NotIsotropic,
+                     NotSpin, SingularMatrix)
 
 
 popcount = int.bit_count
@@ -182,11 +182,16 @@ def _generator_terms(n):
                  for col in _generator_maps(n))
 
 
-def _cor_apply(terms, coords, v):
-    """cor(lambda) v for lambda = sum_k coords_k e_k, from the per-source table
-    terms = _source_terms(n): 2n terms for each monomial in the support of v."""
-    signed = list(coords)
-    signed += [-a for a in coords]
+def _signed(coords):
+    """The coordinates of a vector of Lambda followed by their negatives, the
+    list that _cor_apply reads; built once per vector that is applied."""
+    return [*coords, *(-a for a in coords)]
+
+
+def _cor_apply(terms, signed, v):
+    """cor(lambda) v for lambda = sum_k coords_k e_k, from signed =
+    _signed(coords) and the per-source table terms = _source_terms(n): 2n
+    terms for each monomial in the support of v."""
     out = [0] * len(v)
     for m, x in enumerate(v):
         if x:
@@ -195,21 +200,31 @@ def _cor_apply(terms, coords, v):
     return out
 
 
+def _transport_columns(terms, wedges, phi):
+    """Yield, for S = 0, 1, ..., 4^n - 1, the column cor(w_{s_1}) ...
+    cor(w_{s_k}) phi for S = {s_1 < ... < s_k}: the module map that sends the
+    vacuum to phi and cor(x_{i+1}) to cor(w_i), column by column, each from
+    the column of S minus its low bit."""
+    signed = [_signed(w) for w in wedges]
+    cols = [phi]
+    yield phi
+    for t_mask in range(1, len(phi)):
+        low = (t_mask & -t_mask).bit_length() - 1
+        col = _cor_apply(terms, signed[low], cols[t_mask ^ (1 << low)])
+        cols.append(col)
+        yield col
+
+
 def _transport(terms, wedges, phi):
-    """The matrix whose column S is cor(w_{s_1}) ... cor(w_{s_k}) phi for S =
-    {s_1 < ... < s_k}: the module map that sends the vacuum to phi and
-    cor(x_{i+1}) to cor(w_i), built column by column from S minus its low bit.
+    """The matrix of the columns of _transport_columns.
 
     phi and the w_i must be int lists; every column is then an int list, so
     the matrix is wrapped as it is, without reading its 16^n entries again.
     """
     if any(type(x) is not int for v in [phi, *wedges] for x in v):
         raise TypeError("the transport takes an int vacuum and int wedge coordinates")
-    cols = [phi]
-    for t_mask in range(1, len(phi)):
-        low = (t_mask & -t_mask).bit_length() - 1
-        cols.append(_cor_apply(terms, wedges[low], cols[t_mask ^ (1 << low)]))
-    return xl.from_int_rows(list(map(list, zip(*cols))), len(phi))
+    return xl.from_int_rows(list(map(list, zip(*_transport_columns(terms, wedges, phi)))),
+                            len(phi))
 
 
 def _q_swap(v):
@@ -218,8 +233,18 @@ def _q_swap(v):
     return v[d:] + v[:d]
 
 
+def _is_q_isometry(cols):
+    """Is the square matrix with these int columns a Q-isometry, g^t Q g = Q?
+    Q u is u with its halves swapped, and Q[i, j] = 1 exactly when |i - j| =
+    d, so the upper triangle of the Gram matrix is compared."""
+    d = len(cols) // 2
+    swapped = [_q_swap(u) for u in cols]
+    return not any(sum(map(mul, u, swapped[j])) != (j == i + d)
+                   for i, u in enumerate(cols) for j in range(i, 2 * d))
+
+
 # ---------------------------------------------------------------------------
-# isotropic splittings and splitting-adapted module structures
+# isotropic splittings
 
 
 _NOT_A_BASIS = "basis1 + basis2 is not a Z-basis of Lambda"
@@ -231,7 +256,9 @@ class IsotropicSplitting:
     basis2 is internally replaced by the Q-dual basis of basis1 (an integral
     change of basis, since the pairing between complementary isotropic halves
     of a unimodular lattice is unimodular); module coordinates are then the
-    literal contraction/wedge coordinates.
+    literal contraction/wedge coordinates: the realization of the splitting
+    is the standard one transported by w = (basis1 | basis2), cor_s(lambda) =
+    cor(w^-1 lambda).
     """
 
     def __init__(self, n, basis1, basis2):
@@ -273,14 +300,6 @@ class IsotropicSplitting:
         # w^t Q w = Q now, and Q^2 = 1: w_inv = Q w^t Q, whose rows are the
         # swapped dual vectors and then the swapped basis1 vectors
         self.w_inv = xl.mat([_q_swap(u) for u in dual] + swapped1)
-
-    def coords(self, lambda_vec):
-        lambda_vec = list(lambda_vec)
-        _check_length(self.n, lambda_vec)
-        return [sum(map(mul, row, lambda_vec)) for row in self.w_inv.num]
-
-    def cor(self, lambda_vec):
-        return cor_matrix(self.n, self.coords(lambda_vec))
 
 
 def standard_splitting(n):
@@ -355,7 +374,7 @@ def _spin_conjugation(z):
     z is spin exactly when it is the module map of its rotation R: z cor(v) =
     cor(R v) z with R an integral Q-isometry, and z z' = 1.  Such a map is
     fixed by phi = z 1, column 0 of z: every cor(R l_i) kills phi, and column
-    S of z is phi transported by the cor(R x_i), as in beta_iso.  Conversely
+    S of z is phi transported by the cor(R x_i), as in spin_lift.  Conversely
     a z built so intertwines R, since the cor(R e_k) satisfy the relations of
     the cor(e_k); so z z' commutes with every cor(R e_k) and is the scalar
     (z z')[0, 0].  R is read off row 0 and column 0 of z cor(e_k) z', where
@@ -397,24 +416,17 @@ def _spin_conjugation(z):
     r = xl.mat(zip(*r_cols))
     if not xl.is_integral(r):
         return None
-    # R^t Q R = Q: Q u is u with its halves swapped, and Q[i, j] = 1 exactly
-    # when |i - j| = d, so the upper triangle of the Gram matrix is compared
     cols = [list(c) for c in zip(*r.num)]
-    swapped = [_q_swap(u) for u in cols]
-    if any(sum(map(mul, u, swapped[j])) != (j == i + d)
-           for i, u in enumerate(cols) for j in range(i, 2 * d)):
+    if not _is_q_isometry(cols):
         return None
     terms = _source_terms(n)
     zc = [list(c) for c in zip(*zr)]
-    if any(any(_cor_apply(terms, u, zc[0])) for u in cols[:d]):
+    if any(any(_cor_apply(terms, _signed(u), zc[0])) for u in cols[:d]):
         return None
-    # z is the transport of its column 0: column S is cor(w_low) applied to
-    # column S minus its low bit, which has already been compared
-    wedges = cols[d:]
-    for t_mask in range(1, len(zc)):
-        low = (t_mask & -t_mask).bit_length() - 1
-        if _cor_apply(terms, wedges[low], zc[t_mask ^ (1 << low)]) != zc[t_mask]:
-            return None
+    # z is the transport of its column 0 by the cor(R x_i), compared column
+    # by column: each column is built from one that has already been compared
+    if any(col != z_col for col, z_col in zip(_transport_columns(terms, cols[d:], zc[0]), zc)):
+        return None
     return r
 
 
@@ -435,25 +447,27 @@ def r_of_z(z):
 # the canonical module isomorphism beta
 
 
-def pure_spinor(s, vectors):
-    """The vacuum of L = span(vectors) in the module of s, the line that every
-    cor_s(m) with m in L kills, as a primitive integral {mask: coeff} dict.
+def pure_spinor(n, vectors):
+    """The vacuum of L = span(vectors), the line that every cor(m) with m in L
+    kills, as a primitive integral {mask: coeff} dict.  It works in the
+    standard realization, where the module coordinates of a vector of Lambda
+    are the vector itself.
 
     It is Chevalley's pure spinor exp(B) ^ theta_1 ^ ... ^ theta_k.  One
-    fraction-free elimination of the module coordinates of the vectors,
-    contraction part first, gives a basis of L: a row with its pivot c_a > 0
-    in contraction column r_a is c_a u_a, with u_a = (p_a, x_a) 1 at r_a and
-    0 at the other pivots; the rows with their pivot in the wedge part span
-    L & W, and their wedge parts are positive multiples of the theta's.
-    B = sum_{a<b} -x_a(p_b) x_{r_a} ^ x_{r_b} has i_{p_a} B = -x_a modulo the
-    theta's (Q vanishes on L), so cor_s(u_a) kills exp(B) ^ theta.
+    fraction-free elimination of the vectors, contraction part first, gives
+    a basis of L: a row with its pivot c_a > 0 in contraction column r_a is
+    c_a u_a, with u_a = (p_a, x_a) 1 at r_a and 0 at the other pivots; the
+    rows with their pivot in the wedge part span L & W, and their wedge parts
+    are positive multiples of the theta's.  B = sum_{a<b} -x_a(p_b) x_{r_a} ^
+    x_{r_b} has i_{p_a} B = -x_a modulo the theta's (Q vanishes on L), so
+    cor(u_a) kills exp(B) ^ theta.
     """
-    d = 2 * s.n
+    d = 2 * n
     vectors = [list(v) for v in vectors]
-    coords = [s.coords(v) for v in vectors]
     ech = xl.Echelon()
-    for c in coords:
-        ech.add({j: x for j, x in enumerate(c) if x})
+    for v in vectors:
+        _check_length(n, v)
+        ech.add({j: x for j, x in enumerate(v) if x})
     basis = ech.int_rows
     if len(basis) != d:
         raise NoIntertwiner(f"the vectors span {len(basis)} dimensions, not {d}")
@@ -480,9 +494,9 @@ def pure_spinor(s, vectors):
     phi = [phi.get(m, 0) for m in range(1 << d)]
     g = gcd(*phi)
     phi = [x // g for x in phi]
-    terms = _source_terms(s.n)
-    for c in coords:
-        if any(_cor_apply(terms, c, phi)):
+    terms = _source_terms(n)
+    for v in vectors:
+        if any(_cor_apply(terms, _signed(v), phi)):
             raise RuntimeError("pure spinor: cor(m) phi = 0 fails for a vector m of L")
     return {m: x for m, x in enumerate(phi) if x}
 
@@ -496,23 +510,43 @@ def _sign_normalize(m):
     return m
 
 
+def spin_lift(g):
+    """The lift of an integral Q-isometry g of Lambda to the spinor module: the
+    primitive integral 4^n x 4^n matrix z with z cor(mu) = cor(g mu) z for
+    every mu in Lambda, unique up to sign, sign-normalized so that the first
+    nonzero entry in row-major order is positive.  FormMismatch when g is not
+    an integral 4n x 4n matrix with g^t Q g = Q.
+
+    Built by vacuum transport: z sends the vacuum, the line that the cor(l_i)
+    kill, to the pure spinor of the columns g l_i, and x_S = cor(x_{s_1}) ...
+    cor(x_{s_k}) 1 to cor(g x_{s_1}) ... cor(g x_{s_k}) of it.
+    """
+    g = xl.asmat(g)
+    n = g.shape[0] // 4
+    d = 2 * n
+    if g.shape != (2 * d, 2 * d):
+        raise FormMismatch(f"a map of Lambda is a 4n x 4n matrix, not {g.shape}")
+    if not xl.is_integral(g):
+        raise FormMismatch("the map of Lambda is not integral")
+    cols = [list(c) for c in zip(*g.num)]
+    if not _is_q_isometry(cols):
+        raise FormMismatch("the map of Lambda does not preserve Q")
+    phi = pure_spinor(n, cols[:d])
+    # integral, and primitive since column 0 is the primitive phi
+    return _sign_normalize(_transport(_source_terms(n), cols[d:],
+                                      [phi.get(m, 0) for m in range(1 << d)]))
+
+
 def beta_iso(s1, s2):
     """The unique-up-to-sign Cl-module isomorphism between the two spinor
     realizations, as a primitive integral matrix (module of s1 -> module of s2),
     sign-normalized so the first nonzero entry in row-major order is positive.
 
-    Built by vacuum transport: the vacuum of module 1 goes to the pure spinor
-    in module 2 of the annihilators M1(s1); pushing it through the wedge
-    monomials of s1 gives the image of each basis monomial of module 1.
+    With cor_s(lambda) = cor(w_s^-1 lambda), beta cor_{s1}(lambda) =
+    cor_{s2}(lambda) beta says that beta is the lift of h = w_2^-1 w_1, an
+    integral Q-isometry since both w's are.
     """
-    n = s1.n
-    size = 1 << (2 * n)
-    # the basis matrices are integral, so their columns are read off num
-    phi = pure_spinor(s2, zip(*s1.basis1.num))
-    wedges = [s2.coords(v) for v in zip(*s1.basis2.num)]
-    # integral, and primitive since column 0 is the primitive phi
-    return _sign_normalize(_transport(_source_terms(n), wedges,
-                                      [phi.get(m, 0) for m in range(size)]))
+    return spin_lift(xl.mul(s2.w_inv, s1.w))
 
 
 def _meet_dim(s1, s2):

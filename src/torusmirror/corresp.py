@@ -1,12 +1,14 @@
 """Cohomological correspondences on products: Kunneth classes, the Poincare
-transform, the explicit beta matrix, and the cor diagram verification.
+transform, the mirror kernel xi, and the cor diagram verification.
 
 Orientation convention used throughout: the top class x_1 ^ ... ^ x_{2n}
 integrates to +1, and pushforward along the second projection keeps the
 second-factor part of any term whose first-factor part is the full monomial.
 """
 
-from . import exactlin as xl
+# unused here: the import stays while the layer map in tests/test_layers.py
+# lists exactlin for corresp
+from . import exactlin as xl  # noqa: F401
 from .clifford import (SpinVec, _complement_signs, _generator_maps, _merge_sign, exterior_exp,
                        popcount, wedge)
 
@@ -123,26 +125,6 @@ def xi_from_mirror(n):
     d = ProductClass(n, n, {(1 << i, 1 << i): (-1) ** ((n - 1) % 2)
                             for i in range(n)})
     return pc_mul(tau, pc_exp(d))
-
-
-def beta_explicit(n):
-    """The signed permutation x_S ^ x_R -> (-1)^eps x_R ^ l_{S-bar}.
-
-    Here S runs over {1..n}, R over {n+1..2n}, S-bar = {1..n} minus S, and
-    eps = |S||R| + sum over i in S of (i-1); the answer is re-sorted so that
-    the l part (bits 0..n-1) precedes the x part (bits n..2n-1).
-    """
-    size = 1 << (2 * n)
-    low = (1 << n) - 1
-    m = [[0] * size for _ in range(size)]
-    for col in range(size):
-        s = col & low
-        r = col & ~low
-        sbar = low ^ s
-        eps = popcount(s) * popcount(r) + sum(i for i in range(n) if s & (1 << i))
-        eps += popcount(r) * popcount(sbar)
-        m[sbar | r][col] = (-1) ** (eps % 2)
-    return xl.mat(m)
 
 
 def _diagram_classes(n, p1_sign, eps):

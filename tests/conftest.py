@@ -12,6 +12,7 @@ import random
 from fractions import Fraction
 from itertools import product
 from math import factorial
+from operator import mul
 
 import numpy as np
 import pytest
@@ -21,8 +22,8 @@ from torusmirror import corresp as cp
 from torusmirror import exactlin as xl
 from torusmirror import lefschetz as lf
 from torusmirror.clifford import (IsotropicSplitting, SpinVec, _cor_apply, _cor_rows,
-                                  _generator_maps, _sign_normalize, _source_terms, cor_matrix,
-                                  exterior_exp, popcount, wedge)
+                                  _generator_maps, _sign_normalize, _signed, _source_terms,
+                                  cor_matrix, exterior_exp, popcount, wedge)
 from torusmirror.errors import NoHardLefschetz, NoIntertwiner, NotIsotropic, SingularMatrix
 from torusmirror.mirror import WellBecomingWitness
 from torusmirror.pairspace import i_omega, make_weak_pair, q_form
@@ -472,6 +473,22 @@ def cor_matrix_by_columns(n, lambda_vec):
 
 
 # ---------------------------------------------------------------------------
+# the realization of a splitting: module coordinates w^-1 lambda
+
+
+def splitting_coords(s, lambda_vec):
+    """The module coordinates of a Lambda-vector in the realization of the
+    splitting s, w^-1 lambda for w = (basis1 | basis2)."""
+    return [sum(map(mul, row, lambda_vec)) for row in s.w_inv.num]
+
+
+def splitting_cor(s, lambda_vec):
+    """cor_s(lambda) = cor(w^-1 lambda), the spinor matrix of lambda in the
+    realization of the splitting s."""
+    return cor_matrix(s.n, splitting_coords(s, lambda_vec))
+
+
+# ---------------------------------------------------------------------------
 # the vacuum as a common kernel, the reference for clifford.pure_spinor
 
 
@@ -481,7 +498,7 @@ def vacuum_kernel(s1, annihilators):
     maps = _generator_maps(s1.n)
     ech = xl.Echelon()
     for m in annihilators:
-        for row in _cor_rows(maps, s1.coords(m)):
+        for row in _cor_rows(maps, splitting_coords(s1, m)):
             ech.add({c: v for c, v in row.items() if v != 0})
     return ech.kernel(1 << (2 * s1.n))
 
@@ -495,7 +512,7 @@ def beta_iso_by_kernel(s1, s2):
     if len(kernel) != 1:
         raise NoIntertwiner(f"vacuum kernel has dimension {len(kernel)}")
     terms = _source_terms(n)
-    wedges = [s2.coords(s1.basis2[:, i]) for i in range(2 * n)]
+    wedges = [_signed(splitting_coords(s2, s1.basis2[:, i])) for i in range(2 * n)]
     cols = [xl.primitive_int([kernel[0]]).rows[0]]
     for t_mask in range(1, size):
         low = (t_mask & -t_mask).bit_length() - 1
@@ -679,14 +696,14 @@ def q_value(u, v):
 # clifford.pure_spinor
 
 
-def pure_spinor_by_fractions(s, vectors):
+def pure_spinor_by_fractions(n, vectors):
     """pure_spinor with B's coefficients -pairing / (c_a c_b) as Fractions,
     exp(B) ^ theta over Q, and the primitive integer vector on its ray."""
-    d = 2 * s.n
+    d = 2 * n
     vectors = [list(v) for v in vectors]
     ech = xl.Echelon()
     for v in vectors:
-        ech.add({j: x for j, x in enumerate(s.coords(v)) if x})
+        ech.add({j: x for j, x in enumerate(v) if x})
     basis = ech.int_rows
     if len(basis) != d:
         raise NoIntertwiner(f"the vectors span {len(basis)} dimensions, not {d}")
@@ -707,6 +724,40 @@ def pure_spinor_by_fractions(s, vectors):
     phi = wedge(exterior_exp(two_form), theta)
     phi = xl.primitive_int([[phi.get(m, 0) for m in range(1 << d)]]).rows[0]
     return {m: x for m, x in enumerate(phi) if x}
+
+
+# ---------------------------------------------------------------------------
+# the explicit beta matrix, the reference for the lift of the half swap
+
+
+def beta_explicit(n):
+    """The signed permutation x_S ^ x_R -> (-1)^eps x_R ^ l_{S-bar}.
+
+    Here S runs over {1..n}, R over {n+1..2n}, S-bar = {1..n} minus S, and
+    eps = |S||R| + sum over i in S of (i-1); the answer is re-sorted so that
+    the l part (bits 0..n-1) precedes the x part (bits n..2n-1).
+    """
+    size = 1 << (2 * n)
+    low = (1 << n) - 1
+    m = [[0] * size for _ in range(size)]
+    for col in range(size):
+        s = col & low
+        r = col & ~low
+        sbar = low ^ s
+        eps = popcount(s) * popcount(r) + sum(i for i in range(n) if s & (1 << i))
+        eps += popcount(r) * popcount(sbar)
+        m[sbar | r][col] = (-1) ** (eps % 2)
+    return xl.mat(m)
+
+
+def half_swap(n):
+    """The Q-isometry of Lambda that exchanges l_i and x_i for i = 1..n and
+    fixes the other basis vectors."""
+    d = 2 * n
+    g = xl.eye(4 * n)
+    for i in range(n):
+        g[:, [i, d + i]] = g[:, [d + i, i]]
+    return g
 
 
 # ---------------------------------------------------------------------------

@@ -12,15 +12,15 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from conftest import (rand_q_isometry, rand_rational, rand_spin,
-                      rand_splitting, rand_unimodular, weak_pair_sample,
-                      well_becoming_sample)
+from conftest import (beta_explicit, rand_q_isometry, rand_rational, rand_spin,
+                      rand_splitting, rand_unimodular, splitting_coords, splitting_cor,
+                      weak_pair_sample, well_becoming_sample)
 from torusmirror import exactlin as xl
 from torusmirror.clifford import (IsotropicSplitting, SpinVec, _cor_rows,
                                   _generator_maps, beta_iso, beta_parity,
                                   cor_matrix, is_spin, popcount, r_of_z,
                                   standard_splitting)
-from torusmirror.corresp import (beta_explicit, c1_poincare, pc_exp,
+from torusmirror.corresp import (c1_poincare, pc_exp,
                                  phi_poincare, push_forward_correspondence,
                                  reverse_correspondence, verify_cor_diagram,
                                  xi_from_mirror)
@@ -117,10 +117,10 @@ def _intertwining_dimension(s1, s2, lambdas):
     ech = xl.Echelon()
     for lam in lambdas:
         a_cols = [[] for _ in range(size)]
-        for m, a_row in enumerate(_cor_rows(maps, s1.coords(lam))):
+        for m, a_row in enumerate(_cor_rows(maps, splitting_coords(s1, lam))):
             for j, v in a_row.items():
                 a_cols[j].append((m, v))
-        b_rows = _cor_rows(maps, s2.coords(lam))
+        b_rows = _cor_rows(maps, splitting_coords(s2, lam))
         for i in range(size):
             for j in range(size):
                 row = {}
@@ -231,8 +231,8 @@ def test_08_mirror_construction_end_to_end(report, rng):
                 e = xl.eye(4 * n)
                 for k in range(4 * n):
                     lam = e[:, k]
-                    assert xl.mat_eq(xl.mul(beta, std.cor(lam)),
-                                     xl.mul(s_pre.cor(lam), beta))
+                    assert xl.mat_eq(xl.mul(beta, splitting_cor(std, lam)),
+                                     xl.mul(splitting_cor(s_pre, lam), beta))
                 expected = "Odd" if n % 2 else "Even"
                 assert beta_parity(beta, std, s_pre) == expected
 

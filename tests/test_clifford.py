@@ -3,18 +3,19 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import (beta_iso_by_kernel, contract_apply, cor_action, cor_matrix_by_columns,
-                      merge_sign_by_bits, pure_spinor_by_fractions, q_value, rand_q_isometry,
-                      rand_spin, rand_splitting, rand_unit_pairing_vector, rand_unimodular,
-                      vacuum_kernel, wedge_apply)
+from conftest import (beta_explicit, beta_iso_by_kernel, contract_apply, cor_action,
+                      cor_matrix_by_columns, half_swap, merge_sign_by_bits,
+                      pure_spinor_by_fractions, q_value, rand_q_isometry, rand_spin,
+                      rand_splitting, rand_unit_pairing_vector, rand_unimodular,
+                      splitting_coords, splitting_cor, vacuum_kernel, wedge_apply)
 from torusmirror import exactlin as xl
 from torusmirror.clifford import (IsotropicSplitting, SpinVec, _complement_signs, _cor_apply,
                                   _generator_maps, _generator_terms, _has_grade,
-                                  _involution_form, _meet_dim, _sign_normalize, _source_terms,
-                                  _transport, beta_iso, beta_parity, clifford_involution,
-                                  cor_matrix, is_spin, popcount, pure_spinor, r_of_z,
-                                  standard_splitting)
-from torusmirror.errors import NoIntertwiner, NotEven, NotIsotropic, NotSpin
+                                  _involution_form, _meet_dim, _sign_normalize, _signed,
+                                  _source_terms, _transport, beta_iso, beta_parity,
+                                  clifford_involution, cor_matrix, is_spin, popcount,
+                                  pure_spinor, r_of_z, spin_lift, standard_splitting)
+from torusmirror.errors import FormMismatch, NoIntertwiner, NotEven, NotIsotropic, NotSpin
 from torusmirror.pairspace import q_form
 
 
@@ -194,7 +195,7 @@ def test_a_vector_of_nonzero_norm_is_not_isotropic(n):
     with pytest.raises(NotIsotropic, match=message):
         IsotropicSplitting(n, cols[d:], [u] + cols[1:d])
     with pytest.raises(NotIsotropic):
-        pure_spinor(standard_splitting(n), [u] + cols[1:d])
+        pure_spinor(n, [u] + cols[1:d])
 
 
 def test_beta_identity_on_same_splitting():
@@ -222,7 +223,7 @@ def test_beta_intertwines_on_random_pairs(rng, n):
     e = xl.eye(4 * n)
     for k in range(4 * n):
         lam = e[:, k]
-        assert xl.mat_eq(xl.mul(beta, s1.cor(lam)), xl.mul(s2.cor(lam), beta))
+        assert xl.mat_eq(xl.mul(beta, splitting_cor(s1, lam)), xl.mul(splitting_cor(s2, lam), beta))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -230,7 +231,7 @@ def test_vacuum_kernel_matches_dense_route(rng, n):
     # the dense route: nullspace of the stacked cor matrices
     s1, s2 = rand_splitting(rng, n), rand_splitting(rng, n)
     annihilators = [s1.basis1[:, i] for i in range(2 * n)]
-    dense = xl.nullspace(xl.block([[s2.cor(m)] for m in annihilators]))
+    dense = xl.nullspace(xl.block([[splitting_cor(s2, m)] for m in annihilators]))
     assert len(dense) == 1
     assert vacuum_kernel(s2, annihilators) == dense
 
@@ -260,11 +261,16 @@ def _dense(n, phi):
     return [phi.get(m, 0) for m in range(1 << (2 * n))]
 
 
+def _in_module(s, vectors):
+    """The module coordinates of the vectors in the realization of s."""
+    return [splitting_coords(s, v) for v in vectors]
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_pure_spinor_is_the_vacuum_kernel_line(rng, n):
     for s1, s2, k in splitting_pairs(rng, n):
         lagrangian = [s1.basis1[:, i] for i in range(2 * n)]
-        phi = pure_spinor(s2, lagrangian)
+        phi = pure_spinor(n, _in_module(s2, lagrangian))
         kernel = vacuum_kernel(s2, lagrangian)
         assert len(kernel) == 1 and phi
         assert xl.rank(xl.mat([_dense(n, phi), kernel[0]])) == 1
@@ -277,11 +283,11 @@ def test_pure_spinor_is_the_vacuum_kernel_line(rng, n):
 def test_pure_spinor_is_killed_by_its_lagrangian(rng, n):
     for s1, s2, _ in splitting_pairs(rng, n):
         lagrangian = [s1.basis1[:, i] for i in range(2 * n)]
-        phi = [[x] for x in _dense(n, pure_spinor(s2, lagrangian))]
+        phi = [[x] for x in _dense(n, pure_spinor(n, _in_module(s2, lagrangian)))]
         coeffs = [rng.randint(-2, 2) for _ in lagrangian]
         combo = [sum(c * v[j] for c, v in zip(coeffs, lagrangian)) for j in range(4 * n)]
         for m in lagrangian + [combo]:
-            assert xl.is_zero(xl.mul(s2.cor(m), phi))
+            assert xl.is_zero(xl.mul(splitting_cor(s2, m), phi))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -305,8 +311,8 @@ def _has_wide_pivot(s1, s2):
     """Does the elimination in pure_spinor(s2, M1(s1)) leave a contraction
     pivot other than 1, so that B has a coefficient that is not an integer?"""
     ech = xl.Echelon()
-    for v in _lagrangian(s1):
-        ech.add({j: x for j, x in enumerate(s2.coords(v)) if x})
+    for v in _in_module(s2, _lagrangian(s1)):
+        ech.add({j: x for j, x in enumerate(v) if x})
     return any(row[p] != 1 for p, row in ech.int_rows.items() if p < 2 * s1.n)
 
 
@@ -325,9 +331,9 @@ def wide_pivot_pairs(rng, n, count=3):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_pure_spinor_matches_fraction_route(rng, n):
     for s1, s2, _ in splitting_pairs(rng, n) + wide_pivot_pairs(rng, n):
-        lagrangian = _lagrangian(s1)
-        phi = pure_spinor(s2, lagrangian)
-        assert phi == pure_spinor_by_fractions(s2, lagrangian)
+        lagrangian = _in_module(s2, _lagrangian(s1))
+        phi = pure_spinor(n, lagrangian)
+        assert phi == pure_spinor_by_fractions(n, lagrangian)
         assert all(type(x) is int for x in phi.values())
 
 
@@ -391,6 +397,86 @@ def test_splitting_dual_basis_fast_path_matches_solve_path(rng, monkeypatch, n):
         assert xl.mat_eq(fast.basis2, g[:, d:])
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_beta_is_the_lift_of_the_change_of_splitting(rng, n):
+    for _ in range(8):
+        s1, s2 = rand_splitting(rng, n), rand_splitting(rng, n)
+        assert xl.mat_eq(beta_iso(s1, s2), spin_lift(xl.mul(s2.w_inv, s1.w)))
+
+
+def _reflection(n):
+    """The Q-isometry that exchanges l_1 and x_1 alone, of determinant -1."""
+    g = xl.eye(4 * n)
+    g[:, [0, 2 * n]] = g[:, [2 * n, 0]]
+    return g
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_spin_lift_intertwines_its_isometry(rng, n):
+    e = xl.eye(4 * n)
+    for g in [rand_q_isometry(rng, n) for _ in range(3)] + [half_swap(n), _reflection(n)]:
+        z = spin_lift(g)
+        assert xl.is_integral(z) and z.den == 1
+        for k in range(4 * n):
+            assert xl.mat_eq(xl.mul(z, cor_matrix(n, e[:, k])), xl.mul(cor_matrix(n, g[:, k]), z))
+    # the reflection has determinant -1, and its lift is odd
+    odd = spin_lift(_reflection(n)).num
+    assert _has_grade(odd, 1) and not _has_grade(odd, 0)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_spin_lift_is_multiplicative_up_to_sign(rng, n):
+    for _ in range(10):
+        g, h = rand_q_isometry(rng, n), rand_q_isometry(rng, n)
+        product = xl.mul(spin_lift(g), spin_lift(h))
+        lift = spin_lift(xl.mul(g, h))
+        assert xl.mat_eq(product, lift) or xl.mat_eq(product, -lift)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_spin_check_gives_back_the_lifted_isometry(rng, n):
+    # a lift is spin exactly when its spinor norm z z' is 1, and then its
+    # rotation is g itself, not g^-1; otherwise z z' = -1
+    size = 1 << (2 * n)
+    accepted, rejected = [], 0
+    for _ in range(10):
+        g = rand_q_isometry(rng, n)
+        z = spin_lift(g)
+        if is_spin(z):
+            assert xl.mat_eq(r_of_z(z), g)
+            accepted.append(g)
+        else:
+            assert xl.mat_eq(xl.mul(z, clifford_involution(z)), -xl.eye(size))
+            rejected += 1
+    assert rejected and any(not xl.mat_eq(xl.mul(g, g), xl.eye(4 * n)) for g in accepted)
+
+
+def test_spin_lift_rejects_a_map_that_is_not_an_integral_q_isometry():
+    n = 2
+    # l_1 -> l_1 / 2 and x_1 -> 2 x_1 keeps Q but is not integral
+    rational = xl.eye(4 * n)
+    rational[0, 0], rational[2 * n, 2 * n] = Fraction(1, 2), 2
+    assert xl.mat_eq(xl.mul(rational.T, xl.mul(q_form(n), rational)), q_form(n))
+    # l_2 -> l_2 + l_1 without the matching x_1 -> x_1 - x_2
+    shear = xl.eye(4 * n)
+    shear[0, 1] = 1
+    cases = [(rational, "^the map of Lambda is not integral$"),
+             (shear, "^the map of Lambda does not preserve Q$"),
+             (2 * xl.eye(4 * n), "^the map of Lambda does not preserve Q$"),
+             (xl.eye(6), r"^a map of Lambda is a 4n x 4n matrix, not \(6, 6\)$"),
+             (xl.zeros(8, 4), r"^a map of Lambda is a 4n x 4n matrix, not \(8, 4\)$")]
+    for g, message in cases:
+        with pytest.raises(FormMismatch, match=message):
+            spin_lift(g)
+    assert xl.mat_eq(spin_lift(xl.eye(4 * n)), xl.eye(1 << (2 * n)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_explicit_beta_is_the_lift_of_the_half_swap(n):
+    sign = -1 if n * (n - 1) // 2 % 2 else 1
+    assert xl.mat_eq(spin_lift(half_swap(n)), sign * beta_explicit(n))
+
+
 def test_beta_makes_no_row_wider_than_the_lattice(rng, monkeypatch):
     n = 4
     s1, s2 = standard_splitting(n), rand_splitting(rng, n)
@@ -422,14 +508,13 @@ def test_pure_spinor_needs_a_lagrangian(n):
     d = 2 * n
     e = xl.eye(4 * n)
     cols = [e[:, i] for i in range(4 * n)]
-    s = standard_splitting(n)
     cases = [(NoIntertwiner, cols[:d - 1]),
              (NoIntertwiner, cols[:d - 1] + [cols[0]]),
              # e_1 and its Q-partner e_{2n+1} pair to 1
              (NotIsotropic, cols[:d - 1] + [cols[d]])]
     for error, vectors in cases:
         with pytest.raises(error):
-            pure_spinor(s, vectors)
+            pure_spinor(n, vectors)
 
 
 def test_cor_action_matches_matrix(rng):
@@ -771,21 +856,17 @@ def test_cor_apply_matches_column_route(rng, n):
         vectors = [[0] * size] + [_sparse_vector(rng, size) for _ in range(4)]
         for v in vectors:
             want = xl.mul(dense, [[x] for x in v])[:, 0]
-            assert _cor_apply(terms, c, v) == want
+            assert _cor_apply(terms, _signed(c), v) == want
 
 
 def test_lambda_vectors_of_the_wrong_length_are_rejected():
     # zip stops at the shorter list: cor_matrix(1, [1, 0]) would be cor(l_1),
-    # and coords would drop the fifth entry of [1, 2, 3, 4, 5]
-    s = standard_splitting(1)
+    # and the elimination in pure_spinor would read [1, 0] as l_1 too
     for v in ([1, 0], [1, 2, 3, 4, 5]):
-        for call in (lambda: cor_matrix(1, v), lambda: s.coords(v), lambda: s.cor(v),
-                     lambda: pure_spinor(s, [v])):
+        for call in (lambda: cor_matrix(1, v), lambda: pure_spinor(1, [v])):
             with pytest.raises(ValueError, match=f"^a vector of Lambda has 4 entries for "
                                                  f"n = 1, not {len(v)}$"):
                 call()
-    assert s.coords([1, 2, 3, 4]) == [1, 2, 3, 4]
-    assert xl.mat_eq(s.cor([1, 2, 3, 4]), cor_matrix(1, [1, 2, 3, 4]))
 
 
 @pytest.mark.parametrize("size", [4, 16])

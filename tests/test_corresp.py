@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from conftest import (contract_apply, diagram_classes_by_products, kernel_class_by_map,
-                      merge_sign_by_bits, verify_cor_diagram_by_products, wedge_apply)
+from conftest import (beta_explicit, contract_apply, diagram_classes_by_products,
+                      kernel_class_by_map, merge_sign_by_bits, verify_cor_diagram_by_products,
+                      wedge_apply)
 from torusmirror import corresp as cp
 from torusmirror import exactlin as xl
 from torusmirror.clifford import SpinVec, popcount
@@ -122,14 +123,14 @@ def test_kernel_composition_matches_matrix_product():
 
 
 def test_beta_matrix_curve_table():
-    b = cp.beta_explicit(1)
+    b = beta_explicit(1)
     expect = xl.mat([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, -1, 0]])
     assert xl.mat_eq(b, expect)
 
 
 def test_beta_matrix_is_signed_permutation():
     for n in (1, 2, 3):
-        b = cp.beta_explicit(n)
+        b = beta_explicit(n)
         for j in range(b.shape[1]):
             col = [b[i, j] for i in range(b.shape[0]) if b[i, j] != 0]
             assert len(col) == 1 and col[0] in (1, -1)
@@ -139,7 +140,7 @@ def test_beta_matrix_is_signed_permutation():
 def test_mirror_kernel_reproduces_beta_matrix():
     for n in (1, 2, 3):
         xi = cp.xi_from_mirror(n)
-        assert xl.mat_eq(correspondence_matrix(xi), cp.beta_explicit(n))
+        assert xl.mat_eq(correspondence_matrix(xi), beta_explicit(n))
 
 
 def test_mirror_kernel_exponent_truncates():

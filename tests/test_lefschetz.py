@@ -4,8 +4,8 @@ from math import comb, gcd
 
 import pytest
 
-from conftest import (cor_matrix_by_columns, generate_g_ns_by_all_pairs, rand_skew,
-                      rand_unimodular, sign_below)
+from conftest import (cor_matrix_by_columns, gaussian_torus, generate_g_ns_by_all_pairs,
+                      rand_skew, rand_unimodular, sign_below)
 from torusmirror import exactlin as xl
 from torusmirror import lefschetz as lf
 from torusmirror.clifford import popcount
@@ -13,7 +13,7 @@ from torusmirror.errors import NoHardLefschetz, NotSkew
 from torusmirror.lefschetz import (chi_form, generate_g_ns, grading_operator,
                                    lefschetz_e, lefschetz_f,
                                    so_lambda_spinor_image)
-from torusmirror.torus import NSVector, make_torus, ns_basis
+from torusmirror.torus import NSVector, find_polarization, make_torus, ns_basis
 
 J_SQUARE = xl.mat([[0, -1], [1, 0]])
 KAPPA = xl.mat([[0, 1], [-1, 0]])
@@ -441,3 +441,17 @@ def test_generate_g_ns_makes_no_fraction_for_integral_kappa(monkeypatch):
     monkeypatch.undo()
     assert made == []
     assert basis.dim > 3 and any(op.den > 1 for op in basis.ops)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_g_ns_of_the_gaussian_torus(rng, n):
+    # (C/Z[i])^n in a random basis, with its n^2 NS classes and a polarization:
+    # g_NS has dimension 4n^2 - 1, with n^2 operators of degree -2, 2n^2 - 1
+    # of degree 0 and n^2 of degree +2
+    A, _ = gaussian_torus(rng, n)
+    kappas = [v.c for v in ns_basis(A)] + [find_polarization(A).c]
+    assert len(kappas) == n * n + 1
+    g = generate_g_ns(A, kappas)
+    degrees = [op.degree for op in g.ops]
+    assert g.dim == len(degrees) == {2: 15, 3: 35, 4: 63}[n]
+    assert sorted(degrees) == [-2] * n * n + [0] * (2 * n * n - 1) + [2] * n * n

@@ -21,7 +21,7 @@ from torusmirror.mirror import (WellBecomingWitness, _adapted_splitting,
 from torusmirror.pairspace import (classify_pair, i_omega, jprod, make_weak_pair,
                                    q_form)
 from torusmirror.clifford import IsotropicSplitting, standard_splitting
-from torusmirror.torus import make_torus, ns_basis
+from torusmirror.torus import find_polarization, make_torus, ns_basis
 
 J_SQUARE = xl.mat([[0, -1], [1, 0]])
 PHI = xl.mat([[0, 1], [-1, 0]])
@@ -594,3 +594,18 @@ def test_elliptic_factors_rejects_malformed_deltas(deltas):
     _, pB, _ = elliptic_mirror(A, (0, 1), PHI)
     with pytest.raises(ValueError, match="^deltas must be n = 1 positive multiples of the first"):
         elliptic_factors(pB, deltas)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_every_gaussian_torus_has_an_elliptic_mirror(rng, n):
+    # the paper's 9.6.1, constructively: for omega = (1/2 + i) phi with phi a
+    # polarization of A, elliptic_mirror finds a mirror of (A, omega).  With
+    # J' = u^-1 J u = [[a, b], [c, d]] in a symplectic basis u of phi, the
+    # definite form phi(J x, x) is (b y)^t Delta y on x = (0, y) in Gamma_2,
+    # so det b != 0 and the Sigma test passes; the repair always succeeds
+    # (see elliptic_mirror)
+    for _ in range(10):
+        A, principal = gaussian_torus(rng, n)
+        for phi in (find_polarization(A).c, principal):
+            pA, pB, cert = elliptic_mirror(A, (Fraction(1, 2), 1), phi)
+            verify_mirror(pA, pB, cert.alpha)
