@@ -5,7 +5,7 @@ Basis monomials x_S of the spinor module are indexed by bitmasks over
 x (cor_A).  Clifford elements are carried as their spinor matrices, which is
 faithful (the algebra is the full 2^{2n} matrix algebra over Z).  Exterior
 elements are {mask: coeff} dicts; wedge and exterior_exp take every sign from
-_merge_sign.
+one _prefix per term of the right factor, the rule _merge_sign states.
 """
 
 from fractions import Fraction
@@ -21,29 +21,41 @@ from .errors import (FormMismatch, MixedParity, NoIntertwiner, NotEven, NotIsotr
 popcount = int.bit_count
 
 
+def _prefix(m2, width):
+    """The prefix-XOR of m2 << 1, exact on the low width bits: its bit a is the
+    parity of the bits of m2 below a.  One doubling pass of ceil(log2 width)
+    shifts, shared by every mask merged with m2 that fits in width bits."""
+    p = m2 << 1
+    shift = 1
+    while shift < width:
+        p ^= p << shift
+        shift <<= 1
+    return p
+
+
 def _merge_sign(m1, m2):
     """Sign of sorting x_{m1} ^ x_{m2} (disjoint masks) into ascending order.
 
-    It is (-1)^k for k the number of pairs a in m1, b in m2 with b < a.  Bit a
-    of p, the prefix-XOR of m2 << 1, is the parity of the bits of m2 below a,
-    so k is odd exactly when m1 & p has an odd number of bits.
+    It is (-1)^k for k the number of pairs a in m1, b in m2 with b < a; k is
+    odd exactly when m1 & _prefix(m2, ...) has an odd number of bits.
     """
-    p = m2 << 1
-    shift, top = 1, m1.bit_length()
-    while shift < top:
-        p ^= p << shift
-        shift <<= 1
-    return -1 if (m1 & p).bit_count() & 1 else 1
+    return -1 if (m1 & _prefix(m2, m1.bit_length())).bit_count() & 1 else 1
 
 
 def wedge(a, b):
-    """Exterior product of two elements given as {mask: coeff} dicts."""
+    """Exterior product of two elements given as {mask: coeff} dicts.
+
+    Each term m2 of b takes one prefix, wide enough for every mask of a, and
+    the sign of each pair is the _merge_sign parity of m1 & prefix.
+    """
     out = {}
-    for m1, c1 in a.items():
-        for m2, c2 in b.items():
+    width = max(a, default=0).bit_length()
+    for m2, c2 in b.items():
+        p = _prefix(m2, width)
+        for m1, c1 in a.items():
             if not m1 & m2:
                 key = m1 | m2
-                out[key] = out.get(key, 0) + _merge_sign(m1, m2) * c1 * c2
+                out[key] = out.get(key, 0) + (-c1 if (m1 & p).bit_count() & 1 else c1) * c2
     return {m: c for m, c in out.items() if c != 0}
 
 

@@ -6,10 +6,7 @@ integrates to +1, and pushforward along the second projection keeps the
 second-factor part of any term whose first-factor part is the full monomial.
 """
 
-# unused here: the import stays while the layer map in tests/test_layers.py
-# lists exactlin for corresp
-from . import exactlin as xl  # noqa: F401
-from .clifford import (SpinVec, _complement_signs, _generator_maps, _merge_sign, exterior_exp,
+from .clifford import (SpinVec, _complement_signs, _generator_terms, _merge_sign, exterior_exp,
                        popcount, wedge)
 
 
@@ -19,7 +16,7 @@ class ProductClass:
     coeffs maps (mask_A, mask_B) to a coefficient; the pair stands for
     p*(x_S) ^ q*(x_T) in that order.  Read on the combined mask s | t << 2n,
     with B's generators above A's, the class is an exterior element, so every
-    sign of a product or push-forward is one _merge_sign.
+    sign of a product or push-forward is the _merge_sign rule.
     """
 
     def __init__(self, n, m, coeffs):
@@ -43,8 +40,15 @@ def _from_mask(n, m, coeffs):
     return ProductClass(n, m, {(k & low, k >> (2 * n)): c for k, c in coeffs.items()})
 
 
+def _check_sizes(what, left, right):
+    if left != right:
+        raise ValueError(f"{what}: sizes {left} and {right} differ")
+
+
 def pc_mul(a, b):
-    """Cup product, the wedge product of the combined masks."""
+    """Cup product, the wedge product of the combined masks; both classes must
+    live on the same product A x B (else ValueError)."""
+    _check_sizes("pc_mul", (a.n, a.m), (b.n, b.m))
     return _from_mask(a.n, a.m, wedge(_to_mask(a), _to_mask(b)))
 
 
@@ -59,7 +63,10 @@ def c1_poincare(n):
 
 
 def push_forward_correspondence(xi, v):
-    """The map v -> q_*(xi ^ p*(v)) induced by the kernel class xi."""
+    """The map v -> q_*(xi ^ p*(v)) induced by the kernel class xi; v must
+    live on A, the first factor of xi (else ValueError).  The second mask of
+    each sign, full ^ s, changes from term to term, so each is one _merge_sign."""
+    _check_sizes("push_forward_correspondence", xi.n, v.n)
     out = {}
     shift = 2 * xi.n
     full = (1 << shift) - 1
@@ -152,17 +159,6 @@ def _diagram_classes(n, p1_sign, eps):
                   for t in free}
 
 
-def _kernel_class(n, col, eps):
-    """The kernel class of the generator map col (col[s] = (row, sign), or None
-    for zero) on combined masks, as product_class_from_map builds it: sign
-    times eps[full ^ s] (-1)^{|row||s|} at (full ^ s) | row << 2n, where the
-    Koszul factor is 1, since |row| = |s| +- 1."""
-    d = 2 * n
-    full = (1 << d) - 1
-    return {(full ^ s) | image[0] << d: image[1] * eps[full ^ s]
-            for s, image in enumerate(col) if image}
-
-
 def verify_cor_diagram(n, mu_p1_sign=-1):
     """Check that the product-side classes act as wedge(x_i) / contract(l_i).
 
@@ -171,9 +167,22 @@ def verify_cor_diagram(n, mu_p1_sign=-1):
     -1, and any other choice makes the check fail (a usable negative control).
     For each i, the class mu_*(p1*(x_i) ^ p2*(top)) must act by wedging x_i,
     and mu_*((-1)^{i-1} p2*(top without x_i)) (1-based i) by contracting
-    with l_i: each is one comparison with the kernel class of that map.
+    with l_i.  Each class must equal the kernel class of its generator map:
+    it has as many terms as the generator term table, and each (s, row, sign)
+    of the table is its term at (full ^ s) | row << 2n with coefficient sign
+    times eps[full ^ s].  The kernel keys are distinct and neither side holds
+    a zero, so this is dict equality.
     """
+    d = 2 * n
+    full = (1 << d) - 1
     eps = _complement_signs(n)
-    maps = _generator_maps(n)
-    return all(cls == _kernel_class(n, maps[k], eps)
-               for k, cls in _diagram_classes(n, mu_p1_sign, eps))
+    terms = _generator_terms(n)
+    for k, cls in _diagram_classes(n, mu_p1_sign, eps):
+        table = terms[k]
+        if len(cls) != len(table):
+            return False
+        for s, row, sign in table:
+            comp = full ^ s
+            if cls.get(comp | row << d) != sign * eps[comp]:
+                return False
+    return True

@@ -413,6 +413,17 @@ def merge_sign_by_bits(m1, m2):
     return sign
 
 
+def wedge_by_pairs(a, b):
+    """Exterior product with one merge_sign_by_bits per pair of terms, the
+    reference for clifford.wedge."""
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            if not m1 & m2:
+                out[m1 | m2] = out.get(m1 | m2, 0) + merge_sign_by_bits(m1, m2) * c1 * c2
+    return {m: c for m, c in out.items() if c != 0}
+
+
 # ---------------------------------------------------------------------------
 # the one-generator operators bit by bit, the references for the generator
 # maps clifford._generator_maps
@@ -537,6 +548,17 @@ def kernel_class_by_map(n, col):
     """The kernel class of the generator map col, by product_class_from_map."""
     images = {s: {image[0]: image[1]} for s, image in enumerate(col) if image}
     return cp.product_class_from_map(n, n, images)
+
+
+def kernel_class(n, col, eps):
+    """The kernel class of the generator map col (col[s] = (row, sign), or None
+    for zero) on combined masks, as product_class_from_map builds it: sign
+    times eps[full ^ s] (-1)^{|row||s|} at (full ^ s) | row << 2n, where the
+    Koszul factor is 1, since |row| = |s| +- 1."""
+    d = 2 * n
+    full = (1 << d) - 1
+    return {(full ^ s) | image[0] << d: image[1] * eps[full ^ s]
+            for s, image in enumerate(col) if image}
 
 
 def diagram_classes_by_products(n, p1_sign):

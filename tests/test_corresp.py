@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from conftest import (beta_explicit, contract_apply, diagram_classes_by_products,
+from conftest import (beta_explicit, contract_apply, diagram_classes_by_products, kernel_class,
                       kernel_class_by_map, merge_sign_by_bits, verify_cor_diagram_by_products,
                       wedge_apply)
 from torusmirror import corresp as cp
 from torusmirror import exactlin as xl
-from torusmirror.clifford import SpinVec, popcount
+from torusmirror.clifford import SpinVec, _generator_maps, popcount
 
 
 def all_monomials(n):
@@ -166,7 +166,7 @@ def test_diagram_verification_matches_the_product_route(n, sign):
 def test_diagram_classes_are_their_products(n):
     full = (1 << (2 * n)) - 1
     eps = [merge_sign_by_bits(t, full ^ t) for t in range(full + 1)]
-    maps = cp._generator_maps(n)
+    maps = _generator_maps(n)
     for sign in (-2, -1, 0, 1, 2):
         got = list(cp._diagram_classes(n, sign, eps))
         want = list(diagram_classes_by_products(n, sign))
@@ -174,7 +174,46 @@ def test_diagram_classes_are_their_products(n):
         for (k, cls), (_k, lam) in zip(got, want):
             assert cls == cp._to_mask(lam)
     for col in maps:
-        assert cp._kernel_class(n, col, eps) == cp._to_mask(kernel_class_by_map(n, col))
+        assert kernel_class(n, col, eps) == cp._to_mask(kernel_class_by_map(n, col))
+
+
+def test_pc_mul_rejects_classes_on_different_products():
+    with pytest.raises(ValueError, match=r"\(1, 1\) and \(2, 2\)"):
+        cp.pc_mul(cp.c1_poincare(1), cp.c1_poincare(2))
+    with pytest.raises(ValueError, match=r"\(1, 2\) and \(1, 1\)"):
+        cp.pc_mul(cp.ProductClass(1, 2, {(1, 1): 1}), cp.ProductClass(1, 1, {(2, 2): 1}))
+
+
+def test_push_forward_rejects_a_vector_of_another_size():
+    xi = cp.xi_from_mirror(1)
+    with pytest.raises(ValueError, match="1 and 2"):
+        cp.push_forward_correspondence(xi, SpinVec(2, {0b1111: 1}))
+    swapped = cp.ProductClass(1, 2, {(0b11, 0b1111): 1})
+    with pytest.raises(ValueError, match="2 and 1"):
+        cp.reverse_correspondence(swapped, SpinVec(1, {0b11: 1}))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("change", ["gain", "lose"])
+def test_diagram_verification_fails_on_one_term_more_or_less(monkeypatch, n, change):
+    # one class of the correct diagram gains a term the kernel class lacks, or
+    # loses one it has; checking only the table's terms misses the gain
+    real = cp._diagram_classes
+    for target in range(4 * n):
+        def edited(n, p1_sign, eps, target=target):
+            for j, (k, cls) in enumerate(real(n, p1_sign, eps)):
+                if j == target:
+                    cls = dict(cls)
+                    if change == "gain":
+                        cls[next(key for key in range(len(cls) + 1) if key not in cls)] = 1
+                    else:
+                        del cls[next(iter(cls))]
+                yield k, cls
+
+        monkeypatch.setattr(cp, "_diagram_classes", edited)
+        assert not cp.verify_cor_diagram(n), target
+    monkeypatch.setattr(cp, "_diagram_classes", real)
+    assert cp.verify_cor_diagram(n)
 
 
 def test_wedge_contract_helpers_are_adjoint_shapes():

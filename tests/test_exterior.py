@@ -5,10 +5,10 @@ combined mask s | t << 2n, checked against the sign formulas they replaced."""
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import exterior_exp_by_fractions, merge_sign_by_bits
+from conftest import exterior_exp_by_fractions, merge_sign_by_bits, wedge_by_pairs
 from torusmirror import corresp as cp
 from torusmirror.clifford import SpinVec, _merge_sign, exterior_exp, popcount, wedge
 
@@ -115,6 +115,31 @@ disjoint_masks = st.tuples(st.integers(0, (1 << 24) - 1),
 @given(disjoint_masks)
 def test_merge_sign_matches_the_bit_loop_on_24_bit_masks(masks):
     assert _merge_sign(*masks) == merge_sign_by_bits(*masks)
+
+
+# sparse masks up to 24 bits, so that pairs of terms are often disjoint
+sparse_masks = st.lists(st.integers(0, 23), max_size=5).map(lambda bits: sum({1 << b for b in bits}))
+wide_elements = st.dictionaries(st.integers(0, (1 << 24) - 1) | sparse_masks, coeffs, max_size=6)
+
+
+def masked(x, bits):
+    return {m & bits: c for m, c in x.items()}
+
+
+@settings(max_examples=300, deadline=None)
+@given(wide_elements, wide_elements, st.sampled_from([None, True, False]), st.integers(0, 24))
+@example({}, {}, None, 0)
+@example({}, {0b101: 2}, None, 0)
+@example({0b101: 2}, {}, None, 0)
+@example({1 << 23: 1, 1 << 20: -1}, {0b11: 1, 0b100: 2}, None, 0)
+@example({0b11: 1, 0b100: 2}, {1 << 23: 1, 1 << 20: -1}, None, 0)
+def test_wedge_matches_the_per_pair_merge_sign(a, b, a_high, cut):
+    # a_high is None: the masks as drawn; True: every mask of a above every
+    # mask of b; False: the reverse
+    if a_high is not None:
+        low = (1 << cut) - 1
+        a, b = (masked(a, ~low), masked(b, low)) if a_high else (masked(a, low), masked(b, ~low))
+    assert wedge(a, b) == wedge_by_pairs(a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ LAYERS = {
     "pairspace": {"errors", "exactlin", "torus"},
     "clifford": {"errors", "exactlin"},
     "siegel": {"errors", "exactlin", "pairspace"},
-    "corresp": {"clifford", "exactlin"},
+    "corresp": {"clifford"},
     "lefschetz": {"clifford", "errors", "exactlin", "torus"},
     "mirror": {"errors", "exactlin", "pairspace", "siegel", "torus"},
     "cli": {"clifford", "corresp", "errors", "lefschetz", "mirror", "pairspace",
