@@ -16,6 +16,7 @@ from operator import mul
 from . import exactlin as xl
 from .errors import (FormMismatch, MixedParity, NoIntertwiner, NotEven, NotIsotropic,
                      NotSpin, SingularMatrix)
+from .pairspace import is_q_isometry, q_gram, q_left, q_right
 
 
 popcount = int.bit_count
@@ -103,6 +104,8 @@ class SpinVec:
         return isinstance(other, SpinVec) and self.n == other.n and self.coeffs == other.coeffs
 
     def __add__(self, other):
+        if self.n != other.n:
+            raise ValueError(f"cannot add spinor vectors of sizes n = {self.n} and n = {other.n}")
         out = dict(self.coeffs)
         for m, c in other.coeffs.items():
             out[m] = out.get(m, 0) + c
@@ -239,22 +242,6 @@ def _transport(terms, wedges, phi):
                             len(phi))
 
 
-def _q_swap(v):
-    """Q v for the hyperbolic form Q: v with its halves swapped."""
-    d = len(v) // 2
-    return v[d:] + v[:d]
-
-
-def _is_q_isometry(cols):
-    """Is the square matrix with these int columns a Q-isometry, g^t Q g = Q?
-    Q u is u with its halves swapped, and Q[i, j] = 1 exactly when |i - j| =
-    d, so the upper triangle of the Gram matrix is compared."""
-    d = len(cols) // 2
-    swapped = [_q_swap(u) for u in cols]
-    return not any(sum(map(mul, u, swapped[j])) != (j == i + d)
-                   for i, u in enumerate(cols) for j in range(i, 2 * d))
-
-
 # ---------------------------------------------------------------------------
 # isotropic splittings
 
@@ -283,17 +270,15 @@ class IsotropicSplitting:
         rows1, rows2 = xl.mat(basis1), xl.mat(basis2)  # one basis vector per row
         if not (xl.is_integral(rows1) and xl.is_integral(rows2)):
             raise NotIsotropic(_NOT_A_BASIS)
-        # Q(u, v) is u . (Q v), and Q v is v with its halves swapped
-        swapped1 = [_q_swap(u) for u in rows1.num]
-        for vs, swapped in ((rows1.num, swapped1), (rows2.num, [_q_swap(u) for u in rows2.num])):
-            if any(sum(map(mul, u, v)) for i, u in enumerate(vs) for v in swapped[i:]):
+        for vs in (rows1.num, rows2.num):
+            if any(map(any, q_gram(vs, vs))):
                 if not xl.is_unimodular(xl.block([[rows1.T, rows2.T]])):
                     raise NotIsotropic(_NOT_A_BASIS)
                 raise NotIsotropic("Q does not vanish on a splitting half")
         # for isotropic halves w^t Q w = [[0, P^t], [P, 0]] with the pairing
         # P[j, i] = Q(basis2_j, basis1_i), so |det w| = |det P|: w is a
         # Z-basis exactly when the integral P has an integral inverse
-        pairing = [[sum(map(mul, u, v)) for v in swapped1] for u in rows2.num]
+        pairing = q_gram(rows2.num, rows1.num)
         if all(x == (i == j) for j, row in enumerate(pairing) for i, x in enumerate(row)):
             # basis2 is the Q-dual basis of basis1 already
             dual = rows2.num
@@ -309,9 +294,8 @@ class IsotropicSplitting:
         self.basis1 = rows1.T  # columns
         self.basis2 = xl.mat(dual).T
         self.w = xl.block([[self.basis1, self.basis2]])
-        # w^t Q w = Q now, and Q^2 = 1: w_inv = Q w^t Q, whose rows are the
-        # swapped dual vectors and then the swapped basis1 vectors
-        self.w_inv = xl.mat([_q_swap(u) for u in dual] + swapped1)
+        # w^t Q w = Q now, and Q^2 = 1: w_inv = Q w^t Q
+        self.w_inv = q_left(q_right(self.w.T))
 
 
 def standard_splitting(n):
@@ -428,9 +412,9 @@ def _spin_conjugation(z):
     r = xl.mat(zip(*r_cols))
     if not xl.is_integral(r):
         return None
-    cols = [list(c) for c in zip(*r.num)]
-    if not _is_q_isometry(cols):
+    if not is_q_isometry(r):
         return None
+    cols = [list(c) for c in zip(*r.num)]
     terms = _source_terms(n)
     zc = [list(c) for c in zip(*zr)]
     if any(any(_cor_apply(terms, _signed(u), zc[0])) for u in cols[:d]):
@@ -483,8 +467,7 @@ def pure_spinor(n, vectors):
     basis = ech.int_rows
     if len(basis) != d:
         raise NoIntertwiner(f"the vectors span {len(basis)} dimensions, not {d}")
-    swapped = [_q_swap(v) for v in vectors]
-    if any(sum(map(mul, u, v)) for i, u in enumerate(vectors) for v in swapped[i:]):
+    if any(map(any, q_gram(vectors, vectors))):
         raise NotIsotropic("Q does not vanish on the vectors")
     pivots = sorted(basis)
     theta = {0: 1}
@@ -540,9 +523,9 @@ def spin_lift(g):
         raise FormMismatch(f"a map of Lambda is a 4n x 4n matrix, not {g.shape}")
     if not xl.is_integral(g):
         raise FormMismatch("the map of Lambda is not integral")
-    cols = [list(c) for c in zip(*g.num)]
-    if not _is_q_isometry(cols):
+    if not is_q_isometry(g):
         raise FormMismatch("the map of Lambda does not preserve Q")
+    cols = [list(c) for c in zip(*g.num)]
     phi = pure_spinor(n, cols[:d])
     # integral, and primitive since column 0 is the primitive phi
     return _sign_normalize(_transport(_source_terms(n), cols[d:],
@@ -568,15 +551,20 @@ def _meet_dim(s1, s2):
     M1', and the kernel of the pairing M1 -> Hom(M1', Z), the 2n x 2n matrix
     B1'^t Q B1, is M1 & M1'.
     """
-    swapped = [_q_swap(list(v)) for v in zip(*s1.basis1.num)]
-    return 2 * s1.n - xl.rank([[sum(map(mul, u, v)) for v in swapped]
-                               for u in zip(*s2.basis1.num)])
+    return 2 * s1.n - xl.rank(q_gram(s2.basis1.T.num, s1.basis1.T.num))
 
 
 def beta_parity(t, s1, s2):
     """Even/Odd per the grading of t; cross-checked against the intersection
-    dimension of the two M1 halves mod 2."""
+    dimension of the two M1 halves mod 2.  ValueError unless both splittings
+    have the same n and t is 4^n x 4^n."""
     t = xl.asmat(t)
+    if s1.n != s2.n:
+        raise ValueError(f"the splittings have sizes n = {s1.n} and n = {s2.n}")
+    size = 1 << (2 * s1.n)
+    if t.shape != (size, size):
+        raise ValueError(f"an intertwiner for n = {s1.n} is {size}x{size}, "
+                         f"not {t.shape[0]}x{t.shape[1]}")
     num = t.num
     first = next(((i, j) for i, row in enumerate(num) for j, x in enumerate(row) if x), None)
     if first is None:

@@ -93,7 +93,9 @@ def reverse_correspondence(xi, w):
 
 
 def phi_poincare(n, v):
-    """H^k(A) -> H^{2n-k}(A-hat): x_S -> (-1)^{sum of complement} l_{complement}."""
+    """H^k(A) -> H^{2n-k}(A-hat): x_S -> (-1)^{sum of complement} l_{complement};
+    v must live on A (else ValueError)."""
+    _check_sizes("phi_poincare", n, v.n)
     full = (1 << (2 * n)) - 1
     out = {}
     for s, c in v.coeffs.items():

@@ -10,7 +10,7 @@ from itertools import chain, product
 from . import exactlin as xl
 from .errors import (DifferentSource, FormMismatch, IntertwineFailure,
                      NotABasis, NotInvariant, SingularMatrix, TransversalityNotFound)
-from .pairspace import make_weak_pair, q_form, q_left, q_right, recover_omega
+from .pairspace import is_q_isometry, make_weak_pair, q_left, q_right, recover_omega
 from .siegel import u_membership
 from .torus import as_form, make_torus
 
@@ -48,7 +48,7 @@ def verify_mirror(pA, pB, alpha):
     # the determinant only picks the message when alpha is not one
     if not xl.is_integral(alpha):
         raise FormMismatch("alpha is not an integral unimodular matrix")
-    if not xl.mat_eq(xl.mul(alpha.T, q_left(alpha)), q_form(na)):
+    if not is_q_isometry(alpha):
         if not xl.is_unimodular(alpha):
             raise FormMismatch("alpha is not an integral unimodular matrix")
         raise FormMismatch("alpha does not identify the hyperbolic forms")

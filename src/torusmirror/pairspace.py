@@ -1,5 +1,11 @@
 """The lattice Lambda = Gamma + Gamma* with the hyperbolic form Q, the
-product complex structure, the operator I_omega and pair classification."""
+product complex structure, the operator I_omega and pair classification.
+
+Every computation with Q lives here.  Q swaps the two halves of a vector of
+Lambda, so Q.m and m.Q move rows or columns, and Q is never multiplied as a
+matrix."""
+
+from operator import mul
 
 from . import exactlin as xl
 from . import torus as ts
@@ -66,6 +72,42 @@ def q_right(m):
     h = out.ncols // 2
     out.num = [row[h:] + row[:h] for row in out.num]
     return out
+
+
+def q_swap(v):
+    """Q v for the hyperbolic form Q: the vector v with its halves swapped."""
+    d = len(v) // 2
+    return v[d:] + v[:d]
+
+
+def q_gram(us, vs):
+    """The row lists of Q(u, v) = u . (Q v), one row per u in us and one
+    column per v in vs, for vectors of one length given as sequences."""
+    swapped = [q_swap(v) for v in vs]
+    return [[sum(map(mul, u, v)) for v in swapped] for u in us]
+
+
+def is_q_isometry(g):
+    """Is the matrix g a Q-isometry, g^T Q g = Q?  False when g is not square
+    or not of even size.
+
+    For g = num / den it compares the Gram matrix of num's columns with
+    den^2 Q.  Both are symmetric, so row i is compared from column i on, where
+    den^2 Q holds den^2 at column i + d for i < d and nothing for i >= d; the
+    test stops at the first row that differs."""
+    g = xl.asmat(g)
+    size = len(g.num)
+    if g.ncols != size or size % 2:
+        return False
+    d = size // 2
+    q_cols = list(zip(*q_swap(g.num)))  # the columns of Q num
+    for i, u in enumerate(zip(*g.num)):
+        row = [sum(map(mul, u, v)) for v in q_cols[i:]]
+        if i < d:
+            row[d] -= g.den * g.den
+        if any(row):
+            return False
+    return True
 
 
 def jprod(A):

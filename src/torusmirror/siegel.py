@@ -8,7 +8,7 @@ computed exactly over the Gaussian rationals as one linear solve over Q.
 
 from . import exactlin as xl
 from .errors import FormMismatch, NotInvertible, SingularMatrix
-from .pairspace import i_omega, make_weak_pair, q_form, q_left
+from .pairspace import i_omega, is_q_isometry, make_weak_pair
 
 
 def blocks(g):
@@ -19,14 +19,12 @@ def blocks(g):
 
 def u_membership(g, A):
     """Integral unimodular special Q-isometries commuting with Jprod."""
-    q, jp = q_form(A.n), A._jprod
     g = xl.asmat(g)
-    if g.shape != q.shape:
+    if g.shape != (4 * A.n, 4 * A.n):
         return False
-    if not (xl.is_integral(g) and xl.det(g) == 1):
+    if not (xl.is_integral(g) and xl.det(g) == 1 and is_q_isometry(g)):
         return False
-    if not xl.mat_eq(xl.mul(g.T, q_left(g)), q):
-        return False
+    jp = A._jprod
     return xl.mat_eq(xl.mul(g, jp), xl.mul(jp, g))
 
 
@@ -35,7 +33,7 @@ def require_q_isometry(g, n):
     g = xl.asmat(g)
     if len(g) != 4 * n:
         raise ValueError(f"g must have {4 * n} rows, not {len(g)}")
-    if not xl.mat_eq(xl.mul(g.T, q_left(g)), q_form(n)):
+    if not is_q_isometry(g):
         raise FormMismatch("g is not a Q-isometry of Lambda: g^T Q g != Q")
 
 

@@ -76,6 +76,11 @@ def test_r_of_z_requires_spin():
         r_of_z(2 * xl.eye(4))
 
 
+def test_spinvec_sum_rejects_vectors_of_different_sizes():
+    with pytest.raises(ValueError, match="n = 1 and n = 2"):
+        SpinVec(1, {1: 1}) + SpinVec(2, {8: 1})
+
+
 def _conjugation_oracle(n, z):
     """Solve z cor(e_k) z^{-1} = sum_i R[i,k] cor(e_i) by dense linear algebra."""
     e = xl.eye(4 * n)
@@ -213,6 +218,17 @@ def test_beta_full_swap_and_half_swap_parity():
     b_half = beta_iso(std, half_swap)
     assert beta_parity(b_full, std, full_swap) == "Even"
     assert beta_parity(b_half, std, half_swap) == "Odd"
+
+
+def test_beta_parity_rejects_splittings_of_different_sizes():
+    with pytest.raises(ValueError, match="n = 1 and n = 2"):
+        beta_parity(xl.eye(4), standard_splitting(1), standard_splitting(2))
+
+
+def test_beta_parity_rejects_an_operator_of_another_size():
+    s = standard_splitting(1)
+    with pytest.raises(ValueError, match="4x4, not 16x16"):
+        beta_parity(xl.eye(16), s, s)
 
 
 @pytest.mark.parametrize("n", [2, 3])

@@ -193,6 +193,11 @@ def test_push_forward_rejects_a_vector_of_another_size():
         cp.reverse_correspondence(swapped, SpinVec(1, {0b11: 1}))
 
 
+def test_phi_poincare_rejects_a_vector_of_another_size():
+    with pytest.raises(ValueError, match="1 and 2"):
+        cp.phi_poincare(1, SpinVec(2, {0b1111: 1}))
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("change", ["gain", "lose"])
 def test_diagram_verification_fails_on_one_term_more_or_less(monkeypatch, n, change):

@@ -16,7 +16,7 @@ LAYERS = {
     "serialize": {"exactlin"},
     "torus": {"errors", "exactlin"},
     "pairspace": {"errors", "exactlin", "torus"},
-    "clifford": {"errors", "exactlin"},
+    "clifford": {"errors", "exactlin", "pairspace"},
     "siegel": {"errors", "exactlin", "pairspace"},
     "corresp": {"clifford"},
     "lefschetz": {"clifford", "errors", "exactlin", "torus"},

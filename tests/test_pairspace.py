@@ -1,13 +1,17 @@
 import pytest
 
+from fractions import Fraction
 from math import gcd
 
-from conftest import (classify_by_e_form, e_form, gaussian_pair, rand_rational,
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import (classify_by_e_form, e_form, gaussian_pair, rand_q_isometry, rand_rational,
                       weak_pair_sample)
 from torusmirror import exactlin as xl
 from torusmirror.errors import Block12Singular, NotNSForm
-from torusmirror.pairspace import (classify_pair, conjugate_pair, i_omega, jprod,
-                                   make_weak_pair, q_form, q_left, q_right,
+from torusmirror.pairspace import (classify_pair, conjugate_pair, i_omega, is_q_isometry, jprod,
+                                   make_weak_pair, q_form, q_gram, q_left, q_right,
                                    recover_omega)
 from torusmirror.siegel import translation_element
 from torusmirror.torus import make_torus, polarization_form
@@ -163,6 +167,66 @@ def test_q_products_are_half_swaps(rng, n):
                 assert (got.num, got.den, got.ncols) == (want.num, want.den, want.ncols)
                 assert _canonical(got)
                 assert not any(r is s for r in got.num for s in source.num)
+
+
+def _rational_eta(rng, d, skew):
+    eta = xl.zeros(d)
+    for i in range(d):
+        for j in range(i if skew else 0, d):
+            eta[i, j] = 0 if skew and i == j else rand_rational(rng)
+            if skew:
+                eta[j, i] = -eta[i, j]
+    return eta
+
+
+@st.composite
+def square_matrices(draw):
+    """(n, g): an integral Q-isometry, one with an entry bumped, a rational
+    translation by a skew or a general eta, or a random integer or rational
+    matrix, all 4n x 4n for n = 1..3."""
+    n = draw(st.integers(1, 3))
+    rng = draw(st.randoms(use_true_random=False))
+    kind = draw(st.sampled_from(["isometry", "bumped", "skew", "not skew", "int", "rational"]))
+    if kind in ("isometry", "bumped"):
+        g = rand_q_isometry(rng, n)
+        if kind == "bumped":
+            i, j = rng.randrange(4 * n), rng.randrange(4 * n)
+            g[i, j] += rng.choice([-1, 1])
+    elif kind in ("skew", "not skew"):
+        g = translation_element(_rational_eta(rng, 2 * n, kind == "skew"), n)
+    else:
+        entry = (lambda: rng.randint(-2, 2)) if kind == "int" else (lambda: rand_rational(rng))
+        g = xl.mat([[entry() for _ in range(4 * n)] for _ in range(4 * n)])
+    return n, g
+
+
+@settings(max_examples=300, deadline=None)
+@given(square_matrices())
+def test_is_q_isometry_matches_the_product_route(case):
+    n, g = case
+    q = q_form(n)
+    assert is_q_isometry(g) == xl.mat_eq(xl.mul(g.T, xl.mul(q, g)), q)
+
+
+def test_is_q_isometry_on_rational_and_misshapen_matrices():
+    # l_1 -> l_1 / 2 and x_1 -> 2 x_1 keeps Q: num's Gram matrix is den^2 Q
+    half = xl.eye(4)
+    half[0, 0], half[2, 2] = Fraction(1, 2), 2
+    assert is_q_isometry(half) and not is_q_isometry(half * 2)
+    for g in (xl.zeros(4, 8), xl.zeros(8, 4), xl.eye(8)[:, :7], xl.eye(1), xl.eye(3),
+              xl.eye(5)):
+        assert not is_q_isometry(g)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_q_gram_is_u_transpose_q_v(rng, n):
+    q = q_form(n)
+    for k1, k2 in ((1, 1), (2, 3), (2 * n, 2 * n), (4 * n, 1)):
+        u = xl.mat([[rng.randint(-3, 3) for _ in range(k1)] for _ in range(4 * n)])
+        v = xl.mat([[rng.randint(-3, 3) for _ in range(k2)] for _ in range(4 * n)])
+        got = q_gram(u.T.rows, v.T.rows)
+        assert xl.mat_eq(got, xl.mul(u.T, xl.mul(q, v)))
+        assert len(got) == k1 and all(len(row) == k2 for row in got)
 
 
 def test_jprod_is_built_once_from_the_torus_own_j():
