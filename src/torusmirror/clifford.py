@@ -93,12 +93,24 @@ def _scaled_exp(b, q):
     return den, {m: c for m, c in total.items() if c != 0}
 
 
+def _check_masks(masks, n, name="n"):
+    """Raise ValueError unless every mask lies in 0 .. 4^n - 1, the subsets of
+    2n generators; one min and one max over the masks, not a test per mask."""
+    if masks and (min(masks) < 0 or max(masks) >> 2 * n):
+        bad = next(m for m in masks if not 0 <= m < 1 << 2 * n)
+        raise ValueError(f"mask {bad} does not fit {name} = {n}: masks lie in "
+                         f"0..{(1 << 2 * n) - 1}")
+
+
 class SpinVec:
-    """Element of H*(A,Z); coeffs maps subset bitmasks to coefficients."""
+    """Element of H*(A,Z); coeffs maps subset bitmasks of {1..2n}, masks in
+    0 .. 4^n - 1 (else ValueError), to coefficients."""
 
     def __init__(self, n, coeffs=None):
+        coeffs = coeffs or {}
+        _check_masks(coeffs, n)
         self.n = n
-        self.coeffs = {m: c for m, c in (coeffs or {}).items() if c != 0}
+        self.coeffs = {m: c for m, c in coeffs.items() if c != 0}
 
     def __eq__(self, other):
         return isinstance(other, SpinVec) and self.n == other.n and self.coeffs == other.coeffs

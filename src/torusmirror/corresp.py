@@ -6,8 +6,8 @@ integrates to +1, and pushforward along the second projection keeps the
 second-factor part of any term whose first-factor part is the full monomial.
 """
 
-from .clifford import (SpinVec, _complement_signs, _generator_terms, _merge_sign, exterior_exp,
-                       popcount, wedge)
+from .clifford import (SpinVec, _check_masks, _complement_signs, _generator_terms, _merge_sign,
+                       exterior_exp, popcount, wedge)
 
 
 class ProductClass:
@@ -64,17 +64,22 @@ def c1_poincare(n):
 
 def push_forward_correspondence(xi, v):
     """The map v -> q_*(xi ^ p*(v)) induced by the kernel class xi; v must
-    live on A, the first factor of xi (else ValueError).  The second mask of
-    each sign, full ^ s, changes from term to term, so each is one _merge_sign."""
+    live on A, the first factor of xi (else ValueError).
+
+    A term (s, t) meets v's term sv = full ^ s only.  Its sign,
+    _merge_sign(s | t << 2n, sv), splits in two: s against sv is eps[s] of
+    _complement_signs, and every bit of t lies above every bit of sv, which
+    gives (-1)^{|t||sv|}."""
     _check_sizes("push_forward_correspondence", xi.n, v.n)
     out = {}
-    shift = 2 * xi.n
-    full = (1 << shift) - 1
+    full = (1 << (2 * xi.n)) - 1
+    eps = _complement_signs(xi.n)
     vc = v.coeffs
     for (s, t), c in xi.coeffs.items():
         sv = full ^ s  # only v's term on the complement of s fills the first factor
         if sv in vc:
-            out[t] = out.get(t, 0) + _merge_sign(s | t << shift, sv) * c * vc[sv]
+            sign = -eps[s] if popcount(t) & popcount(sv) & 1 else eps[s]
+            out[t] = out.get(t, 0) + sign * c * vc[sv]
     return SpinVec(xi.m, out)
 
 
@@ -108,16 +113,25 @@ def phi_poincare(n, v):
 def product_class_from_map(n, m, images):
     """The kernel class of a linear map given by images[mask] in H*(B).
 
-    images maps A-masks to SpinVec-style coefficient dicts; the returned
-    class xi satisfies push_forward_correspondence(xi, x_S) = images[S].
+    images maps A-masks, in 0 .. 4^n - 1, to SpinVec-style coefficient dicts
+    on B-masks, in 0 .. 4^m - 1 (else ValueError); the returned class xi
+    satisfies push_forward_correspondence(xi, x_S) = images[S].
     """
     full = (1 << (2 * n)) - 1
     out = {}
+    # the OR of the masks is negative, or has a bit at 2n (2m) or above,
+    # exactly when some mask is outside its range
+    a_bits = b_bits = 0
     for alpha, image in images.items():
+        a_bits |= alpha
         comp = full ^ alpha
         for vmask, c in image.items():
+            b_bits |= vmask
             sign = _merge_sign(comp | vmask << (2 * n), alpha)
             out[(comp, vmask)] = out.get((comp, vmask), 0) + c * sign
+    if a_bits >> 2 * n or b_bits >> 2 * m:
+        _check_masks(images, n)
+        _check_masks(set().union(*images.values()), m, "m")
     return ProductClass(n, m, out)
 
 

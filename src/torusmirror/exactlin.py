@@ -96,9 +96,13 @@ class Matrix:
 
     def __getitem__(self, key):
         den = self.den
-        if type(key) is tuple and type(key[0]) is int and type(key[1]) is int:
-            x = self.num[key[0]][key[1]]
-            return x if den == 1 else _div(x, den)
+        if type(key) is tuple:
+            i, j = key[0], key[1]
+            if type(i) is int and type(j) is int:
+                x = self.num[i][j]
+                return x if den == 1 else _div(x, den)
+            if type(i) is slice and type(j) is slice:
+                return _canon([row[j] for row in self.num[i]], den, len(range(self.ncols)[j]))
         rows, cols, row_int, col_int = self._ids(key)
         out = [[self.num[r][c] for c in cols] for r in rows]
         if not (row_int or col_int):
@@ -240,16 +244,23 @@ def mat(rows):
     if type(rows) is Matrix:
         return rows.copy()
     shape = getattr(rows, "shape", ())
-    rows = list(rows)
-    if rows and isinstance(rows[0], Rational):
-        rows = [rows]
-    out = [list(row) for row in rows]
+    if len(shape) == 2 and getattr(rows, "dtype", None) == object:
+        # a numpy object array hands over its entries as they are in one call
+        out = rows.tolist()
+    else:
+        rows = list(rows)
+        if rows and isinstance(rows[0], Rational):
+            rows = [rows]
+        out = [list(row) for row in rows]
     ncols = len(out[0]) if out else (shape[1] if len(shape) == 2 else 0)
     if any(len(row) != ncols for row in out):
         raise ValueError("matrix rows have unequal lengths")
-    if _all_int(out):
+    kinds = set(map(type, chain.from_iterable(out)))
+    if kinds <= {int}:
         return _wrap(out, 1, ncols)
-    return _from_entries([[_entry(x) for x in row] for row in out], ncols)
+    if not kinds <= {int, Fraction}:
+        out = [[_entry(x) for x in row] for row in out]
+    return _from_entries(out, ncols)
 
 
 def from_int_rows(rows, ncols):
@@ -264,7 +275,14 @@ def asmat(a):
 
 
 def block(grid):
-    """The matrix assembled from a grid (list of block rows) of matrices."""
+    """The matrix assembled from a grid (list of block rows) of matrices, its
+    rows over the lcm den of the parts' dens, with no gcd pass.
+
+    Canonical parts give a canonical block.  Take a prime q with q^e exactly
+    dividing den, e >= 1.  Some part p has q^e exactly dividing its d_p, so
+    d_p > 1 and, p being canonical, p has an entry prime to q.  That entry is
+    scaled by den / d_p, which is prime to q as well, so q does not divide
+    every entry of the block.  No prime divides den and every entry."""
     grid = [[asmat(m) for m in brow] for brow in grid]
     den = lcm(*(p.den for brow in grid for p in brow))
     rows, ncols = [], None
@@ -280,7 +298,7 @@ def block(grid):
             for num, f in scaled:
                 row += num[i] if f == 1 else [x * f for x in num[i]]
             rows.append(row)
-    return _canon(rows, den, ncols or 0)
+    return _wrap(rows, den, ncols or 0)
 
 
 def eye(n):
@@ -298,6 +316,14 @@ def zeros(r, c=None):
 def mat_eq(a, b):
     a, b = asmat(a), asmat(b)
     return a.ncols == b.ncols and a.den == b.den and a.num == b.num
+
+
+def is_skew(a):
+    """Is a square with a^T = -a?  Entry against entry, building no matrix."""
+    a = asmat(a)
+    num = a.num
+    return a.ncols == len(num) and all(
+        row[j] == -num[j][i] for i, row in enumerate(num) for j in range(i, a.ncols))
 
 
 def is_zero(a):
@@ -569,16 +595,36 @@ def is_unimodular(m):
     return is_integral(m) and abs(det(m)) == 1
 
 
-def is_positive_definite(m):
-    """Sylvester's criterion: the leading principal minors, read as the
-    pivots of one Bareiss elimination, are all positive."""
+def definiteness(m):
+    """1 when every leading principal minor D_k of the square matrix m is
+    positive, -1 when every (-1)^k D_k is, else 0: by Sylvester's criterion,
+    for a symmetric m, positive definite, negative definite, or neither.
+    The D_k are the pivots of one Bareiss elimination, read until the first
+    that settles the answer, a zero one giving 0; a 0 x 0 m gives 1.
+    Symmetry is the caller's to check."""
     m = asmat(m)
-    if m.shape[0] != m.shape[1]:
+    if m.ncols != len(m.num):
+        raise NotSymmetric("matrix not square")
+    # num is m scaled by den > 0: every leading minor keeps its sign
+    sign = want = 1
+    for k, p in enumerate(_bareiss([row[:] for row in m.num])):
+        if k == 0:
+            sign = want = 1 if p > 0 else -1
+        if p == 0 or (p > 0) != (want > 0):
+            return 0
+        want *= sign
+    return sign
+
+
+def is_positive_definite(m):
+    """Sylvester's criterion for a symmetric m (else NotSymmetric): its
+    definiteness is 1."""
+    m = asmat(m)
+    if m.ncols != len(m.num):
         raise NotSymmetric("matrix not square")
     if not mat_eq(m, m.T):
         raise NotSymmetric("matrix not symmetric")
-    # num is m scaled by den > 0: every leading minor keeps its sign
-    return all(p > 0 for p in _bareiss([row[:] for row in m.num]))
+    return definiteness(m) == 1
 
 
 def _min_entry(d, lo):
@@ -697,7 +743,7 @@ def skew_normal_form(phi):
     n2 = phi.shape[0]
     if phi.shape[1] != n2 or n2 % 2 != 0:
         raise NotSkew("skew form must be square of even size")
-    if not mat_eq(phi, -phi.T):
+    if not is_skew(phi):
         raise NotSkew("matrix is not skew-symmetric")
     det_phi = det(phi)
     if det_phi == 0:

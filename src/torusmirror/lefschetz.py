@@ -125,7 +125,7 @@ def _form_operator(c, gens, size, degree):
 def _skew_form(kappa):
     c = as_form(kappa)
     rows, cols = c.shape
-    if rows != cols or rows % 2 or not xl.mat_eq(c, -c.T):
+    if rows != cols or rows % 2 or not xl.is_skew(c):
         raise NotSkew("kappa must be a skew matrix of even size")
     return c
 

@@ -216,17 +216,23 @@ def elliptic_mirror(A, tau, phi):
     u_inv = xl.mat([[x // dk for x in row] for dk, row in zip(deltas, rows)])
     # a correction adds multiples of Gamma_2 to Gamma_1, which leaves Gamma_2, Gamma_1*
     # and so Sigma and block (1,2) of u2^-1 J u2 fixed: only W is repaired
-    if xl.det(xl.mul(u_inv, xl.mul(A.J, u))[:n, n:]) == 0:
+    jp = xl.mul(u_inv, xl.mul(A.J, u))
+    if xl.det(jp[:n, n:]) == 0:
         raise TransversalityNotFound(
             "J Sigma meets Sigma, and no symplectic correction changes Sigma")
     for corr in _repair_candidates(n, nf.deltas):
-        # u2 = u [[1, 0], [C, 1]], so u2^-1 = [[1, 0], [-C, 1]] u^-1
-        u2 = xl.block([[u[:, :n] + xl.mul(u[:, n:], corr), u[:, n:]]])
-        u2_inv = xl.block([[u_inv[:n]], [u_inv[n:] - xl.mul(corr, u_inv[:n])]])
-        # the repaired basis still puts phi in the same block normal form
-        if not _splits(xl.mul(u2.T, xl.mul(c, u2))):
-            raise RuntimeError("the repaired basis does not put phi in block normal form")
-        if xl.det(xl.mul(u2_inv, xl.mul(A.J, u2))[n:, :n]) != 0:
+        if xl.is_zero(corr):
+            # u2 = u: skew_normal_form has checked u^t c u = F, and J' is known
+            u2, u2_inv, jp2 = u, u_inv, jp
+        else:
+            # u2 = u [[1, 0], [C, 1]], so u2^-1 = [[1, 0], [-C, 1]] u^-1
+            u2 = xl.block([[u[:, :n] + xl.mul(u[:, n:], corr), u[:, n:]]])
+            u2_inv = xl.block([[u_inv[:n]], [u_inv[n:] - xl.mul(corr, u_inv[:n])]])
+            # the repaired basis still puts phi in the same block normal form
+            if not _splits(xl.mul(u2.T, xl.mul(c, u2))):
+                raise RuntimeError("the repaired basis does not put phi in block normal form")
+            jp2 = xl.mul(u2_inv, xl.mul(A.J, u2))
+        if xl.det(jp2[n:, :n]) != 0:
             pB, cert = _mirror_across(pA, *_adapted_splitting(u2, u2_inv, w_first=True))
             return pA, pB, cert
     raise RuntimeError("no correction of max-norm 1 makes J W transversal to W, "

@@ -13,12 +13,14 @@ from .errors import Block12Singular, NotNSForm, SingularMatrix
 
 
 class WeakPair:
-    """A torus together with omega = phi1 + i*phi2, phi2 nondegenerate, and
-    I_omega, computed once when the pair is made from its own copies of phi1
-    and phi2; i_omega gives a copy."""
+    """A torus together with omega = phi1 + i*phi2, phi1 and phi2 skew, phi2
+    nondegenerate, and I_omega, computed once when the pair is made from its
+    own copies of phi1 and phi2; i_omega gives a copy."""
 
     def __init__(self, torus, phi1, phi2):
         phi1, phi2 = xl.mat(phi1), xl.mat(phi2)
+        if not (xl.is_skew(phi1) and xl.is_skew(phi2)):
+            raise NotNSForm("phi1 and phi2 must be skew")
         try:
             phi2_inv = xl.invert(phi2)
         except SingularMatrix:
@@ -34,13 +36,15 @@ class WeakPair:
         return p
 
     def _hold(self, torus, phi1, phi2, phi2_inv):
+        """I_omega = [[phi2^-1 phi1, -phi2^-1], [phi2 + phi1 phi2^-1 phi1,
+        -phi1 phi2^-1]] for skew phi1 and phi2, where phi1 phi2^-1 =
+        (phi2^-1 phi1)^T: block (2,2) is minus block (1,1) transposed."""
         self.torus = torus
         self.phi1 = phi1
         self.phi2 = phi2
         tl = xl.mul(phi2_inv, phi1)
         bl = phi2 + xl.mul(phi1, tl)
-        br = -xl.mul(phi1, phi2_inv)
-        self._i_omega = xl.block([[tl, -phi2_inv], [bl, br]])
+        self._i_omega = xl.block([[tl, -phi2_inv], [bl, -tl.T]])
 
     def __eq__(self, other):
         return (isinstance(other, WeakPair) and self.torus == other.torus
@@ -91,20 +95,38 @@ def is_q_isometry(g):
     """Is the matrix g a Q-isometry, g^T Q g = Q?  False when g is not square
     or not of even size.
 
-    For g = num / den it compares the Gram matrix of num's columns with
-    den^2 Q.  Both are symmetric, so row i is compared from column i on, where
-    den^2 Q holds den^2 at column i + d for i < d and nothing for i >= d; the
-    test stops at the first row that differs."""
+    For g = num / den it compares the Gram matrix num^T (Q num) with den^2 Q,
+    row by row, and stops at the first row that differs.  When at least three
+    in four entries of num are 0, as in a mirror certificate, row i is the sum
+    of the sparse rows of Q num over the nonzero entries of num's column i,
+    and is compared whole.  Otherwise each entry is a dense dot product, and
+    since both sides are symmetric, row i is compared from column i on, where
+    den^2 Q holds den^2 at column i + d for i < d and nothing for i >= d."""
     g = xl.asmat(g)
-    size = len(g.num)
+    num = g.num
+    size = len(num)
     if g.ncols != size or size % 2:
         return False
     d = size // 2
-    q_cols = list(zip(*q_swap(g.num)))  # the columns of Q num
-    for i, u in enumerate(zip(*g.num)):
+    dd = g.den * g.den
+    if 4 * sum(row.count(0) for row in num) >= 3 * size * size:
+        sparse = [[(j, v) for j, v in enumerate(row) if v] for row in num]
+        q_rows = q_swap(sparse)  # the sparse rows of Q num
+        for i, col in enumerate(zip(*num)):
+            acc = [0] * size
+            for r, x in enumerate(col):
+                if x:
+                    for j, v in q_rows[r]:
+                        acc[j] += x * v
+            acc[i + d if i < d else i - d] -= dd
+            if any(acc):
+                return False
+        return True
+    q_cols = list(zip(*q_swap(num)))  # the columns of Q num
+    for i, u in enumerate(zip(*num)):
         row = [sum(map(mul, u, v)) for v in q_cols[i:]]
         if i < d:
-            row[d] -= g.den * g.den
+            row[d] -= dd
         if any(row):
             return False
     return True
@@ -140,11 +162,14 @@ def i_omega(p):
 
 def classify_pair(p):
     """omega = phi1 + i*phi2 lies in C_A^+ = NS_A(R) + i*C_A^a when phi2 is a
-    polarization, in C_A^- when -phi2 is one."""
-    if ts.check_polarization(p.torus, p.phi2):
-        return "AlgebraicPlus"
-    if ts.check_polarization(p.torus, -p.phi2):
-        return "AlgebraicMinus"
+    polarization, in C_A^- when -phi2 is one.  The polarization form of -phi2
+    is -b for that of phi2, b, so one symmetry test and the definiteness of b
+    decide both."""
+    b = ts.polarization_form(p.torus, p.phi2)
+    if xl.mat_eq(b, b.T):
+        sign = xl.definiteness(b)
+        if sign:
+            return "AlgebraicPlus" if sign > 0 else "AlgebraicMinus"
     return "WeakOnly"
 
 

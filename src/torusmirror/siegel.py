@@ -50,7 +50,7 @@ def siegel_act(g, omega):
     except SingularMatrix:
         raise NotInvertible("a + b.omega is singular over Q(i)")
     re, im = x[:x.ncols].T, x[x.ncols:].T  # x is [Xr^T; Xi^T]
-    if not (xl.mat_eq(re, -re.T) and xl.mat_eq(im, -im.T)):
+    if not (xl.is_skew(re) and xl.is_skew(im)):
         raise FormMismatch("g.omega is not skew; g is not a Q-isometry of Lambda")
     return re, im
 

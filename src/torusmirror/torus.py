@@ -7,6 +7,7 @@ convention on l**, not on matrices, and never enters the formulas here).
 """
 
 from functools import cached_property
+from math import gcd, lcm
 
 from . import exactlin as xl
 from .errors import NotComplexStructure, NotNSForm
@@ -66,7 +67,7 @@ def is_ns_form(A, c):
     """Skew and J-invariant, J^T c J = c.  Since J^-1 = -J (make_torus checks
     J^2 = -1) and (J^T c)^T = -cJ for skew c, that is: J^T c is symmetric."""
     c = xl.asmat(c)
-    if not (c.shape == A.J.shape and xl.mat_eq(c, -c.T)):
+    if not (c.shape == A.J.shape and xl.is_skew(c)):
         return False
     b = xl.mul(A.J.T, c)
     return xl.mat_eq(b, b.T)
@@ -88,10 +89,18 @@ def _kernel(rows, nvars):
 
 
 def _saturated(basis):
-    """Z-basis of the integer points of the rational span of the vectors basis."""
+    """Z-basis of the integer points of the rational span of the vectors basis:
+    each vector is made primitive, its denominators cleared and its content
+    divided out, before the span is saturated."""
     if not basis:
         return []
-    return xl.saturate_rows([xl.primitive_int([v]).rows[0] for v in basis]).rows
+    rows = []
+    for v in basis:
+        den = lcm(*(x.denominator for x in v))
+        row = [x.numerator * (den // x.denominator) for x in v]
+        g = gcd(*row) or 1
+        rows.append([x // g for x in row])
+    return xl.saturate_rows(rows).rows
 
 
 def _reshape(v, r, c):
@@ -155,10 +164,9 @@ def polarization_form(A, c):
 
 
 def check_polarization(A, c):
+    """Is the polarization form of c symmetric and positive definite?"""
     b = polarization_form(A, c)
-    if not xl.mat_eq(b, b.T):
-        return False
-    return xl.is_positive_definite(b)
+    return xl.mat_eq(b, b.T) and xl.definiteness(b) == 1
 
 
 def find_polarization(A):

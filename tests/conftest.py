@@ -22,8 +22,8 @@ from torusmirror import corresp as cp
 from torusmirror import exactlin as xl
 from torusmirror import lefschetz as lf
 from torusmirror.clifford import (IsotropicSplitting, SpinVec, _cor_apply, _cor_rows,
-                                  _generator_maps, _sign_normalize, _signed, _source_terms,
-                                  cor_matrix, exterior_exp, popcount, wedge)
+                                  _generator_maps, _merge_sign, _sign_normalize, _signed,
+                                  _source_terms, cor_matrix, exterior_exp, popcount, wedge)
 from torusmirror.errors import NoHardLefschetz, NoIntertwiner, NotIsotropic, SingularMatrix
 from torusmirror.mirror import WellBecomingWitness
 from torusmirror.pairspace import i_omega, make_weak_pair, q_form
@@ -570,6 +570,20 @@ def diagram_classes_by_products(n, p1_sign):
         yield d + i, cp.pc_mul(cp.ProductClass(n, n, {(1 << i, 0): 1}), top)
         second = mu_expand(n, [j for j in range(d) if j != i], p1_sign)
         yield i, cp.ProductClass(n, n, {k: (-1) ** i * c for k, c in second.coeffs.items()})
+
+
+def push_forward_by_merge_signs(xi, v):
+    """push_forward_correspondence with one _merge_sign of the whole term
+    s | t << 2n against v's term per term, the reference for its sign from
+    the complement-sign table."""
+    out = {}
+    shift = 2 * xi.n
+    full = (1 << shift) - 1
+    for (s, t), c in xi.coeffs.items():
+        sv = full ^ s
+        if sv in v.coeffs:
+            out[t] = out.get(t, 0) + _merge_sign(s | t << shift, sv) * c * v.coeffs[sv]
+    return SpinVec(xi.m, out)
 
 
 def verify_cor_diagram_by_products(n, mu_p1_sign=-1):

@@ -81,6 +81,14 @@ def test_spinvec_sum_rejects_vectors_of_different_sizes():
         SpinVec(1, {1: 1}) + SpinVec(2, {8: 1})
 
 
+def test_spinvec_rejects_masks_outside_its_n():
+    with pytest.raises(ValueError, match="^mask 8 does not fit n = 1: masks lie in 0..3$"):
+        SpinVec(1, {8: 1})
+    with pytest.raises(ValueError, match="^mask -1 does not fit n = 1"):
+        SpinVec(1, {0: 2, -1: 1})
+    assert SpinVec(1, {3: 1, 0: 0}).coeffs == {3: 1} and SpinVec(0, {0: 5}).coeffs == {0: 5}
+
+
 def _conjugation_oracle(n, z):
     """Solve z cor(e_k) z^{-1} = sum_i R[i,k] cor(e_i) by dense linear algebra."""
     e = xl.eye(4 * n)

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import (beta_explicit, contract_apply, diagram_classes_by_products, kernel_class,
-                      kernel_class_by_map, merge_sign_by_bits, verify_cor_diagram_by_products,
-                      wedge_apply)
+                      kernel_class_by_map, merge_sign_by_bits, push_forward_by_merge_signs,
+                      verify_cor_diagram_by_products, wedge_apply)
 from torusmirror import corresp as cp
 from torusmirror import exactlin as xl
 from torusmirror.clifford import SpinVec, _generator_maps, popcount
@@ -230,3 +230,36 @@ def test_wedge_contract_helpers_are_adjoint_shapes():
         c = contract_apply(n, 1, {s: 1})
         for t in c:
             assert popcount(t) == popcount(s) - 1
+
+
+def _rand_class(rng, n, m, terms):
+    return cp.ProductClass(n, m, {(rng.randrange(1 << (2 * n)), rng.randrange(1 << (2 * m))):
+                                  rng.randint(-3, 3) for _ in range(terms)})
+
+
+def _rand_vec(rng, n, terms):
+    return SpinVec(n, {rng.randrange(1 << (2 * n)): rng.randint(-3, 3) for _ in range(terms)})
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_push_forward_signs_match_one_merge_sign_per_term(rng, n):
+    # the kernel of beta, and random classes on A x B with B of another size,
+    # pushed both ways on every monomial and on random sums
+    xi = cp.xi_from_mirror(n)
+    classes = [(xi, n)] + [(_rand_class(rng, n, m, 40), m) for m in (1, 2, 3) for _ in range(3)]
+    for c, m in classes:
+        swapped = cp.swap_factors(c)
+        for v in all_monomials(n) + [_rand_vec(rng, n, 12) for _ in range(10)]:
+            assert cp.push_forward_correspondence(c, v) == push_forward_by_merge_signs(c, v)
+        for w in all_monomials(m) + [_rand_vec(rng, m, 12) for _ in range(10)]:
+            assert cp.reverse_correspondence(c, w) == push_forward_by_merge_signs(swapped, w)
+
+
+def test_product_class_from_map_rejects_masks_outside_their_factor():
+    with pytest.raises(ValueError, match="^mask 16 does not fit n = 1: masks lie in 0..3$"):
+        cp.product_class_from_map(1, 1, {0b10000: {1: 1}, 1: {0b100000: 2}})
+    with pytest.raises(ValueError, match="^mask 32 does not fit m = 1: masks lie in 0..3$"):
+        cp.product_class_from_map(1, 1, {1: {0b100000: 2}})
+    with pytest.raises(ValueError, match="^mask -1 does not fit n = 2"):
+        cp.product_class_from_map(2, 1, {-1: {1: 1}})
+    assert cp.product_class_from_map(2, 1, {15: {3: 1}}).coeffs == {(0, 3): 1}

@@ -278,7 +278,8 @@ def test_nullspace_rank_and_echelon_growth(a):
 
 
 INDEX_KEYS = [(1, 2), (-1, -2), 1, (slice(None), 2), (1, slice(None)), slice(1, 3),
-              (slice(1, 3), slice(0, 2)), ([2, 0], slice(None)), (slice(None), [3, 1])]
+              (slice(1, 3), slice(0, 2)), ([2, 0], slice(None)), (slice(None), [3, 1]),
+              (slice(None, None, -1), slice(3, 0, -2)), (slice(2, 2), slice(1, 3))]
 
 
 @pytest.mark.parametrize("key", INDEX_KEYS, ids=repr)
@@ -361,6 +362,64 @@ def symmetric_matrices(draw):
 def test_positive_definite_matches_leading_minors(s):
     k = s.shape[0]
     assert xl.is_positive_definite(s) == all(leibniz_det(s[:i, :i]) > 0 for i in range(1, k + 1))
+
+
+@st.composite
+def definiteness_cases(draw):
+    """(kind, s): a symmetric matrix of size 0..6 with integer or rational
+    entries, positive definite (m m^t + c), negative definite (its negative),
+    singular (m m^t for m with one column fewer than rows, or a zero row
+    and column) or any (m + m^t, most often indefinite)."""
+    k = draw(st.integers(0, 6))
+    kind = draw(st.sampled_from(["positive", "negative", "singular", "any"]))
+    if k == 0:
+        return "positive", xl.zeros(0)
+    m = draw(matrices(k, k))
+    if kind == "any":
+        return kind, xl.mat(m + m.T)
+    if kind == "singular":
+        s = xl.mat(m.dot(m.T))
+        if k > 1 and draw(st.booleans()):
+            s = xl.mul(xl.mat(m[:, 1:]), xl.mat(m[:, 1:]).T)
+        i = draw(st.integers(0, k - 1))
+        if xl.det(s) != 0:
+            s[i] = [0] * k
+            s[:, i] = [0] * k
+        return kind, s
+    s = xl.mat(m.dot(m.T)) + draw(st.sampled_from([1, Fraction(1, 3), 2])) * xl.eye(k)
+    return kind, s if kind == "positive" else -s
+
+
+def definiteness_by_minors(s):
+    """1, -1 or 0 from the leading minors, each a Fraction elimination."""
+    minors = [fraction_det(s[:k, :k]) for k in range(1, s.shape[0] + 1)]
+    if all(d > 0 for d in minors):
+        return 1
+    if all((-1) ** k * d > 0 for k, d in enumerate(minors, 1)):
+        return -1
+    return 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(definiteness_cases())
+def test_definiteness_matches_leading_minors(case):
+    kind, s = case
+    got = xl.definiteness(s)
+    assert got == definiteness_by_minors(s)
+    if kind != "any":
+        assert got == {"positive": 1, "negative": -1, "singular": 0}[kind]
+    assert xl.is_positive_definite(s) == (got == 1)
+
+
+def test_definiteness_tags():
+    assert xl.definiteness(xl.mat([[2, -1], [-1, 2]])) == 1
+    assert xl.definiteness(xl.mat([[-2, 1], [1, Fraction(-2, 3)]])) == -1
+    assert xl.definiteness(xl.mat([[1, 2], [2, 1]])) == 0
+    assert xl.definiteness(xl.mat([[0, 1], [1, 0]])) == 0  # a zero first minor
+    assert xl.definiteness(xl.mat([[-1, 0], [0, 0]])) == 0  # a zero last minor
+    assert xl.definiteness(xl.zeros(0)) == 1
+    with pytest.raises(NotSymmetric, match="^matrix not square$"):
+        xl.definiteness(xl.zeros(2, 3))
 
 
 def _int_where_integral(values):
@@ -461,6 +520,14 @@ def test_public_functions_return_canonical_matrices(a):
     canonical(xl.to_int(xl.primitive_int(m)))
     canonical(xl.zeros(*m.shape))
     canonical(xl.eye(k))
+    # parts over different dens, zero parts and empty parts give a canonical block
+    r, c = m.shape
+    parts = [m, m * Fraction(2, 3), xl.zeros(r, c), xl.zeros(r, 0), m * Fraction(5, 4)]
+    got = canonical(xl.block([parts]))
+    assert xl.mat_eq(got, [sum((p.rows[i] for p in parts), []) for i in range(r)])
+    stacked = [m * Fraction(3, 2), xl.zeros(2, c), xl.zeros(0, c), m * Fraction(1, 6)]
+    got = canonical(xl.block([[p] for p in stacked]))
+    assert xl.mat_eq(got, [row for p in stacked for row in p.rows])
     if xl.det(m[:k, :k]) != 0:
         canonical(xl.invert(m[:k, :k]))
     # writing an entry, a row or a block keeps the form canonical

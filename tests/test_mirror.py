@@ -1,27 +1,32 @@
+import hashlib
+import random
 from fractions import Fraction
 from itertools import product
 
 import numpy as np
 import pytest
 
-from conftest import (adapted_halves, elliptic_sample, gaussian_torus, rand_rational,
-                      rand_unimodular, repair_candidates_by_norm, splitting_route,
-                      transversal, well_becoming_sample)
+from conftest import (adapted_halves, elliptic_sample, gaussian_pair, gaussian_torus,
+                      rand_q_isometry, rand_rational, rand_unimodular,
+                      repair_candidates_by_norm, splitting_route, transversal,
+                      well_becoming_sample)
 from torusmirror import clifford
 from torusmirror import exactlin as xl
 from torusmirror import mirror
 from torusmirror.errors import (Degenerate, DifferentSource, FormMismatch,
                                 IntertwineFailure, NotABasis, NotInvariant,
-                                TransversalityNotFound)
+                                NotInvertible, TransversalityNotFound)
 from torusmirror.mirror import (WellBecomingWitness, _adapted_splitting,
                                 _repair_candidates, _witness_basis,
                                 check_well_becoming, compare_mirror_isos,
                                 elliptic_factors, elliptic_mirror, g_mirror,
                                 mirror_from_splitting, verify_mirror)
-from torusmirror.pairspace import (classify_pair, i_omega, jprod, make_weak_pair,
-                                   q_form)
+from torusmirror.pairspace import (WeakPair, classify_pair, i_omega, jprod,
+                                   make_weak_pair, q_form)
 from torusmirror.clifford import IsotropicSplitting, standard_splitting
-from torusmirror.torus import find_polarization, make_torus, ns_basis
+from torusmirror.siegel import siegel_act
+from torusmirror.torus import (NSVector, Torus, find_polarization, hom_space, make_torus,
+                               ns_basis)
 
 J_SQUARE = xl.mat([[0, -1], [1, 0]])
 PHI = xl.mat([[0, 1], [-1, 0]])
@@ -609,3 +614,64 @@ def test_every_gaussian_torus_has_an_elliptic_mirror(rng, n):
         for phi in (find_polarization(A).c, principal):
             pA, pB, cert = elliptic_mirror(A, (Fraction(1, 2), 1), phi)
             verify_mirror(pA, pB, cert.alpha)
+
+
+def _pinned(x):
+    """A canonical repr of a pipeline output: a matrix by (den, num, ncols),
+    a pair by its torus, forms and I_omega, a certificate by alpha and its pairs."""
+    if isinstance(x, xl.Matrix):
+        return ("M", x.den, x.num, x.ncols)
+    if isinstance(x, Torus):
+        return ("T", x.n, _pinned(x.J))
+    if isinstance(x, NSVector):
+        return ("NS", _pinned(x.c))
+    if isinstance(x, WeakPair):
+        return ("P", _pinned(x.torus), _pinned(x.phi1), _pinned(x.phi2), _pinned(x._i_omega))
+    if isinstance(x, mirror.MirrorCertificate):
+        return ("C", _pinned(x.alpha), _pinned(x.pairA), _pinned(x.pairB))
+    if isinstance(x, (list, tuple)):
+        return tuple(_pinned(y) for y in x)
+    return repr(x)
+
+
+def same_results_outputs():
+    """The outputs of the mirror pipeline on seeded inputs at n = 1..3, and the
+    classification tags seen; the seed is fixed, so the inputs do not follow
+    TORUS_MIRROR_SEED."""
+    rng = random.Random(2029)
+    out, tags = [], set()
+    for n in (1, 2, 3):
+        for _ in range(2):
+            p, w = well_becoming_sample(rng, n)
+            pB, cert = g_mirror(p, w)
+            out += [("g_mirror", pB, cert), ("verify_mirror", verify_mirror(p, pB, cert.alpha)),
+                    ("classify_pair", classify_pair(p), classify_pair(pB))]
+        for A, tau, phi in [elliptic_sample(rng, n) for _ in range(2)] + (
+                [repaired_case()] if n == 2 else []):
+            pA, pB, cert = elliptic_mirror(A, tau, phi)
+            out += [("elliptic_mirror", pA, pB, cert),
+                    ("elliptic_factors", elliptic_factors(pB, xl.skew_normal_form(phi).deltas))]
+        A, _ = gaussian_torus(rng, n)
+        B, _ = gaussian_torus(rng, n)
+        out += [("ns_basis", ns_basis(A)), ("hom_space", hom_space(A, A), hom_space(A, B))]
+        for _ in range(12):
+            p = gaussian_pair(rng, n)
+            tag = classify_pair(p)
+            tags.add(tag)
+            try:
+                acted = siegel_act(rand_q_isometry(rng, n), (p.phi1, p.phi2))
+            except NotInvertible as e:
+                acted = repr(e)
+            out += [("classify_pair", p, tag), ("siegel_act", acted)]
+    return out, tags
+
+
+SAME_RESULTS_SHA256 = "127d88a55c678e20b93c7aca0b8293a9c81e9840df8417cb693e43340fd877b3"
+
+
+def test_mirror_pipeline_outputs_are_pinned():
+    # the digest was computed before the mirror path dropped its repeated work
+    out, tags = same_results_outputs()
+    assert tags == {"AlgebraicPlus", "AlgebraicMinus", "WeakOnly"}
+    digest = hashlib.sha256(repr(_pinned(out)).encode()).hexdigest()
+    assert digest == SAME_RESULTS_SHA256

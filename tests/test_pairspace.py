@@ -7,14 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (classify_by_e_form, e_form, gaussian_pair, rand_q_isometry, rand_rational,
-                      weak_pair_sample)
+                      weak_pair_sample, well_becoming_sample)
 from torusmirror import exactlin as xl
 from torusmirror.errors import Block12Singular, NotNSForm
-from torusmirror.pairspace import (classify_pair, conjugate_pair, i_omega, is_q_isometry, jprod,
-                                   make_weak_pair, q_form, q_gram, q_left, q_right,
-                                   recover_omega)
+from torusmirror.mirror import g_mirror
+from torusmirror.pairspace import (WeakPair, classify_pair, conjugate_pair, i_omega,
+                                   is_q_isometry, jprod, make_weak_pair, q_form, q_gram, q_left,
+                                   q_right, recover_omega)
 from torusmirror.siegel import translation_element
-from torusmirror.torus import make_torus, polarization_form
+from torusmirror.torus import check_polarization, make_torus, polarization_form
 
 J_SQUARE = xl.mat([[0, -1], [1, 0]])
 PHI = xl.mat([[0, 1], [-1, 0]])
@@ -23,6 +24,23 @@ PHI = xl.mat([[0, 1], [-1, 0]])
 def square_pair(t1=0, t2=1):
     A = make_torus(1, J_SQUARE)
     return make_weak_pair(A, t1 * PHI, t2 * PHI)
+
+
+def test_weak_pair_rejects_forms_that_are_not_skew():
+    A = make_torus(1, J_SQUARE)
+    for phi1, phi2 in ((xl.mat([[0, 1], [1, 0]]), PHI), (PHI, xl.mat([[1, 1], [-1, 0]]))):
+        with pytest.raises(NotNSForm, match="^phi1 and phi2 must be skew$"):
+            WeakPair(A, phi1, phi2)
+    assert xl.mat_eq(i_omega(WeakPair(A, xl.zeros(2), PHI)), i_omega(square_pair()))
+
+
+def test_i_omega_block_22_is_the_product(rng):
+    # block (2,2) is -(block (1,1))^T, which is -phi1 phi2^-1 for skew forms
+    for n in (1, 2, 3):
+        for p in (weak_pair_sample(rng, n), gaussian_pair(rng, n)):
+            for q in (p, conjugate_pair(p), recover_omega(p.torus, i_omega(p))):
+                want = -xl.mul(q.phi1, xl.invert(q.phi2))
+                assert xl.mat_eq(i_omega(q)[2 * n:, 2 * n:], want)
 
 
 def test_make_weak_pair_validates():
@@ -87,6 +105,31 @@ def test_classify_pair_matches_e_form(rng, n):
         if seen == tags:
             break
     assert seen == tags
+
+
+def classify_by_polarizations(p):
+    """The tag of p from two polarization checks, of phi2 and of -phi2."""
+    if check_polarization(p.torus, p.phi2):
+        return "AlgebraicPlus"
+    if check_polarization(p.torus, -p.phi2):
+        return "AlgebraicMinus"
+    return "WeakOnly"
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_classify_pair_takes_one_elimination(rng, monkeypatch, n):
+    passes = []
+    bareiss = xl._bareiss
+    monkeypatch.setattr(xl, "_bareiss", lambda a: passes.append(1) or bareiss(a))
+    seen = set()
+    for _ in range(40):
+        p = gaussian_pair(rng, n)
+        passes.clear()
+        tag = classify_pair(p)
+        assert len(passes) == 1
+        assert tag == classify_by_polarizations(p) == classify_by_e_form(p)
+        seen.add(tag)
+    assert seen == {"AlgebraicPlus", "AlgebraicMinus", "WeakOnly"}
 
 
 def test_e_form_is_congruent_to_polarization_blocks(rng):
@@ -179,19 +222,56 @@ def _rational_eta(rng, d, skew):
     return eta
 
 
+def signed_permutation_isometry(rng, n):
+    """A Q-isometry that is a signed permutation: diag(u, u) for a signed
+    permutation u of Gamma, where u^-T = u, with l_i and x_i swapped for
+    random i."""
+    d = 2 * n
+    u = xl.zeros(d)
+    for i, j in enumerate(rng.sample(range(d), d)):
+        u[i, j] = rng.choice([-1, 1])
+    g = xl.block([[u, xl.zeros(d)], [xl.zeros(d), u]])
+    for i in range(d):
+        if rng.random() < 0.5:
+            g[:, [i, d + i]] = g[:, [d + i, i]]
+    return g
+
+
+def mirror_certificate(rng, n):
+    """The alpha of g_mirror on a random well-becoming pair."""
+    return g_mirror(*well_becoming_sample(rng, n))[1].alpha
+
+
+def bump(rng, g):
+    """g with one random entry moved by 1, up or down."""
+    g = g.copy()
+    i, j = rng.randrange(len(g)), rng.randrange(len(g))
+    g[i, j] += rng.choice([-1, 1])
+    return g
+
+
+SPARSE_ISOMETRIES = {"certificate": mirror_certificate,
+                     "signed permutation": signed_permutation_isometry}
+
+
 @st.composite
 def square_matrices(draw):
     """(n, g): an integral Q-isometry, one with an entry bumped, a rational
     translation by a skew or a general eta, or a random integer or rational
-    matrix, all 4n x 4n for n = 1..3."""
-    n = draw(st.integers(1, 3))
+    matrix, all 4n x 4n for n = 1..3; or a mirror certificate or a signed
+    permutation isometry, either with or without an entry bumped, for n = 1..4."""
+    kind = draw(st.sampled_from(["isometry", "bumped", "skew", "not skew", "int", "rational",
+                                 "certificate", "signed permutation"]))
+    n = draw(st.integers(1, 4 if kind in SPARSE_ISOMETRIES else 3))
     rng = draw(st.randoms(use_true_random=False))
-    kind = draw(st.sampled_from(["isometry", "bumped", "skew", "not skew", "int", "rational"]))
-    if kind in ("isometry", "bumped"):
+    if kind in SPARSE_ISOMETRIES:
+        g = SPARSE_ISOMETRIES[kind](rng, n)
+        if draw(st.booleans()):
+            g = bump(rng, g)
+    elif kind in ("isometry", "bumped"):
         g = rand_q_isometry(rng, n)
         if kind == "bumped":
-            i, j = rng.randrange(4 * n), rng.randrange(4 * n)
-            g[i, j] += rng.choice([-1, 1])
+            g = bump(rng, g)
     elif kind in ("skew", "not skew"):
         g = translation_element(_rational_eta(rng, 2 * n, kind == "skew"), n)
     else:
@@ -206,6 +286,22 @@ def test_is_q_isometry_matches_the_product_route(case):
     n, g = case
     q = q_form(n)
     assert is_q_isometry(g) == xl.mat_eq(xl.mul(g.T, xl.mul(q, g)), q)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_is_q_isometry_on_sparse_isometries(rng, n):
+    # where at least three in four entries are 0 the test runs on the nonzeros;
+    # it must give both answers there
+    q = q_form(n)
+    seen = set()
+    for make in SPARSE_ISOMETRIES.values():
+        for _ in range(3):
+            g = make(rng, n)
+            for h, want in ((g, True), (bump(rng, g), False)):
+                assert is_q_isometry(h) == want == xl.mat_eq(xl.mul(h.T, xl.mul(q, h)), q)
+                if 4 * sum(row.count(0) for row in h.num) >= 3 * (4 * n) ** 2:
+                    seen.add(want)
+    assert seen == {True, False}
 
 
 def test_is_q_isometry_on_rational_and_misshapen_matrices():
