@@ -68,8 +68,8 @@ def exterior_exp(a):
     """
     if a.get(0, 0) != 0:
         raise ValueError("exterior_exp needs an element without constant term")
-    q = lcm(*(c.denominator for c in a.values()))
-    den, total = _scaled_exp({m: c.numerator * (q // c.denominator) for m, c in a.items()}, q)
+    q, ints = xl._clear_denominators(a.values())
+    den, total = _scaled_exp(dict(zip(a, ints)), q)
     return {m: c // den if c % den == 0 else Fraction(c, den) for m, c in total.items()}
 
 
@@ -165,28 +165,16 @@ def _check_length(n, lambda_vec):
 
 
 def cor_matrix(n, lambda_vec):
-    """Spinor matrix of cor(lambda) = sum_k lambda_k cor(e_k) in standard coordinates."""
+    """Spinor matrix of cor(lambda) = sum_k lambda_k cor(e_k) in standard coordinates:
+    entry (row, m) gains signed[j] for each term (j, row) of _source_terms(n)[m]."""
     _check_length(n, lambda_vec)
+    signed = _signed(lambda_vec)
     size = 1 << (2 * n)
-    out = []
-    for sparse in _cor_rows(_generator_maps(n), lambda_vec):
-        row = [0] * size
-        for m, v in sparse.items():
-            row[m] = v
-        out.append(row)
+    out = [[0] * size for _ in range(size)]
+    for m, terms in enumerate(_source_terms(n)):
+        for j, row in terms:
+            out[row][m] += signed[j]
     return xl.mat(out)
-
-
-def _cor_rows(maps, coords):
-    """The rows of cor(lambda) = sum_k coords_k cor(e_k) as sparse dicts."""
-    rows = [{} for _ in maps[0]]
-    for a, col in zip(coords, maps):
-        if a != 0:
-            for m, image in enumerate(col):
-                if image is not None:
-                    row = rows[image[0]]
-                    row[m] = row.get(m, 0) + a * image[1]
-    return rows
 
 
 @cache
@@ -194,7 +182,7 @@ def _source_terms(n):
     """Per source monomial m, the 2n generators e_k that do not kill x_m, as
     pairs (j, row) with cor(e_k) x_m = sign * x_row: j is k for sign +1 and
     4n + k for sign -1, an index into the coordinates followed by their
-    negatives.  Built once per n from the generator maps, for _cor_apply."""
+    negatives.  Built once per n from the generator maps, for _cor_apply and cor_matrix."""
     maps = _generator_maps(n)
     return tuple(tuple((k if col[m][1] > 0 else 4 * n + k, col[m][0])
                        for k, col in enumerate(maps) if col[m] is not None)

@@ -132,7 +132,7 @@ class Matrix:
                              f"{len(rows)}x{len(cols)} entries")
         # integers go straight into an integral matrix; anything else is
         # written into the entries, which are then read back in canonical form
-        ints = self.den == 1 and _all_int(grid)
+        ints = self.den == 1 and set(map(type, chain.from_iterable(grid))) <= {int}
         target = self.num if ints else self.rows
         for r, values in zip(rows, grid):
             row = target[r]
@@ -197,15 +197,9 @@ def _canon(num, den, ncols):
     return _wrap(num, den, ncols)
 
 
-def _all_int(rows):
-    return set(map(type, chain.from_iterable(rows))) <= {int}
-
-
 def _from_entries(rows, ncols):
     """The Matrix of row lists of ints and Fractions, which it takes over.  Its
     den is the lcm of the entries' denominators, which is canonical."""
-    if _all_int(rows):
-        return _wrap(rows, 1, ncols)
     den = lcm(*{x.denominator for x in chain.from_iterable(rows)})
     return _wrap([[x.numerator * (den // x.denominator) for x in row] for row in rows],
                  den, ncols)

@@ -169,17 +169,13 @@ def lefschetz_f(kappa):
 
 
 def generate_g_ns(A, kappas):
-    """Bracket closure of { e_k, f_k, h } inside gl(H*(A))."""
-    seen = set()
+    """Bracket closure of { e_k, f_k, h } inside gl(H*(A)).  The echelon of
+    the closure is its only span test, so a repeated class adds nothing."""
     gens = []
     for kappa in kappas:
         c = as_form(kappa)
         if not is_ns_form(A, c):
             raise NotNSForm("kappa is not skew or not J-invariant")
-        key = (c.den, tuple(map(tuple, c.num)))
-        if key in seen:
-            continue
-        seen.add(key)
         gens.append(lefschetz_e(c))
         try:
             gens.append(lefschetz_f(c))

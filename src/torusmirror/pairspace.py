@@ -21,11 +21,7 @@ class WeakPair:
         phi1, phi2 = xl.mat(phi1), xl.mat(phi2)
         if not (xl.is_skew(phi1) and xl.is_skew(phi2)):
             raise NotNSForm("phi1 and phi2 must be skew")
-        try:
-            phi2_inv = xl.invert(phi2)
-        except SingularMatrix:
-            raise NotNSForm("phi2 must be nondegenerate")
-        self._hold(torus, phi1, phi2, phi2_inv)
+        self._hold(torus, phi1, phi2, _invert_phi2(phi2))
 
     @classmethod
     def _with_inverse(cls, torus, phi1, phi2, phi2_inv):
@@ -49,6 +45,14 @@ class WeakPair:
     def __eq__(self, other):
         return (isinstance(other, WeakPair) and self.torus == other.torus
                 and xl.mat_eq(self.phi1, other.phi1) and xl.mat_eq(self.phi2, other.phi2))
+
+
+def _invert_phi2(phi2):
+    """phi2^-1; a degenerate phi2 is not the imaginary part of a weak pair."""
+    try:
+        return xl.invert(phi2)
+    except SingularMatrix:
+        raise NotNSForm("phi2 must be nondegenerate")
 
 
 def q_form(n):
@@ -144,14 +148,15 @@ def _require_ns_forms(A, phi1, phi2):
 
 
 def make_weak_pair(A, phi1, phi2):
-    phi1, phi2 = xl.asmat(phi1), xl.asmat(phi2)
+    phi1, phi2 = xl.mat(phi1), xl.mat(phi2)
     _require_ns_forms(A, phi1, phi2)
-    return WeakPair(A, phi1, phi2)
+    return WeakPair._with_inverse(A, phi1, phi2, _invert_phi2(phi2))
 
 
 def conjugate_pair(p):
-    """omega-bar = phi1 - i*phi2."""
-    return WeakPair(p.torus, p.phi1, -p.phi2)
+    """omega-bar = phi1 - i*phi2, whose (-phi2)^-1 is block (1,2) of I_omega."""
+    d = 2 * p.torus.n
+    return WeakPair._with_inverse(p.torus, p.phi1.copy(), -p.phi2, p._i_omega[:d, d:])
 
 
 def i_omega(p):

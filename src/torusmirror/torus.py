@@ -7,7 +7,7 @@ convention on l**, not on matrices, and never enters the formulas here).
 """
 
 from functools import cached_property
-from math import gcd, lcm
+from math import gcd
 
 from . import exactlin as xl
 from .errors import NotComplexStructure, NotNSForm
@@ -96,8 +96,7 @@ def _saturated(basis):
         return []
     rows = []
     for v in basis:
-        den = lcm(*(x.denominator for x in v))
-        row = [x.numerator * (den // x.denominator) for x in v]
+        row = xl._clear_denominators(v)[1]
         g = gcd(*row) or 1
         rows.append([x // g for x in row])
     return xl.saturate_rows(rows).rows

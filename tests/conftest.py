@@ -21,7 +21,7 @@ from hypothesis import settings
 from torusmirror import corresp as cp
 from torusmirror import exactlin as xl
 from torusmirror import lefschetz as lf
-from torusmirror.clifford import (IsotropicSplitting, SpinVec, _cor_apply, _cor_rows,
+from torusmirror.clifford import (IsotropicSplitting, SpinVec, _cor_apply,
                                   _generator_maps, _merge_sign, _sign_normalize, _signed,
                                   _source_terms, cor_matrix, exterior_exp, popcount, wedge)
 from torusmirror.errors import NoHardLefschetz, NoIntertwiner, NotIsotropic, SingularMatrix
@@ -506,11 +506,10 @@ def splitting_cor(s, lambda_vec):
 def vacuum_kernel(s1, annihilators):
     """Common kernel of cor_{s1}(m) over the given Lambda-vectors; the rows of
     each cor_{s1}(m) go into the elimination as sparse rows."""
-    maps = _generator_maps(s1.n)
     ech = xl.Echelon()
     for m in annihilators:
-        for row in _cor_rows(maps, splitting_coords(s1, m)):
-            ech.add({c: v for c, v in row.items() if v != 0})
+        for row in splitting_cor(s1, m).rows:
+            ech.add({c: v for c, v in enumerate(row) if v != 0})
     return ech.kernel(1 << (2 * s1.n))
 
 

@@ -13,11 +13,10 @@ import numpy as np
 import pytest
 
 from conftest import (beta_explicit, rand_q_isometry, rand_rational, rand_spin,
-                      rand_splitting, rand_unimodular, splitting_coords, splitting_cor,
+                      rand_splitting, rand_unimodular, splitting_cor,
                       weak_pair_sample, well_becoming_sample)
 from torusmirror import exactlin as xl
-from torusmirror.clifford import (IsotropicSplitting, SpinVec, _cor_rows,
-                                  _generator_maps, beta_iso, beta_parity,
+from torusmirror.clifford import (IsotropicSplitting, SpinVec, beta_iso, beta_parity,
                                   cor_matrix, is_spin, popcount, r_of_z,
                                   standard_splitting)
 from torusmirror.corresp import (c1_poincare, pc_exp,
@@ -113,21 +112,19 @@ def _intertwining_dimension(s1, s2, lambdas):
     4^{2n} entries of X, so this is practical only for n <= 2.
     """
     size = 1 << (2 * s1.n)
-    maps = _generator_maps(s1.n)
     ech = xl.Echelon()
     for lam in lambdas:
-        a_cols = [[] for _ in range(size)]
-        for m, a_row in enumerate(_cor_rows(maps, splitting_coords(s1, lam))):
-            for j, v in a_row.items():
-                a_cols[j].append((m, v))
-        b_rows = _cor_rows(maps, splitting_coords(s2, lam))
+        a_cols = [[(m, v) for m, v in enumerate(col) if v]
+                  for col in zip(*splitting_cor(s1, lam).rows)]
+        b_rows = [[(m, v) for m, v in enumerate(row) if v]
+                  for row in splitting_cor(s2, lam).rows]
         for i in range(size):
             for j in range(size):
                 row = {}
                 # (X a)[i, j] - (b X)[i, j]
                 for m, v in a_cols[j]:
                     row[i * size + m] = row.get(i * size + m, 0) + v
-                for m, v in b_rows[i].items():
+                for m, v in b_rows[i]:
                     row[m * size + j] = row.get(m * size + j, 0) - v
                 ech.add({c: v for c, v in row.items() if v != 0})
     return size * size - len(ech.rows)

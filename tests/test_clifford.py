@@ -818,6 +818,8 @@ def test_cor_matrix_matches_column_route(rng):
             assert xl.mat_eq(cor_matrix(n, v), cor_matrix_by_columns(n, v))
             v = rand_lambda_vec(rng, n)
             assert xl.mat_eq(cor_matrix(n, v), cor_matrix_by_columns(n, v))
+        for e_k in xl.eye(4 * n).rows:
+            assert xl.mat_eq(cor_matrix(n, e_k), cor_matrix_by_columns(n, e_k))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -574,3 +574,17 @@ def test_from_int_rows_takes_the_rows_over():
     m = xl.from_int_rows(rows, 3)
     assert m.num is rows and m.den == 1 and m.shape == (2, 3)
     assert xl.mat_eq(m, xl.mat([[1, -2, 0], [3, 4, 5]]))
+
+
+def test_setitem_that_clears_every_fraction_gives_den_one():
+    # the entries are read back through the lcm of their denominators: when
+    # the assignment leaves only integers, that lcm is 1 and each entry an int
+    for key, value in (((0, 0), 5), ((0, 0), Fraction(4, 2)), (0, [1, 7]),
+                       ((slice(None), 0), [Fraction(6, 3), 3])):
+        m = xl.mat([[Fraction(1, 2), 7], [3, 4]])
+        assert m.den == 2
+        m[key] = value
+        assert m.den == 1
+        assert all(type(x) is int for row in m.num for x in row)
+        assert all(type(x) is int for row in m.rows for x in row)
+    assert m.num == [[2, 7], [3, 4]]

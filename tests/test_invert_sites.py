@@ -13,7 +13,7 @@ SRC = Path(torusmirror.__file__).parent
 
 # (module, enclosing function) -> number of invert calls in it
 INVERT_SITES = {
-    ("pairspace", "WeakPair.__init__"): 1,
+    ("pairspace", "_invert_phi2"): 1,
     ("pairspace", "recover_omega"): 1,
     ("lefschetz", "lefschetz_f"): 1,
     ("clifford", "IsotropicSplitting.__init__"): 1,

@@ -277,6 +277,27 @@ def test_g_ns_brackets_each_unordered_pair_once(monkeypatch, n, with_sum):
     assert not any(a is b or a.degree == b.degree != 0 for a, b in pairs)
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_generate_g_ns_ignores_repeated_classes(n):
+    # the closure's echelon rejects the operators of a class seen before, so
+    # a repeat, as a matrix or as an NSVector, changes no operator of g_NS
+    A = make_torus(n, _product_structure(n))
+    kappas = ns_basis(A)
+    symplectic = NSVector(sum((k.c for k in kappas), xl.zeros(2 * n)))
+    degenerate = kappas[0]
+    with pytest.raises(NoHardLefschetz):
+        lefschetz_f(degenerate)
+    want = generate_g_ns(A, [symplectic, degenerate])
+    assert want.dim > 3
+    for repeated in ([symplectic, xl.mat(symplectic.c), degenerate],
+                     [symplectic, degenerate, NSVector(xl.mat(symplectic.c))],
+                     [symplectic, degenerate.c, degenerate, NSVector(degenerate.c)]):
+        got = generate_g_ns(A, repeated)
+        assert got.dim == want.dim
+        assert [op.degree for op in got.ops] == [op.degree for op in want.ops]
+        assert [(op.num, op.den) for op in got.ops] == [(op.num, op.den) for op in want.ops]
+
+
 def test_no_dense_operator_is_built(monkeypatch):
     n = 3
     size = 1 << (2 * n)

@@ -51,6 +51,39 @@ def test_make_weak_pair_validates():
         make_weak_pair(A, xl.mat([[0, 1], [1, 0]]), PHI)
 
 
+def test_pair_path_inverts_phi2_once(rng, monkeypatch):
+    # make_weak_pair inverts phi2 once; the conjugate pair reads its
+    # (-phi2)^-1 = -phi2^-1 off block (1,2) of I_omega and inverts nothing
+    invert = xl.invert
+    calls = []
+
+    def counting_invert(m):
+        calls.append(m)
+        return invert(m)
+
+    for n in (1, 2, 3):
+        p = weak_pair_sample(rng, n)
+        want, want_bar = WeakPair(p.torus, p.phi1, p.phi2), WeakPair(p.torus, p.phi1, -p.phi2)
+        monkeypatch.setattr(xl, "invert", counting_invert)
+        calls.clear()
+        q = make_weak_pair(p.torus, p.phi1, p.phi2)
+        assert len(calls) == 1
+        bar = conjugate_pair(q)
+        assert len(calls) == 1
+        monkeypatch.undo()
+        assert q == want and bar == want_bar and conjugate_pair(bar) == q
+        for got, ref in ((q, want), (bar, want_bar)):
+            assert xl.mat_eq(i_omega(got), i_omega(ref))
+            assert i_omega(got).num == i_omega(ref).num and i_omega(got).den == i_omega(ref).den
+        # the conjugate holds its own phi1
+        bar.phi1[0, 1] += 1
+        assert q == want
+    A = make_torus(1, J_SQUARE)
+    for make in (lambda: square_pair(t2=0), lambda: WeakPair(A, PHI, xl.zeros(2))):
+        with pytest.raises(NotNSForm, match="^phi2 must be nondegenerate$"):
+            make()
+
+
 def test_i_omega_properties_square_torus():
     p = square_pair()
     q, jp = q_form(1), jprod(p.torus)
@@ -250,6 +283,15 @@ def bump(rng, g):
     return g
 
 
+def bump_nonzero(rng, g):
+    """g with one random nonzero entry moved by 1, up or down: it has no
+    fewer zeros than g."""
+    g = g.copy()
+    i, j = rng.choice([(i, j) for i, row in enumerate(g.num) for j, x in enumerate(row) if x])
+    g[i, j] += rng.choice([-1, 1])
+    return g
+
+
 SPARSE_ISOMETRIES = {"certificate": mirror_certificate,
                      "signed permutation": signed_permutation_isometry}
 
@@ -291,13 +333,14 @@ def test_is_q_isometry_matches_the_product_route(case):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_is_q_isometry_on_sparse_isometries(rng, n):
     # where at least three in four entries are 0 the test runs on the nonzeros;
-    # it must give both answers there
+    # it must give both answers there, so a bump keeps the zeros: at n = 1 a
+    # sparse isometry has exactly 12 zeros of 16, and one filled in makes h dense
     q = q_form(n)
     seen = set()
     for make in SPARSE_ISOMETRIES.values():
         for _ in range(3):
             g = make(rng, n)
-            for h, want in ((g, True), (bump(rng, g), False)):
+            for h, want in ((g, True), (bump_nonzero(rng, g), False)):
                 assert is_q_isometry(h) == want == xl.mat_eq(xl.mul(h.T, xl.mul(q, h)), q)
                 if 4 * sum(row.count(0) for row in h.num) >= 3 * (4 * n) ** 2:
                     seen.add(want)
