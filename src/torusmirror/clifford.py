@@ -157,32 +157,12 @@ def _generator_maps(n):
     return tuple(maps)
 
 
-def _check_length(n, lambda_vec):
-    """A vector of Lambda has 4n coordinates; zip would drop or ignore the rest."""
-    if len(lambda_vec) != 4 * n:
-        raise ValueError(f"a vector of Lambda has {4 * n} entries for n = {n}, "
-                         f"not {len(lambda_vec)}")
-
-
-def cor_matrix(n, lambda_vec):
-    """Spinor matrix of cor(lambda) = sum_k lambda_k cor(e_k) in standard coordinates:
-    entry (row, m) gains signed[j] for each term (j, row) of _source_terms(n)[m]."""
-    _check_length(n, lambda_vec)
-    signed = _signed(lambda_vec)
-    size = 1 << (2 * n)
-    out = [[0] * size for _ in range(size)]
-    for m, terms in enumerate(_source_terms(n)):
-        for j, row in terms:
-            out[row][m] += signed[j]
-    return xl.mat(out)
-
-
 @cache
 def _source_terms(n):
     """Per source monomial m, the 2n generators e_k that do not kill x_m, as
     pairs (j, row) with cor(e_k) x_m = sign * x_row: j is k for sign +1 and
     4n + k for sign -1, an index into the coordinates followed by their
-    negatives.  Built once per n from the generator maps, for _cor_apply and cor_matrix."""
+    negatives.  Built once per n from the generator maps, for _cor_apply."""
     maps = _generator_maps(n)
     return tuple(tuple((k if col[m][1] > 0 else 4 * n + k, col[m][0])
                        for k, col in enumerate(maps) if col[m] is not None)
@@ -462,7 +442,10 @@ def pure_spinor(n, vectors):
     vectors = [list(v) for v in vectors]
     ech = xl.Echelon()
     for v in vectors:
-        _check_length(n, v)
+        # a vector of Lambda has 4n coordinates; zip would drop or ignore the rest
+        if len(v) != 4 * n:
+            raise ValueError(f"a vector of Lambda has {4 * n} entries for n = {n}, "
+                             f"not {len(v)}")
         ech.add({j: x for j, x in enumerate(v) if x})
     basis = ech.int_rows
     if len(basis) != d:

@@ -466,22 +466,11 @@ class Echelon:
         return basis
 
 
-def _echelon(rows):
-    """Echelon of dense int rows, added top to bottom."""
-    ech = Echelon()
-    for row in rows:
-        ech._insert(ech._reduce({j: x for j, x in enumerate(row) if x}))
-    return ech
-
-
 def rank(a):
-    return len(_echelon(asmat(a).num).int_rows)
-
-
-def nullspace(a):
-    """Basis (list of vectors) of the rational right kernel."""
-    a = asmat(a)
-    return _echelon(a.num).kernel(a.ncols)
+    ech = Echelon()
+    for row in asmat(a).num:
+        ech._insert(ech._reduce({j: x for j, x in enumerate(row) if x}))
+    return len(ech.int_rows)
 
 
 def solve_right(a, b):
@@ -684,15 +673,6 @@ def _smith(d, ur, vr=None):
         k += 1
         if k == min(n_rows, n_cols):
             break
-
-
-def smith_normal_form(m):
-    """Return (U, D, V) with U @ m @ V = D diagonal, divisibility chain, U,V unimodular."""
-    d = to_int(m)
-    n_rows, n_cols = d.shape
-    u, v = eye(n_rows), eye(n_cols)
-    _smith(d.num, u.num, v.num)
-    return u, d, v
 
 
 def saturate_rows(b):

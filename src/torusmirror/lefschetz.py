@@ -60,17 +60,9 @@ class GradedOperator:
 
 
 class LieAlgebraBasis:
-    def __init__(self, ops, echelon):
+    def __init__(self, ops):
         self.ops = ops
         self.dim = len(ops)
-        self._echelon = echelon
-
-    def contains(self, mat):
-        # the span is the same for mat and for its num
-        mat = xl.asmat(mat)
-        size = mat.ncols
-        return not self._echelon.reduce({i * size + j: x for i, row in enumerate(mat.num)
-                                         for j, x in enumerate(row) if x})
 
 
 def _bracket(a, b):
@@ -171,18 +163,23 @@ def lefschetz_f(kappa):
 def generate_g_ns(A, kappas):
     """Bracket closure of { e_k, f_k, h } inside gl(H*(A)).  The echelon of
     the closure is its only span test, so a repeated class adds nothing."""
-    gens = []
+    gens, settled = [], set()
     for kappa in kappas:
         c = as_form(kappa)
         if not is_ns_form(A, c):
             raise NotNSForm("kappa is not skew or not J-invariant")
-        gens.append(lefschetz_e(c))
+        e = lefschetz_e(c)
+        gens.append(e)
         try:
-            gens.append(lefschetz_f(c))
+            f = lefschetz_f(c)
         except NoHardLefschetz:
             # degenerate classes contribute their wedge operator only
-            pass
-    gens.append(grading_operator(A.n))
+            continue
+        gens.append(f)
+        # lefschetz_f has checked [e, f] = h
+        settled.add((e, f))
+    h = grading_operator(A.n)
+    gens.append(h)
     size = 1 << (2 * A.n)
     # a span does not change with scale, so the echelon takes each num
     echelon = xl.Echelon()
@@ -198,8 +195,9 @@ def generate_g_ns(A, kappas):
             # each unordered pair once: [b, a] = -[a, b] lies in the span
             # whenever [a, b] does, and [a, a] = 0
             for b in basis[max(start, i + 1):]:
-                # the parts of degree +2 and -2 of the so-image are abelian
-                if a.degree == b.degree != 0:
+                # the parts of degree +2 and -2 of the so-image are abelian,
+                # [h, b] = deg(b) b for homogeneous b, and [e_k, f_k] = h
+                if a.degree == b.degree != 0 or h in (a, b) or (a, b) in settled:
                     continue
                 num = _bracket(a, b)
                 if echelon.add(num):
@@ -208,7 +206,7 @@ def generate_g_ns(A, kappas):
         basis.extend(new)
         if len(basis) > size * size:
             raise RuntimeError(f"g_NS span exceeds dim gl(H*) = {size * size}")
-    return LieAlgebraBasis(basis, echelon)
+    return LieAlgebraBasis(basis)
 
 
 def chi_form(n):
@@ -252,7 +250,7 @@ def so_lambda_spinor_image(A):
             num, den = {m * size + m: 2 * num.get(m * size + m, 0) - 1 for m in range(size)}, 2
         if echelon.add(num):
             ops.append(GradedOperator(size, num, den, deg[a] + deg[b]))
-    basis = LieAlgebraBasis(ops, echelon)
+    basis = LieAlgebraBasis(ops)
     if basis.dim != 2 * n * (4 * n - 1):
         raise RuntimeError(f"so(Lambda) spinor image has dimension {basis.dim}, "
                            f"not 2n(4n-1) = {2 * n * (4 * n - 1)}")

@@ -8,7 +8,7 @@ computed exactly over the Gaussian rationals as one linear solve over Q.
 
 from . import exactlin as xl
 from .errors import FormMismatch, NotInvertible, SingularMatrix
-from .pairspace import i_omega, is_q_isometry, make_weak_pair
+from .pairspace import is_q_isometry, make_weak_pair
 
 
 def blocks(g):
@@ -84,12 +84,6 @@ def stabilizer_check(g, p):
     if fixed != (real_eq and imag_eq):
         raise RuntimeError("stabilizer check: siegel_act disagrees with the closed-form equations")
     return fixed
-
-
-def i_omega_centralizer_check(g, p):
-    iw = i_omega(p)
-    g = xl.asmat(g)
-    return xl.mat_eq(xl.mul(g, iw), xl.mul(iw, g))
 
 
 def translation_element(eta, n):

@@ -23,7 +23,7 @@ from torusmirror import exactlin as xl
 from torusmirror import lefschetz as lf
 from torusmirror.clifford import (IsotropicSplitting, SpinVec, _cor_apply,
                                   _generator_maps, _merge_sign, _sign_normalize, _signed,
-                                  _source_terms, cor_matrix, exterior_exp, popcount, wedge)
+                                  _source_terms, exterior_exp, popcount, wedge)
 from torusmirror.errors import NoHardLefschetz, NoIntertwiner, NotIsotropic, SingularMatrix
 from torusmirror.mirror import WellBecomingWitness
 from torusmirror.pairspace import i_omega, make_weak_pair, q_form
@@ -192,6 +192,12 @@ def rand_q_isometry(rng, n, steps=4):
     return g
 
 
+def commutes_with_i_omega(g, p):
+    """g I_omega = I_omega g for the weak pair p: g fixes omega."""
+    iw, g = i_omega(p), xl.asmat(g)
+    return xl.mat_eq(xl.mul(g, iw), xl.mul(iw, g))
+
+
 def rand_skew(rng, k, bound=2):
     m = xl.zeros(k)
     for i in range(k):
@@ -231,7 +237,7 @@ def rand_spin(rng, n, pairs=2):
         eps = rng.choice([-1, 1])
         for _ in range(2):
             v = rand_unit_pairing_vector(rng, n, eps)
-            z = xl.mul(z, cor_matrix(n, v))
+            z = xl.mul(z, cor_matrix_by_columns(n, v))
     return z
 
 
@@ -363,6 +369,15 @@ def fraction_det(m):
     return -ech.product if inversions % 2 else ech.product
 
 
+def smith_normal_form(m):
+    """(U, D, V) with U m V = D diagonal with a divisibility chain and U, V
+    unimodular, from exactlin._smith recording both U and V."""
+    d = xl.to_int(m)
+    u, v = xl.eye(d.shape[0]), xl.eye(d.shape[1])
+    xl._smith(d.num, u.num, v.num)
+    return u, d, v
+
+
 # ---------------------------------------------------------------------------
 # matrices as lists of rows of ints and Fractions, the reference for
 # exactlin.Matrix held as one integer matrix over one denominator
@@ -474,7 +489,8 @@ def cor_action(lambda_vec, v):
 
 
 def cor_matrix_by_columns(n, lambda_vec):
-    """Reference for cor_matrix: each column is cor_action on one monomial."""
+    """The spinor matrix of cor(lambda) in standard coordinates: each column
+    is cor_action on one monomial."""
     size = 1 << (2 * n)
     out = xl.zeros(size)
     for m in range(size):
@@ -496,7 +512,7 @@ def splitting_coords(s, lambda_vec):
 def splitting_cor(s, lambda_vec):
     """cor_s(lambda) = cor(w^-1 lambda), the spinor matrix of lambda in the
     realization of the splitting s."""
-    return cor_matrix(s.n, splitting_coords(s, lambda_vec))
+    return cor_matrix_by_columns(s.n, splitting_coords(s, lambda_vec))
 
 
 # ---------------------------------------------------------------------------
@@ -828,3 +844,21 @@ def generate_g_ns_by_all_pairs(A, kappas):
         basis.extend(new)
         frontier = new
     return basis, brackets
+
+
+def ops_echelon(ops):
+    """The Echelon of the num of each operator, added in order: the span test
+    that lefschetz.generate_g_ns and so_lambda_spinor_image build as they go."""
+    ech = xl.Echelon()
+    for op in ops:
+        ech.add(op.num)
+    return ech
+
+
+def in_span(ech, mat):
+    """Does the dense operator mat lie in the span of an ops_echelon?  The
+    span is the same for mat and for its num."""
+    mat = xl.asmat(mat)
+    size = mat.ncols
+    return not ech.reduce({i * size + j: x for i, row in enumerate(mat.num)
+                           for j, x in enumerate(row) if x})

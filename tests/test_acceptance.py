@@ -12,13 +12,13 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from conftest import (beta_explicit, rand_q_isometry, rand_rational, rand_spin,
+from conftest import (beta_explicit, commutes_with_i_omega, cor_matrix_by_columns,
+                      in_span, ops_echelon, rand_q_isometry, rand_rational, rand_spin,
                       rand_splitting, rand_unimodular, splitting_cor,
                       weak_pair_sample, well_becoming_sample)
 from torusmirror import exactlin as xl
 from torusmirror.clifford import (IsotropicSplitting, SpinVec, beta_iso, beta_parity,
-                                  cor_matrix, is_spin, popcount, r_of_z,
-                                  standard_splitting)
+                                  is_spin, popcount, r_of_z, standard_splitting)
 from torusmirror.corresp import (c1_poincare, pc_exp,
                                  phi_poincare, push_forward_correspondence,
                                  reverse_correspondence, verify_cor_diagram,
@@ -30,8 +30,7 @@ from torusmirror.lefschetz import (chi_form, generate_g_ns, grading_operator,
 from torusmirror.mirror import elliptic_factors, elliptic_mirror, g_mirror, verify_mirror
 from torusmirror.pairspace import (classify_pair, conjugate_pair, i_omega, jprod,
                                    make_weak_pair, q_form, recover_omega)
-from torusmirror.siegel import (i_omega_centralizer_check, siegel_act,
-                                stabilizer_check, translation_element,
+from torusmirror.siegel import (siegel_act, stabilizer_check, translation_element,
                                 u_membership)
 from torusmirror.torus import dual_torus, hom_space, make_torus, ns_basis
 
@@ -65,7 +64,7 @@ def test_01_clifford_generators_span_full_matrix_algebra(report):
             d = 2 * n
             size = 1 << d
             e = xl.eye(2 * d)
-            gens = [cor_matrix(n, e[:, k]) for k in range(2 * d)]
+            gens = [cor_matrix_by_columns(n, e[:, k]) for k in range(2 * d)]
             # an explicit certificate: every matrix unit E_{S,T} is, up to
             # sign, a word in the generators
             full_contract = reduce(xl.mul, gens[:d])
@@ -298,10 +297,10 @@ def test_11_neron_severi_lie_algebra(report):
         A2 = make_torus(2, np.block([[z, xl.eye(2)], [-xl.eye(2), z]]))
         for A in (A1, A2):
             g_ns = generate_g_ns(A, ns_basis(A))
-            so = so_lambda_spinor_image(A)
+            so = ops_echelon(so_lambda_spinor_image(A).ops)
             x = chi_form(A.n)
             for op in g_ns.ops:
-                assert so.contains(op.mat)
+                assert in_span(so, op.mat)
                 assert xl.is_zero(xl.mul(op.mat.T, x) + xl.mul(x, op.mat))
 
 
@@ -332,7 +331,7 @@ def test_12_group_action_on_period_domain(report, rng):
             assert u_membership(g, p.torus)
             phi1, phi2 = siegel_act(g, (p.phi1, p.phi2))
             assert xl.mat_eq(phi1, p.phi1 + eta) and xl.mat_eq(phi2, p.phi2)
-            assert stabilizer_check(g, p) == i_omega_centralizer_check(g, p)
+            assert stabilizer_check(g, p) == commutes_with_i_omega(g, p)
             assert not stabilizer_check(g, p)
         # fixing omega is the same as commuting with I_omega
         for k in range(50):
@@ -340,7 +339,7 @@ def test_12_group_action_on_period_domain(report, rng):
             p = weak_pair_sample(rng, n)
             g = _rand_u_element(rng, p.torus)
             assert u_membership(g, p.torus)
-            assert stabilizer_check(g, p) == i_omega_centralizer_check(g, p)
+            assert stabilizer_check(g, p) == commutes_with_i_omega(g, p)
 
 
 def _rand_u_element(rng, A):

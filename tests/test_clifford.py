@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import (beta_explicit, beta_iso_by_kernel, contract_apply, cor_action,
-                      cor_matrix_by_columns, half_swap, merge_sign_by_bits,
+                      cor_matrix_by_columns, fraction_echelon, half_swap, merge_sign_by_bits,
                       pure_spinor_by_fractions, q_value, rand_q_isometry, rand_spin,
                       rand_splitting, rand_unit_pairing_vector, rand_unimodular,
                       splitting_coords, splitting_cor, vacuum_kernel, wedge_apply)
@@ -13,7 +13,7 @@ from torusmirror.clifford import (IsotropicSplitting, SpinVec, _complement_signs
                                   _generator_maps, _generator_terms, _has_grade,
                                   _involution_form, _meet_dim, _sign_normalize, _signed,
                                   _source_terms, _transport, beta_iso, beta_parity,
-                                  clifford_involution, cor_matrix, is_spin, popcount,
+                                  clifford_involution, is_spin, popcount,
                                   pure_spinor, r_of_z, spin_lift, standard_splitting)
 from torusmirror.errors import FormMismatch, NoIntertwiner, NotEven, NotIsotropic, NotSpin
 from torusmirror.pairspace import q_form
@@ -28,7 +28,7 @@ def test_clifford_relation(rng):
         for _ in range(10):
             u = rand_lambda_vec(rng, n)
             v = rand_lambda_vec(rng, n)
-            cu, cv = cor_matrix(n, u), cor_matrix(n, v)
+            cu, cv = cor_matrix_by_columns(n, u), cor_matrix_by_columns(n, v)
             anti = xl.mul(cu, cv) + xl.mul(cv, cu)
             assert xl.mat_eq(anti, q_value(u, v) * xl.eye(1 << (2 * n)))
 
@@ -37,7 +37,7 @@ def test_involution_fixes_generators_and_antimultiplies(rng):
     n = 2
     u = rand_lambda_vec(rng, n)
     v = rand_lambda_vec(rng, n)
-    cu, cv = cor_matrix(n, u), cor_matrix(n, v)
+    cu, cv = cor_matrix_by_columns(n, u), cor_matrix_by_columns(n, v)
     assert xl.mat_eq(clifford_involution(cu), cu)
     assert xl.mat_eq(clifford_involution(xl.mul(cu, cv)), xl.mul(cv, cu))
     assert xl.mat_eq(clifford_involution(clifford_involution(xl.mul(cu, cv))),
@@ -58,7 +58,7 @@ def test_odd_operator_rejected():
     n = 1
     v = np.array([1, 0, 0, 0], dtype=object)
     with pytest.raises(NotEven):
-        is_spin(cor_matrix(n, v))
+        is_spin(cor_matrix_by_columns(n, v))
     # a matrix that is not 4^n x 4^n is no Clifford element, even or odd
     for z in (xl.zeros(4, 3), xl.mat([[1] * 8] * 8)):
         for check in (is_spin, r_of_z):
@@ -92,7 +92,7 @@ def test_spinvec_rejects_masks_outside_its_n():
 def _conjugation_oracle(n, z):
     """Solve z cor(e_k) z^{-1} = sum_i R[i,k] cor(e_i) by dense linear algebra."""
     e = xl.eye(4 * n)
-    gens = [cor_matrix(n, e[:, k]) for k in range(4 * n)]
+    gens = [cor_matrix_by_columns(n, e[:, k]) for k in range(4 * n)]
     cols = np.stack([np.asarray(g).reshape(-1) for g in gens], axis=1)
     z_inv = xl.invert(z)
     r = xl.zeros(4 * n)
@@ -148,7 +148,7 @@ def test_hyperbolic_pair_product_matches_conjugation_oracle(rng):
     n = 1
     v = rand_unit_pairing_vector(rng, n, 1)
     w = rand_unit_pairing_vector(rng, n, 1)
-    z = xl.mul(cor_matrix(n, v), cor_matrix(n, w))
+    z = xl.mul(cor_matrix_by_columns(n, v), cor_matrix_by_columns(n, w))
     assert is_spin(z)
     r = r_of_z(z)
     oracle = _conjugation_oracle(n, z)
@@ -255,7 +255,8 @@ def test_vacuum_kernel_matches_dense_route(rng, n):
     # the dense route: nullspace of the stacked cor matrices
     s1, s2 = rand_splitting(rng, n), rand_splitting(rng, n)
     annihilators = [s1.basis1[:, i] for i in range(2 * n)]
-    dense = xl.nullspace(xl.block([[splitting_cor(s2, m)] for m in annihilators]))
+    stacked = xl.block([[splitting_cor(s2, m)] for m in annihilators])
+    dense = fraction_echelon(stacked.rows).kernel(stacked.ncols)
     assert len(dense) == 1
     assert vacuum_kernel(s2, annihilators) == dense
 
@@ -442,7 +443,8 @@ def test_spin_lift_intertwines_its_isometry(rng, n):
         z = spin_lift(g)
         assert xl.is_integral(z) and z.den == 1
         for k in range(4 * n):
-            assert xl.mat_eq(xl.mul(z, cor_matrix(n, e[:, k])), xl.mul(cor_matrix(n, g[:, k]), z))
+            assert xl.mat_eq(xl.mul(z, cor_matrix_by_columns(n, e[:, k])),
+                             xl.mul(cor_matrix_by_columns(n, g[:, k]), z))
     # the reflection has determinant -1, and its lift is odd
     odd = spin_lift(_reflection(n)).num
     assert _has_grade(odd, 1) and not _has_grade(odd, 0)
@@ -544,7 +546,7 @@ def test_pure_spinor_needs_a_lagrangian(n):
 def test_cor_action_matches_matrix(rng):
     n = 2
     v = rand_lambda_vec(rng, n)
-    m = cor_matrix(n, v)
+    m = cor_matrix_by_columns(n, v)
     for mask in (0, 1, 5, 10):
         direct = cor_action(v, SpinVec(n, {mask: 1}))
         column = [[int(k == mask)] for k in range(1 << (2 * n))]
@@ -707,7 +709,7 @@ def test_spin_conjugation_controls_past_the_norm_check():
     # normalizes Lambda (x) Q, but its R is not integral
     v = np.array([1, 0, 2, 0], dtype=object)
     u = np.array([0, 1, 0, 2], dtype=object)
-    z = xl.mul(cor_matrix(1, v), cor_matrix(1, u * Fraction(1, 2)))
+    z = xl.mul(cor_matrix_by_columns(1, v), cor_matrix_by_columns(1, u * Fraction(1, 2)))
     assert xl.mat_eq(xl.mul(z, clifford_involution(z)), xl.eye(4))
     assert _spin_conjugation_dense(z) is None and not is_spin(z)
 
@@ -716,7 +718,7 @@ def _norm_minus_one(rng, n):
     """cor(v) cor(u) with cor(v)^2 = 1 and cor(u)^2 = -1: even, z z' = -1."""
     v = rand_unit_pairing_vector(rng, n, 1)
     u = rand_unit_pairing_vector(rng, n, -1)
-    return xl.mul(cor_matrix(n, v), cor_matrix(n, u))
+    return xl.mul(cor_matrix_by_columns(n, v), cor_matrix_by_columns(n, u))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -786,8 +788,8 @@ def test_spin_check_builds_no_module_sized_matrix(rng, monkeypatch, n):
         return m
 
     monkeypatch.setattr(xl, "mat", counting_mat)
-    # positive control: cor_matrix builds its 4^n x 4^n matrix with xl.mat
-    cor_matrix(n, [1] * (4 * n))
+    # positive control: a 4^n x 4^n matrix built with xl.mat is counted
+    xl.mat([[0] * (1 << (2 * n))] * (1 << (2 * n)))
     assert 1 << (2 * n) in sizes
     sizes.clear()
     assert is_spin(z) and xl.mat_eq(r_of_z(z), ref)
@@ -809,17 +811,6 @@ def test_spin_check_makes_no_dense_product(rng, monkeypatch):
     monkeypatch.setattr(xl, "mul", no_mul)
     assert is_spin(z) and xl.mat_eq(r_of_z(z), ref)
     assert not is_spin(bad)
-
-
-def test_cor_matrix_matches_column_route(rng):
-    for n in (1, 2, 3):
-        for _ in range(3):
-            v = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(4 * n)]
-            assert xl.mat_eq(cor_matrix(n, v), cor_matrix_by_columns(n, v))
-            v = rand_lambda_vec(rng, n)
-            assert xl.mat_eq(cor_matrix(n, v), cor_matrix_by_columns(n, v))
-        for e_k in xl.eye(4 * n).rows:
-            assert xl.mat_eq(cor_matrix(n, e_k), cor_matrix_by_columns(n, e_k))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -886,13 +877,12 @@ def test_cor_apply_matches_column_route(rng, n):
 
 
 def test_lambda_vectors_of_the_wrong_length_are_rejected():
-    # zip stops at the shorter list: cor_matrix(1, [1, 0]) would be cor(l_1),
-    # and the elimination in pure_spinor would read [1, 0] as l_1 too
+    # zip stops at the shorter list: the elimination in pure_spinor would
+    # read [1, 0] as l_1
     for v in ([1, 0], [1, 2, 3, 4, 5]):
-        for call in (lambda: cor_matrix(1, v), lambda: pure_spinor(1, [v])):
-            with pytest.raises(ValueError, match=f"^a vector of Lambda has 4 entries for "
-                                                 f"n = 1, not {len(v)}$"):
-                call()
+        with pytest.raises(ValueError, match=f"^a vector of Lambda has 4 entries for "
+                                             f"n = 1, not {len(v)}$"):
+            pure_spinor(1, [v])
 
 
 @pytest.mark.parametrize("size", [4, 16])

@@ -1,6 +1,8 @@
 """The package's import layers: each module imports exactly the sibling
 modules listed here, and only at module level, where a cycle would fail at
-import time."""
+import time.  And its public surface: every public name that no other
+module, no benchmark file and no use in its own module reaches is listed
+here with the reason it is kept."""
 
 import ast
 import pathlib
@@ -8,6 +10,7 @@ import pathlib
 import torusmirror
 
 SRC = pathlib.Path(torusmirror.__file__).parent
+BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
 
 LAYERS = {
     "__init__": set(),
@@ -61,3 +64,106 @@ def test_sibling_imports_are_at_module_level():
                    if _sibling_imports(node) and id(node) not in top]
     assert not nested, f"function-local imports of sibling modules: {nested}"
 
+
+
+# public names that only the tests reach -> why each is kept
+TEST_ONLY = {
+    "clifford.clifford_involution": "the main involution z -> z' of the Clifford algebra",
+    "clifford.standard_splitting": "the splitting Lambda = Gamma + Gamma* itself",
+    "corresp.c1_poincare": "the first Chern class of the Poincare bundle",
+    "corresp.reverse_correspondence": "the correspondence read from B to A",
+    "exactlin.is_positive_definite": "the README's symmetric case of definiteness",
+    "lefschetz.GradedOperator.entries": "an operator's entries as numbers, int where integral",
+    "lefschetz.chi_form": "the invariant pairing chi on H*(A)",
+    "mirror.check_well_becoming": "the README's well-becoming test of a witness",
+    "mirror.compare_mirror_isos": "compares two mirror certificates",
+    "pairspace.conjugate_pair": "the conjugate pair phi1 - i phi2",
+    "pairspace.jprod": "the README's product complex structure on Lambda",
+    "pairspace.q_form": "the README's hyperbolic form Q on Lambda",
+    "siegel.act_on_pair": "the Siegel action as a weak pair",
+    "siegel.stabilizer_check": "the stabilizer of omega in the symmetry group",
+    "siegel.translation_element": "the translations omega -> omega + eta",
+    "torus.check_polarization": "the polarization test of a Neron-Severi class",
+    "torus.dual_torus": "the dual torus",
+    "torus.find_polarization": "the README's closed-form polarization",
+    "torus.ns_vector": "the checked constructor of a Neron-Severi class",
+}
+
+
+def _public_names(tree, module):
+    """module.name of each public module-level def and class, and
+    module.Class.name of each public method of a public class."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            out.append(f"{module}.{node.name}")
+            if isinstance(node, ast.ClassDef):
+                out += [f"{module}.{node.name}.{item.name}" for item in node.body
+                        if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")]
+    return out
+
+
+def _import_source(node):
+    """The sibling module of `from .module import ...` or `from
+    torusmirror.module import ...`; "" for `from . import ...` and `from
+    torusmirror import ...`; None for any other statement."""
+    if not isinstance(node, ast.ImportFrom):
+        return None
+    if node.level == 1:
+        return node.module or ""
+    if node.level == 0 and (node.module or "").split(".")[0] == "torusmirror":
+        return node.module.partition(".")[2]
+    return None
+
+
+def _reached(tree, own=None):
+    """(module.name reached, attribute names read) in one file: a name
+    imported from a sibling module, read as an attribute of a sibling module
+    (bound by an import, or as torusmirror.module), or, in its own module,
+    read outside its own definition."""
+    aliases, found, attrs = {}, set(), set()
+    for node in ast.walk(tree):
+        source = _import_source(node)
+        if source == "":
+            aliases.update((a.asname or a.name, a.name) for a in node.names)
+        elif source:
+            found |= {f"{source.split('.')[0]}.{a.name}" for a in node.names}
+        elif isinstance(node, ast.Import):
+            aliases.update((a.asname, a.name.split(".")[1]) for a in node.names
+                           if a.asname and a.name.startswith("torusmirror."))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            attrs.add(node.attr)
+            v = node.value
+            if isinstance(v, ast.Name) and v.id in aliases:
+                found.add(f"{aliases[v.id]}.{node.attr}")
+            elif (isinstance(v, ast.Attribute) and isinstance(v.value, ast.Name)
+                  and v.value.id == "torusmirror"):
+                found.add(f"{v.attr}.{node.attr}")
+    if own is not None:
+        for top in tree.body:
+            name = getattr(top, "name", None)
+            found |= {f"{own}.{node.id}" for node in ast.walk(top)
+                      if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+                      and node.id != name}
+    return found, attrs
+
+
+def test_public_names_reached_only_by_tests_are_pinned():
+    public, found, attrs = [], set(), set()
+    for name, tree in _trees().items():
+        public += _public_names(tree, name)
+        f, a = _reached(tree, name)
+        found |= f
+        attrs |= a
+    for path in sorted(BENCH.glob("*.py")):
+        f, a = _reached(ast.parse(path.read_text(), filename=str(path)))
+        found |= f
+        attrs |= a
+    # a method is reached wherever an attribute of its name is read
+    unreached = {name for name in public if name not in found
+                 and (name.count(".") < 2 or name.rsplit(".", 1)[1] not in attrs)}
+    new = sorted(unreached - TEST_ONLY.keys())
+    assert not new, f"public names that only the tests reach: {new}"
+    stale = sorted(TEST_ONLY.keys() - unreached)
+    assert not stale, f"pinned names that are gone or reached outside the tests: {stale}"

@@ -5,7 +5,7 @@ from math import comb, gcd
 import pytest
 
 from conftest import (cor_matrix_by_columns, gaussian_torus, generate_g_ns_by_all_pairs,
-                      rand_skew, rand_unimodular, sign_below)
+                      in_span, ops_echelon, rand_skew, rand_unimodular, sign_below)
 from torusmirror import exactlin as xl
 from torusmirror import lefschetz as lf
 from torusmirror.clifford import popcount
@@ -248,19 +248,32 @@ def test_g_ns_matches_dense_bracket_route(n):
     ops, echelon = _g_ns_dense(A, kappas)
     assert [op.degree for op in g.ops] == [d for _, d in ops]
     assert all(xl.mat_eq(op.mat, m) for op, (m, _) in zip(g.ops, ops))
-    assert g._echelon.rows == echelon.rows
+    assert ops_echelon(g.ops).rows == echelon.rows
 
 
 @pytest.mark.parametrize("n, with_sum", [(1, False), (2, False), (2, True), (3, False), (3, True)])
 def test_g_ns_brackets_each_unordered_pair_once(monkeypatch, n, with_sum):
     # the same basis, in the same order, as the closure over every
     # (basis, frontier) pair, from fewer brackets: no [a, a], no pair taken
-    # twice and no pair of equal nonzero degree
+    # twice, no pair of equal nonzero degree, no [h, x] = deg(x) x and no
+    # [e_k, f_k] = h
     A = make_torus(n, _product_structure(n))
     kappas = ns_basis(A)
     if with_sum:
         kappas.append(NSVector(sum((k.c for k in kappas), xl.zeros(2 * n))))
     ref, ref_brackets = generate_g_ns_by_all_pairs(A, kappas)
+
+    def key(op):
+        return tuple(sorted(op.num.items())), op.den
+
+    h = key(grading_operator(n))
+    settled = set()
+    for kappa in kappas:
+        try:
+            ef = key(lefschetz_e(kappa)), key(lefschetz_f(kappa))
+        except NoHardLefschetz:
+            continue
+        settled |= {ef, ef[::-1]}
     pairs = []
     bracket = lf._bracket
 
@@ -275,6 +288,12 @@ def test_g_ns_brackets_each_unordered_pair_once(monkeypatch, n, with_sum):
     assert g.dim == len(ref) and len(pairs) < ref_brackets
     assert len({frozenset(map(id, p)) for p in pairs}) == len(pairs)
     assert not any(a is b or a.degree == b.degree != 0 for a, b in pairs)
+    # lefschetz_f brackets an e_k of its own with f_k to check [e_k, f_k] = h;
+    # the closure brackets elements of the basis only
+    ids = set(map(id, g.ops))
+    closure = [(key(a), key(b)) for a, b in pairs if id(a) in ids and id(b) in ids]
+    assert len(pairs) - len(closure) == len(settled) // 2
+    assert not any(h in ab or ab in settled for ab in closure)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -322,18 +341,18 @@ def test_no_dense_operator_is_built(monkeypatch):
 def test_g_ns_inside_spinor_image_and_chi_invariant():
     A = make_torus(1, J_SQUARE)
     g = generate_g_ns(A, ns_basis(A))
-    so = so_lambda_spinor_image(A)
+    so = ops_echelon(so_lambda_spinor_image(A).ops)
     x = chi_form(1)
     for op in g.ops:
-        assert so.contains(op.mat)
+        assert in_span(so, op.mat)
         assert xl.is_zero(xl.mul(op.mat.T, x) + xl.mul(x, op.mat))
 
 
 def test_grading_operator_in_spinor_image():
     A = make_torus(1, J_SQUARE)
-    so = so_lambda_spinor_image(A)
-    assert so.contains(grading_operator(1).mat)
-    assert not so.contains(xl.eye(4))
+    so = ops_echelon(so_lambda_spinor_image(A).ops)
+    assert in_span(so, grading_operator(1).mat)
+    assert not in_span(so, xl.eye(4))
 
 
 def test_spinor_image_dimension():
@@ -372,8 +391,9 @@ def test_spinor_image_matches_dense_route(n):
     ops, echelon = _so_image_dense(n)
     assert [op.degree for op in so.ops] == [d for _, d in ops]
     assert all(xl.mat_eq(op.mat, m) for op, (m, _) in zip(so.ops, ops))
-    assert list(so._echelon.rows) == list(echelon.rows)
-    assert so._echelon.rows == echelon.rows
+    rebuilt = ops_echelon(so.ops)
+    assert list(rebuilt.rows) == list(echelon.rows)
+    assert rebuilt.rows == echelon.rows
 
 
 def test_chi_form_values():
