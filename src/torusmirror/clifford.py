@@ -278,11 +278,6 @@ class IsotropicSplitting:
         self.w_inv = q_left(q_right(self.w.T))
 
 
-def standard_splitting(n):
-    e = xl.eye(4 * n).rows
-    return IsotropicSplitting(n, e[:2 * n], e[2 * n:])
-
-
 # ---------------------------------------------------------------------------
 # reversal involution
 

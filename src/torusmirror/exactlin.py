@@ -281,10 +281,11 @@ def block(grid):
     den = lcm(*(p.den for brow in grid for p in brow))
     rows, ncols = [], None
     for parts in grid:
-        height = len(parts[0].num)
         width = sum(p.ncols for p in parts)
-        if any(len(p.num) != height for p in parts) or ncols not in (None, width):
+        if (not parts or any(len(p.num) != len(parts[0].num) for p in parts)
+                or ncols not in (None, width)):
             raise ValueError("blocks do not fit together")
+        height = len(parts[0].num)
         ncols = width
         scaled = [(p.num, den // p.den) for p in parts]
         for i in range(height):
@@ -405,12 +406,6 @@ class Echelon:
 
     def __init__(self):
         self.int_rows = {}
-
-    @property
-    def rows(self):
-        """A new dict: each pivot column to its row scaled to 1 at the pivot."""
-        return {p: {c: _div(v, row[p]) for c, v in row.items()}
-                for p, row in self.int_rows.items()}
 
     def reduce(self, row):
         """What is left of row, up to a nonzero scale, after clearing every
@@ -597,17 +592,6 @@ def definiteness(m):
             return 0
         want *= sign
     return sign
-
-
-def is_positive_definite(m):
-    """Sylvester's criterion for a symmetric m (else NotSymmetric): its
-    definiteness is 1."""
-    m = asmat(m)
-    if m.ncols != len(m.num):
-        raise NotSymmetric("matrix not square")
-    if not mat_eq(m, m.T):
-        raise NotSymmetric("matrix not symmetric")
-    return definiteness(m) == 1
 
 
 def _min_entry(d, lo):

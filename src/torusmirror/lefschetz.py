@@ -32,13 +32,6 @@ class GradedOperator:
         self.den = den
         self.degree = degree
 
-    @property
-    def entries(self):
-        """A new dict of the nonzero entries, int where integral."""
-        den = self.den
-        return {key: v // den if v % den == 0 else Fraction(v, den)
-                for key, v in self.num.items()}
-
     @cached_property
     def mat(self):
         """The dense size x size matrix, built when first read."""

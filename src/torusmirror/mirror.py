@@ -128,10 +128,6 @@ def _in_basis(p, u, u_inv):
             xl.mul(u_inv, xl.mul(p.torus.J, u)))
 
 
-def check_well_becoming(p, w):
-    return _well_becoming(*_in_basis(p, *_witness_basis(p, w)))
-
-
 def _adapted_splitting(u, u_inv, w_first):
     """(w, alpha) of the splitting (W, Sigma), or (Sigma, W), of Lambda_A for a
     basis u of Gamma with inverse u_inv: w = U P for U = [[u, 0], [0, u^-T]] and

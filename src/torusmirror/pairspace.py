@@ -55,18 +55,9 @@ def _invert_phi2(phi2):
         raise NotNSForm("phi2 must be nondegenerate")
 
 
-def q_form(n):
-    d = 2 * n
-    q = [[0] * (2 * d) for _ in range(2 * d)]
-    for i in range(d):
-        q[i][d + i] = 1
-        q[d + i][i] = 1
-    return xl.mat(q)
-
-
 def q_left(m):
-    """Q.m for the hyperbolic form Q of q_form: m with its row halves
-    swapped, in new row lists."""
+    """Q.m for the hyperbolic form Q: m with its row halves swapped, in new
+    row lists."""
     out = xl.asmat(m).copy()
     h = len(out.num) // 2
     out.num = out.num[h:] + out.num[:h]
@@ -74,8 +65,8 @@ def q_left(m):
 
 
 def q_right(m):
-    """m.Q for the hyperbolic form Q of q_form: m with its column halves
-    swapped, in new row lists."""
+    """m.Q for the hyperbolic form Q: m with its column halves swapped, in
+    new row lists."""
     out = xl.asmat(m).copy()
     h = out.ncols // 2
     out.num = [row[h:] + row[:h] for row in out.num]
@@ -134,12 +125,6 @@ def is_q_isometry(g):
         if any(row):
             return False
     return True
-
-
-def jprod(A):
-    """The product complex structure J + (-J^T) on Lambda = Gamma + Gamma*,
-    built once per torus; a copy."""
-    return A._jprod.copy()
 
 
 def _require_ns_forms(A, phi1, phi2):

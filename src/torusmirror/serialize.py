@@ -1,9 +1,13 @@
 """Canonical JSON encoding: rationals as "p/q" strings, matrices row-major."""
 
 import json
+import re
 from fractions import Fraction
 
 from .exactlin import asmat, mat
+
+# the strings a rational is read from: ASCII digits, a sign, one "/"
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 def rat_to_str(x):
@@ -16,9 +20,13 @@ def rat_to_str(x):
 
 
 def str_to_rat(s):
-    """A rational from its JSON form: a string like "3/4" or a JSON integer;
-    a float or a boolean is an input error."""
-    if type(s) not in (str, int):
+    """A rational from its JSON form: a JSON integer, or a string [+-]?digits
+    or [+-]?digits/digits of ASCII digits, like "-3/4".  A float, a boolean
+    and any other string (a decimal, an exponent, whitespace, "_", a
+    non-ASCII digit) are input errors."""
+    if type(s) is int:
+        return s
+    if type(s) is not str or not _RATIONAL.fullmatch(s):
         raise ValueError(f"a rational is a string like \"3/4\" or an integer, not {s!r}")
     try:
         f = Fraction(s)

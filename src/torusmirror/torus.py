@@ -10,7 +10,7 @@ from functools import cached_property
 from math import gcd
 
 from . import exactlin as xl
-from .errors import NotComplexStructure, NotNSForm
+from .errors import NotComplexStructure
 
 
 class Torus:
@@ -24,7 +24,7 @@ class Torus:
     @cached_property
     def _jprod(self):
         """J + (-J^T) on Lambda = Gamma + Gamma*, shared: read it, never write
-        into it (pairspace.jprod gives a copy)."""
+        into it."""
         z = xl.zeros(2 * self.n)
         return xl.block([[self.J, z], [z, -self.J.T]])
 
@@ -71,12 +71,6 @@ def is_ns_form(A, c):
         return False
     b = xl.mul(A.J.T, c)
     return xl.mat_eq(b, b.T)
-
-
-def ns_vector(A, c):
-    if not is_ns_form(A, c):
-        raise NotNSForm("form is not skew or not J-invariant")
-    return NSVector(c)
 
 
 def _kernel(rows, nvars):

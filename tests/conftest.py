@@ -26,7 +26,7 @@ from torusmirror.clifford import (IsotropicSplitting, SpinVec, _cor_apply,
                                   _source_terms, exterior_exp, popcount, wedge)
 from torusmirror.errors import NoHardLefschetz, NoIntertwiner, NotIsotropic, SingularMatrix
 from torusmirror.mirror import WellBecomingWitness
-from torusmirror.pairspace import i_omega, make_weak_pair, q_form
+from torusmirror.pairspace import i_omega, make_weak_pair
 from torusmirror.torus import NSVector, make_torus, ns_basis
 
 SEED = int(os.environ.get("TORUS_MIRROR_SEED", "20260823"))
@@ -144,23 +144,39 @@ def gaussian_pair(rng, n):
             return make_weak_pair(A, rand_ns_form(rng, basis), phi2)
 
 
+def q_matrix(n):
+    """The hyperbolic form Q on Lambda = Gamma + Gamma* as the matrix
+    [[0, 1], [1, 0]] in blocks of size 2n, built with xl.block: the library
+    never multiplies by Q, so the identities checked with it stay independent
+    of pairspace's half swaps."""
+    d = 2 * n
+    z, e = xl.zeros(d), xl.eye(d)
+    return xl.block([[z, e], [e, z]])
+
+
+def jprod_matrix(A):
+    """The product complex structure J + (-J^T) on Lambda, built with
+    xl.block from the torus's J rather than read from the torus."""
+    z = xl.zeros(2 * A.n)
+    return xl.block([[A.J, z], [z, -A.J.T]])
+
+
 def e_form(p):
     """Gram matrix of Q(c . , .) on Lambda with c = Jprod * I_omega: the
     classification of a pair read off Lambda, the reference for classify_pair."""
-    J = p.torus.J
-    z = xl.zeros(2 * p.torus.n)
-    c = xl.mul(xl.block([[J, z], [z, -J.T]]), i_omega(p))
-    e = xl.mul(c.T, q_form(p.torus.n))
+    c = xl.mul(jprod_matrix(p.torus), i_omega(p))
+    e = xl.mul(c.T, q_matrix(p.torus.n))
     assert xl.mat_eq(e, e.T)
     return e
 
 
 def classify_by_e_form(p):
-    """The tag of p by Sylvester's criterion on e_form and on its negative."""
+    """The tag of p by Sylvester's criterion on the symmetric e_form and on
+    its negative."""
     e = e_form(p)
-    if xl.is_positive_definite(e):
+    if xl.definiteness(e) == 1:
         return "AlgebraicPlus"
-    if xl.is_positive_definite(-e):
+    if xl.definiteness(-e) == 1:
         return "AlgebraicMinus"
     return "WeakOnly"
 
@@ -168,7 +184,7 @@ def classify_by_e_form(p):
 def rand_q_isometry(rng, n, steps=4):
     """Random integral isometry of (Lambda, Q) as a word in standard generators."""
     d = 2 * n
-    q = q_form(n)
+    q = q_matrix(n)
     g = xl.eye(2 * d)
     for _ in range(steps):
         kind = rng.randrange(4)
@@ -206,6 +222,13 @@ def rand_skew(rng, k, bound=2):
             m[i, j] = v
             m[j, i] = -v
     return m
+
+
+def standard_splitting(n):
+    """The splitting Lambda = Gamma + Gamma* itself: the isotropic splitting
+    of the standard basis of Lambda."""
+    e = xl.eye(4 * n).rows
+    return IsotropicSplitting(n, e[:2 * n], e[2 * n:])
 
 
 def rand_splitting(rng, n, steps=4):

@@ -13,12 +13,13 @@ import numpy as np
 import pytest
 
 from conftest import (beta_explicit, commutes_with_i_omega, cor_matrix_by_columns,
-                      in_span, ops_echelon, rand_q_isometry, rand_rational, rand_spin,
-                      rand_splitting, rand_unimodular, splitting_cor,
-                      weak_pair_sample, well_becoming_sample)
+                      in_span, jprod_matrix, ops_echelon, q_matrix, rand_q_isometry,
+                      rand_rational, rand_spin, rand_splitting, rand_unimodular,
+                      splitting_cor, standard_splitting, weak_pair_sample,
+                      well_becoming_sample)
 from torusmirror import exactlin as xl
 from torusmirror.clifford import (IsotropicSplitting, SpinVec, beta_iso, beta_parity,
-                                  is_spin, popcount, r_of_z, standard_splitting)
+                                  is_spin, popcount, r_of_z)
 from torusmirror.corresp import (c1_poincare, pc_exp,
                                  phi_poincare, push_forward_correspondence,
                                  reverse_correspondence, verify_cor_diagram,
@@ -28,8 +29,7 @@ from torusmirror.lefschetz import (chi_form, generate_g_ns, grading_operator,
                                    lefschetz_e, lefschetz_f,
                                    so_lambda_spinor_image)
 from torusmirror.mirror import elliptic_factors, elliptic_mirror, g_mirror, verify_mirror
-from torusmirror.pairspace import (classify_pair, conjugate_pair, i_omega, jprod,
-                                   make_weak_pair, q_form, recover_omega)
+from torusmirror.pairspace import classify_pair, conjugate_pair, i_omega, recover_omega
 from torusmirror.siegel import (siegel_act, stabilizer_check, translation_element,
                                 u_membership)
 from torusmirror.torus import dual_torus, hom_space, make_torus, ns_basis
@@ -126,7 +126,7 @@ def _intertwining_dimension(s1, s2, lambdas):
                 for m, v in b_rows[i]:
                     row[m * size + j] = row.get(m * size + j, 0) - v
                 ech.add({c: v for c, v in row.items() if v != 0})
-    return size * size - len(ech.rows)
+    return size * size - len(ech.int_rows)
 
 
 def intertwiner_space_dimension(s1, s2):
@@ -179,14 +179,14 @@ def test_06_i_omega_algebraic_identities(report, rng):
     with criterion(report, 6, "I_omega structure on 200 weak pairs", 60.0):
         counts = {1: 80, 2: 70, 3: 50}
         for n, reps in counts.items():
-            q = q_form(n)
+            q = q_matrix(n)
             for _ in range(reps):
                 p = weak_pair_sample(rng, n)
                 iw = i_omega(p)
                 assert xl.mat_eq(xl.mul(iw, iw), -xl.eye(4 * n))
                 assert xl.mat_eq(xl.mul(iw.T, xl.mul(q, iw)), q)
                 assert xl.det(iw) == 1
-                jp = jprod(p.torus)
+                jp = jprod_matrix(p.torus)
                 assert xl.mat_eq(xl.mul(iw, jp), xl.mul(jp, iw))
                 assert xl.mat_eq(i_omega(conjugate_pair(p)), -iw)
                 assert recover_omega(p.torus, iw) == p
@@ -200,9 +200,9 @@ def test_07_classification_matches_polarization_sign(report, rng):
                 p = weak_pair_sample(rng, n)
                 b = -xl.mul(p.torus.J.T, p.phi2)
                 assert xl.mat_eq(b, b.T)
-                if xl.is_positive_definite(b):
+                if xl.definiteness(b) == 1:
                     expected = "AlgebraicPlus"
-                elif xl.is_positive_definite(-b):
+                elif xl.definiteness(-b) == 1:
                     expected = "AlgebraicMinus"
                 else:
                     expected = "WeakOnly"

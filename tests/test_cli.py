@@ -5,6 +5,7 @@ import pathlib
 import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from conftest import (classify_by_e_form, gaussian_pair, gaussian_torus, rand_ns_form,
@@ -443,6 +444,11 @@ MALFORMED = [
     ("n-float", "xi", {"n": 1.9}, 2, None),
     ("index-bool", "phi-p", {"n": 1, "v": [{"indices": [True], "coeff": "1"}]}, 2, None),
     ("J-float", "make-torus", {"n": 1, "J": [["0", "-1"], [1.5, "0"]]}, 2, None),
+    # fractions.Fraction reads each of these strings as 0, which would make
+    # the square torus; only [+-]?digits and [+-]?digits/digits are rationals
+    *((f"J-{name}", "make-torus", {"n": 1, "J": [["0", "-1"], ["1", entry]]}, 2, None)
+      for name, entry in [("exponent", "0e5"), ("decimal", "0.0"), ("space", " 0"),
+                          ("underscore", "0_0"), ("arabic-indic", "\u0660")]),
     # a negative n is an input error, read before any matrix
     ("n-negative-torus", "make-torus", {"n": -1, "J": []}, 2, None),
     ("n-negative-beta", "beta",
@@ -582,3 +588,81 @@ def test_budget_is_not_an_option(tmp_path):
 def test_every_command_has_its_n_paths():
     # a command missing from _N_PATHS would turn valid input into a KeyError, exit 2
     assert set(cli._N_PATHS) == set(cli.COMMANDS)
+
+
+# ---------------------------------------------------------------------------
+# the grammar of a rational, and the exit-code contract under mutated documents
+
+
+def test_rationals_in_the_grammar_parse(tmp_path):
+    assert [sz.str_to_rat(s) for s in ("3/4", "-3/4", "+2", "-0", "06/8", 7, -10 ** 30)] == [
+        Fraction(3, 4), Fraction(-3, 4), 2, 0, Fraction(3, 4), 7, -10 ** 30]
+    assert all(type(sz.str_to_rat(s)) is int for s in ("+2", "4/2", 7))
+    doc = {"n": 1, "J": [["+0", -1], ["2/2", "0/5"]]}
+    code, out = run(tmp_path, "make-torus", doc)
+    assert code == 0
+    assert json.loads(out.read_text())["torus"] == TORUS_SQUARE
+
+
+def fuzz_seed_documents(tmp_path):
+    """(command, document): valid documents for all 14 commands at n <= 2, as
+    the tests above build them."""
+    docs = [(command, doc) for _, command, doc in pinned_payloads()]
+    docs += [("beta", doc) for doc in beta_payloads() if doc["n"] <= 2]
+    e = [["1" if i == j else "0" for j in range(4)] for i in range(4)]
+    g_mirror_doc = {"pair": PAIR_SQUARE, "gamma1": [["1", "0"]], "gamma2": [["0", "1"]]}
+    code, out = run(tmp_path, "g-mirror", g_mirror_doc)
+    assert code == 0
+    mirror = json.loads(out.read_text())
+    docs += [("make-torus", TORUS_SQUARE), ("xi", {"n": 1}), ("spin-check", {"n": 1, "z": e}),
+             ("phi-p", {"n": 2, "v": [{"indices": [1, 3], "coeff": "2/3"}]}),
+             ("g-mirror", g_mirror_doc),
+             ("verify-mirror", {"pairA": PAIR_SQUARE, "pairB": mirror["pairB"],
+                                "alpha": mirror["alpha"]})]
+    return docs
+
+
+def _leaf_paths(obj, path=()):
+    """The key paths to the leaves of a JSON document: every value that is not
+    a nonempty list or object."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj)
+    for key, value in items:
+        if isinstance(value, (dict, list)) and value:
+            yield from _leaf_paths(value, path + (key,))
+        else:
+            yield path + (key,)
+
+
+FUZZ_LEAVES = [0, 1, -1, 2, True, False, None, [], {}, "x", "", "1/0", "1e400", "0.5",
+               "-0", "3/4", 10 ** 30, -10 ** 30]
+
+
+def test_mutated_documents_keep_the_exit_code_contract(tmp_path, capsys, rng):
+    """One or two leaves of a valid document replaced by a value of another
+    kind: the exit code is 0, 1, 2 or 3, exits 1 and 3 write an error payload,
+    exit 1 writes nothing to stderr, and no exception leaves main."""
+    seeds = fuzz_seed_documents(tmp_path)
+    assert {command for command, _ in seeds} == set(cli.COMMANDS)
+    inp, out = tmp_path / "in.json", tmp_path / "out.json"
+    codes = set()
+    for k in range(400):
+        command, doc = seeds[k % len(seeds)]
+        doc = json.loads(json.dumps(doc))
+        paths = list(_leaf_paths(doc))
+        for path in rng.sample(paths, min(len(paths), rng.choice([1, 2]))):
+            parent = doc
+            for key in path[:-1]:
+                parent = parent[key]
+            parent[path[-1]] = rng.choice(FUZZ_LEAVES)
+        inp.write_text(json.dumps(doc))
+        out.unlink(missing_ok=True)
+        capsys.readouterr()
+        code = main([command, "--input", str(inp), "--output", str(out)])
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2, 3), (command, doc)
+        if code in (1, 3):
+            assert {"error", "detail"} <= json.loads(out.read_text()).keys(), (command, doc)
+        if code == 1:
+            assert err == "", (command, doc)
+        codes.add(code)
+    assert {0, 1, 2} <= codes

@@ -5,18 +5,18 @@ import pytest
 
 from conftest import (beta_explicit, beta_iso_by_kernel, contract_apply, cor_action,
                       cor_matrix_by_columns, fraction_echelon, half_swap, merge_sign_by_bits,
-                      pure_spinor_by_fractions, q_value, rand_q_isometry, rand_spin,
+                      pure_spinor_by_fractions, q_matrix, q_value, rand_q_isometry, rand_spin,
                       rand_splitting, rand_unit_pairing_vector, rand_unimodular,
-                      splitting_coords, splitting_cor, vacuum_kernel, wedge_apply)
+                      splitting_coords, splitting_cor, standard_splitting, vacuum_kernel,
+                      wedge_apply)
 from torusmirror import exactlin as xl
 from torusmirror.clifford import (IsotropicSplitting, SpinVec, _complement_signs, _cor_apply,
                                   _generator_maps, _generator_terms, _has_grade,
                                   _involution_form, _meet_dim, _sign_normalize, _signed,
                                   _source_terms, _transport, beta_iso, beta_parity,
                                   clifford_involution, is_spin, popcount,
-                                  pure_spinor, r_of_z, spin_lift, standard_splitting)
+                                  pure_spinor, r_of_z, spin_lift)
 from torusmirror.errors import FormMismatch, NoIntertwiner, NotEven, NotIsotropic, NotSpin
-from torusmirror.pairspace import q_form
 
 
 def rand_lambda_vec(rng, n):
@@ -153,7 +153,7 @@ def test_hyperbolic_pair_product_matches_conjugation_oracle(rng):
     r = r_of_z(z)
     oracle = _conjugation_oracle(n, z)
     assert xl.mat_eq(r, xl.to_int(oracle))
-    q = q_form(n)
+    q = q_matrix(n)
     assert xl.mat_eq(xl.mul(r.T, xl.mul(q, r)), q)
     assert xl.det(r) == 1
 
@@ -482,7 +482,7 @@ def test_spin_lift_rejects_a_map_that_is_not_an_integral_q_isometry():
     # l_1 -> l_1 / 2 and x_1 -> 2 x_1 keeps Q but is not integral
     rational = xl.eye(4 * n)
     rational[0, 0], rational[2 * n, 2 * n] = Fraction(1, 2), 2
-    assert xl.mat_eq(xl.mul(rational.T, xl.mul(q_form(n), rational)), q_form(n))
+    assert xl.mat_eq(xl.mul(rational.T, xl.mul(q_matrix(n), rational)), q_matrix(n))
     # l_2 -> l_2 + l_1 without the matching x_1 -> x_1 - x_2
     shear = xl.eye(4 * n)
     shear[0, 1] = 1
@@ -749,7 +749,7 @@ def test_spin_check_at_n4(rng):
     bad[10, 5] += 1
     assert not is_spin(bad)
     r = r_of_z(z)
-    q = q_form(4)
+    q = q_matrix(4)
     assert xl.is_integral(r) and xl.mat_eq(xl.mul(r.T, xl.mul(q, r)), q)
     assert xl.det(r) == 1
     assert xl.mat_eq(r_of_z(-z), r)

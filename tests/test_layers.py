@@ -69,24 +69,17 @@ def test_sibling_imports_are_at_module_level():
 # public names that only the tests reach -> why each is kept
 TEST_ONLY = {
     "clifford.clifford_involution": "the main involution z -> z' of the Clifford algebra",
-    "clifford.standard_splitting": "the splitting Lambda = Gamma + Gamma* itself",
     "corresp.c1_poincare": "the first Chern class of the Poincare bundle",
     "corresp.reverse_correspondence": "the correspondence read from B to A",
-    "exactlin.is_positive_definite": "the README's symmetric case of definiteness",
-    "lefschetz.GradedOperator.entries": "an operator's entries as numbers, int where integral",
     "lefschetz.chi_form": "the invariant pairing chi on H*(A)",
-    "mirror.check_well_becoming": "the README's well-becoming test of a witness",
     "mirror.compare_mirror_isos": "compares two mirror certificates",
     "pairspace.conjugate_pair": "the conjugate pair phi1 - i phi2",
-    "pairspace.jprod": "the README's product complex structure on Lambda",
-    "pairspace.q_form": "the README's hyperbolic form Q on Lambda",
     "siegel.act_on_pair": "the Siegel action as a weak pair",
     "siegel.stabilizer_check": "the stabilizer of omega in the symmetry group",
     "siegel.translation_element": "the translations omega -> omega + eta",
     "torus.check_polarization": "the polarization test of a Neron-Severi class",
     "torus.dual_torus": "the dual torus",
     "torus.find_polarization": "the README's closed-form polarization",
-    "torus.ns_vector": "the checked constructor of a Neron-Severi class",
 }
 
 

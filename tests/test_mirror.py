@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from conftest import (adapted_halves, elliptic_sample, gaussian_pair, gaussian_torus,
-                      rand_q_isometry, rand_rational, rand_unimodular,
-                      repair_candidates_by_norm, splitting_route, transversal,
-                      well_becoming_sample)
+                      jprod_matrix, q_matrix, rand_q_isometry, rand_rational,
+                      rand_unimodular, repair_candidates_by_norm, splitting_route,
+                      standard_splitting, transversal, well_becoming_sample)
 from torusmirror import clifford
 from torusmirror import exactlin as xl
 from torusmirror import mirror
@@ -18,12 +18,11 @@ from torusmirror.errors import (Degenerate, DifferentSource, FormMismatch,
                                 NotInvertible, TransversalityNotFound)
 from torusmirror.mirror import (WellBecomingWitness, _adapted_splitting,
                                 _repair_candidates, _witness_basis,
-                                check_well_becoming, compare_mirror_isos,
+                                compare_mirror_isos,
                                 elliptic_factors, elliptic_mirror, g_mirror,
                                 mirror_from_splitting, verify_mirror)
-from torusmirror.pairspace import (WeakPair, classify_pair, i_omega, jprod,
-                                   make_weak_pair, q_form)
-from torusmirror.clifford import IsotropicSplitting, standard_splitting
+from torusmirror.pairspace import WeakPair, classify_pair, i_omega, make_weak_pair
+from torusmirror.clifford import IsotropicSplitting
 from torusmirror.siegel import siegel_act
 from torusmirror.torus import (NSVector, Torus, find_polarization, hom_space, make_torus,
                                ns_basis)
@@ -76,8 +75,6 @@ def test_g_mirror_rejects_a_rational_witness_of_det_1():
     witness = WellBecomingWitness([[Fraction(1, 2), 0]], [[0, 2]])
     with pytest.raises(NotABasis, match="^gamma1 \\+ gamma2 is not a Z-basis of Gamma$"):
         g_mirror(p, witness)
-    with pytest.raises(NotABasis):
-        check_well_becoming(p, witness)
 
 
 def test_verify_mirror_rejects_non_intertwiner():
@@ -97,11 +94,11 @@ def test_standard_splitting_is_not_invariant():
 def test_check_well_becoming_validates_basis():
     p = square_pair()
     e = xl.eye(2)
-    with pytest.raises(NotABasis):
-        check_well_becoming(p, WellBecomingWitness([e[:, 0]], [e[:, 0]]))
-    with pytest.raises(NotABasis):
-        check_well_becoming(p, WellBecomingWitness([e[:, 0]], [[2 * x for x in e[:, 1]]]))
-    assert check_well_becoming(p, std_witness(1))
+    for w in (WellBecomingWitness([e[:, 0]], [e[:, 0]]),
+              WellBecomingWitness([e[:, 0]], [[2 * x for x in e[:, 1]]])):
+        with pytest.raises(NotABasis, match="^gamma1 \\+ gamma2 is not a Z-basis of Gamma$"):
+            g_mirror(p, w)
+    g_mirror(p, std_witness(1))
 
 
 def test_check_well_becoming_detects_bad_grouping():
@@ -112,18 +109,19 @@ def test_check_well_becoming_detects_bad_grouping():
     phi = np.block([[z, xl.eye(2)], [-xl.eye(2), z]])
     p = make_weak_pair(make_torus(2, J), xl.zeros(4), phi)
     e = xl.eye(4)
-    assert check_well_becoming(p, std_witness(2))
+    g_mirror(p, std_witness(2))
     bad = WellBecomingWitness([e[:, 0], e[:, 2]], [e[:, 1], e[:, 3]])
-    assert not check_well_becoming(p, bad)
+    with pytest.raises(NotABasis, match="^witness does not exhibit p as well-becoming$"):
+        g_mirror(p, bad)
 
 
 def test_g_mirror_square_torus():
     p = square_pair()
     pB, cert = g_mirror(p, std_witness(1))
     a = cert.alpha
-    assert xl.mat_eq(xl.mul(a.T, xl.mul(q_form(1), a)), q_form(1))
-    assert xl.mat_eq(xl.mul(a, jprod(p.torus)), xl.mul(i_omega(pB), a))
-    assert check_well_becoming(pB, std_witness(1))
+    assert xl.mat_eq(xl.mul(a.T, xl.mul(q_matrix(1), a)), q_matrix(1))
+    assert xl.mat_eq(xl.mul(a, jprod_matrix(p.torus)), xl.mul(i_omega(pB), a))
+    g_mirror(pB, std_witness(1))  # pB is well-becoming in the standard basis
 
 
 def test_g_mirror_random_samples(rng):
@@ -131,7 +129,7 @@ def test_g_mirror_random_samples(rng):
         for _ in range(5):
             p, w = well_becoming_sample(rng, n)
             pB, cert = g_mirror(p, w)
-            assert check_well_becoming(pB, std_witness(n))
+            g_mirror(pB, std_witness(n))  # well-becoming in the standard basis
             # re-verification from the raw data succeeds
             verify_mirror(p, pB, cert.alpha)
 
@@ -143,8 +141,8 @@ def test_double_mirror_is_isomorphism_of_pairs(rng):
         pC, c2 = g_mirror(pB, std_witness(n))
         gamma = xl.mul(c2.alpha, c1.alpha)
         gamma_inv = xl.to_int(xl.invert(gamma))
-        jA = jprod(p.torus)
-        jC = jprod(pC.torus)
+        jA = jprod_matrix(p.torus)
+        jC = jprod_matrix(pC.torus)
         assert xl.mat_eq(xl.mul(gamma, xl.mul(jA, gamma_inv)), jC)
         assert xl.mat_eq(xl.mul(gamma, xl.mul(i_omega(p), gamma_inv)), i_omega(pC))
 
@@ -292,7 +290,7 @@ def _old_elliptic_mirror(A, tau, c):
         u2 = u.copy()
         u2[:, :n] = u[:, :n] + xl.mul(u[:, n:], corr)
         j1 = xl.mul(xl.to_int(xl.invert(u2)), xl.mul(A.J, u2))
-        jprod1 = jprod(make_torus(n, j1))
+        jprod1 = jprod_matrix(make_torus(n, j1))
         if all(xl.rank(np.block([[e[:, idx], xl.mul(jprod1, e[:, idx])]])) == 4 * n
                for idx in (w_idx, sigma_idx)):
             return (pA,) + _adapted_route(pA, u2, (w_idx, sigma_idx))
@@ -459,7 +457,7 @@ def test_block_test_matches_rank_route(rng):
             u2 = xl.mul(u, xl.block([[xl.eye(n), xl.zeros(n)], [corr, xl.eye(n)]]))
             u2_inv = xl.to_int(xl.invert(u2))
             j = xl.mul(u2_inv, xl.mul(J, u2))
-            jprod_a = jprod(make_torus(n, J))
+            jprod_a = jprod_matrix(make_torus(n, J))
             w_half, sigma = adapted_halves(u2, u2_inv)
             w_ok, sigma_ok = transversal(jprod_a, w_half), transversal(jprod_a, sigma)
             assert (xl.det(j[n:, :n]) != 0) == w_ok

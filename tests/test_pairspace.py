@@ -6,13 +6,13 @@ from math import gcd
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (classify_by_e_form, e_form, gaussian_pair, rand_q_isometry, rand_rational,
-                      weak_pair_sample, well_becoming_sample)
+from conftest import (classify_by_e_form, e_form, gaussian_pair, jprod_matrix, q_matrix,
+                      rand_q_isometry, rand_rational, weak_pair_sample, well_becoming_sample)
 from torusmirror import exactlin as xl
 from torusmirror.errors import Block12Singular, NotNSForm
 from torusmirror.mirror import g_mirror
 from torusmirror.pairspace import (WeakPair, classify_pair, conjugate_pair, i_omega,
-                                   is_q_isometry, jprod, make_weak_pair, q_form, q_gram, q_left,
+                                   is_q_isometry, make_weak_pair, q_gram, q_left,
                                    q_right, recover_omega)
 from torusmirror.siegel import translation_element
 from torusmirror.torus import check_polarization, make_torus, polarization_form
@@ -86,7 +86,7 @@ def test_pair_path_inverts_phi2_once(rng, monkeypatch):
 
 def test_i_omega_properties_square_torus():
     p = square_pair()
-    q, jp = q_form(1), jprod(p.torus)
+    q, jp = q_matrix(1), jprod_matrix(p.torus)
     iw = i_omega(p)
     assert xl.mat_eq(xl.mul(iw, iw), -xl.eye(4))
     assert xl.mat_eq(xl.mul(iw.T, xl.mul(q, iw)), q)
@@ -98,7 +98,7 @@ def test_i_omega_properties_random(rng):
     for n in (1, 2, 3):
         for _ in range(5):
             p = weak_pair_sample(rng, n)
-            q, jp = q_form(n), jprod(p.torus)
+            q, jp = q_matrix(n), jprod_matrix(p.torus)
             iw = i_omega(p)
             assert xl.mat_eq(xl.mul(iw, iw), -xl.eye(4 * n))
             assert xl.mat_eq(xl.mul(iw.T, xl.mul(q, iw)), q)
@@ -201,7 +201,7 @@ def test_recover_omega_roundtrip(rng):
 def test_recover_omega_rejects_singular_block():
     A = make_torus(1, J_SQUARE)
     with pytest.raises(Block12Singular):
-        recover_omega(A, jprod(A))
+        recover_omega(A, jprod_matrix(A))
 
 
 def test_recover_omega_rejects_other_shapes():
@@ -222,7 +222,7 @@ def test_i_omega_returns_a_copy():
 
 
 def test_q_form_hyperbolic():
-    q = q_form(2)
+    q = q_left(xl.eye(8))  # Q = Q.1
     assert xl.mat_eq(q, q.T)
     assert abs(xl.det(q)) == 1
     assert xl.is_zero(q[:4, :4]) and xl.is_zero(q[4:, 4:])
@@ -234,7 +234,7 @@ def _canonical(m):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_q_products_are_half_swaps(rng, n):
-    q = q_form(n)
+    q = q_matrix(n)
     for width in (1, 3, 4 * n):
         for entry in (lambda: rng.randint(-3, 3), lambda: rand_rational(rng)):
             m = xl.mat([[entry() for _ in range(width)] for _ in range(4 * n)])
@@ -326,7 +326,7 @@ def square_matrices(draw):
 @given(square_matrices())
 def test_is_q_isometry_matches_the_product_route(case):
     n, g = case
-    q = q_form(n)
+    q = q_matrix(n)
     assert is_q_isometry(g) == xl.mat_eq(xl.mul(g.T, xl.mul(q, g)), q)
 
 
@@ -335,7 +335,7 @@ def test_is_q_isometry_on_sparse_isometries(rng, n):
     # where at least three in four entries are 0 the test runs on the nonzeros;
     # it must give both answers there, so a bump keeps the zeros: at n = 1 a
     # sparse isometry has exactly 12 zeros of 16, and one filled in makes h dense
-    q = q_form(n)
+    q = q_matrix(n)
     seen = set()
     for make in SPARSE_ISOMETRIES.values():
         for _ in range(3):
@@ -359,7 +359,7 @@ def test_is_q_isometry_on_rational_and_misshapen_matrices():
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_q_gram_is_u_transpose_q_v(rng, n):
-    q = q_form(n)
+    q = q_matrix(n)
     for k1, k2 in ((1, 1), (2, 3), (2 * n, 2 * n), (4 * n, 1)):
         u = xl.mat([[rng.randint(-3, 3) for _ in range(k1)] for _ in range(4 * n)])
         v = xl.mat([[rng.randint(-3, 3) for _ in range(k2)] for _ in range(4 * n)])
@@ -371,11 +371,9 @@ def test_q_gram_is_u_transpose_q_v(rng, n):
 def test_jprod_is_built_once_from_the_torus_own_j():
     J = xl.mat(J_SQUARE)
     A = make_torus(1, J)
-    J[0, 1] = 5  # the caller's J, written before jprod is first read
+    J[0, 1] = 5  # the caller's J, written before Jprod is first read
     want = xl.block([[J_SQUARE, xl.zeros(2)], [xl.zeros(2), -J_SQUARE.T]])
-    assert xl.mat_eq(A.J, J_SQUARE) and xl.mat_eq(jprod(A), want)
+    assert xl.mat_eq(A.J, J_SQUARE) and xl.mat_eq(A._jprod, want)
     J[1, 0] = 7
-    out = jprod(A)
-    out[0, 0] = 9  # a copy: writing into it leaves the torus's jprod alone
-    assert xl.mat_eq(A.J, J_SQUARE) and xl.mat_eq(jprod(A), want)
+    assert xl.mat_eq(A.J, J_SQUARE) and xl.mat_eq(A._jprod, want)
     assert A._jprod is A._jprod

@@ -3,10 +3,10 @@ import pytest
 from conftest import (elliptic_sample, gaussian_torus, ns_basis_by_all_entries,
                       rand_ns_form, rand_skew, well_becoming_sample)
 from torusmirror import exactlin as xl
-from torusmirror.errors import NotComplexStructure, NotNSForm
+from torusmirror.errors import NotComplexStructure
 from torusmirror.torus import (check_polarization, dual_torus,
                                find_polarization, hom_space, make_torus,
-                               is_ns_form, ns_basis, ns_vector, polarization_form)
+                               is_ns_form, ns_basis, polarization_form)
 
 J_SQUARE = xl.mat([[0, -1], [1, 0]])
 PHI = xl.mat([[0, 1], [-1, 0]])
@@ -33,13 +33,6 @@ def test_ns_basis_square_torus():
     assert len(basis) == 1
     c = basis[0].c
     assert xl.mat_eq(c, PHI) or xl.mat_eq(c, -PHI)
-
-
-def test_ns_vector_rejects_non_invariant():
-    A = make_torus(1, J_SQUARE)
-    with pytest.raises(NotNSForm):
-        ns_vector(A, xl.mat([[0, 1], [1, 0]]))  # not skew
-    ns_vector(A, PHI)
 
 
 def test_polarization_square_torus():
@@ -80,7 +73,7 @@ def test_ns_basis_members_are_ns_forms(rng):
     for n in (1, 2):
         A = weak_pair_sample(rng, n).torus
         for v in ns_basis(A):
-            ns_vector(A, v.c)
+            assert is_ns_form(A, v.c)
 
 
 def test_is_ns_form_matches_two_product_reference(rng):
