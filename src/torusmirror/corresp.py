@@ -6,8 +6,12 @@ integrates to +1, and pushforward along the second projection keeps the
 second-factor part of any term whose first-factor part is the full monomial.
 """
 
+from functools import cache
+from operator import itemgetter, mul
+from types import MappingProxyType
+
 from .clifford import (SpinVec, _check_masks, _complement_signs, _generator_terms, _merge_sign,
-                       exterior_exp, popcount, wedge)
+                       _signed, exterior_exp, popcount, wedge)
 
 
 class ProductClass:
@@ -150,6 +154,52 @@ def xi_from_mirror(n):
     return pc_mul(tau, pc_exp(d))
 
 
+@cache
+def _diagram_layout(n):
+    """Where the cor diagram's classes put their terms, built once per n and
+    shared by every call of _diagram_classes: (counts, per_bit) with counts[t]
+    = |t| for every mask t over 2n bits, and per_bit[i] = (wedge_keys,
+    contraction_keys, wedge_terms, contraction_terms), a tuple per bit i.
+
+    Both classes of bit i have one term for each t without bit i, in
+    ascending t: the wedge class p1*(x_i) ^ top at t | bit | (full ^ t) << 2n,
+    the contraction class at t | (full ^ t ^ bit) << 2n.  Each term is top's
+    term for t, negated when the bits of t below i (wedge), or above i plus
+    i (contraction), are odd in number.  The *_terms getters read these terms
+    from _signed(top) at t, or at 4^n + t to negate; itemgetters, like the
+    tuples, are read-only.
+    """
+    d = 2 * n
+    full = (1 << d) - 1
+    per_bit = []
+    for i in range(d):
+        bit = 1 << i
+        below, above = bit - 1, full >> (i + 1) << (i + 1)
+        masks = [t for t in range(full + 1) if not t & bit]
+        per_bit.append((tuple(t | bit | (full ^ t) << d for t in masks),
+                        tuple(t | (full ^ t ^ bit) << d for t in masks),
+                        itemgetter(*(t + (full + 1 if popcount(t & below) & 1 else 0)
+                                     for t in masks)),
+                        itemgetter(*(t + (full + 1 if (popcount(t & above) + i) & 1 else 0)
+                                     for t in masks))))
+    return tuple(map(popcount, range(full + 1))), tuple(per_bit)
+
+
+@cache
+def _kernel_classes(n):
+    """Per generator e_k, the kernel class of its map on combined masks, as
+    product_class_from_map builds it: sign * eps[full ^ s] at
+    (full ^ s) | row << 2n for each term (s, row, sign) of _generator_terms(n)
+    (the Koszul factor is 1, as |row| = |s| +- 1).  Built once per n as a
+    tuple of read-only mappings, what verify_cor_diagram compares with."""
+    d = 2 * n
+    full = (1 << d) - 1
+    eps = _complement_signs(n)
+    return tuple(MappingProxyType({(full ^ s) | row << d: sign * eps[full ^ s]
+                                   for s, row, sign in terms})
+                 for terms in _generator_terms(n))
+
+
 def _diagram_classes(n, p1_sign, eps):
     """The classes of the cor diagram on combined masks s | t << 2n, each with
     the generator k whose map it must be the kernel class of, zero terms left out.
@@ -160,19 +210,20 @@ def _diagram_classes(n, p1_sign, eps):
     for k = 2n + i: its term for T, i not in T, is that of top, negated when
     T has an odd number of bits below i.  It then yields (-1)^i times the
     product over j != i, for k = i: its term for T is that of top, negated
-    when T has an odd number of bits above i.
+    when T has an odd number of bits above i.  The keys and the signed
+    positions of the terms come from _diagram_layout(n); top is read from a
+    table of p1_sign^k for k <= 2n, one entry per mask, and its negatives.
     """
-    d = 2 * n
-    full = (1 << d) - 1
-    top = [p1_sign ** popcount(t) * eps[t] for t in range(full + 1)]
-    for i in range(d):
-        bit = 1 << i
-        below, above = bit - 1, full >> (i + 1) << (i + 1)
-        free = [t for t in range(full + 1) if not t & bit and top[t]]
-        yield d + i, {t | bit | (full ^ t) << d: -top[t] if popcount(t & below) & 1 else top[t]
-                      for t in free}
-        yield i, {t | (full ^ t ^ bit) << d: -top[t] if (popcount(t & above) + i) & 1 else top[t]
-                  for t in free}
+    counts, per_bit = _diagram_layout(n)
+    powers = [p1_sign ** k for k in range(2 * n + 1)]
+    signed = _signed(list(map(mul, map(powers.__getitem__, counts), eps)))
+    for i, (wedge_keys, contraction_keys, wedge_terms, contraction_terms) in enumerate(per_bit):
+        for k, keys, terms in ((2 * n + i, wedge_keys, wedge_terms),
+                               (i, contraction_keys, contraction_terms)):
+            cls = dict(zip(keys, terms(signed)))
+            if not p1_sign:  # p1_sign^|T| vanishes for every T but 0
+                cls = {key: c for key, c in cls.items() if c}
+            yield k, cls
 
 
 def verify_cor_diagram(n, mu_p1_sign=-1):
@@ -183,22 +234,11 @@ def verify_cor_diagram(n, mu_p1_sign=-1):
     -1, and any other choice makes the check fail (a usable negative control).
     For each i, the class mu_*(p1*(x_i) ^ p2*(top)) must act by wedging x_i,
     and mu_*((-1)^{i-1} p2*(top without x_i)) (1-based i) by contracting
-    with l_i.  Each class must equal the kernel class of its generator map:
-    it has as many terms as the generator term table, and each (s, row, sign)
-    of the table is its term at (full ^ s) | row << 2n with coefficient sign
-    times eps[full ^ s].  The kernel keys are distinct and neither side holds
-    a zero, so this is dict equality.
+    with l_i.  Each class must equal the kernel class of its generator map,
+    _kernel_classes(n)[k]; neither side holds a zero, so this is dict
+    equality, one comparison per class, and the check stops at the first
+    class that differs.
     """
-    d = 2 * n
-    full = (1 << d) - 1
-    eps = _complement_signs(n)
-    terms = _generator_terms(n)
-    for k, cls in _diagram_classes(n, mu_p1_sign, eps):
-        table = terms[k]
-        if len(cls) != len(table):
-            return False
-        for s, row, sign in table:
-            comp = full ^ s
-            if cls.get(comp | row << d) != sign * eps[comp]:
-                return False
-    return True
+    kernels = _kernel_classes(n)
+    return all(kernels[k] == cls
+               for k, cls in _diagram_classes(n, mu_p1_sign, _complement_signs(n)))

@@ -595,7 +595,9 @@ def definiteness(m):
 
 
 def _min_entry(d, lo):
-    """Position of the minimal-|value| nonzero entry of d[lo:, lo:] (rows d)."""
+    """Position of the first minimal-|value| nonzero entry of d[lo:, lo:]
+    (rows d), row by row; the first entry of |value| 1 is returned at once,
+    as no later entry can be smaller."""
     best, best_abs = None, None
     for i in range(lo, len(d)):
         row = d[i]
@@ -603,6 +605,8 @@ def _min_entry(d, lo):
             x = row[j]
             if x != 0 and (best is None or abs(x) < best_abs):
                 best, best_abs = (i, j), abs(x)
+                if best_abs == 1:
+                    return best
     return best
 
 
@@ -644,9 +648,11 @@ def _smith(d, ur, vr=None):
                     dirty = True
         if dirty:
             continue
-        # pivot must divide the rest of the submatrix for the chain to hold
-        off = next(((r, c) for r in range(k + 1, n_rows) for c in range(k + 1, n_cols)
-                    if d[r][c] % d[k][k] != 0), None)
+        # pivot must divide the rest of the submatrix for the chain to hold;
+        # a pivot +-1 divides every entry
+        off = None if d[k][k] in (1, -1) else next(
+            ((r, c) for r in range(k + 1, n_rows) for c in range(k + 1, n_cols)
+             if d[r][c] % d[k][k] != 0), None)
         if off is not None:
             d[k] = [x + y for x, y in zip(d[k], d[off[0]])]
             ur[k] = [x + y for x, y in zip(ur[k], ur[off[0]])]

@@ -401,6 +401,69 @@ def smith_normal_form(m):
     return u, d, v
 
 
+def min_entry_by_full_scan(d, lo):
+    """exactlin._min_entry scanning every entry, with no stop at |value| 1:
+    the first minimal-|value| nonzero entry of d[lo:, lo:], row by row."""
+    best, best_abs = None, None
+    for i in range(lo, len(d)):
+        row = d[i]
+        for j in range(lo, len(row)):
+            x = row[j]
+            if x != 0 and (best is None or abs(x) < best_abs):
+                best, best_abs = (i, j), abs(x)
+    return best
+
+
+def smith_by_full_scans(d, ur, vr=None):
+    """exactlin._smith with min_entry_by_full_scan and a divisibility scan
+    after every pivot, a pivot +-1 included, the reference for its stops."""
+    n_rows, n_cols = len(d), len(d[0]) if d else 0
+    col_rows = (d,) if vr is None else (d, vr)
+    k = 0
+    while True:
+        pos = min_entry_by_full_scan(d, k)
+        if pos is None:
+            break
+        i, j = pos
+        if i != k:
+            d[k], d[i] = d[i], d[k]
+            ur[k], ur[i] = ur[i], ur[k]
+        if j != k:
+            for rows in col_rows:
+                for row in rows:
+                    row[k], row[j] = row[j], row[k]
+        dirty = False
+        for r in range(k + 1, n_rows):
+            if d[r][k] != 0:
+                q = d[r][k] // d[k][k]
+                d[r] = [x - q * y for x, y in zip(d[r], d[k])]
+                ur[r] = [x - q * y for x, y in zip(ur[r], ur[k])]
+                if d[r][k] != 0:
+                    dirty = True
+        for c in range(k + 1, n_cols):
+            if d[k][c] != 0:
+                q = d[k][c] // d[k][k]
+                for rows in col_rows:
+                    for row in rows:
+                        row[c] -= q * row[k]
+                if d[k][c] != 0:
+                    dirty = True
+        if dirty:
+            continue
+        off = next(((r, c) for r in range(k + 1, n_rows) for c in range(k + 1, n_cols)
+                    if d[r][c] % d[k][k] != 0), None)
+        if off is not None:
+            d[k] = [x + y for x, y in zip(d[k], d[off[0]])]
+            ur[k] = [x + y for x, y in zip(ur[k], ur[off[0]])]
+            continue
+        if d[k][k] < 0:
+            d[k] = [-x for x in d[k]]
+            ur[k] = [-x for x in ur[k]]
+        k += 1
+        if k == min(n_rows, n_cols):
+            break
+
+
 # ---------------------------------------------------------------------------
 # matrices as lists of rows of ints and Fractions, the reference for
 # exactlin.Matrix held as one integer matrix over one denominator

@@ -6,7 +6,6 @@ terminal, independent of pytest's capture, and enforces its time budget.
 
 import time
 from contextlib import contextmanager
-from fractions import Fraction
 from functools import reduce
 
 import numpy as np

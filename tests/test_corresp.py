@@ -1,4 +1,6 @@
-import numpy as np
+from functools import cache
+from operator import itemgetter
+
 import pytest
 
 from conftest import (beta_explicit, contract_apply, diagram_classes_by_products, kernel_class,
@@ -175,6 +177,44 @@ def test_diagram_classes_are_their_products(n):
             assert cls == cp._to_mask(lam)
     for col in maps:
         assert kernel_class(n, col, eps) == cp._to_mask(kernel_class_by_map(n, col))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_kernel_classes_are_those_of_the_generator_maps(n):
+    full = (1 << (2 * n)) - 1
+    eps = [merge_sign_by_bits(t, full ^ t) for t in range(full + 1)]
+    maps = _generator_maps(n)
+    kernels = cp._kernel_classes(n)
+    assert len(kernels) == len(maps) == 4 * n
+    for k, col in enumerate(maps):
+        assert kernels[k] == kernel_class(n, col, eps)
+
+
+def test_diagram_tables_are_built_once_per_n_and_read_only(monkeypatch):
+    for n in (1, 2, 3):
+        layout, kernels = cp._diagram_layout(n), cp._kernel_classes(n)
+        assert cp._diagram_layout(n) is layout and cp._kernel_classes(n) is kernels
+        counts, per_bit = layout
+        assert type(counts) is tuple and type(per_bit) is tuple and type(kernels) is tuple
+        for wedge_keys, contraction_keys, wedge_terms, contraction_terms in per_bit:
+            assert type(wedge_keys) is tuple and type(contraction_keys) is tuple
+            assert type(wedge_terms) is itemgetter and type(contraction_terms) is itemgetter
+        for cls in kernels:
+            with pytest.raises(TypeError):
+                cls[next(iter(cls))] = 0
+    builds = []
+    for name in ("_diagram_layout", "_kernel_classes"):
+        def counted(n, name=name, build=getattr(cp, name).__wrapped__):
+            builds.append((name, n))
+            return build(n)
+
+        monkeypatch.setattr(cp, name, cache(counted))
+    for _ in range(3):
+        for n in (1, 2, 3):
+            assert cp.verify_cor_diagram(n)
+            assert not cp.verify_cor_diagram(n, mu_p1_sign=1)
+    assert sorted(builds) == [(name, n) for name in ("_diagram_layout", "_kernel_classes")
+                              for n in (1, 2, 3)]
 
 
 def test_pc_mul_rejects_classes_on_different_products():

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import (FractionEchelon, fraction_add, fraction_det, fraction_mat_eq,
                       fraction_mul, fraction_solve_right, fraction_sub, gauss_jordan_solve,
+                      min_entry_by_full_scan, rand_unimodular, smith_by_full_scans,
                       smith_normal_form)
 import torusmirror
 from torusmirror import exactlin as xl
@@ -208,6 +209,53 @@ def test_saturate_rows_matches_inverse_route(b):
 def test_saturate_rows_of_rank_zero_keeps_its_width():
     assert xl.saturate_rows(xl.zeros(3, 4)).shape == (0, 4)
     assert xl.saturate_rows(xl.zeros(2, 0)).shape == (0, 0)
+
+
+def _smith_samples(rng):
+    """Seeded integer matrices up to 5 x 6: entries in -6..6, and entries in
+    {0, +-2, +-3, +-4, +-6}, so that no entry is +-1 and the first pivots
+    take the divisibility scan."""
+    no_unit = [0, 2, -2, 3, -3, 4, -4, 6, -6]
+    for entries in (list(range(-6, 7)), no_unit):
+        for _ in range(40):
+            rows, cols = rng.randint(1, 5), rng.randint(1, 6)
+            yield [[rng.choice(entries) for _ in range(cols)] for _ in range(rows)]
+
+
+def test_smith_stops_give_the_full_scan_u_and_d(rng):
+    no_unit_seen = 0
+    for b in _smith_samples(rng):
+        no_unit_seen += all(abs(x) != 1 for row in b for x in row)
+        for with_v in (False, True):
+            d, u = [row[:] for row in b], xl.eye(len(b)).num
+            d_ref, u_ref = [row[:] for row in b], xl.eye(len(b)).num
+            v, v_ref = (xl.eye(len(b[0])).num, xl.eye(len(b[0])).num) if with_v else (None, None)
+            xl._smith(d, u, v)
+            smith_by_full_scans(d_ref, u_ref, v_ref)
+            assert (u, d, v) == (u_ref, d_ref, v_ref)
+    assert no_unit_seen >= 40
+
+
+def test_saturate_rows_and_skew_normal_form_match_the_full_scan_reference(monkeypatch, rng):
+    samples = [xl.mat(b) for b in _smith_samples(rng)]
+    forms = []
+    for deltas in ([1, 3], [2, 6], [1, 1, 2], [3, 3, 6]):
+        k = len(deltas)
+        base = xl.zeros(2 * k)
+        for i, dlt in enumerate(deltas):
+            base[i, k + i], base[k + i, i] = dlt, -dlt
+        for _ in range(5):
+            t = rand_unimodular(rng, 2 * k)
+            forms.append(xl.mul(t.T, xl.mul(base, t)))
+    got = ([xl.saturate_rows(b) for b in samples],
+           [xl.skew_normal_form(m) for m in forms])
+    monkeypatch.setattr(xl, "_smith", smith_by_full_scans)
+    monkeypatch.setattr(xl, "_min_entry", min_entry_by_full_scan)
+    want = ([xl.saturate_rows(b) for b in samples],
+            [xl.skew_normal_form(m) for m in forms])
+    assert all(map(xl.mat_eq, got[0], want[0]))
+    for nf, ref in zip(got[1], want[1]):
+        assert nf.deltas == ref.deltas and xl.mat_eq(nf.basis_change, ref.basis_change)
 
 
 def leibniz_det(m):

@@ -2,7 +2,8 @@
 modules listed here, and only at module level, where a cycle would fail at
 import time.  And its public surface: every public name that no other
 module, no benchmark file and no use in its own module reaches is listed
-here with the reason it is kept."""
+here with the reason it is kept.  And no module of the package or of the
+tests imports a name at module level that it never reads."""
 
 import ast
 import pathlib
@@ -10,7 +11,8 @@ import pathlib
 import torusmirror
 
 SRC = pathlib.Path(torusmirror.__file__).parent
-BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
+TESTS = pathlib.Path(__file__).resolve().parent
+BENCH = TESTS.parent / "bench"
 
 LAYERS = {
     "__init__": set(),
@@ -64,6 +66,31 @@ def test_sibling_imports_are_at_module_level():
                    if _sibling_imports(node) and id(node) not in top]
     assert not nested, f"function-local imports of sibling modules: {nested}"
 
+
+def _unused_imports(tree):
+    """Names bound by the module-level imports of one file that the file never
+    reads: as a Name it loads, or as a parameter of a function, since pytest
+    passes fixtures by parameter name."""
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                if alias.name != "*":
+                    bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.arg):
+            read.add(node.arg)
+    return {name: line for name, line in bound.items() if name not in read}
+
+
+def test_no_unused_imports():
+    unused = [f"{path.parent.name}/{path.name}:{line} {name}"
+              for path in sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))
+              for name, line in _unused_imports(ast.parse(path.read_text())).items()]
+    assert not unused, f"module-level imports never read: {unused}"
 
 
 # public names that only the tests reach -> why each is kept
