@@ -9,9 +9,9 @@ one _prefix per term of the right factor, the rule _merge_sign states.
 """
 
 from fractions import Fraction
-from functools import cache
+from functools import cache, reduce
 from math import factorial, gcd, lcm
-from operator import mul
+from operator import mul, or_
 
 from . import exactlin as xl
 from .errors import (FormMismatch, MixedParity, NoIntertwiner, NotEven, NotIsotropic,
@@ -78,11 +78,19 @@ def _scaled_exp(b, q):
     without constant term and an int q > 0: total has int values, no zeros,
     and den = q^K K! > 0 for K the last nonzero power of b.  It sums the int
     terms b^k q^(K-k) K!/k!.
+
+    Each term of b^k has at least k times the least degree of a nonzero term
+    of b, and lies in the union of their masks, so b^k = 0 once that product
+    exceeds the union's degree; no power past that bound is formed.
     """
+    masks = [m for m, c in b.items() if c]
+    bound = popcount(reduce(or_, masks)) // min(map(popcount, masks)) if masks else 0
     powers = [{0: 1}]
-    while powers[-1]:
-        powers.append(wedge(powers[-1], b))
-    powers.pop()
+    while len(powers) <= bound:
+        power = wedge(powers[-1], b)
+        if not power:  # an odd b, or a degenerate one, ends below the bound
+            break
+        powers.append(power)
     last = len(powers) - 1
     den = q ** last * factorial(last)
     total = {}

@@ -10,8 +10,8 @@ from functools import cache
 from operator import itemgetter, mul
 from types import MappingProxyType
 
-from .clifford import (SpinVec, _check_masks, _complement_signs, _generator_terms, _merge_sign,
-                       _signed, exterior_exp, popcount, wedge)
+from .clifford import (SpinVec, _check_masks, _complement_signs, _generator_terms, _signed,
+                       exterior_exp, popcount, wedge)
 
 
 class ProductClass:
@@ -120,27 +120,43 @@ def product_class_from_map(n, m, images):
     images maps A-masks, in 0 .. 4^n - 1, to SpinVec-style coefficient dicts
     on B-masks, in 0 .. 4^m - 1 (else ValueError); the returned class xi
     satisfies push_forward_correspondence(xi, x_S) = images[S].
+
+    The sign of the term (full ^ alpha, vmask), _merge_sign((full ^ alpha) |
+    vmask << 2n, alpha), splits as in the push-forward: eps[full ^ alpha] of
+    _complement_signs, times (-1)^{|vmask||alpha|}, as every bit of vmask << 2n
+    lies above every bit of alpha.
     """
+    _check_masks(images, n)
+    _check_masks(set().union(*images.values()), m, "m")
     full = (1 << (2 * n)) - 1
+    eps = _complement_signs(n)
     out = {}
-    # the OR of the masks is negative, or has a bit at 2n (2m) or above,
-    # exactly when some mask is outside its range
-    a_bits = b_bits = 0
     for alpha, image in images.items():
-        a_bits |= alpha
         comp = full ^ alpha
+        sign = eps[comp]
+        odd = popcount(alpha) & 1
         for vmask, c in image.items():
-            b_bits |= vmask
-            sign = _merge_sign(comp | vmask << (2 * n), alpha)
-            out[(comp, vmask)] = out.get((comp, vmask), 0) + c * sign
-    if a_bits >> 2 * n or b_bits >> 2 * m:
-        _check_masks(images, n)
-        _check_masks(set().union(*images.values()), m, "m")
+            key = (comp, vmask)
+            out[key] = out.get(key, 0) + (-c if odd & popcount(vmask) else c) * sign
     return ProductClass(n, m, out)
 
 
 def xi_from_mirror(n):
-    """The class tau ^ exp((-1)^{n-1} D) realizing beta on the product."""
+    """The class tau ^ exp(s D) realizing beta on the product, s = (-1)^{n-1},
+    built directly as its 4^n terms.
+
+    tau is the kernel class of the 2^n images x_low ^ x_R -> sign x_R, for R
+    a subset of {n+1..2n}: its terms (high ^ R, R) lie on bits n..2n-1 of each
+    factor.  D = sum_{i<=n} p*(x_i) ^ q*(x_i) is a sum of even terms on
+    pairwise disjoint masks, so exp(s D) = prod_i (1 + s D_i) = sum over
+    subsets U of {1..n} of s^|U| (-1)^{|U|(|U|-1)/2} x_{U | U << 2n}, the
+    second sign sorting the interleaved pairs.  U lies on bits 0..n-1 of each
+    factor, so every term of tau meets every U, no product vanishes and no
+    key repeats.  On the combined masks, a | b << 2n against U | U << 2n,
+    the bits of a lie above those of U and below those of U << 2n, and the
+    bits of b << 2n above both (2|b||U| pairs, an even count), so the wedge
+    sign is (-1)^{|a||U|}.
+    """
     low = (1 << n) - 1  # indices 1..n
     images = {}
     tau_sign = (-1) ** ((n * (n - 1) // 2) % 2)
@@ -148,10 +164,17 @@ def xi_from_mirror(n):
         rmask = r << n  # subsets of {n+1..2n}
         sign = tau_sign * ((-1) ** ((n * popcount(rmask)) % 2))
         images[low | rmask] = {rmask: sign}
-    tau = product_class_from_map(n, n, images)
-    d = ProductClass(n, n, {(1 << i, 1 << i): (-1) ** ((n - 1) % 2)
-                            for i in range(n)})
-    return pc_mul(tau, pc_exp(d))
+    tau = [(a, b, c, popcount(a) & 1)
+           for (a, b), c in product_class_from_map(n, n, images).coeffs.items()]
+    s = -1 if n % 2 == 0 else 1
+    out = {}
+    for u in range(1 << n):
+        k = popcount(u)
+        even = s ** k * (-1 if k * (k - 1) // 2 % 2 else 1)
+        odd = -even if k & 1 else even
+        for a, b, c, a_odd in tau:
+            out[(a | u, b | u)] = c * odd if a_odd else c * even
+    return ProductClass(n, n, out)
 
 
 @cache

@@ -21,7 +21,7 @@ from hypothesis import settings
 from torusmirror import corresp as cp
 from torusmirror import exactlin as xl
 from torusmirror import lefschetz as lf
-from torusmirror.clifford import (IsotropicSplitting, SpinVec, _cor_apply,
+from torusmirror.clifford import (IsotropicSplitting, SpinVec, _check_masks, _cor_apply,
                                   _generator_maps, _merge_sign, _sign_normalize, _signed,
                                   _source_terms, exterior_exp, popcount, wedge)
 from torusmirror.errors import NoHardLefschetz, NoIntertwiner, NotIsotropic, SingularMatrix
@@ -685,6 +685,35 @@ def push_forward_by_merge_signs(xi, v):
         if sv in v.coeffs:
             out[t] = out.get(t, 0) + _merge_sign(s | t << shift, sv) * c * v.coeffs[sv]
     return SpinVec(xi.m, out)
+
+
+def product_class_from_map_by_merge_signs(n, m, images):
+    """product_class_from_map with one _merge_sign of the whole term
+    (full ^ alpha) | vmask << 2n against alpha per term, the reference for
+    its sign from the complement-sign table; the same masks are rejected."""
+    _check_masks(images, n)
+    _check_masks(set().union(*images.values()), m, "m")
+    full = (1 << (2 * n)) - 1
+    out = {}
+    for alpha, image in images.items():
+        comp = full ^ alpha
+        for vmask, c in image.items():
+            sign = _merge_sign(comp | vmask << (2 * n), alpha)
+            out[(comp, vmask)] = out.get((comp, vmask), 0) + c * sign
+    return cp.ProductClass(n, m, out)
+
+
+def xi_by_exponential(n):
+    """tau ^ exp(s D) by pc_exp and pc_mul, the reference for
+    corresp.xi_from_mirror: tau is the kernel class of x_low ^ x_R -> sign x_R
+    for R a subset of {n+1..2n}, and D = sum_{i<=n} p*(x_i) ^ q*(x_i)."""
+    low = (1 << n) - 1
+    tau_sign = (-1) ** ((n * (n - 1) // 2) % 2)
+    images = {low | r << n: {r << n: tau_sign * (-1) ** (n * popcount(r) % 2)}
+              for r in range(1 << n)}
+    tau = cp.product_class_from_map(n, n, images)
+    d = cp.ProductClass(n, n, {(1 << i, 1 << i): (-1) ** ((n - 1) % 2) for i in range(n)})
+    return cp.pc_mul(tau, cp.pc_exp(d))
 
 
 def verify_cor_diagram_by_products(n, mu_p1_sign=-1):

@@ -347,6 +347,7 @@ XI_SHA256 = {
     1: "0c1f04cb6cdbf2110df24275a0a4a2d022d80653022726fd62093355f48a9038",
     2: "2a7b9787601c1e85408dc5b0ff2b36887ec936a320e358ede94c13370dddac9b",
     3: "f0c49ca8e86df7ca82a13365d424b9ce6b8cd636f5aa08b434dd663f81a22d22",
+    4: "0479ebe5ec61b69fbb784edb9ac6ad69197e883e5b54e473a9a484f97e9db2aa",
 }
 
 

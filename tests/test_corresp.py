@@ -5,7 +5,7 @@ import pytest
 
 from conftest import (beta_explicit, contract_apply, diagram_classes_by_products, kernel_class,
                       kernel_class_by_map, merge_sign_by_bits, push_forward_by_merge_signs,
-                      verify_cor_diagram_by_products, wedge_apply)
+                      verify_cor_diagram_by_products, wedge_apply, xi_by_exponential)
 from torusmirror import corresp as cp
 from torusmirror import exactlin as xl
 from torusmirror.clifford import SpinVec, _generator_maps, popcount
@@ -143,6 +143,14 @@ def test_mirror_kernel_reproduces_beta_matrix():
     for n in (1, 2, 3):
         xi = cp.xi_from_mirror(n)
         assert xl.mat_eq(correspondence_matrix(xi), beta_explicit(n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_xi_matches_tau_times_the_exponential(n):
+    xi = cp.xi_from_mirror(n)
+    assert xi == xi_by_exponential(n)
+    assert len(xi.coeffs) == 4 ** n
+    assert all(type(c) is int for c in xi.coeffs.values())
 
 
 def test_mirror_kernel_exponent_truncates():

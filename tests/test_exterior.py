@@ -8,7 +8,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import exterior_exp_by_fractions, merge_sign_by_bits, wedge_by_pairs
+from conftest import (exterior_exp_by_fractions, merge_sign_by_bits,
+                      product_class_from_map_by_merge_signs, wedge_by_pairs)
+from torusmirror import clifford
 from torusmirror import corresp as cp
 from torusmirror.clifford import SpinVec, _merge_sign, exterior_exp, popcount, wedge
 
@@ -210,6 +212,24 @@ def test_exp_makes_no_fraction_for_integral_input(monkeypatch):
     assert all(type(c) is int for c in xi.coeffs.values())
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_exp_of_a_nondegenerate_two_form_takes_n_wedges(monkeypatch, n):
+    # x1 x2 + x3 x4 + ... has b^n = n! x_1...x_2n, and the degree bound
+    # 2(n + 1) > 2n shows b^(n+1) = 0 without forming it
+    form = {0b11 << 2 * i: 1 for i in range(n)}
+    calls = []
+
+    def counting_wedge(a, b):
+        calls.append(b)
+        return wedge(a, b)
+
+    monkeypatch.setattr(clifford, "wedge", counting_wedge)
+    got = exterior_exp(form)
+    monkeypatch.undo()
+    assert len(calls) == n
+    assert got == exterior_exp_by_fractions(form) and got[(1 << 2 * n) - 1] == 1
+
+
 def test_exp_rejects_a_constant_term():
     with pytest.raises(ValueError):
         exterior_exp({0: 1, 0b11: 1})
@@ -252,6 +272,31 @@ def test_product_class_from_map_matches_the_per_factor_koszul_sign(data, sizes):
     for alpha, image in images.items():
         want = SpinVec(m, image)
         assert cp.push_forward_correspondence(xi, SpinVec(n, {alpha: 1})) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), factor_sizes)
+def test_product_class_from_map_matches_one_merge_sign_per_term(data, sizes):
+    # the same terms in the same order, and the same error when a source or
+    # an image mask lies one past either end of its factor
+    n, m = sizes
+    images = data.draw(st.dictionaries(
+        st.integers(0, (1 << (2 * n)) - 1),
+        elements(st.integers(0, (1 << (2 * m)) - 1), max_size=4), max_size=6))
+    stray_source = data.draw(st.sampled_from([None, None, None, -1, 1 << (2 * n)]))
+    stray_image = data.draw(st.sampled_from([None, None, None, -1, 1 << (2 * m)]))
+    if stray_source is not None:
+        images[stray_source] = {0: 1}
+    if stray_image is not None:
+        images.setdefault(0, {})[stray_image] = 1
+
+    def outcome(build):
+        try:
+            return list(build(n, m, images).coeffs.items())
+        except ValueError as e:
+            return str(e)
+
+    assert outcome(cp.product_class_from_map) == outcome(product_class_from_map_by_merge_signs)
 
 
 @settings(max_examples=150, deadline=None)

@@ -97,6 +97,8 @@ def test_no_unused_imports():
 TEST_ONLY = {
     "clifford.clifford_involution": "the main involution z -> z' of the Clifford algebra",
     "corresp.c1_poincare": "the first Chern class of the Poincare bundle",
+    "corresp.pc_exp": "the exponential of a class, such as ch(P) from c1_poincare",
+    "corresp.pc_mul": "the cup product on A x B",
     "corresp.reverse_correspondence": "the correspondence read from B to A",
     "lefschetz.chi_form": "the invariant pairing chi on H*(A)",
     "mirror.compare_mirror_isos": "compares two mirror certificates",
