@@ -9,7 +9,7 @@ one _prefix per term of the right factor, the rule _merge_sign states.
 """
 
 from fractions import Fraction
-from functools import cache, reduce
+from functools import cache, lru_cache, reduce
 from math import factorial, gcd, lcm
 from operator import mul, or_
 
@@ -409,17 +409,34 @@ def _spin_conjugation(z):
     return r
 
 
+@lru_cache(maxsize=1)
+def _last_spin_conjugation(key):
+    """_spin_conjugation of the matrix key = (den, ncols, rows), for rows a
+    tuple of int row tuples.  It holds the last element checked, keyed by
+    value, so is_spin and then r_of_z on equal entries run one check, while
+    an element checked before another is checked again; an exception is
+    raised again on every call, as lru_cache keeps no failed call."""
+    den, ncols, rows = key
+    return _spin_conjugation(xl._wrap(list(map(list, rows)), den, ncols))
+
+
+def _spin_check(z):
+    z = xl.asmat(z)
+    return _last_spin_conjugation((z.den, z.ncols, tuple(map(tuple, z.num))))
+
+
 def is_spin(z):
     """Membership in Spin(Lambda,Q): even, norm one, conjugation preserves Lambda."""
-    return _spin_conjugation(z) is not None
+    return _spin_check(z) is not None
 
 
 def r_of_z(z):
-    """The conjugation action on Lambda of a spin element; lies in SO(Q)."""
-    r = _spin_conjugation(z)
+    """The conjugation action on Lambda of a spin element; lies in SO(Q).  A
+    new matrix on each call, so the one the check keeps is never handed out."""
+    r = _spin_check(z)
     if r is None:
         raise NotSpin("element is not in Spin(Lambda,Q)")
-    return r
+    return r.copy()
 
 
 # ---------------------------------------------------------------------------

@@ -126,6 +126,25 @@ def lefschetz_e(kappa):
     return _form_operator(c, _generator_maps(d // 2)[d:], 1 << d, 2)
 
 
+def _lefschetz_pair(kappa):
+    """(e_kappa, f_kappa), each built once, after the check [e, f] = h; and
+    (e_kappa, None) when kappa is degenerate, so has no f_kappa."""
+    c = _skew_form(kappa)
+    d = c.shape[0]
+    size = 1 << d
+    gens = _generator_maps(d // 2)
+    e = _form_operator(c, gens[d:], size, 2)
+    try:
+        inverse = xl.invert(c)
+    except SingularMatrix:
+        return e, None
+    f = _form_operator(inverse, gens[:d], size, -2)
+    scale = e.den * f.den
+    if _bracket(e, f) != {key: v * scale for key, v in grading_operator(d // 2).num.items()}:
+        raise RuntimeError("[e_kappa, f_kappa] != h")
+    return e, f
+
+
 def lefschetz_f(kappa):
     """The unique degree -2 operator with [e_kappa, f_kappa] = h, namely
     sum_{i<j} (kappa^{-1})_ij (1/2)[cor(l_i), cor(l_j)].
@@ -137,19 +156,9 @@ def lefschetz_f(kappa):
     two solutions differ by an element of ker(ad e) of ad(h)-weight -2, and
     ker(ad e) has only weights >= 0 in a finite-dimensional sl2-module.
     """
-    c = _skew_form(kappa)
-    try:
-        inverse = xl.invert(c)
-    except SingularMatrix:
-        raise NoHardLefschetz("kappa is degenerate, so e_kappa^n: H^0 -> H^2n is zero") from None
-    d = c.shape[0]
-    size = 1 << d
-    gens = _generator_maps(d // 2)
-    e = _form_operator(c, gens[d:], size, 2)
-    f = _form_operator(inverse, gens[:d], size, -2)
-    scale = e.den * f.den
-    if _bracket(e, f) != {key: v * scale for key, v in grading_operator(d // 2).num.items()}:
-        raise RuntimeError("[e_kappa, f_kappa] != h")
+    f = _lefschetz_pair(kappa)[1]
+    if f is None:
+        raise NoHardLefschetz("kappa is degenerate, so e_kappa^n: H^0 -> H^2n is zero")
     return f
 
 
@@ -161,15 +170,13 @@ def generate_g_ns(A, kappas):
         c = as_form(kappa)
         if not is_ns_form(A, c):
             raise NotNSForm("kappa is not skew or not J-invariant")
-        e = lefschetz_e(c)
+        e, f = _lefschetz_pair(c)
         gens.append(e)
-        try:
-            f = lefschetz_f(c)
-        except NoHardLefschetz:
+        if f is None:
             # degenerate classes contribute their wedge operator only
             continue
         gens.append(f)
-        # lefschetz_f has checked [e, f] = h
+        # _lefschetz_pair has checked [e, f] = h
         settled.add((e, f))
     h = grading_operator(A.n)
     gens.append(h)

@@ -9,6 +9,7 @@ from conftest import (beta_explicit, beta_iso_by_kernel, contract_apply, cor_act
                       rand_splitting, rand_unit_pairing_vector, rand_unimodular,
                       splitting_coords, splitting_cor, standard_splitting, vacuum_kernel,
                       wedge_apply)
+from torusmirror import clifford as cl
 from torusmirror import exactlin as xl
 from torusmirror.clifford import (IsotropicSplitting, SpinVec, _complement_signs, _cor_apply,
                                   _generator_maps, _generator_terms, _has_grade,
@@ -475,6 +476,87 @@ def test_spin_check_gives_back_the_lifted_isometry(rng, n):
             assert xl.mat_eq(xl.mul(z, clifford_involution(z)), -xl.eye(size))
             rejected += 1
     assert rejected and any(not xl.mat_eq(xl.mul(g, g), xl.eye(4 * n)) for g in accepted)
+
+
+@pytest.fixture
+def spin_checks(monkeypatch):
+    """The elements that _spin_conjugation checks from here on, as matrices;
+    the one-element cache of the spin check starts empty."""
+    seen = []
+    conjugation = cl._spin_conjugation
+
+    def counting_conjugation(z):
+        seen.append(xl.mat(z))
+        return conjugation(z)
+
+    cl._last_spin_conjugation.cache_clear()
+    monkeypatch.setattr(cl, "_spin_conjugation", counting_conjugation)
+    yield seen
+    cl._last_spin_conjugation.cache_clear()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_is_spin_then_r_of_z_run_one_check(rng, spin_checks, n):
+    z = rand_spin(rng, n, pairs=1)
+    want = cl._spin_conjugation(z)
+    del spin_checks[:]
+    assert is_spin(z)
+    assert xl.mat_eq(r_of_z(z), want)
+    assert len(spin_checks) == 1 and xl.mat_eq(spin_checks[0], z)
+
+
+def test_a_non_spin_element_is_checked_once(spin_checks):
+    z = 2 * xl.eye(4)
+    assert not is_spin(z)
+    with pytest.raises(NotSpin):
+        r_of_z(z)
+    assert len(spin_checks) == 1
+
+
+def test_an_element_edited_in_place_is_checked_again(rng, spin_checks):
+    z = np.array(rand_spin(rng, 1).rows, dtype=object)
+    assert is_spin(z)
+    z *= 2
+    with pytest.raises(NotSpin):
+        r_of_z(z)
+    z //= 2
+    assert is_spin(z)
+    assert len(spin_checks) == 3
+
+
+def test_writing_into_the_rotation_leaves_the_next_one_unchanged(rng, spin_checks):
+    z = rand_spin(rng, 1)
+    r = r_of_z(z)
+    want = r.copy()
+    r[0, 0] = r[0, 0] + 1
+    assert xl.mat_eq(r_of_z(z), want) and is_spin(z)
+    assert len(spin_checks) == 1
+
+
+def test_an_element_that_raises_raises_on_every_call(spin_checks):
+    odd = cor_matrix_by_columns(1, np.array([1, 0, 0, 0], dtype=object))
+    for z, error in ((xl.zeros(4, 3), ValueError), (odd, NotEven)):
+        del spin_checks[:]
+        for check in (is_spin, r_of_z, is_spin, r_of_z):
+            with pytest.raises(error):
+                check(z)
+        assert len(spin_checks) == 4
+
+
+def test_equal_entries_share_one_check_whatever_their_type(rng, spin_checks):
+    z = rand_spin(rng, 2, pairs=1)
+    r = r_of_z(z)
+    for same in (z.rows, np.array(z.rows, dtype=object), xl.mat(z.rows)):
+        assert is_spin(same) and xl.mat_eq(r_of_z(same), r)
+    assert len(spin_checks) == 1
+
+
+def test_the_spin_check_keeps_one_element(rng, spin_checks):
+    z1 = rand_spin(rng, 1)
+    z2 = -z1
+    for z in (z1, z2, z1, z2):
+        assert is_spin(z)
+    assert len(spin_checks) == 4
 
 
 def test_spin_lift_rejects_a_map_that_is_not_an_integral_q_isometry():

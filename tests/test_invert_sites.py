@@ -15,7 +15,7 @@ SRC = Path(torusmirror.__file__).parent
 INVERT_SITES = {
     ("pairspace", "_invert_phi2"): 1,
     ("pairspace", "recover_omega"): 1,
-    ("lefschetz", "lefschetz_f"): 1,
+    ("lefschetz", "_lefschetz_pair"): 1,
     ("clifford", "IsotropicSplitting.__init__"): 1,
     ("mirror", "_witness_basis"): 1,
 }

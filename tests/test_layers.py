@@ -3,9 +3,11 @@ modules listed here, and only at module level, where a cycle would fail at
 import time.  And its public surface: every public name that no other
 module, no benchmark file and no use in its own module reaches is listed
 here with the reason it is kept.  And no module of the package or of the
-tests imports a name at module level that it never reads."""
+tests imports a name at module level that it never reads.  And every
+functools cache of the package is pinned with its bound."""
 
 import ast
+import importlib
 import pathlib
 
 import torusmirror
@@ -101,6 +103,7 @@ TEST_ONLY = {
     "corresp.pc_mul": "the cup product on A x B",
     "corresp.reverse_correspondence": "the correspondence read from B to A",
     "lefschetz.chi_form": "the invariant pairing chi on H*(A)",
+    "lefschetz.lefschetz_e": "the cup product e_kappa, without the hard Lefschetz f_kappa",
     "mirror.compare_mirror_isos": "compares two mirror certificates",
     "pairspace.conjugate_pair": "the conjugate pair phi1 - i phi2",
     "siegel.act_on_pair": "the Siegel action as a weak pair",
@@ -189,3 +192,55 @@ def test_public_names_reached_only_by_tests_are_pinned():
     assert not new, f"public names that only the tests reach: {new}"
     stale = sorted(TEST_ONLY.keys() - unreached)
     assert not stale, f"pinned names that are gone or reached outside the tests: {stale}"
+
+
+# every functools cache of the package -> its maxsize: the tables built once
+# per n take that one int and are unbounded, as they are few and read-only;
+# the spin check keeps the one element it checked last, so is_spin then
+# r_of_z on equal entries run one check
+CACHES = {
+    "clifford._generator_maps": None,
+    "clifford._source_terms": None,
+    "clifford._generator_terms": None,
+    "clifford._complement_signs": None,
+    "clifford._involution_form": None,
+    "clifford._last_spin_conjugation": 1,
+    "corresp._diagram_layout": None,
+    "corresp._kernel_classes": None,
+}
+CACHE_MAKERS = {"cache", "lru_cache"}
+
+
+def _name(node):
+    """The name a decorator is read by: f for f, m.f and f(...)."""
+    node = node.func if isinstance(node, ast.Call) else node
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+
+def test_caches_are_pinned_with_their_bounds():
+    found, stray = {}, []
+    for module, tree in _trees().items():
+        decorators = set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for d in node.decorator_list:
+                    if _name(d) in CACHE_MAKERS:
+                        found[f"{module}.{node.name}"] = node
+                        decorators |= {id(d), id(getattr(d, "func", d))}
+        # functools.cache or lru_cache read anywhere but on a def, as in
+        # f = lru_cache(g), would make a cache that this test cannot see
+        stray += [f"{module}.py:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, (ast.Name, ast.Attribute)) and id(node) not in decorators
+                  and isinstance(node.ctx, ast.Load) and _name(node) in CACHE_MAKERS]
+    assert not stray, f"caches made outside a decorator: {stray}"
+    assert sorted(found) == sorted(CACHES)
+    for name, bound in CACHES.items():
+        module, attr = name.split(".")
+        fn = getattr(importlib.import_module(f"torusmirror.{module}"), attr)
+        assert fn.cache_parameters()["maxsize"] == bound, name
+        if bound is None:
+            # a table per n: its one parameter is the int n, not a matrix
+            args = found[name].args
+            assert [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs] == ["n"], name
+            assert args.vararg is None and args.kwarg is None, name
+            assert fn(1) is fn(1), name

@@ -293,12 +293,16 @@ def test_g_ns_brackets_each_unordered_pair_once(monkeypatch, n, with_sum):
     assert g.dim == len(ref) and len(pairs) < ref_brackets
     assert len({frozenset(map(id, p)) for p in pairs}) == len(pairs)
     assert not any(a is b or a.degree == b.degree != 0 for a, b in pairs)
-    # lefschetz_f brackets an e_k of its own with f_k to check [e_k, f_k] = h;
-    # the closure brackets elements of the basis only
+    # _lefschetz_pair brackets each e_k with its f_k once, to check
+    # [e_k, f_k] = h; every other bracket is the closure's, of two elements
+    # of the basis, and none is an [e_k, f_k] or an [h, x]
     ids = set(map(id, g.ops))
-    closure = [(key(a), key(b)) for a, b in pairs if id(a) in ids and id(b) in ids]
+    brackets = [(key(a), key(b)) for a, b in pairs]
+    assert sum(ab in settled for ab in brackets) == len(settled) // 2
+    closure = [ab for (a, b), ab in zip(pairs, brackets) if ab not in settled
+               and id(a) in ids and id(b) in ids]
     assert len(pairs) - len(closure) == len(settled) // 2
-    assert not any(h in ab or ab in settled for ab in closure)
+    assert not any(h in ab for ab in closure)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -320,6 +324,31 @@ def test_generate_g_ns_ignores_repeated_classes(n):
         assert got.dim == want.dim
         assert [op.degree for op in got.ops] == [op.degree for op in want.ops]
         assert [(op.num, op.den) for op in got.ops] == [(op.num, op.den) for op in want.ops]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_generate_g_ns_builds_each_lefschetz_operator_once(monkeypatch, n):
+    # one e_k per class and one f_k per nondegenerate class: the check
+    # [e_k, f_k] = h reads the two operators that join the generators
+    A = make_torus(n, _product_structure(n))
+    kappas = ns_basis(A)
+    kappas.append(NSVector(sum((k.c for k in kappas), xl.zeros(2 * n))))
+    nondegenerate = sum(xl.rank(k.c) == 2 * n for k in kappas)
+    assert 0 < nondegenerate < len(kappas)
+    want = generate_g_ns(A, kappas)
+    degrees = []
+    form_operator = lf._form_operator
+
+    def counting_form_operator(c, gens, size, degree):
+        degrees.append(degree)
+        return form_operator(c, gens, size, degree)
+
+    monkeypatch.setattr(lf, "_form_operator", counting_form_operator)
+    got = generate_g_ns(A, kappas)
+    assert degrees.count(2) == len(kappas) and degrees.count(-2) == nondegenerate
+    assert len(degrees) == len(kappas) + nondegenerate
+    assert [(op.num, op.den, op.degree) for op in got.ops] == \
+        [(op.num, op.den, op.degree) for op in want.ops]
 
 
 def test_no_dense_operator_is_built(monkeypatch):
