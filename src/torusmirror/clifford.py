@@ -11,12 +11,12 @@ one _prefix per term of the right factor, the rule _merge_sign states.
 from fractions import Fraction
 from functools import cache, lru_cache, reduce
 from math import factorial, gcd, lcm
-from operator import mul, or_
+from operator import itemgetter, mul, or_
 
 from . import exactlin as xl
 from .errors import (FormMismatch, MixedParity, NoIntertwiner, NotEven, NotIsotropic,
                      NotSpin, SingularMatrix)
-from .pairspace import is_q_isometry, q_gram, q_left, q_right
+from .pairspace import is_isotropic, is_q_isometry, q_gram, q_swap
 
 
 popcount = int.bit_count
@@ -255,21 +255,22 @@ class IsotropicSplitting:
         if not (len(basis1) == len(basis2) == 2 * n
                 and all(len(v) == d for v in basis1 + basis2)):
             raise NotIsotropic("splitting bases must be 2n vectors of length 4n")
-        rows1, rows2 = xl.mat(basis1), xl.mat(basis2)  # one basis vector per row
-        if not (xl.is_integral(rows1) and xl.is_integral(rows2)):
+        m1, m2 = xl.mat(basis1), xl.mat(basis2)  # one basis vector per row
+        if not (xl.is_integral(m1) and xl.is_integral(m2)):
             raise NotIsotropic(_NOT_A_BASIS)
-        for vs in (rows1.num, rows2.num):
-            if any(map(any, q_gram(vs, vs))):
-                if not xl.is_unimodular(xl.block([[rows1.T, rows2.T]])):
+        rows1, rows2 = m1.num, m2.num
+        for vs in (rows1, rows2):
+            if not is_isotropic(vs):
+                if not xl.is_unimodular(xl.from_int_rows(rows1 + rows2, d)):
                     raise NotIsotropic(_NOT_A_BASIS)
                 raise NotIsotropic("Q does not vanish on a splitting half")
         # for isotropic halves w^t Q w = [[0, P^t], [P, 0]] with the pairing
         # P[j, i] = Q(basis2_j, basis1_i), so |det w| = |det P|: w is a
         # Z-basis exactly when the integral P has an integral inverse
-        pairing = q_gram(rows2.num, rows1.num)
+        pairing = q_gram(rows2, rows1)
         if all(x == (i == j) for j, row in enumerate(pairing) for i, x in enumerate(row)):
             # basis2 is the Q-dual basis of basis1 already
-            dual = rows2.num
+            dual = rows2
         else:
             try:
                 pairing_inv = xl.invert(pairing)
@@ -278,12 +279,15 @@ class IsotropicSplitting:
             if not xl.is_integral(pairing_inv):
                 raise NotIsotropic(_NOT_A_BASIS)
             # the Q-dual basis of basis1
-            dual = xl.mul(pairing_inv, rows2).num
-        self.basis1 = rows1.T  # columns
-        self.basis2 = xl.mat(dual).T
-        self.w = xl.block([[self.basis1, self.basis2]])
-        # w^t Q w = Q now, and Q^2 = 1: w_inv = Q w^t Q
-        self.w_inv = q_left(q_right(self.w.T))
+            dual = xl.mul(pairing_inv, m2).num
+        # every part is built from the int rows: the basis vectors as columns,
+        # w = (basis1 | basis2), and, as w^t Q w = Q now and Q^2 = 1,
+        # w_inv = Q w^t Q, the rows of w^t with their halves and the halves
+        # of each row swapped
+        self.basis1 = xl.from_int_rows(list(map(list, zip(*rows1))), 2 * n)
+        self.basis2 = xl.from_int_rows(list(map(list, zip(*dual))), 2 * n)
+        self.w = xl.from_int_rows(list(map(list.__add__, self.basis1.num, self.basis2.num)), d)
+        self.w_inv = xl.from_int_rows(list(map(q_swap, dual + rows1)), d)
 
 
 # ---------------------------------------------------------------------------
@@ -336,14 +340,23 @@ def clifford_involution(z):
 # spin group membership
 
 
+def _gather(cols):
+    """The function that takes a row to the tuple of its entries at cols.
+    itemgetter hands back one entry bare and takes no empty list, so those
+    two sizes get a tuple of their own."""
+    return itemgetter(*cols) if len(cols) > 1 else lambda row: tuple(row[j] for j in cols)
+
+
 def _has_grade(rows, grade):
     """Is entry (i, j) zero wherever popcount(i) + popcount(j) does not have
-    the parity of grade (0 even, 1 odd)?  The zero matrix has both grades."""
+    the parity of grade (0 even, 1 odd)?  The zero matrix has both grades.
+    Each row's entries of the wrong parity are gathered by one call."""
     cols = [[], []]  # the columns of even and of odd popcount
     for j in range(len(rows[0]) if rows else 0):
         cols[popcount(j) & 1].append(j)
-    return not any(any(row[j] for j in cols[1 ^ (popcount(i) & 1) ^ grade])
-                   for i, row in enumerate(rows))
+    # a row of popcount parity p reads the class 1 ^ p ^ grade
+    gathers = [_gather(cols[1 ^ grade]), _gather(cols[grade])]
+    return not any(any(gathers[popcount(i) & 1](row)) for i, row in enumerate(rows))
 
 
 def _spin_conjugation(z):
@@ -470,7 +483,7 @@ def pure_spinor(n, vectors):
     basis = ech.int_rows
     if len(basis) != d:
         raise NoIntertwiner(f"the vectors span {len(basis)} dimensions, not {d}")
-    if any(map(any, q_gram(vectors, vectors))):
+    if not is_isotropic(vectors):
         raise NotIsotropic("Q does not vanish on the vectors")
     pivots = sorted(basis)
     theta = {0: 1}
@@ -554,7 +567,8 @@ def _meet_dim(s1, s2):
     M1', and the kernel of the pairing M1 -> Hom(M1', Z), the 2n x 2n matrix
     B1'^t Q B1, is M1 & M1'.
     """
-    return 2 * s1.n - xl.rank(q_gram(s2.basis1.T.num, s1.basis1.T.num))
+    d = 2 * s1.n
+    return d - xl.rank(xl.from_int_rows(q_gram(s2.basis1.T.num, s1.basis1.T.num), d))
 
 
 def beta_parity(t, s1, s2):

@@ -86,6 +86,14 @@ def q_gram(us, vs):
     return [[sum(map(mul, u, v)) for v in swapped] for u in us]
 
 
+def is_isotropic(vs):
+    """Does Q vanish on the span of the vectors vs, given as sequences of one
+    length?  Q is symmetric, so each unordered pair Q(u, v), u = v included,
+    is read once, and the test stops at the first value that is not 0."""
+    swapped = [q_swap(v) for v in vs]
+    return not any(sum(map(mul, u, v)) for i, u in enumerate(vs) for v in swapped[i:])
+
+
 def is_q_isometry(g):
     """Is the matrix g a Q-isometry, g^T Q g = Q?  False when g is not square
     or not of even size.

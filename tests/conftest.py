@@ -5,8 +5,13 @@ All sampling is driven by a single PRNG seeded from TORUS_MIRROR_SEED
 (default 20260823) so runs are reproducible.  Hypothesis property tests run
 under the "torusmirror" profile: derandomized and without an example
 database, so they draw the same examples on every run.
+
+Every test runs under a time limit of TIME_LIMIT_S seconds: past it, the
+run stops with the traceback of every thread, so a test caught in an
+endless loop ends the run instead of waiting for an outer timeout.
 """
 
+import faulthandler
 import os
 import random
 from fractions import Fraction
@@ -26,13 +31,35 @@ from torusmirror.clifford import (IsotropicSplitting, SpinVec, _check_masks, _co
                                   _source_terms, exterior_exp, popcount, wedge)
 from torusmirror.errors import NoHardLefschetz, NoIntertwiner, NotIsotropic, SingularMatrix
 from torusmirror.mirror import WellBecomingWitness
-from torusmirror.pairspace import i_omega, make_weak_pair
+from torusmirror.pairspace import i_omega, make_weak_pair, q_gram, q_left, q_right
 from torusmirror.torus import NSVector, make_torus, ns_basis
 
 SEED = int(os.environ.get("TORUS_MIRROR_SEED", "20260823"))
 
 settings.register_profile("torusmirror", derandomize=True, database=None)
 settings.load_profile("torusmirror")
+
+# 10 to 13 times the slowest test, 4.7 to 5.8 s (pytest --durations, 2 cores)
+TIME_LIMIT_S = 60
+
+# a copy of the terminal's stderr, taken in pytest_configure, when output is
+# not captured: a test's captured output is lost when the limit ends the run
+STDERR = pytest.StashKey[int]()
+
+
+def pytest_configure(config):
+    config.stash[STDERR] = os.dup(2)
+
+
+def pytest_unconfigure(config):
+    os.close(config.stash[STDERR])
+
+
+@pytest.fixture(autouse=True)
+def time_limit(request):
+    faulthandler.dump_traceback_later(TIME_LIMIT_S, exit=True, file=request.config.stash[STDERR])
+    yield
+    faulthandler.cancel_dump_traceback_later()
 
 
 @pytest.fixture
@@ -229,6 +256,32 @@ def standard_splitting(n):
     of the standard basis of Lambda."""
     e = xl.eye(4 * n).rows
     return IsotropicSplitting(n, e[:2 * n], e[2 * n:])
+
+
+def splitting_by_blocks(basis1, basis2):
+    """basis1, basis2, w and w_inv of IsotropicSplitting(n, basis1, basis2),
+    for two isotropic halves, built as matrices: the Q-dual basis P^-1 basis2
+    of basis1 for the pairing P, the transposes, w = (basis1 | basis2) by
+    block, and w_inv = Q w^t Q by the Q half swaps."""
+    rows1, rows2 = xl.mat(basis1), xl.mat(basis2)
+    dual = xl.mul(xl.invert(q_gram(rows2.num, rows1.num)), rows2)
+    w = xl.block([[rows1.T, dual.T]])
+    return {"basis1": rows1.T, "basis2": dual.T, "w": w, "w_inv": q_left(q_right(w.T))}
+
+
+def is_isotropic_by_gram(vs):
+    """Does Q vanish on the vectors vs?  Every entry of their Gram square."""
+    return not any(map(any, q_gram(vs, vs)))
+
+
+def has_grade_by_entries(rows, grade):
+    """Is entry (i, j) zero wherever popcount(i) + popcount(j) does not have
+    the parity of grade?  Each wrong-parity entry read by its own index."""
+    cols = [[], []]
+    for j in range(len(rows[0]) if rows else 0):
+        cols[popcount(j) & 1].append(j)
+    return not any(any(row[j] for j in cols[1 ^ (popcount(i) & 1) ^ grade])
+                   for i, row in enumerate(rows))
 
 
 def rand_splitting(rng, n, steps=4):

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from conftest import (beta_explicit, beta_iso_by_kernel, contract_apply, cor_action,
-                      cor_matrix_by_columns, fraction_echelon, half_swap, merge_sign_by_bits,
-                      pure_spinor_by_fractions, q_matrix, q_value, rand_q_isometry, rand_spin,
-                      rand_splitting, rand_unit_pairing_vector, rand_unimodular,
+                      cor_matrix_by_columns, fraction_echelon, half_swap, has_grade_by_entries,
+                      is_isotropic_by_gram, merge_sign_by_bits, pure_spinor_by_fractions,
+                      q_matrix, q_value, rand_q_isometry, rand_spin, rand_splitting,
+                      rand_unit_pairing_vector, rand_unimodular, splitting_by_blocks,
                       splitting_coords, splitting_cor, standard_splitting, vacuum_kernel,
                       wedge_apply)
 from torusmirror import clifford as cl
@@ -18,6 +19,7 @@ from torusmirror.clifford import (IsotropicSplitting, SpinVec, _complement_signs
                                   clifford_involution, is_spin, popcount,
                                   pure_spinor, r_of_z, spin_lift)
 from torusmirror.errors import FormMismatch, NoIntertwiner, NotEven, NotIsotropic, NotSpin
+from torusmirror.pairspace import is_isotropic, q_gram
 
 
 def rand_lambda_vec(rng, n):
@@ -187,6 +189,12 @@ def test_splitting_names_a_non_basis_without_its_determinant():
     # a unimodular basis with a half that is not isotropic keeps its own message
     with pytest.raises(NotIsotropic, match="^Q does not vanish on a splitting half$"):
         IsotropicSplitting(1, [cols[0], cols[2]], [cols[1], cols[3]])
+    # the same two for an isotropic basis1 and a basis2 that is not:
+    # Q(l_2 + k x_2, l_2 + k x_2) = 2k, unimodular for k = 1, det 2 for k = 2
+    for k, message in ((1, "^Q does not vanish on a splitting half$"), (2, z)):
+        with pytest.raises(NotIsotropic, match=message):
+            IsotropicSplitting(1, [cols[0], cols[1]],
+                               [cols[2], [x + k * y for x, y in zip(cols[1], cols[3])]])
     # isotropic halves whose pairing has det 2, and a singular pairing
     with pytest.raises(NotIsotropic, match=z):
         IsotropicSplitting(1, [cols[0], cols[1]], [cols[2], [2 * x for x in cols[3]]])
@@ -391,6 +399,16 @@ def test_meet_dim_matches_stacked_rank(rng, n):
     assert parities == {0, 1}
 
 
+def _mixed(rng, vectors):
+    """The vectors replaced by u applied to them, for a random u in GL(Z)
+    other than 1: another basis of their span."""
+    u = rand_unimodular(rng, len(vectors))
+    while xl.mat_eq(u, xl.eye(len(vectors))):
+        u = rand_unimodular(rng, len(vectors))
+    return [[sum(c * v[j] for c, v in zip(row, vectors)) for j in range(len(vectors[0]))]
+            for row in u.rows]
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_splitting_dual_basis_fast_path_matches_solve_path(rng, monkeypatch, n):
     # basis2 is replaced by the Q-dual basis of basis1, whichever basis of M2
@@ -408,11 +426,7 @@ def test_splitting_dual_basis_fast_path_matches_solve_path(rng, monkeypatch, n):
         g = rand_q_isometry(rng, n)
         basis1 = [g[:, i] for i in range(d)]
         basis2 = [g[:, d + i] for i in range(d)]
-        u = rand_unimodular(rng, d)
-        while xl.mat_eq(u, xl.eye(d)):
-            u = rand_unimodular(rng, d)
-        mixed = [[sum(c * v[j] for c, v in zip(row, basis2)) for j in range(4 * n)]
-                 for row in u.rows]
+        mixed = _mixed(rng, basis2)
         calls.clear()
         fast = IsotropicSplitting(n, basis1, basis2)
         assert not calls
@@ -981,3 +995,111 @@ def test_has_grade_matches_entrywise_rule(rng, size):
             expected = all(x == 0 or (popcount(i) + popcount(j)) % 2 == grade
                            for i, row in enumerate(rows) for j, x in enumerate(row))
             assert _has_grade(rows, grade) == expected
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_splitting_matches_the_block_construction(rng, n):
+    # seeded splittings whose pairing is 1 (basis2 is the Q-dual basis) and
+    # is not (either half given in another basis): basis1, basis2, w and
+    # w_inv equal the matrices built by mat, block and the Q half swaps, and
+    # share no row list
+    d = 2 * n
+    pairings = set()
+    for _ in range(4):
+        g = rand_q_isometry(rng, n)
+        half1 = [g[:, i] for i in range(d)]
+        half2 = [g[:, d + i] for i in range(d)]
+        for basis1, basis2 in ((half1, half2), (half1, _mixed(rng, half2)),
+                               (_mixed(rng, half1), half2)):
+            pairings.add(q_gram(basis2, basis1) == xl.eye(d).rows)
+            s = IsotropicSplitting(n, basis1, basis2)
+            ref = splitting_by_blocks(basis1, basis2)
+            rows = []
+            for name, want in ref.items():
+                got = getattr(s, name)
+                assert got.shape == want.shape and xl.mat_eq(got, want), name
+                assert all(type(x) is int for row in got.num for x in row), name
+                rows += got.num
+            assert len(set(map(id, rows))) == len(rows)
+    assert pairings == {True, False}
+
+
+def _graded(rng, size, grade):
+    """A dense random size x size int matrix of the given grade: nonzero
+    only where popcount(i) + popcount(j) has the parity of grade."""
+    return [[rng.choice([-3, -1, 1, 2]) if (popcount(i) + popcount(j)) % 2 == grade else 0
+             for j in range(size)] for i in range(size)]
+
+
+@pytest.mark.parametrize("size", [1, 4, 16, 64])
+def test_has_grade_matches_the_per_entry_reference(rng, size):
+    # graded matrices of both grades, and each with one entry of the other
+    # parity set; at size 1 the odd columns are none, the even ones one
+    for grade in (0, 1):
+        cases = [_graded(rng, size, grade)]
+        wrong = [(i, j) for i in range(size) for j in range(size)
+                 if (popcount(i) + popcount(j)) % 2 != grade]
+        for i, j in rng.sample(wrong, min(len(wrong), 6)):
+            rows = _graded(rng, size, grade)
+            rows[i][j] = rng.choice([-1, 5])
+            cases.append(rows)
+        for k, rows in enumerate(cases):
+            for g in (0, 1):
+                assert _has_grade(rows, g) == has_grade_by_entries(rows, g)
+                # past size 1 every entry of the grade's parity is nonzero
+                assert size == 1 or _has_grade(rows, g) == (g == grade and k == 0)
+    for rows, grades in (([[0]], (0, 1)), ([[7]], (0,)), ([[Fraction(1, 2)]], (0,))):
+        assert [g for g in (0, 1) if _has_grade(rows, g)] == list(grades)
+
+
+def _spoiled(base, partners, i, j):
+    """The vectors base with base[i] replaced by base[i] + partners[j], where
+    Q(base[k], partners[l]) = 1 for k = l and 0 otherwise and Q vanishes on
+    base and on partners: then Q(u, v) is nonzero for exactly one unordered
+    pair, base[j] with the new vector when i != j, the new vector with
+    itself when i = j."""
+    out = [list(v) for v in base]
+    out[i] = [x + y for x, y in zip(base[i], partners[j])]
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_isotropy_fails_at_exactly_one_pair(rng, n):
+    # the one nonzero pair below the diagonal (i > j), above it (i < j) and
+    # on it, at the first and the last vector too; the splitting and the
+    # pure spinor both see it, on either half
+    d = 2 * n
+    for _ in range(2):
+        s = rand_splitting(rng, n)
+        half1 = [s.basis1[:, k] for k in range(d)]
+        half2 = [s.basis2[:, k] for k in range(d)]
+        assert is_isotropic(half1) and is_isotropic(half2)
+        spots = {(0, 0), (d - 1, d - 1), (0, d - 1), (d - 1, 0), (rng.randrange(d),) * 2}
+        if d > 2:
+            i, j = sorted(rng.sample(range(d), 2))
+            spots |= {(i, j), (j, i)}
+        for i, j in spots:
+            for base, partners, first in ((half1, half2, True), (half2, half1, False)):
+                vectors = _spoiled(base, partners, i, j)
+                gram = q_gram(vectors, vectors)
+                assert {(a, b) for a, row in enumerate(gram) for b, x in enumerate(row)
+                        if x} == {(i, j), (j, i)}
+                assert is_isotropic(vectors) == is_isotropic_by_gram(vectors) is False
+                halves = (vectors, partners) if first else (partners, vectors)
+                with pytest.raises(NotIsotropic, match="^Q does not vanish on a splitting half$"):
+                    IsotropicSplitting(n, *halves)
+                with pytest.raises(NotIsotropic, match="^Q does not vanish on the vectors$"):
+                    pure_spinor(n, vectors)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_meet_dim_reads_no_entry_type(rng, monkeypatch, n):
+    # the integral Gram goes to rank as it is: no mat pass over its entries
+    pairs = splitting_pairs(rng, n)
+    want = [_meet_dim(s1, s2) for s1, s2, _ in pairs]
+
+    def no_mat(rows):
+        raise AssertionError("mat re-read an integral Gram matrix")
+
+    monkeypatch.setattr(xl, "mat", no_mat)
+    assert [_meet_dim(s1, s2) for s1, s2, _ in pairs] == want

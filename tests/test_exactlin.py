@@ -361,6 +361,20 @@ def test_matrix_submatrix_transpose_and_arithmetic():
         xl.mat([[1, 2], [3]])
 
 
+def test_setitem_rejects_a_grid_of_another_shape():
+    # two rows of three values, or of one, for a 2x2 submatrix: the row count
+    # agrees, the row length does not; int and Fraction values, into int and
+    # rational m
+    for den in (1, 2):
+        for grid in ([[1, 2, 3], [4, 5, 6]], [[Fraction(1, 3), 2, 3], [4, 5, 6]], [[1], [2]]):
+            m = xl.mat([[Fraction(i + j, den) for j in range(3)] for i in range(3)])
+            before = m.copy()
+            with pytest.raises(ValueError,
+                               match="^cannot assign 2 rows of values to 2x2 entries$"):
+                m[[0, 1], [0, 1]] = grid
+            assert xl.mat_eq(m, before)
+
+
 def _dense_rows(a):
     return [{j: x for j, x in enumerate(row) if x != 0} for row in a]
 

@@ -52,6 +52,25 @@ def test_verify_mirror_rejects_bad_alpha():
         verify_mirror(p, p, bad)
 
 
+def test_verify_mirror_names_both_ranks_of_pairs_of_different_n(rng):
+    pairs = {n: gaussian_pair(rng, n) for n in (1, 2, 3)}
+    for na, nb in ((1, 2), (2, 1), (1, 3), (3, 2)):
+        with pytest.raises(FormMismatch, match=f"^Lambda_A has rank {4 * na} and Lambda_B "
+                                               f"rank {4 * nb}, so no alpha identifies "
+                                               f"their forms$"):
+            verify_mirror(pairs[na], pairs[nb], xl.eye(4 * na))
+
+
+def test_verify_mirror_names_the_expected_and_the_given_shape(rng):
+    for n in (1, 2):
+        p = gaussian_pair(rng, n)
+        k = 4 * n
+        for shape in ((k, k - 1), (k - 1, k), (2 * k, 2 * k), (k // 2, k), (k, 2 * k)):
+            with pytest.raises(ValueError, match=f"^alpha must be {k}x{k}, "
+                                                 f"not {shape[0]}x{shape[1]}$"):
+                verify_mirror(p, p, xl.zeros(*shape))
+
+
 def test_verify_mirror_names_a_non_unimodular_alpha():
     # no determinant is taken unless alpha fails to be a Q-isometry, and then
     # it picks the message: det 2 and integral, or det 1 and rational

@@ -6,13 +6,15 @@ from math import gcd
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (classify_by_e_form, e_form, gaussian_pair, jprod_matrix, q_matrix,
-                      rand_q_isometry, rand_rational, weak_pair_sample, well_becoming_sample)
+from conftest import (classify_by_e_form, e_form, gaussian_pair, is_isotropic_by_gram,
+                      jprod_matrix, q_matrix, rand_q_isometry, rand_rational, weak_pair_sample,
+                      well_becoming_sample)
 from torusmirror import exactlin as xl
+from torusmirror import pairspace as ps
 from torusmirror.errors import Block12Singular, NotNSForm
 from torusmirror.mirror import g_mirror
 from torusmirror.pairspace import (WeakPair, classify_pair, conjugate_pair, i_omega,
-                                   is_q_isometry, make_weak_pair, q_gram, q_left,
+                                   is_isotropic, is_q_isometry, make_weak_pair, q_gram, q_left,
                                    q_right, recover_omega)
 from torusmirror.siegel import translation_element
 from torusmirror.torus import check_polarization, make_torus, polarization_form
@@ -366,6 +368,51 @@ def test_q_gram_is_u_transpose_q_v(rng, n):
         got = q_gram(u.T.rows, v.T.rows)
         assert xl.mat_eq(got, xl.mul(u.T, xl.mul(q, v)))
         assert len(got) == k1 and all(len(row) == k2 for row in got)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_is_isotropic_reads_each_unordered_pair_once(rng, monkeypatch, n):
+    # the 2n columns of g e_1 .. g e_2n for a Q-isometry g are isotropic;
+    # with one nonzero pair (a, b), a <= b, only the pairs up to it in the
+    # order (0, 0), (0, 1), ..., (0, k-1), (1, 1), ... are read, 4n products each
+    d = 2 * n
+    products = []
+    mul = ps.mul
+
+    def counting_mul(x, y):
+        products.append(1)
+        return mul(x, y)
+
+    monkeypatch.setattr(ps, "mul", counting_mul)
+    order = [(a, b) for a in range(d) for b in range(a, d)]
+    for _ in range(3):
+        g = rand_q_isometry(rng, n)
+        cols = [g[:, k] for k in range(4 * n)]
+        assert is_isotropic_by_gram(cols[:d])
+        products.clear()
+        assert is_isotropic(cols[:d])
+        assert len(products) == len(order) * 4 * n
+        for a, b in {(0, 0), (0, d - 1), (d - 1, d - 1), tuple(sorted(rng.sample(range(d), 2)))}:
+            # Q(g e_k, g e_{2n+l}) = 1 for k = l: g e_{2n+b} spoils one pair
+            vectors = cols[:d]
+            vectors[a] = [x + y for x, y in zip(cols[a], cols[d + b])]
+            assert not is_isotropic_by_gram(vectors)
+            products.clear()
+            assert not is_isotropic(vectors)
+            assert len(products) == (order.index((a, b)) + 1) * 4 * n
+
+
+def test_is_isotropic_matches_the_full_gram(rng):
+    # random small vectors, isotropic or not, of every length and count
+    seen = set()
+    for _ in range(300):
+        size = 2 * rng.randint(1, 4)
+        vectors = [[rng.choice([0, 0, 1, -1, 2]) for _ in range(size)]
+                   for _ in range(rng.randint(0, 3))]
+        got = is_isotropic(vectors)
+        assert got == is_isotropic_by_gram(vectors)
+        seen.add(got)
+    assert seen == {True, False}
 
 
 def test_jprod_is_built_once_from_the_torus_own_j():
