@@ -8,7 +8,6 @@ second-factor part of any term whose first-factor part is the full monomial.
 
 from functools import cache
 from operator import itemgetter, mul
-from types import MappingProxyType
 
 from .clifford import (SpinVec, _check_masks, _complement_signs, _generator_terms, _signed,
                        exterior_exp, popcount, wedge)
@@ -177,76 +176,57 @@ def xi_from_mirror(n):
     return ProductClass(n, n, out)
 
 
-@cache
-def _diagram_layout(n):
-    """Where the cor diagram's classes put their terms, built once per n and
-    shared by every call of _diagram_classes: (counts, per_bit) with counts[t]
-    = |t| for every mask t over 2n bits, and per_bit[i] = (wedge_keys,
-    contraction_keys, wedge_terms, contraction_terms), a tuple per bit i.
-
-    Both classes of bit i have one term for each t without bit i, in
-    ascending t: the wedge class p1*(x_i) ^ top at t | bit | (full ^ t) << 2n,
-    the contraction class at t | (full ^ t ^ bit) << 2n.  Each term is top's
-    term for t, negated when the bits of t below i (wedge), or above i plus
-    i (contraction), are odd in number.  The *_terms getters read these terms
-    from _signed(top) at t, or at 4^n + t to negate; itemgetters, like the
-    tuples, are read-only.
-    """
-    d = 2 * n
-    full = (1 << d) - 1
-    per_bit = []
-    for i in range(d):
-        bit = 1 << i
-        below, above = bit - 1, full >> (i + 1) << (i + 1)
-        masks = [t for t in range(full + 1) if not t & bit]
-        per_bit.append((tuple(t | bit | (full ^ t) << d for t in masks),
-                        tuple(t | (full ^ t ^ bit) << d for t in masks),
-                        itemgetter(*(t + (full + 1 if popcount(t & below) & 1 else 0)
-                                     for t in masks)),
-                        itemgetter(*(t + (full + 1 if (popcount(t & above) + i) & 1 else 0)
-                                     for t in masks))))
-    return tuple(map(popcount, range(full + 1))), tuple(per_bit)
-
-
-@cache
 def _kernel_classes(n):
     """Per generator e_k, the kernel class of its map on combined masks, as
     product_class_from_map builds it: sign * eps[full ^ s] at
     (full ^ s) | row << 2n for each term (s, row, sign) of _generator_terms(n)
-    (the Koszul factor is 1, as |row| = |s| +- 1).  Built once per n as a
-    tuple of read-only mappings, what verify_cor_diagram compares with."""
+    (the Koszul factor is 1, as |row| = |s| +- 1).  _diagram_layout reads
+    them once per n into its expected values."""
     d = 2 * n
     full = (1 << d) - 1
     eps = _complement_signs(n)
-    return tuple(MappingProxyType({(full ^ s) | row << d: sign * eps[full ^ s]
-                                   for s, row, sign in terms})
+    return tuple({(full ^ s) | row << d: sign * eps[full ^ s] for s, row, sign in terms}
                  for terms in _generator_terms(n))
 
 
-def _diagram_classes(n, p1_sign, eps):
-    """The classes of the cor diagram on combined masks s | t << 2n, each with
-    the generator k whose map it must be the kernel class of, zero terms left out.
+@cache
+def _diagram_layout(n):
+    """The cor diagram's classes, built once per n: (counts, classes) with
+    counts[t] = |t| for every mask t over 2n bits, and classes a tuple of
+    (k, keys, terms, expected), one per class in the order that
+    verify_cor_diagram checks them, k the generator whose kernel class the
+    class must be.
 
-    The term of top = prod_j (p2*(x_j) + p1_sign p1*(x_j)) that takes p1*(x_j)
-    for j in T is p1_sign^|T| eps[T] on T | (full ^ T) << 2n, with eps[T] =
-    _merge_sign(T, full ^ T).  For each i (0-based) it yields p1*(x_i) ^ top,
-    for k = 2n + i: its term for T, i not in T, is that of top, negated when
-    T has an odd number of bits below i.  It then yields (-1)^i times the
-    product over j != i, for k = i: its term for T is that of top, negated
-    when T has an odd number of bits above i.  The keys and the signed
-    positions of the terms come from _diagram_layout(n); top is read from a
-    table of p1_sign^k for k <= 2n, one entry per mask, and its negatives.
+    Per bit i come two classes, each with one term for each t without bit i,
+    in ascending t: the wedge class p1*(x_i) ^ top, for k = 2n + i, at
+    t | bit | (full ^ t) << 2n, then the contraction class, for k = i, at
+    t | (full ^ t ^ bit) << 2n.  Each term is top's term for t, negated when
+    the bits of t below i (wedge), or above i plus i (contraction), are odd in
+    number.  The itemgetter terms reads these terms from _signed(top) at t, or
+    at 4^n + t to negate.  expected holds the values of _kernel_classes(n)[k]
+    at keys, in that order, or is None when the kernel class has other keys,
+    so that no sign passes.  Tuples and itemgetters are read-only.
     """
-    counts, per_bit = _diagram_layout(n)
-    powers = [p1_sign ** k for k in range(2 * n + 1)]
-    signed = _signed(list(map(mul, map(powers.__getitem__, counts), eps)))
-    for i, (wedge_keys, contraction_keys, wedge_terms, contraction_terms) in enumerate(per_bit):
-        for k, keys, terms in ((2 * n + i, wedge_keys, wedge_terms),
-                               (i, contraction_keys, contraction_terms)):
-            cls = dict(zip(keys, terms(signed)))
-            if not p1_sign:  # p1_sign^|T| vanishes for every T but 0
-                cls = {key: c for key, c in cls.items() if c}
-            yield k, cls
+    d = 2 * n
+    full = (1 << d) - 1
+    kernels = _kernel_classes(n)
+    classes = []
+    for i in range(d):
+        bit = 1 << i
+        below, above = bit - 1, full >> (i + 1) << (i + 1)
+        masks = [t for t in range(full + 1) if not t & bit]
+        for k, keys, negated in (
+                (d + i, [t | bit | (full ^ t) << d for t in masks],
+                 [popcount(t & below) & 1 for t in masks]),
+                (i, [t | (full ^ t ^ bit) << d for t in masks],
+                 [(popcount(t & above) + i) & 1 for t in masks])):
+            kernel = kernels[k]
+            expected = tuple(map(kernel.__getitem__, keys)) if kernel.keys() == set(keys) else None
+            classes.append((k, tuple(keys),
+                            itemgetter(*(t + (full + 1 if odd else 0)
+                                         for t, odd in zip(masks, negated))),
+                            expected))
+    return tuple(map(popcount, range(full + 1))), tuple(classes)
 
 
 def verify_cor_diagram(n, mu_p1_sign=-1):
@@ -257,11 +237,19 @@ def verify_cor_diagram(n, mu_p1_sign=-1):
     -1, and any other choice makes the check fail (a usable negative control).
     For each i, the class mu_*(p1*(x_i) ^ p2*(top)) must act by wedging x_i,
     and mu_*((-1)^{i-1} p2*(top without x_i)) (1-based i) by contracting
-    with l_i.  Each class must equal the kernel class of its generator map,
-    _kernel_classes(n)[k]; neither side holds a zero, so this is dict
-    equality, one comparison per class, and the check stops at the first
-    class that differs.
+    with l_i.  Each class must equal the kernel class of its generator map.
+
+    The term of top = prod_j (p2*(x_j) + mu_p1_sign p1*(x_j)) that takes
+    p1*(x_j) for j in T is mu_p1_sign^|T| eps[T] on T | (full ^ T) << 2n, with
+    eps[T] = _merge_sign(T, full ^ T); it is read from a table of
+    mu_p1_sign^k for k <= 2n, one entry per mask, and its negatives.  Each
+    class of _diagram_layout(n) holds every key of its kernel class, which
+    has no zero, so the class equals it exactly when the tuple of its values
+    equals the expected tuple: one comparison per class, a zero term (from
+    mu_p1_sign = 0) differing from the kernel's +-1.  The check stops at the
+    first class that differs.
     """
-    kernels = _kernel_classes(n)
-    return all(kernels[k] == cls
-               for k, cls in _diagram_classes(n, mu_p1_sign, _complement_signs(n)))
+    counts, classes = _diagram_layout(n)
+    powers = [mu_p1_sign ** k for k in range(2 * n + 1)]
+    signed = _signed(list(map(mul, map(powers.__getitem__, counts), _complement_signs(n))))
+    return all(terms(signed) == expected for _k, _keys, terms, expected in classes)

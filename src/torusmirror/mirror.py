@@ -52,11 +52,20 @@ def verify_mirror(pA, pB, alpha):
         if not xl.is_unimodular(alpha):
             raise FormMismatch("alpha is not an integral unimodular matrix")
         raise FormMismatch("alpha does not identify the hyperbolic forms")
-    if not xl.mat_eq(xl.mul(alpha, pA.torus._jprod), xl.mul(pB._i_omega, alpha)):
-        raise IntertwineFailure("alpha.Jprod_A != I_omegaB.alpha")
-    if not xl.mat_eq(xl.mul(alpha, pA._i_omega), xl.mul(pB.torus._jprod, alpha)):
-        raise IntertwineFailure("alpha.I_omegaA != Jprod_B.alpha")
+    for name, left, right in (("alpha.Jprod_A != I_omegaB.alpha", pA.torus._jprod, pB._i_omega),
+                              ("alpha.I_omegaA != Jprod_B.alpha", pA._i_omega, pB.torus._jprod)):
+        lhs, rhs = xl.mul(alpha, left), xl.mul(right, alpha)
+        if not xl.mat_eq(lhs, rhs):
+            raise IntertwineFailure(f"{name}, first at {_first_difference(lhs, rhs)}")
     return MirrorCertificate(alpha, pA, pB)
+
+
+def _first_difference(a, b):
+    """Where two matrices of one shape first differ, in row-major order, as
+    'row i, column j' (0-based)."""
+    i, j = next((i, j) for i, (ra, rb) in enumerate(zip(a.rows, b.rows))
+                for j, (x, y) in enumerate(zip(ra, rb)) if x != y)
+    return f"row {i}, column {j}"
 
 
 def mirror_from_splitting(p, s):

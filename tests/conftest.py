@@ -726,6 +726,33 @@ def diagram_classes_by_products(n, p1_sign):
         yield i, cp.ProductClass(n, n, {k: (-1) ** i * c for k, c in second.coeffs.items()})
 
 
+def diagram_classes_by_dicts(n, p1_sign, eps):
+    """(k, class) for each class of the cor diagram on combined masks
+    s | t << 2n, zero terms left out: a dict per class from the keys and
+    terms of corresp._diagram_layout(n), the reference for the tuple
+    comparison of corresp.verify_cor_diagram.
+
+    The term of top = prod_j (p2*(x_j) + p1_sign p1*(x_j)) that takes p1*(x_j)
+    for j in T is p1_sign^|T| eps[T] on T | (full ^ T) << 2n, read from a
+    table of p1_sign^k for k <= 2n, one entry per mask, and its negatives."""
+    counts, classes = cp._diagram_layout(n)
+    powers = [p1_sign ** k for k in range(2 * n + 1)]
+    signed = _signed(list(map(mul, map(powers.__getitem__, counts), eps)))
+    for k, keys, terms, _expected in classes:
+        cls = dict(zip(keys, terms(signed)))
+        if not p1_sign:  # p1_sign^|T| vanishes for every T but 0
+            cls = {key: c for key, c in cls.items() if c}
+        yield k, cls
+
+
+def verify_cor_diagram_by_dicts(n, mu_p1_sign=-1):
+    """verify_cor_diagram with each class a dict, compared whole with the
+    kernel class of its generator."""
+    kernels = cp._kernel_classes(n)
+    return all(kernels[k] == cls
+               for k, cls in diagram_classes_by_dicts(n, mu_p1_sign, cp._complement_signs(n)))
+
+
 def push_forward_by_merge_signs(xi, v):
     """push_forward_correspondence with one _merge_sign of the whole term
     s | t << 2n against v's term per term, the reference for its sign from

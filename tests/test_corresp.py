@@ -3,8 +3,9 @@ from operator import itemgetter
 
 import pytest
 
-from conftest import (beta_explicit, contract_apply, diagram_classes_by_products, kernel_class,
-                      kernel_class_by_map, merge_sign_by_bits, push_forward_by_merge_signs,
+from conftest import (beta_explicit, contract_apply, diagram_classes_by_dicts,
+                      diagram_classes_by_products, kernel_class, kernel_class_by_map,
+                      merge_sign_by_bits, push_forward_by_merge_signs, verify_cor_diagram_by_dicts,
                       verify_cor_diagram_by_products, wedge_apply, xi_by_exponential)
 from torusmirror import corresp as cp
 from torusmirror import exactlin as xl
@@ -172,13 +173,19 @@ def test_diagram_verification_matches_the_product_route(n, sign):
     assert cp.verify_cor_diagram(n, sign) == verify_cor_diagram_by_products(n, sign)
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+def test_diagram_verification_matches_the_dict_route(n):
+    for sign in range(-3, 4):
+        assert cp.verify_cor_diagram(n, sign) == verify_cor_diagram_by_dicts(n, sign), sign
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_diagram_classes_are_their_products(n):
     full = (1 << (2 * n)) - 1
     eps = [merge_sign_by_bits(t, full ^ t) for t in range(full + 1)]
     maps = _generator_maps(n)
     for sign in (-2, -1, 0, 1, 2):
-        got = list(cp._diagram_classes(n, sign, eps))
+        got = list(diagram_classes_by_dicts(n, sign, eps))
         want = list(diagram_classes_by_products(n, sign))
         assert [k for k, _cls in got] == [k for k, _lam in want]
         for (k, cls), (_k, lam) in zip(got, want):
@@ -200,27 +207,38 @@ def test_kernel_classes_are_those_of_the_generator_maps(n):
 
 def test_diagram_tables_are_built_once_per_n_and_read_only(monkeypatch):
     for n in (1, 2, 3):
-        layout, kernels = cp._diagram_layout(n), cp._kernel_classes(n)
-        assert cp._diagram_layout(n) is layout and cp._kernel_classes(n) is kernels
-        counts, per_bit = layout
-        assert type(counts) is tuple and type(per_bit) is tuple and type(kernels) is tuple
-        for wedge_keys, contraction_keys, wedge_terms, contraction_terms in per_bit:
-            assert type(wedge_keys) is tuple and type(contraction_keys) is tuple
-            assert type(wedge_terms) is itemgetter and type(contraction_terms) is itemgetter
-        for cls in kernels:
-            with pytest.raises(TypeError):
-                cls[next(iter(cls))] = 0
+        full = (1 << (2 * n)) - 1
+        eps = [merge_sign_by_bits(t, full ^ t) for t in range(full + 1)]
+        maps = _generator_maps(n)
+        layout = cp._diagram_layout(n)
+        assert cp._diagram_layout(n) is layout
+        counts, classes = layout
+        assert type(counts) is tuple and type(classes) is tuple
+        # per bit i, the wedge class (k = 2n + i) and then the contraction class (k = i)
+        assert [k for k, *_rest in classes] == [k for i in range(2 * n) for k in (2 * n + i, i)]
+        for k, keys, terms, expected in classes:
+            assert type(keys) is tuple and type(terms) is itemgetter and type(expected) is tuple
+            assert len(keys) == len(expected) == 1 << (2 * n - 1)
+            # every key of the kernel class, with its value in the order of keys
+            assert dict(zip(keys, expected)) == kernel_class(n, maps[k], eps)
     builds = []
-    for name in ("_diagram_layout", "_kernel_classes"):
-        def counted(n, name=name, build=getattr(cp, name).__wrapped__):
-            builds.append((name, n))
-            return build(n)
 
-        monkeypatch.setattr(cp, name, cache(counted))
+    def counted_kernels(n, build=cp._kernel_classes):
+        builds.append(("_kernel_classes", n))
+        return build(n)
+
+    def counted_layout(n, build=cp._diagram_layout.__wrapped__):
+        builds.append(("_diagram_layout", n))
+        return build(n)
+
+    monkeypatch.setattr(cp, "_kernel_classes", counted_kernels)
+    monkeypatch.setattr(cp, "_diagram_layout", cache(counted_layout))
     for _ in range(3):
         for n in (1, 2, 3):
             assert cp.verify_cor_diagram(n)
-            assert not cp.verify_cor_diagram(n, mu_p1_sign=1)
+            # a zero (sign 0) or a power of 2 (|sign| >= 2) never reads as the kernel's +-1
+            for sign in (-3, -2, 0, 1, 2, 3):
+                assert not cp.verify_cor_diagram(n, sign), (n, sign)
     assert sorted(builds) == [(name, n) for name in ("_diagram_layout", "_kernel_classes")
                               for n in (1, 2, 3)]
 
@@ -246,26 +264,42 @@ def test_phi_poincare_rejects_a_vector_of_another_size():
         cp.phi_poincare(1, SpinVec(2, {0b1111: 1}))
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
-@pytest.mark.parametrize("change", ["gain", "lose"])
-def test_diagram_verification_fails_on_one_term_more_or_less(monkeypatch, n, change):
-    # one class of the correct diagram gains a term the kernel class lacks, or
-    # loses one it has; checking only the table's terms misses the gain
-    real = cp._diagram_classes
-    for target in range(4 * n):
-        def edited(n, p1_sign, eps, target=target):
-            for j, (k, cls) in enumerate(real(n, p1_sign, eps)):
-                if j == target:
-                    cls = dict(cls)
-                    if change == "gain":
-                        cls[next(key for key in range(len(cls) + 1) if key not in cls)] = 1
-                    else:
-                        del cls[next(iter(cls))]
-                yield k, cls
+@pytest.fixture
+def fresh_layout():
+    """An empty cache of corresp._diagram_layout before and after the test,
+    so that the tables of an edited builder reach no other test."""
+    cp._diagram_layout.cache_clear()
+    yield
+    cp._diagram_layout.cache_clear()
 
-        monkeypatch.setattr(cp, "_diagram_classes", edited)
-        assert not cp.verify_cor_diagram(n), target
-    monkeypatch.setattr(cp, "_diagram_classes", real)
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("change", ["gain", "lose", "flip"])
+def test_diagram_verification_fails_on_one_term_more_or_less(monkeypatch, fresh_layout, n, change):
+    # the kernel class of one generator gains a term that its diagram class
+    # lacks, loses one it has, or has one value negated, the first or the last
+    # in the order of the layout's keys; comparing only the layout's keys
+    # misses the gain, and comparing a prefix of the values misses the last
+    real = cp._kernel_classes
+    layout_keys = {k: keys for k, keys, _terms, _expected in cp._diagram_layout(n)[1]}
+    for target in range(4 * n):
+        for where in (0, -1) if change == "flip" else (0,):
+            def edited(n, target=target, key=layout_keys[target][where]):
+                kernels = [dict(cls) for cls in real(n)]
+                cls = kernels[target]
+                if change == "gain":
+                    cls[next(new for new in range(len(cls) + 1) if new not in cls)] = 1
+                elif change == "lose":
+                    del cls[key]
+                else:
+                    cls[key] = -cls[key]
+                return tuple(kernels)
+
+            monkeypatch.setattr(cp, "_kernel_classes", edited)
+            cp._diagram_layout.cache_clear()
+            assert not cp.verify_cor_diagram(n), (target, where)
+    monkeypatch.setattr(cp, "_kernel_classes", real)
+    cp._diagram_layout.cache_clear()
     assert cp.verify_cor_diagram(n)
 
 

@@ -206,7 +206,6 @@ CACHES = {
     "clifford._involution_form": None,
     "clifford._last_spin_conjugation": 1,
     "corresp._diagram_layout": None,
-    "corresp._kernel_classes": None,
 }
 CACHE_MAKERS = {"cache", "lru_cache"}
 

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -101,6 +102,28 @@ def test_verify_mirror_rejects_non_intertwiner():
     p = make_weak_pair(A, PHI, PHI)  # omega = (1 + i) phi
     with pytest.raises(IntertwineFailure):
         verify_mirror(p, p, xl.eye(4))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_verify_mirror_names_the_first_entry_where_an_identity_fails(monkeypatch, rng, n):
+    # adding 1 at (r, c) of I_omegaB or Jprod_B changes row r of I_omegaB.alpha
+    # or Jprod_B.alpha by row c of alpha, so the identity first fails at row r,
+    # in the first column where row c of alpha is nonzero
+    p, w = well_becoming_sample(rng, n)
+    pB, cert = g_mirror(p, w)
+    alpha = cert.alpha.rows
+    for owner, attr, name in ((pB, "_i_omega", "alpha.Jprod_A != I_omegaB.alpha"),
+                              (pB.torus, "_jprod", "alpha.I_omegaA != Jprod_B.alpha")):
+        for r, c in product(range(4 * n), repeat=2):
+            m = getattr(owner, attr).copy()
+            m[r, c] += 1
+            monkeypatch.setattr(owner, attr, m)
+            j = next(j for j, x in enumerate(alpha[c]) if x)
+            with pytest.raises(IntertwineFailure,
+                               match=f"^{re.escape(name)}, first at row {r}, column {j}$"):
+                verify_mirror(p, pB, cert.alpha)
+            monkeypatch.undo()
+        verify_mirror(p, pB, cert.alpha)
 
 
 def test_standard_splitting_is_not_invariant():

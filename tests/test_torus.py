@@ -4,7 +4,7 @@ from conftest import (elliptic_sample, gaussian_torus, ns_basis_by_all_entries,
                       rand_ns_form, rand_skew, well_becoming_sample)
 from torusmirror import exactlin as xl
 from torusmirror.errors import NotComplexStructure
-from torusmirror.torus import (check_polarization, dual_torus,
+from torusmirror.torus import (NSVector, check_polarization, dual_torus,
                                find_polarization, hom_space, make_torus,
                                is_ns_form, ns_basis, polarization_form)
 
@@ -25,6 +25,13 @@ def test_dual_torus_double_dual():
     Ahat = dual_torus(A)
     assert xl.mat_eq(Ahat.J, -J_SQUARE.T)
     assert dual_torus(Ahat) == A
+
+
+def test_ns_vectors_are_equal_exactly_when_their_forms_are():
+    v = NSVector(PHI)
+    assert v == NSVector(xl.mat(PHI.rows))
+    assert v != NSVector(2 * PHI) and v != NSVector(xl.zeros(2))
+    assert v != PHI
 
 
 def test_ns_basis_square_torus():
