@@ -15,10 +15,13 @@ at a time on a temporary copy of the repository: each writes its file, runs
 tier-1 with -x under a timeout, and puts the file back.  Bytecode is not
 written, so no mutant's .pyc reaches the next one.  A mutant is killed when
 pytest fails (a test past the per-test limit of tests/conftest.py fails the
-run too), hung when the timeout ends it, and survives when every test passes; a survivor is either equivalent or a gap in the tests, which only a
-reader can decide.
+run too), hung when the timeout ends it, and survives when every test
+passes; a survivor is either equivalent or a gap in the tests, which only a
+reader can decide.  Before the first mutant, tier-1 runs once on the
+unmutated copy: if that run does not pass, every mutant would read killed,
+so the sweep stops there.
 
-    python3 tools/mutation_sweep.py --seed 1 --count 15 [--timeout 300]
+    python3 tools/mutation_sweep.py --seed 1
 
 Run from anywhere; it needs only the standard library and the packages
 tier-1 needs.  One line per mutant goes to standard output, then a summary.
@@ -40,6 +43,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = Path("src") / "torusmirror"
+COUNT = 15  # mutants per seed
+TIMEOUT_S = 300.0  # seconds for one tier-1 run before the mutant counts as hung
 
 BINARY = {ast.Add: ("+", "-"), ast.Sub: ("-", "+"), ast.BitXor: ("^", "|"),
           ast.BitOr: ("|", "^"), ast.FloorDiv: ("//", "%"), ast.Mod: ("%", "//")}
@@ -67,10 +72,6 @@ def sites(path):
     lines = source.splitlines(keepends=True)
     tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
     tree = ast.parse(source)
-    docstrings = {id(node.body[0].value) for node in ast.walk(tree)
-                  if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
-                                       ast.AsyncFunctionDef))
-                  and node.body and isinstance(node.body[0], ast.Expr)}
     # an f-string is one token before Python 3.12, with no operator token inside
     in_fstrings = {id(inner) for node in ast.walk(tree) if isinstance(node, ast.JoinedStr)
                    for inner in ast.walk(node)}
@@ -105,8 +106,7 @@ def sites(path):
             # parenthesis that the operand's position leaves out
             after = tokens[tokens.index(tok) + 1].start
             found.append((tok.start, after, _text(lines, tok.start, after), ""))
-        elif (isinstance(node, ast.Constant) and type(node.value) is int
-              and id(node) not in docstrings):
+        elif isinstance(node, ast.Constant) and type(node.value) is int:
             found.append((start(node), end(node), _text(lines, start(node), end(node)),
                           str(node.value + 1)))
     return sorted(found)
@@ -133,7 +133,7 @@ def describe(site):
     return f"`{old}` -> `{new}`" if new else f"drop `{old.strip()}`"
 
 
-def run_tier1(copy, timeout):
+def run_tier1(copy):
     """'killed', 'survived' or 'hung', and the seconds taken."""
     env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
     began = time.monotonic()
@@ -142,7 +142,7 @@ def run_tier1(copy, timeout):
                             cwd=copy, env=env, stdout=subprocess.DEVNULL,
                             stderr=subprocess.DEVNULL, start_new_session=True)
     try:
-        code = proc.wait(timeout=timeout)
+        code = proc.wait(timeout=TIMEOUT_S)
     except subprocess.TimeoutExpired:
         # the CLI tests start children of their own: end the whole group
         os.killpg(proc.pid, signal.SIGKILL)
@@ -154,14 +154,11 @@ def run_tier1(copy, timeout):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--count", type=int, default=15)
-    parser.add_argument("--timeout", type=float, default=300.0,
-                        help="seconds for one tier-1 run before the mutant counts as hung")
     args = parser.parse_args(argv)
 
     files = sorted((ROOT / PACKAGE).glob("*.py"))
     every = [(path.name, site) for path in files for site in sites(path)]
-    chosen = random.Random(args.seed).sample(every, min(args.count, len(every)))
+    chosen = random.Random(args.seed).sample(every, min(COUNT, len(every)))
     print(f"{len(every)} sites in {PACKAGE}; seed {args.seed}, {len(chosen)} mutants", flush=True)
 
     outcomes = []
@@ -169,12 +166,17 @@ def main(argv=None):
         copy = Path(tmp) / "repo"
         shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(
             ".git", "__pycache__", ".pytest_cache", ".hypothesis", "out"))
+        baseline, seconds = run_tier1(copy)
+        if baseline != "survived":
+            sys.exit(f"tier-1 does not pass on the unmutated copy ({baseline}, "
+                     f"{seconds:.0f} s): no mutant can be judged")
+        print(f"unmutated copy passes ({seconds:.0f} s)", flush=True)
         for number, (name, site) in enumerate(chosen, 1):
             target = copy / PACKAGE / name
             original = target.read_text()
             target.write_text(apply(original, site))
             try:
-                outcome, seconds = run_tier1(copy, args.timeout)
+                outcome, seconds = run_tier1(copy)
             finally:
                 target.write_text(original)
             outcomes.append(outcome)
