@@ -10,7 +10,7 @@ from itertools import chain, product
 from . import exactlin as xl
 from .errors import (DifferentSource, FormMismatch, IntertwineFailure,
                      NotABasis, NotInvariant, SingularMatrix, TransversalityNotFound)
-from .pairspace import is_q_isometry, make_weak_pair, q_left, q_right, recover_omega
+from .pairspace import is_q_isometry, make_weak_pair, q_left, recover_omega
 from .siegel import u_membership
 from .torus import as_form, make_torus
 
@@ -36,7 +36,11 @@ def verify_mirror(pA, pB, alpha):
     Pairs of different dimensions are never mirrors: Lambda_A and Lambda_B
     then have different ranks, so no alpha identifies their forms.  When the
     ranks agree, an alpha that is not 4n x 4n is malformed input."""
-    alpha = xl.asmat(alpha)
+    return _certify(pA, pB, xl.asmat(alpha))
+
+
+def _certify(pA, pB, alpha, a_jprod=None, a_i_omega=None):
+    """verify_mirror on the matrix alpha, forming alpha.Jprod_A and alpha.I_omegaA unless given."""
     na, nb = pA.torus.n, pB.torus.n
     if na != nb:
         raise FormMismatch(f"Lambda_A has rank {4 * na} and Lambda_B rank {4 * nb}, "
@@ -52,9 +56,11 @@ def verify_mirror(pA, pB, alpha):
         if not xl.is_unimodular(alpha):
             raise FormMismatch("alpha is not an integral unimodular matrix")
         raise FormMismatch("alpha does not identify the hyperbolic forms")
-    for name, left, right in (("alpha.Jprod_A != I_omegaB.alpha", pA.torus._jprod, pB._i_omega),
-                              ("alpha.I_omegaA != Jprod_B.alpha", pA._i_omega, pB.torus._jprod)):
-        lhs, rhs = xl.mul(alpha, left), xl.mul(right, alpha)
+    if a_jprod is None:
+        a_jprod, a_i_omega = xl.mul(alpha, pA.torus._jprod), xl.mul(alpha, pA._i_omega)
+    for name, lhs, right in (("alpha.Jprod_A != I_omegaB.alpha", a_jprod, pB._i_omega),
+                             ("alpha.I_omegaA != Jprod_B.alpha", a_i_omega, pB.torus._jprod)):
+        rhs = xl.mul(right, alpha)
         if not xl.mat_eq(lhs, rhs):
             raise IntertwineFailure(f"{name}, first at {_first_difference(lhs, rhs)}")
     return MirrorCertificate(alpha, pA, pB)
@@ -80,18 +86,16 @@ def mirror_from_splitting(p, s):
 def _mirror_across(p, w, alpha):
     """Mirror of p across the splitting of Lambda_A whose halves are the first
     and last 2n columns of the basis w, a Q-isometry with inverse alpha."""
-    n = p.torus.n
-    i_new = xl.mul(alpha, xl.mul(p._i_omega, w))
-    d = 2 * n
+    n, d = p.torus.n, 2 * p.torus.n
+    # alpha.I_omegaA and alpha.Jprod_A serve both the mirror and its certificate
+    a_i_omega, a_jprod = xl.mul(alpha, p._i_omega), xl.mul(alpha, p.torus._jprod)
+    i_new = xl.mul(a_i_omega, w)
     # the first (last) half is I_omega-invariant iff block (2,1) ((1,2)) vanishes
-    if not (xl.is_zero(i_new[:d, d:]) and xl.is_zero(i_new[d:, :d])):
+    if any(any(row[d:]) for row in i_new.num[:d]) or any(any(row[:d]) for row in i_new.num[d:]):
         raise NotInvariant("a splitting half is not I_omega-invariant")
-    B = make_torus(n, i_new[:d, :d])
-    jprod_new = xl.mul(alpha, xl.mul(p.torus._jprod, w))
-    # Block12Singular unless J M2 is transversal to M2; recover_omega checks
-    # that I_omega(pB) is jprod_new
-    pB = recover_omega(B, jprod_new)
-    return pB, verify_mirror(p, pB, alpha)
+    # Block12Singular unless J M2 is transversal to M2; I_omega(pB) must be a_jprod.w
+    pB = recover_omega(make_torus(n, i_new[:d, :d]), xl.mul(a_jprod, w))
+    return pB, _certify(p, pB, alpha, a_jprod, a_i_omega)
 
 
 def _witness_basis(p, w):
@@ -111,9 +115,9 @@ def _witness_basis(p, w):
 
 
 def _splits(form):
-    """Does form vanish on both diagonal n x n blocks, on Gamma_1 and on Gamma_2?"""
-    n = form.shape[0] // 2
-    return xl.is_zero(form[:n, :n]) and xl.is_zero(form[n:, n:])
+    """Does the matrix form vanish on both diagonal n x n blocks, on Gamma_1 and Gamma_2?"""
+    rows, n = form.num, len(form.num) // 2
+    return not (any(any(row[:n]) for row in rows[:n]) or any(any(row[n:]) for row in rows[n:]))
 
 
 def _well_becoming(phi1, phi2, j):
@@ -140,22 +144,26 @@ def _in_basis(p, u, u_inv):
 def _adapted_splitting(u, u_inv, w_first):
     """(w, alpha) of the splitting (W, Sigma), or (Sigma, W), of Lambda_A for a
     basis u of Gamma with inverse u_inv: w = U P for U = [[u, 0], [0, u^-T]] and
-    the permutation P of its columns, and alpha = w^-1 = P^T U^-1.
+    the permutation P of its columns, and alpha = w^-1 = P^T U^-1, all read
+    off the int rows of u and u_inv, as U^-1 = [[u^-1, 0], [0, u^T]].
 
     U^T Q U = [[0, u^T u^-T], [u^-1 u, 0]] = Q, and P keeps Q-partners at
     distance 2n, so w is an integral Q-isometry: a Z-basis of Lambda_A whose
-    halves are isotropic and Q-dual to each other, and alpha = Q w^T Q.  All
-    of it rests on u u_inv = 1, which is checked."""
+    halves are isotropic and Q-dual to each other.  All of it rests on
+    u u_inv = 1, which is checked."""
     if not (xl.is_integral(u) and xl.is_integral(u_inv)
             and xl.mat_eq(xl.mul(u, u_inv), xl.eye(u.shape[0]))):
         raise RuntimeError("u.u^-1 != 1: the adapted basis of Gamma and its inverse disagree")
     n = u.shape[0] // 2
-    z = xl.zeros(2 * n)
+    z = [0] * (2 * n)
     # the columns of U that span W = Gamma_1 + Gamma_2* and Sigma = Gamma_1* + Gamma_2
     w_half = list(range(n)) + list(range(3 * n, 4 * n))
     sigma = list(range(2 * n, 3 * n)) + list(range(n, 2 * n))
-    w = xl.block([[u, z], [z, u_inv.T]])[:, w_half + sigma if w_first else sigma + w_half]
-    return w, q_left(q_right(w.T))
+    perm = w_half + sigma if w_first else sigma + w_half
+    big_u = [row + z for row in u.num] + [z + list(col) for col in zip(*u_inv.num)]
+    big_u_inv = [row + z for row in u_inv.num] + [z + list(col) for col in zip(*u.num)]
+    return (xl.from_int_rows([[row[c] for c in perm] for row in big_u], 4 * n),
+            xl.from_int_rows([big_u_inv[c] for c in perm], 4 * n))
 
 
 def g_mirror(p, w):
@@ -225,7 +233,7 @@ def elliptic_mirror(A, tau, phi):
     if xl.det(jp[:n, n:]) == 0:
         raise TransversalityNotFound(
             "J Sigma meets Sigma, and no symplectic correction changes Sigma")
-    for corr in _repair_candidates(n, nf.deltas):
+    for tried, corr in enumerate(_repair_candidates(n, nf.deltas), 1):
         if xl.is_zero(corr):
             # u2 = u: skew_normal_form has checked u^t c u = F, and J' is known
             u2, u2_inv, jp2 = u, u_inv, jp
@@ -240,8 +248,8 @@ def elliptic_mirror(A, tau, phi):
         if xl.det(jp2[n:, :n]) != 0:
             pB, cert = _mirror_across(pA, *_adapted_splitting(u2, u2_inv, w_first=True))
             return pA, pB, cert
-    raise RuntimeError("no correction of max-norm 1 makes J W transversal to W, "
-                       "against the Combinatorial Nullstellensatz bound")
+    raise RuntimeError(f"none of the {tried} corrections C of max-norm 1 tried makes J W "
+                       "transversal to W, against the Combinatorial Nullstellensatz bound")
 
 
 def elliptic_factors(pB, deltas):

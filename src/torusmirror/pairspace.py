@@ -21,30 +21,27 @@ class WeakPair:
         phi1, phi2 = xl.mat(phi1), xl.mat(phi2)
         if not (xl.is_skew(phi1) and xl.is_skew(phi2)):
             raise NotNSForm("phi1 and phi2 must be skew")
-        self._hold(torus, phi1, phi2, _invert_phi2(phi2))
+        self.torus, self.phi1, self.phi2 = torus, phi1, phi2
+        self._i_omega = _i_omega_of(phi1, phi2, _invert_phi2(phi2))
 
     @classmethod
-    def _with_inverse(cls, torus, phi1, phi2, phi2_inv):
-        """The pair of phi1 and phi2 when phi2^-1 is already known; it takes
-        over all three matrices."""
+    def _with_i_omega(cls, torus, phi1, phi2, i_omega):
+        """The pair of phi1 and phi2 with its known I_omega, taking over all three."""
         p = object.__new__(cls)
-        p._hold(torus, phi1, phi2, phi2_inv)
+        p.torus, p.phi1, p.phi2, p._i_omega = torus, phi1, phi2, i_omega
         return p
-
-    def _hold(self, torus, phi1, phi2, phi2_inv):
-        """I_omega = [[phi2^-1 phi1, -phi2^-1], [phi2 + phi1 phi2^-1 phi1,
-        -phi1 phi2^-1]] for skew phi1 and phi2, where phi1 phi2^-1 =
-        (phi2^-1 phi1)^T: block (2,2) is minus block (1,1) transposed."""
-        self.torus = torus
-        self.phi1 = phi1
-        self.phi2 = phi2
-        tl = xl.mul(phi2_inv, phi1)
-        bl = phi2 + xl.mul(phi1, tl)
-        self._i_omega = xl.block([[tl, -phi2_inv], [bl, -tl.T]])
 
     def __eq__(self, other):
         return (isinstance(other, WeakPair) and self.torus == other.torus
                 and xl.mat_eq(self.phi1, other.phi1) and xl.mat_eq(self.phi2, other.phi2))
+
+
+def _i_omega_of(phi1, phi2, phi2_inv):
+    """I_omega = [[phi2^-1 phi1, -phi2^-1], [phi2 + phi1 phi2^-1 phi1,
+    -phi1 phi2^-1]] for skew phi1 and phi2, where phi1 phi2^-1 =
+    (phi2^-1 phi1)^T: block (2,2) is minus block (1,1) transposed."""
+    tl = xl.mul(phi2_inv, phi1)
+    return xl.block([[tl, -phi2_inv], [phi2 + xl.mul(phi1, tl), -tl.T]])
 
 
 def _invert_phi2(phi2):
@@ -61,15 +58,6 @@ def q_left(m):
     out = xl.asmat(m).copy()
     h = len(out.num) // 2
     out.num = out.num[h:] + out.num[:h]
-    return out
-
-
-def q_right(m):
-    """m.Q for the hyperbolic form Q: m with its column halves swapped, in
-    new row lists."""
-    out = xl.asmat(m).copy()
-    h = out.ncols // 2
-    out.num = [row[h:] + row[:h] for row in out.num]
     return out
 
 
@@ -143,13 +131,13 @@ def _require_ns_forms(A, phi1, phi2):
 def make_weak_pair(A, phi1, phi2):
     phi1, phi2 = xl.mat(phi1), xl.mat(phi2)
     _require_ns_forms(A, phi1, phi2)
-    return WeakPair._with_inverse(A, phi1, phi2, _invert_phi2(phi2))
+    return WeakPair._with_i_omega(A, phi1, phi2, _i_omega_of(phi1, phi2, _invert_phi2(phi2)))
 
 
 def conjugate_pair(p):
     """omega-bar = phi1 - i*phi2, whose (-phi2)^-1 is block (1,2) of I_omega."""
-    d = 2 * p.torus.n
-    return WeakPair._with_inverse(p.torus, p.phi1.copy(), -p.phi2, p._i_omega[:d, d:])
+    d, phi1, phi2 = 2 * p.torus.n, p.phi1.copy(), -p.phi2
+    return WeakPair._with_i_omega(p.torus, phi1, phi2, _i_omega_of(phi1, phi2, p._i_omega[:d, d:]))
 
 
 def i_omega(p):
@@ -172,20 +160,18 @@ def classify_pair(p):
 
 
 def recover_omega(A, I):
-    """Read omega back off a complex structure of I_omega shape.  Its block
-    (1,2) is -phi2^-1, so the pair is made from that known inverse."""
-    d = 2 * A.n
-    I = xl.asmat(I)
-    i12 = I[:d, d:]
-    i22 = I[d:, d:]
+    """Read omega back off a complex structure of I_omega shape, whose block
+    (1,2) is -phi2^-1; the pair keeps a copy of I once its other blocks check."""
+    d, I = 2 * A.n, xl.asmat(I)
+    i12, i22 = I[:d, d:], I[d:, d:]
     try:
         i12_inv = xl.invert(i12)
     except SingularMatrix:
         raise Block12Singular("block (1,2) of I is singular; I is not an I_omega")
-    phi2 = -i12_inv
-    phi1 = xl.mul(i22, i12_inv)
+    phi1, phi2 = xl.mul(i22, i12_inv), -i12_inv
     _require_ns_forms(A, phi1, phi2)
-    pair = WeakPair._with_inverse(A, phi1, phi2, -i12)
-    if not xl.mat_eq(pair._i_omega, I):
+    tl = xl.mul(-i12, phi1)
+    if not (xl.mat_eq(I[:d, :d], tl) and xl.mat_eq(I[d:, :d], phi2 + xl.mul(phi1, tl))
+            and xl.mat_eq(i22, -tl.T)):
         raise ValueError("I is not the I_omega of the pair read off its blocks")
-    return pair
+    return WeakPair._with_i_omega(A, phi1, phi2, I.copy())

@@ -40,16 +40,21 @@ def require_q_isometry(g, n):
 def siegel_act(g, omega):
     """(c + d.omega)(a + b.omega)^{-1} = Xr + i Xi as (Xr, Xi): X D = N for
     D = a + b.omega and N = c + d.omega, transposed and written over Q, is
-    [[Dr^T, -Di^T], [Di^T, Dr^T]] [Xr^T; Xi^T] = [Nr^T; Ni^T]."""
+    [[Dr^T, -Di^T], [Di^T, Dr^T]] [Xr^T; Xi^T] = [Nr^T; Ni^T], read off the int
+    columns k and d + k, k < d, of g [[1, 0], [phi1, phi2]] = [[Dr, Di], [Nr, Ni]]."""
     phi1, phi2 = xl.asmat(omega[0]), xl.asmat(omega[1])
-    a, b, c, d = blocks(g)
-    num = xl.block([[(c + xl.mul(d, phi1)).T], [xl.mul(d, phi2).T]])
-    den_re, den_im = (a + xl.mul(b, phi1)).T, xl.mul(b, phi2).T
+    d, g = len(phi1), xl.asmat(g)
+    if g.shape != (2 * d, 2 * d):
+        raise ValueError(f"g must be {2 * d}x{2 * d}, not {g.shape[0]}x{g.shape[1]}")
+    cols = list(zip(*xl.mul(g, xl.block([[xl.eye(d), xl.zeros(d)], [phi1, phi2]])).num))
+    lhs = ([list(r[:d]) + [-x for x in i[:d]] for r, i in zip(cols, cols[d:])]
+           + [list(i[:d] + r[:d]) for r, i in zip(cols, cols[d:])])
     try:
-        x = xl.solve_right(xl.block([[den_re, -den_im], [den_im, den_re]]), num)
+        x = xl.solve_right(xl.from_int_rows(lhs, 2 * d),
+                           xl.from_int_rows([list(c[d:]) for c in cols], d))
     except SingularMatrix:
         raise NotInvertible("a + b.omega is singular over Q(i)")
-    re, im = x[:x.ncols].T, x[x.ncols:].T  # x is [Xr^T; Xi^T]
+    re, im = x[:d, :].T, x[d:, :].T  # x is [Xr^T; Xi^T]
     if not (xl.is_skew(re) and xl.is_skew(im)):
         raise FormMismatch("g.omega is not skew; g is not a Q-isometry of Lambda")
     return re, im

@@ -24,9 +24,10 @@ class Torus:
     @cached_property
     def _jprod(self):
         """J + (-J^T) on Lambda = Gamma + Gamma*, shared: read it, never write
-        into it."""
-        z = xl.zeros(2 * self.n)
-        return xl.block([[self.J, z], [z, -self.J.T]])
+        into it.  Built from J's rows over J's den, canonical as J is."""
+        num, z = self.J.num, [0] * (2 * self.n)
+        return xl._wrap([row + z for row in num] + [z + [-x for x in col] for col in zip(*num)],
+                        self.J.den, 4 * self.n)
 
     def __eq__(self, other):
         return isinstance(other, Torus) and self.n == other.n and xl.mat_eq(self.J, other.J)

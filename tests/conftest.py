@@ -16,7 +16,7 @@ import os
 import random
 from fractions import Fraction
 from itertools import product
-from math import factorial
+from math import factorial, floor
 from operator import mul
 
 import numpy as np
@@ -29,9 +29,11 @@ from torusmirror import lefschetz as lf
 from torusmirror.clifford import (IsotropicSplitting, SpinVec, _check_masks, _cor_apply,
                                   _generator_maps, _merge_sign, _sign_normalize, _signed,
                                   _source_terms, exterior_exp, popcount, wedge)
-from torusmirror.errors import NoHardLefschetz, NoIntertwiner, NotIsotropic, SingularMatrix
+from torusmirror.errors import (FormMismatch, NoHardLefschetz, NoIntertwiner, NotInvertible,
+                                NotIsotropic, SingularMatrix)
 from torusmirror.mirror import WellBecomingWitness
-from torusmirror.pairspace import i_omega, make_weak_pair, q_gram, q_left, q_right
+from torusmirror.pairspace import i_omega, make_weak_pair, q_gram, q_left
+from torusmirror.siegel import blocks
 from torusmirror.torus import NSVector, make_torus, ns_basis
 
 SEED = int(os.environ.get("TORUS_MIRROR_SEED", "20260823"))
@@ -241,6 +243,25 @@ def commutes_with_i_omega(g, p):
     return xl.mat_eq(xl.mul(g, iw), xl.mul(iw, g))
 
 
+def siegel_act_by_real_form(g, omega):
+    """siegel_act as it once was: the blocks of g, four products and two sums
+    for the real and imaginary parts of D = a + b.omega and N = c + d.omega,
+    and the real-form system [[Dr^T, -Di^T], [Di^T, Dr^T]] [Xr^T; Xi^T] =
+    [Nr^T; Ni^T] assembled by block from their transposes."""
+    phi1, phi2 = xl.asmat(omega[0]), xl.asmat(omega[1])
+    a, b, c, d = blocks(g)
+    num = xl.block([[(c + xl.mul(d, phi1)).T], [xl.mul(d, phi2).T]])
+    den_re, den_im = (a + xl.mul(b, phi1)).T, xl.mul(b, phi2).T
+    try:
+        x = xl.solve_right(xl.block([[den_re, -den_im], [den_im, den_re]]), num)
+    except SingularMatrix:
+        raise NotInvertible("a + b.omega is singular over Q(i)")
+    re, im = x[:x.ncols].T, x[x.ncols:].T
+    if not (xl.is_skew(re) and xl.is_skew(im)):
+        raise FormMismatch("g.omega is not skew; g is not a Q-isometry of Lambda")
+    return re, im
+
+
 def rand_skew(rng, k, bound=2):
     m = xl.zeros(k)
     for i in range(k):
@@ -256,6 +277,16 @@ def standard_splitting(n):
     of the standard basis of Lambda."""
     e = xl.eye(4 * n).rows
     return IsotropicSplitting(n, e[:2 * n], e[2 * n:])
+
+
+def q_right(m):
+    """m.Q for the hyperbolic form Q: m with its column halves swapped, in
+    new row lists.  The library reads its inverses Q w^T Q off int rows;
+    this is the matrix route they are checked against."""
+    out = xl.asmat(m).copy()
+    h = out.ncols // 2
+    out.num = [row[h:] + row[:h] for row in out.num]
+    return out
 
 
 def splitting_by_blocks(basis1, basis2):
@@ -871,6 +902,18 @@ def splitting_route(u, u_inv, w_first):
     return s.w, s.w_inv
 
 
+def adapted_splitting_by_blocks(u, u_inv, w_first):
+    """(w, alpha) of mirror._adapted_splitting built as matrices, as it once
+    was: the columns of U = [[u, 0], [0, u^-T]] assembled with xl.block and
+    selected by index, and alpha = Q w^T Q by the Q half swaps."""
+    n = u.shape[0] // 2
+    z = xl.zeros(2 * n)
+    w_half = list(range(n)) + list(range(3 * n, 4 * n))
+    sigma = list(range(2 * n, 3 * n)) + list(range(n, 2 * n))
+    w = xl.block([[u, z], [z, xl.asmat(u_inv).T]])[:, w_half + sigma if w_first else sigma + w_half]
+    return w, q_left(q_right(w.T))
+
+
 def repair_candidates_by_norm(n, deltas, budget):
     """Integer matrices C with Delta.C symmetric, by increasing max-norm up to
     budget: the bounded search that mirror._repair_candidates once made, the
@@ -1057,3 +1100,48 @@ def in_span(ech, mat):
     size = mat.ncols
     return not ech.reduce({i * size + j: x for i, row in enumerate(mat.num)
                            for j, x in enumerate(row) if x})
+
+
+# ---------------------------------------------------------------------------
+# the moduli of a pair at n = 1, the independent oracle for the mirror: the
+# mirror exchanges the complex modulus tau and the Kahler modulus rho
+# (Dijkgraaf; Polishchuk-Zaslow).  A point of the upper half plane is a pair
+# (x, y) of Fractions for x + i y, y > 0.
+
+
+def _upper(x, y):
+    """x + i y, or its conjugate when y < 0: the point in the upper half plane."""
+    return (Fraction(x), abs(Fraction(y)))
+
+
+def elliptic_modulus(A):
+    """tau = (i - p)/r for J = [[p, q], [r, s]], taken in the upper half plane:
+    J acts on Gamma = Z^2 as multiplication by i on the complex line in which
+    e_1 = 1 and e_2 = tau, as J e_1 = p e_1 + r e_2 = i."""
+    p, r = Fraction(A.J[0, 0]), Fraction(A.J[1, 0])
+    return _upper(-p / r, 1 / r)
+
+
+def kahler_modulus(pair):
+    """rho = f1 + i f2 for phi_k = f_k [[0, 1], [-1, 0]], taken in the upper
+    half plane."""
+    return _upper(pair.phi1[0, 1], pair.phi2[0, 1])
+
+
+def reduce_modulus(z):
+    """The point of the fundamental domain of SL_2(Z) in the orbit of z, found
+    exactly: translate into -1/2 <= x < 1/2, invert z -> -1/z while |z| < 1,
+    and on the unit circle, where -1/z = -conj(z), keep the point with x <= 0."""
+    x, y = z
+    while True:
+        x -= floor(x + Fraction(1, 2))
+        norm = x * x + y * y
+        if norm >= 1:
+            return (-x if norm == 1 and x > 0 else x, y)
+        x, y = -x / norm, y / norm
+
+
+def same_modulus(z, w):
+    """Do z and w reduce to one point, up to the orientation reversal
+    w -> -conj(w)?"""
+    return reduce_modulus(z) in (reduce_modulus(w), reduce_modulus((-w[0], w[1])))

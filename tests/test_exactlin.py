@@ -155,6 +155,17 @@ def test_skew_normal_form_recovers_divisors(rng):
         assert xl.is_zero(g[:2, :2]) and xl.is_zero(g[2:, 2:])
 
 
+def test_skew_normal_form_pins_the_basis_after_the_divisibility_fix_up():
+    # the first pair has pivot 2, which does not divide the 3 of the second,
+    # so the fix-up adds the third basis vector to the first before the pair
+    # is rebuilt: the basis it returns then is pinned entry by entry
+    phi = xl.mat([[0, 2, 0, 0], [-2, 0, 0, 0], [0, 0, 0, 3], [0, 0, -3, 0]])
+    nf = xl.skew_normal_form(phi)
+    assert nf.deltas == [1, 6]
+    assert nf.basis_change.tolist() == [[1, 0, 0, -3], [0, 3, -1, 0],
+                                        [1, 0, 0, -2], [0, -2, 1, 0]]
+
+
 def test_skew_normal_form_degenerate():
     with pytest.raises(Degenerate):
         xl.skew_normal_form(xl.zeros(2))

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import random
 import re
 from fractions import Fraction
@@ -7,17 +8,18 @@ from itertools import product
 import numpy as np
 import pytest
 
-from conftest import (adapted_halves, elliptic_sample, gaussian_pair, gaussian_torus,
-                      jprod_matrix, q_matrix, rand_q_isometry, rand_rational,
-                      rand_unimodular, repair_candidates_by_norm, splitting_route,
-                      standard_splitting, transversal, well_becoming_sample)
-from torusmirror import clifford
+from conftest import (adapted_halves, adapted_splitting_by_blocks, elliptic_modulus,
+                      elliptic_sample, gaussian_pair, gaussian_torus, jprod_matrix,
+                      kahler_modulus, q_matrix, rand_q_isometry, rand_rational,
+                      rand_unimodular, reduce_modulus, repair_candidates_by_norm, same_modulus,
+                      splitting_route, standard_splitting, transversal, well_becoming_sample)
+from torusmirror import cli, clifford
 from torusmirror import exactlin as xl
 from torusmirror import mirror
 from torusmirror.errors import (Degenerate, DifferentSource, FormMismatch,
                                 IntertwineFailure, NotABasis, NotInvariant,
                                 NotInvertible, TransversalityNotFound)
-from torusmirror.mirror import (WellBecomingWitness, _adapted_splitting,
+from torusmirror.mirror import (WellBecomingWitness, _adapted_splitting, _certify,
                                 _repair_candidates, _witness_basis,
                                 compare_mirror_isos,
                                 elliptic_factors, elliptic_mirror, g_mirror,
@@ -124,6 +126,34 @@ def test_verify_mirror_names_the_first_entry_where_an_identity_fails(monkeypatch
                 verify_mirror(p, pB, cert.alpha)
             monkeypatch.undo()
         verify_mirror(p, pB, cert.alpha)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_certifier_names_a_corrupted_product_as_verify_mirror_does(monkeypatch, rng, n):
+    # a corrupted alpha.Jprod_A (alpha.I_omegaA) handed to the certifier is the
+    # product verify_mirror forms when Jprod_A (I_omegaA) is corrupted by
+    # alpha^-1 E_rc, so both name the same first entry in the same words
+    p, w = well_becoming_sample(rng, n)
+    pB, cert = g_mirror(p, w)
+    alpha = cert.alpha
+    alpha_inv = xl.invert(alpha)
+    products = [xl.mul(alpha, p.torus._jprod), xl.mul(alpha, p._i_omega)]
+    assert _certify(p, pB, alpha, *products).alpha is alpha
+    for k, (owner, attr) in enumerate(((p.torus, "_jprod"), (p, "_i_omega"))):
+        for r, c in product(range(4 * n), repeat=2):
+            corrupted = list(products)
+            corrupted[k] = products[k].copy()
+            corrupted[k][r, c] += 1
+            with pytest.raises(IntertwineFailure) as by_certifier:
+                _certify(p, pB, alpha, *corrupted)
+            shifted = getattr(owner, attr).copy()
+            shifted[:, c] = [x + y for x, y in zip(shifted[:, c], alpha_inv[:, r])]
+            monkeypatch.setattr(owner, attr, shifted)
+            with pytest.raises(IntertwineFailure) as by_verify:
+                verify_mirror(p, pB, alpha)
+            monkeypatch.undo()
+            assert str(by_certifier.value) == str(by_verify.value)
+            assert str(by_certifier.value).endswith(f"first at row {r}, column {c}")
 
 
 def test_standard_splitting_is_not_invariant():
@@ -454,6 +484,33 @@ def test_adapted_splitting_rejects_a_wrong_inverse(rng):
                 _adapted_splitting(basis, inverse, w_first)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_adapted_splitting_matches_the_block_route(rng, monkeypatch, n):
+    # the bases of g_mirror's witnesses and of elliptic_mirror's repaired
+    # symplectic bases, each with both orders of the halves
+    bases = [_witness_basis(*well_becoming_sample(rng, n)) for _ in range(3)]
+    real = mirror._adapted_splitting
+
+    def spy(u, u_inv, w_first):
+        bases.append((u, u_inv))
+        return real(u, u_inv, w_first)
+
+    monkeypatch.setattr(mirror, "_adapted_splitting", spy)
+    cases = elliptic_cases(rng, n)
+    for A, tau, phi in cases:
+        elliptic_mirror(A, tau, phi)
+    monkeypatch.undo()
+    assert len(bases) == 3 + len(cases)
+    for u, u_inv in bases:
+        for w_first in (False, True):
+            w, alpha = _adapted_splitting(u, u_inv, w_first)
+            ref = adapted_splitting_by_blocks(u, u_inv, w_first)
+            assert [(m.den, m.num, m.ncols) for m in (w, alpha)] == [
+                (m.den, m.num, m.ncols) for m in ref]
+            assert xl.mat_eq(xl.mul(alpha, w), xl.eye(4 * n))
+            assert all(type(x) is int for m in (w, alpha) for row in m.num for x in row)
+
+
 def test_g_mirror_and_elliptic_mirror_build_no_isotropic_splitting(rng, monkeypatch):
     built = []
     real = clifford.IsotropicSplitting.__init__
@@ -604,6 +661,26 @@ def test_elliptic_mirror_repairs_a_basis_that_c_zero_fails(monkeypatch):
         elliptic_mirror(A, (0, 1), phi)
 
 
+def test_exhausted_repair_names_the_candidates_it_tried(monkeypatch, capsys, tmp_path):
+    # only C = 0, which fails for the construction above: the broken
+    # invariant names the one candidate tried, and the CLI still exits 3 with
+    # the broken-invariant payload
+    J = [[0, -1, 1, 0], [1, 0, 0, -1], [0, 0, 0, -1], [0, 0, 1, 0]]
+    phi = [[0, 0, 1, 0], [0, 0, 0, 1], [-1, 0, 0, 0], [0, -1, 0, 0]]
+    monkeypatch.setattr(mirror, "_repair_candidates", lambda n, deltas: iter([xl.zeros(n)]))
+    with pytest.raises(RuntimeError) as err:
+        elliptic_mirror(make_torus(2, J), (0, 1), phi)
+    message = str(err.value)
+    assert re.fullmatch(r"none of the (\d+) corrections C of max-norm 1 tried makes J W "
+                        r"transversal to W, against the Combinatorial Nullstellensatz bound",
+                        message).group(1) == "1"
+    inp, out = tmp_path / "in.json", tmp_path / "out.json"
+    inp.write_text(json.dumps({"torus": {"n": 2, "J": J}, "tau": ["0", "1"], "phi": phi}))
+    assert cli.main(["elliptic-mirror", "--input", str(inp), "--output", str(out)]) == 3
+    assert json.loads(out.read_text()) == {"error": "broken-invariant", "detail": message}
+    assert capsys.readouterr().err == f"broken invariant: {message}\n"
+
+
 def repaired_elliptic_sample(rng, n):
     """(A, tau, phi) for which elliptic_mirror must repair its symplectic basis:
     J = diag(R, ..., R) in a random basis and phi a random nondegenerate
@@ -715,3 +792,48 @@ def test_mirror_pipeline_outputs_are_pinned():
     assert tags == {"AlgebraicPlus", "AlgebraicMinus", "WeakOnly"}
     digest = hashlib.sha256(repr(_pinned(out)).encode()).hexdigest()
     assert digest == SAME_RESULTS_SHA256
+
+
+# ---------------------------------------------------------------------------
+# n = 1: the mirror exchanges the complex and the Kahler modulus
+
+
+def _exchanges_moduli(pA, pB):
+    """tau_B reduces to rho_A, and rho_B to tau_A, up to the reflection
+    z -> -conj(z).  For tau_B the reflection is pinned: it is needed exactly
+    when r of J_B and f2 of A differ in sign, so that one of the two was
+    conjugated into the upper half plane and the other was not.  For rho_B it
+    cannot be told on these samples: each tau_A reduces to a point that the
+    reflection fixes."""
+    flip = (pB.torus.J[1, 0] > 0) != (pA.phi2[0, 1] > 0)
+    rho_a = kahler_modulus(pA)
+    want = reduce_modulus((-rho_a[0], rho_a[1]) if flip else rho_a)
+    return (reduce_modulus(elliptic_modulus(pB.torus)) == want
+            and same_modulus(kahler_modulus(pB), elliptic_modulus(pA.torus)))
+
+
+def test_g_mirror_exchanges_the_moduli_at_n_1(rng):
+    for _ in range(50):
+        p, w = well_becoming_sample(rng, 1)
+        assert _exchanges_moduli(p, g_mirror(p, w)[0])
+
+
+def test_elliptic_mirror_exchanges_the_moduli_at_n_1(rng):
+    for _ in range(50):
+        pA, pB, _ = elliptic_mirror(*elliptic_sample(rng, 1))
+        assert _exchanges_moduli(pA, pB)
+
+
+def test_the_moduli_oracle_tells_the_moduli_apart(rng):
+    # the relation is not the identity: the mirror's complex modulus is
+    # seldom that of the source, and the reduction is the classical one
+    same = sum(same_modulus(elliptic_modulus(g_mirror(*sample)[0].torus),
+                            elliptic_modulus(sample[0].torus))
+               for sample in (well_becoming_sample(rng, 1) for _ in range(50)))
+    assert same <= 10
+    half = Fraction(1, 2)
+    for z, want in (((half, 1), (-half, 1)), ((Fraction(3), Fraction(1, 2)), (0, 2)),
+                    ((Fraction(7, 25), Fraction(24, 25)), (-Fraction(7, 25), Fraction(24, 25))),
+                    ((Fraction(7, 2), 2), (-half, 2))):
+        assert reduce_modulus(z) == want
+

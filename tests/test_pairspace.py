@@ -7,15 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (classify_by_e_form, e_form, gaussian_pair, is_isotropic_by_gram,
-                      jprod_matrix, q_matrix, rand_q_isometry, rand_rational, weak_pair_sample,
-                      well_becoming_sample)
+                      jprod_matrix, q_matrix, q_right, rand_q_isometry, rand_rational,
+                      weak_pair_sample, well_becoming_sample)
 from torusmirror import exactlin as xl
 from torusmirror import pairspace as ps
 from torusmirror.errors import Block12Singular, NotNSForm
 from torusmirror.mirror import g_mirror
 from torusmirror.pairspace import (WeakPair, classify_pair, conjugate_pair, i_omega,
                                    is_isotropic, is_q_isometry, make_weak_pair, q_gram, q_left,
-                                   q_right, recover_omega)
+                                   recover_omega)
 from torusmirror.siegel import translation_element
 from torusmirror.torus import check_polarization, make_torus, polarization_form
 
@@ -213,6 +213,49 @@ def test_recover_omega_rejects_other_shapes():
     I[0, 0] += 1
     with pytest.raises(ValueError):
         recover_omega(p.torus, I)
+
+
+def _i_omega_by_formula(phi1, phi2):
+    """[[phi2^-1 phi1, -phi2^-1], [phi2 + phi1 phi2^-1 phi1, -phi1 phi2^-1]],
+    block by block, for any phi1 and an invertible phi2."""
+    inv = xl.invert(phi2)
+    return xl.block([[xl.mul(inv, phi1), -inv],
+                     [phi2 + xl.mul(phi1, xl.mul(inv, phi1)), -xl.mul(phi1, inv)]])
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("block", ["21", "22"])
+def test_recover_omega_compares_each_block(monkeypatch, rng, n, block):
+    # I differs from the I_omega of the pair read off blocks (1,2) and (2,2) in
+    # one block only (block (1,1): test_recover_omega_rejects_other_shapes).
+    # Block (2,1) is read nowhere else.  A block (2,2) that differs reads back
+    # a phi1 that is not skew, which the NS-form test rejects first; with that
+    # test taken out, the comparison rejects it
+    d = 2 * n
+    p = weak_pair_sample(rng, n)
+    I = i_omega(p)
+    if block == "21":
+        I[d, d - 1] += 1
+    else:
+        phi1 = p.phi1.copy()
+        phi1[0, 0] += 1
+        I = _i_omega_by_formula(phi1, p.phi2)
+        with pytest.raises(NotNSForm):
+            recover_omega(p.torus, I)
+        monkeypatch.setattr(ps, "_require_ns_forms", lambda A, phi1, phi2: None)
+    with pytest.raises(ValueError, match="^I is not the I_omega of the pair read off its blocks$"):
+        recover_omega(p.torus, I)
+
+
+def test_recover_omega_keeps_its_own_copy_of_i(rng):
+    for n in (1, 2, 3):
+        p = weak_pair_sample(rng, n)
+        I = i_omega(p)
+        q = recover_omega(p.torus, I)
+        want = WeakPair(p.torus, q.phi1, q.phi2)._i_omega
+        assert q._i_omega is not I and (q._i_omega.num, q._i_omega.den) == (want.num, want.den)
+        I[0, 0] += 1
+        assert xl.mat_eq(i_omega(q), i_omega(p))
 
 
 def test_i_omega_returns_a_copy():

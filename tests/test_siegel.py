@@ -1,6 +1,7 @@
 import pytest
 
-from conftest import commutes_with_i_omega, rand_q_isometry, weak_pair_sample
+from conftest import (commutes_with_i_omega, rand_q_isometry, rand_rational,
+                      siegel_act_by_real_form, weak_pair_sample)
 from torusmirror import exactlin as xl
 from torusmirror.errors import FormMismatch, NotInvertible, SingularMatrix
 from torusmirror.pairspace import classify_pair, i_omega, make_weak_pair
@@ -218,3 +219,68 @@ def test_non_isometry_rejected_by_stabilizer_and_action():
         stabilizer_check(g, p)
     with pytest.raises(FormMismatch):
         act_on_pair(g, p)
+
+
+# ---------------------------------------------------------------------------
+# the one-product route against the four-product real-form route
+
+
+def _outcome(route, g, omega):
+    """route(g, omega) as (den, num, ncols) of both parts, or the class and
+    message of what it raised."""
+    try:
+        return [(m.den, m.num, m.ncols) for m in route(g, omega)]
+    except (NotInvertible, FormMismatch) as e:
+        return (type(e), str(e))
+
+
+def _rational_q_isometry(rng, n):
+    """A Q-isometry with rational entries: a rational translation [[1, 0],
+    [eta, 1]] and a rational [[u, 0], [0, u^-T]] around an integral one."""
+    d = 2 * n
+    eta = xl.zeros(d)
+    for i in range(d):
+        for j in range(i + 1, d):
+            eta[i, j] = rand_rational(rng)
+            eta[j, i] = -eta[i, j]
+    u = xl.eye(d) + xl.mat([[rand_rational(rng) if j == i + 1 else 0 for j in range(d)]
+                             for i in range(d)])
+    diag = xl.block([[u, xl.zeros(d)], [xl.zeros(d), xl.invert(u).T]])
+    return xl.mul(translation_element(eta, n), xl.mul(rand_q_isometry(rng, n), diag))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_siegel_act_matches_the_real_form_route(rng, n):
+    kinds = set()
+    for k in range(12):
+        p = weak_pair_sample(rng, n)
+        g = rand_q_isometry(rng, n) if k % 2 else _rational_q_isometry(rng, n)
+        omega = (p.phi1, p.phi2)
+        got = _outcome(siegel_act, g, omega)
+        assert got == _outcome(siegel_act_by_real_form, g, omega)
+        kinds.add((xl.is_integral(g), type(got)))
+    assert (False, list) in kinds and (True, list) in kinds
+
+
+def test_siegel_act_raises_as_the_real_form_route_does():
+    p = square_pair(1, 2)
+    omega = (p.phi1, p.phi2)
+    # a + b.omega singular: swapping e_1 with its dual, and a = b = 0
+    swap = xl.zeros(4)
+    swap[0, 2] = swap[2, 0] = swap[1, 1] = swap[3, 3] = 1
+    zero = xl.zeros(4)
+    zero[2:, 2:] = xl.eye(2)
+    # not a Q-isometry: a non-skew image, and 2*I with a skew one
+    stretch = xl.eye(4)
+    stretch[3, 3] = 2
+    for g, error in ((swap, NotInvertible), (zero, NotInvertible), (stretch, FormMismatch)):
+        got = _outcome(siegel_act, g, omega)
+        assert got == _outcome(siegel_act_by_real_form, g, omega)
+        assert got[0] is error
+    assert _outcome(siegel_act, 2 * xl.eye(4), omega) == _outcome(
+        siegel_act_by_real_form, 2 * xl.eye(4), omega)
+    # a g of the wrong size is malformed input
+    for g in (xl.eye(6), xl.eye(4)[:, :3], xl.eye(5)[:, :4], xl.eye(8)[:4]):
+        with pytest.raises(ValueError):
+            siegel_act(g, omega)
+
