@@ -28,16 +28,27 @@ def _int_from_json(x):
     return x
 
 
-def _torus_from_json(obj):
-    return make_torus(_int_from_json(obj["n"]), sz.json_to_mat(obj["J"]))
+def _n_from_json(obj, n_max):
+    """The n of a JSON object, read and capped before any matrix of that
+    object: a negative n is an input error, one above --n-max a domain error."""
+    n = _int_from_json(obj["n"])
+    if n < 0:
+        raise ValueError(f"n = {n} is negative")
+    if n > n_max:
+        raise DomainError(f"n = {n} exceeds the safety cap --n-max = {n_max}")
+    return n
+
+
+def _torus_from_json(obj, n_max):
+    return make_torus(_n_from_json(obj, n_max), sz.json_to_mat(obj["J"]))
 
 
 def _torus_to_json(t):
     return {"n": t.n, "J": sz.mat_to_json(t.J)}
 
 
-def _pair_from_json(obj):
-    return make_weak_pair(_torus_from_json(obj["torus"]),
+def _pair_from_json(obj, n_max):
+    return make_weak_pair(_torus_from_json(obj["torus"], n_max),
                           sz.json_to_mat(obj["phi1"]), sz.json_to_mat(obj["phi2"]))
 
 
@@ -76,95 +87,69 @@ def _product_class_to_json(pc):
     return terms
 
 
-# the key paths from a command's document to each object holding an n
-_N_PATHS = {
-    **dict.fromkeys(["make-torus", "beta", "xi", "phi-p", "spin-check"], [()]),
-    **dict.fromkeys(["ns-basis", "classify", "i-omega", "elliptic-mirror", "gns"], [("torus",)]),
-    **dict.fromkeys(["mirror-split", "g-mirror", "siegel-act"], [("pair", "torus")]),
-    "verify-mirror": [("pairA", "torus"), ("pairB", "torus")],
-}
-
-
-def _check_n(command, data, n_max):
-    """Every n of the document, read before any matrix."""
-    for path in _N_PATHS[command]:
-        obj = data
-        for key in path:
-            obj = obj[key]
-        n = _int_from_json(obj["n"])
-        if n < 0:
-            raise ValueError(f"n = {n} is negative")
-        if n > n_max:
-            raise DomainError(f"n = {n} exceeds the safety cap --n-max = {n_max}")
-
-
 def _run_command(command, data, n_max):
-    _check_n(command, data, n_max)
     if command == "make-torus":
-        t = _torus_from_json(data)
+        t = _torus_from_json(data, n_max)
         return {"torus": _torus_to_json(t)}
     if command == "ns-basis":
-        t = _torus_from_json(data["torus"])
+        t = _torus_from_json(data["torus"], n_max)
         return {"basis": [sz.mat_to_json(v.c) for v in ns_basis(t)]}
     if command == "classify":
-        p = _pair_from_json(data)
+        p = _pair_from_json(data, n_max)
         return {"tag": classify_pair(p)}
     if command == "i-omega":
-        p = _pair_from_json(data)
+        p = _pair_from_json(data, n_max)
         return {"I": sz.mat_to_json(i_omega(p))}
     if command == "mirror-split":
-        p = _pair_from_json(data["pair"])
+        p = _pair_from_json(data["pair"], n_max)
         s = _splitting_from_json(p.torus.n, data["splitting"])
         pB, cert = mi.mirror_from_splitting(p, s)
         return {"pairB": _pair_to_json(pB), "alpha": sz.mat_to_json(cert.alpha)}
     if command == "g-mirror":
-        p = _pair_from_json(data["pair"])
+        p = _pair_from_json(data["pair"], n_max)
         w = mi.WellBecomingWitness([sz.json_to_vec(v) for v in data["gamma1"]],
                                    [sz.json_to_vec(v) for v in data["gamma2"]])
         pB, cert = mi.g_mirror(p, w)
         return {"pairB": _pair_to_json(pB), "alpha": sz.mat_to_json(cert.alpha)}
     if command == "elliptic-mirror":
-        t = _torus_from_json(data["torus"])
+        t = _torus_from_json(data["torus"], n_max)
         tau = (sz.str_to_rat(data["tau"][0]), sz.str_to_rat(data["tau"][1]))
         phi = NSVector(sz.json_to_mat(data["phi"]))
         pA, pB, cert = mi.elliptic_mirror(t, tau, phi)
         return {"pairA": _pair_to_json(pA), "pairB": _pair_to_json(pB),
                 "alpha": sz.mat_to_json(cert.alpha)}
     if command == "verify-mirror":
-        pA = _pair_from_json(data["pairA"])
-        pB = _pair_from_json(data["pairB"])
+        pA = _pair_from_json(data["pairA"], n_max)
+        pB = _pair_from_json(data["pairB"], n_max)
         mi.verify_mirror(pA, pB, sz.json_to_mat(data["alpha"]))
         return {"ok": True}
     if command == "beta":
-        n = _int_from_json(data["n"])
+        n = _n_from_json(data, n_max)
         s1 = _splitting_from_json(n, data["s1"])
         s2 = _splitting_from_json(n, data["s2"])
         beta = beta_iso(s1, s2)
         return {"beta": sz.mat_to_json(beta),
                 "parity": beta_parity(beta, s1, s2)}
     if command == "xi":
-        n = _int_from_json(data["n"])
+        n = _n_from_json(data, n_max)
         return {"xi": _product_class_to_json(xi_from_mirror(n))}
     if command == "phi-p":
-        n = _int_from_json(data["n"])
+        n = _n_from_json(data, n_max)
         v = _spinvec_from_json(n, data["v"])
         return {"image": _spinvec_to_json(phi_poincare(n, v))}
     if command == "gns":
-        t = _torus_from_json(data["torus"])
+        t = _torus_from_json(data["torus"], n_max)
         kappas = [NSVector(sz.json_to_mat(m)) for m in data["kappas"]]
         basis = generate_g_ns(t, kappas)
         return {"dim": basis.dim, "degrees": [op.degree for op in basis.ops]}
     if command == "siegel-act":
-        p = _pair_from_json(data["pair"])
-        n = p.torus.n
+        p = _pair_from_json(data["pair"], n_max)
         g = sz.json_to_mat(data["g"])
-        if g.shape != (4 * n, 4 * n):
-            raise ValueError(f"g must be {4 * n}x{4 * n} for n = {n}")
-        sg.require_q_isometry(g, n)
+        sg.require_q_isometry(g, p.torus.n)
         phi1, phi2 = sg.siegel_act(g, (p.phi1, p.phi2))
         return {"phi1": sz.mat_to_json(phi1), "phi2": sz.mat_to_json(phi2)}
     if command == "spin-check":
-        n = _int_from_json(data["n"])
+        n = _n_from_json(data, n_max)
         z = sz.json_to_mat(data["z"])
         if z.shape != (4 ** n, 4 ** n):
             raise ValueError(f"z must be {4 ** n}x{4 ** n} for n = {n}")

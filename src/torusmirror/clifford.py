@@ -254,7 +254,9 @@ class IsotropicSplitting:
         basis1, basis2 = list(basis1), list(basis2)
         if not (len(basis1) == len(basis2) == 2 * n
                 and all(len(v) == d for v in basis1 + basis2)):
-            raise NotIsotropic("splitting bases must be 2n vectors of length 4n")
+            lengths = sorted({len(v) for v in basis1 + basis2})
+            raise ValueError(f"splitting bases for n = {n} must be {2 * n} vectors of length {d},"
+                             f" not {len(basis1)} and {len(basis2)} of lengths {lengths}")
         m1, m2 = xl.mat(basis1), xl.mat(basis2)  # one basis vector per row
         if not (xl.is_integral(m1) and xl.is_integral(m2)):
             raise NotIsotropic(_NOT_A_BASIS)

@@ -13,20 +13,21 @@ from .errors import Block12Singular, NotNSForm, SingularMatrix
 
 
 class WeakPair:
-    """A torus together with omega = phi1 + i*phi2, phi1 and phi2 skew, phi2
-    nondegenerate, and I_omega, computed once when the pair is made from its
-    own copies of phi1 and phi2; i_omega gives a copy."""
+    """A torus together with omega = phi1 + i*phi2, phi1 and phi2 NS forms
+    (skew and J-invariant), phi2 nondegenerate, and I_omega, computed once
+    when the pair is made from its own copies of phi1 and phi2; i_omega gives
+    a copy."""
 
     def __init__(self, torus, phi1, phi2):
         phi1, phi2 = xl.mat(phi1), xl.mat(phi2)
-        if not (xl.is_skew(phi1) and xl.is_skew(phi2)):
-            raise NotNSForm("phi1 and phi2 must be skew")
+        _require_ns_forms(torus, phi1, phi2)
         self.torus, self.phi1, self.phi2 = torus, phi1, phi2
         self._i_omega = _i_omega_of(phi1, phi2, _invert_phi2(phi2))
 
     @classmethod
     def _with_i_omega(cls, torus, phi1, phi2, i_omega):
-        """The pair of phi1 and phi2 with its known I_omega, taking over all three."""
+        """The pair of phi1 and phi2, NS forms already checked, with its known
+        I_omega, taking over all three."""
         p = object.__new__(cls)
         p.torus, p.phi1, p.phi2, p._i_omega = torus, phi1, phi2, i_omega
         return p
@@ -129,9 +130,7 @@ def _require_ns_forms(A, phi1, phi2):
 
 
 def make_weak_pair(A, phi1, phi2):
-    phi1, phi2 = xl.mat(phi1), xl.mat(phi2)
-    _require_ns_forms(A, phi1, phi2)
-    return WeakPair._with_i_omega(A, phi1, phi2, _i_omega_of(phi1, phi2, _invert_phi2(phi2)))
+    return WeakPair(A, phi1, phi2)
 
 
 def conjugate_pair(p):

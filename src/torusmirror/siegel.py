@@ -29,10 +29,11 @@ def u_membership(g, A):
 
 
 def require_q_isometry(g, n):
-    """Raise FormMismatch unless g^T Q g = Q on Lambda of rank 4n."""
+    """Raise ValueError unless g is 4n x 4n, and FormMismatch unless
+    g^T Q g = Q on Lambda of rank 4n."""
     g = xl.asmat(g)
-    if len(g) != 4 * n:
-        raise ValueError(f"g must have {4 * n} rows, not {len(g)}")
+    if g.shape != (4 * n, 4 * n):
+        raise ValueError(f"g must be {4 * n}x{4 * n} for n = {n}, not {g.shape[0]}x{g.shape[1]}")
     if not is_q_isometry(g):
         raise FormMismatch("g is not a Q-isometry of Lambda: g^T Q g != Q")
 

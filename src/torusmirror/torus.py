@@ -14,12 +14,17 @@ from .errors import NotComplexStructure
 
 
 class Torus:
-    """A torus holds its own copy of J, and builds the product complex
-    structure on Lambda from it once, when it is first read."""
+    """A torus holds its own copy of J, a 2n x 2n matrix with J^2 = -1, and
+    builds the product complex structure on Lambda from it once, when it is
+    first read."""
 
     def __init__(self, n, J):
-        self.n = n
-        self.J = xl.mat(J)
+        J = xl.mat(J)
+        if J.shape != (2 * n, 2 * n):
+            raise NotComplexStructure(f"J must be {2 * n}x{2 * n}")
+        if not xl.mat_eq(xl.mul(J, J), -xl.eye(2 * n)):
+            raise NotComplexStructure("J^2 != -identity")
+        self.n, self.J = n, J
 
     @cached_property
     def _jprod(self):
@@ -52,11 +57,6 @@ def as_form(c):
 
 
 def make_torus(n, J):
-    J = xl.asmat(J)
-    if J.shape != (2 * n, 2 * n):
-        raise NotComplexStructure(f"J must be {2 * n}x{2 * n}")
-    if not xl.mat_eq(xl.mul(J, J), -xl.eye(2 * n)):
-        raise NotComplexStructure("J^2 != -identity")
     return Torus(n, J)
 
 
@@ -65,7 +65,7 @@ def dual_torus(A):
 
 
 def is_ns_form(A, c):
-    """Skew and J-invariant, J^T c J = c.  Since J^-1 = -J (make_torus checks
+    """Skew and J-invariant, J^T c J = c.  Since J^-1 = -J (Torus checks
     J^2 = -1) and (J^T c)^T = -cJ for skew c, that is: J^T c is symmetric."""
     c = xl.asmat(c)
     if not (c.shape == A.J.shape and xl.is_skew(c)):

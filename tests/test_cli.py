@@ -103,7 +103,8 @@ def test_n_max_cap(tmp_path):
     code, out = run(tmp_path, "xi", {"n": 3}, extra=["--n-max", "2"])
     assert code == 1
     assert json.loads(out.read_text())["error"] == "domain-error"
-    # the cap holds for either pair of verify-mirror, before any matrix is read
+    # the cap holds for either pair of verify-mirror, each read before that
+    # pair's matrices
     alpha = [["1" if i == j else "0" for j in range(4)] for i in range(4)]
     for pairs in ((_square_pair(5), PAIR_SQUARE), (PAIR_SQUARE, _square_pair(5))):
         doc = {"pairA": pairs[0], "pairB": pairs[1], "alpha": alpha}
@@ -450,10 +451,20 @@ MALFORMED = [
     *((f"J-{name}", "make-torus", {"n": 1, "J": [["0", "-1"], ["1", entry]]}, 2, None)
       for name, entry in [("exponent", "0e5"), ("decimal", "0.0"), ("space", " 0"),
                           ("underscore", "0_0"), ("arabic-indic", "\u0660")]),
-    # a negative n is an input error, read before any matrix
+    # a negative n is an input error, read before any matrix of its object
     ("n-negative-torus", "make-torus", {"n": -1, "J": []}, 2, None),
     ("n-negative-beta", "beta",
      {"n": -1, "s1": {"basis1": [], "basis2": []}, "s2": {"basis1": [], "basis2": []}},
+     2, None),
+    # a splitting basis vector of 3 entries is a shape error, not a failure of isotropy
+    ("beta-vector-length", "beta",
+     {"n": 1, "s1": {"basis1": [["1", "0", "0", "0"], ["0", "1", "0", "0"]],
+                     "basis2": [["0", "0", "1", "0"], ["0", "0", "0", "1"]]},
+      "s2": {"basis1": [["1", "0", "0"], ["0", "1", "0", "0"]],
+             "basis2": [["0", "0", "1", "0"], ["0", "0", "0", "1"]]}}, 2, None),
+    ("split-vector-count", "mirror-split",
+     {"pair": PAIR_SQUARE, "splitting": {"basis1": [["1", "0", "0", "0"]],
+                                         "basis2": [["0", "0", "1", "0"], ["0", "0", "0", "1"]]}},
      2, None),
     ("phi2-degenerate", "classify",
      {"torus": TORUS_SQUARE, "phi1": PAIR_SQUARE["phi1"], "phi2": PAIR_SQUARE["phi1"]},
@@ -586,11 +597,6 @@ def test_budget_is_not_an_option(tmp_path):
     assert not out.exists()
 
 
-def test_every_command_has_its_n_paths():
-    # a command missing from _N_PATHS would turn valid input into a KeyError, exit 2
-    assert set(cli._N_PATHS) == set(cli.COMMANDS)
-
-
 # ---------------------------------------------------------------------------
 # the grammar of a rational, and the exit-code contract under mutated documents
 
@@ -632,6 +638,58 @@ def _leaf_paths(obj, path=()):
             yield from _leaf_paths(value, path + (key,))
         else:
             yield path + (key,)
+
+
+def _with_n(doc, n, paths):
+    """A copy of the JSON document doc with the value at each key path set to n."""
+    doc = json.loads(json.dumps(doc))
+    for path in paths:
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = n
+    return doc
+
+
+def _n_paths(obj, path=()):
+    """The key paths to the values of the key "n" in the JSON document obj."""
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            if key == "n":
+                yield path + (key,)
+            else:
+                yield from _n_paths(value, path + (key,))
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_every_n_of_a_document_is_capped(tmp_path, capsys, command):
+    """Each n of each seed document of the command, alone and all of them
+    together, set to --n-max + 1 is a domain error naming the cap (exit 1),
+    and set to -1 an input error (exit 2): every parser reads its n through
+    the cap, before the object's matrices, which are sized for another n."""
+    n_max = 1
+    inp, out = tmp_path / "in.json", tmp_path / "out.json"
+    docs = [doc for c, doc in fuzz_seed_documents(tmp_path) if c == command]
+    assert docs
+    for doc in docs:
+        paths = list(_n_paths(doc))
+        assert paths
+        for n, expected in ((n_max + 1, 1), (-1, 2)):
+            for changed in [_with_n(doc, n, [path]) for path in paths] + [_with_n(doc, n, paths)]:
+                inp.write_text(json.dumps(changed))
+                out.unlink(missing_ok=True)
+                capsys.readouterr()
+                code = main([command, "--input", str(inp), "--output", str(out),
+                             "--n-max", str(n_max)])
+                err = capsys.readouterr().err
+                assert code == expected, changed
+                if expected == 1:
+                    assert err == ""
+                    assert json.loads(out.read_text()) == {
+                        "error": "domain-error",
+                        "detail": f"n = {n} exceeds the safety cap --n-max = {n_max}"}
+                else:
+                    assert err == f"input error: n = {n} is negative\n" and not out.exists()
 
 
 FUZZ_LEAVES = [0, 1, -1, 2, True, False, None, [], {}, "x", "", "1/0", "1e400", "0.5",

@@ -179,6 +179,23 @@ def test_splitting_rejects_bad_bases():
         IsotropicSplitting(1, [e[:, 0], [2 * x for x in e[:, 1]]], [e[:, 2], e[:, 3]])
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_splitting_names_a_misshapen_basis_as_a_value_error(n):
+    # a wrong number of vectors or a vector of the wrong length is a shape
+    # error, not a failure of isotropy
+    d = 2 * n
+    e = xl.eye(4 * n)
+    cols = [e[:, i] for i in range(4 * n)]
+    cases = [(cols[:d - 1], cols[d:], f"{d - 1} and {d} of lengths \\[{2 * d}\\]"),
+             (cols[:d], cols[d:] + [cols[0]], f"{d} and {d + 1} of lengths \\[{2 * d}\\]"),
+             ([cols[0][:-1]] + cols[1:d], cols[d:],
+              f"{d} and {d} of lengths \\[{2 * d - 1}, {2 * d}\\]")]
+    for basis1, basis2, shapes in cases:
+        with pytest.raises(ValueError, match=f"^splitting bases for n = {n} must be {d} "
+                                             f"vectors of length {2 * d}, not {shapes}$"):
+            IsotropicSplitting(n, basis1, basis2)
+
+
 def test_splitting_names_a_non_basis_without_its_determinant():
     z = "^basis1 \\+ basis2 is not a Z-basis of Lambda$"
     e = xl.eye(4)

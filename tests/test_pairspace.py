@@ -17,7 +17,7 @@ from torusmirror.pairspace import (WeakPair, classify_pair, conjugate_pair, i_om
                                    is_isotropic, is_q_isometry, make_weak_pair, q_gram, q_left,
                                    recover_omega)
 from torusmirror.siegel import translation_element
-from torusmirror.torus import check_polarization, make_torus, polarization_form
+from torusmirror.torus import check_polarization, is_ns_form, make_torus, polarization_form
 
 J_SQUARE = xl.mat([[0, -1], [1, 0]])
 PHI = xl.mat([[0, 1], [-1, 0]])
@@ -31,9 +31,24 @@ def square_pair(t1=0, t2=1):
 def test_weak_pair_rejects_forms_that_are_not_skew():
     A = make_torus(1, J_SQUARE)
     for phi1, phi2 in ((xl.mat([[0, 1], [1, 0]]), PHI), (PHI, xl.mat([[1, 1], [-1, 0]]))):
-        with pytest.raises(NotNSForm, match="^phi1 and phi2 must be skew$"):
+        with pytest.raises(NotNSForm, match="^phi1/phi2 must be skew and J-invariant$"):
             WeakPair(A, phi1, phi2)
     assert xl.mat_eq(i_omega(WeakPair(A, xl.zeros(2), PHI)), i_omega(square_pair()))
+
+
+def test_weak_pair_rejects_skew_forms_that_are_not_j_invariant():
+    # on the square n = 2 torus J = diag(R, R), e1^e2 + e3^e4 is an NS form
+    # and the skew e1^e3 is not
+    A = make_torus(2, xl.block([[J_SQUARE, xl.zeros(2)], [xl.zeros(2), J_SQUARE]]))
+    e13 = xl.zeros(4)
+    e13[0, 2], e13[2, 0] = 1, -1
+    phi = xl.block([[PHI, xl.zeros(2)], [xl.zeros(2), PHI]])
+    assert is_ns_form(A, phi) and xl.is_skew(e13) and not is_ns_form(A, e13)
+    for phi1, phi2 in ((e13, phi), (xl.zeros(4), phi + e13)):
+        for make in (WeakPair, make_weak_pair):
+            with pytest.raises(NotNSForm, match="^phi1/phi2 must be skew and J-invariant$"):
+                make(A, phi1, phi2)
+    assert classify_pair(WeakPair(A, xl.zeros(4), phi)) == "AlgebraicPlus"
 
 
 def test_i_omega_block_22_is_the_product(rng):

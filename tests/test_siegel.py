@@ -202,12 +202,14 @@ def _ns_multiple(p):
 
 
 def test_require_q_isometry_rejects_a_wrong_shape():
-    # Q.g swaps the row halves of g, which needs 4n rows; 4n rows and the
-    # wrong number of columns give a g^T Q g of the wrong size
-    with pytest.raises(ValueError):
+    # g must be 4n x 4n before g^T Q g is formed: a wrong number of rows or
+    # of columns is a shape error, named with both shapes
+    with pytest.raises(ValueError, match="^g must be 4x4 for n = 1, not 6x4$"):
         require_q_isometry(xl.eye(6)[:, :4], 1)
-    with pytest.raises(FormMismatch):
+    with pytest.raises(ValueError, match="^g must be 4x4 for n = 1, not 4x3$"):
         require_q_isometry(xl.eye(4)[:, :3], 1)
+    with pytest.raises(FormMismatch):
+        require_q_isometry(2 * xl.eye(4), 1)
 
 
 def test_non_isometry_rejected_by_stabilizer_and_action():

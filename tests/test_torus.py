@@ -4,7 +4,7 @@ from conftest import (elliptic_sample, gaussian_torus, ns_basis_by_all_entries,
                       rand_ns_form, rand_skew, well_becoming_sample)
 from torusmirror import exactlin as xl
 from torusmirror.errors import NotComplexStructure
-from torusmirror.torus import (NSVector, check_polarization, dual_torus,
+from torusmirror.torus import (NSVector, Torus, check_polarization, dual_torus,
                                find_polarization, hom_space, make_torus,
                                is_ns_form, ns_basis, polarization_form)
 
@@ -18,6 +18,18 @@ def test_make_torus_validates():
         make_torus(1, xl.eye(2))
     with pytest.raises(NotComplexStructure):
         make_torus(2, J_SQUARE)
+
+
+def test_torus_validates_as_make_torus_does():
+    # the constructor holds the checks, so a Torus is never made from a J
+    # that make_torus rejects, and both raise the same error
+    for n, J, message in ((1, xl.eye(2), "^J\\^2 != -identity$"), (1, xl.eye(3), "^J must be 2x2$"),
+                          (2, J_SQUARE, "^J must be 4x4$")):
+        for make in (Torus, make_torus):
+            with pytest.raises(NotComplexStructure, match=message):
+                make(n, J)
+    with pytest.raises(NotComplexStructure, match="^J\\^2 != -identity$"):
+        Torus(1, [[1, 0], [0, 1]])
 
 
 def test_dual_torus_double_dual():
