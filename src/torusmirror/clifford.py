@@ -177,14 +177,6 @@ def _source_terms(n):
                  for m in range(1 << (2 * n)))
 
 
-@cache
-def _generator_terms(n):
-    """Per generator e_k, the triples (m, row, sign) with cor(e_k) x_m =
-    sign * x_row: its column map without the monomials it kills."""
-    return tuple(tuple((m,) + image for m, image in enumerate(col) if image is not None)
-                 for col in _generator_maps(n))
-
-
 def _signed(coords):
     """The coordinates of a vector of Lambda followed by their negatives, the
     list that _cor_apply reads; built once per vector that is applied."""
@@ -393,11 +385,14 @@ def _spin_conjugation(z):
     rev_units = [rev[unit] for unit in units]
     z_units = [zr[unit] for unit in units]
     r_cols = []
-    for kept in _generator_terms(n):
+    for col in _generator_maps(n):
         # the nonzero entries of row 0 of z cor(e_k) and of column 0 of
         # cor(e_k) z', as their positions and their values
         top_at, top, bottom_at, bottom = [], [], [], []
-        for m, image, sign in kept:
+        for m, term in enumerate(col):
+            if term is None:
+                continue
+            image, sign = term
             if z0[image]:
                 top_at.append(m)
                 top.append(sign * z0[image])

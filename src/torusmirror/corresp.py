@@ -9,7 +9,7 @@ second-factor part of any term whose first-factor part is the full monomial.
 from functools import cache
 from operator import itemgetter, mul
 
-from .clifford import (SpinVec, _check_masks, _complement_signs, _generator_terms, _signed,
+from .clifford import (SpinVec, _check_masks, _complement_signs, _generator_maps, _signed,
                        exterior_exp, popcount, wedge)
 
 
@@ -179,14 +179,15 @@ def xi_from_mirror(n):
 def _kernel_classes(n):
     """Per generator e_k, the kernel class of its map on combined masks, as
     product_class_from_map builds it: sign * eps[full ^ s] at
-    (full ^ s) | row << 2n for each term (s, row, sign) of _generator_terms(n)
-    (the Koszul factor is 1, as |row| = |s| +- 1).  _diagram_layout reads
+    (full ^ s) | row << 2n for each s that _generator_maps(n)[k] sends to
+    (row, sign) (the Koszul factor is 1, as |row| = |s| +- 1).  _diagram_layout reads
     them once per n into its expected values."""
     d = 2 * n
     full = (1 << d) - 1
     eps = _complement_signs(n)
-    return tuple({(full ^ s) | row << d: sign * eps[full ^ s] for s, row, sign in terms}
-                 for terms in _generator_terms(n))
+    return tuple({(full ^ s) | term[0] << d: term[1] * eps[full ^ s]
+                  for s, term in enumerate(col) if term is not None}
+                 for col in _generator_maps(n))
 
 
 @cache

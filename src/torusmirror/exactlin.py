@@ -234,7 +234,7 @@ def _combine(a, b, sign):
 
 def mat(rows):
     """A new exact matrix read row by row from a nested sequence of ints and
-    rationals (lists, a numpy array, a Matrix); a flat sequence is one row."""
+    rationals (lists, a numpy array, a Matrix)."""
     if type(rows) is Matrix:
         return rows.copy()
     shape = getattr(rows, "shape", ())
@@ -242,9 +242,6 @@ def mat(rows):
         # a numpy object array hands over its entries as they are in one call
         out = rows.tolist()
     else:
-        rows = list(rows)
-        if rows and isinstance(rows[0], Rational):
-            rows = [rows]
         out = [list(row) for row in rows]
     ncols = len(out[0]) if out else (shape[1] if len(shape) == 2 else 0)
     if any(len(row) != ncols for row in out):
@@ -410,10 +407,7 @@ class Echelon:
     def reduce(self, row):
         """What is left of row, up to a nonzero scale, after clearing every
         pivot column; {} if row lies in the span of the rows added."""
-        return self._reduce(dict(zip(row, _clear_denominators(row.values())[1])))
-
-    def _reduce(self, row):
-        """reduce for a new dict of ints, which it clears in place."""
+        row = dict(zip(row, _clear_denominators(row.values())[1]))
         # stored rows are zero in each other's pivot columns, so clearing
         # one pivot column never refills another
         for q in [c for c in row if c in self.int_rows]:
@@ -422,10 +416,7 @@ class Echelon:
 
     def add(self, row):
         """Add row to the span; False, changing nothing, if it is in it already."""
-        return self._insert(self.reduce(row))
-
-    def _insert(self, row):
-        """Add a reduced int row, unless it is {}."""
+        row = self.reduce(row)
         if not row:
             return False
         p = min(row)
@@ -464,7 +455,7 @@ class Echelon:
 def rank(a):
     ech = Echelon()
     for row in asmat(a).num:
-        ech._insert(ech._reduce({j: x for j, x in enumerate(row) if x}))
+        ech.add({j: x for j, x in enumerate(row) if x})
     return len(ech.int_rows)
 
 
@@ -737,8 +728,6 @@ def skew_normal_form(phi):
             i, j = _min_entry(m, t)
             if i != t:
                 swap(t, i)
-                if j == t:
-                    j = i
             if j != t + 1:
                 swap(t + 1, j)
             if m[t][t + 1] < 0:

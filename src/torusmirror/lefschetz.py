@@ -1,7 +1,6 @@
 """Hard Lefschetz sl2-triples on H*(A), the Neron-Severi Lie algebra, the
 pairing chi, and the spinor image of so(Lambda, Q)."""
 
-from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from math import gcd
@@ -39,8 +38,7 @@ class GradedOperator:
         for key, v in self.num.items():
             i, j = divmod(key, self.size)
             rows[i][j] = v
-        m = xl.mat(rows)
-        return m if self.den == 1 else m * Fraction(1, self.den)
+        return xl._wrap(rows, self.den, self.size)
 
     @cached_property
     def _by_row(self):

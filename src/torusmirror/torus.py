@@ -87,8 +87,6 @@ def _saturated(basis):
     """Z-basis of the integer points of the rational span of the vectors basis:
     each vector is made primitive, its denominators cleared and its content
     divided out, before the span is saturated."""
-    if not basis:
-        return []
     rows = []
     for v in basis:
         row = xl._clear_denominators(v)[1]

@@ -13,12 +13,13 @@ from conftest import (beta_explicit, beta_iso_by_kernel, contract_apply, cor_act
 from torusmirror import clifford as cl
 from torusmirror import exactlin as xl
 from torusmirror.clifford import (IsotropicSplitting, SpinVec, _complement_signs, _cor_apply,
-                                  _generator_maps, _generator_terms, _has_grade,
+                                  _generator_maps, _has_grade,
                                   _involution_form, _meet_dim, _sign_normalize, _signed,
                                   _source_terms, _transport, beta_iso, beta_parity,
                                   clifford_involution, is_spin, popcount,
                                   pure_spinor, r_of_z, spin_lift)
-from torusmirror.errors import FormMismatch, NoIntertwiner, NotEven, NotIsotropic, NotSpin
+from torusmirror.errors import (FormMismatch, MixedParity, NoIntertwiner, NotEven, NotIsotropic,
+                               NotSpin)
 from torusmirror.pairspace import is_isotropic, q_gram
 
 
@@ -252,6 +253,23 @@ def test_beta_full_swap_and_half_swap_parity():
     b_half = beta_iso(std, half_swap)
     assert beta_parity(b_full, std, full_swap) == "Even"
     assert beta_parity(b_half, std, half_swap) == "Odd"
+
+
+def test_beta_parity_names_an_operator_of_mixed_parity():
+    n = 1
+    e = xl.eye(4)
+    std = standard_splitting(n)
+    full_swap = IsotropicSplitting(n, [e[:, 2], e[:, 3]], [e[:, 0], e[:, 1]])
+    half_swap = IsotropicSplitting(n, [e[:, 2], e[:, 1]], [e[:, 0], e[:, 3]])
+    with pytest.raises(MixedParity, match="^intertwiner is not graded$"):
+        beta_parity(xl.zeros(4), std, std)
+    mixed = xl.eye(4)
+    mixed[0, 1] = 1
+    with pytest.raises(MixedParity, match="^intertwiner is not graded$"):
+        beta_parity(mixed, std, std)
+    # an even intertwiner, against first halves that meet in dimension 1
+    with pytest.raises(MixedParity, match="^grading parity disagrees with the intersection rank$"):
+        beta_parity(beta_iso(std, full_swap), std, half_swap)
 
 
 def test_beta_parity_rejects_splittings_of_different_sizes():
@@ -943,12 +961,11 @@ def test_generator_maps_are_one_immutable_table_per_n(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_source_terms_are_one_immutable_table_per_n(n):
-    terms, by_generator = _source_terms(n), _generator_terms(n)
-    assert _source_terms(n) is terms and _generator_terms(n) is by_generator
-    for table, build in ((terms, _source_terms), (by_generator, _generator_terms)):
-        assert type(table) is tuple and all(type(entry) is tuple for entry in table)
-        fresh = build.__wrapped__(n)
-        assert fresh is not table and fresh == table
+    terms = _source_terms(n)
+    assert _source_terms(n) is terms
+    assert type(terms) is tuple and all(type(entry) is tuple for entry in terms)
+    fresh = _source_terms.__wrapped__(n)
+    assert fresh is not terms and fresh == terms
     # the same signed permutations as the one-generator operators bit by bit:
     # x_m has exactly 2n terms, one per generator that does not kill it
     d = 2 * n
@@ -960,10 +977,6 @@ def test_source_terms_are_one_immutable_table_per_n(n):
         want = {k: image for k, apply in enumerate(applies)
                 if (image := apply(n, k % d + 1, {m: 1}))}
         assert got == want
-    for k, entry in enumerate(by_generator):
-        assert len(entry) == 1 << (d - 1)
-        assert {m: {row: sign} for m, row, sign in entry} == {
-            m: image for m in range(1 << d) if (image := applies[k](n, k % d + 1, {m: 1}))}
 
 
 def _sparse_vector(rng, size):

@@ -3,6 +3,7 @@ from itertools import permutations
 from math import gcd, lcm
 
 import ast
+import re
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ from conftest import (FractionEchelon, fraction_add, fraction_det, fraction_mat_
                       smith_normal_form)
 import torusmirror
 from torusmirror import exactlin as xl
-from torusmirror.errors import Degenerate, NotSymmetric, SingularMatrix
+from torusmirror.errors import Degenerate, NotSkew, NotSymmetric, SingularMatrix
 
 small_ints = st.integers(min_value=-6, max_value=6)
 
@@ -384,6 +385,27 @@ def test_setitem_rejects_a_grid_of_another_shape():
                                match="^cannot assign 2 rows of values to 2x2 entries$"):
                 m[[0, 1], [0, 1]] = grid
             assert xl.mat_eq(m, before)
+
+
+def _store_a_list_in_one_entry():
+    m = xl.eye(2)
+    m[0, 0] = [1]
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: xl.mul(xl.eye(2), xl.zeros(3, 2)), ValueError,
+     "cannot multiply a 2x2 matrix by a 3x2 matrix"),
+    (lambda: xl.solve_right(xl.eye(2), xl.zeros(3, 1)), ValueError,
+     "cannot solve a 2x2 system for a 3x1 right-hand side"),
+    (lambda: xl.det(xl.zeros(2, 3)), ValueError, "determinant of a non-square 2x3 matrix"),
+    (lambda: xl.to_int([[Fraction(1, 2)]]), ValueError, "matrix is not integral"),
+    (lambda: xl.mat([[0.5]]), TypeError, "matrix entry 0.5 is not an integer or a rational"),
+    (_store_a_list_in_one_entry, TypeError, "cannot store list in one matrix entry"),
+    (lambda: xl.skew_normal_form(xl.zeros(3)), NotSkew, "skew form must be square of even size"),
+], ids=["mul", "solve_right", "det", "to_int", "mat", "setitem", "skew_normal_form"])
+def test_input_checks_name_the_input(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def _dense_rows(a):

@@ -1,10 +1,10 @@
 """The package's import layers: each module imports exactly the sibling
 modules listed here, and only at module level, where a cycle would fail at
 import time.  And its public surface: every public name that no other
-module, no benchmark file and no use in its own module reaches is listed
-here with the reason it is kept.  And no module of the package or of the
-tests imports a name at module level that it never reads.  And every
-functools cache of the package is pinned with its bound."""
+module, no benchmark file and no use in its own module reaches, outside the
+names listed here, is listed here with the reason it is kept.  And no module
+of the package or of the tests imports a name at module level that it never
+reads.  And every functools cache of the package is pinned with its bound."""
 
 import ast
 import importlib
@@ -95,20 +95,29 @@ def test_no_unused_imports():
     assert not unused, f"module-level imports never read: {unused}"
 
 
-# public names that only the tests reach -> why each is kept
+# public names that only the tests reach, directly or through other names
+# listed here -> why each is kept
 TEST_ONLY = {
     "clifford.clifford_involution": "the main involution z -> z' of the Clifford algebra",
+    "clifford.exterior_exp": "the exponential of an element of the exterior algebra",
     "corresp.c1_poincare": "the first Chern class of the Poincare bundle",
     "corresp.pc_exp": "the exponential of a class, such as ch(P) from c1_poincare",
     "corresp.pc_mul": "the cup product on A x B",
+    "corresp.push_forward_correspondence": "the map on H*(A) -> H*(B) that a kernel class induces",
     "corresp.reverse_correspondence": "the correspondence read from B to A",
+    "corresp.swap_factors": "a class on A x B read on B x A",
+    "errors.DifferentSource": "the error of comparing certificates of two source pairs",
+    "exactlin.primitive_int": "the primitive integer matrix on the ray of a rational one",
     "lefschetz.chi_form": "the invariant pairing chi on H*(A)",
     "lefschetz.lefschetz_e": "the cup product e_kappa, without the hard Lefschetz f_kappa",
     "mirror.compare_mirror_isos": "compares two mirror certificates",
     "pairspace.conjugate_pair": "the conjugate pair phi1 - i phi2",
+    "pairspace.q_left": "the product Q.m with the hyperbolic form",
     "siegel.act_on_pair": "the Siegel action as a weak pair",
+    "siegel.blocks": "the four Gamma/Gamma* blocks of a group element",
     "siegel.stabilizer_check": "the stabilizer of omega in the symmetry group",
     "siegel.translation_element": "the translations omega -> omega + eta",
+    "siegel.u_membership": "membership of the unimodular group U(Lambda_A)",
     "torus.check_polarization": "the polarization test of a Neron-Severi class",
     "torus.dual_torus": "the dual torus",
     "torus.find_polarization": "the README's closed-form polarization",
@@ -142,49 +151,71 @@ def _import_source(node):
 
 
 def _reached(tree, own=None):
-    """(module.name reached, attribute names read) in one file: a name
-    imported from a sibling module, read as an attribute of a sibling module
-    (bound by an import, or as torusmirror.module), or, in its own module,
-    read outside its own definition."""
-    aliases, found, attrs = {}, set(), set()
+    """{owner: (module.name reached, attribute names read)} in one file, per
+    owner: module.name of each module-level def and class of the package
+    module own, and None for the rest of the file (all of it outside the
+    package).  A name is reached where it is read as a name imported from a
+    sibling module, as an attribute of a sibling module (bound by an import,
+    or as torusmirror.module), or, in its own module, outside its own
+    definition."""
+    aliases, imported = {}, {}
     for node in ast.walk(tree):
         source = _import_source(node)
         if source == "":
             aliases.update((a.asname or a.name, a.name) for a in node.names)
         elif source:
-            found |= {f"{source.split('.')[0]}.{a.name}" for a in node.names}
+            imported.update((a.asname or a.name, f"{source.split('.')[0]}.{a.name}")
+                            for a in node.names)
         elif isinstance(node, ast.Import):
             aliases.update((a.asname, a.name.split(".")[1]) for a in node.names
                            if a.asname and a.name.startswith("torusmirror."))
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute):
-            attrs.add(node.attr)
-            v = node.value
-            if isinstance(v, ast.Name) and v.id in aliases:
-                found.add(f"{aliases[v.id]}.{node.attr}")
-            elif (isinstance(v, ast.Attribute) and isinstance(v.value, ast.Name)
-                  and v.value.id == "torusmirror"):
-                found.add(f"{v.attr}.{node.attr}")
-    if own is not None:
-        for top in tree.body:
-            name = getattr(top, "name", None)
-            found |= {f"{own}.{node.id}" for node in ast.walk(top)
-                      if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
-                      and node.id != name}
-    return found, attrs
+    out = {}
+    for top in tree.body:
+        name = getattr(top, "name", None) if own is not None else None
+        found, attrs = out.setdefault(name and f"{own}.{name}", (set(), set()))
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                if node.id in imported:
+                    found.add(imported[node.id])
+                elif own is not None and node.id != name:
+                    found.add(f"{own}.{node.id}")
+            elif isinstance(node, ast.Attribute):
+                attrs.add(node.attr)
+                v = node.value
+                if isinstance(v, ast.Name) and v.id in aliases:
+                    found.add(f"{aliases[v.id]}.{node.attr}")
+                elif (isinstance(v, ast.Attribute) and isinstance(v.value, ast.Name)
+                      and v.value.id == "torusmirror"):
+                    found.add(f"{v.attr}.{node.attr}")
+    return out
 
 
 def test_public_names_reached_only_by_tests_are_pinned():
-    public, found, attrs = [], set(), set()
-    for name, tree in _trees().items():
-        public += _public_names(tree, name)
-        f, a = _reached(tree, name)
-        found |= f
-        attrs |= a
-    for path in sorted(BENCH.glob("*.py")):
-        f, a = _reached(ast.parse(path.read_text(), filename=str(path)))
-        found |= f
-        attrs |= a
+    public, graph = [], {}
+    trees = [(tree, name) for name, tree in _trees().items()]
+    trees += [(ast.parse(path.read_text(), filename=str(path)), None)
+              for path in sorted(BENCH.glob("*.py"))]
+    for tree, name in trees:
+        if name is not None:
+            public += _public_names(tree, name)
+        for owner, (f, a) in _reached(tree, name).items():
+            found, attrs = graph.setdefault(owner, (set(), set()))
+            found |= f
+            attrs |= a
+    # follow what is reached from the benchmark, from module-level code and
+    # from the public names not pinned here, so a name that only pinned names
+    # reach, directly or through private helpers, is unreached
+    todo = [None] + [name for name in graph if name is not None and name not in TEST_ONLY
+                     and not name.split(".")[1].startswith("_")]
+    found, attrs, seen = set(), set(), set()
+    while todo:
+        owner = todo.pop()
+        if owner in seen or owner not in graph:
+            continue
+        seen.add(owner)
+        found |= graph[owner][0]
+        attrs |= graph[owner][1]
+        todo += graph[owner][0]
     # a method is reached wherever an attribute of its name is read
     unreached = {name for name in public if name not in found
                  and (name.count(".") < 2 or name.rsplit(".", 1)[1] not in attrs)}
@@ -201,7 +232,6 @@ def test_public_names_reached_only_by_tests_are_pinned():
 CACHES = {
     "clifford._generator_maps": None,
     "clifford._source_terms": None,
-    "clifford._generator_terms": None,
     "clifford._complement_signs": None,
     "clifford._involution_form": None,
     "clifford._last_spin_conjugation": 1,

@@ -303,6 +303,15 @@ def test_elliptic_factors_rejects_non_dividing_deltas():
         elliptic_factors(pB, [2, 3])
 
 
+def test_elliptic_factors_rejects_a_torus_that_is_not_a_product():
+    # each pair block squares to -1, but J[0][1] couples the pairs (0, 2) and (1, 3)
+    A = make_torus(2, [[0, 1, -1, 0], [0, 0, 0, -1], [1, 0, 0, -1], [0, 1, 0, 0]])
+    pB = make_weak_pair(A, xl.zeros(4), find_polarization(A).c)
+    with pytest.raises(ValueError, match=re.escape(
+            "J of pB couples the index pairs [0, 2] and [1, 3]: J[0, 1] = 1, not 0")):
+        elliptic_factors(pB, [1, 1])
+
+
 def block_rotation(n):
     """J = diag(R, ..., R) with R the square structure on (e_2i-1, e_2i)."""
     J = xl.zeros(2 * n)

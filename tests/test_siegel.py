@@ -47,6 +47,12 @@ def test_ns_translations_are_group_members():
     assert not u_membership(translation_element(eta, 2), make_torus(2, J))
 
 
+def test_membership_is_false_for_a_wrong_shape():
+    A = make_torus(1, J_SQUARE)
+    for g in (xl.eye(2), xl.eye(8), xl.zeros(4, 3)):
+        assert u_membership(g, A) is False
+
+
 def test_membership_needs_special_isometry():
     A = make_torus(1, J_SQUARE)
     assert u_membership(xl.eye(4), A)
