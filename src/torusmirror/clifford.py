@@ -459,29 +459,51 @@ def pure_spinor(n, vectors):
     standard realization, where the module coordinates of a vector of Lambda
     are the vector itself.
 
-    It is Chevalley's pure spinor exp(B) ^ theta_1 ^ ... ^ theta_k.  One
-    fraction-free elimination of the vectors, contraction part first, gives
-    a basis of L: a row with its pivot c_a > 0 in contraction column r_a is
-    c_a u_a, with u_a = (p_a, x_a) 1 at r_a and 0 at the other pivots; the
-    rows with their pivot in the wedge part span L & W, and their wedge parts
-    are positive multiples of the theta's.  B = sum_{a<b} -x_a(p_b) x_{r_a} ^
-    x_{r_b} has i_{p_a} B = -x_a modulo the theta's (Q vanishes on L), so
-    cor(u_a) kills exp(B) ^ theta.
+    The vectors come from the caller, so this checks, in this order, that
+    each has 4n entries (ValueError), that they span 2n dimensions
+    (NoIntertwiner) and that Q vanishes on them (NotIsotropic); _vacuum then
+    builds the line.
     """
-    d = 2 * n
     vectors = [list(v) for v in vectors]
-    ech = xl.Echelon()
     for v in vectors:
         # a vector of Lambda has 4n coordinates; zip would drop or ignore the rest
         if len(v) != 4 * n:
             raise ValueError(f"a vector of Lambda has {4 * n} entries for n = {n}, "
                              f"not {len(v)}")
-        ech.add({j: x for j, x in enumerate(v) if x})
-    basis = ech.int_rows
-    if len(basis) != d:
-        raise NoIntertwiner(f"the vectors span {len(basis)} dimensions, not {d}")
+    basis = _span_basis(n, vectors)
     if not is_isotropic(vectors):
         raise NotIsotropic("Q does not vanish on the vectors")
+    return {m: x for m, x in enumerate(_vacuum(n, vectors, basis)) if x}
+
+
+def _span_basis(n, vectors):
+    """The fraction-free echelon basis {pivot: int row} of the span of the
+    vectors of Lambda, contraction part first; NoIntertwiner unless it has
+    2n rows."""
+    ech = xl.Echelon()
+    for v in vectors:
+        ech.add({j: x for j, x in enumerate(v) if x})
+    basis = ech.int_rows
+    if len(basis) != 2 * n:
+        raise NoIntertwiner(f"the vectors span {len(basis)} dimensions, not {2 * n}")
+    return basis
+
+
+def _vacuum(n, vectors, basis):
+    """The primitive integral vacuum of the Lagrangian L = span(vectors), a
+    dense int list over the 4^n monomials, from the echelon basis of L that
+    _span_basis gives.  Q must vanish on L (the caller's to check).
+
+    It is Chevalley's pure spinor exp(B) ^ theta_1 ^ ... ^ theta_k.  A row of
+    the basis with its pivot c_a > 0 in contraction column r_a is c_a u_a,
+    with u_a = (p_a, x_a) 1 at r_a and 0 at the other pivots; the rows with
+    their pivot in the wedge part span L & W, and their wedge parts are
+    positive multiples of the theta's.  B = sum_{a<b} -x_a(p_b) x_{r_a} ^
+    x_{r_b} has i_{p_a} B = -x_a modulo the theta's (Q vanishes on L), so
+    cor(u_a) kills exp(B) ^ theta.  That every cor(m), m a vector, kills the
+    result is checked: RuntimeError if not.
+    """
+    d = 2 * n
     pivots = sorted(basis)
     theta = {0: 1}
     for p in pivots:
@@ -506,7 +528,7 @@ def pure_spinor(n, vectors):
     for v in vectors:
         if any(_cor_apply(terms, _signed(v), phi)):
             raise RuntimeError("pure spinor: cor(m) phi = 0 fails for a vector m of L")
-    return {m: x for m, x in enumerate(phi) if x}
+    return phi
 
 
 def _sign_normalize(m):
@@ -522,27 +544,37 @@ def spin_lift(g):
     """The lift of an integral Q-isometry g of Lambda to the spinor module: the
     primitive integral 4^n x 4^n matrix z with z cor(mu) = cor(g mu) z for
     every mu in Lambda, unique up to sign, sign-normalized so that the first
-    nonzero entry in row-major order is positive.  FormMismatch when g is not
-    an integral 4n x 4n matrix with g^t Q g = Q.
+    nonzero entry in row-major order is positive.
 
-    Built by vacuum transport: z sends the vacuum, the line that the cor(l_i)
-    kill, to the pure spinor of the columns g l_i, and x_S = cor(x_{s_1}) ...
-    cor(x_{s_k}) 1 to cor(g x_{s_1}) ... cor(g x_{s_k}) of it.
+    g comes from the caller, so this checks it: FormMismatch when g is not an
+    integral 4n x 4n matrix with g^t Q g = Q.  _lift then builds z with no
+    further check on g, as the columns of a Q-isometry are independent and
+    its first 2n columns isotropic.
     """
     g = xl.asmat(g)
     n = g.shape[0] // 4
-    d = 2 * n
-    if g.shape != (2 * d, 2 * d):
+    if g.shape != (4 * n, 4 * n):
         raise FormMismatch(f"a map of Lambda is a 4n x 4n matrix, not {g.shape}")
     if not xl.is_integral(g):
         raise FormMismatch("the map of Lambda is not integral")
     if not is_q_isometry(g):
         raise FormMismatch("the map of Lambda does not preserve Q")
+    return _lift(g)
+
+
+def _lift(g):
+    """spin_lift of a 4n x 4n Matrix g that is known to be an integral
+    Q-isometry, by vacuum transport: z sends the vacuum, the line that the
+    cor(l_i) kill, to the vacuum of the columns g l_i, and x_S =
+    cor(x_{s_1}) ... cor(x_{s_k}) 1 to cor(g x_{s_1}) ... cor(g x_{s_k}) of it.
+    """
+    n = len(g.num) // 4
+    d = 2 * n
     cols = [list(c) for c in zip(*g.num)]
-    phi = pure_spinor(n, cols[:d])
-    # integral, and primitive since column 0 is the primitive phi
+    lagrangian = cols[:d]
+    # integral, and primitive since column 0 is the primitive vacuum
     return _sign_normalize(_transport(_source_terms(n), cols[d:],
-                                      [phi.get(m, 0) for m in range(1 << d)]))
+                                      _vacuum(n, lagrangian, _span_basis(n, lagrangian))))
 
 
 def beta_iso(s1, s2):
@@ -551,10 +583,12 @@ def beta_iso(s1, s2):
     sign-normalized so the first nonzero entry in row-major order is positive.
 
     With cor_s(lambda) = cor(w_s^-1 lambda), beta cor_{s1}(lambda) =
-    cor_{s2}(lambda) beta says that beta is the lift of h = w_2^-1 w_1, an
-    integral Q-isometry since both w's are.
+    cor_{s2}(lambda) beta says that beta is the lift of h = w_2^-1 w_1.  Each
+    IsotropicSplitting has checked its halves and built w with w^t Q w = Q and
+    w_inv = Q w^t Q, both integral, so h is an integral Q-isometry with no
+    test here, and _lift builds its lift directly.
     """
-    return spin_lift(xl.mul(s2.w_inv, s1.w))
+    return _lift(xl.mul(s2.w_inv, s1.w))
 
 
 def _meet_dim(s1, s2):

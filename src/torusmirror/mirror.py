@@ -257,6 +257,9 @@ def elliptic_factors(pB, deltas):
 
     The mirror torus of elliptic_mirror decomposes over the index pairs
     (i, n+i); the isogeny sends the first factor's basis to (e_i, (d_i/d_1)e_{n+i}).
+    pB and deltas come from the caller: ValueError when deltas are not n
+    positive multiples of the first, when J of pB couples two index pairs, or
+    when a factor is not isogenous to the first by its isogeny.
     """
     n = pB.torus.n
     if not (len(deltas) == n and all(type(d) is int and d > 0 for d in deltas)
@@ -277,7 +280,8 @@ def elliptic_factors(pB, deltas):
         factors.append(make_torus(1, block))
         f = xl.mat([[1, 0], [0, deltas[i] // deltas[0]]])
         if not xl.mat_eq(xl.mul(block, f), xl.mul(f, factors[0].J)):
-            raise RuntimeError(f"factor {i} is not isogenous to factor 0 by {f.tolist()}")
+            raise ValueError(f"deltas {deltas!r} do not fit pB: factor {i} is not isogenous "
+                             f"to factor 0 by {f.tolist()}")
         isogenies.append(f)
     return factors, isogenies
 

@@ -1145,3 +1145,25 @@ def same_modulus(z, w):
     """Do z and w reduce to one point, up to the orientation reversal
     w -> -conj(w)?"""
     return reduce_modulus(z) in (reduce_modulus(w), reduce_modulus((-w[0], w[1])))
+
+
+def general_modulus_sample(rng):
+    """(A, rho, phi, w) at n = 1: A = C/(Z + Z tau) in a random basis of
+    Gamma, for a rational tau = x + i y drawn until the reflection z -> -conj(z)
+    does not fix its point of the fundamental domain; phi the principal
+    polarization in that basis, rho = (f1, f2) with f2 != 0 for the pair
+    (A, f1 phi, f2 phi), and w the witness (Gamma_1, Gamma_2) = (Z, Z tau).
+    J = [[-x/y, -(x^2 + y^2)/y], [1/y, x/y]] in the basis (1, tau), which the
+    witness shows well-becoming, as both off-diagonal entries are nonzero."""
+    while True:
+        x, y = rand_rational(rng), abs(rand_rational(rng, nonzero=True))
+        z = reduce_modulus((x, y))
+        if reduce_modulus((-z[0], z[1])) != z:
+            break
+    j0 = xl.mat([[-x / y, -(x * x + y * y) / y], [1 / y, x / y]])
+    t = rand_unimodular(rng, 2)
+    t_inv = xl.to_int(xl.invert(t))
+    A = make_torus(1, xl.mul(t_inv, xl.mul(j0, t)))
+    phi = xl.mul(t.T, xl.mul(xl.mat([[0, 1], [-1, 0]]), t))
+    rho = (rand_rational(rng), rand_rational(rng, nonzero=True))
+    return A, rho, phi, WellBecomingWitness([t_inv[:, 0]], [t_inv[:, 1]])

@@ -479,6 +479,40 @@ def test_beta_is_the_lift_of_the_change_of_splitting(rng, n):
         assert xl.mat_eq(beta_iso(s1, s2), spin_lift(xl.mul(s2.w_inv, s1.w)))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_the_change_of_splitting_is_an_integral_q_isometry(rng, n):
+    # what beta_iso relies on, checked here against Q itself
+    q = q_matrix(n)
+    std = standard_splitting(n)
+    randoms = [rand_splitting(rng, n) for _ in range(4)]
+    pairs = [(std, std), (std, randoms[0]), (randoms[1], std), (randoms[2], randoms[3])]
+    for s1, s2 in pairs:
+        h = xl.mul(s2.w_inv, s1.w)
+        assert xl.is_integral(h)
+        assert xl.mat_eq(xl.mul(h.T, xl.mul(q, h)), q)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_beta_runs_no_isometry_or_isotropy_test(rng, monkeypatch, n):
+    # the splittings have checked what beta needs; spin_lift checks the map
+    # it is given once, and pure_spinor the isotropy of its vectors once
+    s1, s2 = rand_splitting(rng, n), rand_splitting(rng, n)
+    h = xl.mul(s2.w_inv, s1.w)
+    lagrangian = [h[:, i] for i in range(2 * n)]
+    calls = []
+    for name in ("is_q_isometry", "is_isotropic"):
+        def counted(*args, _name=name, _real=getattr(cl, name)):
+            calls.append(_name)
+            return _real(*args)
+        monkeypatch.setattr(cl, name, counted)
+    for run, want in ((lambda: beta_iso(s1, s2), []),
+                      (lambda: spin_lift(h), ["is_q_isometry"]),
+                      (lambda: pure_spinor(n, lagrangian), ["is_isotropic"])):
+        del calls[:]
+        run()
+        assert calls == want
+
+
 def _reflection(n):
     """The Q-isometry that exchanges l_1 and x_1 alone, of determinant -1."""
     g = xl.eye(4 * n)

@@ -60,6 +60,12 @@ def test_empty_system_is_solved():
     assert inv.shape == (0, 0) and inv.den == 1
 
 
+def test_empty_determinant_is_the_empty_product():
+    # no rows, no pivots: the empty product
+    assert xl.det(xl.zeros(0)) == 1
+    assert xl.is_unimodular(xl.zeros(0))
+
+
 def _solve_outcome(f, *args):
     """f(*args), or the message of the SingularMatrix it raises."""
     try:

@@ -100,6 +100,9 @@ def test_no_unused_imports():
 TEST_ONLY = {
     "clifford.clifford_involution": "the main involution z -> z' of the Clifford algebra",
     "clifford.exterior_exp": "the exponential of an element of the exterior algebra",
+    "clifford.pure_spinor": "the vacuum of a Lagrangian given from outside; ROADMAP items 2-6 "
+                            "build on it",
+    "clifford.spin_lift": "the lift of a map given from outside; ROADMAP items 2-6 build on it",
     "corresp.c1_poincare": "the first Chern class of the Poincare bundle",
     "corresp.pc_exp": "the exponential of a class, such as ch(P) from c1_poincare",
     "corresp.pc_mul": "the cup product on A x B",

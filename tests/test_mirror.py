@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from conftest import (adapted_halves, adapted_splitting_by_blocks, elliptic_modulus,
-                      elliptic_sample, gaussian_pair, gaussian_torus, jprod_matrix,
-                      kahler_modulus, q_matrix, rand_q_isometry, rand_rational,
+                      elliptic_sample, gaussian_pair, gaussian_torus, general_modulus_sample,
+                      jprod_matrix, kahler_modulus, q_matrix, rand_q_isometry, rand_rational,
                       rand_unimodular, reduce_modulus, repair_candidates_by_norm, same_modulus,
                       splitting_route, standard_splitting, transversal, well_becoming_sample)
 from torusmirror import cli, clifford
@@ -309,6 +309,18 @@ def test_elliptic_factors_rejects_a_torus_that_is_not_a_product():
     pB = make_weak_pair(A, xl.zeros(4), find_polarization(A).c)
     with pytest.raises(ValueError, match=re.escape(
             "J of pB couples the index pairs [0, 2] and [1, 3]: J[0, 1] = 1, not 0")):
+        elliptic_factors(pB, [1, 1])
+
+
+def test_elliptic_factors_rejects_deltas_that_do_not_fit():
+    # a product of two curves that are not isogenous by diag(1, 1): the
+    # deltas are the caller's input, not an invariant the library broke
+    A = make_torus(2, [[0, 0, -1, 0], [0, 1, 0, -2], [1, 0, 0, 0], [0, 1, 0, -1]])
+    assert xl.mat_eq(A.J[[1, 3], [1, 3]], [[1, -2], [1, -1]])
+    pB = make_weak_pair(A, xl.zeros(4), find_polarization(A).c)
+    with pytest.raises(ValueError, match=re.escape(
+            "deltas [1, 1] do not fit pB: factor 1 is not isogenous to factor 0 by "
+            "[[1, 0], [0, 1]]")):
         elliptic_factors(pB, [1, 1])
 
 
@@ -807,18 +819,28 @@ def test_mirror_pipeline_outputs_are_pinned():
 # n = 1: the mirror exchanges the complex and the Kahler modulus
 
 
+def _reflected(z, flip):
+    """The reduced point of z, or of -conj(z) when flip."""
+    return reduce_modulus((-z[0], z[1]) if flip else z)
+
+
 def _exchanges_moduli(pA, pB):
     """tau_B reduces to rho_A, and rho_B to tau_A, up to the reflection
-    z -> -conj(z).  For tau_B the reflection is pinned: it is needed exactly
-    when r of J_B and f2 of A differ in sign, so that one of the two was
-    conjugated into the upper half plane and the other was not.  For rho_B it
-    cannot be told on these samples: each tau_A reduces to a point that the
-    reflection fixes."""
-    flip = (pB.torus.J[1, 0] > 0) != (pA.phi2[0, 1] > 0)
-    rho_a = kahler_modulus(pA)
-    want = reduce_modulus((-rho_a[0], rho_a[1]) if flip else rho_a)
-    return (reduce_modulus(elliptic_modulus(pB.torus)) == want
-            and same_modulus(kahler_modulus(pB), elliptic_modulus(pA.torus)))
+    z -> -conj(z), pinned both ways.  It is needed exactly when one of the
+    two moduli was conjugated into the upper half plane and the other was
+    not: for tau_B when r of J_B and f2 of A differ in sign, and for rho_B
+    when r of J_A and f2 of B do.  So rho_B reduces to tau_A when r of J_A
+    and f2 of B agree in sign, and to -conj(tau_A) when they differ.  On a
+    tau_A that the reflection fixes the two readings agree;
+    general_modulus_sample draws none of those."""
+    tau_b, rho_b = elliptic_modulus(pB.torus), kahler_modulus(pB)
+    return (reduce_modulus(tau_b) == _reflected(kahler_modulus(pA), _flips(pB, pA))
+            and reduce_modulus(rho_b) == _reflected(elliptic_modulus(pA.torus), _flips(pA, pB)))
+
+
+def _flips(p, q):
+    """Do r of J of p and f2 of q differ in sign?"""
+    return (p.torus.J[1, 0] > 0) != (q.phi2[0, 1] > 0)
 
 
 def test_g_mirror_exchanges_the_moduli_at_n_1(rng):
@@ -831,6 +853,38 @@ def test_elliptic_mirror_exchanges_the_moduli_at_n_1(rng):
     for _ in range(50):
         pA, pB, _ = elliptic_mirror(*elliptic_sample(rng, 1))
         assert _exchanges_moduli(pA, pB)
+
+
+def _general_tau_mirrors(rng, build):
+    """The pairs (pA, pB) that build makes from 50 general_modulus_samples,
+    each tau_A checked to reduce to a point that the reflection moves."""
+    out = []
+    for _ in range(50):
+        A, rho, phi, w = general_modulus_sample(rng)
+        tau = elliptic_modulus(A)
+        assert reduce_modulus(tau) != _reflected(tau, True)
+        out.append(build(A, rho, phi, w))
+    return out
+
+
+def _rho_flips(pairs):
+    """Each pair exchanges the moduli; the set of the rho_B reflections used."""
+    assert all(_exchanges_moduli(pA, pB) for pA, pB in pairs)
+    return {_flips(pA, pB) for pA, pB in pairs}
+
+
+def test_g_mirror_pins_the_reflection_of_rho_b_on_a_general_tau(rng):
+    def build(A, rho, phi, w):
+        pA = make_weak_pair(A, rho[0] * phi, rho[1] * phi)
+        return pA, g_mirror(pA, w)[0]
+    # both rules occur, and on these samples they tell different points apart
+    assert _rho_flips(_general_tau_mirrors(rng, build)) == {False, True}
+
+
+def test_elliptic_mirror_pins_the_reflection_of_rho_b_on_a_general_tau(rng):
+    def build(A, rho, phi, w):
+        return elliptic_mirror(A, rho, phi)[:2]
+    assert _rho_flips(_general_tau_mirrors(rng, build)) == {False, True}
 
 
 def test_the_moduli_oracle_tells_the_moduli_apart(rng):
