@@ -8,6 +8,7 @@ second-factor part of any term whose first-factor part is the full monomial.
 
 from functools import cache
 from operator import itemgetter, mul
+from types import MappingProxyType
 
 from .clifford import (SpinVec, _check_masks, _complement_signs, _generator_maps, _signed,
                        exterior_exp, popcount, wedge)
@@ -140,9 +141,9 @@ def product_class_from_map(n, m, images):
     return ProductClass(n, m, out)
 
 
-def xi_from_mirror(n):
-    """The class tau ^ exp(s D) realizing beta on the product, s = (-1)^{n-1},
-    built directly as its 4^n terms.
+@cache
+def _xi_terms(n):
+    """The 4^n terms of xi_from_mirror(n), built once per n and read-only.
 
     tau is the kernel class of the 2^n images x_low ^ x_R -> sign x_R, for R
     a subset of {n+1..2n}: its terms (high ^ R, R) lie on bits n..2n-1 of each
@@ -173,7 +174,13 @@ def xi_from_mirror(n):
         odd = -even if k & 1 else even
         for a, b, c, a_odd in tau:
             out[(a | u, b | u)] = c * odd if a_odd else c * even
-    return ProductClass(n, n, out)
+    return MappingProxyType(out)
+
+
+def xi_from_mirror(n):
+    """The class tau ^ exp(s D) realizing beta on the product, s = (-1)^{n-1}:
+    a new class on a copy of the terms of _xi_terms(n)."""
+    return ProductClass(n, n, _xi_terms(n))
 
 
 def _kernel_classes(n):

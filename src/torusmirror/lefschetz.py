@@ -1,9 +1,10 @@
 """Hard Lefschetz sl2-triples on H*(A), the Neron-Severi Lie algebra, the
 pairing chi, and the spinor image of so(Lambda, Q)."""
 
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations
 from math import gcd
+from types import MappingProxyType
 
 from . import exactlin as xl
 from .clifford import _complement_signs, _generator_maps, popcount
@@ -30,6 +31,15 @@ class GradedOperator:
         self.num = num
         self.den = den
         self.degree = degree
+
+    @classmethod
+    def _over(cls, size, num, den, degree):
+        """An operator over entries that a per-n table checked when it was
+        built: homogeneous of the degree and canonical over den.  Nothing is
+        checked again, and num is shared, read-only, with the table."""
+        op = cls.__new__(cls)
+        op.size, op.num, op.den, op.degree = size, num, den, degree
+        return op
 
     @cached_property
     def mat(self):
@@ -72,11 +82,19 @@ def _bracket(a, b):
     return {key: v for key, v in out.items() if v}
 
 
-def grading_operator(n):
-    """h acts on H^k by k - n."""
+@cache
+def _grading_entries(n):
+    """The entries of h, built and checked once per n: h acts on H^k by k - n."""
     size = 1 << (2 * n)
-    return GradedOperator(size, {m * size + m: popcount(m) - n for m in range(size)
-                                 if popcount(m) != n}, 1, 0)
+    h = GradedOperator(size, {m * size + m: popcount(m) - n for m in range(size)
+                              if popcount(m) != n}, 1, 0)
+    return MappingProxyType(h.num)
+
+
+def grading_operator(n):
+    """h acts on H^k by k - n; a new operator over the entries of
+    _grading_entries(n)."""
+    return GradedOperator._over(1 << (2 * n), _grading_entries(n), 1, 0)
 
 
 def _product(gi, gj, size):
@@ -91,18 +109,46 @@ def _product(gi, gj, size):
     return out
 
 
-def _form_operator(c, gens, size, degree):
-    """sum_{i<j} c_ij (1/2)[gens_i, gens_j] for a 2n x 2n matrix c and 2n
-    pairwise anticommuting generators (all wedges or all contractions),
-    given by their column maps; for those, (1/2)[g_i, g_j] = g_i g_j, so the
-    operator is one product per pair, over c.den."""
+@cache
+def _half_brackets(n):
+    """op_ab = (1/2)[cor(e_a), cor(e_b)] for each pair (a, b) of
+    combinations(range(4n), 2), in that order: {(a, b): (num, den, degree)},
+    built once per n, each through the GradedOperator check of homogeneity,
+    and read-only, the table and each num alike.
+
+    Contraction carries degree -1 and wedging +1.  Two generators
+    anticommute, so (1/2)[u, v] = uv, the single product of the two over
+    den 1, except for the pairs (l_k, x_k), whose anticommutator is 1: there
+    (1/2)[u, v] = uv - 1/2, an operator over den 2.
+    """
+    d = 2 * n
+    size = 1 << d
+    gens = _generator_maps(n)
+    deg = [-1 if k < d else 1 for k in range(2 * d)]
+    table = {}
+    for a, b in combinations(range(2 * d), 2):
+        num, den = _product(gens[a], gens[b], size), 1
+        if b == a + d:
+            # l_k x_k keeps the monomials without x_k: 2 l_k x_k - 1 is diagonal
+            num, den = {m * size + m: 2 * num.get(m * size + m, 0) - 1 for m in range(size)}, 2
+        op = GradedOperator(size, num, den, deg[a] + deg[b])
+        table[a, b] = (MappingProxyType(op.num), op.den, op.degree)
+    return MappingProxyType(table)
+
+
+def _form_operator(c, first, n, degree):
+    """sum_{i<j} c_ij op_{first+i, first+j} for a 2n x 2n matrix c, from the
+    half-brackets of the 2n generators from first on: the contractions from
+    0, the wedges from 2n.  Those anticommute pairwise, so each op is over
+    den 1, and the sum is an int operator over c.den."""
+    table = _half_brackets(n)
     num = {}
-    for i, j in combinations(range(len(gens)), 2):
+    for i, j in combinations(range(2 * n), 2):
         cij = c.num[i][j]
         if cij:
-            for key, v in _product(gens[i], gens[j], size).items():
+            for key, v in table[first + i, first + j][0].items():
                 num[key] = num.get(key, 0) + cij * v
-    return GradedOperator(size, {key: v for key, v in num.items() if v}, c.den, degree)
+    return GradedOperator(1 << (2 * n), {key: v for key, v in num.items() if v}, c.den, degree)
 
 
 def _skew_form(kappa):
@@ -121,7 +167,7 @@ def lefschetz_e(kappa):
     """
     c = _skew_form(kappa)
     d = c.shape[0]
-    return _form_operator(c, _generator_maps(d // 2)[d:], 1 << d, 2)
+    return _form_operator(c, d, d // 2, 2)
 
 
 def _lefschetz_pair(kappa):
@@ -129,14 +175,12 @@ def _lefschetz_pair(kappa):
     (e_kappa, None) when kappa is degenerate, so has no f_kappa."""
     c = _skew_form(kappa)
     d = c.shape[0]
-    size = 1 << d
-    gens = _generator_maps(d // 2)
-    e = _form_operator(c, gens[d:], size, 2)
+    e = _form_operator(c, d, d // 2, 2)
     try:
         inverse = xl.invert(c)
     except SingularMatrix:
         return e, None
-    f = _form_operator(inverse, gens[:d], size, -2)
+    f = _form_operator(inverse, 0, d // 2, -2)
     scale = e.den * f.den
     if _bracket(e, f) != {key: v * scale for key, v in grading_operator(d // 2).num.items()}:
         raise RuntimeError("[e_kappa, f_kappa] != h")
@@ -224,32 +268,28 @@ def chi_form(n):
     return xl.mat(x)
 
 
-def so_lambda_spinor_image(A):
-    """Spanning basis of the image of so(Lambda,Q) under the spinor action.
-
-    The image is spanned by the operators (1/2)[cor(u), cor(v)] over basis
-    vectors u, v of Lambda; each is homogeneous (contraction carries degree
-    -1, wedging +1) and the span has dimension dim so(4n) = 2n(4n-1).  Two
-    generators anticommute, so (1/2)[u, v] = uv, except for the pairs
-    (l_k, x_k), whose anticommutator is 1: there (1/2)[u, v] = uv - 1/2, an
-    operator over den 2.
-    """
-    n = A.n
-    d = 2 * n
-    size = 1 << d
-    gens = _generator_maps(n)
-    deg = [-1 if k < d else 1 for k in range(2 * d)]
+@cache
+def _so_image(n):
+    """The values of _half_brackets(n), in their order, once their span is
+    checked, once per n, to have dimension dim so(4n) = 2n(4n-1), their
+    number: each is independent of the ones before it.  A table apart from
+    _half_brackets, so that the Lefschetz operators, which read that one,
+    run no elimination over operators on H*."""
+    ops = tuple(_half_brackets(n).values())
     echelon = xl.Echelon()
-    ops = []
-    for a, b in combinations(range(2 * d), 2):
-        num, den = _product(gens[a], gens[b], size), 1
-        if b == a + d:
-            # l_k x_k keeps the monomials without x_k: 2 l_k x_k - 1 is diagonal
-            num, den = {m * size + m: 2 * num.get(m * size + m, 0) - 1 for m in range(size)}, 2
-        if echelon.add(num):
-            ops.append(GradedOperator(size, num, den, deg[a] + deg[b]))
-    basis = LieAlgebraBasis(ops)
-    if basis.dim != 2 * n * (4 * n - 1):
-        raise RuntimeError(f"so(Lambda) spinor image has dimension {basis.dim}, "
+    dim = sum(echelon.add(num) for num, _den, _degree in ops)
+    if dim != 2 * n * (4 * n - 1):
+        raise RuntimeError(f"so(Lambda) spinor image has dimension {dim}, "
                            f"not 2n(4n-1) = {2 * n * (4 * n - 1)}")
-    return basis
+    return ops
+
+
+def so_lambda_spinor_image(A):
+    """Spanning basis of the image of so(Lambda,Q) under the spinor action:
+    the operators (1/2)[cor(u), cor(v)] over pairs of basis vectors u, v of
+    Lambda (see _half_brackets), each homogeneous, which span a space of
+    dimension dim so(4n) = 2n(4n-1).  Each call returns new operators over
+    the read-only entries of the per-n table _so_image(n)."""
+    size = 1 << (2 * A.n)
+    return LieAlgebraBasis([GradedOperator._over(size, num, den, degree)
+                            for num, den, degree in _so_image(A.n)])

@@ -15,7 +15,7 @@ import faulthandler
 import os
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import factorial, floor
 from operator import mul
 
@@ -1100,6 +1100,64 @@ def in_span(ech, mat):
     size = mat.ncols
     return not ech.reduce({i * size + j: x for i, row in enumerate(mat.num)
                            for j, x in enumerate(row) if x})
+
+
+# ---------------------------------------------------------------------------
+# the operators built per call, the references for the per-n tables of
+# lefschetz (_half_brackets, _so_image and _grading_entries)
+
+
+def so_image_by_products(n):
+    """The so-image as so_lambda_spinor_image built it on every call: one
+    _product per pair (a, b) of combinations(range(4n), 2), the pair (l_k, x_k)
+    as 2 l_k x_k - 1 over den 2, each operator kept when the Echelon of those
+    before it does not hold it."""
+    d = 2 * n
+    size = 1 << d
+    gens = _generator_maps(n)
+    deg = [-1 if k < d else 1 for k in range(2 * d)]
+    echelon = xl.Echelon()
+    ops = []
+    for a, b in combinations(range(2 * d), 2):
+        num, den = lf._product(gens[a], gens[b], size), 1
+        if b == a + d:
+            num, den = {m * size + m: 2 * num.get(m * size + m, 0) - 1 for m in range(size)}, 2
+        if echelon.add(num):
+            ops.append(lf.GradedOperator(size, num, den, deg[a] + deg[b]))
+    return ops
+
+
+def form_operator_by_products(c, gens, size, degree):
+    """sum_{i<j} c_ij gens_i gens_j for 2n pairwise anticommuting generators
+    given by their column maps, one _product per pair, over c.den."""
+    num = {}
+    for i, j in combinations(range(len(gens)), 2):
+        cij = c.num[i][j]
+        if cij:
+            for key, v in lf._product(gens[i], gens[j], size).items():
+                num[key] = num.get(key, 0) + cij * v
+    return lf.GradedOperator(size, {key: v for key, v in num.items() if v}, c.den, degree)
+
+
+def lefschetz_pair_by_products(kappa):
+    """(e_kappa, f_kappa) by form_operator_by_products, f_kappa None when kappa
+    is degenerate."""
+    c = xl.asmat(kappa)
+    d = c.shape[0]
+    gens = _generator_maps(d // 2)
+    e = form_operator_by_products(c, gens[d:], 1 << d, 2)
+    try:
+        inverse = xl.invert(c)
+    except SingularMatrix:
+        return e, None
+    return e, form_operator_by_products(inverse, gens[:d], 1 << d, -2)
+
+
+def grading_operator_by_masks(n):
+    """h, which acts on H^k by k - n, built from every monomial."""
+    size = 1 << (2 * n)
+    return lf.GradedOperator(size, {m * size + m: popcount(m) - n for m in range(size)
+                                    if popcount(m) != n}, 1, 0)
 
 
 # ---------------------------------------------------------------------------

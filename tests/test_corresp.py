@@ -345,3 +345,15 @@ def test_product_class_from_map_rejects_masks_outside_their_factor():
     with pytest.raises(ValueError, match="^mask -1 does not fit n = 2"):
         cp.product_class_from_map(2, 1, {-1: {1: 1}})
     assert cp.product_class_from_map(2, 1, {15: {3: 1}}).coeffs == {(0, 3): 1}
+
+
+def test_xi_is_a_new_class_over_read_only_terms():
+    xi = cp.xi_from_mirror(3)
+    key = next(iter(xi.coeffs))
+    xi.coeffs[key] = -xi.coeffs[key]
+    del xi.coeffs[next(iter(xi.coeffs))]
+    again = cp.xi_from_mirror(3)
+    assert again is not xi and again.coeffs is not xi.coeffs
+    assert again == xi_by_exponential(3)
+    with pytest.raises(TypeError):
+        cp._xi_terms(3)[key] = 0

@@ -239,6 +239,10 @@ CACHES = {
     "clifford._involution_form": None,
     "clifford._last_spin_conjugation": 1,
     "corresp._diagram_layout": None,
+    "corresp._xi_terms": None,
+    "lefschetz._grading_entries": None,
+    "lefschetz._half_brackets": None,
+    "lefschetz._so_image": None,
 }
 CACHE_MAKERS = {"cache", "lru_cache"}
 

@@ -5,10 +5,11 @@ from math import comb, gcd
 import pytest
 
 from conftest import (cor_matrix_by_columns, gaussian_torus, generate_g_ns_by_all_pairs,
-                      in_span, ops_echelon, rand_skew, rand_unimodular, sign_below)
+                      grading_operator_by_masks, in_span, lefschetz_pair_by_products,
+                      ops_echelon, rand_skew, rand_unimodular, sign_below, so_image_by_products)
 from torusmirror import exactlin as xl
 from torusmirror import lefschetz as lf
-from torusmirror.clifford import popcount
+from torusmirror.clifford import _generator_maps, popcount
 from torusmirror.errors import NoHardLefschetz, NotSkew
 from torusmirror.lefschetz import (chi_form, generate_g_ns, grading_operator,
                                    lefschetz_e, lefschetz_f,
@@ -523,3 +524,130 @@ def test_g_ns_of_the_gaussian_torus(rng, n):
     degrees = [op.degree for op in g.ops]
     assert g.dim == len(degrees) == {2: 15, 3: 35, 4: 63}[n]
     assert sorted(degrees) == [-2] * n * n + [0] * (2 * n * n - 1) + [2] * n * n
+
+
+# ---------------------------------------------------------------------------
+# the per-n tables: the same operators as the per-call construction, built
+# once, read-only, with their checks run when they are built
+
+
+def _triples(ops):
+    return [(dict(op.num), op.den, op.degree) for op in ops]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_so_image_matches_the_per_call_construction(n):
+    so = so_lambda_spinor_image(make_torus(n, _product_structure(n)))
+    assert _triples(so.ops) == _triples(so_image_by_products(n))
+    assert so.dim == len(so.ops) == comb(4 * n, 2)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_lefschetz_operators_match_the_per_call_construction(rng, n):
+    outcomes = set()
+    for t in range(6):
+        kappa = rand_skew(rng, 2 * n)
+        if t % 2:
+            kappa = kappa * Fraction(1, rng.randint(2, 3))
+        if t % 3 == 2:
+            k = rng.randrange(2 * n)
+            for i in range(2 * n):
+                kappa[k, i] = kappa[i, k] = 0
+        e, f = lefschetz_pair_by_products(kappa)
+        assert _triples([lefschetz_e(kappa)]) == _triples([e])
+        outcomes.add(f is None)
+        if f is None:
+            with pytest.raises(NoHardLefschetz):
+                lefschetz_f(kappa)
+        else:
+            assert _triples([lefschetz_f(kappa)]) == _triples([f])
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_grading_operator_matches_the_per_call_construction(n):
+    assert _triples([grading_operator(n)]) == _triples([grading_operator_by_masks(n)])
+
+
+def _clear_tables():
+    for table in (lf._half_brackets, lf._so_image):
+        table.cache_clear()
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_so_image_is_built_once_per_n(rng, monkeypatch, n):
+    calls = []
+    product = lf._product
+
+    def counting_product(gi, gj, size):
+        calls.append(size)
+        return product(gi, gj, size)
+
+    monkeypatch.setattr(lf, "_product", counting_product)
+    _clear_tables()
+    first = so_lambda_spinor_image(make_torus(n, _product_structure(n)))
+    second = so_lambda_spinor_image(gaussian_torus(rng, n)[0])
+    # the Lefschetz operators sum the same table's entries
+    kappa = rand_skew(rng, 2 * n)
+    lefschetz_e(kappa)
+    lf._lefschetz_pair(kappa)
+    assert len(calls) == comb(4 * n, 2)
+    assert _triples(first.ops) == _triples(second.ops)
+    # new operators over the same read-only entries
+    assert not any(a is b for a, b in zip(first.ops, second.ops))
+    assert all(a.num is b.num for a, b in zip(first.ops, second.ops))
+
+
+def test_returned_operators_are_read_only():
+    A = make_torus(2, _product_structure(2))
+    op = so_lambda_spinor_image(A).ops[0]
+    h = grading_operator(2)
+    for num in (op.num, h.num, lf._half_brackets(2)):
+        key = next(iter(num))
+        with pytest.raises(TypeError):
+            num[key] = 7
+    assert _triples(so_lambda_spinor_image(A).ops) == _triples(so_image_by_products(2))
+    assert _triples([grading_operator(2)]) == _triples([grading_operator_by_masks(2)])
+
+
+def test_dimension_guard_fires_once_and_leaves_no_table(monkeypatch):
+    # op_{1,2} = l_2 x_1 made equal to op_{0,3} = l_1 x_2, both of degree 0:
+    # the six operators at n = 1 then span five dimensions
+    half_brackets = lf._half_brackets
+
+    def equal_pair(n):
+        table = dict(half_brackets(n))
+        table[1, 2] = table[0, 3]
+        return table
+
+    _clear_tables()
+    monkeypatch.setattr(lf, "_half_brackets", equal_pair)
+    A = make_torus(1, J_SQUARE)
+    with pytest.raises(RuntimeError) as info:
+        so_lambda_spinor_image(A)
+    assert str(info.value) == "so(Lambda) spinor image has dimension 5, not 2n(4n-1) = 6"
+    monkeypatch.undo()
+    assert _triples(so_lambda_spinor_image(A).ops) == _triples(so_image_by_products(1))
+
+
+def test_homogeneity_guard_fires_once_and_leaves_no_table(monkeypatch):
+    # l_1 l_2, of degree -2, given a diagonal entry, of degree 0
+    product = lf._product
+    gens = _generator_maps(1)
+
+    def inhomogeneous_product(gi, gj, size):
+        num = product(gi, gj, size)
+        if gi is gens[0] and gj is gens[1]:
+            num[0] = 1
+        return num
+
+    monkeypatch.setattr(lf, "_product", inhomogeneous_product)
+    _clear_tables()
+    A = make_torus(1, J_SQUARE)
+    with pytest.raises(ValueError, match="^operator is not homogeneous of the stated degree$"):
+        so_lambda_spinor_image(A)
+    with pytest.raises(ValueError, match="not homogeneous"):
+        lefschetz_f(KAPPA)
+    monkeypatch.undo()
+    assert _triples(so_lambda_spinor_image(A).ops) == _triples(so_image_by_products(1))
+    assert _triples(lf._lefschetz_pair(KAPPA)) == _triples(lefschetz_pair_by_products(KAPPA))

@@ -19,7 +19,8 @@ run too), hung when the timeout ends it, and survives when every test
 passes; a survivor is either equivalent or a gap in the tests, which only a
 reader can decide.  Before the first mutant, tier-1 runs once on the
 unmutated copy: if that run does not pass, every mutant would read killed,
-so the sweep stops there.
+so the sweep stops there.  The exit status is nonzero when the sweep stops
+there or when a mutant hangs, and 0 otherwise, survivors included.
 
     python3 tools/mutation_sweep.py --seed 1
 
@@ -184,7 +185,8 @@ def main(argv=None):
                   f"{outcome} ({seconds:.0f} s)", flush=True)
     print("summary: " + ", ".join(f"{outcomes.count(o)} {o}"
                                   for o in ("killed", "hung", "survived")))
+    return 1 if "hung" in outcomes else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
