@@ -10,15 +10,10 @@ import argparse
 import json
 import sys
 
-from . import mirror as mi
+# main needs serialize and errors whatever the command; every other sibling
+# is imported where it runs, so a call loads only its command's layers
 from . import serialize as sz
-from . import siegel as sg
-from .clifford import IsotropicSplitting, SpinVec, beta_iso, beta_parity, r_of_z
-from .corresp import phi_poincare, xi_from_mirror
 from .errors import DomainError, NotSpin
-from .lefschetz import generate_g_ns
-from .pairspace import classify_pair, i_omega, make_weak_pair
-from .torus import NSVector, make_torus, ns_basis
 
 
 def _int_from_json(x):
@@ -40,6 +35,7 @@ def _n_from_json(obj, n_max):
 
 
 def _torus_from_json(obj, n_max):
+    from .torus import make_torus
     return make_torus(_n_from_json(obj, n_max), sz.json_to_mat(obj["J"]))
 
 
@@ -48,6 +44,7 @@ def _torus_to_json(t):
 
 
 def _pair_from_json(obj, n_max):
+    from .pairspace import make_weak_pair
     return make_weak_pair(_torus_from_json(obj["torus"], n_max),
                           sz.json_to_mat(obj["phi1"]), sz.json_to_mat(obj["phi2"]))
 
@@ -58,11 +55,13 @@ def _pair_to_json(p):
 
 
 def _splitting_from_json(n, obj):
+    from .clifford import IsotropicSplitting
     return IsotropicSplitting(n, [sz.json_to_vec(v) for v in obj["basis1"]],
                               [sz.json_to_vec(v) for v in obj["basis2"]])
 
 
 def _spinvec_from_json(n, terms):
+    from .clifford import SpinVec
     v = SpinVec(n, {})
     for t in terms:
         indices = [_int_from_json(i) for i in t["indices"]]
@@ -92,26 +91,33 @@ def _run_command(command, data, n_max):
         t = _torus_from_json(data, n_max)
         return {"torus": _torus_to_json(t)}
     if command == "ns-basis":
+        from .torus import ns_basis
         t = _torus_from_json(data["torus"], n_max)
         return {"basis": [sz.mat_to_json(v.c) for v in ns_basis(t)]}
     if command == "classify":
+        from .pairspace import classify_pair
         p = _pair_from_json(data, n_max)
         return {"tag": classify_pair(p)}
     if command == "i-omega":
+        from .pairspace import i_omega
         p = _pair_from_json(data, n_max)
         return {"I": sz.mat_to_json(i_omega(p))}
     if command == "mirror-split":
+        from . import mirror as mi
         p = _pair_from_json(data["pair"], n_max)
         s = _splitting_from_json(p.torus.n, data["splitting"])
         pB, cert = mi.mirror_from_splitting(p, s)
         return {"pairB": _pair_to_json(pB), "alpha": sz.mat_to_json(cert.alpha)}
     if command == "g-mirror":
+        from . import mirror as mi
         p = _pair_from_json(data["pair"], n_max)
         w = mi.WellBecomingWitness([sz.json_to_vec(v) for v in data["gamma1"]],
                                    [sz.json_to_vec(v) for v in data["gamma2"]])
         pB, cert = mi.g_mirror(p, w)
         return {"pairB": _pair_to_json(pB), "alpha": sz.mat_to_json(cert.alpha)}
     if command == "elliptic-mirror":
+        from . import mirror as mi
+        from .torus import NSVector
         t = _torus_from_json(data["torus"], n_max)
         tau = (sz.str_to_rat(data["tau"][0]), sz.str_to_rat(data["tau"][1]))
         phi = NSVector(sz.json_to_mat(data["phi"]))
@@ -119,11 +125,13 @@ def _run_command(command, data, n_max):
         return {"pairA": _pair_to_json(pA), "pairB": _pair_to_json(pB),
                 "alpha": sz.mat_to_json(cert.alpha)}
     if command == "verify-mirror":
+        from . import mirror as mi
         pA = _pair_from_json(data["pairA"], n_max)
         pB = _pair_from_json(data["pairB"], n_max)
         mi.verify_mirror(pA, pB, sz.json_to_mat(data["alpha"]))
         return {"ok": True}
     if command == "beta":
+        from .clifford import beta_iso, beta_parity
         n = _n_from_json(data, n_max)
         s1 = _splitting_from_json(n, data["s1"])
         s2 = _splitting_from_json(n, data["s2"])
@@ -131,24 +139,30 @@ def _run_command(command, data, n_max):
         return {"beta": sz.mat_to_json(beta),
                 "parity": beta_parity(beta, s1, s2)}
     if command == "xi":
+        from .corresp import xi_from_mirror
         n = _n_from_json(data, n_max)
         return {"xi": _product_class_to_json(xi_from_mirror(n))}
     if command == "phi-p":
+        from .corresp import phi_poincare
         n = _n_from_json(data, n_max)
         v = _spinvec_from_json(n, data["v"])
         return {"image": _spinvec_to_json(phi_poincare(n, v))}
     if command == "gns":
+        from .lefschetz import generate_g_ns
+        from .torus import NSVector
         t = _torus_from_json(data["torus"], n_max)
         kappas = [NSVector(sz.json_to_mat(m)) for m in data["kappas"]]
         basis = generate_g_ns(t, kappas)
         return {"dim": basis.dim, "degrees": [op.degree for op in basis.ops]}
     if command == "siegel-act":
+        from . import siegel as sg
         p = _pair_from_json(data["pair"], n_max)
         g = sz.json_to_mat(data["g"])
         sg.require_q_isometry(g, p.torus.n)
         phi1, phi2 = sg.siegel_act(g, (p.phi1, p.phi2))
         return {"phi1": sz.mat_to_json(phi1), "phi2": sz.mat_to_json(phi2)}
     if command == "spin-check":
+        from .clifford import r_of_z
         n = _n_from_json(data, n_max)
         z = sz.json_to_mat(data["z"])
         if z.shape != (4 ** n, 4 ** n):
@@ -173,6 +187,9 @@ def main(argv=None):
     parser.add_argument("--output", required=True)
     parser.add_argument("--n-max", type=int, default=4)
     args = parser.parse_args(argv)
+    if args.n_max < 0:
+        # a usage error, not a document's: no n could be under the cap
+        parser.error(f"argument --n-max: {args.n_max} is negative")
     # an unreadable or unwritable file, and a document nested too deeply for
     # the JSON decoder, are input errors too
     try:

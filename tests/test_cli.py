@@ -597,6 +597,88 @@ def test_budget_is_not_an_option(tmp_path):
     assert not out.exists()
 
 
+def test_negative_n_max_is_a_usage_error(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(torusmirror.__file__).parents[1]))
+    inp = tmp_path / "in.json"
+    out = tmp_path / "out.json"
+    inp.write_text(json.dumps({"n": 0, "J": []}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "torusmirror.cli", "make-torus",
+         "--input", str(inp), "--output", str(out), "--n-max", "-1"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "argument --n-max: -1 is negative" in proc.stderr
+    assert not out.exists()
+    # a cap of 0 admits n = 0 and caps n = 1
+    code, out = run(tmp_path, "make-torus", {"n": 0, "J": []}, extra=["--n-max", "0"])
+    assert code == 0
+    code, out = run(tmp_path, "make-torus", TORUS_SQUARE, extra=["--n-max", "0"])
+    assert code == 1
+    assert json.loads(out.read_text())["detail"] == "n = 1 exceeds the safety cap --n-max = 0"
+
+
+# the package modules a CLI process loads to run each command on a document at
+# n = 1: each command imports only the layers it runs
+BASE_LAYERS = {"cli", "errors", "exactlin", "serialize", "torus"}
+MIRROR_LAYERS = BASE_LAYERS | {"mirror", "pairspace", "siegel"}
+SPINOR_LAYERS = BASE_LAYERS | {"clifford", "pairspace"}
+COMMAND_LAYERS = {
+    "make-torus": BASE_LAYERS,
+    "ns-basis": BASE_LAYERS,
+    "classify": BASE_LAYERS | {"pairspace"},
+    "i-omega": BASE_LAYERS | {"pairspace"},
+    "siegel-act": BASE_LAYERS | {"pairspace", "siegel"},
+    "g-mirror": MIRROR_LAYERS,
+    "elliptic-mirror": MIRROR_LAYERS,
+    "verify-mirror": MIRROR_LAYERS,
+    "mirror-split": MIRROR_LAYERS | {"clifford"},
+    "beta": SPINOR_LAYERS,
+    "spin-check": SPINOR_LAYERS,
+    "xi": SPINOR_LAYERS | {"corresp"},
+    "phi-p": SPINOR_LAYERS | {"corresp"},
+    "gns": SPINOR_LAYERS | {"lefschetz"},
+}
+
+
+def _loaded_layers(tmp_path, command, text):
+    """(exit code, package modules loaded, whether numpy was loaded) of
+    cli.main on the document text, in a fresh interpreter."""
+    inp, out = tmp_path / "in.json", tmp_path / "out.json"
+    inp.write_text(text)
+    script = ("import json, sys; from torusmirror import cli; "
+              f"code = cli.main([{command!r}, '--input', {str(inp)!r}, '--output', {str(out)!r}]); "
+              "print(json.dumps([code, sorted(m.partition('.')[2] for m in sys.modules "
+              "if m.startswith('torusmirror.')), 'numpy' in sys.modules]))")
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(torusmirror.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    code, loaded, numpy = json.loads(proc.stdout)
+    return code, set(loaded), numpy
+
+
+def test_each_command_loads_only_its_layers(tmp_path):
+    assert sorted(COMMAND_LAYERS) == sorted(cli.COMMANDS)
+    docs = {}
+    for command, doc in fuzz_seed_documents(tmp_path) + [
+            ("phi-p", {"n": 1, "v": [{"indices": [1, 2], "coeff": "2"}]})]:
+        if {_value_at(doc, path) for path in _n_paths(doc)} == {1}:
+            docs.setdefault(command, doc)
+    found = {}
+    for command in cli.COMMANDS:
+        code, loaded, numpy = _loaded_layers(tmp_path, command, json.dumps(docs[command]))
+        assert code == 0 and not numpy, command
+        found[command] = loaded
+    assert found == COMMAND_LAYERS
+    # a malformed document loads no more than its command's layers
+    bad = dict(PAIR_SQUARE, phi1=[["0", "x"], ["0", "0"]])
+    for text in ("{not json", json.dumps(bad)):
+        code, loaded, numpy = _loaded_layers(tmp_path, "classify", text)
+        assert code == 2 and not numpy
+        assert loaded <= COMMAND_LAYERS["classify"], loaded
+
+
 # ---------------------------------------------------------------------------
 # the grammar of a rational, and the exit-code contract under mutated documents
 
@@ -648,6 +730,13 @@ def _with_n(doc, n, paths):
         for key in path[:-1]:
             parent = parent[key]
         parent[path[-1]] = n
+    return doc
+
+
+def _value_at(doc, path):
+    """The value at a key path of a JSON document."""
+    for key in path:
+        doc = doc[key]
     return doc
 
 

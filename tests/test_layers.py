@@ -1,10 +1,12 @@
 """The package's import layers: each module imports exactly the sibling
 modules listed here, and only at module level, where a cycle would fail at
-import time.  And its public surface: every public name that no other
-module, no benchmark file and no use in its own module reaches, outside the
-names listed here, is listed here with the reason it is kept.  And no module
-of the package or of the tests imports a name at module level that it never
-reads.  And every functools cache of the package is pinned with its bound."""
+import time; cli alone imports each sibling where its command runs it, and
+no module imports cli.  And its public surface: every public name that no
+other module, no benchmark file and no use in its own module reaches,
+outside the names listed here, is listed here with the reason it is kept.
+And no module of the package or of the tests imports a name at module
+level, and cli in a function, that it never reads.  And every functools
+cache of the package is pinned with its bound."""
 
 import ast
 import importlib
@@ -61,26 +63,34 @@ def test_sibling_imports_match_the_layers():
 
 
 def test_sibling_imports_are_at_module_level():
-    nested = []
+    nested, importers = [], []
     for name, tree in _trees().items():
+        importers += [f"{name}.py:{node.lineno}" for node in ast.walk(tree)
+                      if "cli" in _sibling_imports(node)]
+        if name == "cli":
+            # cli imports each sibling in the command that runs it, so that a
+            # call loads only its command's layers; as no module imports cli,
+            # it cannot be part of a cycle
+            continue
         top = set(map(id, tree.body))
         nested += [f"{name}.py:{node.lineno}" for node in ast.walk(tree)
                    if _sibling_imports(node) and id(node) not in top]
     assert not nested, f"function-local imports of sibling modules: {nested}"
+    assert not importers, f"imports of cli: {importers}"
 
 
-def _unused_imports(tree):
-    """Names bound by the module-level imports of one file that the file never
-    reads: as a Name it loads, or as a parameter of a function, since pytest
-    passes fixtures by parameter name."""
+def _unused_imports(scope, statements):
+    """Names bound by the import statements among statements that the scope,
+    a file or a function, never reads: as a Name it loads, or as a parameter
+    of a function, since pytest passes fixtures by parameter name."""
     bound = {}
-    for node in tree.body:
+    for node in statements:
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             for alias in node.names:
                 if alias.name != "*":
                     bound[alias.asname or alias.name.split(".")[0]] = node.lineno
     read = set()
-    for node in ast.walk(tree):
+    for node in ast.walk(scope):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             read.add(node.id)
         elif isinstance(node, ast.arg):
@@ -89,10 +99,18 @@ def _unused_imports(tree):
 
 
 def test_no_unused_imports():
-    unused = [f"{path.parent.name}/{path.name}:{line} {name}"
-              for path in sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))
-              for name, line in _unused_imports(ast.parse(path.read_text())).items()]
-    assert not unused, f"module-level imports never read: {unused}"
+    unused = []
+    for path in sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        scopes = [(tree, tree.body)]
+        if path == SRC / "cli.py":
+            # the imports in cli's functions, each read in its own function
+            scopes += [(node, list(ast.walk(node))) for node in tree.body
+                       if isinstance(node, ast.FunctionDef)]
+        unused += [f"{path.parent.name}/{path.name}:{line} {name}"
+                   for scope, statements in scopes
+                   for name, line in _unused_imports(scope, statements).items()]
+    assert not unused, f"imports never read: {unused}"
 
 
 # public names that only the tests reach, directly or through other names
